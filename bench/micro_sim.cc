@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of instruction encode/decode, the ECC code, NDU dataflow
- * ops and the MAC pipeline — the practical limits on how fast this
- * golden model can drive verification (paper V-E used exactly such an
- * instruction simulator to drive DV).
+ * ops, the MAC pipeline and the system-memory/DMA weight stream — the
+ * practical limits on how fast this golden model can drive verification
+ * (paper V-E used exactly such an instruction simulator to drive DV).
  */
 
 #include <benchmark/benchmark.h>
@@ -251,14 +251,108 @@ BM_NduRotate(benchmark::State &state)
 }
 BENCHMARK(BM_NduRotate)->Unit(benchmark::kMillisecond);
 
+/**
+ * The host side of every weight stream (a GNMT sentence moves 360 MB
+ * through it): SystemMemory reads in 4 KiB rows, and multi-row DMA
+ * transfers into the weight RAM drained to completion.
+ */
+struct SysmemStream
+{
+    static constexpr uint64_t kBytes = 32ull << 20;
+    static constexpr uint32_t kDmaRows = 512; ///< 2 MiB per transfer.
+
+    SysmemStream() : m(chaNcoreConfig(), chaSocConfig()), row(4096)
+    {
+        image.resize(kBytes);
+        Rng rng(7);
+        for (uint8_t &b : image)
+            b = uint8_t(rng.next64());
+        base = m.sysmem().allocate(kBytes);
+        m.sysmem().write(base, image.data(), kBytes);
+
+        DmaDescriptor d;
+        d.toNcore = true;
+        d.weightRam = true;
+        d.rowCount = kDmaRows;
+        d.sysAddr = base;
+        m.dma().setDescriptor(0, d);
+    }
+
+    void
+    readAll()
+    {
+        for (uint64_t off = 0; off < kBytes; off += row.size())
+            m.sysmem().read(base + off, row.data(), row.size());
+        benchmark::DoNotOptimize(row.data());
+    }
+
+    void writeAll() { m.sysmem().write(base, image.data(), kBytes); }
+
+    void
+    dmaOnce()
+    {
+        m.dma().kick(0);
+        m.dma().drainAll();
+    }
+
+    uint64_t dmaBytes() const { return uint64_t(kDmaRows) * row.size(); }
+
+    Machine m;
+    std::vector<uint8_t> image;
+    std::vector<uint8_t> row;
+    uint64_t base = 0;
+};
+
+void
+BM_SysmemRead(benchmark::State &state)
+{
+    SysmemStream s;
+    for (auto _ : state)
+        s.readAll();
+    state.SetBytesProcessed(int64_t(state.iterations() * s.kBytes));
+}
+BENCHMARK(BM_SysmemRead)->Unit(benchmark::kMillisecond);
+
+void
+BM_DmaStream(benchmark::State &state)
+{
+    SysmemStream s;
+    for (auto _ : state)
+        s.dmaOnce();
+    state.SetBytesProcessed(int64_t(state.iterations() * s.dmaBytes()));
+}
+BENCHMARK(BM_DmaStream)->Unit(benchmark::kMillisecond);
+
 // --------------------------------------------------------------------
 // BENCH_sim.json: machine-readable snapshot of simulator throughput
-// (sim_cycles/s and lane_MACs/s per MAC variant, wall time per
-// cold-cache workload profile) for tracking the execution engine's
-// performance across commits. Profile measurement re-simulates all
-// four MLPerf workloads and takes a while; set NCORE_BENCH_NO_PROFILES
-// to skip that section.
+// (sim_cycles/s and lane_MACs/s per MAC variant, system-memory and DMA
+// stream GB/s, wall time per cold-cache workload profile) for tracking
+// the simulator's performance across commits. Profile measurement
+// re-simulates all four MLPerf workloads and takes a while; set
+// NCORE_BENCH_NO_PROFILES to skip that section.
 // --------------------------------------------------------------------
+
+struct Timed
+{
+    int iters = 0;
+    double wall = 0;
+};
+
+/** Call `step` repeatedly for at least 0.5 wall seconds. */
+template <typename Step>
+Timed
+timeRepeated(Step step)
+{
+    using clock = std::chrono::steady_clock;
+    clock::time_point t0 = clock::now();
+    Timed t;
+    do {
+        step();
+        ++t.iters;
+        t.wall = std::chrono::duration<double>(clock::now() - t0).count();
+    } while (t.wall < 0.5);
+    return t;
+}
 
 struct MacMeasurement
 {
@@ -273,38 +367,42 @@ MacMeasurement
 measureMacVariant(const char *name, LaneType type, Pred pred,
                   SimdTier tier)
 {
-    using clock = std::chrono::steady_clock;
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
               {ExecEngine::Default, nullptr, nullptr, tier});
     if (pred != Pred::None)
         fillPredRow(m);
     std::vector<EncodedInstruction> enc = macProgram(type, pred);
-
-    // Warm run: binds the decode-time plans and touches the RAM pages.
-    m.writeIram(0, enc);
-    m.start(0);
-    m.run();
-
-    uint64_t cycles0 = m.cycles();
-    uint64_t macs0 = m.perf().macOps;
-    clock::time_point t0 = clock::now();
-    double wall = 0;
-    int iters = 0;
-    do {
+    auto run = [&] {
         m.writeIram(0, enc);
         m.start(0);
         m.run();
-        ++iters;
-        wall = std::chrono::duration<double>(clock::now() - t0).count();
-    } while (wall < 0.5);
+    };
+
+    // Warm run: binds the decode-time plans and touches the RAM pages.
+    run();
+
+    uint64_t cycles0 = m.cycles();
+    uint64_t macs0 = m.perf().macOps;
+    const Timed t = timeRepeated(run);
 
     MacMeasurement r;
     r.name = name;
     r.tier = simdTierName(m.simdTier());
-    r.simCyclesPerSec = double(m.cycles() - cycles0) / wall;
-    r.laneMacsPerSec = double(m.perf().macOps - macs0) / wall;
-    r.wallPerRun = wall / iters;
+    r.simCyclesPerSec = double(m.cycles() - cycles0) / t.wall;
+    r.laneMacsPerSec = double(m.perf().macOps - macs0) / t.wall;
+    r.wallPerRun = t.wall / t.iters;
     return r;
+}
+
+/** Host GB/s of `step`, which moves `bytes`, after one warm-up call
+ *  (which allocates pages on first touch). */
+template <typename Step>
+double
+measureGbps(uint64_t bytes, Step step)
+{
+    step();
+    const Timed t = timeRepeated(step);
+    return double(bytes) * t.iters / t.wall / 1e9;
 }
 
 void
@@ -341,6 +439,18 @@ writeBenchSimJson()
         }
     }
     j.endArray();
+
+    SysmemStream stream;
+    j.key("sysmem_stream").beginObject();
+    j.field("read_gbps",
+            measureGbps(stream.kBytes, [&] { stream.readAll(); }), "%.3f");
+    j.field("write_gbps",
+            measureGbps(stream.kBytes, [&] { stream.writeAll(); }), "%.3f");
+    j.field("dma_gbps",
+            measureGbps(stream.dmaBytes(), [&] { stream.dmaOnce(); }),
+            "%.3f");
+    j.endObject();
+
     j.key("profiles").beginArray();
 
     if (!getenv("NCORE_BENCH_NO_PROFILES")) {

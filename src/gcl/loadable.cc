@@ -61,7 +61,7 @@ const std::vector<uint64_t> &
 LoadedModel::streamBases(SystemMemory &mem) const
 {
     std::lock_guard<std::mutex> lock(streamMu_);
-    auto it = streamBases_.find(&mem);
+    auto it = streamBases_.find(mem.id());
     if (it != streamBases_.end())
         return it->second;
 
@@ -74,7 +74,7 @@ LoadedModel::streamBases(SystemMemory &mem) const
         mem.write(base, sg.streamImage.data(), sg.streamImage.size());
         bases[si] = base;
     }
-    return streamBases_.emplace(&mem, std::move(bases)).first->second;
+    return streamBases_.emplace(mem.id(), std::move(bases)).first->second;
 }
 
 } // namespace ncore

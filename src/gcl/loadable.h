@@ -172,7 +172,8 @@ class LoadedModel
     ModelProgramCache cache_;
 
     mutable std::mutex streamMu_;
-    mutable std::unordered_map<SystemMemory *, std::vector<uint64_t>>
+    /// SystemMemory::id() -> bases.
+    mutable std::unordered_map<uint64_t, std::vector<uint64_t>>
         streamBases_;
 };
 

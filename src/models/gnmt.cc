@@ -292,7 +292,8 @@ Gnmt::translate(const std::vector<int> &src, int max_out) const
 uint64_t
 Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
                     const std::vector<float> &x,
-                    std::vector<float> &gates) const
+                    std::vector<float> &gates,
+                    uint64_t &digest) const
 {
     const int k_total = int(w.shape().dim(0));
     const int n_total = int(w.shape().dim(1));
@@ -315,16 +316,17 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
     const int out_base = in.rows() + 2;
     const int n_chunks = (n_total + 4095) / 4096;
 
-    // Weight image in DRAM, staged once per distinct matrix.
+    // Weight image in DRAM, staged once per (memory, matrix).
     uint64_t addr;
-    auto it = staged_.find(w.raw());
+    const auto key = std::make_pair(m.sysmem().id(), w.raw());
+    auto it = staged_.find(key);
     if (it != staged_.end()) {
         addr = it->second;
     } else {
         auto img = packMatmulBf16Weights(w);
         addr = m.sysmem().allocate(img.size());
         m.sysmem().write(addr, img.data(), img.size());
-        staged_[w.raw()] = addr;
+        staged_.emplace(key, addr);
     }
 
     // Build the segmented program: fence/kick ping-pong per segment.
@@ -413,6 +415,8 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
             m.hostReadRow(false, out.baseRow + r,
                           rows.data() + size_t(r) * 4096);
         unpackFlat(rows.data(), out, t, 0);
+        for (size_t b = 0; b < t.byteSize(); ++b)
+            digest = (digest ^ t.raw()[b]) * 0x100000001b3ull;
         for (int j = 0; j < n_here; ++j)
             gates[size_t(ch * 4096 + j)] = t.floatAt(j);
     }
@@ -424,6 +428,7 @@ Gnmt::runOnNcore(Machine &m, int in_len, int out_len) const
 {
     const int hidden = cfg_.hidden;
     RunStats stats;
+    stats.outputDigest = 0xcbf29ce484222325ull; // FNV-1a offset basis.
     const uint64_t macs0 = m.perf().macOps;
     const uint64_t dma0 = m.dma().stats().bytesRead;
 
@@ -438,7 +443,8 @@ Gnmt::runOnNcore(Machine &m, int in_len, int out_len) const
         std::vector<float> full = x;
         full.insert(full.end(), h.begin(), h.end());
         std::vector<float> gates;
-        stats.cycles += matmulOnNcore(m, lw.w, full, gates);
+        stats.cycles += matmulOnNcore(m, lw.w, full, gates,
+                                      stats.outputDigest);
         auto sigmoid = [](float v) {
             return 1.0f / (1.0f + std::exp(-v));
         };
@@ -503,14 +509,16 @@ Gnmt::runOnNcore(Machine &m, int in_len, int out_len) const
             }
             // Attention (query projection on Ncore; softmax on x86).
             std::vector<float> qv;
-            stats.cycles += matmulOnNcore(m, attnQuery_, x, qv);
+            stats.cycles += matmulOnNcore(m, attnQuery_, x, qv,
+                                          stats.outputDigest);
             charge_x86(int64_t(in_len) * hidden + in_len * 4);
             for (float &v : ctx)
                 v = 0.3f * v + 0.01f; // Synthetic context update.
 
             // Vocabulary projection on Ncore.
             std::vector<float> logits;
-            stats.cycles += matmulOnNcore(m, projection_, x, logits);
+            stats.cycles += matmulOnNcore(m, projection_, x, logits,
+                                          stats.outputDigest);
             charge_x86(cfg_.vocab); // argmax/top-k on x86.
         }
     }

@@ -23,7 +23,8 @@
 #define NCORE_MODELS_GNMT_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/tensor.h"
@@ -69,6 +70,9 @@ class Gnmt
         uint64_t macOps = 0;
         uint64_t dmaBytes = 0;
         double x86Seconds = 0; ///< Gates/attention/embedding on x86.
+        /// 64-bit FNV-1a over every matmul's bf16 output, in execution
+        /// order: a functional check on the streamed weight data path.
+        uint64_t outputDigest = 0;
     };
 
     /**
@@ -103,10 +107,12 @@ class Gnmt
 
     /** Run one k-segmented [1,K]x[K,N] matmul on the machine with DMA
      *  streamed weights. Weight images are staged into system DRAM
-     *  once per distinct matrix and reused across steps. */
+     *  once per distinct (memory, matrix) and reused across steps.
+     *  Folds the output bytes into `digest`. */
     uint64_t matmulOnNcore(Machine &m, const Tensor &w,
                            const std::vector<float> &x,
-                           std::vector<float> &out) const;
+                           std::vector<float> &out,
+                           uint64_t &digest) const;
 
     GnmtConfig cfg_;
     Tensor embedding_;  ///< [vocab, H] bf16 (shared enc/dec).
@@ -118,8 +124,10 @@ class Gnmt
     LstmWeights encBwd_;              ///< Backward cell of layer 1.
     std::vector<LstmWeights> dec_;    ///< decLayers cells.
 
-    /// DRAM staging cache: weight storage pointer -> system address.
-    mutable std::unordered_map<const uint8_t *, uint64_t> staged_;
+    /// DRAM staging cache: (SystemMemory::id(), weight storage) ->
+    /// address of that matrix's image in that memory.
+    mutable std::map<std::pair<uint64_t, const uint8_t *>, uint64_t>
+        staged_;
 };
 
 } // namespace ncore

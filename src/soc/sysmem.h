@@ -9,7 +9,10 @@
 #ifndef NCORE_SOC_SYSMEM_H
 #define NCORE_SOC_SYSMEM_H
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -19,7 +22,9 @@
 namespace ncore {
 
 /**
- * Flat system memory with a page-sparse backing store.
+ * Flat system memory with a page-sparse backing store of 64 KiB pages.
+ * Data accesses copy whole page spans, so a multi-megabyte weight
+ * stream costs one page lookup per 64 KiB rather than per byte.
  *
  * Thread-safety: allocation is mutex-guarded (several device contexts
  * may be brought up concurrently against one shared memory). Data
@@ -32,13 +37,21 @@ class SystemMemory
 {
   public:
     explicit SystemMemory(int64_t capacity_bytes = 4ll << 30)
-        : capacity_(capacity_bytes)
+        : capacity_(capacity_bytes), id_(nextId())
     {}
 
     SystemMemory(const SystemMemory &) = delete;
     SystemMemory &operator=(const SystemMemory &) = delete;
 
     int64_t capacity() const { return capacity_; }
+
+    /**
+     * Identity of this memory's current contents, for caches of what
+     * was placed in it: never shared by two instances, and renewed by
+     * reset(), so a stale key cannot match a later memory that happens
+     * to reuse a destroyed one's address.
+     */
+    uint64_t id() const { return id_; }
 
     /** Allocate a block; returns its base address. Thread-safe. */
     uint64_t
@@ -62,6 +75,7 @@ class SystemMemory
         std::lock_guard<std::mutex> lock(allocMu_);
         brk_ = 0;
         pages_.clear();
+        id_ = nextId();
     }
 
     uint64_t
@@ -71,19 +85,37 @@ class SystemMemory
         return brk_;
     }
 
+    /** Copy bytes in, one page span at a time; allocates each page
+     *  the range touches on first write. */
     void
     write(uint64_t addr, const uint8_t *src, uint64_t bytes)
     {
-        for (uint64_t i = 0; i < bytes; ++i)
-            pageFor(addr + i)[(addr + i) & kPageMask] = src[i];
+        while (bytes > 0) {
+            uint64_t off = addr & kPageMask;
+            uint64_t span = std::min(bytes, kPageSize - off);
+            std::memcpy(pageFor(addr).data() + off, src, span);
+            addr += span;
+            src += span;
+            bytes -= span;
+        }
     }
 
+    /** Copy bytes out, one page span at a time; pages never written
+     *  read as zero and stay unallocated (reads never mutate the page
+     *  table). */
     void
     read(uint64_t addr, uint8_t *dst, uint64_t bytes) const
     {
-        for (uint64_t i = 0; i < bytes; ++i) {
-            const std::vector<uint8_t> *p = findPage(addr + i);
-            dst[i] = p ? (*p)[(addr + i) & kPageMask] : 0;
+        while (bytes > 0) {
+            uint64_t off = addr & kPageMask;
+            uint64_t span = std::min(bytes, kPageSize - off);
+            if (const std::vector<uint8_t> *p = findPage(addr))
+                std::memcpy(dst, p->data() + off, span);
+            else
+                std::memset(dst, 0, span);
+            addr += span;
+            dst += span;
+            bytes -= span;
         }
     }
 
@@ -91,6 +123,13 @@ class SystemMemory
     static constexpr uint64_t kPageBits = 16;
     static constexpr uint64_t kPageSize = 1ull << kPageBits;
     static constexpr uint64_t kPageMask = kPageSize - 1;
+
+    static uint64_t
+    nextId()
+    {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+    }
 
     std::vector<uint8_t> &
     pageFor(uint64_t addr)
@@ -115,6 +154,7 @@ class SystemMemory
     int64_t capacity_;
     mutable std::mutex allocMu_;
     uint64_t brk_ = 0;
+    uint64_t id_;
     std::vector<std::vector<uint8_t>> pages_;
 };
 

@@ -3,13 +3,15 @@
  * Model zoo tests: Table V characteristics (MACs, weights,
  * MACs/weight) for all four benchmark networks, compile-time planning
  * properties the paper calls out (MobileNet weight promotion, ResNet
- * pad fusion, SSD's x86-resident NMS tail), and a full MobileNet-V1
- * end-to-end Ncore-vs-reference inference.
+ * pad fusion, SSD's x86-resident NMS tail), a full MobileNet-V1
+ * end-to-end Ncore-vs-reference inference, and golden per-model device
+ * totals (any cycle change must update these deliberately).
  */
 
 #include <gtest/gtest.h>
 
 #include "gcl/compiler.h"
+#include "mlperf/profiles.h"
 #include "models/gnmt.h"
 #include "models/zoo.h"
 #include "runtime/delegate.h"
@@ -190,6 +192,78 @@ TEST(ModelGnmt, NcoreRunStreamsWeights)
     // The weight traffic dominates: at least the encoder+decoder
     // matrices crossed the DMA once.
     EXPECT_GT(stats.dmaBytes, 100ull << 20);
+}
+
+// ---------------- Golden device totals ----------------
+//
+// Exact simulated totals per model. A compiler, NKL or simulator change
+// that moves any of them must update the golden here (and
+// EXPERIMENTS.md) on purpose.
+
+struct DeviceTotals
+{
+    uint64_t cycles;
+    uint64_t instructions;
+    uint64_t dmaBytesRead;
+    uint64_t laneMacs;
+};
+
+void
+expectDeviceTotals(Workload w, const DeviceTotals &golden)
+{
+    const ProfileCounters t = profileWorkloadReport(w).totals;
+    EXPECT_EQ(t.cycles(), golden.cycles) << workloadName(w);
+    EXPECT_EQ(t.instructions, golden.instructions) << workloadName(w);
+    EXPECT_EQ(t.dmaBytesRead, golden.dmaBytesRead) << workloadName(w);
+    EXPECT_EQ(t.macOps, golden.laneMacs) << workloadName(w);
+}
+
+TEST(ModelDeviceTotals, MobileNetV1)
+{
+    expectDeviceTotals(Workload::MobileNetV1,
+                       {378564, 378564, 0, 1437118464});
+}
+
+TEST(ModelDeviceTotals, ResNet50)
+{
+    expectDeviceTotals(Workload::ResNet50,
+                       {3355884, 3138428, 27320320, 12562948096});
+}
+
+/// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time
+/// SystemMemory copy loop, so it pins the page-span copies to it.
+constexpr uint64_t kGnmtCycles = 9854306;
+constexpr uint64_t kGnmtDmaBytes = 360710144;
+constexpr uint64_t kGnmtMacOps = 180355072;
+constexpr uint64_t kGnmtDigest = 0xa73e81c27115b0dcull;
+
+TEST(ModelDeviceTotals, GnmtOnTwoMachines)
+{
+    // One Gnmt stages its weight images into each machine's own DRAM:
+    // the second machine must not read addresses only the first wrote.
+    Gnmt gnmt;
+    Machine m1(chaNcoreConfig(), chaSocConfig());
+    Machine m2(chaNcoreConfig(), chaSocConfig());
+    Gnmt::RunStats a = gnmt.runOnNcore(m1, 1, 1);
+    Gnmt::RunStats b = gnmt.runOnNcore(m2, 1, 1);
+    EXPECT_EQ(a.cycles, kGnmtCycles);
+    EXPECT_EQ(a.dmaBytes, kGnmtDmaBytes);
+    EXPECT_EQ(a.macOps, kGnmtMacOps);
+    EXPECT_EQ(a.outputDigest, kGnmtDigest)
+        << std::hex << "0x" << a.outputDigest;
+    EXPECT_EQ(b.cycles, a.cycles);
+    EXPECT_EQ(b.macOps, a.macOps);
+    EXPECT_EQ(b.dmaBytes, a.dmaBytes);
+    EXPECT_EQ(b.x86Seconds, a.x86Seconds);
+    EXPECT_EQ(b.outputDigest, kGnmtDigest);
+    // A repeat on the first machine reuses its staged images.
+    uint64_t allocated = m1.sysmem().bytesAllocated();
+    EXPECT_EQ(gnmt.runOnNcore(m1, 1, 1).outputDigest, kGnmtDigest);
+    EXPECT_EQ(m1.sysmem().bytesAllocated(), allocated);
+    // A reset memory holds nothing, so the images are staged again.
+    m1.sysmem().reset();
+    EXPECT_EQ(gnmt.runOnNcore(m1, 1, 1).outputDigest, kGnmtDigest);
+    EXPECT_EQ(m1.sysmem().bytesAllocated(), allocated);
 }
 
 } // namespace
