@@ -12,12 +12,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/json.h"
 #include "common/ecc.h"
 #include "common/machine.h"
 #include "common/rng.h"
 #include "mlperf/profiles.h"
+#include "models/gnmt.h"
+#include "models/zoo.h"
 #include "ncore/machine.h"
 #include "ncore/simd.h"
 
@@ -326,10 +329,10 @@ BENCHMARK(BM_DmaStream)->Unit(benchmark::kMillisecond);
 // --------------------------------------------------------------------
 // BENCH_sim.json: machine-readable snapshot of simulator throughput
 // (sim_cycles/s and lane_MACs/s per MAC variant, system-memory and DMA
-// stream GB/s, wall time per cold-cache workload profile) for tracking
-// the simulator's performance across commits. Profile measurement
-// re-simulates all four MLPerf workloads and takes a while; set
-// NCORE_BENCH_NO_PROFILES to skip that section.
+// stream GB/s, model weight-synthesis seconds, wall time per cold-cache
+// workload profile) for tracking the simulator's performance across
+// commits. Profile measurement re-simulates all four MLPerf workloads
+// and takes a while; set NCORE_BENCH_NO_PROFILES to skip that section.
 // --------------------------------------------------------------------
 
 struct Timed
@@ -405,6 +408,22 @@ measureGbps(uint64_t bytes, Step step)
     return double(bytes) * t.iters / t.wall / 1e9;
 }
 
+/** Smallest wall seconds of three calls to `build`. */
+template <typename Build>
+double
+bestWall(Build build)
+{
+    using clock = std::chrono::steady_clock;
+    double best = 0;
+    for (int i = 0; i < 3; ++i) {
+        clock::time_point t0 = clock::now();
+        build();
+        double wall = std::chrono::duration<double>(clock::now() - t0).count();
+        best = i == 0 ? wall : std::min(best, wall);
+    }
+    return best;
+}
+
 void
 writeBenchSimJson()
 {
@@ -449,6 +468,16 @@ writeBenchSimJson()
     j.field("dma_gbps",
             measureGbps(stream.dmaBytes(), [&] { stream.dmaOnce(); }),
             "%.3f");
+    j.endObject();
+
+    // Weight synthesis: best-of-3 wall seconds of building each model,
+    // the set-up cost paid before anything is compiled or simulated.
+    // The fills use every host thread (Tensor::kFillChunk).
+    j.key("synthesis").beginObject();
+    j.field("host_threads", int(std::thread::hardware_concurrency()));
+    j.field("gnmt_ctor_s", bestWall([] { Gnmt g; }), "%.3f");
+    j.field("resnet50_build_s",
+            bestWall([] { Graph g = buildResNet50V15(); }), "%.3f");
     j.endObject();
 
     j.key("profiles").beginArray();

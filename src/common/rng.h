@@ -48,6 +48,14 @@ class Rng
         return result;
     }
 
+    /**
+     * Advance the stream exactly as `n` calls to next64() would, in
+     * O(log n). The state update is linear over GF(2)^256, so n steps
+     * are the product of the powers T^(2^k) of its matrix T picked by
+     * the set bits of n. The table of powers is built on first use.
+     */
+    void discard(uint64_t n);
+
     /** Uniform integer in [0, bound). bound must be > 0. */
     uint64_t
     nextBelow(uint64_t bound)
@@ -82,6 +90,9 @@ class Rng
     }
 
   private:
+    struct JumpTable;
+    static const JumpTable &jumpTable();
+
     static uint64_t
     rotl(uint64_t x, int k)
     {

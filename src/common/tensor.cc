@@ -1,7 +1,9 @@
 #include "tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "common/saturate.h"
 
@@ -123,32 +125,101 @@ Tensor::setFloatAt(int64_t i, float v)
     }
 }
 
+namespace {
+
+/**
+ * Store `draw(r)` as a T into every element of `t`, each draw taking
+ * `draws` outputs of the stream. The elements are split into
+ * Tensor::kFillChunk pieces filled on up to hardware_concurrency()
+ * threads; each piece starts from a copy of `rng` advanced by the draws
+ * of the elements before it, so the result is that of one sequential
+ * pass whatever the thread count. `rng` ends advanced by all the draws.
+ * Fills under two pieces run inline.
+ */
+template <typename T, typename Draw>
+void
+fillTyped(Tensor &t, Rng &rng, uint64_t draws, Draw draw)
+{
+    T *out = t.typed<T>();
+    const int64_t n = t.numElements();
+    auto fill = [&](Rng &r, int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i)
+            out[i] = draw(r);
+    };
+    const int64_t chunk = Tensor::kFillChunk;
+    const int64_t chunks = (n + chunk - 1) / chunk;
+    if (chunks < 2) {
+        fill(rng, 0, n);
+        return;
+    }
+    std::atomic<int64_t> next{0};
+    auto worker = [&] {
+        for (int64_t c; (c = next.fetch_add(1)) < chunks;) {
+            Rng r = rng;
+            r.discard(uint64_t(c * chunk) * draws);
+            fill(r, c * chunk, std::min(n, (c + 1) * chunk));
+        }
+    };
+    const int64_t threads = std::min<int64_t>(
+        chunks, std::max(1u, std::thread::hardware_concurrency()));
+    {
+        std::vector<std::jthread> pool; // Joined at scope exit.
+        for (int64_t i = 1; i < threads; ++i)
+            pool.emplace_back(worker);
+        worker();
+    }
+    rng.discard(uint64_t(n) * draws);
+}
+
+/** One nextGaussian() takes 12 outputs of the stream. */
+constexpr uint64_t kGaussianDraws = 12;
+
+/**
+ * Store `sigma`-scaled gaussians into a Float32 or BFloat16 tensor.
+ * sigma 1 gives fillRandom's unscaled values: x * 1.0f is exactly x.
+ */
+void
+fillFloat(Tensor &t, Rng &rng, float sigma)
+{
+    if (t.dtype() == DType::Float32)
+        fillTyped<float>(t, rng, kGaussianDraws,
+                         [=](Rng &r) { return r.nextGaussian() * sigma; });
+    else
+        fillTyped<uint16_t>(t, rng, kGaussianDraws, [=](Rng &r) {
+            return BFloat16::fromFloat(r.nextGaussian() * sigma).bits;
+        });
+}
+
+/** Store rng.nextRange(lo, hi) as a T into every element of `t`. */
+template <typename T>
+void
+fillRange(Tensor &t, Rng &rng, int64_t lo, int64_t hi)
+{
+    fillTyped<T>(t, rng, 1,
+                 [=](Rng &r) { return static_cast<T>(r.nextRange(lo, hi)); });
+}
+
+} // namespace
+
 void
 Tensor::fillRandom(Rng &rng)
 {
-    int64_t n = numElements();
     switch (dtype_) {
       case DType::Int8:
-        for (int64_t i = 0; i < n; ++i)
-            setIntAt(i, static_cast<int32_t>(rng.nextRange(-127, 127)));
+        fillRange<int8_t>(*this, rng, -127, 127);
         break;
       case DType::UInt8:
-        for (int64_t i = 0; i < n; ++i)
-            setIntAt(i, static_cast<int32_t>(rng.nextRange(0, 255)));
+        fillRange<uint8_t>(*this, rng, 0, 255);
         break;
       case DType::Int16:
-        for (int64_t i = 0; i < n; ++i)
-            setIntAt(i, static_cast<int32_t>(rng.nextRange(-1024, 1024)));
+        fillRange<int16_t>(*this, rng, -1024, 1024);
         break;
       case DType::Int32:
-        for (int64_t i = 0; i < n; ++i)
-            setIntAt(i, static_cast<int32_t>(rng.nextRange(-100000,
-                                                           100000)));
+        fillRange<int32_t>(*this, rng, -100000, 100000);
         break;
       case DType::Float32:
       case DType::BFloat16:
-        for (int64_t i = 0; i < n; ++i)
-            setFloatAt(i, rng.nextGaussian());
+        fillFloat(*this, rng, 1.0f);
         break;
     }
 }
@@ -158,9 +229,7 @@ Tensor::fillGaussian(Rng &rng, float sigma)
 {
     panic_if(dtype_ != DType::Float32 && dtype_ != DType::BFloat16,
              "fillGaussian() needs a float tensor");
-    int64_t n = numElements();
-    for (int64_t i = 0; i < n; ++i)
-        setFloatAt(i, rng.nextGaussian() * sigma);
+    fillFloat(*this, rng, sigma);
 }
 
 float

@@ -120,6 +120,15 @@ class Tensor
                    shape_.dim(3) + c;
     }
 
+    /**
+     * Elements per piece of a fill. The pieces run on up to
+     * hardware_concurrency() threads, each from its own jump-ahead of
+     * the stream (Rng::discard), so the bytes and the Rng state after a
+     * fill equal one sequential pass's. The size is a constant, so the
+     * bytes never depend on the host's thread count.
+     */
+    static constexpr int64_t kFillChunk = int64_t(1) << 20;
+
     /** Fill with a deterministic pseudo-random pattern for the dtype. */
     void fillRandom(Rng &rng);
 

@@ -458,6 +458,21 @@ matmulBf16WeightRows(int64_t k, int64_t n)
     return int(chunks * 2 * k);
 }
 
+namespace {
+
+/** Split `cols` bf16 values at `src` into their lo and hi byte planes. */
+inline void
+splitBf16(uint8_t *__restrict lo, uint8_t *__restrict hi,
+          const uint8_t *__restrict src, int64_t cols)
+{
+    for (int64_t j = 0; j < cols; ++j) {
+        lo[j] = src[2 * j];
+        hi[j] = src[2 * j + 1];
+    }
+}
+
+} // namespace
+
 std::vector<uint8_t>
 packMatmulBf16Weights(const Tensor &w)
 {
@@ -470,17 +485,18 @@ packMatmulBf16Weights(const Tensor &w)
                              0);
     const uint8_t *pw = w.raw();
 
-    for (int64_t ch = 0; ch < chunks; ++ch)
-    for (int64_t kk = 0; kk < k; ++kk) {
-        uint8_t *lo =
-            img.data() + size_t((ch * k + kk) * 2) * kRowBytes;
-        uint8_t *hi = lo + kRowBytes;
-        for (int64_t j = 0; j < kRowBytes; ++j) {
-            int64_t col = ch * kRowBytes + j;
-            if (col >= n)
-                break;
-            lo[j] = pw[(kk * n + col) * 2];
-            hi[j] = pw[(kk * n + col) * 2 + 1];
+    for (int64_t ch = 0; ch < chunks; ++ch) {
+        const int64_t cols = std::min<int64_t>(kRowBytes, n - ch * kRowBytes);
+        for (int64_t kk = 0; kk < k; ++kk) {
+            uint8_t *lo =
+                img.data() + size_t((ch * k + kk) * 2) * kRowBytes;
+            const uint8_t *src = pw + (kk * n + ch * kRowBytes) * 2;
+            // Full chunks pass the constant kRowBytes: the compiler
+            // vectorizes that trip count at -O2, not a variable one.
+            if (cols == kRowBytes)
+                splitBf16(lo, lo + kRowBytes, src, kRowBytes);
+            else
+                splitBf16(lo, lo + kRowBytes, src, cols);
         }
     }
     return img;

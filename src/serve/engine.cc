@@ -644,19 +644,17 @@ ServeResult::trace() const
     }
 
     // pid 1: per-device batch windows with per-query device windows
-    // and cycle-exact detail children nested inside.
-    for (size_t b = 0; b < batchSizes.size(); ++b) {
-        const QueryRecord *first = nullptr;
-        const QueryRecord *last = nullptr;
-        for (const QueryRecord &r : records) {
-            if (size_t(r.batch) != b)
-                continue;
-            if (!first)
-                first = &r;
-            last = &r;
-        }
-        if (!first)
+    // and cycle-exact detail children nested inside. Group the records
+    // by batch once, in record order.
+    std::vector<std::vector<const QueryRecord *>> byBatch(batchSizes.size());
+    for (const QueryRecord &r : records)
+        if (r.batch >= 0 && size_t(r.batch) < byBatch.size())
+            byBatch[size_t(r.batch)].push_back(&r);
+    for (size_t b = 0; b < byBatch.size(); ++b) {
+        if (byBatch[b].empty())
             continue;
+        const QueryRecord *first = byBatch[b].front();
+        const QueryRecord *last = byBatch[b].back();
         char buf[48];
         snprintf(buf, sizeof buf, "batch %zu (x%d)", b, batchSizes[b]);
         ev.push_back(completeEvent(
@@ -667,25 +665,23 @@ ServeResult::trace() const
     // so within a batch the devDone values are the serial prefix
     // ends — query q's window is [prev.devDone (or the batch's
     // devStart for the first member), q.devDone].
-    for (size_t b = 0; b < batchSizes.size(); ++b) {
+    for (const std::vector<const QueryRecord *> &batch : byBatch) {
         double cursor = -1;
-        for (const QueryRecord &r : records) {
-            if (size_t(r.batch) != b)
-                continue;
-            double start = cursor < 0 ? r.devStart : cursor;
-            cursor = r.devDone;
+        for (const QueryRecord *r : batch) {
+            double start = cursor < 0 ? r->devStart : cursor;
+            cursor = r->devDone;
             char buf[48];
-            snprintf(buf, sizeof buf, "q%d s%d", r.query, r.sample);
+            snprintf(buf, sizeof buf, "q%d s%d", r->query, r->sample);
             TraceEvent e =
                 completeEvent(buf, "ncore", start * 1e6,
-                              (r.devDone - start) * 1e6, 1, r.device);
+                              (r->devDone - start) * 1e6, 1, r->device);
             ev.push_back(e);
-            if (size_t(r.query) < deviceSpans.size())
-                for (const TraceSpan &sp : deviceSpans[size_t(r.query)])
+            if (size_t(r->query) < deviceSpans.size())
+                for (const TraceSpan &sp : deviceSpans[size_t(r->query)])
                     ev.push_back(completeEvent(
                         sp.name, spanCatName(sp.cat),
                         (start + sp.start) * 1e6, sp.dur * 1e6, 1,
-                        r.device));
+                        r->device));
         }
     }
     return ev;

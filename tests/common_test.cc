@@ -5,8 +5,10 @@
  * deterministic RNG, tensors and sample statistics.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,95 @@ TEST(Rng, GaussianMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.03);
     EXPECT_NEAR(sq / n, 1.0, 0.05);
+}
+
+TEST(Rng, DiscardMatchesStepping)
+{
+    const uint64_t ns[] = {0, 1, 63, 64, 65, 12 * (uint64_t(1) << 20) + 7,
+                           100000007};
+    for (uint64_t n : ns) {
+        Rng jumped(7), stepped(7);
+        jumped.discard(n);
+        for (uint64_t i = 0; i < n; ++i)
+            stepped.next64();
+        for (int i = 0; i < 16; ++i)
+            ASSERT_EQ(jumped.next64(), stepped.next64()) << "n=" << n;
+    }
+}
+
+/** The fills as one sequential pass over the stream. */
+void
+sequentialFill(Tensor &t, Rng &rng, float sigma)
+{
+    for (int64_t i = 0; i < t.numElements(); ++i) {
+        switch (t.dtype()) {
+          case DType::Int8:
+            t.setIntAt(i, int32_t(rng.nextRange(-127, 127)));
+            break;
+          case DType::UInt8:
+            t.setIntAt(i, int32_t(rng.nextRange(0, 255)));
+            break;
+          case DType::Int16:
+            t.setIntAt(i, int32_t(rng.nextRange(-1024, 1024)));
+            break;
+          case DType::Int32:
+            t.setIntAt(i, int32_t(rng.nextRange(-100000, 100000)));
+            break;
+          case DType::Float32:
+          case DType::BFloat16:
+            t.setFloatAt(i, rng.nextGaussian() * sigma);
+            break;
+        }
+    }
+}
+
+TEST(Tensor, ChunkedFillMatchesSequential)
+{
+    const int64_t c = Tensor::kFillChunk;
+    const int64_t sizes[] = {0, 1, c - 1, c, c + 1, 2 * c, 3 * c + 5};
+    const DType dtypes[] = {DType::Int8,     DType::UInt8, DType::Int16,
+                            DType::BFloat16, DType::Int32, DType::Float32};
+    uint64_t seed = 1;
+    for (DType dt : dtypes) {
+        const bool is_float = dt == DType::Float32 || dt == DType::BFloat16;
+        for (int64_t n : sizes) {
+            // sigma 1 is fillRandom (every dtype); the floats also get
+            // a fillGaussian.
+            for (float sigma : is_float ? std::vector<float>{1.0f, 0.03f}
+                                        : std::vector<float>{1.0f}) {
+                Tensor got(Shape{n}, dt), want(Shape{n}, dt);
+                Rng a(seed), b(seed);
+                ++seed;
+                if (sigma == 1.0f)
+                    got.fillRandom(a);
+                else
+                    got.fillGaussian(a, sigma);
+                sequentialFill(want, b, sigma);
+                ASSERT_TRUE(std::equal(got.raw(), got.raw() + got.byteSize(),
+                                       want.raw()))
+                    << dtypeName(dt) << " n=" << n << " sigma=" << sigma;
+                ASSERT_EQ(a.next64(), b.next64())
+                    << dtypeName(dt) << " n=" << n << " sigma=" << sigma;
+            }
+        }
+    }
+}
+
+TEST(Tensor, GnmtEmbeddingFillGolden)
+{
+    // GNMT's embedding (the first tensor its constructor fills), whose
+    // bytes no ModelDeviceTotals digest covers. Pinned from the
+    // sequential fill that predates chunking.
+    Tensor t(Shape{22016, 1024}, DType::BFloat16);
+    Rng rng(4);
+    t.fillGaussian(rng, 0.08f);
+    uint64_t h = 0xcbf29ce484222325ull; // 64-bit FNV-1a.
+    for (size_t i = 0; i < t.byteSize(); ++i) {
+        h ^= t.raw()[i];
+        h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(h, 0x265af4794d9e34acull);
+    EXPECT_EQ(rng.next64(), 0x6aaf9955b9726d1bull);
 }
 
 TEST(Tensor, NhwcIndexing)

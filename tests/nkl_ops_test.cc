@@ -377,6 +377,31 @@ TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
     }
 }
 
+TEST(NklLayout, PackMatmulBf16WeightsMatchesPerByteLoop)
+{
+    // N = 22016 (GNMT's vocabulary) leaves a partial last chunk.
+    const int64_t k = 3, n = 22016, row = 4096;
+    Tensor w(Shape{k, n}, DType::BFloat16);
+    Rng rng(37);
+    w.fillGaussian(rng, 0.05f);
+
+    // The per-byte reference loop.
+    std::vector<uint8_t> want(size_t(matmulBf16WeightRows(k, n)) * row, 0);
+    for (int64_t ch = 0; ch < (n + row - 1) / row; ++ch)
+    for (int64_t kk = 0; kk < k; ++kk) {
+        uint8_t *lo = want.data() + size_t((ch * k + kk) * 2) * row;
+        uint8_t *hi = lo + row;
+        for (int64_t j = 0; j < row; ++j) {
+            int64_t col = ch * row + j;
+            if (col >= n)
+                break;
+            lo[j] = w.raw()[(kk * n + col) * 2];
+            hi[j] = w.raw()[(kk * n + col) * 2 + 1];
+        }
+    }
+    EXPECT_EQ(packMatmulBf16Weights(w), want);
+}
+
 TEST_F(NklOpsTest, ChainedConvsExerciseHaloPatch)
 {
     // Two chained 3x3 convolutions across a 3-tile-wide tensor: the
