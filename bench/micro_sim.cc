@@ -138,7 +138,7 @@ runMacPipeline(benchmark::State &state, LaneType type, Pred pred,
                SimdTier tier = SimdTier::Auto)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, nullptr, nullptr, tier});
+              {ExecEngine::Default, nullptr, tier});
     state.SetLabel(m.execDescription());
     if (pred != Pred::None)
         fillPredRow(m);
@@ -371,7 +371,7 @@ measureMacVariant(const char *name, LaneType type, Pred pred,
                   SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, nullptr, nullptr, tier});
+              {ExecEngine::Default, nullptr, tier});
     if (pred != Pred::None)
         fillPredRow(m);
     std::vector<EncodedInstruction> enc = macProgram(type, pred);

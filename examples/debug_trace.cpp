@@ -19,8 +19,7 @@
 
 #include "gcl/compiler.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 
 using namespace ncore;
 
@@ -29,17 +28,10 @@ main()
 {
     std::printf("compiling MobileNet-V1 with per-layer event markers "
                 "(GCL emits Event ops around every layer)...\n");
-    Loadable ld = compile(buildMobileNetV1());
-
-    // A live cycle-domain trace sink (Machine::Options) records bank
-    // swaps, DMA-fence stalls and Event markers as they happen.
-    CycleTraceBuffer sink;
-    Machine machine(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                    {ExecEngine::Default, &sink});
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
+    SharedModel model = LoadedModel::create(compile(buildMobileNetV1()));
+    const Loadable &ld = model->loadable();
+    NcoreDevice dev(model);
+    NcoreRuntime &rt = dev.runtime;
 
     const GirTensor &in_desc =
         ld.graph.tensor(ld.graph.inputs()[0]);
@@ -125,8 +117,6 @@ main()
                     (unsigned long long)s.end,
                     (unsigned long long)s.cycles());
     }
-    std::printf("live sink saw %zu instants, %zu spans\n",
-                sink.instants.size(), sink.spans.size());
     std::printf("\nPrometheus snapshot of the invocation delta:\n%s",
                 prometheusText(stats.counters).c_str());
 

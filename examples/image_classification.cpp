@@ -15,8 +15,7 @@
 
 #include "gcl/compiler.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 
 using namespace ncore;
 
@@ -24,17 +23,13 @@ int
 main()
 {
     std::printf("building MobileNet-V1 (synthetic weights)...\n");
-    Loadable loadable = compile(buildMobileNetV1());
+    SharedModel model = LoadedModel::create(compile(buildMobileNetV1()));
+    const Loadable &loadable = model->loadable();
     std::printf("  weights persistent on-chip: %s (paper: yes for "
                 "MobileNet)\n",
                 loadable.subgraphs[0].weightsPersistent ? "yes" : "no");
 
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime runtime(driver);
-    runtime.loadModel(loadable);
-    DelegateExecutor exec(runtime, X86CostModel{});
+    NcoreDevice dev(model);
 
     // A synthetic 224x224 image (deterministic).
     const GirTensor &in_desc =
@@ -45,7 +40,7 @@ main()
 
     std::printf("running inference on the simulated Ncore "
                 "(cycle-accurate; takes a few seconds)...\n");
-    InferenceResult res = exec.infer({image});
+    InferenceResult res = dev.exec.infer({image});
 
     // Top-5 classes from the softmax output.
     const Tensor &probs = res.outputs.at(0);

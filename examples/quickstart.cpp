@@ -5,8 +5,8 @@
  *   1. Describe a small quantized network in the GIR.
  *   2. Compile it with the GCL (passes, partitioning, layouts,
  *      memory planning, NKL code generation -> Loadable).
- *   3. Bring up the simulated device through the kernel driver,
- *      load the model with the user-mode runtime.
+ *   3. Bring up the simulated device (kernel driver power-up and
+ *      self-test) and load the model with the user-mode runtime.
  *   4. Run an inference through the delegate executor and inspect
  *      the outputs and the timing breakdown.
  *
@@ -17,8 +17,7 @@
 #include <cstdio>
 
 #include "gcl/compiler.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 
 using namespace ncore;
 
@@ -50,8 +49,8 @@ main()
     g.verify();
 
     // ---- 2. Compile to an Ncore Loadable --------------------------
-    Loadable loadable = compile(std::move(g));
-    const CompiledSubgraph &sg = loadable.subgraphs.at(0);
+    SharedModel model = LoadedModel::create(compile(std::move(g)));
+    const CompiledSubgraph &sg = model->loadable().subgraphs.at(0);
     std::printf("compiled: %zu instructions, %d data-RAM rows, "
                 "%d weight-RAM rows, weights %s\n",
                 sg.code.size(), sg.dataRowsUsed, sg.weightRowsUsed,
@@ -59,22 +58,17 @@ main()
                                      : "DMA-streamed");
 
     // ---- 3. Bring up the device ----------------------------------
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    std::printf("device: vendor 0x%04x class 0x%06x, self-test %s\n",
-                driver.identity().vendorId, driver.identity().classCode,
-                driver.selfTest() ? "PASS" : "FAIL");
-
-    NcoreRuntime runtime(driver);
-    runtime.loadModel(loadable);
+    // NcoreDevice stops the program if the ROM self-test fails.
+    NcoreDevice dev(model);
+    std::printf("device: vendor 0x%04x class 0x%06x, self-test PASS\n",
+                dev.driver.identity().vendorId,
+                dev.driver.identity().classCode);
 
     // ---- 4. Infer --------------------------------------------------
     Tensor image(Shape{1, 32, 32, 16}, DType::UInt8, in_qp);
     image.fillRandom(rng);
 
-    DelegateExecutor exec(runtime, X86CostModel{});
-    InferenceResult res = exec.infer({image});
+    InferenceResult res = dev.exec.infer({image});
 
     const Tensor &out = res.outputs.at(0);
     std::printf("output shape %s, first values:",

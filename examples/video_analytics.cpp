@@ -21,8 +21,7 @@
 #include "gcl/compiler.h"
 #include "mlperf/pipeline.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 
 using namespace ncore;
 
@@ -34,7 +33,8 @@ main(int argc, char **argv)
         frames = 1;
 
     std::printf("building SSD-MobileNet-V1 (300x300, 91 classes)...\n");
-    Loadable loadable = compile(buildSsdMobileNetV1());
+    SharedModel model = LoadedModel::create(compile(buildSsdMobileNetV1()));
+    const Loadable &loadable = model->loadable();
     std::printf("  input staged in %zu y-bands (300x300x3 exceeds "
                 "on-chip residency)\n",
                 loadable.subgraphs[0].inputBands.empty()
@@ -43,12 +43,7 @@ main(int argc, char **argv)
                           .inputBands[0]
                           .bandLayouts.size());
 
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime runtime(driver);
-    runtime.loadModel(loadable);
-    DelegateExecutor exec(runtime, X86CostModel{});
+    NcoreDevice dev(model);
 
     const GirTensor &in_desc =
         loadable.graph.tensor(loadable.graph.inputs()[0]);
@@ -61,7 +56,7 @@ main(int argc, char **argv)
         std::printf("frame %d: running detector (cycle-accurate "
                     "simulation; ~10s)...\n",
                     f);
-        InferenceResult res = exec.infer({frame});
+        InferenceResult res = dev.exec.infer({frame});
         last = res.timing;
 
         // Detections: rows of {class, score, y1, x1, y2, x2}.

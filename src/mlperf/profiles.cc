@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -11,14 +13,13 @@
 #include "gcl/compiler.h"
 #include "models/gnmt.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 
 namespace ncore {
 
 namespace {
 
-constexpr const char *kCacheVersion = "ncore-profile-v3";
+constexpr const char *kCacheVersion = "ncore-profile-v4";
 
 /** Serializes every read/append of the on-disk profile cache, so
  *  concurrent measureWorkload calls (tests, benches, the serving
@@ -89,8 +90,11 @@ appendCache(const std::string &path, const WorkloadProfile &p)
                     lines.push_back(line);
         }
     }
+    // Seconds round-trip exactly, so a warm cache reproduces a cold
+    // measurement bit for bit.
     std::ostringstream entry;
-    entry << p.model << " " << p.ncoreSeconds << " " << p.x86Seconds
+    entry << std::setprecision(std::numeric_limits<double>::max_digits10)
+          << p.model << " " << p.ncoreSeconds << " " << p.x86Seconds
           << " " << p.unhiddenSeconds << " "
           << (p.batchingSupported ? 1 : 0) << " " << p.ncoreCycles
           << " " << p.ncoreMacs << " " << p.dmaBytes;
@@ -112,47 +116,38 @@ appendCache(const std::string &path, const WorkloadProfile &p)
         warn("cannot rename %s over %s", tmp.c_str(), path.c_str());
 }
 
+/** Build the gir graph of a CNN workload (panics for GNMT). */
+Graph
+buildCnnGraph(Workload w)
+{
+    switch (w) {
+      case Workload::MobileNetV1: return buildMobileNetV1();
+      case Workload::ResNet50: return buildResNet50V15();
+      case Workload::SsdMobileNet: return buildSsdMobileNetV1();
+      default: panic("not a CNN workload");
+    }
+}
+
+/** The seeded input image every CNN profile infers on. */
+Tensor
+profileInput(const Graph &g)
+{
+    const GirTensor &desc = g.tensor(g.inputs()[0]);
+    Tensor x(desc.shape, DType::UInt8, desc.quant);
+    Rng rng(2020);
+    x.fillRandom(rng);
+    return x;
+}
+
 /** Profile one GIR CNN through the full stack. */
 WorkloadProfile
 profileCnn(Workload w)
 {
-    Graph g;
-    int64_t pixels = 0;
-    switch (w) {
-      case Workload::MobileNetV1:
-        g = buildMobileNetV1();
-        pixels = 224 * 224 * 3;
-        break;
-      case Workload::ResNet50:
-        g = buildResNet50V15();
-        pixels = 224 * 224 * 3;
-        break;
-      case Workload::SsdMobileNet:
-        g = buildSsdMobileNetV1();
-        pixels = 300 * 300 * 3;
-        break;
-      default:
-        panic("not a CNN workload");
-    }
-
-    Loadable ld = compile(std::move(g));
-
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    fatal_if(!driver.selfTest(), "Ncore self-test failed");
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
-
-    Tensor x(ld.graph.tensor(ld.graph.inputs()[0]).shape, DType::UInt8,
-             ld.graph.tensor(ld.graph.inputs()[0]).quant);
-    Rng rng(2020);
-    x.fillRandom(rng);
+    NcoreDevice dev(LoadedModel::create(compile(buildCnnGraph(w))));
+    const Tensor x = profileInput(dev.runtime.model()->graph);
+    InferenceResult res = dev.exec.infer({x});
 
     X86CostModel cost;
-    DelegateExecutor exec(rt, cost);
-    InferenceResult res = exec.infer({x});
-
     WorkloadProfile p;
     p.model = cacheKey(w);
     // Latency portions come from the inference's span timeline (the
@@ -167,7 +162,7 @@ profileCnn(Workload w)
                  span_x86 != res.timing.x86Seconds(),
              "span-derived breakdown diverged from timing");
     p.ncoreSeconds = span_ncore;
-    p.x86Seconds = span_x86 + cost.preprocessSeconds(pixels) +
+    p.x86Seconds = span_x86 + cost.preprocessSeconds(x.numElements()) +
                    cost.loadgenOverheadSeconds();
     p.unhiddenSeconds = kUnhiddenFraction * p.x86Seconds;
     p.batchingSupported = w != Workload::SsdMobileNet;
@@ -215,18 +210,6 @@ profileGnmt()
     p.ncoreMacs = uint64_t(double(stats.macOps) * scale);
     p.dmaBytes = uint64_t(double(stats.dmaBytes) * scale);
     return p;
-}
-
-/** Build the gir graph of a CNN workload (panics for GNMT). */
-Graph
-buildCnnGraph(Workload w)
-{
-    switch (w) {
-      case Workload::MobileNetV1: return buildMobileNetV1();
-      case Workload::ResNet50: return buildResNet50V15();
-      case Workload::SsdMobileNet: return buildSsdMobileNetV1();
-      default: panic("not a CNN workload");
-    }
 }
 
 } // namespace
@@ -351,33 +334,20 @@ profileWorkloadReport(Workload w, ExecEngine engine)
         return rep;
     }
 
-    Loadable ld = compile(buildCnnGraph(w));
-
-    Machine machine(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                    opts);
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    fatal_if(!driver.selfTest(), "Ncore self-test failed");
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
-
-    Tensor x(ld.graph.tensor(ld.graph.inputs()[0]).shape, DType::UInt8,
-             ld.graph.tensor(ld.graph.inputs()[0]).quant);
-    Rng rng(2020);
-    x.fillRandom(rng);
-
-    X86CostModel cost;
-    DelegateExecutor exec(rt, cost);
+    SharedModel model = LoadedModel::create(compile(buildCnnGraph(w)));
+    NcoreDevice dev(model, nullptr, opts);
+    const Graph &graph = model->loadable().graph;
+    const Tensor x = profileInput(graph);
 
     // Attach after power-up/load so the profile covers exactly the
     // inference (self-test and image loads are host/DMA work).
     CycleProfile prof;
-    machine.setProfile(&prof);
-    exec.infer({x});
-    machine.setProfile(nullptr);
-    ProfileReport rep = buildProfileReport(prof, &ld.graph, cacheKey(w),
-                                           machine.config().clockHz);
-    rep.engine = machine.execDescription();
+    dev.machine.setProfile(&prof);
+    dev.exec.infer({x});
+    dev.machine.setProfile(nullptr);
+    ProfileReport rep = buildProfileReport(prof, &graph, cacheKey(w),
+                                           dev.machine.config().clockHz);
+    rep.engine = dev.machine.execDescription();
     return rep;
 }
 

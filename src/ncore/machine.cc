@@ -53,8 +53,7 @@ Machine::Machine(const MachineConfig &cfg, const SocConfig &soc,
       iram_(kPcSpace), decoded_(kPcSpace), plans_(kPcSpace),
       fastExec_(resolveFastExec(opts.execEngine)),
       simdTier_(fastExec_ ? resolveSimdTier(opts.simd)
-                          : SimdTier::Scalar),
-      sink_(opts.traceSink)
+                          : SimdTier::Scalar)
 {
     panic_if(rowBytes_ % 64 != 0, "row bytes must be a multiple of 64");
     for (auto &r : n_)
@@ -373,13 +372,8 @@ Machine::advancePcWithCallback()
     }
     pc_ = next;
     // Fire after pc_ moves so the callback may write the freed bank.
-    if (freed >= 0) {
-        if (sink_)
-            sink_->onInstant("iram_bank_free", perf_.cycles,
-                             uint64_t(freed));
-        if (onBankFree_)
-            onBankFree_(freed);
-    }
+    if (freed >= 0 && onBankFree_)
+        onBankFree_(freed);
 }
 
 uint64_t
@@ -436,16 +430,11 @@ Machine::step()
             cost += 8;
             perf_.dmaFenceStalls += 8;
         }
-        if (sink_ && cost > stall0)
-            sink_->onSpan("dma_fence_stall", perf_.cycles + stall0,
-                          perf_.cycles + cost);
         fence_stall = cost - stall0;
         break;
       }
       case CtrlOp::Event:
         eventLog_.record(perf_.cycles, in.ctrl.imm);
-        if (sink_)
-            sink_->onInstant("event", perf_.cycles, in.ctrl.imm);
         if (prof_)
             prof_->eventMark(in.ctrl.imm, perf_.cycles,
                              dma_->stats().bytesRead,

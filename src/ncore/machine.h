@@ -46,7 +46,6 @@
 #include "soc/sysmem.h"
 #include "telemetry/profile.h"
 #include "telemetry/stats.h"
-#include "telemetry/trace.h"
 
 namespace ncore {
 
@@ -63,16 +62,12 @@ enum class ExecEngine : uint8_t
 /**
  * Construction-time Machine knobs (spelled Machine::Options at use
  * sites). Replaces the old setGenericExec() setter + scattered
- * NCORE_SIM_GENERIC sniffing: engine choice and telemetry sink are
- * fixed for the Machine's lifetime.
+ * NCORE_SIM_GENERIC sniffing: engine choice and SIMD tier are fixed
+ * for the Machine's lifetime.
  */
 struct MachineOptions
 {
     ExecEngine execEngine = ExecEngine::Default;
-    /// Live cycle-domain listener (nullptr = telemetry off; the
-    /// simulator then does no telemetry work at all). Not owned;
-    /// must outlive the Machine.
-    TraceSink *traceSink = nullptr;
     /// Microarchitectural cycle profiler (telemetry/profile.h);
     /// nullptr = no profiling work at all. Not owned; may also be
     /// attached/detached later via setProfile().
@@ -235,9 +230,6 @@ class Machine : public RamRowPort
      */
     std::string execDescription() const;
 
-    /** The telemetry sink installed at construction (may be null). */
-    TraceSink *traceSink() const { return sink_; }
-
     // --- Microarchitectural profiling (telemetry/profile.h) -------------
 
     /**
@@ -359,7 +351,6 @@ class Machine : public RamRowPort
     bool running_ = false;
     bool fastExec_ = true; ///< Specialized engine (vs generic interpreter).
     SimdTier simdTier_ = SimdTier::Scalar; ///< Resolved kernel tier.
-    TraceSink *sink_ = nullptr; ///< Cycle-domain telemetry (not owned).
     CycleProfile *prof_ = nullptr; ///< Cycle profiler (not owned).
     /// Thread that called start(); run() asserts single-thread
     /// affinity per program launch (see run()).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <queue>
 #include <thread>
 
@@ -12,30 +11,6 @@
 #include "ncore/simd.h"
 
 namespace ncore {
-
-// --------------------------------------------------------------------
-// Device contexts
-// --------------------------------------------------------------------
-
-/** One simulated Ncore device: machine + driver + runtime + delegate,
- *  backed by the engine's shared SystemMemory and LoadedModel. */
-struct ServeEngine::DeviceContext
-{
-    DeviceContext(const SharedModel &model, SystemMemory *mem)
-        : machine(chaNcoreConfig(), chaSocConfig(), mem), driver(machine)
-    {
-        driver.powerUp();
-        fatal_if(!driver.selfTest(), "Ncore self-test failed");
-        runtime.emplace(driver);
-        runtime->loadModel(model);
-        exec.emplace(*runtime, X86CostModel{});
-    }
-
-    Machine machine;
-    NcoreDriver driver;
-    std::optional<NcoreRuntime> runtime;
-    std::optional<DelegateExecutor> exec;
-};
 
 ServeEngine::ServeEngine(SharedModel model,
                          std::vector<std::vector<Tensor>> samples,
@@ -49,7 +24,7 @@ ServeEngine::ServeEngine(SharedModel model,
         chaSocConfig().dmaWindowBytes);
     for (int d = 0; d < max_devices; ++d)
         contexts_.push_back(
-            std::make_unique<DeviceContext>(model_, sysmem_.get()));
+            std::make_unique<NcoreDevice>(model_, sysmem_.get()));
 }
 
 ServeEngine::~ServeEngine() = default;
@@ -57,7 +32,7 @@ ServeEngine::~ServeEngine() = default;
 NcoreRuntime &
 ServeEngine::runtime(int device)
 {
-    return *contexts_.at(size_t(device))->runtime;
+    return contexts_.at(size_t(device))->runtime;
 }
 
 uint64_t
@@ -85,10 +60,10 @@ ServeEngine::profileSample(int sample, const std::string &model_name)
     fatal_if(sample < 0 || size_t(sample) >= samples_.size(),
              "profileSample: sample %d out of range (%zu samples)",
              sample, samples_.size());
-    DeviceContext &dev = *contexts_.front();
+    NcoreDevice &dev = *contexts_.front();
     CycleProfile prof;
     dev.machine.setProfile(&prof);
-    dev.exec->infer(samples_[size_t(sample)]);
+    dev.exec.infer(samples_[size_t(sample)]);
     dev.machine.setProfile(nullptr);
     ProfileReport rep =
         buildProfileReport(prof, &model_->loadable().graph, model_name,
@@ -159,12 +134,11 @@ ServeEngine::makePlan(const ServeConfig &cfg, int queries) const
 // --------------------------------------------------------------------
 
 double
-ServeEngine::executeQuery(DeviceContext &dev, const ServeConfig &cfg,
-                          int query, int sample,
-                          std::vector<Tensor> prepped,
-                          ServeResult &result,
+ServeEngine::executeQuery(NcoreDevice &dev, const ServeConfig &cfg,
+                          int query, ServeResult &result,
                           std::vector<Stats> &query_counters)
 {
+    const int sample = int(size_t(query) % samples_.size());
     InferenceResult r;
     bool from_memo = false;
     if (cfg.memoizeSampleResults) {
@@ -176,7 +150,7 @@ ServeEngine::executeQuery(DeviceContext &dev, const ServeConfig &cfg,
         }
     }
     if (!from_memo) {
-        r = dev.exec->infer(prepped);
+        r = dev.exec.infer(samples_[size_t(sample)]);
         if (cfg.memoizeSampleResults) {
             std::lock_guard<std::mutex> lock(memoMu_);
             memo_.emplace(sample, r);
@@ -247,8 +221,6 @@ ServeEngine::run(const ServeConfig &user_cfg, int queries)
     ServeConfig cfg = user_cfg;
     cfg.x86Workers = std::max(cfg.x86Workers, 1);
     cfg.maxBatch = std::max(cfg.maxBatch, 1);
-    cfg.packThreads = std::max(cfg.packThreads, 1);
-    cfg.queueCapacity = std::max<size_t>(cfg.queueCapacity, 1);
     fatal_if(cfg.devices < 1 || cfg.devices > maxDevices(),
              "run() wants %d devices, engine has %d", cfg.devices,
              maxDevices());
@@ -270,103 +242,25 @@ ServeEngine::run(const ServeConfig &user_cfg, int queries)
     for (const auto &members : plan.batches)
         result.batchSizes.push_back(int(members.size()));
 
-    // ---- Physical pipeline ------------------------------------------
-    // dispatch -> preQueue -> pack workers -> packedQueue -> batcher
-    // -> per-device batch queues -> device driver threads.
-    struct Prepped
-    {
-        int query = 0;
-        std::vector<Tensor> inputs;
-    };
-    BoundedQueue<int> preQueue(cfg.queueCapacity);
-    BoundedQueue<Prepped> packedQueue(cfg.queueCapacity);
-    std::vector<std::unique_ptr<BoundedQueue<int>>> devQueues;
-    for (int d = 0; d < cfg.devices; ++d)
-        devQueues.push_back(std::make_unique<BoundedQueue<int>>(
-            std::max<size_t>(1, cfg.queueCapacity /
-                                    size_t(cfg.maxBatch))));
-
-    std::vector<std::vector<Tensor>> prepped;
-    prepped.resize(size_t(queries));
+    // ---- Execution --------------------------------------------------
+    // One thread per device context runs the batches the plan gives
+    // it, in batch order, through the shared-loadable runtime. Threads
+    // write disjoint query-indexed slots, merged after the join.
     std::vector<double> ncoreSec(size_t(queries), 0.0);
-    // Query-indexed telemetry slots: device threads write disjoint
-    // entries, merged single-threaded after the join.
-    std::vector<Stats> queryCounters;
-    queryCounters.resize(size_t(queries));
+    std::vector<Stats> queryCounters(static_cast<size_t>(queries));
     result.deviceSpans.resize(size_t(queries));
-
-    // x86 pre-stage pool: real threads materialize each query's input
-    // from its sample (the functional share of preprocessing); the
-    // virtual stage cost is cfg.preSeconds in the replay below.
-    std::vector<std::jthread> packers;
-    for (int t = 0; t < cfg.packThreads; ++t)
-        packers.emplace_back([&] {
-            int q = 0;
-            while (preQueue.pop(q)) {
-                Prepped p;
-                p.query = q;
-                p.inputs =
-                    samples_[size_t(q) % samples_.size()]; // copy
-                packedQueue.push(std::move(p));
-            }
-        });
-
-    // Batcher: collects packed queries, completes batches per the
-    // plan, and emits them in batch-id order (devices consume their
-    // queues in order, matching the virtual replay).
-    std::jthread batcher([&] {
-        std::vector<int> remaining;
-        remaining.reserve(plan.batches.size());
-        for (const auto &members : plan.batches)
-            remaining.push_back(int(members.size()));
-        std::vector<char> ready(plan.batches.size(), 0);
-        int next_emit = 0;
-        Prepped p;
-        while (packedQueue.pop(p)) {
-            prepped[size_t(p.query)] = std::move(p.inputs);
-            int b = plan.batchOfQuery[size_t(p.query)];
-            if (--remaining[size_t(b)] == 0)
-                ready[size_t(b)] = 1;
-            while (next_emit < num_batches && ready[size_t(next_emit)]) {
-                devQueues[size_t(plan.deviceOfBatch[size_t(
-                              next_emit)])]
-                    ->push(next_emit);
-                ++next_emit;
-            }
-        }
-        fatal_if(next_emit != num_batches,
-                 "batcher drained with %d/%d batches emitted",
-                 next_emit, num_batches);
-        for (auto &dq : devQueues)
-            dq->close();
-    });
-
-    // Device drivers: one thread per device context, executing real
-    // batched inferences through the shared-loadable runtime.
-    std::vector<std::jthread> drivers;
-    for (int d = 0; d < cfg.devices; ++d)
-        drivers.emplace_back([&, d] {
-            DeviceContext &dev = *contexts_[size_t(d)];
-            int b = 0;
-            while (devQueues[size_t(d)]->pop(b)) {
-                for (int q : plan.batches[size_t(b)]) {
-                    int sample = int(size_t(q) % samples_.size());
-                    ncoreSec[size_t(q)] = executeQuery(
-                        dev, cfg, q, sample,
-                        std::move(prepped[size_t(q)]), result,
-                        queryCounters);
-                    prepped[size_t(q)].clear();
-                }
-            }
-        });
-
-    for (int q = 0; q < queries; ++q)
-        preQueue.push(q);
-    preQueue.close();
-    packers.clear(); // join pack workers
-    packedQueue.close();
-    batcher.join();
-    drivers.clear(); // join device drivers
+    {
+        std::vector<std::jthread> devices;
+        for (int d = 0; d < cfg.devices; ++d)
+            devices.emplace_back([&, d] {
+                NcoreDevice &dev = *contexts_[size_t(d)];
+                for (int b = 0; b < num_batches; ++b)
+                    if (plan.deviceOfBatch[size_t(b)] == d)
+                        for (int q : plan.batches[size_t(b)])
+                            ncoreSec[size_t(q)] = executeQuery(
+                                dev, cfg, q, result, queryCounters);
+            });
+    } // jthreads join here.
 
     // Virtual device cycles (includes memoized repeats, which the
     // machines did not re-execute) — summed exactly from the

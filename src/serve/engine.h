@@ -2,16 +2,15 @@
  * @file
  * Executed multicore serving engine (paper VI-C, Figs. 13/14): the
  * multicore batching pipeline that the analytic model in
- * mlperf/pipeline.h only predicts. One driver thread per simulated
- * Ncore device context executes real batched inferences through the
- * runtime; an x86 worker pool carries the pre/post-processing share of
- * every query (cost-model-timed — the paper's x86 work has no
- * simulatable instruction stream, so its stages are charged their
- * measured per-query seconds); a batcher groups queries; bounded MPMC
- * queues connect the stages with backpressure.
+ * mlperf/pipeline.h only predicts. One thread per simulated Ncore
+ * device context executes the real batched inferences the batch plan
+ * assigns it, in batch order, through the runtime. The x86 share of
+ * every query (pre/post-processing) has no simulatable instruction
+ * stream, so its stages are charged their measured per-query seconds
+ * on a virtual worker pool rather than run on threads.
  *
  * Two clocks:
- *  - wall time: the real threads really execute the cycle simulator
+ *  - wall time: the device threads really execute the cycle simulator
  *    (device inferences are bit-identical to serial invokes);
  *  - virtual time: the reported throughput/latency timeline, built
  *    from measured Ncore seconds (cycles / clockHz) and the
@@ -30,10 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
-#include "runtime/runtime.h"
-#include "serve/queue.h"
+#include "runtime/device.h"
 
 namespace ncore {
 
@@ -71,11 +67,6 @@ struct ServeConfig
     bool memoizeSampleResults = false;
     /// Keep per-query output tensors in the result.
     bool keepOutputs = true;
-
-    /// Capacity of each inter-stage queue (backpressure bound).
-    size_t queueCapacity = 64;
-    /// Real preprocessing threads backing the virtual worker pool.
-    int packThreads = 2;
 };
 
 /** Virtual-time trace of one query through the pipeline. */
@@ -201,8 +192,6 @@ class ServeEngine
     SystemMemory &sysmem() { return *sysmem_; }
 
   private:
-    struct DeviceContext;
-
     /** Arrival schedule + deterministic batch plan for one run. */
     struct RunPlan
     {
@@ -216,16 +205,14 @@ class ServeEngine
     /** Execute one query on a device (or serve it from the memo
      *  cache); deposits the query's counters/spans into the
      *  query-indexed slots and returns measured Ncore seconds. */
-    double executeQuery(DeviceContext &dev, const ServeConfig &cfg,
-                        int query, int sample,
-                        std::vector<Tensor> prepped,
-                        ServeResult &result,
+    double executeQuery(NcoreDevice &dev, const ServeConfig &cfg,
+                        int query, ServeResult &result,
                         std::vector<Stats> &query_counters);
 
     SharedModel model_;
     std::vector<std::vector<Tensor>> samples_;
     std::unique_ptr<SystemMemory> sysmem_;
-    std::vector<std::unique_ptr<DeviceContext>> contexts_;
+    std::vector<std::unique_ptr<NcoreDevice>> contexts_;
 
     std::mutex memoMu_;
     std::unordered_map<int, InferenceResult> memo_;

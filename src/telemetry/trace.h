@@ -13,11 +13,6 @@
  *    sequential inference timeline built by DelegateExecutor, or the
  *    serving engine's discrete-event timeline. Never wall-clock.
  *
- * TraceSink is the Machine-level hook (Machine::Options::traceSink):
- * a live listener for cycle-domain happenings. It is a plain virtual
- * interface with no-op defaults; when no sink is installed the
- * simulator skips all telemetry work (zero-cost-when-disabled).
- *
  * TraceEvent + chromeTraceJson() render any assembled timeline into
  * Chrome trace-event JSON (the `trace.json` format that loads in
  * chrome://tracing and Perfetto).
@@ -65,67 +60,6 @@ struct TraceSpan
     SpanCat cat = SpanCat::Ncore;
     double start = 0.0; ///< Seconds from timeline origin.
     double dur = 0.0;   ///< Seconds.
-};
-
-/**
- * Live cycle-domain listener installed via Machine::Options.
- * Callbacks fire on the simulator's cold paths only (bank swaps,
- * fence stalls, Event markers) — never per instruction — so a sink
- * costs nothing measurable, and a null sink costs one branch.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-
-    /** Point event at an absolute machine cycle. */
-    virtual void onInstant(const char *name, uint64_t cycle, uint64_t arg)
-    {
-        (void)name;
-        (void)cycle;
-        (void)arg;
-    }
-
-    /** Closed interval of machine cycles. */
-    virtual void onSpan(const char *name, uint64_t begin, uint64_t end)
-    {
-        (void)name;
-        (void)begin;
-        (void)end;
-    }
-};
-
-/** TraceSink that just records everything (tests, debug tooling). */
-class CycleTraceBuffer : public TraceSink
-{
-  public:
-    struct Instant
-    {
-        const char *name;
-        uint64_t cycle;
-        uint64_t arg;
-    };
-
-    void
-    onInstant(const char *name, uint64_t cycle, uint64_t arg) override
-    {
-        instants.push_back({name, cycle, arg});
-    }
-    void
-    onSpan(const char *name, uint64_t begin, uint64_t end) override
-    {
-        spans.push_back({name, begin, end});
-    }
-
-    void
-    clear()
-    {
-        instants.clear();
-        spans.clear();
-    }
-
-    std::vector<Instant> instants;
-    std::vector<CycleSpan> spans;
 };
 
 /**

@@ -401,12 +401,12 @@ class FastPathDiff : public ::testing::Test
   protected:
     FastPathDiff()
         : gen_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-               {ExecEngine::Generic, nullptr}),
+               {ExecEngine::Generic}),
           fast_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Specialized, nullptr, nullptr,
+                {ExecEngine::Specialized, nullptr,
                  SimdTier::Scalar}),
           simd_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Specialized, nullptr})
+                {ExecEngine::Specialized})
     {
         // simd_ resolves SimdTier::Auto, so NCORE_SIMD in the test
         // environment (the CI matrix) picks its kernel tier; on a
@@ -547,7 +547,7 @@ TEST_F(FastPathDiff, EngineSelection)
     Machine forced(chaNcoreConfig(), chaSocConfig());
     // Explicit selection beats the env var.
     Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                 {ExecEngine::Specialized, nullptr});
+                 {ExecEngine::Specialized});
     unsetenv("NCORE_SIM_GENERIC");
     EXPECT_FALSE(forced.usingFastPath());
     EXPECT_TRUE(expl.usingFastPath());
@@ -582,7 +582,7 @@ TEST_F(FastPathDiff, SimdTierSelection)
     // ...but an explicit Options request beats it, and a request for
     // more than the host supports clamps to the probed best tier.
     Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                 {ExecEngine::Specialized, nullptr, nullptr,
+                 {ExecEngine::Specialized, nullptr,
                   SimdTier::Avx512});
     EXPECT_EQ(int(expl.simdTier()), int(bestSimdTier()));
 

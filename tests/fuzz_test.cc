@@ -12,8 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "gcl/compiler.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 #include "x86/reference.h"
 
 namespace ncore {
@@ -139,13 +138,8 @@ TEST_P(FuzzTest, CompiledExecutionMatchesReference)
     Loadable ld = compile(std::move(g));
     Tensor want = ReferenceExecutor(ld.graph).run({x})[0];
 
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
-    DelegateExecutor exec(rt, X86CostModel{});
-    InferenceResult res = exec.infer({x});
+    NcoreDevice dev(LoadedModel::create(ld));
+    InferenceResult res = dev.exec.infer({x});
 
     ASSERT_EQ(res.outputs[0].numElements(), want.numElements());
     int mismatches = 0;
@@ -177,11 +171,8 @@ TEST(FuzzDiag, DISABLED_Seed8Intermediates)
     ReferenceExecutor ref(ld.graph);
     ref.run({x});
 
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
+    NcoreDevice dev(LoadedModel::create(ld));
+    NcoreRuntime &rt = dev.runtime;
     rt.invoke(0, {x});
 
     const CompiledSubgraph &sg = ld.subgraphs[0];

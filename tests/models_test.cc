@@ -14,8 +14,7 @@
 #include "mlperf/profiles.h"
 #include "models/gnmt.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 #include "x86/reference.h"
 
 namespace ncore {
@@ -138,13 +137,8 @@ TEST(ModelEndToEnd, MobileNetNcoreMatchesReference)
 
     Tensor want = ReferenceExecutor(ld.graph).run({x})[0];
 
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
-    DelegateExecutor exec(rt, X86CostModel{});
-    InferenceResult res = exec.infer({x});
+    NcoreDevice dev(LoadedModel::create(std::move(ld)));
+    InferenceResult res = dev.exec.infer({x});
 
     EXPECT_EQ(maxAbsDiff(res.outputs[0], want), 0.0f);
 

@@ -23,8 +23,7 @@
 #include "mlperf/profiles.h"
 #include "models/gnmt.h"
 #include "models/zoo.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 #include "serve/engine.h"
 
 namespace ncore {
@@ -43,14 +42,11 @@ bucketSum(const ProfileCounters &c)
 
 TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
 {
-    Loadable ld = compile(buildMobileNetV1());
-    Machine machine(chaNcoreConfig(), chaSocConfig());
-    NcoreDriver driver(machine);
-    driver.powerUp();
-    NcoreRuntime rt(driver);
-    rt.loadModel(ld);
+    NcoreDevice dev(LoadedModel::create(compile(buildMobileNetV1())));
+    Machine &machine = dev.machine;
 
-    const GirTensor &ti = ld.graph.tensor(ld.graph.inputs()[0]);
+    const Graph &g = dev.runtime.model()->graph;
+    const GirTensor &ti = g.tensor(g.inputs()[0]);
     Tensor x(ti.shape, DType::UInt8, ti.quant);
     Rng rng(2020);
     x.fillRandom(rng);
@@ -58,8 +54,7 @@ TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
     CycleProfile prof;
     const uint64_t c0 = machine.cycles();
     machine.setProfile(&prof);
-    DelegateExecutor exec(rt, X86CostModel{});
-    exec.infer({x});
+    dev.exec.infer({x});
     machine.setProfile(nullptr);
 
     EXPECT_GT(prof.cycles(), 0u);
@@ -87,7 +82,7 @@ struct SyntheticRun
 {
     explicit SyntheticRun(ExecEngine engine)
         : m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-            {engine, nullptr, &prof})
+            {engine, &prof})
     {
         // 64 rows of streamable bytes in DRAM for the DMA stall.
         const size_t bytes = 64 * 4096;
@@ -204,9 +199,9 @@ TEST(ProfileEngineIdentityTest, GnmtMatmulsBitIdentical)
     // One Gnmt stages its weight images into each machine's own DRAM.
     Gnmt gnmt;
     Machine fast(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                 {ExecEngine::Specialized, nullptr});
+                 {ExecEngine::Specialized});
     Machine gen(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Generic, nullptr});
+                {ExecEngine::Generic});
     CycleProfile pf, pg;
     fast.setProfile(&pf);
     gen.setProfile(&pg);

@@ -1,13 +1,11 @@
 /**
  * @file
- * Serving-engine tests: the bounded queue primitive, shared-loadable
- * contexts (one model image, N runtimes), bit-identity of engine
- * outputs with serial execution, schedule determinism across seeds and
- * thread counts, and agreement of the executed Offline throughput with
- * the analytic multicore pipeline model.
+ * Serving-engine tests: shared-loadable contexts (one model image, N
+ * runtimes), bit-identity of engine outputs with serial execution,
+ * per-device cycle accounting, schedule determinism across seeds,
+ * engines and memo-cache states, and agreement of the executed Offline
+ * throughput with the analytic multicore pipeline model.
  */
-
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -16,83 +14,10 @@
 #include "runtime/delegate.h"
 #include "runtime/driver.h"
 #include "serve/engine.h"
-#include "serve/queue.h"
 #include "x86/reference.h"
 
 namespace ncore {
 namespace {
-
-// ---------------- BoundedQueue ----------------
-
-TEST(BoundedQueueTest, FifoAndDrainOnClose)
-{
-    BoundedQueue<int> q(4);
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    q.close();
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 1);
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 2);
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 3);
-    EXPECT_FALSE(q.pop(v)); // closed and drained
-    EXPECT_EQ(q.maxDepthSeen(), 3u);
-}
-
-TEST(BoundedQueueTest, BackpressureBlocksProducer)
-{
-    BoundedQueue<int> q(1);
-    q.push(10);
-    std::atomic<bool> second_pushed{false};
-    std::thread producer([&] {
-        q.push(20); // blocks until the consumer pops
-        second_pushed = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(second_pushed.load());
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 10);
-    producer.join();
-    EXPECT_TRUE(second_pushed.load());
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 20);
-    EXPECT_EQ(q.maxDepthSeen(), 1u);
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumers)
-{
-    BoundedQueue<int> q(8);
-    constexpr int kPerProducer = 200;
-    constexpr int kProducers = 3, kConsumers = 3;
-    std::atomic<long> sum{0};
-    std::atomic<int> popped{0};
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p)
-        threads.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                q.push(p * kPerProducer + i);
-        });
-    for (int c = 0; c < kConsumers; ++c)
-        threads.emplace_back([&] {
-            int v = 0;
-            while (q.pop(v)) {
-                sum += v;
-                ++popped;
-            }
-        });
-    for (int p = 0; p < kProducers; ++p)
-        threads[size_t(p)].join();
-    q.close();
-    for (int c = 0; c < kConsumers; ++c)
-        threads[size_t(kProducers + c)].join();
-    const long n = kProducers * kPerProducer;
-    EXPECT_EQ(popped.load(), n);
-    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
 
 // ---------------- Test model ----------------
 
@@ -256,14 +181,9 @@ TEST(ServeEngineTest, OfflineBitIdenticalToSerial)
     // Serial golden: one runtime, each sample in turn.
     std::vector<Tensor> golden;
     {
-        Machine m(chaNcoreConfig(), chaSocConfig());
-        NcoreDriver d(m);
-        d.powerUp();
-        NcoreRuntime rt(d);
-        rt.loadModel(model);
-        DelegateExecutor exec(rt, X86CostModel{});
+        NcoreDevice dev(model);
         for (const auto &s : samples)
-            golden.push_back(exec.infer(s).outputs[0]);
+            golden.push_back(dev.exec.infer(s).outputs[0]);
     }
 
     ServeEngine engine(model, samples, /*max_devices=*/2);
@@ -294,11 +214,12 @@ TEST(ServeEngineTest, OfflineBitIdenticalToSerial)
                   0.0f);
 }
 
-TEST(ServeEngineTest, DeterministicAcrossRunsAndThreadCounts)
+TEST(ServeEngineTest, DeterministicAcrossEnginesAndMemoState)
 {
     SharedModel model = makeServeModel();
     ServeEngine engine(model, makeSamples(*model, 2),
                        /*max_devices=*/2);
+    ServeEngine wider(model, makeSamples(*model, 2), /*max_devices=*/3);
 
     ServeConfig cfg;
     cfg.mode = ServeConfig::Mode::Server;
@@ -315,10 +236,9 @@ TEST(ServeEngineTest, DeterministicAcrossRunsAndThreadCounts)
     cfg.keepOutputs = false;
     const int queries = 32;
 
-    ServeResult a = engine.run(cfg, queries);
-    ServeResult b = engine.run(cfg, queries); // same seed, same config
-    cfg.packThreads = 5;                      // real threads differ,
-    ServeResult c = engine.run(cfg, queries); // virtual time must not
+    ServeResult a = engine.run(cfg, queries); // memo cache cold
+    ServeResult b = engine.run(cfg, queries); // warm: nothing executes
+    ServeResult c = wider.run(cfg, queries);  // more contexts, cold
 
     ASSERT_EQ(a.records.size(), b.records.size());
     ASSERT_EQ(a.records.size(), c.records.size());
@@ -339,11 +259,56 @@ TEST(ServeEngineTest, DeterministicAcrossRunsAndThreadCounts)
     EXPECT_EQ(a.ips, b.ips);
     EXPECT_EQ(a.ips, c.ips);
     EXPECT_EQ(a.p99, c.p99);
+    EXPECT_EQ(prometheusText(a.stats), prometheusText(b.stats));
+    EXPECT_EQ(prometheusText(a.stats), prometheusText(c.stats));
 
     // A different seed produces a different Poisson schedule.
     cfg.seed = 100;
     ServeResult d = engine.run(cfg, queries);
     EXPECT_NE(a.records[1].arrival, d.records[1].arrival);
+}
+
+TEST(ServeEngineTest, EachDeviceRetiresTheCyclesOfItsPlannedQueries)
+{
+    SharedModel model = makeServeModel(/*force_streaming=*/true);
+    std::vector<std::vector<Tensor>> samples = makeSamples(*model, 3);
+
+    // Per-sample device cycles from one serial context.
+    std::vector<uint64_t> sample_cycles;
+    {
+        NcoreDevice dev(model);
+        for (const auto &s : samples)
+            sample_cycles.push_back(dev.exec.infer(s).timing.ncoreCycles);
+    }
+
+    ServeEngine engine(model, samples, /*max_devices=*/2);
+    ServeConfig cfg;
+    cfg.devices = 2;
+    cfg.maxBatch = 2;
+    cfg.memoizeSampleResults = false;
+    cfg.keepOutputs = false;
+    // Batches of 2,2,1 alternate devices, so device 0 runs 3 queries
+    // and device 1 runs 2: any other split of the work shows up.
+    const int queries = 5;
+    uint64_t before[2] = {0, 0};
+    for (int d = 0; d < 2; ++d)
+        before[d] = engine.runtime(d).machine().perf().cycles;
+    ServeResult r = engine.run(cfg, queries);
+
+    uint64_t want[2] = {0, 0};
+    int on_device[2] = {0, 0};
+    for (const QueryRecord &rec : r.records) {
+        ASSERT_EQ(rec.device, rec.batch % 2);
+        want[rec.device] += sample_cycles[size_t(rec.sample)];
+        ++on_device[rec.device];
+    }
+    EXPECT_EQ(on_device[0], 3);
+    EXPECT_EQ(on_device[1], 2);
+    for (int d = 0; d < 2; ++d)
+        EXPECT_EQ(engine.runtime(d).machine().perf().cycles - before[d],
+                  want[d])
+            << "device " << d;
+    EXPECT_EQ(r.deviceCycles, want[0] + want[1]);
 }
 
 TEST(ServeEngineTest, OfflineThroughputMatchesAnalyticModel)

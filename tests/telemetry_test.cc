@@ -2,16 +2,16 @@
  * @file
  * Telemetry layer tests: the unified Stats registry (merge/diff
  * algebra, Prometheus text grammar), the ncore::json writer, the
- * Chrome trace-event exporter, the Machine's cycle-domain TraceSink,
- * and — the load-bearing property — byte-identical trace/metrics
- * exports across engines with different device and thread counts
- * under one ServeConfig (the virtual-DES determinism guarantee).
+ * Chrome trace-event exporter, the runtime's cycle-domain IRAM swap
+ * spans, and — the load-bearing property — byte-identical
+ * trace/metrics exports across engines with different device-context
+ * counts and memo-cache states under one ServeConfig (the virtual-DES
+ * determinism guarantee).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <regex>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -20,8 +20,7 @@
 #include "gcl/compiler.h"
 #include "mlperf/loadgen.h"
 #include "ncore/simd.h"
-#include "runtime/delegate.h"
-#include "runtime/driver.h"
+#include "runtime/device.h"
 #include "serve/engine.h"
 #include "telemetry/stats.h"
 #include "telemetry/trace.h"
@@ -197,13 +196,17 @@ qconv(GraphBuilder &gb, Rng &rng, const std::string &name, TensorId in,
                      pad, pad, pad, act, actQp());
 }
 
+/** `extra_convs` more 3x3 layers lengthen the program (IRAM swaps). */
 Graph
-buildTelemetryNet(Rng &rng)
+buildTelemetryNet(Rng &rng, int extra_convs = 0)
 {
     GraphBuilder gb("telemetrynet");
     TensorId x = gb.input("x", Shape{1, 8, 8, 16}, DType::UInt8,
                           actQp(-1.0f, 1.0f));
     TensorId c1 = qconv(gb, rng, "c1", x, 32, 3, 1, 1, ActFn::Relu);
+    for (int i = 0; i < extra_convs; ++i)
+        c1 = qconv(gb, rng, "x" + std::to_string(i), c1, 32, 3, 1, 1,
+                   ActFn::Relu);
     TensorId c2 = qconv(gb, rng, "c2", c1, 32, 1, 1, 0, ActFn::Relu);
     TensorId gap = gb.avgPool2d("gap", c2, 8, 8, 1, 1, 0, 0, 0, 0);
     TensorId flat = gb.reshape("flat", gap, Shape{1, 32});
@@ -222,10 +225,10 @@ buildTelemetryNet(Rng &rng)
 }
 
 SharedModel
-makeModel(bool force_streaming = false)
+makeModel(bool force_streaming = false, int extra_convs = 0)
 {
     Rng rng(42);
-    Graph g = buildTelemetryNet(rng);
+    Graph g = buildTelemetryNet(rng, extra_convs);
     CompileOptions opts;
     opts.forceStreaming = force_streaming;
     return LoadedModel::create(compile(std::move(g), opts));
@@ -246,17 +249,13 @@ makeSamples(const LoadedModel &model, int count, uint64_t seed = 7)
     return samples;
 }
 
-// ---------------- Machine TraceSink ----------------
+// ---------------- Machine and runtime ----------------
 
-TEST(TelemetryMachineTest, OptionsInstallSinkAndEngine)
+TEST(TelemetryMachineTest, OptionsInstallEngine)
 {
-    CycleTraceBuffer sink;
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Generic, &sink});
+              {ExecEngine::Generic});
     EXPECT_FALSE(m.usingFastPath());
-    EXPECT_EQ(m.traceSink(), &sink);
-    Machine plain(chaNcoreConfig(), chaSocConfig());
-    EXPECT_EQ(plain.traceSink(), nullptr);
 }
 
 TEST(TelemetryMachineTest, PublishStatsReportsExecEngineInfo)
@@ -264,7 +263,7 @@ TEST(TelemetryMachineTest, PublishStatsReportsExecEngineInfo)
     // Exported snapshots are self-describing: an info gauge names the
     // exec engine and the SIMD kernel tier the Machine ran with.
     Machine gen(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Generic, nullptr});
+                {ExecEngine::Generic});
     Stats s;
     gen.publishStats(s);
     EXPECT_EQ(s.value(stats::execEngineInfo("generic", "scalar")), 1.0);
@@ -280,35 +279,51 @@ TEST(TelemetryMachineTest, PublishStatsReportsExecEngineInfo)
                   simdTierName(fast.simdTier()));
 }
 
-TEST(TelemetryMachineTest, SinkSeesIramBankSwapsOfStreamingModel)
+TEST(TelemetryMachineTest, RuntimeRecordsIramBankSwapsOfStreamingModel)
 {
-    SharedModel model = makeModel(/*force_streaming=*/true);
+    SharedModel model =
+        makeModel(/*force_streaming=*/true, /*extra_convs=*/8);
     std::vector<std::vector<Tensor>> samples = makeSamples(*model, 1);
+    ASSERT_TRUE(model->loadable().subgraphs[0].inputBands.empty());
 
-    CycleTraceBuffer sink;
-    Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, &sink});
-    NcoreDriver d(m);
-    d.powerUp();
-    NcoreRuntime rt(d);
-    rt.loadModel(model);
-    DelegateExecutor exec(rt, X86CostModel{});
-    InferenceResult res = exec.infer(samples[0]);
+    // Each program is streamed through the double-buffered IRAM: two
+    // initial fills, then one refill per bank the sequencer leaves
+    // while segments remain — each refill one "iram_swap" span.
+    uint64_t want_swaps = 0;
+    for (const SubgraphProgramCache &pc : model->programCache().subgraphs)
+        want_swaps += pc.codeSegments.size() > 2
+                          ? uint64_t(pc.codeSegments.size() - 2)
+                          : 0;
+    ASSERT_GE(want_swaps, 2u) << "model no longer refills IRAM banks";
+
+    NcoreDevice dev(model);
+    InferenceResult res = dev.exec.infer(samples[0]);
     ASSERT_FALSE(res.outputs.empty());
+    EXPECT_EQ(res.counters.counter(stats::kIramSwaps), want_swaps);
 
-    // A multi-bank program crosses IRAM banks, so the sink must have
-    // seen live bank-free instants; the runtime only counts the
-    // crossings that forced a refill beyond the initial two fills, so
-    // its swap counter is bounded by what the sink saw.
-    size_t bank_frees = 0;
-    for (const auto &i : sink.instants)
-        if (std::string_view(i.name) == "iram_bank_free")
-            ++bank_frees;
-    EXPECT_GT(bank_frees, 0u);
-    EXPECT_LE(res.counters.counter(stats::kIramSwaps), bank_frees);
-    // Cycles are monotone across instants (cycle-domain ordering).
-    for (size_t i = 1; i < sink.instants.size(); ++i)
-        EXPECT_LE(sink.instants[i - 1].cycle, sink.instants[i].cycle);
+    // Swaps are zero-length instants on the cycle timeline, in order,
+    // each inside the program span whose bank crossing caused it.
+    std::vector<const TraceSpan *> swaps, programs;
+    for (const TraceSpan &sp : res.spans) {
+        if (sp.cat != SpanCat::NcoreDetail)
+            continue;
+        if (sp.name == "iram_swap")
+            swaps.push_back(&sp);
+        else if (sp.name == "program")
+            programs.push_back(&sp);
+    }
+    ASSERT_EQ(swaps.size(), want_swaps);
+    for (size_t i = 0; i < swaps.size(); ++i) {
+        EXPECT_EQ(swaps[i]->dur, 0.0);
+        if (i > 0) {
+            EXPECT_LE(swaps[i - 1]->start, swaps[i]->start);
+        }
+        bool inside = false;
+        for (const TraceSpan *p : programs)
+            inside |= swaps[i]->start > p->start &&
+                      swaps[i]->start < p->start + p->dur;
+        EXPECT_TRUE(inside) << "swap " << i;
+    }
 }
 
 // ---------------- Serving-engine telemetry ----------------
@@ -418,31 +433,28 @@ TEST(TelemetryServeTest, StatsRegistryConsistency)
     EXPECT_TRUE(r.stats.contains(stats::kDmaStallCycles));
 }
 
-TEST(TelemetryServeTest, TraceBytesIdenticalAcrossEnginesAndThreads)
+TEST(TelemetryServeTest, TraceBytesIdenticalAcrossEnginesAndMemoState)
 {
-    ServeConfig cfg = telemetryCfg();
+    const ServeConfig cfg = telemetryCfg();
 
-    // Engine A: 2 device contexts available, 1 pack thread.
-    // Engine B: 1 device context, 3 pack threads. Same ServeConfig
-    // (1 device used) => the exported artifacts must be byte-equal.
+    // Engine A: 2 device contexts available. Engine B: 1 context.
+    // Same ServeConfig (1 device used) => the exported artifacts must
+    // be byte-equal.
     SharedModel model_a = makeModel();
     ServeEngine a(model_a, makeSamples(*model_a, 3), 2);
-    ServeConfig cfg_a = cfg;
-    cfg_a.packThreads = 1;
-    ServeResult ra = a.run(cfg_a, 24);
+    ServeResult ra = a.run(cfg, 24);
 
     SharedModel model_b = makeModel();
     ServeEngine b(model_b, makeSamples(*model_b, 3), 1);
-    ServeConfig cfg_b = cfg;
-    cfg_b.packThreads = 3;
-    ServeResult rb = b.run(cfg_b, 24);
+    ServeResult rb = b.run(cfg, 24);
 
     EXPECT_EQ(prometheusText(ra.stats), prometheusText(rb.stats));
     EXPECT_EQ(chromeTraceJson(ra.trace()), chromeTraceJson(rb.trace()));
 
     // And re-running the same engine is also byte-stable (memo cache
     // warm vs cold must not leak into the virtual timeline).
-    ServeResult ra2 = a.run(cfg_a, 24);
+    ServeResult ra2 = a.run(cfg, 24);
+    EXPECT_EQ(prometheusText(ra.stats), prometheusText(ra2.stats));
     EXPECT_EQ(chromeTraceJson(ra.trace()), chromeTraceJson(ra2.trace()));
 }
 
