@@ -435,12 +435,10 @@ writeBenchSimJson()
     JsonWriter j(f);
     j.beginObject();
     j.key("mac_pipeline").beginArray();
-    // One row per (variant, kernel tier): scalar always, plus the
-    // host's best SIMD tier when it has one.
-    std::vector<SimdTier> tiers = {SimdTier::Scalar};
-    if (bestSimdTier() != SimdTier::Scalar)
-        tiers.push_back(bestSimdTier());
-    for (SimdTier tier : tiers) {
+    // One row per (variant, kernel tier), for every tier the host
+    // supports: scalar, then avx2 and avx512 where cpuid allows.
+    for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t) {
+        const SimdTier tier = SimdTier(t);
         const MacMeasurement macs[] = {
             measureMacVariant("u8", LaneType::U8, Pred::None, tier),
             measureMacVariant("u8_pred", LaneType::U8, Pred::P0, tier),

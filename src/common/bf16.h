@@ -51,13 +51,6 @@ struct BFloat16
     bool operator==(const BFloat16 &o) const = default;
 };
 
-/** Fused helper: bf16 * bf16 accumulated in float, as the NPU does. */
-inline float
-bf16MulAcc(float acc, BFloat16 a, BFloat16 b)
-{
-    return acc + a.toFloat() * b.toFloat();
-}
-
 /**
  * Canonicalize a float arithmetic result the way the NPU's bf16 FPU
  * does: any NaN becomes the standard quiet NaN. IEEE-754 leaves the

@@ -58,14 +58,6 @@ dtypeName(DType t)
     return "?";
 }
 
-/** True for the types Ncore's NPU can use as MAC operands. */
-constexpr bool
-dtypeNcoreNative(DType t)
-{
-    return t == DType::Int8 || t == DType::UInt8 || t == DType::Int16 ||
-           t == DType::BFloat16;
-}
-
 /**
  * NPU operation latency in clocks per the paper (IV-D4): 8-bit ops one
  * clock, bfloat16 three clocks, int16 four clocks.

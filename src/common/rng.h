@@ -17,11 +17,7 @@ namespace ncore {
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull) { reseed(seed); }
-
-    /** Reset the stream from a 64-bit seed. */
-    void
-    reseed(uint64_t seed)
+    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
         // splitmix64 to expand the seed into four non-zero words.
         for (auto &word : s) {

@@ -1,8 +1,6 @@
 #include "compiler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "common/lut.h"
@@ -516,8 +514,6 @@ class SubgraphCompiler
     void
     planPacking()
     {
-        if (getenv("NCORE_NO_PACKING"))
-            return;
         // Initial candidates.
         std::unordered_map<TensorId, bool> want;
         for (auto &kv : layouts_) {
@@ -733,9 +729,6 @@ class SubgraphCompiler
             fatal_if(base < 0, "no room for the repack scratch");
             for (auto &kv : repackTemp_)
                 kv.second.baseRow = base;
-            if (getenv("NCORE_DUMP_ALLOC"))
-                std::fprintf(stderr, "repack scratch  [%d, %d)\n",
-                             base, base + repack_rows);
         }
         int restamp_rows = 0;
         for (int id : nodeIds_) {
@@ -750,10 +743,6 @@ class SubgraphCompiler
             scratchBase_ = alloc.allocate(restamp_rows);
             fatal_if(scratchBase_ < 0,
                      "no room for the max-pool restamp scratch");
-            if (getenv("NCORE_DUMP_ALLOC"))
-                std::fprintf(stderr, "restamp scratch [%d, %d)\n",
-                             scratchBase_,
-                             scratchBase_ + restamp_rows);
         }
 
         // Death index per canonical tensor.
@@ -777,10 +766,6 @@ class SubgraphCompiler
                      g_.tensor(c).name.c_str(), rows);
             baseRow_[c] = base;
             layouts_[c].baseRow = base;
-            if (getenv("NCORE_DUMP_ALLOC"))
-                std::fprintf(stderr, "alloc %-14s rows [%d, %d)\n",
-                             g_.tensor(c).name.c_str(), base,
-                             base + rows);
         };
 
         for (TensorId in : sg_.inputs)

@@ -114,7 +114,6 @@ class Graph
     void addOutput(TensorId id) { outputs_.push_back(id); }
     const std::vector<TensorId> &inputs() const { return inputs_; }
     const std::vector<TensorId> &outputs() const { return outputs_; }
-    std::vector<TensorId> &mutableOutputs() { return outputs_; }
 
     /** Check topological order, arity, shape and dtype consistency. */
     void verify() const;

@@ -1,0 +1,437 @@
+/**
+ * @file
+ * The specialized engine's NPU lane kernels, written once for every
+ * SIMD tier.
+ *
+ * Each kernel is a template over a lane-traits type `V` that a kernel
+ * translation unit defines for its ISA:
+ *
+ *  - exec_specialized.cc: ScalarLanes, `kLanes == 1` and nothing else.
+ *    A kernel's vector loop is compiled out, so the scalar tail runs
+ *    every lane. This is the portable tier.
+ *  - exec_simd_avx2.cc (`-mavx2`): 8 int32 lanes per step.
+ *  - exec_simd_avx512.cc (`-mavx512*`): 16 int32 lanes per step, with
+ *    k-mask predication.
+ *
+ * A vector traits type supplies, as static members (Vec = int32 lanes,
+ * FVec = float lanes, Mask = the predicate form):
+ *
+ *     kLanes, load, store, splat
+ *     widen<T, ZOFF>(lo, hi, i, z)   u8/i8/i16 lanes i.. to int32,
+ *                                    u8 minus the zero offset z
+ *     pass<P>(pred + i)              lanes the predicate admits
+ *     select(m, old, neu)            m ? neu : old per lane
+ *     satAdd32, mullo, neg, min, max, bitAnd, bitOr, bitXor
+ *     bf16(lo, hi, i), asF, asI      bf16 planar load, bit casts
+ *     fadd, fsub, fmul, canonNaN
+ *     fMin(fc, fa), fMax(fc, fa)     std::min/std::max(fc, fa),
+ *                                    NaN and ±0 ties included
+ *     cmpGt(p, a, b)                 p[0..kLanes) = a > b as 0/1
+ *
+ * Linkage: everything below sits in an anonymous namespace, and the
+ * traits types live in each TU's own anonymous namespace, so every
+ * including TU gets private copies. An AVX-compiled definition can
+ * therefore never be picked over the portable one at link time. For
+ * the same reason the scalar primitives are stated here instead of
+ * calling the common/ header inlines, and nothing here calls a std::
+ * function template.
+ *
+ * Bit-identity notes (the contract: match machine.cc's generic
+ * interpreter exactly, DESIGN.md §5f):
+ *
+ *  - Integer lanes are at most 16 bits wide, so products fit int32
+ *    exactly and a 32-bit mullo equals the scalar multiply.
+ *  - bf16 MAC is `fc + fa*fb` as two IEEE operations (mul, then add),
+ *    never an FMA: a product in the binary32 subnormal range is
+ *    rounded before the add in the generic interpreter. The SIMD TUs
+ *    compile with -ffp-contract=off so their scalar tails cannot be
+ *    fused either; the portable TU is built in ISO C++ mode, where
+ *    GCC's default is already -ffp-contract=off.
+ *  - NPU bf16 results are NaN-canonicalized to 0x7fc00000
+ *    (common/bf16.h canonicalizeNaN); Min/Max return operands as-is.
+ */
+
+#ifndef NCORE_NCORE_EXEC_NPU_KERNELS_H
+#define NCORE_NCORE_EXEC_NPU_KERNELS_H
+
+#include <cstdint>
+
+#include "ncore/exec_specialized.h"
+
+namespace ncore {
+
+namespace {
+
+// --------------------------------------------------------------------
+// Scalar primitives (must match common/saturate.h and common/bf16.h
+// bit for bit).
+// --------------------------------------------------------------------
+
+inline int32_t
+satAdd32s(int32_t a, int32_t b)
+{
+    int64_t s = int64_t(a) + int64_t(b);
+    if (s > INT32_MAX)
+        return INT32_MAX;
+    if (s < INT32_MIN)
+        return INT32_MIN;
+    return int32_t(s);
+}
+
+inline float
+canonNaN(float f)
+{
+    if (f != f) {
+        const uint32_t q = 0x7fc00000u;
+        float r;
+        __builtin_memcpy(&r, &q, 4);
+        return r;
+    }
+    return f;
+}
+
+/**
+ * Planar bf16 lane i as float (exact: bf16 is float's top half). The
+ * 16-bit assembly step lets the portable tier's autovectorized loops
+ * work on 16-bit lanes before widening.
+ */
+inline float
+bf16Lane(const uint8_t *lo, const uint8_t *hi, int i)
+{
+    uint16_t bits = uint16_t(lo[i]) | uint16_t(hi[i] << 8);
+    uint32_t u = uint32_t(bits) << 16;
+    float f;
+    __builtin_memcpy(&f, &u, 4);
+    return f;
+}
+
+template <LaneType T, bool ZOFF>
+inline int32_t
+widenS(const uint8_t *lo, const uint8_t *hi, int i, int32_t z)
+{
+    if constexpr (T == LaneType::I8) {
+        return int8_t(lo[i]);
+    } else if constexpr (T == LaneType::U8) {
+        if constexpr (ZOFF)
+            return int32_t(lo[i]) - z;
+        else
+            return int32_t(lo[i]);
+    } else {
+        return int16_t(uint16_t(lo[i]) | (uint16_t(hi[i]) << 8));
+    }
+}
+
+/** The predicate row P reads (P0 for None; it is never read then). */
+template <Pred P>
+inline const uint8_t *
+predRow(const ExecCtx &c)
+{
+    return P == Pred::P1 ? c.pred1 : c.pred0;
+}
+
+template <Pred P>
+inline bool
+passS(const uint8_t *pred, int i)
+{
+    if constexpr (P == Pred::None)
+        return true;
+    else if constexpr (P == Pred::NotP0)
+        return pred[i] == 0;
+    else
+        return pred[i] != 0;
+}
+
+/** Which op/type combinations have a specialized kernel. */
+constexpr bool
+npuCombiValid(NpuOp op, LaneType t)
+{
+    switch (op) {
+      case NpuOp::Mac:
+      case NpuOp::MacFwd:
+      case NpuOp::Add:
+      case NpuOp::Sub:
+      case NpuOp::Min:
+      case NpuOp::Max:
+        return true;
+      case NpuOp::And:
+      case NpuOp::Or:
+      case NpuOp::Xor:
+      case NpuOp::CmpGtP0:
+      case NpuOp::CmpGtP1:
+        return t != LaneType::BF16; // Generic panics on these for bf16.
+      default:
+        return false;
+    }
+}
+
+/** Keep `old` in the lanes predicate P rejects. */
+template <class V, Pred P, class Vec>
+inline Vec
+admit(const uint8_t *pred, int i, Vec old, Vec neu)
+{
+    if constexpr (P == Pred::None)
+        return neu;
+    else
+        return V::select(V::template pass<P>(pred + i), old, neu);
+}
+
+// --------------------------------------------------------------------
+// Lane loops: whole vector steps while they fit, then the scalar tail.
+// --------------------------------------------------------------------
+
+/**
+ * Mac over lanes [i0, i1); the A operand is read at lane i + aDelta
+ * (MacFwd splits its wrapped neighbor-slice read into two contiguous
+ * ranges).
+ */
+template <class V, LaneType T, Pred P, bool ZOFF>
+void
+macRange(const ExecCtx &c, int i0, int i1, int aDelta)
+{
+    const uint8_t *aLo = c.aLo, *aHi = c.aHi;
+    const uint8_t *bLo = c.bLo, *bHi = c.bHi;
+    const uint8_t *pred = predRow<P>(c);
+    const int32_t zA = c.zA, zB = c.zB;
+    int32_t *acc = c.acc;
+    int i = i0;
+    if constexpr (V::kLanes > 1) {
+        const auto zAv = V::splat(zA), zBv = V::splat(zB);
+        for (; i + V::kLanes <= i1; i += V::kLanes) {
+            const auto old = V::load(acc + i);
+            typename V::Vec res;
+            if constexpr (T == LaneType::BF16) {
+                // Two roundings on purpose (file comment).
+                auto fa = V::bf16(aLo, aHi, i + aDelta);
+                auto fb = V::bf16(bLo, bHi, i);
+                res = V::asI(V::canonNaN(
+                    V::fadd(V::asF(old), V::fmul(fa, fb))));
+            } else {
+                auto wa = V::template widen<T, ZOFF>(aLo, aHi, i + aDelta,
+                                                     zAv);
+                auto wb = V::template widen<T, ZOFF>(bLo, bHi, i, zBv);
+                res = V::satAdd32(old, V::mullo(wa, wb));
+            }
+            V::store(acc + i, admit<V, P>(pred, i, old, res));
+        }
+    }
+    for (; i < i1; ++i) {
+        if (!passS<P>(pred, i))
+            continue;
+        if constexpr (T == LaneType::BF16) {
+            float fa = bf16Lane(aLo, aHi, i + aDelta);
+            float fb = bf16Lane(bLo, bHi, i);
+            float fc;
+            __builtin_memcpy(&fc, &acc[i], 4);
+            float r = canonNaN(fc + fa * fb);
+            __builtin_memcpy(&acc[i], &r, 4);
+        } else {
+            int32_t wa = widenS<T, ZOFF>(aLo, aHi, i + aDelta, zA);
+            int32_t wb = widenS<T, ZOFF>(bLo, bHi, i, zB);
+            acc[i] = satAdd32s(acc[i], wa * wb);
+        }
+    }
+}
+
+/** Add/Sub/Min/Max/And/Or/Xor of the A operand into the accumulators. */
+template <class V, NpuOp OP, LaneType T, Pred P, bool ZOFF>
+void
+eltRange(const ExecCtx &c)
+{
+    const uint8_t *aLo = c.aLo, *aHi = c.aHi;
+    const uint8_t *pred = predRow<P>(c);
+    const int32_t zA = c.zA;
+    const int rb = c.rb;
+    int32_t *acc = c.acc;
+    int i = 0;
+    if constexpr (V::kLanes > 1) {
+        const auto zAv = V::splat(zA);
+        for (; i + V::kLanes <= rb; i += V::kLanes) {
+            const auto old = V::load(acc + i);
+            typename V::Vec res;
+            if constexpr (T == LaneType::BF16) {
+                auto fa = V::bf16(aLo, aHi, i);
+                auto fc = V::asF(old);
+                if constexpr (OP == NpuOp::Add)
+                    res = V::asI(V::canonNaN(V::fadd(fc, fa)));
+                else if constexpr (OP == NpuOp::Sub)
+                    res = V::asI(V::canonNaN(V::fsub(fc, fa)));
+                else if constexpr (OP == NpuOp::Min)
+                    res = V::asI(V::fMin(fc, fa));
+                else
+                    res = V::asI(V::fMax(fc, fa));
+            } else {
+                auto wa = V::template widen<T, ZOFF>(aLo, aHi, i, zAv);
+                if constexpr (OP == NpuOp::Add)
+                    res = V::satAdd32(old, wa);
+                else if constexpr (OP == NpuOp::Sub)
+                    res = V::satAdd32(old, V::neg(wa));
+                else if constexpr (OP == NpuOp::Min)
+                    res = V::min(old, wa);
+                else if constexpr (OP == NpuOp::Max)
+                    res = V::max(old, wa);
+                else if constexpr (OP == NpuOp::And)
+                    res = V::bitAnd(old, wa);
+                else if constexpr (OP == NpuOp::Or)
+                    res = V::bitOr(old, wa);
+                else
+                    res = V::bitXor(old, wa);
+            }
+            V::store(acc + i, admit<V, P>(pred, i, old, res));
+        }
+    }
+    for (; i < rb; ++i) {
+        if (!passS<P>(pred, i))
+            continue;
+        if constexpr (T == LaneType::BF16) {
+            float fa = bf16Lane(aLo, aHi, i);
+            float fc;
+            __builtin_memcpy(&fc, &acc[i], 4);
+            float r;
+            if constexpr (OP == NpuOp::Add)
+                r = canonNaN(fc + fa);
+            else if constexpr (OP == NpuOp::Sub)
+                r = canonNaN(fc - fa);
+            else if constexpr (OP == NpuOp::Min)
+                r = fa < fc ? fa : fc; // std::min(fc, fa)
+            else
+                r = fc < fa ? fa : fc; // std::max(fc, fa)
+            __builtin_memcpy(&acc[i], &r, 4);
+        } else {
+            int32_t wa = widenS<T, ZOFF>(aLo, aHi, i, zA);
+            if constexpr (OP == NpuOp::Add)
+                acc[i] = satAdd32s(acc[i], wa);
+            else if constexpr (OP == NpuOp::Sub)
+                acc[i] = satAdd32s(acc[i], -wa);
+            else if constexpr (OP == NpuOp::Min)
+                acc[i] = wa < acc[i] ? wa : acc[i];
+            else if constexpr (OP == NpuOp::Max)
+                acc[i] = acc[i] < wa ? wa : acc[i];
+            else if constexpr (OP == NpuOp::And)
+                acc[i] &= wa;
+            else if constexpr (OP == NpuOp::Or)
+                acc[i] |= wa;
+            else
+                acc[i] ^= wa;
+        }
+    }
+}
+
+/** CmpGtP0/P1: predOut[i] = widen(a) > widen(b); ignores predicates. */
+template <class V, LaneType T, bool ZOFF>
+void
+cmpGtRange(const ExecCtx &c)
+{
+    const uint8_t *aLo = c.aLo, *aHi = c.aHi;
+    const uint8_t *bLo = c.bLo, *bHi = c.bHi;
+    const int32_t zA = c.zA, zB = c.zB;
+    const int rb = c.rb;
+    uint8_t *p = c.predOut;
+    int i = 0;
+    if constexpr (V::kLanes > 1) {
+        const auto zAv = V::splat(zA), zBv = V::splat(zB);
+        for (; i + V::kLanes <= rb; i += V::kLanes)
+            V::cmpGt(p + i, V::template widen<T, ZOFF>(aLo, aHi, i, zAv),
+                     V::template widen<T, ZOFF>(bLo, bHi, i, zBv));
+    }
+    for (; i < rb; ++i)
+        p[i] = widenS<T, ZOFF>(aLo, aHi, i, zA) >
+               widenS<T, ZOFF>(bLo, bHi, i, zB);
+}
+
+template <class V, NpuOp OP, LaneType T, Pred P, bool ZOFF>
+void
+npuKernel(const ExecCtx &c)
+{
+    if constexpr (OP == NpuOp::Mac) {
+        macRange<V, T, P, ZOFF>(c, 0, c.rb, 0);
+    } else if constexpr (OP == NpuOp::MacFwd) {
+        macRange<V, T, P, ZOFF>(c, 0, c.rb - c.fwd, c.fwd);
+        macRange<V, T, P, ZOFF>(c, c.rb - c.fwd, c.rb, c.fwd - c.rb);
+    } else if constexpr (OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1) {
+        cmpGtRange<V, T, ZOFF>(c);
+    } else {
+        eltRange<V, OP, T, P, ZOFF>(c);
+    }
+}
+
+// --------------------------------------------------------------------
+// Selector: op -> lane type -> predicate -> zero offset.
+// --------------------------------------------------------------------
+
+template <class V, NpuOp OP, LaneType T, Pred P>
+NpuKernel
+pickZ(bool zoff)
+{
+    // Canonicalize: CmpGt ignores predicates; offsets are u8-only.
+    constexpr Pred kP =
+        OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1 ? Pred::None : P;
+    if constexpr (!npuCombiValid(OP, T))
+        return nullptr;
+    else if constexpr (T == LaneType::U8)
+        return zoff ? &npuKernel<V, OP, T, kP, true>
+                    : &npuKernel<V, OP, T, kP, false>;
+    else
+        return &npuKernel<V, OP, T, kP, false>;
+}
+
+template <class V, NpuOp OP, LaneType T>
+NpuKernel
+pickP(Pred p, bool zoff)
+{
+    switch (p) {
+      case Pred::None: return pickZ<V, OP, T, Pred::None>(zoff);
+      case Pred::P0: return pickZ<V, OP, T, Pred::P0>(zoff);
+      case Pred::P1: return pickZ<V, OP, T, Pred::P1>(zoff);
+      case Pred::NotP0: return pickZ<V, OP, T, Pred::NotP0>(zoff);
+    }
+    return nullptr;
+}
+
+template <class V, NpuOp OP>
+NpuKernel
+pickT(LaneType t, Pred p, bool zoff)
+{
+    switch (t) {
+      case LaneType::I8: return pickP<V, OP, LaneType::I8>(p, zoff);
+      case LaneType::U8: return pickP<V, OP, LaneType::U8>(p, zoff);
+      case LaneType::I16: return pickP<V, OP, LaneType::I16>(p, zoff);
+      case LaneType::BF16: return pickP<V, OP, LaneType::BF16>(p, zoff);
+    }
+    return nullptr;
+}
+
+/**
+ * The tier-V kernel for `npu`, or null when the slot has none (None,
+ * AccZero, AccLoadBias and the bf16 forms the generic path rejects).
+ */
+template <class V>
+NpuKernel
+selectNpuKernelFor(const NpuSlot &npu)
+{
+    const bool zoff = npu.zeroOff;
+    const Pred p = npu.pred;
+    switch (npu.op) {
+      case NpuOp::Mac: return pickT<V, NpuOp::Mac>(npu.type, p, zoff);
+      case NpuOp::MacFwd:
+        return pickT<V, NpuOp::MacFwd>(npu.type, p, zoff);
+      case NpuOp::Add: return pickT<V, NpuOp::Add>(npu.type, p, zoff);
+      case NpuOp::Sub: return pickT<V, NpuOp::Sub>(npu.type, p, zoff);
+      case NpuOp::Min: return pickT<V, NpuOp::Min>(npu.type, p, zoff);
+      case NpuOp::Max: return pickT<V, NpuOp::Max>(npu.type, p, zoff);
+      case NpuOp::And: return pickT<V, NpuOp::And>(npu.type, p, zoff);
+      case NpuOp::Or: return pickT<V, NpuOp::Or>(npu.type, p, zoff);
+      case NpuOp::Xor: return pickT<V, NpuOp::Xor>(npu.type, p, zoff);
+      case NpuOp::CmpGtP0:
+        return pickT<V, NpuOp::CmpGtP0>(npu.type, p, zoff);
+      case NpuOp::CmpGtP1:
+        return pickT<V, NpuOp::CmpGtP1>(npu.type, p, zoff);
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace
+
+} // namespace ncore
+
+#endif // NCORE_NCORE_EXEC_NPU_KERNELS_H

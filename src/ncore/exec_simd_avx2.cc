@@ -1,29 +1,20 @@
 /**
  * @file
- * AVX2 lane kernels for the specialized execution engine.
+ * AVX2 lane kernels for the specialized execution engine: the AVX2
+ * instantiation of the NPU kernels (exec_npu_kernels.h, 8 int32 lanes
+ * per step) plus the vector OUT and NDU kernels, which also serve the
+ * avx512 tier.
  *
- * This TU is compiled with `-mavx2` (plus `-ffp-contract=off`, see
- * below) via per-source CMake flags; nothing outside it may call into
- * it except through the selector entry points, and those are only
- * reached when bestSimdTier() proved the host supports AVX2. To keep
- * AVX2 code from leaking into portable COMDAT sections, every helper
- * here lives in an anonymous namespace and re-states the few scalar
- * primitives it needs (satAdd32, lane widening, bf16 rules) instead
- * of calling the inline functions from common/ headers.
+ * This TU is compiled with `-mavx2 -ffp-contract=off` via per-source
+ * CMake flags; nothing outside it may call into it except through the
+ * selector entry points, and those are only reached when bestSimdTier()
+ * proved the host supports AVX2. To keep AVX2 code from leaking into
+ * portable COMDAT sections, every helper here lives in an anonymous
+ * namespace.
  *
- * Bit-identity notes (the contract is: match the generic interpreter
- * exactly, see DESIGN.md §5f):
+ * Bit-identity notes for the OUT kernels (the NPU notes are in
+ * exec_npu_kernels.h; the contract is DESIGN.md §5f):
  *
- *  - Integer lanes are at most 16 bits wide, so products fit int32
- *    exactly and `_mm256_mullo_epi32` equals the scalar multiply.
- *    The saturating accumulate is emulated with the sign-overflow
- *    identity: overflow iff sign(a)==sign(b) && sign(a+b)!=sign(a).
- *  - bf16 MAC is `fc + fa*fb` as two separate IEEE ops (mul then
- *    add), NOT an FMA: when fa*fb underflows into the binary32
- *    subnormal range the scalar engines round the product before
- *    adding, and a fused multiply-add would not. For the same reason
- *    this TU is compiled with -ffp-contract=off so the compiler
- *    cannot fuse the scalar tail loops either.
  *  - `_mm256_min_ps(a,b)`/`max_ps` return the *second* operand on
  *    NaN and on ±0 ties, exactly like the `(a<b)?a:b` ternary that
  *    std::min/std::max lower to — operand order below is chosen so
@@ -37,82 +28,12 @@
 
 #include <cstdint>
 
-#include "ncore/exec_specialized.h"
+#include "ncore/exec_npu_kernels.h"
+#include "ncore/simd.h"
 
 namespace ncore {
 
 namespace {
-
-// --------------------------------------------------------------------
-// Local scalar primitives (duplicated from common/ to avoid COMDAT
-// leakage; must match saturate.h / bf16.h bit for bit).
-// --------------------------------------------------------------------
-
-inline int32_t
-satAdd32s(int32_t a, int32_t b)
-{
-    int64_t s = int64_t(a) + int64_t(b);
-    if (s > INT32_MAX)
-        return INT32_MAX;
-    if (s < INT32_MIN)
-        return INT32_MIN;
-    return int32_t(s);
-}
-
-inline float
-canonNaN(float f)
-{
-    if (f != f) {
-        const uint32_t q = 0x7fc00000u;
-        float r;
-        __builtin_memcpy(&r, &q, 4);
-        return r;
-    }
-    return f;
-}
-
-inline float
-bf16Lane(const uint8_t *lo, const uint8_t *hi, int i)
-{
-    uint32_t u = (uint32_t(lo[i]) << 16) | (uint32_t(hi[i]) << 24);
-    float f;
-    __builtin_memcpy(&f, &u, 4);
-    return f;
-}
-
-template <LaneType T, bool ZOFF>
-inline int32_t
-widenS(const uint8_t *lo, const uint8_t *hi, int i, int32_t z)
-{
-    if constexpr (T == LaneType::I8) {
-        return int8_t(lo[i]);
-    } else if constexpr (T == LaneType::U8) {
-        if constexpr (ZOFF)
-            return int32_t(lo[i]) - z;
-        else
-            return int32_t(lo[i]);
-    } else {
-        return int16_t(uint16_t(lo[i]) | (uint16_t(hi[i]) << 8));
-    }
-}
-
-template <Pred P>
-inline bool
-passS(const ExecCtx &c, int i)
-{
-    if constexpr (P == Pred::None)
-        return true;
-    else if constexpr (P == Pred::P0)
-        return c.pred0[i] != 0;
-    else if constexpr (P == Pred::P1)
-        return c.pred1[i] != 0;
-    else
-        return c.pred0[i] == 0;
-}
-
-// --------------------------------------------------------------------
-// Vector helpers (8 x int32 lanes per step).
-// --------------------------------------------------------------------
 
 inline __m256i
 load8u(const uint8_t *p)
@@ -126,52 +47,6 @@ load8s(const uint8_t *p)
 {
     return _mm256_cvtepi8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
-}
-
-template <LaneType T, bool ZOFF>
-inline __m256i
-widenV(const uint8_t *lo, const uint8_t *hi, int i, __m256i z)
-{
-    if constexpr (T == LaneType::I8) {
-        (void)hi, (void)z;
-        return load8s(lo + i);
-    } else if constexpr (T == LaneType::U8) {
-        (void)hi;
-        __m256i v = load8u(lo + i);
-        if constexpr (ZOFF)
-            v = _mm256_sub_epi32(v, z);
-        return v;
-    } else {
-        (void)z;
-        return _mm256_or_si256(_mm256_slli_epi32(load8s(hi + i), 8),
-                               load8u(lo + i));
-    }
-}
-
-/** All-ones dword lanes where the predicate admits the lane. */
-template <Pred P>
-inline __m256i
-passV(const ExecCtx &c, int i)
-{
-    static_assert(P != Pred::None);
-    const uint8_t *p = P == Pred::P1 ? c.pred1 : c.pred0;
-    __m256i z = _mm256_cmpeq_epi32(load8u(p + i), _mm256_setzero_si256());
-    if constexpr (P == Pred::NotP0)
-        return z;
-    else
-        return _mm256_xor_si256(z, _mm256_set1_epi32(-1));
-}
-
-/** Vector satAdd32: clamp a+b to int32 on signed overflow. */
-inline __m256i
-satAdd32V(__m256i a, __m256i b)
-{
-    __m256i sum = _mm256_add_epi32(a, b);
-    __m256i ovf = _mm256_andnot_si256(_mm256_xor_si256(a, b),
-                                      _mm256_xor_si256(sum, a));
-    __m256i sat = _mm256_xor_si256(_mm256_srai_epi32(a, 31),
-                                   _mm256_set1_epi32(0x7fffffff));
-    return _mm256_blendv_epi8(sum, sat, _mm256_srai_epi32(ovf, 31));
 }
 
 /** Store byte 0 of each of the 8 dword lanes to p[0..7]. */
@@ -202,253 +77,118 @@ storeByte1x8(uint8_t *p, __m256i v)
                      _mm256_castsi256_si128(r));
 }
 
-inline __m256i
-loadAcc(const ExecCtx &c, int i)
+/** Lane traits for exec_npu_kernels.h (its file comment lists them). */
+struct Avx2Lanes
 {
-    return _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(c.acc + i));
-}
+    static constexpr int kLanes = 8;
+    using Vec = __m256i;
+    using FVec = __m256;
+    using Mask = __m256i; ///< All-ones dwords in admitted lanes.
 
-inline void
-storeAcc(const ExecCtx &c, int i, __m256i v)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(c.acc + i), v);
-}
-
-// --------------------------------------------------------------------
-// NPU kernels
-// --------------------------------------------------------------------
-
-/**
- * Integer MAC over lanes [i0, i1); the A operand is read at lane
- * index i + aDelta (MacFwd splits the wrapped neighbor-slice read
- * into two contiguous ranges).
- */
-template <LaneType T, Pred P, bool ZOFF>
-void
-intMacRange(const ExecCtx &c, int i0, int i1, int aDelta)
-{
-    const __m256i zAv = _mm256_set1_epi32(c.zA);
-    const __m256i zBv = _mm256_set1_epi32(c.zB);
-    int i = i0;
-    for (; i + 8 <= i1; i += 8) {
-        __m256i acc = loadAcc(c, i);
-        __m256i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i + aDelta, zAv);
-        __m256i wb = widenV<T, ZOFF>(c.bLo, c.bHi, i, zBv);
-        __m256i res = satAdd32V(acc, _mm256_mullo_epi32(wa, wb));
-        if constexpr (P != Pred::None)
-            res = _mm256_blendv_epi8(acc, res, passV<P>(c, i));
-        storeAcc(c, i, res);
+    static Vec
+    load(const int32_t *p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
     }
-    for (; i < i1; ++i) {
-        if (!passS<P>(c, i))
-            continue;
-        int32_t wa = widenS<T, ZOFF>(c.aLo, c.aHi, i + aDelta, c.zA);
-        int32_t wb = widenS<T, ZOFF>(c.bLo, c.bHi, i, c.zB);
-        c.acc[i] = satAdd32s(c.acc[i], wa * wb);
-    }
-}
 
-/** bf16 MAC over lanes [i0, i1); see intMacRange for aDelta. */
-template <Pred P>
-void
-bf16MacRange(const ExecCtx &c, int i0, int i1, int aDelta)
-{
-    const __m256 qnan =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc00000));
-    int i = i0;
-    for (; i + 8 <= i1; i += 8) {
-        __m256i acci = loadAcc(c, i);
-        __m256 fa = _mm256_castsi256_ps(_mm256_or_si256(
-            _mm256_slli_epi32(load8u(c.aHi + i + aDelta), 24),
-            _mm256_slli_epi32(load8u(c.aLo + i + aDelta), 16)));
-        __m256 fb = _mm256_castsi256_ps(_mm256_or_si256(
-            _mm256_slli_epi32(load8u(c.bHi + i), 24),
-            _mm256_slli_epi32(load8u(c.bLo + i), 16)));
-        __m256 fc = _mm256_castsi256_ps(acci);
-        // Two roundings on purpose — see the file comment on FMA.
-        __m256 r = _mm256_add_ps(fc, _mm256_mul_ps(fa, fb));
-        r = _mm256_blendv_ps(r, qnan, _mm256_cmp_ps(r, r, _CMP_UNORD_Q));
-        __m256i ri = _mm256_castps_si256(r);
-        if constexpr (P != Pred::None)
-            ri = _mm256_blendv_epi8(acci, ri, passV<P>(c, i));
-        storeAcc(c, i, ri);
+    static void
+    store(int32_t *p, Vec v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
     }
-    for (; i < i1; ++i) {
-        if (!passS<P>(c, i))
-            continue;
-        float fa = bf16Lane(c.aLo, c.aHi, i + aDelta);
-        float fb = bf16Lane(c.bLo, c.bHi, i);
-        float fc;
-        __builtin_memcpy(&fc, &c.acc[i], 4);
-        float r = canonNaN(fc + fa * fb);
-        __builtin_memcpy(&c.acc[i], &r, 4);
-    }
-}
 
-template <NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-npuMacV(const ExecCtx &c)
-{
-    constexpr bool kBf16 = T == LaneType::BF16;
-    if constexpr (OP == NpuOp::Mac) {
-        if constexpr (kBf16)
-            bf16MacRange<P>(c, 0, c.rb, 0);
-        else
-            intMacRange<T, P, ZOFF>(c, 0, c.rb, 0);
-    } else {
-        const int fwd = c.fwd;
-        if constexpr (kBf16) {
-            bf16MacRange<P>(c, 0, c.rb - fwd, fwd);
-            bf16MacRange<P>(c, c.rb - fwd, c.rb, fwd - c.rb);
+    static Vec splat(int32_t x) { return _mm256_set1_epi32(x); }
+
+    template <LaneType T, bool ZOFF>
+    static Vec
+    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
+    {
+        if constexpr (T == LaneType::I8) {
+            return load8s(lo + i);
+        } else if constexpr (T == LaneType::U8) {
+            Vec v = load8u(lo + i);
+            if constexpr (ZOFF)
+                v = _mm256_sub_epi32(v, z);
+            return v;
         } else {
-            intMacRange<T, P, ZOFF>(c, 0, c.rb - fwd, fwd);
-            intMacRange<T, P, ZOFF>(c, c.rb - fwd, c.rb, fwd - c.rb);
+            return _mm256_or_si256(_mm256_slli_epi32(load8s(hi + i), 8),
+                                   load8u(lo + i));
         }
     }
-}
 
-/** bf16 Add/Sub/Min/Max (accumulator op A operand). */
-template <NpuOp OP, Pred P>
-void
-bf16EltV(const ExecCtx &c)
-{
-    const __m256 qnan =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc00000));
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 8) {
-        __m256i acci = loadAcc(c, i);
-        __m256 fa = _mm256_castsi256_ps(_mm256_or_si256(
-            _mm256_slli_epi32(load8u(c.aHi + i), 24),
-            _mm256_slli_epi32(load8u(c.aLo + i), 16)));
-        __m256 fc = _mm256_castsi256_ps(acci);
-        __m256 r;
-        if constexpr (OP == NpuOp::Add) {
-            r = _mm256_add_ps(fc, fa);
-            r = _mm256_blendv_ps(r, qnan,
-                                 _mm256_cmp_ps(r, r, _CMP_UNORD_Q));
-        } else if constexpr (OP == NpuOp::Sub) {
-            r = _mm256_sub_ps(fc, fa);
-            r = _mm256_blendv_ps(r, qnan,
-                                 _mm256_cmp_ps(r, r, _CMP_UNORD_Q));
-        } else if constexpr (OP == NpuOp::Min) {
-            // std::min(fc, fa) == (fa < fc) ? fa : fc == min_ps(fa, fc)
-            // (second operand returned on NaN and ±0 ties, like the
-            // scalar ternary).
-            r = _mm256_min_ps(fa, fc);
-        } else {
-            r = _mm256_max_ps(fa, fc); // std::max(fc, fa), see above.
-        }
-        __m256i ri = _mm256_castps_si256(r);
-        if constexpr (P != Pred::None)
-            ri = _mm256_blendv_epi8(acci, ri, passV<P>(c, i));
-        storeAcc(c, i, ri);
-    }
-}
-
-/** Integer Add/Sub/Min/Max/And/Or/Xor (accumulator op A operand). */
-template <NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-intEltV(const ExecCtx &c)
-{
-    const __m256i zAv = _mm256_set1_epi32(c.zA);
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 8) {
-        __m256i acc = loadAcc(c, i);
-        __m256i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i, zAv);
-        __m256i res;
-        if constexpr (OP == NpuOp::Add)
-            res = satAdd32V(acc, wa);
-        else if constexpr (OP == NpuOp::Sub)
-            res = satAdd32V(acc,
-                            _mm256_sub_epi32(_mm256_setzero_si256(), wa));
-        else if constexpr (OP == NpuOp::Min)
-            res = _mm256_min_epi32(acc, wa);
-        else if constexpr (OP == NpuOp::Max)
-            res = _mm256_max_epi32(acc, wa);
-        else if constexpr (OP == NpuOp::And)
-            res = _mm256_and_si256(acc, wa);
-        else if constexpr (OP == NpuOp::Or)
-            res = _mm256_or_si256(acc, wa);
+    template <Pred P>
+    static Mask
+    pass(const uint8_t *pred)
+    {
+        Vec z = _mm256_cmpeq_epi32(load8u(pred), _mm256_setzero_si256());
+        if constexpr (P == Pred::NotP0)
+            return z;
         else
-            res = _mm256_xor_si256(acc, wa);
-        if constexpr (P != Pred::None)
-            res = _mm256_blendv_epi8(acc, res, passV<P>(c, i));
-        storeAcc(c, i, res);
+            return _mm256_xor_si256(z, _mm256_set1_epi32(-1));
     }
-}
 
-/** CmpGtP0/P1: predOut[i] = widen(a) > widen(b); ignores predicates. */
-template <LaneType T, bool ZOFF>
-void
-cmpGtV(const ExecCtx &c)
-{
-    const __m256i zAv = _mm256_set1_epi32(c.zA);
-    const __m256i zBv = _mm256_set1_epi32(c.zB);
-    const __m256i one = _mm256_set1_epi32(1);
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 8) {
-        __m256i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i, zAv);
-        __m256i wb = widenV<T, ZOFF>(c.bLo, c.bHi, i, zBv);
-        __m256i m = _mm256_and_si256(_mm256_cmpgt_epi32(wa, wb), one);
-        storeByte0x8(c.predOut + i, m);
+    static Vec
+    select(Mask m, Vec old, Vec neu)
+    {
+        return _mm256_blendv_epi8(old, neu, m);
     }
-}
 
-// Selector cascade, mirroring exec_specialized.cc's canonicalization
-// (zeroOff only matters for U8; CmpGt ignores predicates; the scalar
-// selector's validity rules have already admitted the combination).
-
-template <NpuOp OP, LaneType T, Pred P>
-NpuKernel
-pickZV(bool zoff)
-{
-    constexpr bool kMac = OP == NpuOp::Mac || OP == NpuOp::MacFwd;
-    if constexpr (T == LaneType::BF16 &&
-                  (OP == NpuOp::And || OP == NpuOp::Or ||
-                   OP == NpuOp::Xor || OP == NpuOp::CmpGtP0 ||
-                   OP == NpuOp::CmpGtP1)) {
-        (void)zoff;
-        return nullptr; // No bf16 form (scalar selector rejects too).
-    } else if constexpr (OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1) {
-        return zoff ? &cmpGtV<T, true> : &cmpGtV<T, false>;
-    } else if constexpr (kMac) {
-        return zoff ? &npuMacV<OP, T, P, true>
-                    : &npuMacV<OP, T, P, false>;
-    } else if constexpr (T == LaneType::BF16) {
-        (void)zoff;
-        return &bf16EltV<OP, P>;
-    } else {
-        return zoff ? &intEltV<OP, T, P, true>
-                    : &intEltV<OP, T, P, false>;
+    /** Overflow iff sign(a) == sign(b) && sign(a+b) != sign(a). */
+    static Vec
+    satAdd32(Vec a, Vec b)
+    {
+        Vec sum = _mm256_add_epi32(a, b);
+        Vec ovf = _mm256_andnot_si256(_mm256_xor_si256(a, b),
+                                      _mm256_xor_si256(sum, a));
+        Vec sat = _mm256_xor_si256(_mm256_srai_epi32(a, 31),
+                                   _mm256_set1_epi32(0x7fffffff));
+        return _mm256_blendv_epi8(sum, sat, _mm256_srai_epi32(ovf, 31));
     }
-}
 
-template <NpuOp OP, LaneType T>
-NpuKernel
-pickPV(Pred p, bool zoff)
-{
-    switch (p) {
-      case Pred::None: return pickZV<OP, T, Pred::None>(zoff);
-      case Pred::P0: return pickZV<OP, T, Pred::P0>(zoff);
-      case Pred::P1: return pickZV<OP, T, Pred::P1>(zoff);
-      case Pred::NotP0: return pickZV<OP, T, Pred::NotP0>(zoff);
+    static Vec mullo(Vec a, Vec b) { return _mm256_mullo_epi32(a, b); }
+    static Vec
+    neg(Vec a)
+    {
+        return _mm256_sub_epi32(_mm256_setzero_si256(), a);
     }
-    return nullptr;
-}
+    static Vec min(Vec a, Vec b) { return _mm256_min_epi32(a, b); }
+    static Vec max(Vec a, Vec b) { return _mm256_max_epi32(a, b); }
+    static Vec bitAnd(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+    static Vec bitOr(Vec a, Vec b) { return _mm256_or_si256(a, b); }
+    static Vec bitXor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
 
-template <NpuOp OP>
-NpuKernel
-pickTV(LaneType t, Pred p, bool zoff)
-{
-    switch (t) {
-      case LaneType::I8: return pickPV<OP, LaneType::I8>(p, zoff);
-      case LaneType::U8: return pickPV<OP, LaneType::U8>(p, zoff);
-      case LaneType::I16: return pickPV<OP, LaneType::I16>(p, zoff);
-      case LaneType::BF16: return pickPV<OP, LaneType::BF16>(p, zoff);
+    static FVec
+    bf16(const uint8_t *lo, const uint8_t *hi, int i)
+    {
+        return _mm256_castsi256_ps(
+            _mm256_or_si256(_mm256_slli_epi32(load8u(hi + i), 24),
+                            _mm256_slli_epi32(load8u(lo + i), 16)));
     }
-    return nullptr;
-}
+
+    static FVec asF(Vec v) { return _mm256_castsi256_ps(v); }
+    static Vec asI(FVec f) { return _mm256_castps_si256(f); }
+    static FVec fadd(FVec a, FVec b) { return _mm256_add_ps(a, b); }
+    static FVec fsub(FVec a, FVec b) { return _mm256_sub_ps(a, b); }
+    static FVec fmul(FVec a, FVec b) { return _mm256_mul_ps(a, b); }
+    // std::min(fc, fa) == (fa < fc) ? fa : fc == min_ps(fa, fc).
+    static FVec fMin(FVec fc, FVec fa) { return _mm256_min_ps(fa, fc); }
+    static FVec fMax(FVec fc, FVec fa) { return _mm256_max_ps(fa, fc); }
+
+    static FVec
+    canonNaN(FVec r)
+    {
+        return _mm256_blendv_ps(
+            r, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc00000)),
+            _mm256_cmp_ps(r, r, _CMP_UNORD_Q));
+    }
+
+    static void
+    cmpGt(uint8_t *p, Vec a, Vec b)
+    {
+        storeByte0x8(p, _mm256_and_si256(_mm256_cmpgt_epi32(a, b),
+                                         _mm256_set1_epi32(1)));
+    }
+};
 
 // --------------------------------------------------------------------
 // OUT kernels
@@ -529,7 +269,7 @@ requant8x(const Requant &q, __m256i x)
         high = _mm256_sub_epi32(
             _mm256_sra_epi32(high, _mm_cvtsi32_si128(q.shift)), round);
     }
-    return satAdd32V(high, _mm256_set1_epi32(q.offset));
+    return Avx2Lanes::satAdd32(high, _mm256_set1_epi32(q.offset));
 }
 
 /** Requant8 (non-LUT) / Requant16 / ActOnly8. */
@@ -542,7 +282,7 @@ outRequantV(const ExecCtx &c)
     const __m256i mx = _mm256_set1_epi32(e.actMax);
     const int rb = c.rb;
     for (int i = 0; i < rb; i += 8) {
-        __m256i v = loadAcc(c, i);
+        __m256i v = Avx2Lanes::load(c.acc + i);
         if constexpr (OP != OutOp::ActOnly8)
             v = requant8x(e.rq, v);
         v = _mm256_min_epi32(_mm256_max_epi32(v, mn), mx);
@@ -561,7 +301,7 @@ outStoreBf16V(const ExecCtx &c)
     const __m256 six = _mm256_set1_ps(6.0f);
     const int rb = c.rb;
     for (int i = 0; i < rb; i += 8) {
-        __m256 f = _mm256_castsi256_ps(loadAcc(c, i));
+        __m256 f = _mm256_castsi256_ps(Avx2Lanes::load(c.acc + i));
         if constexpr (ACT == ActFn::Relu) {
             f = _mm256_max_ps(zero, f); // std::max(f, 0.f): NaN -> f.
         } else if constexpr (ACT == ActFn::Relu6) {
@@ -675,28 +415,7 @@ nduCompress2V(const NduCtx &c)
 NpuKernel
 selectNpuKernelAvx2(const NpuSlot &npu)
 {
-    bool zoff = npu.zeroOff && npu.type == LaneType::U8;
-    Pred p = npu.pred;
-    if (npu.op == NpuOp::CmpGtP0 || npu.op == NpuOp::CmpGtP1)
-        p = Pred::None;
-    switch (npu.op) {
-      case NpuOp::Mac: return pickTV<NpuOp::Mac>(npu.type, p, zoff);
-      case NpuOp::MacFwd:
-        return pickTV<NpuOp::MacFwd>(npu.type, p, zoff);
-      case NpuOp::Add: return pickTV<NpuOp::Add>(npu.type, p, zoff);
-      case NpuOp::Sub: return pickTV<NpuOp::Sub>(npu.type, p, zoff);
-      case NpuOp::Min: return pickTV<NpuOp::Min>(npu.type, p, zoff);
-      case NpuOp::Max: return pickTV<NpuOp::Max>(npu.type, p, zoff);
-      case NpuOp::And: return pickTV<NpuOp::And>(npu.type, p, zoff);
-      case NpuOp::Or: return pickTV<NpuOp::Or>(npu.type, p, zoff);
-      case NpuOp::Xor: return pickTV<NpuOp::Xor>(npu.type, p, zoff);
-      case NpuOp::CmpGtP0:
-        return pickTV<NpuOp::CmpGtP0>(npu.type, p, zoff);
-      case NpuOp::CmpGtP1:
-        return pickTV<NpuOp::CmpGtP1>(npu.type, p, zoff);
-      default:
-        return nullptr;
-    }
+    return selectNpuKernelFor<Avx2Lanes>(npu);
 }
 
 OutKernel

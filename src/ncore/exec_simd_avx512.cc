@@ -1,429 +1,150 @@
 /**
  * @file
- * AVX-512 NPU lane kernels for the specialized execution engine.
+ * AVX-512 instantiation of the NPU lane kernels (exec_npu_kernels.h):
+ * 16 int32 lanes per step, with native k-mask predication.
  *
- * Compiled with `-mavx512f -mavx512bw -mavx512vl -mavx512dq` via
- * per-source CMake flags; only reachable through the selector entry
- * points, and only after bestSimdTier() proved the host supports the
- * required AVX-512 subsets. Everything else mirrors the AVX2 TU (see
- * exec_simd_avx2.cc for the bit-identity notes, which apply verbatim
- * — in particular bf16 MAC is mul-then-add, never FMA, and the TU is
- * compiled with -ffp-contract=off).
- *
- * This tier vectorizes the NPU slot only — 16 int32 lanes per step
- * with native k-mask predication. OUT and NDU selectors return null
- * so the dispatcher chains down to the AVX2 (then scalar) kernels.
+ * Compiled with `-mavx512f -mavx512bw -mavx512vl -mavx512dq
+ * -ffp-contract=off` via per-source CMake flags; only reachable through
+ * selectNpuKernelAvx512, and only after bestSimdTier() proved the host
+ * supports those AVX-512 subsets. The tier has no OUT or NDU kernels of
+ * its own: buildExecPlan uses the AVX2 ones at this tier.
  */
 
 #include <immintrin.h>
 
 #include <cstdint>
 
-#include "ncore/exec_specialized.h"
+#include "ncore/exec_npu_kernels.h"
+#include "ncore/simd.h"
 
 namespace ncore {
 
 namespace {
 
-// Local scalar primitives (duplicated; must match common/ headers).
-
-inline int32_t
-satAdd32s(int32_t a, int32_t b)
+/** Lane traits for exec_npu_kernels.h (its file comment lists them). */
+struct Avx512Lanes
 {
-    int64_t s = int64_t(a) + int64_t(b);
-    if (s > INT32_MAX)
-        return INT32_MAX;
-    if (s < INT32_MIN)
-        return INT32_MIN;
-    return int32_t(s);
-}
+    static constexpr int kLanes = 16;
+    using Vec = __m512i;
+    using FVec = __m512;
+    using Mask = __mmask16;
 
-inline float
-canonNaN(float f)
-{
-    if (f != f) {
-        const uint32_t q = 0x7fc00000u;
-        float r;
-        __builtin_memcpy(&r, &q, 4);
-        return r;
+    static Vec load(const int32_t *p) { return _mm512_loadu_si512(p); }
+    static void store(int32_t *p, Vec v) { _mm512_storeu_si512(p, v); }
+    static Vec splat(int32_t x) { return _mm512_set1_epi32(x); }
+
+    static Vec
+    loadU8(const uint8_t *p)
+    {
+        return _mm512_cvtepu8_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
     }
-    return f;
-}
 
-inline float
-bf16Lane(const uint8_t *lo, const uint8_t *hi, int i)
-{
-    uint32_t u = (uint32_t(lo[i]) << 16) | (uint32_t(hi[i]) << 24);
-    float f;
-    __builtin_memcpy(&f, &u, 4);
-    return f;
-}
+    static Vec
+    loadI8(const uint8_t *p)
+    {
+        return _mm512_cvtepi8_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
 
-template <LaneType T, bool ZOFF>
-inline int32_t
-widenS(const uint8_t *lo, const uint8_t *hi, int i, int32_t z)
-{
-    if constexpr (T == LaneType::I8) {
-        return int8_t(lo[i]);
-    } else if constexpr (T == LaneType::U8) {
-        if constexpr (ZOFF)
-            return int32_t(lo[i]) - z;
+    template <LaneType T, bool ZOFF>
+    static Vec
+    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
+    {
+        if constexpr (T == LaneType::I8) {
+            return loadI8(lo + i);
+        } else if constexpr (T == LaneType::U8) {
+            Vec v = loadU8(lo + i);
+            if constexpr (ZOFF)
+                v = _mm512_sub_epi32(v, z);
+            return v;
+        } else {
+            return _mm512_or_si512(_mm512_slli_epi32(loadI8(hi + i), 8),
+                                   loadU8(lo + i));
+        }
+    }
+
+    template <Pred P>
+    static Mask
+    pass(const uint8_t *pred)
+    {
+        __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i *>(pred));
+        if constexpr (P == Pred::NotP0)
+            return _mm_cmpeq_epi8_mask(v, _mm_setzero_si128());
         else
-            return int32_t(lo[i]);
-    } else {
-        return int16_t(uint16_t(lo[i]) | (uint16_t(hi[i]) << 8));
+            return _mm_cmpneq_epi8_mask(v, _mm_setzero_si128());
     }
-}
 
-template <Pred P>
-inline bool
-passS(const ExecCtx &c, int i)
-{
-    if constexpr (P == Pred::None)
-        return true;
-    else if constexpr (P == Pred::P0)
-        return c.pred0[i] != 0;
-    else if constexpr (P == Pred::P1)
-        return c.pred1[i] != 0;
-    else
-        return c.pred0[i] == 0;
-}
-
-// Vector helpers (16 x int32 lanes per step).
-
-inline __m512i
-load16u(const uint8_t *p)
-{
-    return _mm512_cvtepu8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-}
-
-inline __m512i
-load16s(const uint8_t *p)
-{
-    return _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-}
-
-template <LaneType T, bool ZOFF>
-inline __m512i
-widenV(const uint8_t *lo, const uint8_t *hi, int i, __m512i z)
-{
-    if constexpr (T == LaneType::I8) {
-        (void)hi, (void)z;
-        return load16s(lo + i);
-    } else if constexpr (T == LaneType::U8) {
-        (void)hi;
-        __m512i v = load16u(lo + i);
-        if constexpr (ZOFF)
-            v = _mm512_sub_epi32(v, z);
-        return v;
-    } else {
-        (void)z;
-        return _mm512_or_si512(_mm512_slli_epi32(load16s(hi + i), 8),
-                               load16u(lo + i));
+    static Vec
+    select(Mask m, Vec old, Vec neu)
+    {
+        return _mm512_mask_mov_epi32(old, m, neu);
     }
-}
 
-/** k-mask of lanes the predicate admits. */
-template <Pred P>
-inline __mmask16
-passV(const ExecCtx &c, int i)
-{
-    static_assert(P != Pred::None);
-    const uint8_t *p = P == Pred::P1 ? c.pred1 : c.pred0;
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + i));
-    if constexpr (P == Pred::NotP0)
-        return _mm_cmpeq_epi8_mask(v, _mm_setzero_si128());
-    else
-        return _mm_cmpneq_epi8_mask(v, _mm_setzero_si128());
-}
-
-/** Vector satAdd32 (same sign-overflow identity as the AVX2 TU). */
-inline __m512i
-satAdd32V(__m512i a, __m512i b)
-{
-    __m512i sum = _mm512_add_epi32(a, b);
-    __m512i ovf = _mm512_andnot_si512(_mm512_xor_si512(a, b),
+    /** Overflow iff sign(a) == sign(b) && sign(a+b) != sign(a). */
+    static Vec
+    satAdd32(Vec a, Vec b)
+    {
+        Vec sum = _mm512_add_epi32(a, b);
+        Vec ovf = _mm512_andnot_si512(_mm512_xor_si512(a, b),
                                       _mm512_xor_si512(sum, a));
-    __m512i sat = _mm512_xor_si512(_mm512_srai_epi32(a, 31),
+        Vec sat = _mm512_xor_si512(_mm512_srai_epi32(a, 31),
                                    _mm512_set1_epi32(0x7fffffff));
-    return _mm512_mask_mov_epi32(sum, _mm512_movepi32_mask(ovf), sat);
-}
-
-inline __m512i
-loadAcc(const ExecCtx &c, int i)
-{
-    return _mm512_loadu_si512(c.acc + i);
-}
-
-inline void
-storeAcc(const ExecCtx &c, int i, __m512i v)
-{
-    _mm512_storeu_si512(c.acc + i, v);
-}
-
-inline __m512
-bf16Load16(const uint8_t *lo, const uint8_t *hi, int i)
-{
-    return _mm512_castsi512_ps(
-        _mm512_or_si512(_mm512_slli_epi32(load16u(hi + i), 24),
-                        _mm512_slli_epi32(load16u(lo + i), 16)));
-}
-
-// NPU kernels.
-
-template <LaneType T, Pred P, bool ZOFF>
-void
-intMacRange(const ExecCtx &c, int i0, int i1, int aDelta)
-{
-    const __m512i zAv = _mm512_set1_epi32(c.zA);
-    const __m512i zBv = _mm512_set1_epi32(c.zB);
-    int i = i0;
-    for (; i + 16 <= i1; i += 16) {
-        __m512i acc = loadAcc(c, i);
-        __m512i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i + aDelta, zAv);
-        __m512i wb = widenV<T, ZOFF>(c.bLo, c.bHi, i, zBv);
-        __m512i res = satAdd32V(acc, _mm512_mullo_epi32(wa, wb));
-        if constexpr (P != Pred::None)
-            res = _mm512_mask_mov_epi32(acc, passV<P>(c, i), res);
-        storeAcc(c, i, res);
+        return _mm512_mask_mov_epi32(sum, _mm512_movepi32_mask(ovf), sat);
     }
-    for (; i < i1; ++i) {
-        if (!passS<P>(c, i))
-            continue;
-        int32_t wa = widenS<T, ZOFF>(c.aLo, c.aHi, i + aDelta, c.zA);
-        int32_t wb = widenS<T, ZOFF>(c.bLo, c.bHi, i, c.zB);
-        c.acc[i] = satAdd32s(c.acc[i], wa * wb);
-    }
-}
 
-template <Pred P>
-void
-bf16MacRange(const ExecCtx &c, int i0, int i1, int aDelta)
-{
-    const __m512 qnan =
-        _mm512_castsi512_ps(_mm512_set1_epi32(0x7fc00000));
-    int i = i0;
-    for (; i + 16 <= i1; i += 16) {
-        __m512i acci = loadAcc(c, i);
-        __m512 fa = bf16Load16(c.aLo, c.aHi, i + aDelta);
-        __m512 fb = bf16Load16(c.bLo, c.bHi, i);
-        __m512 fc = _mm512_castsi512_ps(acci);
-        // Two roundings on purpose — see exec_simd_avx2.cc on FMA.
-        __m512 r = _mm512_add_ps(fc, _mm512_mul_ps(fa, fb));
-        r = _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q),
-                               qnan);
-        __m512i ri = _mm512_castps_si512(r);
-        if constexpr (P != Pred::None)
-            ri = _mm512_mask_mov_epi32(acci, passV<P>(c, i), ri);
-        storeAcc(c, i, ri);
+    static Vec mullo(Vec a, Vec b) { return _mm512_mullo_epi32(a, b); }
+    static Vec
+    neg(Vec a)
+    {
+        return _mm512_sub_epi32(_mm512_setzero_si512(), a);
     }
-    for (; i < i1; ++i) {
-        if (!passS<P>(c, i))
-            continue;
-        float fa = bf16Lane(c.aLo, c.aHi, i + aDelta);
-        float fb = bf16Lane(c.bLo, c.bHi, i);
-        float fc;
-        __builtin_memcpy(&fc, &c.acc[i], 4);
-        float r = canonNaN(fc + fa * fb);
-        __builtin_memcpy(&c.acc[i], &r, 4);
-    }
-}
+    static Vec min(Vec a, Vec b) { return _mm512_min_epi32(a, b); }
+    static Vec max(Vec a, Vec b) { return _mm512_max_epi32(a, b); }
+    static Vec bitAnd(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+    static Vec bitOr(Vec a, Vec b) { return _mm512_or_si512(a, b); }
+    static Vec bitXor(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
 
-template <NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-npuMacV(const ExecCtx &c)
-{
-    constexpr bool kBf16 = T == LaneType::BF16;
-    if constexpr (OP == NpuOp::Mac) {
-        if constexpr (kBf16)
-            bf16MacRange<P>(c, 0, c.rb, 0);
-        else
-            intMacRange<T, P, ZOFF>(c, 0, c.rb, 0);
-    } else {
-        const int fwd = c.fwd;
-        if constexpr (kBf16) {
-            bf16MacRange<P>(c, 0, c.rb - fwd, fwd);
-            bf16MacRange<P>(c, c.rb - fwd, c.rb, fwd - c.rb);
-        } else {
-            intMacRange<T, P, ZOFF>(c, 0, c.rb - fwd, fwd);
-            intMacRange<T, P, ZOFF>(c, c.rb - fwd, c.rb, fwd - c.rb);
-        }
+    static FVec
+    bf16(const uint8_t *lo, const uint8_t *hi, int i)
+    {
+        return _mm512_castsi512_ps(
+            _mm512_or_si512(_mm512_slli_epi32(loadU8(hi + i), 24),
+                            _mm512_slli_epi32(loadU8(lo + i), 16)));
     }
-}
 
-template <NpuOp OP, Pred P>
-void
-bf16EltV(const ExecCtx &c)
-{
-    const __m512 qnan =
-        _mm512_castsi512_ps(_mm512_set1_epi32(0x7fc00000));
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 16) {
-        __m512i acci = loadAcc(c, i);
-        __m512 fa = bf16Load16(c.aLo, c.aHi, i);
-        __m512 fc = _mm512_castsi512_ps(acci);
-        __m512 r;
-        if constexpr (OP == NpuOp::Add) {
-            r = _mm512_add_ps(fc, fa);
-            r = _mm512_mask_mov_ps(
-                r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q), qnan);
-        } else if constexpr (OP == NpuOp::Sub) {
-            r = _mm512_sub_ps(fc, fa);
-            r = _mm512_mask_mov_ps(
-                r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q), qnan);
-        } else if constexpr (OP == NpuOp::Min) {
-            r = _mm512_min_ps(fa, fc); // std::min(fc, fa); NaN -> fc.
-        } else {
-            r = _mm512_max_ps(fa, fc); // std::max(fc, fa); NaN -> fc.
-        }
-        __m512i ri = _mm512_castps_si512(r);
-        if constexpr (P != Pred::None)
-            ri = _mm512_mask_mov_epi32(acci, passV<P>(c, i), ri);
-        storeAcc(c, i, ri);
+    static FVec asF(Vec v) { return _mm512_castsi512_ps(v); }
+    static Vec asI(FVec f) { return _mm512_castps_si512(f); }
+    static FVec fadd(FVec a, FVec b) { return _mm512_add_ps(a, b); }
+    static FVec fsub(FVec a, FVec b) { return _mm512_sub_ps(a, b); }
+    static FVec fmul(FVec a, FVec b) { return _mm512_mul_ps(a, b); }
+    // min_ps/max_ps return the second operand on NaN and ±0 ties.
+    static FVec fMin(FVec fc, FVec fa) { return _mm512_min_ps(fa, fc); }
+    static FVec fMax(FVec fc, FVec fa) { return _mm512_max_ps(fa, fc); }
+
+    static FVec
+    canonNaN(FVec r)
+    {
+        return _mm512_mask_mov_ps(
+            r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q),
+            _mm512_castsi512_ps(_mm512_set1_epi32(0x7fc00000)));
     }
-}
 
-template <NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-intEltV(const ExecCtx &c)
-{
-    const __m512i zAv = _mm512_set1_epi32(c.zA);
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 16) {
-        __m512i acc = loadAcc(c, i);
-        __m512i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i, zAv);
-        __m512i res;
-        if constexpr (OP == NpuOp::Add)
-            res = satAdd32V(acc, wa);
-        else if constexpr (OP == NpuOp::Sub)
-            res = satAdd32V(acc,
-                            _mm512_sub_epi32(_mm512_setzero_si512(), wa));
-        else if constexpr (OP == NpuOp::Min)
-            res = _mm512_min_epi32(acc, wa);
-        else if constexpr (OP == NpuOp::Max)
-            res = _mm512_max_epi32(acc, wa);
-        else if constexpr (OP == NpuOp::And)
-            res = _mm512_and_si512(acc, wa);
-        else if constexpr (OP == NpuOp::Or)
-            res = _mm512_or_si512(acc, wa);
-        else
-            res = _mm512_xor_si512(acc, wa);
-        if constexpr (P != Pred::None)
-            res = _mm512_mask_mov_epi32(acc, passV<P>(c, i), res);
-        storeAcc(c, i, res);
+    static void
+    cmpGt(uint8_t *p, Vec a, Vec b)
+    {
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(p),
+            _mm_maskz_set1_epi8(_mm512_cmpgt_epi32_mask(a, b), 1));
     }
-}
-
-template <LaneType T, bool ZOFF>
-void
-cmpGtV(const ExecCtx &c)
-{
-    const __m512i zAv = _mm512_set1_epi32(c.zA);
-    const __m512i zBv = _mm512_set1_epi32(c.zB);
-    const int rb = c.rb;
-    for (int i = 0; i < rb; i += 16) {
-        __m512i wa = widenV<T, ZOFF>(c.aLo, c.aHi, i, zAv);
-        __m512i wb = widenV<T, ZOFF>(c.bLo, c.bHi, i, zBv);
-        __mmask16 m = _mm512_cmpgt_epi32_mask(wa, wb);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(c.predOut + i),
-                         _mm_maskz_set1_epi8(m, 1));
-    }
-}
-
-// Selector cascade (same canonicalization as the scalar selector).
-
-template <NpuOp OP, LaneType T, Pred P>
-NpuKernel
-pickZV(bool zoff)
-{
-    constexpr bool kMac = OP == NpuOp::Mac || OP == NpuOp::MacFwd;
-    if constexpr (T == LaneType::BF16 &&
-                  (OP == NpuOp::And || OP == NpuOp::Or ||
-                   OP == NpuOp::Xor || OP == NpuOp::CmpGtP0 ||
-                   OP == NpuOp::CmpGtP1)) {
-        (void)zoff;
-        return nullptr;
-    } else if constexpr (OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1) {
-        return zoff ? &cmpGtV<T, true> : &cmpGtV<T, false>;
-    } else if constexpr (kMac) {
-        return zoff ? &npuMacV<OP, T, P, true>
-                    : &npuMacV<OP, T, P, false>;
-    } else if constexpr (T == LaneType::BF16) {
-        (void)zoff;
-        return &bf16EltV<OP, P>;
-    } else {
-        return zoff ? &intEltV<OP, T, P, true>
-                    : &intEltV<OP, T, P, false>;
-    }
-}
-
-template <NpuOp OP, LaneType T>
-NpuKernel
-pickPV(Pred p, bool zoff)
-{
-    switch (p) {
-      case Pred::None: return pickZV<OP, T, Pred::None>(zoff);
-      case Pred::P0: return pickZV<OP, T, Pred::P0>(zoff);
-      case Pred::P1: return pickZV<OP, T, Pred::P1>(zoff);
-      case Pred::NotP0: return pickZV<OP, T, Pred::NotP0>(zoff);
-    }
-    return nullptr;
-}
-
-template <NpuOp OP>
-NpuKernel
-pickTV(LaneType t, Pred p, bool zoff)
-{
-    switch (t) {
-      case LaneType::I8: return pickPV<OP, LaneType::I8>(p, zoff);
-      case LaneType::U8: return pickPV<OP, LaneType::U8>(p, zoff);
-      case LaneType::I16: return pickPV<OP, LaneType::I16>(p, zoff);
-      case LaneType::BF16: return pickPV<OP, LaneType::BF16>(p, zoff);
-    }
-    return nullptr;
-}
+};
 
 } // namespace
 
 NpuKernel
 selectNpuKernelAvx512(const NpuSlot &npu)
 {
-    bool zoff = npu.zeroOff && npu.type == LaneType::U8;
-    Pred p = npu.pred;
-    if (npu.op == NpuOp::CmpGtP0 || npu.op == NpuOp::CmpGtP1)
-        p = Pred::None;
-    switch (npu.op) {
-      case NpuOp::Mac: return pickTV<NpuOp::Mac>(npu.type, p, zoff);
-      case NpuOp::MacFwd:
-        return pickTV<NpuOp::MacFwd>(npu.type, p, zoff);
-      case NpuOp::Add: return pickTV<NpuOp::Add>(npu.type, p, zoff);
-      case NpuOp::Sub: return pickTV<NpuOp::Sub>(npu.type, p, zoff);
-      case NpuOp::Min: return pickTV<NpuOp::Min>(npu.type, p, zoff);
-      case NpuOp::Max: return pickTV<NpuOp::Max>(npu.type, p, zoff);
-      case NpuOp::And: return pickTV<NpuOp::And>(npu.type, p, zoff);
-      case NpuOp::Or: return pickTV<NpuOp::Or>(npu.type, p, zoff);
-      case NpuOp::Xor: return pickTV<NpuOp::Xor>(npu.type, p, zoff);
-      case NpuOp::CmpGtP0:
-        return pickTV<NpuOp::CmpGtP0>(npu.type, p, zoff);
-      case NpuOp::CmpGtP1:
-        return pickTV<NpuOp::CmpGtP1>(npu.type, p, zoff);
-      default:
-        return nullptr;
-    }
-}
-
-OutKernel
-selectOutKernelAvx512(const OutSlot &)
-{
-    return nullptr; // Chain down to the AVX2 OUT kernels.
-}
-
-NduKernel
-selectNduKernelAvx512(const NduSlot &)
-{
-    return nullptr; // Chain down to the AVX2 NDU kernels.
+    return selectNpuKernelFor<Avx512Lanes>(npu);
 }
 
 } // namespace ncore

@@ -16,6 +16,7 @@
 #include "common/bf16.h"
 #include "common/logging.h"
 #include "common/saturate.h"
+#include "ncore/exec_npu_kernels.h"
 #include "ncore/simd.h"
 
 namespace ncore {
@@ -23,227 +24,30 @@ namespace ncore {
 namespace {
 
 // --------------------------------------------------------------------
-// Lane helpers (compile-time variants of widenLane / predPass /
-// floatLane from machine.cc).
+// NPU kernels: the portable instantiation of exec_npu_kernels.h.
 // --------------------------------------------------------------------
 
-template <LaneType T, bool ZOFF>
-inline int32_t
-widen(const uint8_t *lo, const uint8_t *hi, int i, int32_t z)
+/** Lane traits with no vector step: every lane runs the scalar tail. */
+struct ScalarLanes
 {
-    if constexpr (T == LaneType::I8) {
-        return int8_t(lo[i]);
-    } else if constexpr (T == LaneType::U8) {
-        if constexpr (ZOFF)
-            return int32_t(lo[i]) - z;
-        else
-            return int32_t(lo[i]);
-    } else {
-        return int16_t(uint16_t(lo[i]) | (uint16_t(hi[i]) << 8));
-    }
-}
+    static constexpr int kLanes = 1;
+};
 
-template <Pred P>
-inline bool
-pass(const ExecCtx &c, int i)
-{
-    if constexpr (P == Pred::None)
-        return true;
-    else if constexpr (P == Pred::P0)
-        return c.pred0[i] != 0;
-    else if constexpr (P == Pred::P1)
-        return c.pred1[i] != 0;
-    else
-        return c.pred0[i] == 0;
-}
-
-inline float
-flane(const uint8_t *lo, const uint8_t *hi, int i)
-{
-    uint16_t bits = uint16_t(lo[i]) | (uint16_t(hi[i]) << 8);
-    return BFloat16::fromBits(bits).toFloat();
-}
-
-/** Which op/type combinations have a specialized kernel. */
-constexpr bool
-npuCombiValid(NpuOp op, LaneType t)
-{
-    switch (op) {
-      case NpuOp::Mac:
-      case NpuOp::MacFwd:
-      case NpuOp::Add:
-      case NpuOp::Sub:
-      case NpuOp::Min:
-      case NpuOp::Max:
-        return true;
-      case NpuOp::And:
-      case NpuOp::Or:
-      case NpuOp::Xor:
-      case NpuOp::CmpGtP0:
-      case NpuOp::CmpGtP1:
-        return t != LaneType::BF16; // Generic panics on these for bf16.
-      default:
-        return false;
-    }
-}
-
-// --------------------------------------------------------------------
-// NPU kernels
-// --------------------------------------------------------------------
-
-template <NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-npuKern(const ExecCtx &c)
-{
-    if constexpr (!npuCombiValid(OP, T)) {
-        panic("unreachable specialized NPU kernel");
-    } else if constexpr (T == LaneType::BF16) {
-        const int rb = c.rb;
-        if constexpr (OP == NpuOp::Mac || OP == NpuOp::MacFwd) {
-            const int fwd = OP == NpuOp::MacFwd ? c.fwd : 0;
-            for (int i = 0; i < rb; ++i) {
-                if (!pass<P>(c, i))
-                    continue;
-                int ai = i + fwd;
-                if (ai >= rb)
-                    ai -= rb;
-                float fa = flane(c.aLo, c.aHi, ai);
-                float fb = flane(c.bLo, c.bHi, i);
-                float fc = std::bit_cast<float>(c.acc[i]);
-                c.acc[i] = std::bit_cast<int32_t>(
-                    canonicalizeNaN(fc + fa * fb));
-            }
-        } else {
-            for (int i = 0; i < rb; ++i) {
-                if (!pass<P>(c, i))
-                    continue;
-                float fa = flane(c.aLo, c.aHi, i);
-                float fc = std::bit_cast<float>(c.acc[i]);
-                float r;
-                if constexpr (OP == NpuOp::Add)
-                    r = canonicalizeNaN(fc + fa);
-                else if constexpr (OP == NpuOp::Sub)
-                    r = canonicalizeNaN(fc - fa);
-                else if constexpr (OP == NpuOp::Min)
-                    r = std::min(fc, fa);
-                else
-                    r = std::max(fc, fa);
-                c.acc[i] = std::bit_cast<int32_t>(r);
-            }
-        }
-    } else if constexpr (OP == NpuOp::Mac || OP == NpuOp::MacFwd) {
-        const int rb = c.rb;
-        const int32_t zA = c.zA, zB = c.zB;
-        const int fwd = OP == NpuOp::MacFwd ? c.fwd : 0;
-        const uint8_t *aLo = c.aLo, *aHi = c.aHi;
-        const uint8_t *bLo = c.bLo, *bHi = c.bHi;
-        int32_t *acc = c.acc;
-        for (int i = 0; i < rb; ++i) {
-            if (!pass<P>(c, i))
-                continue;
-            int ai = i + fwd;
-            if constexpr (OP == NpuOp::MacFwd) {
-                if (ai >= rb)
-                    ai -= rb;
-            }
-            int32_t wa = widen<T, ZOFF>(aLo, aHi, ai, zA);
-            int32_t wb = widen<T, ZOFF>(bLo, bHi, i, zB);
-            acc[i] = satAdd32(acc[i], wa * wb);
-        }
-    } else if constexpr (OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1) {
-        const int rb = c.rb;
-        const int32_t zA = c.zA, zB = c.zB;
-        uint8_t *p = c.predOut;
-        for (int i = 0; i < rb; ++i) {
-            int32_t wa = widen<T, ZOFF>(c.aLo, c.aHi, i, zA);
-            int32_t wb = widen<T, ZOFF>(c.bLo, c.bHi, i, zB);
-            p[i] = wa > wb;
-        }
-    } else {
-        const int rb = c.rb;
-        const int32_t zA = c.zA;
-        int32_t *acc = c.acc;
-        for (int i = 0; i < rb; ++i) {
-            if (!pass<P>(c, i))
-                continue;
-            int32_t wa = widen<T, ZOFF>(c.aLo, c.aHi, i, zA);
-            if constexpr (OP == NpuOp::Add)
-                acc[i] = satAdd32(acc[i], wa);
-            else if constexpr (OP == NpuOp::Sub)
-                acc[i] = satAdd32(acc[i], -wa);
-            else if constexpr (OP == NpuOp::Min)
-                acc[i] = std::min(acc[i], wa);
-            else if constexpr (OP == NpuOp::Max)
-                acc[i] = std::max(acc[i], wa);
-            else if constexpr (OP == NpuOp::And)
-                acc[i] &= wa;
-            else if constexpr (OP == NpuOp::Or)
-                acc[i] |= wa;
-            else if constexpr (OP == NpuOp::Xor)
-                acc[i] ^= wa;
-        }
-    }
-}
-
-template <NpuOp OP, LaneType T, Pred P>
+/**
+ * The NPU kernel of the resolved tier. Every tier covers every slot
+ * the scalar selector accepts, so there is no chain-down here.
+ */
 NpuKernel
-pickZ(bool zoff)
+selectNpuKernel(SimdTier tier, const NpuSlot &npu)
 {
-    return zoff ? &npuKern<OP, T, P, true> : &npuKern<OP, T, P, false>;
-}
-
-template <NpuOp OP, LaneType T>
-NpuKernel
-pickP(Pred p, bool zoff)
-{
-    switch (p) {
-      case Pred::None: return pickZ<OP, T, Pred::None>(zoff);
-      case Pred::P0: return pickZ<OP, T, Pred::P0>(zoff);
-      case Pred::P1: return pickZ<OP, T, Pred::P1>(zoff);
-      case Pred::NotP0: return pickZ<OP, T, Pred::NotP0>(zoff);
-    }
-    return nullptr;
-}
-
-template <NpuOp OP>
-NpuKernel
-pickT(LaneType t, Pred p, bool zoff)
-{
-    if (!npuCombiValid(OP, t))
-        return nullptr;
-    switch (t) {
-      case LaneType::I8: return pickP<OP, LaneType::I8>(p, zoff);
-      case LaneType::U8: return pickP<OP, LaneType::U8>(p, zoff);
-      case LaneType::I16: return pickP<OP, LaneType::I16>(p, zoff);
-      case LaneType::BF16: return pickP<OP, LaneType::BF16>(p, zoff);
-    }
-    return nullptr;
-}
-
-NpuKernel
-selectNpuKernel(const NpuSlot &npu)
-{
-    // Canonicalize: zeroOff only affects u8 lanes; CmpGt ignores preds.
-    bool zoff = npu.zeroOff && npu.type == LaneType::U8;
-    Pred p = npu.pred;
-    if (npu.op == NpuOp::CmpGtP0 || npu.op == NpuOp::CmpGtP1)
-        p = Pred::None;
-    switch (npu.op) {
-      case NpuOp::Mac: return pickT<NpuOp::Mac>(npu.type, p, zoff);
-      case NpuOp::MacFwd: return pickT<NpuOp::MacFwd>(npu.type, p, zoff);
-      case NpuOp::Add: return pickT<NpuOp::Add>(npu.type, p, zoff);
-      case NpuOp::Sub: return pickT<NpuOp::Sub>(npu.type, p, zoff);
-      case NpuOp::Min: return pickT<NpuOp::Min>(npu.type, p, zoff);
-      case NpuOp::Max: return pickT<NpuOp::Max>(npu.type, p, zoff);
-      case NpuOp::And: return pickT<NpuOp::And>(npu.type, p, zoff);
-      case NpuOp::Or: return pickT<NpuOp::Or>(npu.type, p, zoff);
-      case NpuOp::Xor: return pickT<NpuOp::Xor>(npu.type, p, zoff);
-      case NpuOp::CmpGtP0:
-        return pickT<NpuOp::CmpGtP0>(npu.type, p, zoff);
-      case NpuOp::CmpGtP1:
-        return pickT<NpuOp::CmpGtP1>(npu.type, p, zoff);
-      default:
-        return nullptr; // None / AccZero / AccLoadBias: generic path.
+    switch (tier) {
+#if NCORE_SIMD_AVX512
+      case SimdTier::Avx512: return selectNpuKernelAvx512(npu);
+#endif
+#if NCORE_SIMD_AVX2
+      case SimdTier::Avx2: return selectNpuKernelAvx2(npu);
+#endif
+      default: return selectNpuKernelFor<ScalarLanes>(npu);
     }
 }
 
@@ -650,7 +454,7 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
     c.outParam = in.out.param & 3;
 
     if (in.npu.op != NpuOp::None) {
-        NpuKernel k = selectNpuKernel(in.npu);
+        NpuKernel k = selectNpuKernel(simd, in.npu);
         if (k) {
             bool wide = in.npu.type == LaneType::I16 ||
                         in.npu.type == LaneType::BF16;
@@ -672,9 +476,6 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
                 c.predOut = b.pred[1];
             if (ok) {
                 p.npuKernel = k;
-                if (simd != SimdTier::Scalar)
-                    if (NpuKernel v = simdSelectNpu(simd, in.npu))
-                        p.npuKernel = v;
                 p.npuIsMac = in.npu.op == NpuOp::Mac ||
                              in.npu.op == NpuOp::MacFwd;
             }

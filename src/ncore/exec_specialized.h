@@ -12,9 +12,10 @@
  * binds a specialized executor per issue slot:
  *
  *  - NPU kernels are template instantiations over
- *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish
- *    and the common case (Pred::None u8/i8 MAC) becomes a straight-line
- *    fused loop the compiler can autovectorize.
+ *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish.
+ *    They are written once, in exec_npu_kernels.h, over a lane-traits
+ *    type, and instantiated three times: portable scalar (here), AVX2
+ *    and AVX-512 (ncore/simd.h).
  *  - NDU kernels are instantiated per NduOp with the `% rowBytes`
  *    modulo arithmetic replaced by normalize-once-then-wrap indexing,
  *    and write directly to their destination register when the decoder
@@ -153,9 +154,10 @@ struct ExecPlan
 /**
  * Classify one decoded instruction and bind its specialized plan.
  * `simd` must be a concrete tier (not Auto; resolve it first via
- * resolveSimdTier in ncore/simd.h): kernels the tier vectorizes
- * replace the scalar specialized ones, everything else keeps the
- * scalar fallback, bit-identically either way.
+ * resolveSimdTier in ncore/simd.h): the NPU kernel is that tier's
+ * instantiation; OUT and NDU slots take the AVX2 vector kernel where
+ * one exists at avx2 and above and keep the scalar one otherwise,
+ * bit-identically either way.
  */
 ExecPlan buildExecPlan(const Instruction &in, const PlanBindings &b,
                        SimdTier simd = SimdTier::Scalar);

@@ -96,7 +96,6 @@ class SramBank
     }
 
     const EccStats &eccStats() const { return eccStats_; }
-    bool eccModeled() const { return modelEcc_; }
 
     void
     clear()

@@ -2,16 +2,16 @@
  * @file
  * Runtime SIMD-tier dispatch for the specialized execution engine.
  *
- * The scalar specialized kernels in exec_specialized.cc stay the
- * always-present reference fallback; on x86-64 hosts we additionally
- * build hand-vectorized AVX2 and AVX-512 implementations of the hot
- * lane loops (NPU MAC/elementwise, OUT requantize/activation, NDU
- * mask ops) in their own translation units compiled with per-file
- * `-mavx2` / `-mavx512*` flags so the rest of the binary stays
- * portable. At decode time buildExecPlan() asks the highest enabled
- * tier for a kernel and chains down (avx512 -> avx2 -> scalar) when a
- * tier has no vectorized form of that op, so any op the SIMD tiers do
- * not cover silently keeps the scalar specialized kernel.
+ * The NPU lane kernels have one source, exec_npu_kernels.h, written
+ * over a lane-traits type and instantiated three times: portable scalar
+ * in exec_specialized.cc, and AVX2 / AVX-512 in exec_simd_avx2.cc /
+ * exec_simd_avx512.cc, which are compiled with per-file `-mavx2` /
+ * `-mavx512*` flags so the rest of the binary stays portable. Every
+ * tier covers every NPU slot, so buildExecPlan() takes the NPU kernel
+ * of the resolved tier directly. The OUT (requantize/activation) and
+ * mask-class NDU kernels have vector forms only in the AVX2 TU; they
+ * chain down: any tier at or above avx2 uses them where they exist and
+ * keeps the scalar specialized kernel for the rest.
  *
  * Tier selection happens once per Machine: Options::simd == Auto
  * honors the NCORE_SIMD env var (`scalar`, `avx2` or `avx512` — the
@@ -21,9 +21,9 @@
  *
  * Bit-identity contract: every vector kernel must match the generic
  * interpreter bit for bit (same RAM bytes, accumulators, predicates,
- * perf counters), exactly like the scalar specialized kernels. The
- * three-way differential fuzz harness in tests/fastpath_diff_test.cc
- * enforces the chain generic == specialized/scalar == specialized/SIMD.
+ * perf counters), exactly like the scalar specialized kernels.
+ * tests/fastpath_diff_test.cc diffs the generic interpreter against
+ * the specialized engine at every tier the host supports.
  */
 
 #ifndef NCORE_NCORE_SIMD_H
@@ -54,19 +54,18 @@ SimdTier parseSimdTier(const char *s);
 SimdTier resolveSimdTier(SimdTier requested);
 
 /**
- * Vectorized kernel lookup for `tier`, chaining down through lower
- * SIMD tiers. Returns null when no tier <= `tier` has a vector form
- * of the op (caller keeps the scalar specialized kernel). The slot
- * must already have a scalar specialized kernel: the SIMD selectors
- * assume the scalar selector's validity rules already passed.
+ * Vector OUT/NDU kernel for `tier`: the AVX2 kernel at any tier at or
+ * above avx2, else null. Null means the op has no vector form (the
+ * caller keeps the scalar specialized kernel). The slot must already
+ * have a scalar specialized kernel: these selectors assume the scalar
+ * selector's validity rules already passed.
  */
-NpuKernel simdSelectNpu(SimdTier tier, const NpuSlot &npu);
 OutKernel simdSelectOut(SimdTier tier, const OutSlot &out);
 NduKernel simdSelectNdu(SimdTier tier, const NduSlot &slot);
 
 // Per-tier selector entry points, defined in the per-file-flag
 // translation units (exec_simd_avx2.cc / exec_simd_avx512.cc). Only
-// simdSelectNpu/Out/Ndu should call these.
+// buildExecPlan and simdSelectOut/Ndu should call these.
 #if NCORE_SIMD_AVX2
 NpuKernel selectNpuKernelAvx2(const NpuSlot &npu);
 OutKernel selectOutKernelAvx2(const OutSlot &out);
@@ -74,8 +73,6 @@ NduKernel selectNduKernelAvx2(const NduSlot &slot);
 #endif
 #if NCORE_SIMD_AVX512
 NpuKernel selectNpuKernelAvx512(const NpuSlot &npu);
-OutKernel selectOutKernelAvx512(const OutSlot &out);
-NduKernel selectNduKernelAvx512(const NduSlot &slot);
 #endif
 
 } // namespace ncore

@@ -1,6 +1,6 @@
 /**
  * @file
- * SIMD tier probing and the tier-chained kernel selectors. This TU is
+ * SIMD tier probing and the OUT/NDU kernel selectors. This TU is
  * compiled with the default (portable) flags; the vector kernels live
  * in exec_simd_avx2.cc / exec_simd_avx512.cc behind per-file flags.
  */
@@ -69,36 +69,12 @@ resolveSimdTier(SimdTier requested)
     return req < best ? req : best;
 }
 
-NpuKernel
-simdSelectNpu(SimdTier tier, const NpuSlot &npu)
-{
-#if NCORE_SIMD_AVX512
-    if (tier >= SimdTier::Avx512)
-        if (NpuKernel k = selectNpuKernelAvx512(npu))
-            return k;
-#endif
-#if NCORE_SIMD_AVX2
-    if (tier >= SimdTier::Avx2)
-        if (NpuKernel k = selectNpuKernelAvx2(npu))
-            return k;
-#endif
-    (void)tier;
-    (void)npu;
-    return nullptr;
-}
-
 OutKernel
 simdSelectOut(SimdTier tier, const OutSlot &out)
 {
-#if NCORE_SIMD_AVX512
-    if (tier >= SimdTier::Avx512)
-        if (OutKernel k = selectOutKernelAvx512(out))
-            return k;
-#endif
 #if NCORE_SIMD_AVX2
     if (tier >= SimdTier::Avx2)
-        if (OutKernel k = selectOutKernelAvx2(out))
-            return k;
+        return selectOutKernelAvx2(out);
 #endif
     (void)tier;
     (void)out;
@@ -108,15 +84,9 @@ simdSelectOut(SimdTier tier, const OutSlot &out)
 NduKernel
 simdSelectNdu(SimdTier tier, const NduSlot &slot)
 {
-#if NCORE_SIMD_AVX512
-    if (tier >= SimdTier::Avx512)
-        if (NduKernel k = selectNduKernelAvx512(slot))
-            return k;
-#endif
 #if NCORE_SIMD_AVX2
     if (tier >= SimdTier::Avx2)
-        if (NduKernel k = selectNduKernelAvx2(slot))
-            return k;
+        return selectNduKernelAvx2(slot);
 #endif
     (void)tier;
     (void)slot;

@@ -45,26 +45,6 @@ class NcoreDriver
         poweredUp_ = true;
     }
 
-    void
-    powerDown()
-    {
-        fatal_if(claimed_, "power-down while a runtime owns the device");
-        poweredUp_ = false;
-    }
-
-    bool poweredUp() const { return poweredUp_; }
-
-    /**
-     * Reserve system DRAM inside the DMA window for runtime buffers
-     * (only the driver may grow Ncore's reachable memory).
-     */
-    uint64_t
-    allocateDmaMemory(uint64_t bytes)
-    {
-        fatal_if(!poweredUp_, "DMA allocation before power-up");
-        return machine_.sysmem().allocate(bytes, 4096);
-    }
-
     /** Program a DMA descriptor (protected: validates the window). */
     void
     writeDescriptor(int idx, const DmaDescriptor &desc)

@@ -104,7 +104,6 @@ class DmaEngine
     void drainAll();
 
     const DmaStats &stats() const { return stats_; }
-    void clearStats() { stats_ = DmaStats{}; }
 
     /** Bytes/cycle of DRAM bandwidth the model grants in total. */
     double dramBytesPerCycle() const { return dramBytesPerCycle_; }

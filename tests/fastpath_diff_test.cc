@@ -2,14 +2,14 @@
  * @file
  * Differential fuzzing of the specialized execution engine against the
  * generic interpreter (see src/ncore/exec_specialized.h): random VLIW
- * programs run through a three-way engine matrix — generic,
- * specialized with scalar kernels, and specialized with the SIMD tier
- * resolved from NCORE_SIMD/cpuid (ncore/simd.h) — and every engine
- * must produce bit-identical RAM contents, accumulators, predicates,
- * N/OUT registers, perf counters and cycle counts. This is the
- * enforcement mechanism behind the fast path's equivalence guarantee;
- * CI runs the binary once with NCORE_SIMD=scalar and once at the
- * host's best tier so the vector kernels are diffed on every push.
+ * programs run through the generic interpreter and through one
+ * specialized engine per SIMD kernel tier the host supports (scalar,
+ * then avx2 and avx512 where cpuid allows, ncore/simd.h), and every
+ * engine must produce bit-identical RAM contents, accumulators,
+ * predicates, N/OUT registers, perf counters and cycle counts. This is
+ * the enforcement mechanism behind the fast path's equivalence
+ * guarantee; one run of the binary diffs every instantiation of the
+ * NPU kernels (exec_npu_kernels.h) and every OUT/NDU kernel tier.
  *
  * The fuzz program count can be overridden with NCORE_DIFF_PROGRAMS
  * (the sanitizer job runs a reduced count).
@@ -26,10 +26,12 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/machine.h"
 #include "common/rng.h"
@@ -401,23 +403,38 @@ class FastPathDiff : public ::testing::Test
   protected:
     FastPathDiff()
         : gen_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-               {ExecEngine::Generic}),
-          fast_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Specialized, nullptr,
-                 SimdTier::Scalar}),
-          simd_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                {ExecEngine::Specialized})
+               {ExecEngine::Generic})
     {
-        // simd_ resolves SimdTier::Auto, so NCORE_SIMD in the test
-        // environment (the CI matrix) picks its kernel tier; on a
-        // host without AVX2 it degenerates to a scalar/scalar diff,
-        // which is still a valid (if redundant) comparison.
+        // Explicit tiers, so NCORE_SIMD in the environment changes
+        // nothing here; on a host without AVX2 only scalar is diffed.
+        for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t)
+            tiers_.push_back(std::make_unique<Machine>(
+                chaNcoreConfig(), chaSocConfig(), nullptr, false,
+                Machine::Options{ExecEngine::Specialized, nullptr,
+                                 SimdTier(t)}));
     }
 
-    /** All three engines, generic first. */
-    std::array<Machine *, 3> all() { return {&gen_, &fast_, &simd_}; }
-    /** The two specialized engines diffed against the interpreter. */
-    std::array<Machine *, 2> specialized() { return {&fast_, &simd_}; }
+    /** The scalar-tier specialized engine. */
+    Machine &fast() { return *tiers_.front(); }
+
+    /** Every engine, generic first. */
+    std::vector<Machine *>
+    all()
+    {
+        std::vector<Machine *> v = specialized();
+        v.insert(v.begin(), &gen_);
+        return v;
+    }
+
+    /** The specialized engines diffed against the interpreter. */
+    std::vector<Machine *>
+    specialized()
+    {
+        std::vector<Machine *> v;
+        for (const auto &m : tiers_)
+            v.push_back(m.get());
+        return v;
+    }
 
     /** Program identical random machine state into every engine. */
     void
@@ -524,7 +541,7 @@ class FastPathDiff : public ::testing::Test
         }
     }
 
-    /** compareTo() for both specialized engines. */
+    /** compareTo() for every specialized engine. */
     void
     compareState(uint64_t seed)
     {
@@ -533,13 +550,13 @@ class FastPathDiff : public ::testing::Test
     }
 
     Machine gen_;
-    Machine fast_;
-    Machine simd_;
+    /** One specialized engine per tier, Scalar up to bestSimdTier(). */
+    std::vector<std::unique_ptr<Machine>> tiers_;
 };
 
 TEST_F(FastPathDiff, EngineSelection)
 {
-    EXPECT_TRUE(fast_.usingFastPath());
+    EXPECT_TRUE(fast().usingFastPath());
     EXPECT_FALSE(gen_.usingFastPath());
     // ExecEngine::Default honors NCORE_SIM_GENERIC (the single place
     // the env var is consulted).
@@ -561,18 +578,24 @@ TEST_F(FastPathDiff, SimdTierSelection)
     // The interpreter has no SIMD kernels: tier pins to Scalar.
     EXPECT_EQ(int(gen_.simdTier()), int(SimdTier::Scalar));
     EXPECT_EQ(gen_.execDescription(), "generic");
-    // An explicit Options request resolves as given (clamped).
-    EXPECT_EQ(int(fast_.simdTier()), int(SimdTier::Scalar));
-    EXPECT_EQ(fast_.execDescription(), "specialized/scalar");
-    // Auto resolved to a concrete tier the host supports.
-    EXPECT_NE(int(simd_.simdTier()), int(SimdTier::Auto));
-    EXPECT_LE(int(simd_.simdTier()), int(bestSimdTier()));
-    EXPECT_EQ(simd_.execDescription(),
-              std::string("specialized/") +
-                  simdTierName(simd_.simdTier()));
+    // Explicit Options requests resolve as given: the fixture holds
+    // one engine per tier up to the host's best.
+    for (size_t i = 0; i < tiers_.size(); ++i) {
+        SimdTier t = SimdTier(int(SimdTier::Scalar) + int(i));
+        EXPECT_EQ(int(tiers_[i]->simdTier()), int(t));
+        EXPECT_EQ(tiers_[i]->execDescription(),
+                  std::string("specialized/") + simdTierName(t));
+    }
+    EXPECT_EQ(int(tiers_.back()->simdTier()), int(bestSimdTier()));
 
     const char *saved = getenv("NCORE_SIMD");
     std::string savedCopy = saved ? saved : "";
+
+    // Auto resolves to a concrete tier the host supports.
+    unsetenv("NCORE_SIMD");
+    Machine autoTier(chaNcoreConfig(), chaSocConfig(), nullptr, false,
+                     {ExecEngine::Specialized});
+    EXPECT_EQ(int(autoTier.simdTier()), int(bestSimdTier()));
 
     // Auto honors NCORE_SIMD (the one place the env var is read)...
     setenv("NCORE_SIMD", "scalar", 1);
@@ -606,7 +629,7 @@ TEST_F(FastPathDiff, RandomPrograms)
         Rng rng(seed);
         seedState(rng);
         ProgramGen pgen(seed ^ 0x9e3779b97f4a7c15ull,
-                        fast_.rowBytesInt());
+                        fast().rowBytesInt());
         std::vector<Instruction> prog = pgen.generate(28);
         ASSERT_LE(prog.size(), size_t(Machine::kBankInstrs));
         runAll(prog);
@@ -621,9 +644,9 @@ TEST_F(FastPathDiff, RandomPrograms)
 
 /**
  * Diagnostic (skipped unless NCORE_BISECT_SEED is set): re-generate the
- * program for a failing RandomPrograms seed and step both engines in
- * lockstep, reporting the first cycle at which the accumulators or any
- * register row diverge. Usage:
+ * program for a failing RandomPrograms seed and step each tier's
+ * engine in lockstep with the interpreter, reporting the first cycle at
+ * which the accumulators or any register row diverge. Usage:
  *   NCORE_BISECT_SEED=<seed> ./fastpath_diff_test \
  *       --gtest_filter='*BisectSeed*' --gtest_also_run_disabled_tests
  */
@@ -633,53 +656,57 @@ TEST_F(FastPathDiff, DISABLED_BisectSeed)
     if (!s)
         GTEST_SKIP() << "set NCORE_BISECT_SEED to use";
     uint64_t seed = strtoull(s, nullptr, 10);
-    Rng rng(seed);
-    seedState(rng);
-    ProgramGen pgen(seed ^ 0x9e3779b97f4a7c15ull, fast_.rowBytesInt());
+    ProgramGen pgen(seed ^ 0x9e3779b97f4a7c15ull, fast().rowBytesInt());
     std::vector<Instruction> prog = pgen.generate(28);
     std::vector<EncodedInstruction> enc;
     for (const Instruction &in : prog)
         enc.push_back(encodeInstruction(in));
-    fast_.writeIram(0, enc);
-    gen_.writeIram(0, enc);
-    fast_.setNStep(1);
-    gen_.setNStep(1);
-    fast_.start(0);
-    gen_.start(0);
     for (const Instruction &in : prog)
         fprintf(stderr, "  %s\n", in.toString().c_str());
-    while (fast_.running() && gen_.running()) {
-        fast_.run();
-        gen_.run();
-        ASSERT_EQ(fast_.cycles(), gen_.cycles());
-        for (int n = 0; n < 4; ++n)
-            ASSERT_EQ(fast_.nRegState(n), gen_.nRegState(n))
-                << "n" << n << " (pre-acc) at cycle " << fast_.cycles()
-                << " instr " << fast_.perf().instructions;
-        const int32_t *af = fast_.accState().data();
-        const int32_t *ag = gen_.accState().data();
-        int bad = 0;
-        for (size_t i = 0; i < fast_.accState().size(); ++i) {
-            if (af[i] != ag[i] && bad++ < 8)
-                fprintf(stderr,
-                        "acc[%zu] fast=%d gen=%d cycle=%llu instr=%llu\n",
-                        i, af[i], ag[i],
-                        (unsigned long long)fast_.cycles(),
-                        (unsigned long long)fast_.perf().instructions);
+    for (Machine *m : specialized()) {
+        Machine &f = *m;
+        SCOPED_TRACE(f.execDescription());
+        Rng rng(seed);
+        seedState(rng);
+        f.writeIram(0, enc);
+        gen_.writeIram(0, enc);
+        f.setNStep(1);
+        gen_.setNStep(1);
+        f.start(0);
+        gen_.start(0);
+        while (f.running() && gen_.running()) {
+            f.run();
+            gen_.run();
+            ASSERT_EQ(f.cycles(), gen_.cycles());
+            for (int n = 0; n < 4; ++n)
+                ASSERT_EQ(f.nRegState(n), gen_.nRegState(n))
+                    << "n" << n << " (pre-acc) at cycle " << f.cycles()
+                    << " instr " << f.perf().instructions;
+            const int32_t *af = f.accState().data();
+            const int32_t *ag = gen_.accState().data();
+            int bad = 0;
+            for (size_t i = 0; i < f.accState().size(); ++i) {
+                if (af[i] != ag[i] && bad++ < 8)
+                    fprintf(stderr,
+                            "acc[%zu] fast=%d gen=%d cycle=%llu "
+                            "instr=%llu\n",
+                            i, af[i], ag[i],
+                            (unsigned long long)f.cycles(),
+                            (unsigned long long)f.perf().instructions);
+            }
+            ASSERT_EQ(bad, 0) << bad << " divergent acc lanes";
+            ASSERT_EQ(f.outState(false), gen_.outState(false))
+                << "outLo at cycle " << f.cycles();
+            ASSERT_EQ(f.outState(true), gen_.outState(true))
+                << "outHi at cycle " << f.cycles();
+            for (int p = 0; p < 2; ++p)
+                ASSERT_EQ(f.predState(p), gen_.predState(p))
+                    << "pred " << p << " at cycle " << f.cycles();
         }
-        ASSERT_EQ(bad, 0) << bad << " divergent acc lanes";
-        for (int n = 0; n < 4; ++n)
-            ASSERT_EQ(fast_.nRegState(n), gen_.nRegState(n))
-                << "n" << n << " at cycle " << fast_.cycles();
-        ASSERT_EQ(fast_.outState(false), gen_.outState(false))
-            << "outLo at cycle " << fast_.cycles();
-        ASSERT_EQ(fast_.outState(true), gen_.outState(true))
-            << "outHi at cycle " << fast_.cycles();
-        for (int p = 0; p < 2; ++p)
-            ASSERT_EQ(fast_.predState(p), gen_.predState(p))
-                << "pred " << p << " at cycle " << fast_.cycles();
+        EXPECT_EQ(f.running(), gen_.running());
+        f.setNStep(0);
+        gen_.setNStep(0);
     }
-    EXPECT_EQ(fast_.running(), gen_.running());
 }
 
 /** Hardware loops sequence identically through both engines. */
@@ -998,6 +1025,97 @@ TEST_F(FastPathDiff, RowWrappingNduReads)
     prog.push_back(halt);
     runAll(prog);
     compareState(55);
+}
+
+/**
+ * Saturating accumulate at the int32 rails. Accumulators seeded within
+ * 70,000 of INT32_MAX and INT32_MIN take u8, i8 and i16 Mac, MacFwd,
+ * Add and Sub, with and without a predicate, once and then under a
+ * Rep. About half the i16 lanes of both operands are -32768, so their
+ * products are 2^30. Every combination is its own program: the next
+ * one reloads the accumulators, so a wrong clamp would otherwise be
+ * overwritten before the diff.
+ */
+TEST_F(FastPathDiff, SaturatingAccumulators)
+{
+    const int rb = gen_.rowBytesInt();
+    Rng rng(66);
+    seedState(rng);
+
+    // Operand A in data rows 12/13 (lo/hi), B in weight rows 40/41.
+    static constexpr uint8_t kBytes[] = {0x00, 0x01, 0x7f, 0x80,
+                                         0x81, 0xfe, 0xff};
+    std::vector<uint8_t> lo(rb), hi(rb);
+    for (bool weight : {false, true}) {
+        for (int i = 0; i < rb; ++i) {
+            bool min16 = rng.nextBelow(2) == 0; // 0x8000 = -32768.
+            lo[i] = min16 ? 0x00 : kBytes[rng.nextBelow(std::size(kBytes))];
+            hi[i] = min16 ? 0x80 : kBytes[rng.nextBelow(std::size(kBytes))];
+        }
+        int row = weight ? 40 : 12;
+        writeRowAll(weight, row, lo.data());
+        writeRowAll(weight, row + 1, hi.data());
+    }
+
+    // Accumulator seeds in data rows 60..63, one quarter per row. Most
+    // lanes sit within one u8 product or one Add of a rail, so every
+    // op pushes some of them over it; none starts on the rail.
+    std::vector<int32_t> seeds(rb);
+    for (int32_t &v : seeds) {
+        static constexpr uint32_t kReach[] = {70000, 20000, 300};
+        int32_t k = 1 + int32_t(rng.nextBelow(kReach[rng.nextBelow(3)]));
+        v = rng.nextBelow(2) ? INT32_MAX - k : INT32_MIN + k;
+    }
+    const int quarter = rb / 4;
+    for (int q = 0; q < 4; ++q)
+        writeRowAll(false, 60 + q,
+                    reinterpret_cast<const uint8_t *>(seeds.data() +
+                                                      q * quarter));
+
+    static constexpr LaneType kTypes[] = {LaneType::U8, LaneType::I8,
+                                          LaneType::I16};
+    static constexpr NpuOp kOps[] = {NpuOp::Mac, NpuOp::MacFwd,
+                                     NpuOp::Add, NpuOp::Sub};
+    for (LaneType t : kTypes) {
+        for (NpuOp op : kOps) {
+            for (Pred p : {Pred::None, Pred::P0}) {
+                SCOPED_TRACE(testing::Message()
+                             << "type " << int(t) << " op " << int(op)
+                             << " pred " << int(p));
+                std::vector<Instruction> prog;
+                prog.push_back(setAddrRow(0, 12));
+                prog.push_back(setAddrRow(1, 40));
+                prog.push_back(npuRR(NpuOp::CmpGtP0, LaneType::U8));
+                for (int q = 0; q < 4; ++q) {
+                    prog.push_back(setAddrRow(2, 60 + q));
+                    Instruction bias;
+                    bias.dataRead.enable = true;
+                    bias.dataRead.reg = 2;
+                    bias.npu.op = NpuOp::AccLoadBias;
+                    bias.npu.a = RowSrc::DataRead;
+                    bias.npu.b =
+                        RowSrc(int(BiasMode::Quarter0) + q); // Mode.
+                    prog.push_back(bias);
+                }
+                prog.push_back(npuRR(op, t, p));
+                Instruction rep = npuRR(op, t, p);
+                rep.ctrl.op = CtrlOp::Rep;
+                rep.ctrl.imm = 3;
+                prog.push_back(rep);
+                Instruction halt;
+                halt.ctrl.op = CtrlOp::Halt;
+                prog.push_back(halt);
+                runAll(prog);
+                compareState(66);
+
+                // The program must actually drive lanes onto a rail.
+                const std::vector<int32_t> &acc = gen_.accState();
+                EXPECT_GT(std::count(acc.begin(), acc.end(), INT32_MAX) +
+                              std::count(acc.begin(), acc.end(), INT32_MIN),
+                          0);
+            }
+        }
+    }
 }
 
 } // namespace
