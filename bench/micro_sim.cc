@@ -329,8 +329,8 @@ BENCHMARK(BM_DmaStream)->Unit(benchmark::kMillisecond);
 // --------------------------------------------------------------------
 // BENCH_sim.json: machine-readable snapshot of simulator throughput
 // (sim_cycles/s and lane_MACs/s per MAC variant, system-memory and DMA
-// stream GB/s, model weight-synthesis seconds, wall time per cold-cache
-// workload profile) for tracking the simulator's performance across
+// stream GB/s, model weight-synthesis seconds, wall time per workload
+// profile) for tracking the simulator's performance across
 // commits. Profile measurement re-simulates all four MLPerf workloads
 // and takes a while; set NCORE_BENCH_NO_PROFILES to skip that section.
 // --------------------------------------------------------------------
@@ -482,15 +482,13 @@ writeBenchSimJson()
 
     if (!getenv("NCORE_BENCH_NO_PROFILES")) {
         using clock = std::chrono::steady_clock;
-        const char *tmp_cache = "BENCH_profiles.cache";
-        std::remove(tmp_cache);
         const Workload kAll[] = {Workload::MobileNetV1,
                                  Workload::ResNet50,
                                  Workload::SsdMobileNet, Workload::Gnmt};
         double total = 0;
-        for (size_t i = 0; i < std::size(kAll); ++i) {
+        for (Workload w : kAll) {
             clock::time_point t0 = clock::now();
-            WorkloadProfile p = measureWorkload(kAll[i], true, tmp_cache);
+            WorkloadProfile p = measureWorkload(w);
             double wall =
                 std::chrono::duration<double>(clock::now() - t0).count();
             total += wall;
@@ -499,7 +497,6 @@ writeBenchSimJson()
             j.field("wall_s", wall, "%.3f");
             j.endObject();
         }
-        std::remove(tmp_cache);
         j.beginObject();
         j.field("model", "total");
         j.field("wall_s", total, "%.3f");

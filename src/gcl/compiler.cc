@@ -13,6 +13,9 @@ namespace {
 constexpr int kMaskRows = MaskTable::kRows;
 constexpr int kDataRamRows = 2048;
 constexpr int kWeightRamRows = 2048;
+/// Rows per ping-pong streaming buffer when weights do not fit on-chip
+/// (two buffers are carved from the weight RAM).
+constexpr int kStreamBufferRows = 960;
 
 bool
 isQuantU8(const Graph &g, TensorId id)
@@ -870,21 +873,20 @@ class SubgraphCompiler
         } else {
             // Stream through two ping-pong buffers.
             sg_.weightsPersistent = false;
-            const int sbr = opts_.streamBufferRows;
-            fatal_if(2 * sbr + reserved > kWeightRamRows,
+            fatal_if(2 * kStreamBufferRows + reserved > kWeightRamRows,
                      "stream buffers do not fit the weight RAM");
             uint64_t offset = 0;
             int k = 0;
             for (const Image &img : images) {
                 int rows = int(img.bytes.size() / 4096);
-                fatal_if(rows > sbr,
+                fatal_if(rows > kStreamBufferRows,
                          "layer weight image (%d rows) exceeds the "
                          "stream buffer (%d rows)",
-                         rows, sbr);
+                         rows, kStreamBufferRows);
                 StreamChunk ch;
                 ch.dramOffset = offset;
                 ch.rows = uint32_t(rows);
-                ch.targetRow = uint32_t((k % 2) * sbr);
+                ch.targetRow = uint32_t((k % 2) * kStreamBufferRows);
                 ch.queue = uint8_t(k % 2);
                 sg_.chunks.push_back(ch);
                 weightBase_[img.nodeId] = int(ch.targetRow);
@@ -895,7 +897,7 @@ class SubgraphCompiler
                 offset += uint64_t(rows) * 4096;
                 ++k;
             }
-            sg_.weightRowsUsed = 2 * sbr + reserved;
+            sg_.weightRowsUsed = 2 * kStreamBufferRows + reserved;
         }
     }
 
@@ -962,8 +964,8 @@ class SubgraphCompiler
                 continue;
             }
 
-            if (opts_.emitLayerEvents)
-                pb.event(uint32_t(id) << 2 | 1);
+            // Per-layer event-log markers (the Table IX methodology).
+            pb.event(uint32_t(id) << 2 | 1);
 
             if (hasWeights(n.kind) && !sg_.weightsPersistent) {
                 int k = chunkOf_.at(id);
@@ -990,8 +992,7 @@ class SubgraphCompiler
                     pb.dmaKick(k + 2);
             }
 
-            if (opts_.emitLayerEvents)
-                pb.event(uint32_t(id) << 2 | 2);
+            pb.event(uint32_t(id) << 2 | 2);
             sg_.macs += uint64_t(Graph::nodeMacs(g_, n));
         }
 
@@ -1058,14 +1059,13 @@ class SubgraphCompiler
             band.bandH = bandH_;
 
             ProgramBuilder bpb;
-            if (opts_.emitLayerEvents)
-                bpb.event(uint32_t(id) << 2 | (b == 0 ? 1 : 3));
+            bpb.event(uint32_t(id) << 2 | (b == 0 ? 1 : 3));
             ConvKernel p = proto;
             p.in = band;
             p.yoBegin = yo0;
             p.yoEnd = yo1;
             emitConv(bpb, p);
-            if (opts_.emitLayerEvents && b == nbands - 1)
+            if (b == nbands - 1)
                 bpb.event(uint32_t(id) << 2 | 2);
             bpb.halt();
 

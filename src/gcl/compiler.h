@@ -14,12 +14,6 @@ namespace ncore {
 
 struct CompileOptions
 {
-    /// Rows per ping-pong streaming buffer when weights do not fit
-    /// on-chip (two buffers are carved from the weight RAM).
-    int streamBufferRows = 960;
-    /// Emit per-layer event-log markers (negligible cost; used for the
-    /// Table IX breakdown methodology).
-    bool emitLayerEvents = true;
     /// Force the DMA streaming path even when weights would fit
     /// on-chip (tests and ablation studies).
     bool forceStreaming = false;

@@ -1,13 +1,5 @@
 #include "profiles.h"
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "gcl/compiler.h"
@@ -18,103 +10,6 @@
 namespace ncore {
 
 namespace {
-
-constexpr const char *kCacheVersion = "ncore-profile-v4";
-
-/** Serializes every read/append of the on-disk profile cache, so
- *  concurrent measureWorkload calls (tests, benches, the serving
- *  engine warm-up) cannot interleave partial lines. */
-std::mutex &
-cacheMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-const char *
-cacheKey(Workload w)
-{
-    switch (w) {
-      case Workload::MobileNetV1: return "mobilenet_v1";
-      case Workload::ResNet50: return "resnet50_v1.5";
-      case Workload::SsdMobileNet: return "ssd_mobilenet_v1";
-      case Workload::Gnmt: return "gnmt";
-    }
-    return "?";
-}
-
-std::optional<WorkloadProfile>
-readCache(const std::string &path, Workload w)
-{
-    std::lock_guard<std::mutex> lock(cacheMutex());
-    std::ifstream in(path);
-    if (!in)
-        return std::nullopt;
-    std::string version;
-    if (!std::getline(in, version) || version != kCacheVersion)
-        return std::nullopt;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ss(line);
-        WorkloadProfile p;
-        int batching = 1;
-        ss >> p.model >> p.ncoreSeconds >> p.x86Seconds >>
-            p.unhiddenSeconds >> batching >> p.ncoreCycles >>
-            p.ncoreMacs >> p.dmaBytes;
-        if (!ss)
-            continue;
-        p.batchingSupported = batching != 0;
-        if (p.model == cacheKey(w))
-            return p;
-    }
-    return std::nullopt;
-}
-
-void
-appendCache(const std::string &path, const WorkloadProfile &p)
-{
-    // Atomic append: rebuild the whole file in a temp sibling and
-    // rename it over the original, under the cache mutex. A reader in
-    // another process either sees the old complete file or the new
-    // complete file, never a torn line.
-    std::lock_guard<std::mutex> lock(cacheMutex());
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(path);
-        std::string version;
-        if (in && std::getline(in, version) &&
-            version == kCacheVersion) {
-            std::string line;
-            while (std::getline(in, line))
-                if (!line.empty())
-                    lines.push_back(line);
-        }
-    }
-    // Seconds round-trip exactly, so a warm cache reproduces a cold
-    // measurement bit for bit.
-    std::ostringstream entry;
-    entry << std::setprecision(std::numeric_limits<double>::max_digits10)
-          << p.model << " " << p.ncoreSeconds << " " << p.x86Seconds
-          << " " << p.unhiddenSeconds << " "
-          << (p.batchingSupported ? 1 : 0) << " " << p.ncoreCycles
-          << " " << p.ncoreMacs << " " << p.dmaBytes;
-    lines.push_back(entry.str());
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        out << kCacheVersion << "\n";
-        for (const std::string &l : lines)
-            out << l << "\n";
-        if (!out) {
-            warn("cannot write profile cache temp file %s",
-                 tmp.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        warn("cannot rename %s over %s", tmp.c_str(), path.c_str());
-}
 
 /** Build the gir graph of a CNN workload (panics for GNMT). */
 Graph
@@ -149,7 +44,7 @@ profileCnn(Workload w)
 
     X86CostModel cost;
     WorkloadProfile p;
-    p.model = cacheKey(w);
+    p.model = workloadKey(w);
     // Latency portions come from the inference's span timeline (the
     // same spans the telemetry trace exports); summing span durations
     // per category reproduces the timing fields exactly, so Table IX
@@ -199,7 +94,7 @@ profileGnmt()
         std::max(compute_cycles, dma_cycles) / clock;
 
     WorkloadProfile p;
-    p.model = cacheKey(Workload::Gnmt);
+    p.model = workloadKey(Workload::Gnmt);
     p.ncoreSeconds = ncore_seconds;
     p.x86Seconds = stats.x86Seconds * scale + kGnmtFrameworkSeconds;
     p.unhiddenSeconds = kUnhiddenFraction * p.x86Seconds;
@@ -210,6 +105,12 @@ profileGnmt()
     p.ncoreMacs = uint64_t(double(stats.macOps) * scale);
     p.dmaBytes = uint64_t(double(stats.dmaBytes) * scale);
     return p;
+}
+
+WorkloadProfile
+simulateWorkload(Workload w)
+{
+    return w == Workload::Gnmt ? profileGnmt() : profileCnn(w);
 }
 
 } // namespace
@@ -227,88 +128,42 @@ workloadName(Workload w)
 }
 
 const char *
-workloadCacheKey(Workload w)
+workloadKey(Workload w)
 {
-    return cacheKey(w);
-}
-
-std::string
-defaultProfileCachePath()
-{
-    if (const char *env = std::getenv("NCORE_PROFILE_CACHE"))
-        if (*env)
-            return env;
-#ifdef NCORE_PROFILE_CACHE_DEFAULT
-    return NCORE_PROFILE_CACHE_DEFAULT;
-#else
-    return "ncore_profiles.cache";
-#endif
+    switch (w) {
+      case Workload::MobileNetV1: return "mobilenet_v1";
+      case Workload::ResNet50: return "resnet50_v1.5";
+      case Workload::SsdMobileNet: return "ssd_mobilenet_v1";
+      case Workload::Gnmt: return "gnmt";
+    }
+    return "?";
 }
 
 WorkloadProfile
-measureWorkload(Workload w, bool force, const std::string &cache_path)
+measureWorkload(Workload w)
 {
-    const std::string path =
-        cache_path.empty() ? defaultProfileCachePath() : cache_path;
-    if (!force) {
-        auto cached = readCache(path, w);
-        if (cached)
-            return *cached;
-    }
     inform("profiling %s on the Ncore simulator (this can take a "
-           "minute; cached afterwards)",
+           "minute)",
            workloadName(w));
-    WorkloadProfile p =
-        w == Workload::Gnmt ? profileGnmt() : profileCnn(w);
-    appendCache(path, p);
-    return p;
+    return simulateWorkload(w);
 }
 
 std::vector<WorkloadProfile>
-measureAllWorkloads(const std::string &cache_path, bool force)
+measureAllWorkloads()
 {
-    const std::string path =
-        cache_path.empty() ? defaultProfileCachePath() : cache_path;
     constexpr Workload kAll[] = {Workload::MobileNetV1,
                                  Workload::ResNet50,
                                  Workload::SsdMobileNet, Workload::Gnmt};
-    constexpr int kCount = int(std::size(kAll));
-    std::array<std::optional<WorkloadProfile>, kCount> results;
-    std::array<bool, kCount> measured{};
-
-    // Serve cache hits serially: the cache is a plain text file.
-    if (!force)
-        for (int i = 0; i < kCount; ++i)
-            results[i] = readCache(path, kAll[i]);
-
-    // Simulate the misses concurrently. Each profile run builds its own
-    // model, compiler invocation and simulator Machine, so the threads
-    // share no mutable state.
+    std::vector<WorkloadProfile> out(std::size(kAll));
+    inform("profiling all four workloads on the Ncore simulator");
+    // Each profile run builds its own model, compiler invocation and
+    // simulator Machine, so the threads share no mutable state.
     {
         std::vector<std::jthread> threads;
-        for (int i = 0; i < kCount; ++i) {
-            if (results[i])
-                continue;
-            measured[i] = true;
-            inform("profiling %s on the Ncore simulator (this can take "
-                   "a minute; cached afterwards)",
-                   workloadName(kAll[i]));
-            threads.emplace_back([&results, i, w = kAll[i]] {
-                results[i] =
-                    w == Workload::Gnmt ? profileGnmt() : profileCnn(w);
-            });
-        }
+        for (size_t i = 0; i < std::size(kAll); ++i)
+            threads.emplace_back(
+                [&out, i, w = kAll[i]] { out[i] = simulateWorkload(w); });
     } // jthreads join here.
-
-    // Append freshly measured profiles in workload order.
-    for (int i = 0; i < kCount; ++i)
-        if (measured[i])
-            appendCache(path, *results[i]);
-
-    std::vector<WorkloadProfile> out;
-    out.reserve(kCount);
-    for (int i = 0; i < kCount; ++i)
-        out.push_back(*results[i]);
     return out;
 }
 
@@ -329,7 +184,7 @@ profileWorkloadReport(Workload w, ExecEngine engine)
         gnmt.runOnNcore(machine, 6, 6);
         machine.setProfile(nullptr);
         ProfileReport rep = buildProfileReport(
-            prof, nullptr, cacheKey(w), machine.config().clockHz);
+            prof, nullptr, workloadKey(w), machine.config().clockHz);
         rep.engine = machine.execDescription();
         return rep;
     }
@@ -345,7 +200,7 @@ profileWorkloadReport(Workload w, ExecEngine engine)
     dev.machine.setProfile(&prof);
     dev.exec.infer({x});
     dev.machine.setProfile(nullptr);
-    ProfileReport rep = buildProfileReport(prof, &graph, cacheKey(w),
+    ProfileReport rep = buildProfileReport(prof, &graph, workloadKey(w),
                                            dev.machine.config().clockHz);
     rep.engine = dev.machine.execDescription();
     return rep;

@@ -4,8 +4,10 @@
  * model, runs one cycle-accurate inference on the simulated Ncore, and
  * derives the per-inference component breakdown (Ncore portion, x86
  * portion, serial overhead) that Tables VII-IX and Figs 11-14 are
- * computed from. Results are cached on disk because a full ResNet-50
- * simulation takes tens of seconds.
+ * computed from. Nothing is cached: every call simulates, and the
+ * paper-evaluation bench (bench/paper_eval) measures all four
+ * workloads once per run and prints every table and figure from that
+ * one measurement.
  *
  * CALIBRATED CONSTANTS (see DESIGN.md section 3 and EXPERIMENTS.md):
  *  - kUnhiddenFraction: the share of the x86 work that batching cannot
@@ -20,7 +22,6 @@
 #ifndef NCORE_MLPERF_PROFILES_H
 #define NCORE_MLPERF_PROFILES_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,36 +39,19 @@ enum class Workload { MobileNetV1, ResNet50, SsdMobileNet, Gnmt };
 
 const char *workloadName(Workload w);
 
-/** Cache-key model name of a workload ("mobilenet_v1", ...). */
-const char *workloadCacheKey(Workload w);
+/** Short model key of a workload ("mobilenet_v1", ...); names
+ *  profile JSON files and WorkloadProfile::model. */
+const char *workloadKey(Workload w);
+
+/** Simulate one workload and derive its profile. */
+WorkloadProfile measureWorkload(Workload w);
 
 /**
- * Where the on-disk profile cache lives when the caller does not pick
- * a path: $NCORE_PROFILE_CACHE if set, else
- * `<build dir>/ncore_profiles.cache` (compiled in at configure time),
- * else `ncore_profiles.cache` in the working directory. Keeping the
- * default under the build directory stops the cache from polluting
- * `git status` of every checkout.
+ * All four profiles in Table V order, simulated concurrently, one
+ * simulator Machine per thread (each profile run is fully
+ * independent).
  */
-std::string defaultProfileCachePath();
-
-/**
- * Measure (or load from cache) the profile of one workload. Set
- * `force` to re-simulate even with a cache hit. The cache lives in
- * `cache_path` (defaultProfileCachePath() when empty) so the
- * table/figure benches share one simulation.
- */
-WorkloadProfile measureWorkload(Workload w, bool force = false,
-                                const std::string &cache_path = "");
-
-/**
- * All four profiles in Table V order. Cache hits are served serially;
- * the remaining workloads are simulated concurrently, one simulator
- * Machine per thread (each profile run is fully independent). Set
- * `force` to re-simulate everything.
- */
-std::vector<WorkloadProfile> measureAllWorkloads(
-    const std::string &cache_path = "", bool force = false);
+std::vector<WorkloadProfile> measureAllWorkloads();
 
 /**
  * Run one cycle-exact inference of `w` with the microarchitectural
@@ -76,7 +60,7 @@ std::vector<WorkloadProfile> measureAllWorkloads(
  * utilization and bytes moved per graph op. CNNs profile through the
  * full compile/runtime stack (layer attribution joins the compiler's
  * event tags back to gir nodes); GNMT runs its per-matmul programs
- * under host marks. Never cached: always simulates.
+ * under host marks.
  */
 ProfileReport profileWorkloadReport(
     Workload w, ExecEngine engine = ExecEngine::Default);

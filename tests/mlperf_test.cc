@@ -3,18 +3,13 @@
  * MLPerf harness tests: SingleStream percentile semantics, Offline
  * bookkeeping, and the multicore batching pipeline model (paper VI-C)
  * — saturation behavior, core-count math against the paper's numbers,
- * and the expected/observed relationship of Figs 13/14 — plus the
- * on-disk profile cache's exact round trip.
+ * and the expected/observed relationship of Figs 13/14.
  */
-
-#include <cstdio>
-#include <string>
 
 #include <gtest/gtest.h>
 
 #include "mlperf/loadgen.h"
 #include "mlperf/pipeline.h"
-#include "mlperf/profiles.h"
 
 namespace ncore {
 namespace {
@@ -136,30 +131,6 @@ TEST(Pipeline, PaperAsymptotesReproduceWithCalibratedUnhidden)
     WorkloadProfile rn = paperProfile(0.71, 0.34);
     rn.unhiddenSeconds = 0.3 * rn.x86Seconds;
     EXPECT_NEAR(observedIps(rn, 8), 1218.0, 80.0);
-}
-
-TEST(ProfileCache, WarmReadReproducesColdMeasurementExactly)
-{
-    // A warm-cache run must report exactly what the simulation
-    // measured, or every output derived from the profile (serve_bench
-    // traces and metrics, the table benches) differs cold vs warm.
-    const std::string path =
-        testing::TempDir() + "mlperf_test_profiles.cache";
-    std::remove(path.c_str());
-    const WorkloadProfile cold =
-        measureWorkload(Workload::MobileNetV1, /*force=*/true, path);
-    const WorkloadProfile warm =
-        measureWorkload(Workload::MobileNetV1, /*force=*/false, path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(warm.model, cold.model);
-    EXPECT_EQ(warm.ncoreSeconds, cold.ncoreSeconds);
-    EXPECT_EQ(warm.x86Seconds, cold.x86Seconds);
-    EXPECT_EQ(warm.unhiddenSeconds, cold.unhiddenSeconds);
-    EXPECT_EQ(warm.batchingSupported, cold.batchingSupported);
-    EXPECT_EQ(warm.ncoreCycles, cold.ncoreCycles);
-    EXPECT_EQ(warm.ncoreMacs, cold.ncoreMacs);
-    EXPECT_EQ(warm.dmaBytes, cold.dmaBytes);
 }
 
 } // namespace

@@ -224,6 +224,12 @@ TEST(ModelDeviceTotals, ResNet50)
                        {3355884, 3138428, 27320320, 12562948096});
 }
 
+TEST(ModelDeviceTotals, SsdMobileNet)
+{
+    expectDeviceTotals(Workload::SsdMobileNet,
+                       {995826, 995826, 0, 3888623616});
+}
+
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time
 /// SystemMemory copy loop, so it pins the page-span copies to it.
 constexpr uint64_t kGnmtCycles = 9854306;

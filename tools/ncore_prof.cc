@@ -47,7 +47,7 @@ jsonPathFor(const std::string &base, Workload w, bool multi)
     if (!multi)
         return base;
     const size_t dot = base.rfind('.');
-    const std::string key = workloadCacheKey(w);
+    const std::string key = workloadKey(w);
     if (dot == std::string::npos || base.find('/', dot) != std::string::npos)
         return base + "." + key;
     return base.substr(0, dot) + "." + key + base.substr(dot);
