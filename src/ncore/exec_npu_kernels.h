@@ -11,7 +11,9 @@
  *    every lane. This is the portable tier.
  *  - exec_simd_avx2.cc (`-mavx2`): 8 int32 lanes per step.
  *  - exec_simd_avx512.cc (`-mavx512*`): 16 int32 lanes per step, with
- *    k-mask predication.
+ *    k-mask predication (traits in exec_simd_avx512_lanes.h).
+ *  - exec_simd_avx512vnni.cc (`-mavx512* -mavx512vnni`): the avx512
+ *    traits with the integer MAC step as one `vpdpwssds`.
  *
  * A vector traits type supplies, as static members (Vec = int32 lanes,
  * FVec = float lanes, Mask = the predicate form):
@@ -21,7 +23,8 @@
  *                                    u8 minus the zero offset z
  *     pass<P>(pred + i)              lanes the predicate admits
  *     select(m, old, neu)            m ? neu : old per lane
- *     satAdd32, mullo, neg, min, max, bitAnd, bitOr, bitXor
+ *     macAcc(acc, a, b)              satAdd32(acc, a * b)
+ *     satAdd32, neg, min, max, bitAnd, bitOr, bitXor
  *     bf16(lo, hi, i), asF, asI      bf16 planar load, bit casts
  *     fadd, fsub, fmul, canonNaN
  *     fMin(fc, fa), fMax(fc, fa)     std::min/std::max(fc, fa),
@@ -40,7 +43,9 @@
  * interpreter exactly, DESIGN.md §5f):
  *
  *  - Integer lanes are at most 16 bits wide, so products fit int32
- *    exactly and a 32-bit mullo equals the scalar multiply.
+ *    exactly and a 32-bit mullo equals the scalar multiply. A widened
+ *    lane (u8 minus its zero offset included) also fits in i16, which
+ *    is what lets the VNNI macAcc use a 16x16 word product.
  *  - bf16 MAC is `fc + fa*fb` as two IEEE operations (mul, then add),
  *    never an FMA: a product in the binary32 subnormal range is
  *    rounded before the add in the generic interpreter. The SIMD TUs
@@ -64,8 +69,17 @@ namespace {
 
 // --------------------------------------------------------------------
 // Scalar primitives (must match common/saturate.h and common/bf16.h
-// bit for bit).
+// bit for bit). normOffset also serves the NDU kernels of the scalar
+// and AVX2 TUs.
 // --------------------------------------------------------------------
+
+/** Normalize a byte offset into [0, rb), matching `((x % rb) + rb) % rb`. */
+inline int
+normOffset(int off, int rb)
+{
+    int m = off % rb;
+    return m < 0 ? m + rb : m;
+}
 
 inline int32_t
 satAdd32s(int32_t a, int32_t b)
@@ -209,7 +223,7 @@ macRange(const ExecCtx &c, int i0, int i1, int aDelta)
                 auto wa = V::template widen<T, ZOFF>(aLo, aHi, i + aDelta,
                                                      zAv);
                 auto wb = V::template widen<T, ZOFF>(bLo, bHi, i, zBv);
-                res = V::satAdd32(old, V::mullo(wa, wb));
+                res = V::macAcc(old, wa, wb);
             }
             V::store(acc + i, admit<V, P>(pred, i, old, res));
         }

@@ -3,7 +3,7 @@
  * AVX2 lane kernels for the specialized execution engine: the AVX2
  * instantiation of the NPU kernels (exec_npu_kernels.h, 8 int32 lanes
  * per step) plus the vector OUT and NDU kernels, which also serve the
- * avx512 tier.
+ * avx512 and avx512vnni tiers.
  *
  * This TU is compiled with `-mavx2 -ffp-contract=off` via per-source
  * CMake flags; nothing outside it may call into it except through the
@@ -145,7 +145,13 @@ struct Avx2Lanes
         return _mm256_blendv_epi8(sum, sat, _mm256_srai_epi32(ovf, 31));
     }
 
-    static Vec mullo(Vec a, Vec b) { return _mm256_mullo_epi32(a, b); }
+    /** satAdd32(acc, a * b); the products fit int32 exactly. */
+    static Vec
+    macAcc(Vec acc, Vec a, Vec b)
+    {
+        return satAdd32(acc, _mm256_mullo_epi32(a, b));
+    }
+
     static Vec
     neg(Vec a)
     {
@@ -327,10 +333,69 @@ outStoreBf16V(const ExecCtx &c)
 }
 
 // --------------------------------------------------------------------
-// NDU kernels (the move/broadcast/rotate family already runs as wide
-// memcpy/memset in the scalar specialized engine; only the per-byte
-// loops gain vector forms here).
+// NDU kernels (Bypass/SplatImm/Rotate/WindowGather already run as wide
+// memcpy/memset in the scalar specialized engine; the per-byte loops
+// and the per-group pattern/broadcast stores gain vector forms here).
 // --------------------------------------------------------------------
+
+/** Store one 64-byte group: lo to d[0..32), hi to d[32..64). */
+inline void
+store64(uint8_t *d, __m256i lo, __m256i hi)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(d + 32), hi);
+}
+
+// RepWindow and GroupBcast copy c.a and c.stride into locals: a vector
+// store may alias the context, so reading them through c would reload
+// them after every store.
+
+/** d[g*64 + j] = a[(offset + j*stride) mod rb] for every group g. */
+void
+nduRepWindowV(const NduCtx &c)
+{
+    const uint8_t *a = c.a;
+    const int rb = c.rb, stride = c.stride;
+    int idx = normOffset(c.offset, rb);
+    __m256i lo, hi;
+    if (stride == 1 && idx + 64 <= rb) {
+        lo = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + idx));
+        hi = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a + idx + 32));
+    } else {
+        alignas(32) uint8_t pattern[64];
+        for (int j = 0; j < 64; ++j) {
+            pattern[j] = a[idx];
+            idx += stride;
+            if (idx >= rb)
+                idx -= rb;
+        }
+        lo = _mm256_load_si256(reinterpret_cast<const __m256i *>(pattern));
+        hi = _mm256_load_si256(
+            reinterpret_cast<const __m256i *>(pattern + 32));
+    }
+    uint8_t *d = c.out;
+    for (int g = 0; g < rb / 64; ++g)
+        store64(d + g * 64, lo, hi);
+}
+
+/** Group g is 64 copies of a[(offset + g*stride) mod rb]. */
+void
+nduGroupBcastV(const NduCtx &c)
+{
+    const uint8_t *a = c.a;
+    uint8_t *d = c.out;
+    const int rb = c.rb, stride = c.stride;
+    const int groups = rb / 64;
+    int idx = normOffset(c.offset, rb);
+    for (int g = 0; g < groups; ++g) {
+        const __m256i v = _mm256_set1_epi8(char(a[idx]));
+        store64(d + g * 64, v, v);
+        idx += stride;
+        if (idx >= rb)
+            idx -= rb;
+    }
+}
 
 void
 nduMergeMaskV(const NduCtx &c)
@@ -400,9 +465,7 @@ nduCompress2V(const NduCtx &c)
                 reinterpret_cast<const __m256i *>(src + 32)),
             pick);
         __m256i out = _mm256_set_m128i(e1, e0);
-        uint8_t *d = c.out + g * 64;
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), out);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d + 32), out);
+        store64(c.out + g * 64, out, out);
     }
 }
 
@@ -449,9 +512,11 @@ selectNduKernelAvx2(const NduSlot &slot)
       case NduOp::MergeMask: return &nduMergeMaskV;
       case NduOp::LoadMask: return &nduLoadMaskV;
       case NduOp::Compress2: return &nduCompress2V;
+      case NduOp::RepWindow: return &nduRepWindowV;
+      case NduOp::GroupBcast: return &nduGroupBcastV;
       default:
-        // Bypass/SplatImm/Rotate/WindowGather/RepWindow/GroupBcast
-        // already execute as memcpy/memset in the scalar kernels.
+        // Bypass/SplatImm/Rotate/WindowGather already execute as
+        // memcpy/memset in the scalar kernels.
         return nullptr;
     }
 }

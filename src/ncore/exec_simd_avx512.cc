@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX-512 instantiation of the NPU lane kernels (exec_npu_kernels.h):
- * 16 int32 lanes per step, with native k-mask predication.
+ * AVX-512 instantiation of the NPU lane kernels (exec_npu_kernels.h)
+ * over Avx512Lanes (exec_simd_avx512_lanes.h).
  *
  * Compiled with `-mavx512f -mavx512bw -mavx512vl -mavx512dq
  * -ffp-contract=off` via per-source CMake flags; only reachable through
@@ -10,136 +10,10 @@
  * its own: buildExecPlan uses the AVX2 ones at this tier.
  */
 
-#include <immintrin.h>
-
-#include <cstdint>
-
-#include "ncore/exec_npu_kernels.h"
+#include "ncore/exec_simd_avx512_lanes.h"
 #include "ncore/simd.h"
 
 namespace ncore {
-
-namespace {
-
-/** Lane traits for exec_npu_kernels.h (its file comment lists them). */
-struct Avx512Lanes
-{
-    static constexpr int kLanes = 16;
-    using Vec = __m512i;
-    using FVec = __m512;
-    using Mask = __mmask16;
-
-    static Vec load(const int32_t *p) { return _mm512_loadu_si512(p); }
-    static void store(int32_t *p, Vec v) { _mm512_storeu_si512(p, v); }
-    static Vec splat(int32_t x) { return _mm512_set1_epi32(x); }
-
-    static Vec
-    loadU8(const uint8_t *p)
-    {
-        return _mm512_cvtepu8_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-    }
-
-    static Vec
-    loadI8(const uint8_t *p)
-    {
-        return _mm512_cvtepi8_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-    }
-
-    template <LaneType T, bool ZOFF>
-    static Vec
-    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
-    {
-        if constexpr (T == LaneType::I8) {
-            return loadI8(lo + i);
-        } else if constexpr (T == LaneType::U8) {
-            Vec v = loadU8(lo + i);
-            if constexpr (ZOFF)
-                v = _mm512_sub_epi32(v, z);
-            return v;
-        } else {
-            return _mm512_or_si512(_mm512_slli_epi32(loadI8(hi + i), 8),
-                                   loadU8(lo + i));
-        }
-    }
-
-    template <Pred P>
-    static Mask
-    pass(const uint8_t *pred)
-    {
-        __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i *>(pred));
-        if constexpr (P == Pred::NotP0)
-            return _mm_cmpeq_epi8_mask(v, _mm_setzero_si128());
-        else
-            return _mm_cmpneq_epi8_mask(v, _mm_setzero_si128());
-    }
-
-    static Vec
-    select(Mask m, Vec old, Vec neu)
-    {
-        return _mm512_mask_mov_epi32(old, m, neu);
-    }
-
-    /** Overflow iff sign(a) == sign(b) && sign(a+b) != sign(a). */
-    static Vec
-    satAdd32(Vec a, Vec b)
-    {
-        Vec sum = _mm512_add_epi32(a, b);
-        Vec ovf = _mm512_andnot_si512(_mm512_xor_si512(a, b),
-                                      _mm512_xor_si512(sum, a));
-        Vec sat = _mm512_xor_si512(_mm512_srai_epi32(a, 31),
-                                   _mm512_set1_epi32(0x7fffffff));
-        return _mm512_mask_mov_epi32(sum, _mm512_movepi32_mask(ovf), sat);
-    }
-
-    static Vec mullo(Vec a, Vec b) { return _mm512_mullo_epi32(a, b); }
-    static Vec
-    neg(Vec a)
-    {
-        return _mm512_sub_epi32(_mm512_setzero_si512(), a);
-    }
-    static Vec min(Vec a, Vec b) { return _mm512_min_epi32(a, b); }
-    static Vec max(Vec a, Vec b) { return _mm512_max_epi32(a, b); }
-    static Vec bitAnd(Vec a, Vec b) { return _mm512_and_si512(a, b); }
-    static Vec bitOr(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-    static Vec bitXor(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-
-    static FVec
-    bf16(const uint8_t *lo, const uint8_t *hi, int i)
-    {
-        return _mm512_castsi512_ps(
-            _mm512_or_si512(_mm512_slli_epi32(loadU8(hi + i), 24),
-                            _mm512_slli_epi32(loadU8(lo + i), 16)));
-    }
-
-    static FVec asF(Vec v) { return _mm512_castsi512_ps(v); }
-    static Vec asI(FVec f) { return _mm512_castps_si512(f); }
-    static FVec fadd(FVec a, FVec b) { return _mm512_add_ps(a, b); }
-    static FVec fsub(FVec a, FVec b) { return _mm512_sub_ps(a, b); }
-    static FVec fmul(FVec a, FVec b) { return _mm512_mul_ps(a, b); }
-    // min_ps/max_ps return the second operand on NaN and ±0 ties.
-    static FVec fMin(FVec fc, FVec fa) { return _mm512_min_ps(fa, fc); }
-    static FVec fMax(FVec fc, FVec fa) { return _mm512_max_ps(fa, fc); }
-
-    static FVec
-    canonNaN(FVec r)
-    {
-        return _mm512_mask_mov_ps(
-            r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q),
-            _mm512_castsi512_ps(_mm512_set1_epi32(0x7fc00000)));
-    }
-
-    static void
-    cmpGt(uint8_t *p, Vec a, Vec b)
-    {
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(p),
-            _mm_maskz_set1_epi8(_mm512_cmpgt_epi32_mask(a, b), 1));
-    }
-};
-
-} // namespace
 
 NpuKernel
 selectNpuKernelAvx512(const NpuSlot &npu)

@@ -1,0 +1,44 @@
+/**
+ * @file
+ * AVX-512 VNNI instantiation of the NPU lane kernels: Avx512Lanes
+ * with the integer MAC step done by one `vpdpwssds`.
+ *
+ * Compiled with the avx512 TU's flags plus `-mavx512vnni`; only
+ * reachable through selectNpuKernelAvx512Vnni, after bestSimdTier()
+ * proved the host supports AVX512_VNNI. Like the avx512 tier it uses
+ * the AVX2 OUT and NDU kernels.
+ */
+
+#include "ncore/exec_simd_avx512_lanes.h"
+#include "ncore/simd.h"
+
+namespace ncore {
+
+namespace {
+
+struct Avx512VnniLanes : Avx512Lanes
+{
+    /**
+     * sat32(acc + a * b) as `vpdpwssds`, which adds the two signed
+     * 16x16 products of each dword's word pair to acc and saturates
+     * once. Every widened lane (u8, u8 minus its zero offset, i8, i16)
+     * fits in i16, so its low word is the value. Clearing b's high
+     * word zeroes the second product, leaving exactly a * b.
+     */
+    static Vec
+    macAcc(Vec acc, Vec a, Vec b)
+    {
+        return _mm512_dpwssds_epi32(
+            acc, a, _mm512_and_si512(b, _mm512_set1_epi32(0xffff)));
+    }
+};
+
+} // namespace
+
+NpuKernel
+selectNpuKernelAvx512Vnni(const NpuSlot &npu)
+{
+    return selectNpuKernelFor<Avx512VnniLanes>(npu);
+}
+
+} // namespace ncore

@@ -41,6 +41,9 @@ NpuKernel
 selectNpuKernel(SimdTier tier, const NpuSlot &npu)
 {
     switch (tier) {
+#if NCORE_SIMD_AVX512VNNI
+      case SimdTier::Avx512Vnni: return selectNpuKernelAvx512Vnni(npu);
+#endif
 #if NCORE_SIMD_AVX512
       case SimdTier::Avx512: return selectNpuKernelAvx512(npu);
 #endif
@@ -150,14 +153,6 @@ selectOutKernel(const OutSlot &out)
 // --------------------------------------------------------------------
 // NDU kernels
 // --------------------------------------------------------------------
-
-/** Normalize a byte offset into [0, rb), matching `((x % rb) + rb) % rb`. */
-inline int
-normOffset(int off, int rb)
-{
-    int m = off % rb;
-    return m < 0 ? m + rb : m;
-}
 
 template <NduOp OP>
 void

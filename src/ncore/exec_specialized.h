@@ -14,8 +14,8 @@
  *  - NPU kernels are template instantiations over
  *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish.
  *    They are written once, in exec_npu_kernels.h, over a lane-traits
- *    type, and instantiated three times: portable scalar (here), AVX2
- *    and AVX-512 (ncore/simd.h).
+ *    type, and instantiated four times: portable scalar (here), AVX2,
+ *    AVX-512 and AVX-512 VNNI (ncore/simd.h).
  *  - NDU kernels are instantiated per NduOp with the `% rowBytes`
  *    modulo arithmetic replaced by normalize-once-then-wrap indexing,
  *    and write directly to their destination register when the decoder
@@ -106,16 +106,17 @@ using NduKernel = void (*)(const NduCtx &);
 
 /**
  * SIMD tier of the specialized engine's lane kernels (see
- * ncore/simd.h for probing/dispatch). Ordering is meaningful: higher
- * enum value = wider vectors; Auto resolves via the NCORE_SIMD env
- * var, then cpuid.
+ * ncore/simd.h for probing/dispatch). Ordering is meaningful: a higher
+ * enum value needs a superset of the ISA extensions below it; Auto
+ * resolves via the NCORE_SIMD env var, then cpuid.
  */
 enum class SimdTier : uint8_t
 {
-    Auto = 0, ///< Resolve via NCORE_SIMD env var, then cpuid.
-    Scalar,   ///< Portable scalar specialized kernels only.
-    Avx2,     ///< 256-bit kernels (requires AVX2).
-    Avx512,   ///< 512-bit kernels (requires AVX-512 F/BW/VL/DQ).
+    Auto = 0,   ///< Resolve via NCORE_SIMD env var, then cpuid.
+    Scalar,     ///< Portable scalar specialized kernels only.
+    Avx2,       ///< 256-bit kernels (requires AVX2).
+    Avx512,     ///< 512-bit kernels (requires AVX-512 F/BW/VL/DQ).
+    Avx512Vnni, ///< Avx512 with a `vpdpwssds` integer MAC (+VNNI).
 };
 
 /** Stable row/register pointers of one Machine, for plan binding. */

@@ -73,8 +73,9 @@ struct MachineOptions
     /// attached/detached later via setProfile().
     CycleProfile *profile = nullptr;
     /// SIMD tier of the specialized engine's lane kernels. Auto
-    /// honors the NCORE_SIMD env var (`scalar|avx2|avx512`, the one
-    /// place it is read) and otherwise probes cpuid; explicit
+    /// honors the NCORE_SIMD env var
+    /// (`scalar|avx2|avx512|avx512vnni`, the one place it is read)
+    /// and otherwise probes cpuid; explicit
     /// requests are clamped to what the host supports. Ignored (tier
     /// pinned to Scalar) when the generic interpreter is selected.
     SimdTier simd = SimdTier::Auto;

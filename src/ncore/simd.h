@@ -2,22 +2,32 @@
  * @file
  * Runtime SIMD-tier dispatch for the specialized execution engine.
  *
- * The NPU lane kernels have one source, exec_npu_kernels.h, written
- * over a lane-traits type and instantiated three times: portable scalar
- * in exec_specialized.cc, and AVX2 / AVX-512 in exec_simd_avx2.cc /
- * exec_simd_avx512.cc, which are compiled with per-file `-mavx2` /
- * `-mavx512*` flags so the rest of the binary stays portable. Every
- * tier covers every NPU slot, so buildExecPlan() takes the NPU kernel
- * of the resolved tier directly. The OUT (requantize/activation) and
- * mask-class NDU kernels have vector forms only in the AVX2 TU; they
- * chain down: any tier at or above avx2 uses them where they exist and
- * keeps the scalar specialized kernel for the rest.
+ * There are four tiers, each needing the ISA of the one below it:
+ *
+ *  - scalar: portable, in exec_specialized.cc;
+ *  - avx2: exec_simd_avx2.cc, built with `-mavx2`;
+ *  - avx512: exec_simd_avx512.cc, built with `-mavx512{f,bw,vl,dq}`;
+ *  - avx512vnni: exec_simd_avx512vnni.cc, the avx512 flags plus
+ *    `-mavx512vnni`. It differs from avx512 only in the integer MAC
+ *    step, one `vpdpwssds` instead of mullo plus a saturating add.
+ *
+ * Only those TUs get the ISA flags, so the rest of the binary stays
+ * portable. The NPU lane kernels have one source, exec_npu_kernels.h,
+ * written over a lane-traits type and instantiated once per tier
+ * (the two AVX-512 TUs share exec_simd_avx512_lanes.h). Every tier
+ * covers every NPU slot, so buildExecPlan() takes the NPU kernel of
+ * the resolved tier directly. The OUT (requantize/activation) and NDU
+ * kernels have vector forms only in the AVX2 TU: OUT requantize and
+ * bf16 store, and the MergeMask, LoadMask, Compress2, RepWindow and
+ * GroupBcast NDU ops. They chain down: any tier at or above avx2 uses
+ * them where they exist and keeps the scalar specialized kernel for
+ * the rest.
  *
  * Tier selection happens once per Machine: Options::simd == Auto
- * honors the NCORE_SIMD env var (`scalar`, `avx2` or `avx512` — the
- * one place it is read) and otherwise probes cpuid; explicit requests
- * are clamped to what the host actually supports so a binary built
- * with AVX-512 objects still runs everywhere.
+ * honors the NCORE_SIMD env var (`scalar`, `avx2`, `avx512` or
+ * `avx512vnni` — the one place it is read) and otherwise probes cpuid;
+ * explicit requests are clamped to what the host actually supports so
+ * a binary built with AVX-512 objects still runs everywhere.
  *
  * Bit-identity contract: every vector kernel must match the generic
  * interpreter bit for bit (same RAM bytes, accumulators, predicates,
@@ -37,7 +47,7 @@ namespace ncore {
 
 // SimdTier itself lives in exec_specialized.h (buildExecPlan takes it).
 
-/** Lower-case tier name ("scalar", "avx2", "avx512"); Auto -> "auto". */
+/** Lower-case tier name ("scalar", ..., "avx512vnni"); Auto -> "auto". */
 const char *simdTierName(SimdTier t);
 
 /** Best tier the running CPU supports among the compiled-in kernels. */
@@ -64,8 +74,9 @@ OutKernel simdSelectOut(SimdTier tier, const OutSlot &out);
 NduKernel simdSelectNdu(SimdTier tier, const NduSlot &slot);
 
 // Per-tier selector entry points, defined in the per-file-flag
-// translation units (exec_simd_avx2.cc / exec_simd_avx512.cc). Only
-// buildExecPlan and simdSelectOut/Ndu should call these.
+// translation units (exec_simd_avx2.cc, exec_simd_avx512.cc,
+// exec_simd_avx512vnni.cc). Only buildExecPlan and simdSelectOut/Ndu
+// should call these.
 #if NCORE_SIMD_AVX2
 NpuKernel selectNpuKernelAvx2(const NpuSlot &npu);
 OutKernel selectOutKernelAvx2(const OutSlot &out);
@@ -73,6 +84,9 @@ NduKernel selectNduKernelAvx2(const NduSlot &slot);
 #endif
 #if NCORE_SIMD_AVX512
 NpuKernel selectNpuKernelAvx512(const NpuSlot &npu);
+#endif
+#if NCORE_SIMD_AVX512VNNI
+NpuKernel selectNpuKernelAvx512Vnni(const NpuSlot &npu);
 #endif
 
 } // namespace ncore

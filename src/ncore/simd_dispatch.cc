@@ -2,7 +2,8 @@
  * @file
  * SIMD tier probing and the OUT/NDU kernel selectors. This TU is
  * compiled with the default (portable) flags; the vector kernels live
- * in exec_simd_avx2.cc / exec_simd_avx512.cc behind per-file flags.
+ * in exec_simd_avx2.cc / exec_simd_avx512.cc / exec_simd_avx512vnni.cc
+ * behind per-file flags.
  */
 
 #include "ncore/simd.h"
@@ -22,6 +23,7 @@ simdTierName(SimdTier t)
       case SimdTier::Scalar: return "scalar";
       case SimdTier::Avx2: return "avx2";
       case SimdTier::Avx512: return "avx512";
+      case SimdTier::Avx512Vnni: return "avx512vnni";
     }
     return "?";
 }
@@ -34,8 +36,13 @@ bestSimdTier()
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512dq"))
+        __builtin_cpu_supports("avx512dq")) {
+#if NCORE_SIMD_AVX512VNNI
+        if (__builtin_cpu_supports("avx512vnni"))
+            return SimdTier::Avx512Vnni;
+#endif
         return SimdTier::Avx512;
+    }
 #endif
 #if NCORE_SIMD_AVX2
     if (__builtin_cpu_supports("avx2"))
@@ -54,7 +61,9 @@ parseSimdTier(const char *s)
         return SimdTier::Avx2;
     if (std::strcmp(s, "avx512") == 0)
         return SimdTier::Avx512;
-    fatal("NCORE_SIMD=%s is not scalar|avx2|avx512", s);
+    if (std::strcmp(s, "avx512vnni") == 0)
+        return SimdTier::Avx512Vnni;
+    fatal("NCORE_SIMD=%s is not scalar|avx2|avx512|avx512vnni", s);
 }
 
 SimdTier

@@ -4,12 +4,13 @@
  * generic interpreter (see src/ncore/exec_specialized.h): random VLIW
  * programs run through the generic interpreter and through one
  * specialized engine per SIMD kernel tier the host supports (scalar,
- * then avx2 and avx512 where cpuid allows, ncore/simd.h), and every
- * engine must produce bit-identical RAM contents, accumulators,
- * predicates, N/OUT registers, perf counters and cycle counts. This is
- * the enforcement mechanism behind the fast path's equivalence
- * guarantee; one run of the binary diffs every instantiation of the
- * NPU kernels (exec_npu_kernels.h) and every OUT/NDU kernel tier.
+ * then avx2, avx512 and avx512vnni where cpuid allows, ncore/simd.h),
+ * and every engine must produce bit-identical RAM contents,
+ * accumulators, predicates, N/OUT registers, perf counters and cycle
+ * counts. This is the enforcement mechanism behind the fast path's
+ * equivalence guarantee; one run of the binary diffs every
+ * instantiation of the NPU kernels (exec_npu_kernels.h) and every
+ * OUT/NDU kernel tier.
  *
  * The fuzz program count can be overridden with NCORE_DIFF_PROGRAMS
  * (the sanitizer job runs a reduced count).
@@ -597,17 +598,33 @@ TEST_F(FastPathDiff, SimdTierSelection)
                      {ExecEngine::Specialized});
     EXPECT_EQ(int(autoTier.simdTier()), int(bestSimdTier()));
 
-    // Auto honors NCORE_SIMD (the one place the env var is read)...
+    // Every tier name parses back to its tier.
+    for (SimdTier t : {SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512,
+                       SimdTier::Avx512Vnni})
+        EXPECT_EQ(int(parseSimdTier(simdTierName(t))), int(t));
+    EXPECT_EQ(int(parseSimdTier("avx512vnni")), int(SimdTier::Avx512Vnni));
+
+    // Auto honors NCORE_SIMD (the one place the env var is read),
+    // clamped like an explicit request: avx512 keeps the non-VNNI
+    // kernels on a VNNI host...
+    setenv("NCORE_SIMD", "avx512", 1);
+    Machine env512(chaNcoreConfig(), chaSocConfig());
+    EXPECT_EQ(int(env512.simdTier()),
+              int(std::min(SimdTier::Avx512, bestSimdTier())));
+    setenv("NCORE_SIMD", "avx512vnni", 1);
+    Machine envVnni(chaNcoreConfig(), chaSocConfig());
+    EXPECT_EQ(int(envVnni.simdTier()), int(bestSimdTier()));
     setenv("NCORE_SIMD", "scalar", 1);
     Machine env(chaNcoreConfig(), chaSocConfig());
     EXPECT_EQ(int(env.simdTier()), int(SimdTier::Scalar));
 
     // ...but an explicit Options request beats it, and a request for
     // more than the host supports clamps to the probed best tier.
-    Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                 {ExecEngine::Specialized, nullptr,
-                  SimdTier::Avx512});
-    EXPECT_EQ(int(expl.simdTier()), int(bestSimdTier()));
+    for (SimdTier t : {SimdTier::Avx512, SimdTier::Avx512Vnni}) {
+        Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
+                     {ExecEngine::Specialized, nullptr, t});
+        EXPECT_EQ(int(expl.simdTier()), int(std::min(t, bestSimdTier())));
+    }
 
     if (saved)
         setenv("NCORE_SIMD", savedCopy.c_str(), 1);
@@ -982,10 +999,12 @@ TEST_F(FastPathDiff, Bf16SpecialValues)
 }
 
 /**
- * Gather-class NDU reads with byte offsets just under rowBytes: the
- * window wraps around the 4096-byte row, which is the boundary the
- * vectorized wide-load kernels must not run past (the scalar NDU
- * kernels index modulo rowBytes per byte).
+ * Gather-class NDU reads at every NduStride with byte offsets just
+ * under rowBytes: the window wraps around the 4096-byte row, which is
+ * the boundary the vectorized wide-load kernels must not run past (the
+ * scalar NDU kernels index modulo rowBytes per byte). Offset
+ * 4096 - 64 is the last one whose stride-1 window does not wrap, so
+ * the vector RepWindow's contiguous-load path runs at its edge.
  */
 TEST_F(FastPathDiff, RowWrappingNduReads)
 {
@@ -996,11 +1015,11 @@ TEST_F(FastPathDiff, RowWrappingNduReads)
     static constexpr NduOp kOps[] = {NduOp::WindowGather,
                                      NduOp::RepWindow,
                                      NduOp::GroupBcast};
-    static constexpr uint8_t kStrides[] = {1, 3, 5}; // S1, S64, S256.
     int dst = 0;
     for (NduOp op : kOps) {
-        for (uint8_t stride : kStrides) {
-            for (int back : {1, 17, 63}) {
+        for (uint8_t stride = uint8_t(NduStride::S0);
+             stride <= uint8_t(NduStride::S256); ++stride) {
+            for (int back : {1, 17, 63, 64}) {
                 prog.push_back(setAddrByte(3, 4096 - back));
                 Instruction in;
                 in.dataRead.enable = true;
@@ -1032,9 +1051,12 @@ TEST_F(FastPathDiff, RowWrappingNduReads)
  * 70,000 of INT32_MAX and INT32_MIN take u8, i8 and i16 Mac, MacFwd,
  * Add and Sub, with and without a predicate, once and then under a
  * Rep. About half the i16 lanes of both operands are -32768, so their
- * products are 2^30. Every combination is its own program: the next
- * one reloads the accumulators, so a wrong clamp would otherwise be
- * overwritten before the diff.
+ * products are 2^30. u8 Mac and MacFwd also run with nonzero zero
+ * offsets: then a widened u8 operand can be negative, which is the
+ * case the VNNI MAC step's high-word mask exists for. Every
+ * combination is its own program: the next one reloads the
+ * accumulators, so a wrong clamp would otherwise be overwritten before
+ * the diff.
  */
 TEST_F(FastPathDiff, SaturatingAccumulators)
 {
@@ -1072,50 +1094,66 @@ TEST_F(FastPathDiff, SaturatingAccumulators)
                     reinterpret_cast<const uint8_t *>(seeds.data() +
                                                       q * quarter));
 
+    // zeroOff is the SetZeroOff immediate (data offset in bits 15:8,
+    // weight offset in bits 7:0); 0 leaves the offsets off.
+    auto runCase = [&](LaneType t, NpuOp op, Pred p, uint32_t zeroOff) {
+        SCOPED_TRACE(testing::Message()
+                     << "type " << int(t) << " op " << int(op) << " pred "
+                     << int(p) << " zero offsets 0x" << std::hex
+                     << zeroOff);
+        const bool zoff = zeroOff != 0;
+        std::vector<Instruction> prog;
+        prog.push_back(setAddrRow(0, 12));
+        prog.push_back(setAddrRow(1, 40));
+        prog.push_back(npuRR(NpuOp::CmpGtP0, LaneType::U8));
+        for (int q = 0; q < 4; ++q) {
+            prog.push_back(setAddrRow(2, 60 + q));
+            Instruction bias;
+            bias.dataRead.enable = true;
+            bias.dataRead.reg = 2;
+            bias.npu.op = NpuOp::AccLoadBias;
+            bias.npu.a = RowSrc::DataRead;
+            bias.npu.b = RowSrc(int(BiasMode::Quarter0) + q); // Mode.
+            prog.push_back(bias);
+        }
+        if (zoff) {
+            Instruction set;
+            set.ctrl.op = CtrlOp::SetZeroOff;
+            set.ctrl.imm = zeroOff;
+            prog.push_back(set);
+        }
+        prog.push_back(npuRR(op, t, p, zoff));
+        Instruction rep = npuRR(op, t, p, zoff);
+        rep.ctrl.op = CtrlOp::Rep;
+        rep.ctrl.imm = 3;
+        prog.push_back(rep);
+        Instruction halt;
+        halt.ctrl.op = CtrlOp::Halt;
+        prog.push_back(halt);
+        runAll(prog);
+        compareState(66);
+
+        // The program must actually drive lanes onto a rail.
+        const std::vector<int32_t> &acc = gen_.accState();
+        EXPECT_GT(std::count(acc.begin(), acc.end(), INT32_MAX) +
+                      std::count(acc.begin(), acc.end(), INT32_MIN),
+                  0);
+    };
+
     static constexpr LaneType kTypes[] = {LaneType::U8, LaneType::I8,
                                           LaneType::I16};
     static constexpr NpuOp kOps[] = {NpuOp::Mac, NpuOp::MacFwd,
                                      NpuOp::Add, NpuOp::Sub};
-    for (LaneType t : kTypes) {
-        for (NpuOp op : kOps) {
-            for (Pred p : {Pred::None, Pred::P0}) {
-                SCOPED_TRACE(testing::Message()
-                             << "type " << int(t) << " op " << int(op)
-                             << " pred " << int(p));
-                std::vector<Instruction> prog;
-                prog.push_back(setAddrRow(0, 12));
-                prog.push_back(setAddrRow(1, 40));
-                prog.push_back(npuRR(NpuOp::CmpGtP0, LaneType::U8));
-                for (int q = 0; q < 4; ++q) {
-                    prog.push_back(setAddrRow(2, 60 + q));
-                    Instruction bias;
-                    bias.dataRead.enable = true;
-                    bias.dataRead.reg = 2;
-                    bias.npu.op = NpuOp::AccLoadBias;
-                    bias.npu.a = RowSrc::DataRead;
-                    bias.npu.b =
-                        RowSrc(int(BiasMode::Quarter0) + q); // Mode.
-                    prog.push_back(bias);
-                }
-                prog.push_back(npuRR(op, t, p));
-                Instruction rep = npuRR(op, t, p);
-                rep.ctrl.op = CtrlOp::Rep;
-                rep.ctrl.imm = 3;
-                prog.push_back(rep);
-                Instruction halt;
-                halt.ctrl.op = CtrlOp::Halt;
-                prog.push_back(halt);
-                runAll(prog);
-                compareState(66);
-
-                // The program must actually drive lanes onto a rail.
-                const std::vector<int32_t> &acc = gen_.accState();
-                EXPECT_GT(std::count(acc.begin(), acc.end(), INT32_MAX) +
-                              std::count(acc.begin(), acc.end(), INT32_MIN),
-                          0);
-            }
-        }
-    }
+    for (LaneType t : kTypes)
+        for (NpuOp op : kOps)
+            for (Pred p : {Pred::None, Pred::P0})
+                runCase(t, op, p, 0);
+    // Offsets 0x80 and 0xff make both operand signs common (u8 - 0xff
+    // reaches -255); 0xff80 swaps which operand gets which.
+    for (NpuOp op : {NpuOp::Mac, NpuOp::MacFwd})
+        for (Pred p : {Pred::None, Pred::P0})
+            for (uint32_t zo : {0x80ffu, 0xff80u, 0x0180u})
+                runCase(LaneType::U8, op, p, zo);
 }
 
 } // namespace

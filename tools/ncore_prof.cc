@@ -12,14 +12,19 @@
  *
  * Text goes to stdout; --json additionally writes the machine-
  * readable report (one file per model; with --model=all the model key
- * is inserted before the extension). The report is deterministic:
- * identical across runs, and bit-identical across the two execution
- * engines (the profiler hooks the step path they share).
+ * is inserted before the extension). Several models are profiled on
+ * one thread each; their reports are printed and written in the order
+ * above once all threads are done, so the output matches a sequential
+ * run. The report is deterministic: identical across runs, and
+ * bit-identical across the two execution engines (the profiler hooks
+ * the step path they share).
  */
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mlperf/profiles.h"
@@ -58,14 +63,25 @@ profMain(const std::vector<Workload> &workloads, ExecEngine engine,
          const char *json_path)
 {
     const bool multi = workloads.size() > 1;
-    for (Workload w : workloads) {
-        fprintf(stderr, "profiling %s (cycle-exact simulation)...\n",
-                workloadName(w));
-        ProfileReport rep = profileWorkloadReport(w, engine);
+    // Each profile run builds its own model and simulator Machine, as
+    // in measureAllWorkloads, so the threads share no mutable state.
+    std::vector<ProfileReport> reports(workloads.size());
+    {
+        std::vector<std::jthread> threads;
+        for (size_t i = 0; i < workloads.size(); ++i) {
+            fprintf(stderr, "profiling %s (cycle-exact simulation)...\n",
+                    workloadName(workloads[i]));
+            threads.emplace_back([&reports, engine, i, w = workloads[i]] {
+                reports[i] = profileWorkloadReport(w, engine);
+            });
+        }
+    } // jthreads join here.
+    for (size_t i = 0; i < workloads.size(); ++i) {
+        const ProfileReport &rep = reports[i];
         fputs(rep.text().c_str(), stdout);
         if (json_path) {
             const std::string path =
-                jsonPathFor(json_path, w, multi);
+                jsonPathFor(json_path, workloads[i], multi);
             if (!writeProfileJson(rep, path)) {
                 fprintf(stderr, "cannot write %s\n", path.c_str());
                 return 1;
@@ -83,22 +99,20 @@ int
 main(int argc, char **argv)
 {
     using namespace ncore;
-    std::vector<Workload> workloads;
+    // Which kModels entries were asked for: repeats and overlaps with
+    // --model=all count once, so no two threads write one JSON file.
+    bool selected[std::size(kModels)] = {};
     ExecEngine engine = ExecEngine::Default;
     const char *json_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
         if (!strncmp(argv[i], "--model=", 8)) {
             const char *m = argv[i] + 8;
-            if (!strcmp(m, "all")) {
-                for (const ModelArg &ma : kModels)
-                    workloads.push_back(ma.w);
-                continue;
-            }
+            const bool all = !strcmp(m, "all");
             bool found = false;
-            for (const ModelArg &ma : kModels)
-                if (!strcmp(m, ma.flag)) {
-                    workloads.push_back(ma.w);
+            for (size_t k = 0; k < std::size(kModels); ++k)
+                if (all || !strcmp(m, kModels[k].flag)) {
+                    selected[k] = true;
                     found = true;
                 }
             if (!found) {
@@ -125,6 +139,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    std::vector<Workload> workloads;
+    for (size_t k = 0; k < std::size(kModels); ++k)
+        if (selected[k])
+            workloads.push_back(kModels[k].w);
     if (workloads.empty())
         workloads.push_back(Workload::MobileNetV1);
     return profMain(workloads, engine, json_path);
