@@ -72,8 +72,7 @@ main()
         int phase = int(e.tag & 3);
         std::printf("  %-10llu %-9s %s\n",
                     (unsigned long long)e.cycle,
-                    phase == 1 ? "start"
-                               : (phase == 2 ? "end" : "band"),
+                    phase == 1 ? "start" : "end",
                     ld.graph.nodes()[size_t(id)].name.c_str());
         ++shown;
     }

@@ -85,9 +85,6 @@ main(int argc, char **argv)
                     "custom masks\n",
                     sg.rqTable.size(), sg.luts.size(),
                     sg.extraMasks.size());
-        if (!sg.inputBands.empty())
-            std::printf("  banded input   %zu bands\n",
-                        sg.inputBands[0].bandLayouts.size());
 
         std::printf("\n  disassembly (first %d instructions):\n",
                     disasm_count);

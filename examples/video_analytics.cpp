@@ -6,8 +6,8 @@
  * deployed in third-party video analytics prototypes").
  *
  * Processes a short synthetic frame sequence: the detector backbone
- * and heads run on Ncore (with the oversized 300x300 input staged in
- * y-bands by the host), and the SSD tail — score sigmoid and
+ * and heads run on Ncore (the 300x300 input fully resident in the
+ * GroupedRf stem layout), and the SSD tail — score sigmoid and
  * non-maximum suppression over 1917 anchors x 91 classes — runs on
  * the x86 cores, exactly the split that dominates SSD's x86 latency
  * share in paper Table IX.
@@ -35,13 +35,14 @@ main(int argc, char **argv)
     std::printf("building SSD-MobileNet-V1 (300x300, 91 classes)...\n");
     SharedModel model = LoadedModel::create(compile(buildSsdMobileNetV1()));
     const Loadable &loadable = model->loadable();
-    std::printf("  input staged in %zu y-bands (300x300x3 exceeds "
-                "on-chip residency)\n",
-                loadable.subgraphs[0].inputBands.empty()
-                    ? 0
-                    : loadable.subgraphs[0]
-                          .inputBands[0]
-                          .bandLayouts.size());
+    const CompiledSubgraph &stem_sg = loadable.subgraphs[0];
+    const TensorLayout &in_lay = stem_sg.layouts.at(stem_sg.inputs[0]);
+    std::printf("  input layout %s, %d data-RAM rows\n",
+                in_lay.kind == LayoutKind::GroupedRf ? "GroupedRf"
+                : in_lay.kind == LayoutKind::Flat    ? "Flat"
+                : in_lay.packed()                    ? "y-packed"
+                                                     : "Interleaved",
+                in_lay.rows());
 
     NcoreDevice dev(model);
 

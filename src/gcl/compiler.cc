@@ -222,7 +222,6 @@ class SubgraphCompiler
         planStem();
         planPacking();
         syncStemWithOutput();
-        planBanding();
         planDataRam();
         planWeights();
         generate();
@@ -660,60 +659,6 @@ class SubgraphCompiler
         return row;
     }
 
-    /**
-     * Oversized subgraph inputs (e.g. SSD's 300x300x3 image: tiny
-     * channel count, huge spatial extent) cannot be fully resident.
-     * When the first node is their sole consumer conv, stage them in
-     * y-bands through a reusable buffer.
-     */
-    void
-    planBanding()
-    {
-        const int kResidencyLimit = opts_.bandingResidencyLimit;
-        constexpr int kBandBudget = 700; // buffer rows
-
-        if (nodeIds_.empty())
-            return;
-        const Node &first = node(nodeIds_[0]);
-        if (first.kind != OpKind::Conv2D &&
-            first.kind != OpKind::DepthwiseConv2D)
-            return;
-        TensorId in = canonical(first.inputs[0]);
-        if (std::find(sg_.inputs.begin(), sg_.inputs.end(), in) ==
-            sg_.inputs.end())
-            return;
-        TensorLayout &lay = layouts_[in];
-        if (lay.kind == LayoutKind::Flat ||
-            lay.rows() <= kResidencyLimit)
-            return;
-        // Sole consumer required.
-        for (size_t pos = 1; pos < nodeIds_.size(); ++pos)
-            for (TensorId t : node(nodeIds_[pos]).inputs)
-                if (canonical(t) == in)
-                    return;
-
-        const GirTensor &out_t = g_.tensor(first.outputs[0]);
-        const int h_o = int(out_t.shape.dim(1));
-        const int s = first.attrs.strideH;
-        const int kh = int(g_.tensor(first.inputs[1]).shape.dim(1));
-        const int per_y = lay.cblocks() * lay.xtiles();
-
-        int nbands = 2, band_out = h_o, band_h = lay.paddedH();
-        for (; nbands <= 64; ++nbands) {
-            band_out = (h_o + nbands - 1) / nbands;
-            band_h = (band_out - 1) * s + kh;
-            if (band_h * per_y <= kBandBudget)
-                break;
-        }
-        fatal_if(band_h * per_y > kBandBudget,
-                 "input tensor too large even for banded staging");
-
-        bandTensor_ = in;
-        bandOut_ = band_out;
-        bandH_ = band_h;
-        lay.bandH = band_h; // Allocation covers one band.
-    }
-
     void
     planDataRam()
     {
@@ -944,7 +889,6 @@ class SubgraphCompiler
         ProgramBuilder pb;
         pb.event(CompiledSubgraph::kStartTag);
 
-        int weighted_seen = 0;
         const int n_chunks = int(sg_.chunks.size());
         if (!sg_.weightsPersistent) {
             pb.dmaKick(0);
@@ -956,21 +900,12 @@ class SubgraphCompiler
             int id = nodeIds_[pos];
             const Node &n = node(id);
 
-            if (pos == 0 && bandTensor_ != kNoTensor) {
-                // Oversized input: emitted as separate band programs
-                // the runtime interleaves with host staging.
-                emitBandedConv(n, id);
-                sg_.macs += uint64_t(Graph::nodeMacs(g_, n));
-                continue;
-            }
-
             // Per-layer event-log markers (the Table IX methodology).
             pb.event(uint32_t(id) << 2 | 1);
 
             if (hasWeights(n.kind) && !sg_.weightsPersistent) {
                 int k = chunkOf_.at(id);
                 pb.dmaFence(k % 2);
-                (void)weighted_seen;
             }
 
             emitNode(pb, n, id);
@@ -1030,49 +965,6 @@ class SubgraphCompiler
         p.weightZero = uint8_t(w.quant.zeroPoint);
         p.masks = sg_.masks;
         return p;
-    }
-
-    /** Emit the banded stem-conv programs (one per input band). */
-    void
-    emitBandedConv(const Node &n, int id)
-    {
-        fatal_if(!sg_.weightsPersistent,
-                 "banded staging with streamed weights unsupported");
-        InputBandPlan plan;
-        plan.tensor = bandTensor_;
-        plan.nodeId = id;
-
-        ConvKernel proto = makeConvKernel(n, id);
-        const int h_o = proto.out.h;
-        const int nbands = (h_o + bandOut_ - 1) / bandOut_;
-        const TensorLayout &full = layoutOf(bandTensor_);
-
-        for (int b = 0; b < nbands; ++b) {
-            int yo0 = b * bandOut_;
-            int yo1 = std::min(h_o, yo0 + bandOut_);
-            int start = yo0 * proto.strideH + full.padTop -
-                        proto.padTop;
-            start = std::clamp(start, 0, full.paddedH() - bandH_);
-
-            TensorLayout band = full;
-            band.bandStart = start;
-            band.bandH = bandH_;
-
-            ProgramBuilder bpb;
-            bpb.event(uint32_t(id) << 2 | (b == 0 ? 1 : 3));
-            ConvKernel p = proto;
-            p.in = band;
-            p.yoBegin = yo0;
-            p.yoEnd = yo1;
-            emitConv(bpb, p);
-            if (b == nbands - 1)
-                bpb.event(uint32_t(id) << 2 | 2);
-            bpb.halt();
-
-            plan.bandLayouts.push_back(band);
-            plan.bandCode.push_back(bpb.encode());
-        }
-        sg_.inputBands.push_back(std::move(plan));
     }
 
     void
@@ -1214,9 +1106,6 @@ class SubgraphCompiler
     std::unordered_map<int, int> weightBase_;
     std::unordered_map<int, int> chunkOf_;
 
-    TensorId bandTensor_ = kNoTensor;
-    int bandOut_ = 0;
-    int bandH_ = 0;
     int stemNodeId_ = -1;
     TensorId stemInput_ = kNoTensor;
 

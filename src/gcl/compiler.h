@@ -17,9 +17,6 @@ struct CompileOptions
     /// Force the DMA streaming path even when weights would fit
     /// on-chip (tests and ablation studies).
     bool forceStreaming = false;
-    /// Row threshold above which a subgraph input is staged in
-    /// y-bands instead of being fully resident.
-    int bandingResidencyLimit = 1500;
 };
 
 /**

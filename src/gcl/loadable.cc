@@ -1,60 +1,42 @@
 #include "loadable.h"
 
-#include "common/logging.h"
+#include <algorithm>
+
+#include "common/machine.h"
 
 namespace ncore {
 
 namespace {
 
-std::vector<std::vector<EncodedInstruction>>
-segmentProgram(const std::vector<EncodedInstruction> &code,
-               int bank_instrs)
-{
-    std::vector<std::vector<EncodedInstruction>> segs;
-    for (size_t at = 0; at < code.size(); at += size_t(bank_instrs)) {
-        size_t n = std::min(size_t(bank_instrs), code.size() - at);
-        segs.emplace_back(code.begin() + long(at),
-                          code.begin() + long(at + n));
-    }
-    return segs;
-}
-
-} // namespace
-
 ModelProgramCache
-buildProgramCache(const Loadable &ld, int bank_instrs)
+buildProgramCache(const Loadable &ld)
 {
-    fatal_if(bank_instrs <= 0, "bad IRAM bank size %d", bank_instrs);
+    const size_t bank = size_t(MachineConfig{}.iramEntries);
     ModelProgramCache cache;
-    cache.bankInstrs = bank_instrs;
     cache.subgraphs.reserve(ld.subgraphs.size());
     for (const CompiledSubgraph &sg : ld.subgraphs) {
-        SubgraphProgramCache sc;
-        sc.codeSegments = segmentProgram(sg.code, bank_instrs);
-        sc.bandSegments.reserve(sg.inputBands.size());
-        for (const InputBandPlan &bp : sg.inputBands) {
-            std::vector<std::vector<std::vector<EncodedInstruction>>>
-                bands;
-            bands.reserve(bp.bandCode.size());
-            for (const auto &band_code : bp.bandCode)
-                bands.push_back(segmentProgram(band_code, bank_instrs));
-            sc.bandSegments.push_back(std::move(bands));
+        ProgramSegments segs;
+        for (size_t at = 0; at < sg.code.size(); at += bank) {
+            size_t n = std::min(bank, sg.code.size() - at);
+            segs.emplace_back(sg.code.begin() + long(at),
+                              sg.code.begin() + long(at + n));
         }
-        cache.subgraphs.push_back(std::move(sc));
+        cache.subgraphs.push_back(std::move(segs));
     }
     return cache;
 }
 
-LoadedModel::LoadedModel(Loadable ld, int bank_instrs)
-    : loadable_(std::move(ld)),
-      cache_(buildProgramCache(loadable_, bank_instrs))
+} // namespace
+
+LoadedModel::LoadedModel(Loadable ld)
+    : loadable_(std::move(ld)), cache_(buildProgramCache(loadable_))
 {}
 
 std::shared_ptr<const LoadedModel>
-LoadedModel::create(Loadable ld, int bank_instrs)
+LoadedModel::create(Loadable ld)
 {
     return std::shared_ptr<const LoadedModel>(
-        new LoadedModel(std::move(ld), bank_instrs));
+        new LoadedModel(std::move(ld)));
 }
 
 const std::vector<uint64_t> &

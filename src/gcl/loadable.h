@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/machine.h"
 #include "gir/graph.h"
 #include "isa/encoding.h"
 #include "nkl/kernels.h"
@@ -36,21 +35,6 @@ struct StreamChunk
     uint8_t queue = 0;       ///< DMA completion queue (ping/pong).
 };
 
-/**
- * Banded staging of one oversized subgraph input: the host packs and
- * writes the input band-by-band, running the matching program segment
- * after each band (the stem convolution of 300x300 SSD inputs).
- */
-struct InputBandPlan
-{
-    TensorId tensor = kNoTensor;
-    /// The graph node the band programs execute (the banded stem
-    /// conv); the runtime uses it to attribute band-program cycles.
-    int nodeId = -1;
-    std::vector<TensorLayout> bandLayouts;
-    std::vector<std::vector<EncodedInstruction>> bandCode;
-};
-
 /** A compiled Ncore-resident subgraph. */
 struct CompiledSubgraph
 {
@@ -65,8 +49,6 @@ struct CompiledSubgraph
 
     /// The full program (the runtime segments it into IRAM banks).
     std::vector<EncodedInstruction> code;
-    /// Optional banded staging of the first (oversized) input.
-    std::vector<InputBandPlan> inputBands;
     /// Requant table image (entry i -> table slot i).
     std::vector<RequantEntry> rqTable;
     /// Activation LUT slots in use.
@@ -90,9 +72,9 @@ struct CompiledSubgraph
     int weightRowsUsed = 0;
 
     /// Event-log tags: per layer, (nodeId << 2) | 1 at start, | 2 at
-    /// end, | 3 at band-continuation starts; subgraph start/end use
-    /// kStartTag / kEndTag (aliases of the profiler's canonical
-    /// values so CycleProfile reports decode loadable event streams).
+    /// end; subgraph start/end use kStartTag / kEndTag (aliases of the
+    /// profiler's canonical values so CycleProfile reports decode
+    /// loadable event streams).
     static constexpr uint32_t kStartTag = kProfileSubgraphStart;
     static constexpr uint32_t kEndTag = kProfileSubgraphEnd;
 };
@@ -106,31 +88,20 @@ struct Loadable
     std::vector<CompiledSubgraph> subgraphs;
 };
 
-/**
- * Per-subgraph program cache: the compiled instruction stream
- * pre-segmented into IRAM-bank-sized chunks, so a runtime context can
- * stream the double-buffered instruction RAM without re-chunking (and
- * re-allocating) the program on every invoke.
- */
-struct SubgraphProgramCache
-{
-    /// sg.code split into segments of at most bankInstrs instructions.
-    std::vector<std::vector<EncodedInstruction>> codeSegments;
-    /// Per input-band plan, per band: the band program, segmented.
-    std::vector<std::vector<std::vector<std::vector<EncodedInstruction>>>>
-        bandSegments;
-};
+/** A program split into segments of at most one IRAM bank. */
+using ProgramSegments = std::vector<std::vector<EncodedInstruction>>;
 
-/** Derived once per model; immutable and shareable across contexts. */
+/**
+ * Per-model program cache, derived once and shareable across contexts:
+ * each subgraph's instruction stream pre-segmented into IRAM banks, so
+ * a runtime context can stream the double-buffered instruction RAM
+ * without re-chunking (and re-allocating) the program on every invoke.
+ */
 struct ModelProgramCache
 {
-    int bankInstrs = 0;
-    std::vector<SubgraphProgramCache> subgraphs;
+    /// Per subgraph: sg.code in IRAM-bank-sized segments.
+    std::vector<ProgramSegments> subgraphs;
 };
-
-/** Build the program cache for one Loadable. */
-ModelProgramCache buildProgramCache(
-    const Loadable &ld, int bank_instrs = MachineConfig{}.iramEntries);
 
 /**
  * An immutable loaded model shared by N runtime contexts: the Loadable
@@ -150,8 +121,7 @@ class LoadedModel
 {
   public:
     /** Take ownership of a compiled Loadable and derive its cache. */
-    static std::shared_ptr<const LoadedModel>
-    create(Loadable ld, int bank_instrs = MachineConfig{}.iramEntries);
+    static std::shared_ptr<const LoadedModel> create(Loadable ld);
 
     const Loadable &loadable() const { return loadable_; }
     const ModelProgramCache &programCache() const { return cache_; }
@@ -166,7 +136,7 @@ class LoadedModel
     const std::vector<uint64_t> &streamBases(SystemMemory &mem) const;
 
   private:
-    LoadedModel(Loadable ld, int bank_instrs);
+    explicit LoadedModel(Loadable ld);
 
     Loadable loadable_;
     ModelProgramCache cache_;

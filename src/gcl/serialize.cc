@@ -8,7 +8,7 @@ namespace ncore {
 namespace {
 
 constexpr uint32_t kMagic = 0x4e434c44; // "NCLD"
-constexpr uint32_t kVersion = 4;
+constexpr uint32_t kVersion = 5;
 
 class Writer
 {
@@ -152,8 +152,6 @@ putLayout(Writer &w, const TensorLayout &l)
     w.u8(l.zeroByte);
     w.u8(l.wide ? 1 : 0);
     w.i32(l.baseRow);
-    w.i32(l.bandStart);
-    w.i32(l.bandH);
     w.i32(l.rfStride);
     w.i32(l.rfKw);
     w.i32(l.rfOutTiles);
@@ -177,8 +175,6 @@ getLayout(Reader &r)
     l.zeroByte = r.u8();
     l.wide = r.u8() != 0;
     l.baseRow = r.i32();
-    l.bandStart = r.i32();
-    l.bandH = r.i32();
     l.rfStride = r.i32();
     l.rfKw = r.i32();
     l.rfOutTiles = r.i32();
@@ -329,16 +325,6 @@ serializeLoadable(const Loadable &ld)
         w.u64(sg.macs);
         w.i32(sg.dataRowsUsed);
         w.i32(sg.weightRowsUsed);
-        w.u32(uint32_t(sg.inputBands.size()));
-        for (const InputBandPlan &bp : sg.inputBands) {
-            w.i32(bp.tensor);
-            w.i32(bp.nodeId);
-            w.u32(uint32_t(bp.bandLayouts.size()));
-            for (size_t b = 0; b < bp.bandLayouts.size(); ++b) {
-                putLayout(w, bp.bandLayouts[b]);
-                putCode(w, bp.bandCode[b]);
-            }
-        }
     }
     return std::move(w.bytes);
 }
@@ -484,18 +470,6 @@ deserializeLoadable(const std::vector<uint8_t> &bytes)
         sg.macs = r.u64();
         sg.dataRowsUsed = r.i32();
         sg.weightRowsUsed = r.i32();
-        n = r.u32();
-        for (uint32_t i = 0; i < n; ++i) {
-            InputBandPlan bp;
-            bp.tensor = r.i32();
-            bp.nodeId = r.i32();
-            uint32_t bands = r.u32();
-            for (uint32_t b = 0; b < bands; ++b) {
-                bp.bandLayouts.push_back(getLayout(r));
-                bp.bandCode.push_back(getCode(r));
-            }
-            sg.inputBands.push_back(std::move(bp));
-        }
         ld.subgraphs.push_back(std::move(sg));
     }
     fatal_if(!r.done(), "trailing bytes in Loadable stream");

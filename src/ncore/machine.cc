@@ -171,12 +171,12 @@ Machine::setProfile(CycleProfile *p)
 }
 
 void
-Machine::profileMark(const char *name, bool begin, int node_id)
+Machine::profileMark(const char *name, bool begin)
 {
     if (!prof_)
         return;
     const DmaStats &d = dma_->stats();
-    prof_->hostMark(name, begin, node_id, perf_.cycles, d.bytesRead,
+    prof_->hostMark(name, begin, perf_.cycles, d.bytesRead,
                     d.bytesWritten);
 }
 

@@ -110,7 +110,7 @@ class Machine : public RamRowPort
 {
   public:
     /// Program-counter map: two IRAM banks then the ROM.
-    static constexpr int kBankInstrs = 256;
+    static constexpr int kBankInstrs = MachineConfig{}.iramEntries;
     static constexpr int kRomBase = 2 * kBankInstrs;
     static constexpr int kPcSpace = 3 * kBankInstrs;
 
@@ -244,12 +244,10 @@ class Machine : public RamRowPort
 
     /**
      * Host-side attribution mark: opens (`begin`) or closes a named
-     * scope in the attached profile at the current cycle. `node_id`
-     * optionally ties the scope to a gir node so the report merges it
-     * with that node's device-event scopes. No-op when no profile is
-     * attached.
+     * scope in the attached profile at the current cycle. No-op when
+     * no profile is attached.
      */
-    void profileMark(const char *name, bool begin, int node_id = -1);
+    void profileMark(const char *name, bool begin);
 
     // --- Architectural state peeks (differential testing / debug) --------
 

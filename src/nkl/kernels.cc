@@ -492,10 +492,7 @@ emitStemConv(ProgramBuilder &pb, const ConvKernel &p)
     pb.setInc(kWtA, 1, 64);
     pb.setWrap(kWtA, 64);
 
-    const int yo_begin = p.yoBegin;
-    const int yo_end = p.yoEnd < 0 ? lo.h : p.yoEnd;
-    if (yo_begin == 0)
-        emitPadRowInit(pb, lo);
+    emitPadRowInit(pb, lo);
 
     const uint32_t reps = uint32_t(p.kh * p.kw * p.cin);
     const int tap_rows = (p.kh * p.kw * p.cin + 63) / 64;
@@ -504,10 +501,9 @@ emitStemConv(ProgramBuilder &pb, const ConvKernel &p)
     for (int kb = 0; kb < nkb; ++kb) {
         const int bias_row = p.weightBase + kb;
         const int tap_base = p.weightBase + nkb + kb * tap_rows;
-        for (int yo = yo_begin; yo < yo_end; ++yo) {
+        for (int yo = 0; yo < lo.h; ++yo) {
             int yi_p = yo * p.strideH; // li.padTop == conv padTop.
-            panic_if(yi_p < li.bandStart ||
-                         yi_p + p.kh > li.bandStart + li.storedH(),
+            panic_if(yi_p < 0 || yi_p + p.kh > li.paddedH(),
                      "stem input row out of materialized range");
             pb.setRow(kDataA, li.baseRow + li.rowOf(yi_p, 0, t));
             pb.setByte(kDataA, 0);
@@ -522,8 +518,7 @@ emitStemConv(ProgramBuilder &pb, const ConvKernel &p)
         }
     }
 
-    if (yo_end == lo.h)
-        emitEdgePatch(pb, lo, p.masks);
+    emitEdgePatch(pb, lo, p.masks);
 }
 
 /**
@@ -770,11 +765,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         pb.loadMask(kMask, p.masks.rowFor(29), 0); // P0: groups 0..28.
     }
 
-    const int yo_begin = p.yoBegin;
-    const int yo_end = p.yoEnd < 0 ? lo.h : p.yoEnd;
-    const bool full_range = yo_begin == 0 && yo_end == lo.h;
-    if (yo_begin == 0)
-        emitPadRowInit(pb, lo);
+    emitPadRowInit(pb, lo);
 
     const int tap_rows_per_kb =
         p.depthwise ? 1 : p.kh * ncb_in * p.kw;
@@ -787,11 +778,10 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
             p.weightBase + nkb +
             kb * (p.depthwise ? 1 : tap_rows_per_kb);
 
-        for (int yo = yo_begin; yo < yo_end; ++yo) {
+        for (int yo = 0; yo < lo.h; ++yo) {
             // First input row of the accumulation: tap r = 0.
             int yi_p = yo * p.strideH - p.padTop + li.padTop;
-            panic_if(yi_p < li.bandStart ||
-                         yi_p + p.kh > li.bandStart + li.storedH(),
+            panic_if(yi_p < 0 || yi_p + p.kh > li.paddedH(),
                      "conv input row out of materialized range");
 
             int t_ia = clampTile(s2 ? 2 * t_o : t_o, nt_i);
@@ -826,8 +816,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         }
     }
 
-    if (full_range || yo_end == lo.h)
-        emitEdgePatch(pb, lo, p.masks);
+    emitEdgePatch(pb, lo, p.masks);
 }
 
 std::vector<uint8_t>

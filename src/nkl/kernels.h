@@ -59,10 +59,6 @@ struct ConvKernel
     int rqIndex = 0;     ///< Requant table entry.
     uint8_t dataZero = 0, weightZero = 0;
     MaskTable masks;
-    /// Output-row range (banded execution of large inputs); yoEnd < 0
-    /// means the full height. Pad-row init and the edge patch run only
-    /// when the range covers the full output.
-    int yoBegin = 0, yoEnd = -1;
     /// Data-RAM row of the y-packed content mask (owned slots x valid
     /// x positions); required when `out` is packed.
     int contentMaskRow = -1;

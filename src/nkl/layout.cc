@@ -52,11 +52,8 @@ packInterleaved(const Tensor &t, int64_t n, const TensorLayout &lay,
     std::memset(dst, lay.zeroByte,
                 size_t(lay.rows()) * kRowBytes);
 
-    for (int yp = lay.bandStart; yp < lay.bandStart + lay.storedH();
-         ++yp) {
-        int y = yp - lay.padTop;
-        if (y < 0 || y >= lay.h)
-            continue; // Stays zero-point.
+    for (int y = 0; y < lay.h; ++y) { // Pad rows stay zero-point.
+        int yp = y + lay.padTop;
         for (int cb = 0; cb < ncb; ++cb)
         for (int tile = 0; tile < nt; ++tile) {
             uint8_t *row = dst +
@@ -188,11 +185,8 @@ packGroupedRf(const Tensor &t, int64_t n, const TensorLayout &lay,
 
     std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
 
-    for (int yp = lay.bandStart; yp < lay.bandStart + lay.storedH();
-         ++yp) {
-        int y = yp - lay.padTop;
-        if (y < 0 || y >= lay.h)
-            continue;
+    for (int y = 0; y < lay.h; ++y) { // Pad rows stay zero-point.
+        int yp = y + lay.padTop;
         for (int tile = 0; tile < nt; ++tile) {
             uint8_t *row =
                 dst + size_t(lay.rowOf(yp, 0, tile)) * kRowBytes;

@@ -70,13 +70,6 @@ struct TensorLayout
     // Assigned by the memory planner.
     int baseRow = 0;
 
-    // Banded residency: when bandH >= 0 only padded rows
-    // [bandStart, bandStart + bandH) are materialized on-chip (large
-    // inputs are staged band-by-band by the host, paper IV-A: x86
-    // cores place data at the beginning of latency-critical runs).
-    int bandStart = 0;
-    int bandH = -1;
-
     // GroupedRf parameters (the consuming stem convolution's shape).
     int rfStride = 1;
     int rfKw = 1;
@@ -119,7 +112,6 @@ struct TensorLayout
 
     int paddedW() const { return padLeft + w + padRight; }
     int paddedH() const { return padTop + h + padBottom; }
-    int storedH() const { return bandH >= 0 ? bandH : paddedH(); }
 
     int
     cblocks() const
@@ -149,14 +141,14 @@ struct TensorLayout
         }
         if (packed())
             return blocks() * cblocks();
-        return storedH() * cblocks() * xtiles();
+        return paddedH() * cblocks() * xtiles();
     }
 
     /** Row index (relative to baseRow) of (padded y, cblock, xtile). */
     int
     rowOf(int yp, int cb, int t) const
     {
-        return ((yp - bandStart) * cblocks() + cb) * xtiles() + t;
+        return (yp * cblocks() + cb) * xtiles() + t;
     }
 };
 
@@ -206,7 +198,7 @@ void unpackInterleaved(const uint8_t *src, const TensorLayout &lay,
  * Pack an NHWC uint8 tensor into the GroupedRf stem layout: row
  * (padded input y, out tile t), group g = consumer output position
  * t*56+g, bytes [dx*cin + c] = input[y, (t*56+g)*rfStride + dx -
- * padLeft, c]. Honors band fields like packInterleaved.
+ * padLeft, c].
  */
 void packGroupedRf(const Tensor &t, int64_t n, const TensorLayout &lay,
                    uint8_t *dst);

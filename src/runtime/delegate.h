@@ -63,8 +63,8 @@ struct InferenceResult
     Stats counters;
     /**
      * The inference timeline: one span per x86 node, Ncore subgraph
-     * invocation (with NcoreDetail children: band/main programs,
-     * IRAM swaps, counter-sourced DMA aggregates), layout edge, plus
+     * invocation (with NcoreDetail children: the program, IRAM
+     * swaps, counter-sourced DMA aggregates), layout edge, plus
      * the trailing framework overhead. Starts at t=0 seconds; purely
      * virtual (cost-model + simulated-cycle durations), so
      * bit-identical across runs.

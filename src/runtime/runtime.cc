@@ -42,8 +42,7 @@ NcoreRuntime::loadModel(const Loadable &loadable)
     // Single-owner SharedModel: copy the Loadable into a LoadedModel
     // held only by this context, so the shared path below is the one
     // load/program-cache implementation.
-    loadModel(LoadedModel::create(Loadable(loadable),
-                                  machine_->config().iramEntries));
+    loadModel(LoadedModel::create(Loadable(loadable)));
 }
 
 void
@@ -53,10 +52,6 @@ NcoreRuntime::loadModel(SharedModel model)
     shared_ = std::move(model);
     model_ = &shared_->loadable();
     cache_ = &shared_->programCache();
-    fatal_if(cache_->bankInstrs != machine_->config().iramEntries,
-             "shared program cache built for %d-entry IRAM banks, "
-             "device has %d",
-             cache_->bankInstrs, machine_->config().iramEntries);
 
     // One DRAM image of streamed weights per SystemMemory, shared by
     // every context whose machine is backed by that memory.
@@ -122,9 +117,8 @@ NcoreRuntime::loadImages()
 }
 
 void
-NcoreRuntime::runProgram(
-    const std::vector<std::vector<EncodedInstruction>> &segments,
-    const char *span_name, InvokeStats *st, uint64_t t0)
+NcoreRuntime::runProgram(const ProgramSegments &segments,
+                         InvokeStats *st, uint64_t t0)
 {
     // Stream the pre-segmented program through the double-buffered
     // IRAM: fill both banks, then refill each bank as the sequencer
@@ -153,7 +147,7 @@ NcoreRuntime::runProgram(
     fatal_if(res.reason != StopReason::Halted,
              "Ncore program did not run to completion");
     if (st)
-        st->spans.push_back({span_name, begin, machine_->cycles() - t0});
+        st->spans.push_back({"program", begin, machine_->cycles() - t0});
 }
 
 std::vector<Tensor>
@@ -163,7 +157,7 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     fatal_if(!model_, "invoke before loadModel");
     const CompiledSubgraph &sg =
         model_->subgraphs[size_t(subgraph_index)];
-    const SubgraphProgramCache &pc =
+    const ProgramSegments &segments =
         cache_->subgraphs[size_t(subgraph_index)];
     fatal_if(inputs.size() != sg.inputs.size(),
              "subgraph expects %zu inputs, got %zu", sg.inputs.size(),
@@ -185,74 +179,28 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     // Pack inputs into the internal layouts (subgraph edges) through
     // the reusable staging buffer; pack kernels may skip padding
     // lanes, so the buffer is re-zeroed per tensor (cheap memset, no
-    // allocation after the first growth). Banded inputs are staged
-    // later, interleaved with their band programs.
-    auto banded = [&](TensorId id) {
-        for (const InputBandPlan &bp : sg.inputBands)
-            if (bp.tensor == id)
-                return true;
-        return false;
-    };
-    auto stageInput = [&](const Tensor &t, const TensorLayout &lay) {
+    // allocation after the first growth).
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        const TensorLayout &lay = sg.layouts.at(sg.inputs[i]);
         packBuf_.assign(size_t(lay.rows()) * 4096, 0);
         if (lay.packed())
-            packYPacked(t, 0, lay, packBuf_.data());
+            packYPacked(inputs[i], 0, lay, packBuf_.data());
         else if (lay.kind == LayoutKind::Interleaved)
-            packInterleaved(t, 0, lay, packBuf_.data());
+            packInterleaved(inputs[i], 0, lay, packBuf_.data());
         else if (lay.kind == LayoutKind::GroupedRf)
-            packGroupedRf(t, 0, lay, packBuf_.data());
+            packGroupedRf(inputs[i], 0, lay, packBuf_.data());
         else
-            packFlat(t, 0, lay, packBuf_.data());
+            packFlat(inputs[i], 0, lay, packBuf_.data());
         for (int r = 0; r < lay.rows(); ++r)
             machine_->hostWriteRow(false, lay.baseRow + r,
                                    packBuf_.data() + size_t(r) * 4096);
-    };
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        if (banded(sg.inputs[i]))
-            continue;
-        stageInput(inputs[i], sg.layouts.at(sg.inputs[i]));
-    }
-
-    // Banded staging: write each band, run its program segment.
-    for (size_t bi = 0; bi < sg.inputBands.size(); ++bi) {
-        const InputBandPlan &bp = sg.inputBands[bi];
-        size_t input_idx = 0;
-        for (size_t i = 0; i < sg.inputs.size(); ++i)
-            if (sg.inputs[i] == bp.tensor)
-                input_idx = i;
-        for (size_t b = 0; b < bp.bandLayouts.size(); ++b) {
-            const TensorLayout &lay = bp.bandLayouts[b];
-            packBuf_.assign(size_t(lay.rows()) * 4096, 0);
-            if (lay.kind == LayoutKind::GroupedRf)
-                packGroupedRf(inputs[input_idx], 0, lay,
-                              packBuf_.data());
-            else
-                packInterleaved(inputs[input_idx], 0, lay,
-                                packBuf_.data());
-            for (int r = 0; r < lay.rows(); ++r)
-                machine_->hostWriteRow(false, lay.baseRow + r,
-                                       packBuf_.data() +
-                                           size_t(r) * 4096);
-            // Profile attribution bracket: band programs carry the
-            // banded node's own layer events, but their halt (and any
-            // leading cycles) would otherwise fall outside every
-            // scope; the host mark charges them to the same node.
-            const char *band_name =
-                bp.nodeId >= 0
-                    ? model_->graph.nodes()[size_t(bp.nodeId)]
-                          .name.c_str()
-                    : "(band_program)";
-            machine_->profileMark(band_name, true, bp.nodeId);
-            runProgram(pc.bandSegments[bi][b], "band_program", st, t0);
-            machine_->profileMark(band_name, false, bp.nodeId);
-        }
     }
 
     // The "(subgraph)" bracket mirrors the program's kStartTag/kEndTag
     // events and additionally covers the end-event and halt cycles, so
     // a profiled invoke attributes 100% of device cycles.
     machine_->profileMark("(subgraph)", true);
-    runProgram(pc.codeSegments, "program", st, t0);
+    runProgram(segments, st, t0);
     machine_->profileMark("(subgraph)", false);
 
     // Unpack outputs (the buffer is fully overwritten by the row

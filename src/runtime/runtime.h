@@ -24,8 +24,8 @@ namespace ncore {
  * counter delta for the invocation window (every counter the Machine
  * publishes — cycles, MACs, DMA bytes/stalls, ECC, ... — diffed
  * before/after instead of hand-copied field by field), the
- * invocation-relative cycle spans of its phases (band programs, main
- * program, IRAM bank swaps, aggregate DMA-fence stalls), and the
+ * invocation-relative cycle spans of its phases (the program, IRAM
+ * bank swaps, aggregate DMA-fence stalls), and the
  * event-log records the program emitted.
  *
  * Cycle counts are architectural, so everything here is bit-identical
@@ -105,13 +105,11 @@ class NcoreRuntime
     void loadImages();
     /**
      * Stream one pre-segmented program; when `st` is non-null,
-     * record a `span_name` CycleSpan (and per-swap "iram_swap"
+     * record a "program" CycleSpan (and per-swap "iram_swap"
      * instants) relative to invocation start cycle `t0`.
      */
-    void runProgram(
-        const std::vector<std::vector<EncodedInstruction>> &segments,
-        const char *span_name = "program", InvokeStats *st = nullptr,
-        uint64_t t0 = 0);
+    void runProgram(const ProgramSegments &segments, InvokeStats *st,
+                    uint64_t t0);
 
     NcoreDriver &driver_;
     Machine *machine_ = nullptr;

@@ -47,9 +47,6 @@ ServeEngine::sharedModelBytes() const
         bytes += sg.luts.size() * 256;
         for (const auto &kv : sg.extraMasks)
             bytes += kv.second.size();
-        for (const InputBandPlan &bp : sg.inputBands)
-            for (const auto &code : bp.bandCode)
-                bytes += code.size() * sizeof(EncodedInstruction);
     }
     return bytes;
 }

@@ -156,14 +156,12 @@ CycleProfile::eventMark(uint32_t tag, uint64_t cycle,
 }
 
 void
-CycleProfile::hostMark(const char *name, bool begin, int node,
-                       uint64_t cycle, uint64_t dma_read,
-                       uint64_t dma_written)
+CycleProfile::hostMark(const char *name, bool begin, uint64_t cycle,
+                       uint64_t dma_read, uint64_t dma_written)
 {
     syncDma(dma_read, dma_written);
     ProfileMark m;
     m.name = name;
-    m.node = node;
     m.host = true;
     m.begin = begin;
     m.cycle = cycle;
@@ -254,9 +252,7 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
     rep.rowBytes = prof.rowBytes();
     rep.totals = prof.counters();
 
-    // Row registry: node scopes key by id, host/synthetic by name, so
-    // a host bracket around a node's band programs and the node's own
-    // layer events merge into one row.
+    // Row registry: node scopes key by id, host/synthetic by name.
     std::vector<LayerProfile> rows;
     std::map<std::string, size_t> index;
     auto rowFor = [&](int node, const std::string &name,
@@ -283,8 +279,8 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
     };
 
     // Scope stack of row indices. Closes are tolerant: pop through
-    // any still-open inner scopes to the matching row (band programs
-    // interleave device events with host brackets of the same node).
+    // any still-open inner scopes to the matching row, so a scope a
+    // program leaves open cannot absorb the cycles of later marks.
     std::vector<size_t> stack;
     auto close = [&](size_t row) {
         for (size_t i = stack.size(); i-- > 0;)
@@ -306,13 +302,10 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
     for (const ProfileMark &m : prof.marks()) {
         attribute(m.at);
         if (m.host) {
-            size_t row = m.node >= 0
-                             ? nodeRow(m.node)
-                             : rowFor(-1, m.name, "host");
+            size_t row = rowFor(-1, m.name, "host");
             if (m.begin) {
                 stack.push_back(row);
-                if (m.node < 0)
-                    ++rows[row].enters;
+                ++rows[row].enters;
             } else {
                 close(row);
             }
@@ -327,8 +320,6 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
             if (phase == 1) {
                 stack.push_back(row);
                 ++rows[row].enters;
-            } else if (phase == 3) {
-                stack.push_back(row); // Band continuation re-open.
             } else if (phase == 2) {
                 close(row);
             }

@@ -135,7 +135,6 @@ struct ProfileMark
 {
     uint32_t tag = 0;  ///< Raw device event tag (device marks only).
     std::string name;  ///< Host mark label ("" for device marks).
-    int node = -1;     ///< gir node id carried by a host mark, or -1.
     bool host = false; ///< Host mark vs device Event.
     bool begin = false; ///< Host marks: scope open vs close.
     uint64_t cycle = 0; ///< Machine cycle count at the mark.
@@ -175,9 +174,8 @@ class CycleProfile
                    uint64_t dma_written);
 
     /** Snapshot a host-side scope mark (Machine::profileMark). */
-    void hostMark(const char *name, bool begin, int node,
-                  uint64_t cycle, uint64_t dma_read,
-                  uint64_t dma_written);
+    void hostMark(const char *name, bool begin, uint64_t cycle,
+                  uint64_t dma_read, uint64_t dma_written);
 
     // --- Results ------------------------------------------------------
 
@@ -263,8 +261,7 @@ struct ProfileReport
 /**
  * Join a profile's mark stream to gir metadata: walk the marks in
  * order keeping a scope stack (layer events open/close node scopes,
- * band-continuation tags re-open them, subgraph brackets and host
- * marks open/close named scopes) and attribute each inter-mark
+ * subgraph brackets and host marks open/close named scopes) and attribute each inter-mark
  * counter delta to the innermost open scope. `graph` names node rows
  * and supplies op kinds; pass nullptr for graph-less workloads (rows
  * then come from host marks alone).

@@ -247,5 +247,19 @@ TEST(GclPlanning, DataRamReuseAcrossLiveness)
     EXPECT_LT(sg.dataRowsUsed - MaskTable::kRows, total_rows / 2);
 }
 
+TEST(GclPlanning, OversizedInputExhaustsDataRam)
+{
+    // An input too large for data RAM dies in placement, like any
+    // intermediate tensor: 1024 x 112 x 64 needs 1026 padded rows x 2
+    // x-tiles, while the stride-2 conv's output alone would fit.
+    Rng rng(9);
+    GraphBuilder gb("oversized");
+    TensorId x =
+        gb.input("x", Shape{1, 1024, 112, 64}, DType::UInt8, actQp());
+    gb.output(qconv(gb, rng, "c", x, 64, 3, 2, 1, ActFn::Relu));
+    Graph g = gb.take();
+    EXPECT_DEATH(compile(std::move(g)), "data RAM exhausted");
+}
+
 } // namespace
 } // namespace ncore

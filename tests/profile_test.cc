@@ -383,7 +383,7 @@ goldenReport()
 {
     CycleProfile prof;
     prof.attach(4096, 0, 0);
-    prof.hostMark("stage", true, -1, 0, 0, 0);
+    prof.hostMark("stage", true, 0, 0, 0);
 
     Instruction mac;
     mac.ctrl.op = CtrlOp::Rep;
@@ -402,7 +402,7 @@ goldenReport()
     fence.ctrl.op = CtrlOp::DmaFence;
     prof.onStep(fence, 1, 1, 16); // 16 stall + 1 ctrl.
 
-    prof.hostMark("stage", false, -1, 24, 4096, 0);
+    prof.hostMark("stage", false, 24, 4096, 0);
 
     Instruction halt;
     halt.ctrl.op = CtrlOp::Halt;

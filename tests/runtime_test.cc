@@ -242,14 +242,14 @@ TEST_F(RuntimeTest, EventLogBracketsSubgraph)
     EXPECT_GE(program->cycles(), bracketed);
 }
 
-TEST_F(RuntimeTest, BandedStemChainMatchesReference)
+TEST_F(RuntimeTest, StemChainMatchesReference)
 {
-    // Regression case: a banded stem followed by packed/repacked
+    // Regression case: a stem conv followed by packed/repacked
     // layers and a padded max-pool + global average pool. This chain
     // once exposed a stale circular-wrap address-register leak
     // between kernels.
     Rng rng(50);
-    GraphBuilder gb("bandedstem");
+    GraphBuilder gb("stemchain");
     QuantParams in_qp = actQp(-1.0f, 1.0f);
     TensorId x = gb.input("x", Shape{1, 16, 16, 16}, DType::UInt8,
                           in_qp);
@@ -267,10 +267,7 @@ TEST_F(RuntimeTest, BandedStemChainMatchesReference)
     Rng dr(51);
     xv.fillRandom(dr);
 
-    CompileOptions opts;
-    opts.bandingResidencyLimit = 4;
-    Loadable ld = compile(std::move(g), opts);
-    ASSERT_FALSE(ld.subgraphs[0].inputBands.empty());
+    Loadable ld = compile(std::move(g));
     Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
 
     NcoreRuntime rt(driver);
@@ -279,33 +276,6 @@ TEST_F(RuntimeTest, BandedStemChainMatchesReference)
     InferenceResult res = exec.infer({xv});
     for (int64_t i = 0; i < want.numElements(); ++i)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
-}
-
-TEST_F(RuntimeTest, BandedInputStagingMatchesReference)
-{
-    // Force y-banded input staging on the small net: the host writes
-    // the input band by band, running a program segment after each.
-    Rng rng(46);
-    Graph g = buildTestNet(rng);
-    Tensor x(Shape{1, 16, 16, 16}, DType::UInt8, actQp(-1.0f, 1.0f));
-    Rng data_rng(11);
-    x.fillRandom(data_rng);
-
-    CompileOptions opts;
-    opts.bandingResidencyLimit = 4;
-    Loadable banded = compile(std::move(g), opts);
-    ASSERT_FALSE(banded.subgraphs[0].inputBands.empty());
-    ASSERT_GE(banded.subgraphs[0].inputBands[0].bandLayouts.size(),
-              2u);
-
-    Tensor want = ReferenceExecutor(banded.graph).run({x})[0];
-
-    NcoreRuntime rt(driver);
-    rt.loadModel(banded);
-    DelegateExecutor exec(rt, X86CostModel{});
-    InferenceResult res = exec.infer({x});
-
-    EXPECT_EQ(maxAbsDiff(res.outputs[0], want), 0.0f);
 }
 
 TEST_F(RuntimeTest, RepeatedInvocationsAreDeterministic)

@@ -131,6 +131,13 @@ TEST(Serialize, RejectsCorruptStreams)
     std::vector<uint8_t> truncated(bytes.begin(),
                                    bytes.begin() + 64);
     EXPECT_DEATH(deserializeLoadable(truncated), "truncated");
+
+    // A stream of an older format: version word (little-endian,
+    // after the magic) set to 4.
+    std::vector<uint8_t> old_version = bytes;
+    old_version[4] = 4;
+    old_version[5] = old_version[6] = old_version[7] = 0;
+    EXPECT_DEATH(deserializeLoadable(old_version), "Loadable version 4");
 }
 
 } // namespace

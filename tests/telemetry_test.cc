@@ -284,16 +284,13 @@ TEST(TelemetryMachineTest, RuntimeRecordsIramBankSwapsOfStreamingModel)
     SharedModel model =
         makeModel(/*force_streaming=*/true, /*extra_convs=*/8);
     std::vector<std::vector<Tensor>> samples = makeSamples(*model, 1);
-    ASSERT_TRUE(model->loadable().subgraphs[0].inputBands.empty());
 
     // Each program is streamed through the double-buffered IRAM: two
     // initial fills, then one refill per bank the sequencer leaves
     // while segments remain — each refill one "iram_swap" span.
     uint64_t want_swaps = 0;
-    for (const SubgraphProgramCache &pc : model->programCache().subgraphs)
-        want_swaps += pc.codeSegments.size() > 2
-                          ? uint64_t(pc.codeSegments.size() - 2)
-                          : 0;
+    for (const ProgramSegments &segs : model->programCache().subgraphs)
+        want_swaps += segs.size() > 2 ? uint64_t(segs.size() - 2) : 0;
     ASSERT_GE(want_swaps, 2u) << "model no longer refills IRAM banks";
 
     NcoreDevice dev(model);
