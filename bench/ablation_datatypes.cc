@@ -11,47 +11,7 @@
 #include <cstdio>
 
 #include "bench/table_util.h"
-#include "common/machine.h"
-#include "ncore/machine.h"
 #include "x86/cost_model.h"
-
-namespace ncore {
-namespace {
-
-double
-measureGops(LaneType t)
-{
-    Machine m(chaNcoreConfig(), chaSocConfig());
-    std::vector<Instruction> prog;
-    Instruction zero;
-    zero.npu.op = NpuOp::AccZero;
-    prog.push_back(zero);
-    Instruction mac;
-    mac.ctrl.op = CtrlOp::Rep;
-    mac.ctrl.imm = 2048;
-    mac.dataRead.enable = true;
-    mac.weightRead.enable = true;
-    mac.npu.op = NpuOp::Mac;
-    mac.npu.type = t;
-    mac.npu.a = RowSrc::DataRead;
-    mac.npu.b = RowSrc::WeightRead;
-    prog.push_back(mac);
-    Instruction halt;
-    halt.ctrl.op = CtrlOp::Halt;
-    prog.push_back(halt);
-    std::vector<EncodedInstruction> enc;
-    for (const Instruction &in : prog)
-        enc.push_back(encodeInstruction(in));
-    m.writeIram(0, enc);
-    m.clearPerf();
-    m.start(0);
-    m.run();
-    return 2.0 * double(m.perf().macOps) /
-           (double(m.perf().cycles) / m.config().clockHz) / 1e9;
-}
-
-} // namespace
-} // namespace ncore
 
 int
 main()
@@ -78,7 +38,7 @@ main()
     };
     const double gnmt_gmacs = 3.9; // Table V characterization.
     for (const RowDef &d : defs) {
-        double gops = measureGops(d.t);
+        double gops = measureDenseMacGops(chaNcoreConfig(), d.t, 2048);
         double est_ms = gnmt_gmacs * 2.0 / gops * 1e3;
         std::printf("%-10s %10d %12.0f %14.2f %s\n", d.name,
                     npuClocksForDtype(d.t == LaneType::U8

@@ -11,48 +11,7 @@
 #include <cstdio>
 
 #include "bench/table_util.h"
-#include "common/machine.h"
-#include "ncore/machine.h"
 #include "x86/cost_model.h"
-
-namespace ncore {
-namespace {
-
-double
-measureGops(const MachineConfig &cfg)
-{
-    Machine m(cfg, chaSocConfig());
-    std::vector<Instruction> prog;
-    Instruction zero;
-    zero.npu.op = NpuOp::AccZero;
-    prog.push_back(zero);
-    Instruction mac;
-    mac.ctrl.op = CtrlOp::Rep;
-    mac.ctrl.imm = 2048;
-    mac.dataRead.enable = true;
-    mac.weightRead.enable = true;
-    mac.npu.op = NpuOp::Mac;
-    mac.npu.type = LaneType::U8;
-    mac.npu.a = RowSrc::DataRead;
-    mac.npu.b = RowSrc::WeightRead;
-    prog.push_back(mac);
-    Instruction halt;
-    halt.ctrl.op = CtrlOp::Halt;
-    prog.push_back(halt);
-
-    std::vector<EncodedInstruction> enc;
-    for (const Instruction &in : prog)
-        enc.push_back(encodeInstruction(in));
-    m.writeIram(0, enc);
-    m.clearPerf();
-    m.start(0);
-    m.run();
-    return 2.0 * double(m.perf().macOps) /
-           (double(m.perf().cycles) / cfg.clockHz) / 1e9;
-}
-
-} // namespace
-} // namespace ncore
 
 int
 main()
@@ -68,7 +27,7 @@ main()
     for (int i = 0; i < 3; ++i) {
         MachineConfig cfg = chaNcoreConfig();
         cfg.slices = counts[i];
-        gops[i] = measureGops(cfg);
+        gops[i] = measureDenseMacGops(cfg, LaneType::U8, 2048);
     }
     const double base = gops[1];
     for (int i = 0; i < 3; ++i) {

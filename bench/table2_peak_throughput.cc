@@ -10,53 +10,7 @@
 #include <cstdio>
 
 #include "bench/table_util.h"
-#include "common/machine.h"
-#include "ncore/machine.h"
 #include "x86/cost_model.h"
-
-namespace ncore {
-namespace {
-
-/** Measure sustained MAC GOPS with a back-to-back Rep MAC loop. */
-double
-measureMacGops(LaneType type)
-{
-    Machine m(chaNcoreConfig(), chaSocConfig());
-    const uint32_t reps = 4096;
-
-    std::vector<Instruction> prog;
-    Instruction zero;
-    zero.npu.op = NpuOp::AccZero;
-    prog.push_back(zero);
-    Instruction mac;
-    mac.ctrl.op = CtrlOp::Rep;
-    mac.ctrl.imm = reps;
-    mac.dataRead.enable = true;
-    mac.weightRead.enable = true;
-    mac.npu.op = NpuOp::Mac;
-    mac.npu.type = type;
-    mac.npu.a = RowSrc::DataRead;
-    mac.npu.b = RowSrc::WeightRead;
-    prog.push_back(mac);
-    Instruction halt;
-    halt.ctrl.op = CtrlOp::Halt;
-    prog.push_back(halt);
-
-    std::vector<EncodedInstruction> enc;
-    for (const Instruction &in : prog)
-        enc.push_back(encodeInstruction(in));
-    m.writeIram(0, enc);
-    m.clearPerf();
-    m.start(0);
-    m.run();
-
-    double ops = 2.0 * double(m.perf().macOps);
-    double seconds = double(m.perf().cycles) / m.config().clockHz;
-    return ops / seconds / 1e9;
-}
-
-} // namespace
-} // namespace ncore
 
 int
 main()
@@ -77,9 +31,10 @@ main()
                 "Ncore 2.5GHz", ncorePeakGops(DType::Int8),
                 ncorePeakGops(DType::BFloat16), "N/A");
 
-    double meas8 = measureMacGops(LaneType::U8);
-    double measbf = measureMacGops(LaneType::BF16);
-    double meas16 = measureMacGops(LaneType::I16);
+    const MachineConfig cfg = chaNcoreConfig();
+    double meas8 = measureDenseMacGops(cfg, LaneType::U8, 4096);
+    double measbf = measureDenseMacGops(cfg, LaneType::BF16, 4096);
+    double meas16 = measureDenseMacGops(cfg, LaneType::I16, 4096);
     std::printf("%-22s %10.0f %10.0f %10s   (measured on the cycle "
                 "simulator; int16 = %.0f)\n",
                 "Ncore (measured)", meas8, measbf, "N/A", meas16);

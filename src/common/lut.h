@@ -2,9 +2,9 @@
  * @file
  * 256-entry activation lookup tables for the OUT unit's sigmoid/tanh
  * path. The table is indexed by the 8-bit input code (uint8 directly;
- * int8 XOR 0x80) and returns the 8-bit output code. Built identically by
- * the NKL code generator and the x86 reference kernels so the quantized
- * results match bit-for-bit.
+ * int8 XOR 0x80) and returns the 8-bit output code. The x86 reference
+ * kernels run quantized sigmoid/tanh through it; the OUT unit's LUT
+ * slots (Machine::writeLut) take the same table.
  */
 
 #ifndef NCORE_COMMON_LUT_H

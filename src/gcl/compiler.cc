@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/lut.h"
 #include "gcl/passes.h"
 
 namespace ncore {
@@ -130,8 +129,6 @@ inputPadsFor(const Node &n, const Pads &out_pads)
         p.r = n.attrs.padRight;
         break;
       case OpKind::Add:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
       case OpKind::Relu:
       case OpKind::Relu6:
         p = out_pads; // Lane-aligned ops.
@@ -164,8 +161,12 @@ ncoreSupports(const Graph &g, const Node &n)
             return false;
         return true;
       }
-      case OpKind::FullyConnected:
-        return isQuantU8(g, n.inputs[0]);
+      case OpKind::FullyConnected: {
+        // Lowered as a dense 1x1 conv over one input vector.
+        const Shape &in = g.tensor(n.inputs[0]).shape;
+        return isQuantU8(g, n.inputs[0]) &&
+               in.numElements() == in.dim(in.rank() - 1);
+      }
       case OpKind::Add:
         return isQuantU8(g, n.inputs[0]) && isQuantU8(g, n.inputs[1]);
       case OpKind::MaxPool2D:
@@ -177,9 +178,6 @@ ncoreSupports(const Graph &g, const Node &n)
         return isQuantU8(g, n.inputs[0]) && n.attrs.kernelW <= 8 &&
                n.attrs.strideW <= 2 && n.attrs.padTop == 0 &&
                n.attrs.padLeft == 0;
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-        return isQuantU8(g, n.inputs[0]);
       case OpKind::Reshape: {
         // Pure aliasing between vector-like shapes.
         const Shape &in = g.tensor(n.inputs[0]).shape;
@@ -341,30 +339,6 @@ class SubgraphCompiler
         fatal("layout pad propagation did not converge");
     }
 
-    /** Tensors that want the flat layout (FC outputs / rank-2 IO). */
-    bool
-    wantsFlat(TensorId id) const
-    {
-        for (int nid : nodeIds_) {
-            const Node &n = node(nid);
-            if (n.outputs[0] == id && n.kind == OpKind::FullyConnected)
-                return true;
-        }
-        return g_.tensor(id).shape.rank() == 2 &&
-               g_.producer(id) == nullptr;
-    }
-
-    /** FC over an interleaved 1x1 input runs as a dense 1x1 conv
-     *  (4x denser weight image; the MobileNet classifier would
-     *  otherwise push the model out of on-chip weight persistence). */
-    bool
-    fcAsConv(const Node &n) const
-    {
-        auto it = layouts_.find(canonical(n.inputs[0]));
-        return it != layouts_.end() &&
-               it->second.kind == LayoutKind::Interleaved;
-    }
-
     void
     buildLayouts()
     {
@@ -375,14 +349,13 @@ class SubgraphCompiler
             const GirTensor &t = g_.tensor(c);
             Pads p = pads_[c];
             TensorLayout lay;
-            if (producer && producer->kind == OpKind::FullyConnected &&
-                fcAsConv(*producer)) {
-                int64_t cout = t.shape.dim(t.shape.rank() - 1);
-                lay = interleavedLayout(Shape{1, 1, 1, cout}, 0, 0, 0,
-                                        0, uint8_t(t.quant.zeroPoint));
-            } else if (wantsFlat(c) || t.shape.rank() != 4) {
-                lay = flatLayout(t.shape.numElements(), false);
-                lay.zeroByte = uint8_t(t.quant.zeroPoint);
+            if (t.shape.rank() != 4) {
+                // Vectors (FC outputs, rank-2 inputs) are 1x1
+                // interleaved tensors, so every FC runs as a dense
+                // 1x1 conv.
+                lay = interleavedLayout(
+                    Shape{1, 1, 1, t.shape.numElements()}, 0, 0, 0, 0,
+                    uint8_t(t.quant.zeroPoint));
             } else {
                 // Tensors that fit a single x-tile without pads keep
                 // them unmaterialized: edge gathers wrap into the
@@ -780,15 +753,13 @@ class SubgraphCompiler
                 img.bytes = packConvWeights(w.value, bias, wz);
             } else if (n.kind == OpKind::DepthwiseConv2D) {
                 img.bytes = packDepthwiseWeights(w.value, bias, wz);
-            } else if (fcAsConv(n)) {
-                // Reinterpret [Cout, Cin] as OHWI [Cout, 1, 1, Cin].
+            } else {
+                // FC: reinterpret [Cout, Cin] as OHWI [Cout, 1, 1, Cin].
                 Tensor w4(Shape{w.shape.dim(0), 1, 1, w.shape.dim(1)},
                           DType::UInt8, w.quant);
                 std::memcpy(w4.raw(), w.value.raw(),
                             w.value.byteSize());
                 img.bytes = packConvWeights(w4, bias, wz);
-            } else {
-                img.bytes = packFcWeights(w.value, bias, wz);
             }
             images.push_back(std::move(img));
         }
@@ -852,18 +823,6 @@ class SubgraphCompiler
         sg_.rqTable.push_back(e);
         fatal_if(sg_.rqTable.size() > 256, "requant table exhausted");
         return int(sg_.rqTable.size()) - 1;
-    }
-
-    int
-    newLut(const std::array<uint8_t, 256> &lut)
-    {
-        for (auto &kv : sg_.luts)
-            if (kv.second == lut)
-                return kv.first;
-        int id = int(sg_.luts.size());
-        fatal_if(id >= 4, "activation LUT slots exhausted");
-        sg_.luts.push_back({id, lut});
-        return id;
     }
 
     const TensorLayout &
@@ -982,25 +941,10 @@ class SubgraphCompiler
             const GirTensor &w = g_.tensor(n.inputs[1]);
             float m = in_t.quant.scale * w.quant.scale /
                       out_t.quant.scale;
-            if (fcAsConv(n)) {
-                ConvKernel p;
-                p.in = layoutOf(n.inputs[0]);
-                p.out = layoutOf(n.outputs[0]);
-                p.kh = p.kw = 1;
-                p.cin = int(w.shape.dim(1));
-                p.cout = int(w.shape.dim(0));
-                p.weightBase = weightBase_.at(id);
-                p.rqIndex = newRqEntry(makeRequantEntry(
-                    m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
-                p.dataZero = uint8_t(in_t.quant.zeroPoint);
-                p.weightZero = uint8_t(w.quant.zeroPoint);
-                p.masks = sg_.masks;
-                emitConv(pb, p);
-                break;
-            }
-            FcKernel p;
+            ConvKernel p;
             p.in = layoutOf(n.inputs[0]);
             p.out = layoutOf(n.outputs[0]);
+            p.kh = p.kw = 1;
             p.cin = int(w.shape.dim(1));
             p.cout = int(w.shape.dim(0));
             p.weightBase = weightBase_.at(id);
@@ -1008,7 +952,8 @@ class SubgraphCompiler
                 m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
             p.dataZero = uint8_t(in_t.quant.zeroPoint);
             p.weightZero = uint8_t(w.quant.zeroPoint);
-            emitFullyConnected(pb, p);
+            p.masks = sg_.masks;
+            emitConv(pb, p);
             break;
           }
           case OpKind::Add: {
@@ -1064,26 +1009,6 @@ class SubgraphCompiler
             p.masks = sg_.masks;
             p.scratchBase = scratchBase_;
             emitPool(pb, p);
-            break;
-          }
-          case OpKind::Sigmoid:
-          case OpKind::Tanh: {
-            ActFn fn = n.kind == OpKind::Sigmoid ? ActFn::Sigmoid
-                                                 : ActFn::Tanh;
-            RequantEntry e;
-            e.rq = computeRequant(1.0f, 0);
-            e.outType = DType::UInt8;
-            e.actMin = 0;
-            e.actMax = 255;
-            e.lutId = uint8_t(newLut(buildActLut(
-                fn, in_t.quant, out_t.quant, DType::UInt8)));
-            ActLutKernel p;
-            p.in = layoutOf(n.inputs[0]);
-            p.out = layoutOf(n.outputs[0]);
-            p.act = fn;
-            p.rqIndex = newRqEntry(e);
-            p.masks = sg_.masks;
-            emitActLut(pb, p);
             break;
           }
           case OpKind::Reshape:

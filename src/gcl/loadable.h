@@ -2,15 +2,14 @@
  * @file
  * The Ncore Loadable: "the final result is an Ncore Loadable which
  * contains everything needed to execute the DL model on Ncore"
- * (paper V-B) — compiled programs, requant tables, activation LUTs,
- * weight images (persistent or DMA-streamed), tensor placements, and
- * the x86/Ncore node assignment the delegate uses at run time.
+ * (paper V-B) — compiled programs, requant tables, weight images
+ * (persistent or DMA-streamed), tensor placements, and the x86/Ncore
+ * node assignment the delegate uses at run time.
  */
 
 #ifndef NCORE_GCL_LOADABLE_H
 #define NCORE_GCL_LOADABLE_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,8 +50,6 @@ struct CompiledSubgraph
     std::vector<EncodedInstruction> code;
     /// Requant table image (entry i -> table slot i).
     std::vector<RequantEntry> rqTable;
-    /// Activation LUT slots in use.
-    std::vector<std::pair<int, std::array<uint8_t, 256>>> luts;
     /// Extra data-RAM mask rows beyond the shared prefix table
     /// (y-packed content masks): (row, content).
     std::vector<std::pair<int, std::vector<uint8_t>>> extraMasks;
@@ -105,7 +102,7 @@ struct ModelProgramCache
 
 /**
  * An immutable loaded model shared by N runtime contexts: the Loadable
- * (weights, requant tables, LUTs, programs) plus its derived program
+ * (weights, requant tables, programs) plus its derived program
  * cache, built exactly once. Contexts driving machines that share one
  * SystemMemory additionally share a single DRAM copy of any
  * DMA-streamed weight image, so per-context load cost and memory are

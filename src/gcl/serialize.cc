@@ -8,7 +8,7 @@ namespace ncore {
 namespace {
 
 constexpr uint32_t kMagic = 0x4e434c44; // "NCLD"
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 class Writer
 {
@@ -150,7 +150,6 @@ putLayout(Writer &w, const TensorLayout &l)
     w.i32(l.padLeft);
     w.i32(l.padRight);
     w.u8(l.zeroByte);
-    w.u8(l.wide ? 1 : 0);
     w.i32(l.baseRow);
     w.i32(l.rfStride);
     w.i32(l.rfKw);
@@ -173,7 +172,6 @@ getLayout(Reader &r)
     l.padLeft = r.i32();
     l.padRight = r.i32();
     l.zeroByte = r.u8();
-    l.wide = r.u8() != 0;
     l.baseRow = r.i32();
     l.rfStride = r.i32();
     l.rfKw = r.i32();
@@ -299,11 +297,6 @@ serializeLoadable(const Loadable &ld)
             w.i32(e.actMin);
             w.i32(e.actMax);
             w.u8(e.lutId);
-        }
-        w.u32(uint32_t(sg.luts.size()));
-        for (const auto &kv : sg.luts) {
-            w.i32(kv.first);
-            w.blob(kv.second.data(), kv.second.size());
         }
         w.u32(uint32_t(sg.extraMasks.size()));
         for (const auto &kv : sg.extraMasks) {
@@ -439,15 +432,6 @@ deserializeLoadable(const std::vector<uint8_t> &bytes)
             e.actMax = r.i32();
             e.lutId = r.u8();
             sg.rqTable.push_back(e);
-        }
-        n = r.u32();
-        for (uint32_t i = 0; i < n; ++i) {
-            int idx = r.i32();
-            auto payload = r.blob();
-            std::array<uint8_t, 256> lut{};
-            fatal_if(payload.size() != lut.size(), "bad LUT payload");
-            std::memcpy(lut.data(), payload.data(), lut.size());
-            sg.luts.push_back({idx, lut});
         }
         n = r.u32();
         for (uint32_t i = 0; i < n; ++i) {

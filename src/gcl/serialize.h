@@ -6,7 +6,7 @@
  * with the runtime on any host. The format is a versioned binary
  * stream of the optimized graph (tensors with constant payloads,
  * nodes, attributes) plus every compiled subgraph (code, requant
- * tables, LUTs, masks, layouts, weight images and DMA plans).
+ * tables, masks, layouts, weight images and DMA plans).
  */
 
 #ifndef NCORE_GCL_SERIALIZE_H

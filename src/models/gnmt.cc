@@ -300,7 +300,7 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
     panic_if(int(x.size()) != k_total, "matmul input width");
 
     // Stage the input vector at data rows 0..1 (planar bf16).
-    TensorLayout in = flatLayout(k_total, true);
+    TensorLayout in = flatLayout(k_total);
     in.baseRow = 0;
     Tensor xt(Shape{1, k_total}, DType::BFloat16);
     for (int i = 0; i < k_total; ++i)
@@ -361,8 +361,7 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
             pb.dmaFence(desc % 2);
             MatmulBf16Kernel p;
             p.in = in;
-            p.out = flatLayout(std::min(4096, n_total - ch * 4096),
-                               true);
+            p.out = flatLayout(std::min(4096, n_total - ch * 4096));
             p.out.baseRow = out_base + 2 * ch;
             p.k = std::min(kSegK, k_total - s * kSegK);
             p.n = std::min(4096, n_total - ch * 4096);
@@ -407,7 +406,7 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
     gates.assign(size_t(n_total), 0.0f);
     for (int ch = 0; ch < n_chunks; ++ch) {
         int n_here = std::min(4096, n_total - ch * 4096);
-        TensorLayout out = flatLayout(n_here, true);
+        TensorLayout out = flatLayout(n_here);
         out.baseRow = out_base + 2 * ch;
         Tensor t(Shape{1, n_here}, DType::BFloat16);
         std::vector<uint8_t> rows(size_t(out.rows()) * 4096);

@@ -772,8 +772,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
 
     for (int t_o = 0; t_o < nt_o; ++t_o)
     for (int kb = 0; kb < nkb; ++kb) {
-        const int bias_row =
-            p.weightBase + (p.depthwise ? kb : kb);
+        const int bias_row = p.weightBase + kb;
         const int tap_base =
             p.weightBase + nkb +
             kb * (p.depthwise ? 1 : tap_rows_per_kb);
@@ -790,7 +789,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
                                             t_ia));
             pb.setByte(kDataA, ((delta * 64) % 4096 + 4096) % 4096);
             pb.setRow(kWtA, tap_base);
-            pb.setByte(kWtA, p.depthwise ? 0 : 0);
+            pb.setByte(kWtA, 0);
 
             pb.emit(biasLoad(bias_row));
             pb.emit(repMac(reps, kDataA, kWtA, data_op, gs,
@@ -1185,109 +1184,6 @@ emitAdd(ProgramBuilder &pb, const AddKernel &p)
 }
 
 void
-emitActLut(ProgramBuilder &pb, const ActLutKernel &p)
-{
-    fatal_if(p.in.packed() || p.out.packed(),
-             "LUT activations run on plain interleaved layouts");
-    pb.setRow(kDataA, p.in.baseRow);
-    pb.setInc(kDataA, 1, 0);
-    pb.setRow(kOutReg, p.out.baseRow);
-    pb.setInc(kOutReg, 1, 0);
-
-    const int rows = p.out.rows();
-    for (int r = 0; r < rows; ++r) {
-        Instruction z;
-        z.npu.op = NpuOp::AccZero;
-        pb.emit(z);
-
-        Instruction add;
-        add.dataRead.enable = true;
-        add.dataRead.reg = kDataA;
-        add.dataRead.postInc = true;
-        add.npu.op = NpuOp::Add;
-        add.npu.type = LaneType::U8;
-        add.npu.a = RowSrc::DataRead;
-        pb.emit(add);
-
-        Instruction st;
-        st.out.op = OutOp::Requant8;
-        st.out.act = p.act;
-        st.out.rqIndex = uint8_t(p.rqIndex);
-        st.write.enable = true;
-        st.write.addrReg = kOutReg;
-        st.write.postInc = true;
-        st.write.src = RowSrc::OutLo;
-        pb.emit(st);
-    }
-
-    // The LUT maps the input zero point to a non-zero code, so the
-    // output's pad and halo lanes must be re-stamped.
-    if (p.out.kind == LayoutKind::Interleaved)
-        emitEdgePatch(pb, p.out, p.masks);
-}
-
-void
-emitFullyConnected(ProgramBuilder &pb, const FcKernel &p)
-{
-    pb.setZeroOff(p.dataZero, p.weightZero);
-
-    const bool interleaved = p.in.kind == LayoutKind::Interleaved;
-    const int in_wrap = interleaved ? 64 : 4096;
-    pb.setInc(kDataA, 1, 1);
-    pb.setWrap(kDataA, in_wrap);
-    pb.setInc(kWtA, 1, 0);
-
-    const int chunks = (p.cout + 4095) / 4096;
-    const int rows_per_chunk = 4 + p.cin;
-
-    for (int ch = 0; ch < chunks; ++ch) {
-        const int chunk_base = p.weightBase + ch * rows_per_chunk;
-        // Four accumulator-quarter bias loads.
-        for (int q = 0; q < 4; ++q) {
-            Instruction bi;
-            bi.ctrl.op = CtrlOp::SetAddrRow;
-            bi.ctrl.reg = kBias;
-            bi.ctrl.imm = uint32_t(chunk_base + q);
-            bi.weightRead.enable = true;
-            bi.weightRead.reg = kBias;
-            bi.npu.op = NpuOp::AccLoadBias;
-            bi.npu.a = RowSrc::WeightRead;
-            bi.npu.b = RowSrc(uint8_t(BiasMode::Quarter0) + q);
-            pb.emit(bi);
-        }
-
-        // Input vector restart; interleaved 1x1 tensors have one row
-        // per channel block, byte c%64 (paddings are zero for these).
-        pb.setRow(kDataA, p.in.baseRow);
-        pb.setByte(kDataA, 0);
-        pb.setRow(kWtA, chunk_base + 4);
-
-        Instruction mac;
-        mac.ctrl.op = CtrlOp::Rep;
-        mac.ctrl.imm = uint32_t(p.cin);
-        mac.dataRead.enable = true;
-        mac.dataRead.reg = kDataA;
-        mac.weightRead.enable = true;
-        mac.weightRead.reg = kWtA;
-        mac.weightRead.postInc = true;
-        mac.ndu0.op = NduOp::GroupBcast;
-        mac.ndu0.srcA = RowSrc::DataRead;
-        mac.ndu0.dst = 0;
-        mac.ndu0.addrReg = kDataA;
-        mac.ndu0.addrInc = true;
-        mac.ndu0.param = uint8_t(NduStride::S0);
-        mac.npu.op = NpuOp::Mac;
-        mac.npu.type = LaneType::U8;
-        mac.npu.a = RowSrc::N0;
-        mac.npu.b = RowSrc::WeightRead;
-        mac.npu.zeroOff = true;
-        pb.emit(mac);
-
-        pb.emit(requantStore(p.out.baseRow + ch, p.rqIndex));
-    }
-}
-
-void
 emitMatmulBf16(ProgramBuilder &pb, const MatmulBf16Kernel &p)
 {
     pb.setInc(kDataA, 2, 1);
@@ -1337,25 +1233,11 @@ emitMatmulBf16(ProgramBuilder &pb, const MatmulBf16Kernel &p)
         if (!p.lastSegment)
             continue;
 
-        if (p.biasBase >= 0) {
-            Instruction ba;
-            ba.ctrl.op = CtrlOp::SetAddrRow;
-            ba.ctrl.reg = kBias;
-            ba.ctrl.imm = uint32_t(p.biasBase + 2 * ch);
-            ba.dataRead.enable = true;
-            ba.dataRead.reg = kBias;
-            ba.npu.op = NpuOp::Add;
-            ba.npu.type = LaneType::BF16;
-            ba.npu.a = RowSrc::DataRead;
-            pb.emit(ba);
-        }
-
         Instruction stb;
         stb.ctrl.op = CtrlOp::SetAddrRow;
         stb.ctrl.reg = kOutReg;
         stb.ctrl.imm = uint32_t(p.out.baseRow + 2 * ch);
         stb.out.op = OutOp::StoreBf16;
-        stb.out.act = p.act;
         stb.write.enable = true;
         stb.write.addrReg = kOutReg;
         stb.write.src = RowSrc::OutLo;

@@ -128,49 +128,21 @@ struct AddKernel
 
 void emitAdd(ProgramBuilder &pb, const AddKernel &p);
 
-/** Standalone LUT activation (sigmoid/tanh) over a quantized tensor. */
-struct ActLutKernel
-{
-    TensorLayout in, out; ///< Identical geometry.
-    ActFn act = ActFn::Sigmoid;
-    int rqIndex = 0; ///< Identity-requant entry.
-    MaskTable masks; ///< For the edge patch (LUT[zp] != zp: pad
-                     ///< lanes must be re-stamped).
-};
-
-void emitActLut(ProgramBuilder &pb, const ActLutKernel &p);
-
-/** Fully connected over a flat/interleaved input vector. */
-struct FcKernel
-{
-    TensorLayout in;  ///< Interleaved (1x1 spatial) or flat vector.
-    TensorLayout out; ///< Flat vector.
-    int cin = 0, cout = 0;
-    int weightBase = 0;
-    int rqIndex = 0;
-    uint8_t dataZero = 0, weightZero = 0;
-};
-
-void emitFullyConnected(ProgramBuilder &pb, const FcKernel &p);
-
 /**
  * bf16 vector-matrix multiply: [1,K] x [K,N] (GNMT building block).
  * Large matrices run as k-segments streamed through the weight RAM:
  * set firstSegment on the first (zeroes the accumulators) and
- * lastSegment on the last (bias add + activation + store); the
- * accumulators carry partial sums in between.
+ * lastSegment on the last (stores the bf16 result); the accumulators
+ * carry partial sums in between. Bias and activation run on the host.
  */
 struct MatmulBf16Kernel
 {
-    TensorLayout in;  ///< Flat wide vector (full K elements).
-    TensorLayout out; ///< Flat wide vector [N].
+    TensorLayout in;  ///< Flat bf16 vector (full K elements).
+    TensorLayout out; ///< Flat bf16 vector [N].
     int k = 0;        ///< Rows of this segment.
     int n = 0;
     int inElemOffset = 0; ///< First input element of this segment.
     int weightBase = 0;   ///< packMatmulBf16Weights image (segment).
-    int biasBase = -1;    ///< Optional flat wide bias vector rows in
-                          ///< DATA RAM (added post-matmul); -1 = none.
-    ActFn act = ActFn::None;
     bool firstSegment = true;
     bool lastSegment = true;
 };

@@ -27,14 +27,13 @@ interleavedLayout(const Shape &shape, int pad_top, int pad_bottom,
 }
 
 TensorLayout
-flatLayout(int64_t elems, bool wide)
+flatLayout(int64_t elems)
 {
     TensorLayout lay;
     lay.kind = LayoutKind::Flat;
     lay.h = 1;
     lay.w = 1;
     lay.c = int(elems);
-    lay.wide = wide;
     return lay;
 }
 
@@ -209,14 +208,9 @@ packGroupedRf(const Tensor &t, int64_t n, const TensorLayout &lay,
 void
 packFlat(const Tensor &t, int64_t n, const TensorLayout &lay, uint8_t *dst)
 {
+    panic_if(t.dtype() != DType::BFloat16, "packFlat needs bf16");
     int64_t elems = lay.c;
     std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
-    if (!lay.wide) {
-        const uint8_t *src = t.raw() + n * elems;
-        std::memcpy(dst, src, size_t(elems));
-        return;
-    }
-    // 16-bit planar pairs.
     const uint8_t *src = t.raw() + n * elems * 2;
     for (int64_t i = 0; i < elems; ++i) {
         int64_t pair = i / kRowBytes;
@@ -230,11 +224,8 @@ void
 unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
            int64_t n)
 {
+    panic_if(t.dtype() != DType::BFloat16, "unpackFlat needs bf16");
     int64_t elems = lay.c;
-    if (!lay.wide) {
-        std::memcpy(t.raw() + n * elems, src, size_t(elems));
-        return;
-    }
     uint8_t *dst = t.raw() + n * elems * 2;
     for (int64_t i = 0; i < elems; ++i) {
         int64_t pair = i / kRowBytes;
@@ -396,50 +387,6 @@ packDepthwiseWeights(const Tensor &w, const Tensor *bias,
             for (int64_t j = 0; j < kCBlock && cb * kCBlock + j < c;
                  ++j)
                 block[j] = pw[(r * kw + s) * c + cb * kCBlock + j];
-        }
-    }
-    return img;
-}
-
-int
-fcWeightRows(int64_t cout, int64_t cin)
-{
-    int64_t chunks = (cout + kRowBytes - 1) / kRowBytes;
-    return int(chunks * (4 + cin));
-}
-
-std::vector<uint8_t>
-packFcWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte)
-{
-    const Shape &ws = w.shape(); // [Cout, Cin]
-    const int64_t cout = ws.dim(0), cin = ws.dim(1);
-    const int64_t chunks = (cout + kRowBytes - 1) / kRowBytes;
-
-    std::vector<uint8_t> img(size_t(fcWeightRows(cout, cin)) * kRowBytes,
-                             zero_byte);
-    const uint8_t *pw = w.raw();
-
-    for (int64_t ch = 0; ch < chunks; ++ch) {
-        uint8_t *base = img.data() + size_t(ch * (4 + cin)) * kRowBytes;
-        // Four bias rows = 4096 int32 accumulator init values.
-        std::memset(base, 0, size_t(4) * kRowBytes);
-        for (int64_t j = 0; j < kRowBytes; ++j) {
-            int64_t ko = ch * kRowBytes + j;
-            if (ko >= cout)
-                break;
-            int32_t b = bias ? bias->intAt(ko) : 0;
-            std::memcpy(base + (j / 1024) * kRowBytes + (j % 1024) * 4,
-                        &b, 4);
-        }
-        // One row per input channel: w[ch*4096 + j, c] at byte j.
-        for (int64_t c = 0; c < cin; ++c) {
-            uint8_t *row = base + size_t(4 + c) * kRowBytes;
-            for (int64_t j = 0; j < kRowBytes; ++j) {
-                int64_t ko = ch * kRowBytes + j;
-                if (ko >= cout)
-                    break;
-                row[j] = pw[ko * cin + c];
-            }
         }
     }
     return img;

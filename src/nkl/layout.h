@@ -14,14 +14,15 @@
  * (so u8 MACs of pad positions contribute exactly zero after the
  * zero-offset subtraction).
  *
- * Flat (FC/matmul vectors): elements packed 4096 per row in plain
- * order; 16-bit types store planar row pairs (low bytes then high
- * bytes, paper IV-C2).
+ * Flat (GNMT's bf16 matmul vectors): 4096 elements per planar row
+ * pair, low bytes then high bytes (paper IV-C2). Quantized vectors
+ * (FC inputs and outputs) are 1x1 interleaved tensors instead.
  *
  * Weight layouts: conv weights pack 64-output-channel blocks as
  * 64-byte tap blocks (64 taps per row) in the exact order the kernel's
- * single-instruction Rep loop consumes them; depthwise and FC weights
- * have their own packings documented at the functions.
+ * single-instruction Rep loop consumes them (an FC's [Cout, Cin]
+ * weights pack as a 1x1 conv); depthwise and matmul weights have their
+ * own packings documented at the functions.
  */
 
 #ifndef NCORE_NKL_LAYOUT_H
@@ -44,7 +45,7 @@ constexpr int kCBlock = 64;
 /** Layout kinds a tensor can live in on Ncore. */
 enum class LayoutKind : uint8_t {
     Interleaved, ///< (y, cblock, xtile) rows of 64 pos x 64 ch.
-    Flat,        ///< Packed elements, 4096 per row (pairs when 16-bit).
+    Flat,        ///< bf16 elements, 4096 per planar row pair.
     GroupedRf,   ///< Stem layout for small-channel inputs: group g
                  ///< holds output position g's receptive-field row,
                  ///< bytes [dx*cin + c] (kw*cin <= 64). Strides fold
@@ -64,8 +65,6 @@ struct TensorLayout
     int padTop = 0, padBottom = 0, padLeft = 0, padRight = 0;
     // Zero-point byte used for padding and tail lanes.
     uint8_t zeroByte = 0;
-    // 16-bit element flag (flat layouts; planar row pairs).
-    bool wide = false;
 
     // Assigned by the memory planner.
     int baseRow = 0;
@@ -133,12 +132,8 @@ struct TensorLayout
     int
     rows() const
     {
-        if (kind == LayoutKind::Flat) {
-            int64_t elems = int64_t(h ? h : 1) * (w ? w : 1) * c;
-            int per_row = 4096;
-            int r = int((elems + per_row - 1) / per_row);
-            return wide ? 2 * r : r;
-        }
+        if (kind == LayoutKind::Flat)
+            return 2 * ((c + 4095) / 4096);
         if (packed())
             return blocks() * cblocks();
         return paddedH() * cblocks() * xtiles();
@@ -157,8 +152,8 @@ TensorLayout interleavedLayout(const Shape &shape, int pad_top,
                                int pad_bottom, int pad_left, int pad_right,
                                uint8_t zero_byte);
 
-/** Build a flat layout for a vector/matrix tensor. */
-TensorLayout flatLayout(int64_t elems, bool wide);
+/** Build a flat layout for a bf16 vector of `elems` elements. */
+TensorLayout flatLayout(int64_t elems);
 
 /**
  * Convert an interleaved layout to its y-packed form (pads forced to
@@ -203,7 +198,7 @@ void unpackInterleaved(const uint8_t *src, const TensorLayout &lay,
 void packGroupedRf(const Tensor &t, int64_t n, const TensorLayout &lay,
                    uint8_t *dst);
 
-/** Pack a flat vector (uint8 / int8, or 16-bit planar when lay.wide). */
+/** Pack / unpack a bf16 vector to/from planar flat row pairs. */
 void packFlat(const Tensor &t, int64_t n, const TensorLayout &lay,
               uint8_t *dst);
 void unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
@@ -247,16 +242,6 @@ std::vector<uint8_t> packDepthwiseWeights(const Tensor &w,
                                           uint8_t zero_byte);
 
 int depthwiseWeightRows(int64_t kh, int64_t kw, int64_t c);
-
-/**
- * FC weight image for [Cout, Cin]: per output chunk of 4096, one bias
- * row quartet (4096 int32 -> 4 rows) then Cin rows of 4096 output
- * weights each: row for input c holds w[chunk*4096 + j, c] at byte j.
- */
-std::vector<uint8_t> packFcWeights(const Tensor &w, const Tensor *bias,
-                                   uint8_t zero_byte);
-
-int fcWeightRows(int64_t cout, int64_t cin);
 
 /**
  * bf16 matmul weight image for [K, N] (row-major): per output chunk of

@@ -60,7 +60,7 @@ NcoreRuntime::loadModel(SharedModel model)
 }
 
 /** Per-context device-state load common to both paths: scratchpad mask
- *  rows, requant tables, LUTs, persistent weights, DMA descriptors. */
+ *  rows, requant tables, persistent weights, DMA descriptors. */
 void
 NcoreRuntime::loadImages()
 {
@@ -77,11 +77,8 @@ NcoreRuntime::loadImages()
             machine_->hostWriteRow(false, kv.first,
                                    kv.second.data());
 
-        // Requant table and LUTs.
         for (size_t i = 0; i < sg.rqTable.size(); ++i)
             machine_->writeRequantEntry(int(i), sg.rqTable[i]);
-        for (const auto &kv : sg.luts)
-            machine_->writeLut(kv.first, kv.second);
 
         // Max-pool accumulator-init constants.
         if (sg.maxPoolInitRowIdx >= 0) {
@@ -185,12 +182,10 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
         packBuf_.assign(size_t(lay.rows()) * 4096, 0);
         if (lay.packed())
             packYPacked(inputs[i], 0, lay, packBuf_.data());
-        else if (lay.kind == LayoutKind::Interleaved)
-            packInterleaved(inputs[i], 0, lay, packBuf_.data());
         else if (lay.kind == LayoutKind::GroupedRf)
             packGroupedRf(inputs[i], 0, lay, packBuf_.data());
         else
-            packFlat(inputs[i], 0, lay, packBuf_.data());
+            packInterleaved(inputs[i], 0, lay, packBuf_.data());
         for (int r = 0; r < lay.rows(); ++r)
             machine_->hostWriteRow(false, lay.baseRow + r,
                                    packBuf_.data() + size_t(r) * 4096);
@@ -216,10 +211,8 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
                                   packBuf_.data() + size_t(r) * 4096);
         if (lay.packed())
             unpackYPacked(packBuf_.data(), lay, t, 0);
-        else if (lay.kind == LayoutKind::Interleaved)
-            unpackInterleaved(packBuf_.data(), lay, t, 0);
         else
-            unpackFlat(packBuf_.data(), lay, t, 0);
+            unpackInterleaved(packBuf_.data(), lay, t, 0);
         outs.push_back(std::move(t));
     }
 

@@ -2,7 +2,7 @@
  * @file
  * User-mode Ncore runtime (paper V-C): a standalone library over the
  * memory-mapped device interface. Loads Loadables (weights, requant
- * tables, LUTs, DMA plans), streams programs through the
+ * tables, DMA plans), streams programs through the
  * double-buffered instruction RAM, launches execution and collects the
  * debug/event information the evaluation methodology relies on.
  */
@@ -73,7 +73,7 @@ class NcoreRuntime
 
     /**
      * Load a shared immutable model. N contexts loading the same
-     * LoadedModel share the weight/requant/LUT/program images and the
+     * LoadedModel share the weight/requant/program images and the
      * pre-segmented program cache — nothing is re-derived per context,
      * and contexts whose machines share a SystemMemory also share one
      * DRAM copy of any streamed weight image.

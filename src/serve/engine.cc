@@ -44,7 +44,6 @@ ServeEngine::sharedModelBytes() const
         bytes += sg.streamImage.size();
         bytes += sg.code.size() * sizeof(EncodedInstruction);
         bytes += sg.rqTable.size() * sizeof(RequantEntry);
-        bytes += sg.luts.size() * 256;
         for (const auto &kv : sg.extraMasks)
             bytes += kv.second.size();
     }

@@ -145,7 +145,7 @@ struct ServeResult
  *
  * All device machines share one SystemMemory (one DRAM copy of any
  * streamed weight image) and one LoadedModel (one program cache, one
- * set of weight/requant/LUT images); per-context memory is scratchpad
+ * set of weight/requant images); per-context memory is scratchpad
  * and decode state only. run() may be called repeatedly with
  * different configurations; the memoization cache persists across
  * runs.

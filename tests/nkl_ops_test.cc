@@ -1,15 +1,14 @@
 /**
  * @file
  * NKL non-conv kernels vs the x86 reference: pooling (max/avg, strided),
- * quantized residual add, LUT activations, fully-connected, and bf16
- * matmul. Also checks the edge-patch pass by chaining two kernels.
+ * quantized residual add and bf16 matmul. Also checks the edge-patch
+ * pass by chaining two kernels.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "common/lut.h"
 #include "gir/graph.h"
 #include "nkl_test_util.h"
 #include "x86/reference.h"
@@ -212,122 +211,6 @@ TEST_F(NklOpsTest, ResidualAddMatchesReference)
         ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
 }
 
-TEST_F(NklOpsTest, SigmoidLutMatchesReference)
-{
-    const int h = 5, w = 30, c = 32;
-    QuantParams in_qp = chooseAsymmetricUint8(-6.0f, 6.0f);
-    QuantParams out_qp{1.0f / 256.0f, 0};
-    Rng rng(34);
-
-    GraphBuilder gb("sig");
-    TensorId x = gb.input("x", Shape{1, h, w, c}, DType::UInt8, in_qp);
-    TensorId y = gb.sigmoid("s", x);
-    gb.output(y);
-    Graph g = gb.take();
-    g.tensor(y).quant = out_qp;
-
-    Tensor x_val(Shape{1, h, w, c}, DType::UInt8, in_qp);
-    x_val.fillRandom(rng);
-    ReferenceExecutor ref(g);
-    Tensor want = ref.run({x_val})[0];
-
-    TensorLayout li = interleavedLayout(x_val.shape(), 0, 0, 0, 0,
-                                        uint8_t(in_qp.zeroPoint));
-    li.baseRow = 64;
-    TensorLayout lo = li;
-    lo.zeroByte = uint8_t(out_qp.zeroPoint);
-    lo.baseRow = li.baseRow + li.rows();
-    testutil::loadInterleaved(m, x_val, li);
-
-    // Identity requant + sigmoid LUT, exactly as the GCL programs it.
-    RequantEntry e;
-    e.rq = computeRequant(1.0f, 0);
-    e.outType = DType::UInt8;
-    e.actMin = 0;
-    e.actMax = 255;
-    m.writeRequantEntry(5, e);
-    m.writeLut(0, buildActLut(ActFn::Sigmoid, in_qp, out_qp,
-                              DType::UInt8));
-
-    ActLutKernel p;
-    p.in = li;
-    p.out = lo;
-    p.act = ActFn::Sigmoid;
-    p.rqIndex = 5;
-
-    ProgramBuilder pb;
-    emitActLut(pb, p);
-    ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
-              StopReason::Halted);
-
-    Tensor got(want.shape(), DType::UInt8, out_qp);
-    testutil::readInterleaved(m, got, lo);
-    for (int64_t i = 0; i < want.numElements(); ++i)
-        ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
-}
-
-TEST_F(NklOpsTest, FullyConnectedMatchesReference)
-{
-    const int cin = 1024, cout = 1000;
-    QuantParams in_qp = chooseAsymmetricUint8(-4.0f, 4.0f);
-    QuantParams w_qp{0.01f, 120};
-    QuantParams out_qp = chooseAsymmetricUint8(-10.0f, 10.0f);
-    Rng rng(35);
-
-    GraphBuilder gb("fc");
-    TensorId x = gb.input("x", Shape{1, cin}, DType::UInt8, in_qp);
-    Tensor w_val(Shape{cout, cin}, DType::UInt8, w_qp);
-    w_val.fillRandom(rng);
-    TensorId w = gb.constant("w", w_val, w_qp);
-    Tensor b_val(Shape{cout}, DType::Int32);
-    for (int i = 0; i < cout; ++i)
-        b_val.setIntAt(i, int32_t(rng.nextRange(-5000, 5000)));
-    TensorId b = gb.constant("b", b_val);
-    TensorId y = gb.fullyConnected("fc", x, w, b, ActFn::None, out_qp);
-    gb.output(y);
-    Graph g = gb.take();
-
-    Tensor x_val(Shape{1, cin}, DType::UInt8, in_qp);
-    x_val.fillRandom(rng);
-    ReferenceExecutor ref(g);
-    Tensor want = ref.run({x_val})[0];
-
-    TensorLayout li = flatLayout(cin, false);
-    li.zeroByte = uint8_t(in_qp.zeroPoint);
-    li.baseRow = 64;
-    TensorLayout lo = flatLayout(cout, false);
-    lo.zeroByte = uint8_t(out_qp.zeroPoint);
-    lo.baseRow = li.baseRow + li.rows();
-    testutil::loadFlat(m, x_val, li);
-
-    auto img = packFcWeights(w_val, &b_val, uint8_t(w_qp.zeroPoint));
-    testutil::loadWeights(m, img, 0);
-
-    float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
-    m.writeRequantEntry(6, makeRequantEntry(mreal, out_qp, DType::UInt8,
-                                            ActFn::None));
-
-    FcKernel p;
-    p.in = li;
-    p.out = lo;
-    p.cin = cin;
-    p.cout = cout;
-    p.weightBase = 0;
-    p.rqIndex = 6;
-    p.dataZero = uint8_t(in_qp.zeroPoint);
-    p.weightZero = uint8_t(w_qp.zeroPoint);
-
-    ProgramBuilder pb;
-    emitFullyConnected(pb, p);
-    ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
-              StopReason::Halted);
-
-    Tensor got(Shape{1, cout}, DType::UInt8, out_qp);
-    testutil::readFlat(m, got, lo);
-    for (int64_t i = 0; i < cout; ++i)
-        ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
-}
-
 TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
 {
     const int k = 512, n = 2000;
@@ -347,9 +230,9 @@ TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
     ReferenceExecutor ref(g);
     Tensor want = ref.run({a_val})[0];
 
-    TensorLayout li = flatLayout(k, true);
+    TensorLayout li = flatLayout(k);
     li.baseRow = 64;
-    TensorLayout lo = flatLayout(n, true);
+    TensorLayout lo = flatLayout(n);
     lo.baseRow = li.baseRow + li.rows();
     testutil::loadFlat(m, a_val, li);
 

@@ -83,7 +83,7 @@ readInterleaved(Machine &m, Tensor &t, const TensorLayout &lay)
     unpackInterleaved(img.data(), lay, t, 0);
 }
 
-/** Host-load a flat tensor. */
+/** Host-load a flat (bf16) tensor. */
 inline void
 loadFlat(Machine &m, const Tensor &t, const TensorLayout &lay)
 {

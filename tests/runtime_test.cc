@@ -278,6 +278,122 @@ TEST_F(RuntimeTest, StemChainMatchesReference)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
 }
 
+TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
+{
+    // A rank-2 subgraph input is a 1x1 interleaved tensor, so the FC
+    // consuming it lowers as a dense 1x1 conv like every other FC.
+    const int cin = 1024, cout = 1000;
+    QuantParams in_qp = actQp(-4.0f, 4.0f);
+    QuantParams w_qp{0.01f, 120};
+    Rng rng(35);
+
+    GraphBuilder gb("fc");
+    TensorId x = gb.input("x", Shape{1, cin}, DType::UInt8, in_qp);
+    Tensor w(Shape{cout, cin}, DType::UInt8, w_qp);
+    w.fillRandom(rng);
+    Tensor b(Shape{cout}, DType::Int32);
+    for (int i = 0; i < cout; ++i)
+        b.setIntAt(i, int32_t(rng.nextRange(-5000, 5000)));
+    TensorId y = gb.fullyConnected("fc", x, gb.constant("w", w, w_qp),
+                                   gb.constant("b", b), ActFn::None,
+                                   actQp(-10.0f, 10.0f));
+    gb.output(y);
+
+    Loadable ld = compile(gb.take());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    const TensorLayout &in_lay = sg.layouts.at(sg.inputs[0]);
+    EXPECT_EQ(in_lay.kind, LayoutKind::Interleaved);
+    EXPECT_FALSE(in_lay.packed());
+
+    Tensor xv(Shape{1, cin}, DType::UInt8, in_qp);
+    Rng dr(36);
+    xv.fillRandom(dr);
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({xv});
+    for (int64_t i = 0; i < want.numElements(); ++i)
+        ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
+}
+
+TEST_F(RuntimeTest, BatchedFcStaysOnX86)
+{
+    // A dense 1x1 conv consumes one vector: an FC over a [2, 64] batch
+    // runs in the x86 reference kernel.
+    QuantParams in_qp = actQp(-4.0f, 4.0f);
+    QuantParams w_qp{0.01f, 120};
+    Rng rng(62);
+
+    GraphBuilder gb("batchfc");
+    TensorId x = gb.input("x", Shape{2, 64}, DType::UInt8, in_qp);
+    QuantParams c_qp{0.02f, 128};
+    Tensor cw(Shape{64, 64}, DType::UInt8, c_qp);
+    cw.fillRandom(rng);
+    TensorId h = gb.fullyConnected("fc0", x, gb.constant("cw", cw, c_qp),
+                                   kNoTensor, ActFn::None, actQp());
+    Tensor w(Shape{40, 64}, DType::UInt8, w_qp);
+    w.fillRandom(rng);
+    TensorId y = gb.fullyConnected("fc1", h, gb.constant("w", w, w_qp),
+                                   kNoTensor, ActFn::None,
+                                   actQp(-10.0f, 10.0f));
+    gb.output(y);
+
+    Loadable ld = compile(gb.take());
+    for (int a : ld.nodeAssignment)
+        EXPECT_EQ(a, -1);
+
+    Tensor xv(Shape{2, 64}, DType::UInt8, in_qp);
+    Rng dr(63);
+    xv.fillRandom(dr);
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({xv});
+    for (int64_t i = 0; i < want.numElements(); ++i)
+        ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
+}
+
+TEST_F(RuntimeTest, QuantizedSigmoidStaysOnX86)
+{
+    // Elementwise LUT activations are not lowered to Ncore: the conv
+    // runs on the device and the sigmoid in the x86 reference kernel.
+    Rng rng(60);
+    GraphBuilder gb("convsig");
+    QuantParams in_qp = actQp(-1.0f, 1.0f);
+    TensorId x = gb.input("x", Shape{1, 16, 16, 64}, DType::UInt8,
+                          in_qp);
+    TensorId c = qconv(gb, rng, "c", x, 64, 3, 1, 1, ActFn::None);
+    TensorId y = gb.sigmoid("sig", c);
+    gb.output(y);
+    Graph g = gb.take();
+    g.tensor(y).quant = chooseAsymmetricUint8(0.0f, 1.0f);
+
+    Loadable ld = compile(std::move(g));
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    for (size_t i = 0; i < ld.graph.nodes().size(); ++i) {
+        OpKind k = ld.graph.nodes()[i].kind;
+        EXPECT_EQ(ld.nodeAssignment[i], k == OpKind::Sigmoid ? -1 : 0)
+            << opKindName(k);
+    }
+
+    Tensor xv(Shape{1, 16, 16, 64}, DType::UInt8, in_qp);
+    Rng dr(61);
+    xv.fillRandom(dr);
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({xv});
+    for (int64_t i = 0; i < want.numElements(); ++i)
+        ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
+}
+
 TEST_F(RuntimeTest, RepeatedInvocationsAreDeterministic)
 {
     Rng rng(45);

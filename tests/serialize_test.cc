@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -132,12 +133,15 @@ TEST(Serialize, RejectsCorruptStreams)
                                    bytes.begin() + 64);
     EXPECT_DEATH(deserializeLoadable(truncated), "truncated");
 
-    // A stream of an older format: version word (little-endian,
-    // after the magic) set to 4.
-    std::vector<uint8_t> old_version = bytes;
-    old_version[4] = 4;
-    old_version[5] = old_version[6] = old_version[7] = 0;
-    EXPECT_DEATH(deserializeLoadable(old_version), "Loadable version 4");
+    // Streams of older formats: version word (little-endian, after
+    // the magic) set to 4 and to 5.
+    for (uint8_t version : {4, 5}) {
+        std::vector<uint8_t> old_version = bytes;
+        old_version[4] = version;
+        old_version[5] = old_version[6] = old_version[7] = 0;
+        EXPECT_DEATH(deserializeLoadable(old_version),
+                     "Loadable version " + std::to_string(version));
+    }
 }
 
 } // namespace
