@@ -120,6 +120,70 @@ macProgram(LaneType type, Pred pred)
     return enc;
 }
 
+/**
+ * One 3x3, 64-channel conv accumulation in the shape NKL's repMac
+ * emits: a 576-tap Rep whose data register steps a byte per tap and
+ * wraps to the next row every 192 taps, and whose weight register
+ * steps 64 bytes and wraps to the next row every 64 taps. The
+ * specialized engine runs it as one fused GEMM; the "u8" program above
+ * is rep-invariant and takes the other Rep fast path.
+ */
+std::vector<EncodedInstruction>
+convRepProgram()
+{
+    std::vector<Instruction> prog;
+    auto ctrl = [&](CtrlOp op, int reg, uint32_t imm) {
+        Instruction in;
+        in.ctrl.op = op;
+        in.ctrl.reg = uint8_t(reg);
+        in.ctrl.imm = imm;
+        prog.push_back(in);
+    };
+    ctrl(CtrlOp::SetZeroOff, 0, 0x0305);
+    ctrl(CtrlOp::SetAddrInc, 0, (1u << 10) | 1);  // Row +1, byte +1.
+    ctrl(CtrlOp::SetAddrWrap, 0, 192);
+    ctrl(CtrlOp::SetAddrInc, 1, (1u << 10) | 64); // Row +1, byte +64.
+    ctrl(CtrlOp::SetAddrWrap, 1, 64);
+    for (int reg : {0, 1}) {
+        ctrl(CtrlOp::SetAddrRow, reg, 0);
+        ctrl(CtrlOp::SetAddrByte, reg, 0);
+    }
+    Instruction zero;
+    zero.npu.op = NpuOp::AccZero;
+    prog.push_back(zero);
+    Instruction mac;
+    mac.ctrl.op = CtrlOp::Rep;
+    mac.ctrl.imm = 576;
+    mac.dataRead.enable = true;
+    mac.dataRead.reg = 0;
+    mac.weightRead.enable = true;
+    mac.weightRead.reg = 1;
+    mac.ndu0.op = NduOp::GroupBcast;
+    mac.ndu0.srcA = RowSrc::DataRead;
+    mac.ndu0.dst = 0;
+    mac.ndu0.addrReg = 0;
+    mac.ndu0.addrInc = true;
+    mac.ndu0.param = uint8_t(NduStride::S64);
+    mac.ndu1.op = NduOp::RepWindow;
+    mac.ndu1.srcA = RowSrc::WeightRead;
+    mac.ndu1.dst = 1;
+    mac.ndu1.addrReg = 1;
+    mac.ndu1.addrInc = true;
+    mac.ndu1.param = uint8_t(NduStride::S1);
+    mac.npu.op = NpuOp::Mac;
+    mac.npu.type = LaneType::U8;
+    mac.npu.a = RowSrc::N0;
+    mac.npu.b = RowSrc::N1;
+    mac.npu.zeroOff = true;
+    prog.push_back(mac);
+    ctrl(CtrlOp::Halt, 0, 0);
+    std::vector<EncodedInstruction> enc;
+    enc.reserve(prog.size());
+    for (const Instruction &in : prog)
+        enc.push_back(encodeInstruction(in));
+    return enc;
+}
+
 /** Make the LoadMask row half-nonzero for the predicated variant. */
 void
 fillPredRow(Machine &m)
@@ -366,15 +430,16 @@ struct MacMeasurement
     double wallPerRun = 0;
 };
 
+/** Throughput of `enc`; `pred` fills the LoadMask row first. */
 MacMeasurement
-measureMacVariant(const char *name, LaneType type, Pred pred,
+measureMacProgram(const char *name,
+                  const std::vector<EncodedInstruction> &enc, bool pred,
                   SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
               {ExecEngine::Default, nullptr, tier});
-    if (pred != Pred::None)
+    if (pred)
         fillPredRow(m);
-    std::vector<EncodedInstruction> enc = macProgram(type, pred);
     auto run = [&] {
         m.writeIram(0, enc);
         m.start(0);
@@ -395,6 +460,14 @@ measureMacVariant(const char *name, LaneType type, Pred pred,
     r.laneMacsPerSec = double(m.perf().macOps - macs0) / t.wall;
     r.wallPerRun = t.wall / t.iters;
     return r;
+}
+
+MacMeasurement
+measureMacVariant(const char *name, LaneType type, Pred pred,
+                  SimdTier tier)
+{
+    return measureMacProgram(name, macProgram(type, pred),
+                             pred != Pred::None, tier);
 }
 
 /** Host GB/s of `step`, which moves `bytes`, after one warm-up call
@@ -436,7 +509,8 @@ writeBenchSimJson()
     j.beginObject();
     j.key("mac_pipeline").beginArray();
     // One row per (variant, kernel tier), for every tier the host
-    // supports: scalar, then avx2 and avx512 where cpuid allows.
+    // supports: scalar, then avx2, avx512 and avx512vnni where cpuid
+    // allows.
     for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t) {
         const SimdTier tier = SimdTier(t);
         const MacMeasurement macs[] = {
@@ -444,6 +518,8 @@ writeBenchSimJson()
             measureMacVariant("u8_pred", LaneType::U8, Pred::P0, tier),
             measureMacVariant("i16", LaneType::I16, Pred::None, tier),
             measureMacVariant("bf16", LaneType::BF16, Pred::None, tier),
+            measureMacProgram("u8_conv_rep", convRepProgram(), false,
+                              tier),
         };
         for (const MacMeasurement &m : macs) {
             j.beginObject();

@@ -1,14 +1,15 @@
 /**
  * @file
- * The specialized engine's NPU lane kernels, written once for every
- * SIMD tier.
+ * The specialized engine's NPU lane kernels and fused conv Rep kernels
+ * (exec_specialized.h), written once for every SIMD tier.
  *
  * Each kernel is a template over a lane-traits type `V` that a kernel
  * translation unit defines for its ISA:
  *
- *  - exec_specialized.cc: ScalarLanes, `kLanes == 1` and nothing else.
- *    A kernel's vector loop is compiled out, so the scalar tail runs
- *    every lane. This is the portable tier.
+ *  - exec_specialized.cc: ScalarLanes, `kLanes == 1`. An NPU kernel's
+ *    vector loop is compiled out, so the scalar tail runs every lane;
+ *    the conv kernels run on its one-lane primitives. This is the
+ *    portable tier.
  *  - exec_simd_avx2.cc (`-mavx2`): 8 int32 lanes per step.
  *  - exec_simd_avx512.cc (`-mavx512*`): 16 int32 lanes per step, with
  *    k-mask predication (traits in exec_simd_avx512_lanes.h).
@@ -30,6 +31,15 @@
  *     fMin(fc, fa), fMax(fc, fa)     std::min/std::max(fc, fa),
  *                                    NaN and ±0 ties included
  *     cmpGt(p, a, b)                 p[0..kLanes) = a > b as 0/1
+ *
+ * The fused conv kernels use load, store, splat, widen, pass and
+ * select, which ScalarLanes also states, plus:
+ *
+ *     kConvGroups                    64-lane groups per register tile
+ *     madd2(acc, a, b)               acc + a.lo16 * b.lo16
+ *                                        + a.hi16 * b.hi16, no
+ *                                    saturation (vpmaddwd, vpdpwssd)
+ *     pair16(lo, hi)                 low words of lo and hi as i16 pairs
  *
  * Linkage: everything below sits in an anonymous namespace, and the
  * traits types live in each TU's own anonymous namespace, so every
@@ -442,6 +452,166 @@ selectNpuKernelFor(const NpuSlot &npu)
       default:
         return nullptr;
     }
+}
+
+// --------------------------------------------------------------------
+// Fused conv Rep kernels (ExecPlan::convRep). The saturation guard in
+// Machine::execConvRepFast proves no partial sum of the Rep can leave
+// int32, so pairing two taps per madd2 and adding without saturation
+// gives exactly the per-rep path's sums.
+// --------------------------------------------------------------------
+
+/**
+ * GroupBcast chunk over the G groups from g0: lane j of group g gains
+ * data[g][tap] * wt[tap][j] summed over the chunk's taps. The G*64
+ * accumulator lanes stay in registers across every tap pair; lanes the
+ * predicate rejects get their old value back at the store.
+ */
+template <class V, Pred P, int G>
+void
+convBcastTile(const ExecCtx &c, const ConvPanels &pn, int g0)
+{
+    constexpr int kL = V::kLanes;
+    constexpr int kVecs = 64 / kL;
+    constexpr int kStride = ConvPanels::kGroupStride;
+    const int pairs = (pn.taps + 1) / 2;
+    const int32_t *wt = pn.wt;
+    const int16_t *data = pn.data + g0 * kStride;
+    int32_t *acc = c.acc + g0 * 64;
+    // The unroll pragmas keep `sum` in registers (kConvGroups sizes it
+    // to half the register file).
+    typename V::Vec sum[G][kVecs];
+#pragma GCC unroll 16
+    for (int g = 0; g < G; ++g)
+#pragma GCC unroll 16
+        for (int t = 0; t < kVecs; ++t)
+            sum[g][t] = V::load(acc + g * 64 + t * kL);
+    for (int p = 0; p < pairs; ++p) {
+        const int32_t *w = wt + p * 64;
+#pragma GCC unroll 16
+        for (int g = 0; g < G; ++g) {
+            int32_t pair;
+            __builtin_memcpy(&pair, data + g * kStride + 2 * p, 4);
+            const auto d = V::splat(pair);
+#pragma GCC unroll 16
+            for (int t = 0; t < kVecs; ++t)
+                sum[g][t] = V::madd2(sum[g][t], d, V::load(w + t * kL));
+        }
+    }
+    const uint8_t *pred = predRow<P>(c);
+#pragma GCC unroll 16
+    for (int g = 0; g < G; ++g)
+#pragma GCC unroll 16
+        for (int t = 0; t < kVecs; ++t) {
+            const int i = g * 64 + t * kL;
+            V::store(acc + i, admit<V, P>(pred, g0 * 64 + i,
+                                          V::load(acc + i), sum[g][t]));
+        }
+}
+
+template <class V, Pred P>
+void
+convRepBcast(const ExecCtx &c, const ConvPanels &pn)
+{
+    constexpr int kG = V::kConvGroups;
+    const int groups = c.rb / 64;
+    int g0 = 0;
+    for (; g0 + kG <= groups; g0 += kG)
+        convBcastTile<V, P, kG>(c, pn, g0);
+    for (; g0 < groups; ++g0)
+        convBcastTile<V, P, 1>(c, pn, g0);
+}
+
+/**
+ * The 64 data bytes tap k gathers for a group at offset g_off from the
+ * tap's window start: a pointer into the row, or `buf` holding the
+ * window when it wraps past the row end.
+ */
+inline const uint8_t *
+convWindow(const ConvPanels &pn, int k, int g_off, int rb, uint8_t *buf)
+{
+    int b = pn.offs[k] + g_off;
+    if (b >= rb)
+        b -= rb;
+    const uint8_t *row = pn.rows[k];
+    if (b + 64 <= rb)
+        return row + b;
+    const int tail = rb - b;
+    __builtin_memcpy(buf, row + b, size_t(tail));
+    __builtin_memcpy(buf + tail, row, size_t(64 - tail));
+    return buf;
+}
+
+/**
+ * WindowGather chunk: lane j of group g gains
+ * (window[tap][g][j] - zA) * wt[tap][j] summed over the chunk's taps,
+ * one group's accumulators in registers at a time. An odd chunk pairs
+ * its last tap with itself against the zero weight high halves.
+ */
+template <class V, Pred P>
+void
+convRepGather(const ExecCtx &c, const ConvPanels &pn)
+{
+    constexpr int kL = V::kLanes;
+    constexpr int kVecs = 64 / kL;
+    const int rb = c.rb;
+    const int pairs = (pn.taps + 1) / 2;
+    const auto z = V::splat(c.zA);
+    const uint8_t *pred = predRow<P>(c);
+    uint8_t wrapped[2][64] = {};
+    int g_off = 0; // g * groupStride, mod rb.
+    for (int g = 0; g < rb / 64; ++g) {
+        int32_t *acc = c.acc + g * 64;
+        typename V::Vec sum[kVecs];
+#pragma GCC unroll 16
+        for (int t = 0; t < kVecs; ++t)
+            sum[t] = V::load(acc + t * kL);
+        for (int p = 0; p < pairs; ++p) {
+            const int k1 = 2 * p + 1 < pn.taps ? 2 * p + 1 : 2 * p;
+            const uint8_t *x = convWindow(pn, 2 * p, g_off, rb, wrapped[0]);
+            const uint8_t *y = convWindow(pn, k1, g_off, rb, wrapped[1]);
+            const int32_t *w = pn.wt + p * 64;
+#pragma GCC unroll 16
+            for (int t = 0; t < kVecs; ++t) {
+                const auto a = V::pair16(
+                    V::template widen<LaneType::U8, true>(x, nullptr,
+                                                         t * kL, z),
+                    V::template widen<LaneType::U8, true>(y, nullptr,
+                                                         t * kL, z));
+                sum[t] = V::madd2(sum[t], a, V::load(w + t * kL));
+            }
+        }
+#pragma GCC unroll 16
+        for (int t = 0; t < kVecs; ++t) {
+            const int i = t * kL;
+            V::store(acc + i, admit<V, P>(pred, g * 64 + i,
+                                          V::load(acc + i), sum[t]));
+        }
+        g_off = normOffset(g_off + pn.groupStride, rb);
+    }
+}
+
+/** The tier-V fused conv kernel for an NDU0 op and predicate. */
+template <class V>
+ConvRepKernel
+selectConvRepKernelFor(NduOp data_op, Pred p)
+{
+    const bool gather = data_op == NduOp::WindowGather;
+    switch (p) {
+      case Pred::None:
+        return gather ? &convRepGather<V, Pred::None>
+                      : &convRepBcast<V, Pred::None>;
+      case Pred::P0:
+        return gather ? &convRepGather<V, Pred::P0>
+                      : &convRepBcast<V, Pred::P0>;
+      case Pred::P1:
+        return gather ? &convRepGather<V, Pred::P1>
+                      : &convRepBcast<V, Pred::P1>;
+      case Pred::NotP0:
+        return gather ? &convRepGather<V, Pred::NotP0>
+                      : &convRepBcast<V, Pred::NotP0>;
+    }
+    return nullptr;
 }
 
 } // namespace

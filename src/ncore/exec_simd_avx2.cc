@@ -1,9 +1,9 @@
 /**
  * @file
  * AVX2 lane kernels for the specialized execution engine: the AVX2
- * instantiation of the NPU kernels (exec_npu_kernels.h, 8 int32 lanes
- * per step) plus the vector OUT and NDU kernels, which also serve the
- * avx512 and avx512vnni tiers.
+ * instantiation of the NPU and fused conv Rep kernels
+ * (exec_npu_kernels.h, 8 int32 lanes per step) plus the vector OUT and
+ * NDU kernels, which also serve the avx512 and avx512vnni tiers.
  *
  * This TU is compiled with `-mavx2 -ffp-contract=off` via per-source
  * CMake flags; nothing outside it may call into it except through the
@@ -81,6 +81,8 @@ storeByte1x8(uint8_t *p, __m256i v)
 struct Avx2Lanes
 {
     static constexpr int kLanes = 8;
+    /// One group's 8 accumulator vectors: half the 16 ymm registers.
+    static constexpr int kConvGroups = 1;
     using Vec = __m256i;
     using FVec = __m256;
     using Mask = __m256i; ///< All-ones dwords in admitted lanes.
@@ -150,6 +152,20 @@ struct Avx2Lanes
     macAcc(Vec acc, Vec a, Vec b)
     {
         return satAdd32(acc, _mm256_mullo_epi32(a, b));
+    }
+
+    /** acc + a.lo16 * b.lo16 + a.hi16 * b.hi16, without saturation. */
+    static Vec
+    madd2(Vec acc, Vec a, Vec b)
+    {
+        return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+    }
+
+    /** Low words of `lo` paired with the low words of `hi`. */
+    static Vec
+    pair16(Vec lo, Vec hi)
+    {
+        return _mm256_blend_epi16(lo, _mm256_slli_epi32(hi, 16), 0xaa);
     }
 
     static Vec
@@ -479,6 +495,12 @@ NpuKernel
 selectNpuKernelAvx2(const NpuSlot &npu)
 {
     return selectNpuKernelFor<Avx2Lanes>(npu);
+}
+
+ConvRepKernel
+selectConvRepKernelAvx2(NduOp data_op, Pred p)
+{
+    return selectConvRepKernelFor<Avx2Lanes>(data_op, p);
 }
 
 OutKernel

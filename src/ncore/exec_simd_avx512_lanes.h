@@ -6,7 +6,7 @@
  * Internal to the two AVX-512 kernel TUs. exec_simd_avx512.cc
  * instantiates the kernels over Avx512Lanes (`-mavx512f -mavx512bw
  * -mavx512vl -mavx512dq`); exec_simd_avx512vnni.cc adds `-mavx512vnni`
- * and overrides the integer MAC step. Keeping the VNNI override in its
+ * and overrides the integer MAC steps. Keeping the VNNI overrides in its
  * own TU means the plain avx512 tier never contains a VNNI
  * instruction. Like the kernel header, everything here sits in an
  * anonymous namespace, so each including TU gets private copies.
@@ -29,6 +29,8 @@ namespace {
 struct Avx512Lanes
 {
     static constexpr int kLanes = 16;
+    /// Four groups' 16 accumulator vectors, half the zmm registers.
+    static constexpr int kConvGroups = 4;
     using Vec = __m512i;
     using FVec = __m512;
     using Mask = __mmask16;
@@ -102,6 +104,21 @@ struct Avx512Lanes
     macAcc(Vec acc, Vec a, Vec b)
     {
         return satAdd32(acc, _mm512_mullo_epi32(a, b));
+    }
+
+    /** acc + a.lo16 * b.lo16 + a.hi16 * b.hi16, without saturation. */
+    static Vec
+    madd2(Vec acc, Vec a, Vec b)
+    {
+        return _mm512_add_epi32(acc, _mm512_madd_epi16(a, b));
+    }
+
+    /** Low words of `lo` paired with the low words of `hi`. */
+    static Vec
+    pair16(Vec lo, Vec hi)
+    {
+        return _mm512_mask_blend_epi16(0xaaaaaaaa, lo,
+                                       _mm512_slli_epi32(hi, 16));
     }
 
     static Vec

@@ -1,11 +1,13 @@
 /**
  * @file
- * AVX-512 VNNI instantiation of the NPU lane kernels: Avx512Lanes
- * with the integer MAC step done by one `vpdpwssds`.
+ * AVX-512 VNNI instantiation of the NPU lane kernels and fused conv
+ * Rep kernels: Avx512Lanes with the integer MAC step done by one
+ * `vpdpwssds` and the conv kernels' two-tap step by one `vpdpwssd`.
  *
  * Compiled with the avx512 TU's flags plus `-mavx512vnni`; only
- * reachable through selectNpuKernelAvx512Vnni, after bestSimdTier()
- * proved the host supports AVX512_VNNI. Like the avx512 tier it uses
+ * reachable through selectNpuKernelAvx512Vnni and
+ * selectConvRepKernelAvx512Vnni, after bestSimdTier() proved the host
+ * supports AVX512_VNNI. Like the avx512 tier it uses
  * the AVX2 OUT and NDU kernels.
  */
 
@@ -31,6 +33,13 @@ struct Avx512VnniLanes : Avx512Lanes
         return _mm512_dpwssds_epi32(
             acc, a, _mm512_and_si512(b, _mm512_set1_epi32(0xffff)));
     }
+
+    /** The fused conv step: both word products in one `vpdpwssd`. */
+    static Vec
+    madd2(Vec acc, Vec a, Vec b)
+    {
+        return _mm512_dpwssd_epi32(acc, a, b);
+    }
 };
 
 } // namespace
@@ -39,6 +48,12 @@ NpuKernel
 selectNpuKernelAvx512Vnni(const NpuSlot &npu)
 {
     return selectNpuKernelFor<Avx512VnniLanes>(npu);
+}
+
+ConvRepKernel
+selectConvRepKernelAvx512Vnni(NduOp data_op, Pred p)
+{
+    return selectConvRepKernelFor<Avx512VnniLanes>(data_op, p);
 }
 
 } // namespace ncore

@@ -27,10 +27,50 @@ namespace {
 // NPU kernels: the portable instantiation of exec_npu_kernels.h.
 // --------------------------------------------------------------------
 
-/** Lane traits with no vector step: every lane runs the scalar tail. */
+/**
+ * Lane traits with no vector step: every NPU lane runs the scalar
+ * tail. The fused conv kernels have no tail, so for them the traits
+ * also state the one-lane forms of their primitives.
+ */
 struct ScalarLanes
 {
     static constexpr int kLanes = 1;
+    static constexpr int kConvGroups = 1;
+    using Vec = int32_t;
+    using Mask = bool;
+
+    static Vec load(const int32_t *p) { return *p; }
+    static void store(int32_t *p, Vec v) { *p = v; }
+    static Vec splat(int32_t x) { return x; }
+
+    template <LaneType T, bool ZOFF>
+    static Vec
+    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
+    {
+        return widenS<T, ZOFF>(lo, hi, i, z);
+    }
+
+    template <Pred P>
+    static Mask
+    pass(const uint8_t *pred)
+    {
+        return passS<P>(pred, 0);
+    }
+
+    static Vec select(Mask m, Vec old, Vec neu) { return m ? neu : old; }
+
+    static Vec
+    madd2(Vec acc, Vec a, Vec b)
+    {
+        return acc + int16_t(a) * int16_t(b) +
+               int16_t(uint32_t(a) >> 16) * int16_t(uint32_t(b) >> 16);
+    }
+
+    static Vec
+    pair16(Vec lo, Vec hi)
+    {
+        return int32_t((uint32_t(lo) & 0xffff) | (uint32_t(hi) << 16));
+    }
 };
 
 /**
@@ -51,6 +91,25 @@ selectNpuKernel(SimdTier tier, const NpuSlot &npu)
       case SimdTier::Avx2: return selectNpuKernelAvx2(npu);
 #endif
       default: return selectNpuKernelFor<ScalarLanes>(npu);
+    }
+}
+
+/** The fused conv kernel of the resolved tier, picked like the NPU one. */
+ConvRepKernel
+selectConvRepKernel(SimdTier tier, NduOp data_op, Pred p)
+{
+    switch (tier) {
+#if NCORE_SIMD_AVX512VNNI
+      case SimdTier::Avx512Vnni:
+        return selectConvRepKernelAvx512Vnni(data_op, p);
+#endif
+#if NCORE_SIMD_AVX512
+      case SimdTier::Avx512: return selectConvRepKernelAvx512(data_op, p);
+#endif
+#if NCORE_SIMD_AVX2
+      case SimdTier::Avx2: return selectConvRepKernelAvx2(data_op, p);
+#endif
+      default: return selectConvRepKernelFor<ScalarLanes>(data_op, p);
     }
 }
 
@@ -412,6 +471,35 @@ computeRepInvariant(const Instruction &in, const ExecPlan &p)
     return true;
 }
 
+/**
+ * The conv-Rep shape NKL's repMac emits (nkl/kernels.cc): a Rep of at
+ * least two taps that reads a data and a weight row without
+ * post-increment, gathers the data row with a GroupBcast or
+ * WindowGather and replicates the weight row with a RepWindow (both
+ * with addrInc), and u8-MACs the two NDU results into the
+ * accumulators, under any predicate, with no OUT op or write-back.
+ */
+bool
+isConvRep(const Instruction &in, const ExecPlan &p)
+{
+    if (in.ctrl.op != CtrlOp::Rep || in.ctrl.imm < 2)
+        return false;
+    if (!in.dataRead.enable || in.dataRead.postInc ||
+        !in.weightRead.enable || in.weightRead.postInc ||
+        in.write.enable || in.out.op != OutOp::None)
+        return false;
+    const NduSlot &d = in.ndu0, &w = in.ndu1;
+    if ((d.op != NduOp::GroupBcast && d.op != NduOp::WindowGather) ||
+        d.srcA != RowSrc::DataRead || !d.addrInc)
+        return false;
+    if (w.op != NduOp::RepWindow || w.srcA != RowSrc::WeightRead ||
+        !w.addrInc || (w.dst & 3) == (d.dst & 3))
+        return false;
+    return in.npu.op == NpuOp::Mac && in.npu.type == LaneType::U8 &&
+           srcIsN(in.npu.a, d.dst & 3) && srcIsN(in.npu.b, w.dst & 3) &&
+           p.npuKernel && p.nduKernel[0] && p.nduKernel[1];
+}
+
 } // namespace
 
 ExecPlan
@@ -482,6 +570,8 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
         if (OutKernel v = simdSelectOut(simd, in.out))
             p.outKernel = v;
     p.repInvariant = computeRepInvariant(in, p);
+    if (isConvRep(in, p))
+        p.convRep = selectConvRepKernel(simd, in.ndu0.op, in.npu.pred);
     return p;
 }
 

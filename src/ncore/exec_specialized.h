@@ -34,15 +34,44 @@
  * the NDU slots once, applies the NPU kernel N times back to back, and
  * derives the OUT row once from the final accumulator state — identical
  * architectural results and cycle/perf accounting without N rounds of
- * fetch/latch/post-increment bookkeeping.
+ * fetch/latch/post-increment bookkeeping. With ECC modeled the rows
+ * are still read once per repetition, so every read scrubs and counts.
+ *
+ * It also marks the *conv-Rep* shape (ExecPlan::convRep), the
+ * single-instruction accumulation loop NKL emits for every convolution
+ * and FC (repMac in nkl/kernels.cc): a Rep of at least two taps that
+ * reads a data and a weight row without post-increment, gathers the
+ * data row with GroupBcast or WindowGather and replicates the weight
+ * row with RepWindow (both stepping their address register), and
+ * u8-MACs the two NDU results under any predicate and either
+ * zero-offset setting, with no OUT op or write-back. Machine::step runs
+ * such a Rep as one blocked GEMM (Machine::execConvRepFast):
+ *
+ *  1. Replay the addressing: step the address registers through every
+ *     tap in postIncrement's order and read each tap's rows through
+ *     SramBank::readRow (bounds panic and ECC scrub included).
+ *  2. Fill the operand panels of a chunk of up to ConvPanels::kTaps
+ *     taps: weights as i16 tap pairs per lane, GroupBcast data per
+ *     group contiguous over taps, WindowGather rows and offsets.
+ *  3. Run the tier's kernel (exec_npu_kernels.h), which keeps a tile
+ *     of accumulators in registers across every tap of the chunk and
+ *     applies two taps per `vpmaddwd`/`vpdpwssd`, without saturation;
+ *     lanes the predicate rejects keep their old value.
+ *  4. Leave the per-rep end state: the last tap's latched rows and NDU
+ *     rows, the stepped address registers, and the perf counters in
+ *     closed form.
+ *
+ * Pairing taps is exact only when no partial sum can saturate, so a
+ * guard checks max|acc| + reps * 255^2 <= INT32_MAX once per Rep and
+ * falls back to the per-rep path when it fails.
  *
  * Equivalence guarantee: for any program the generic interpreter
  * executes without a fault, the specialized engine produces bit
  * identical RAM contents, accumulators, predicates, N/OUT registers,
- * perf counters and cycle counts (enforced by tests/fastpath_diff_test
- * on random programs). Setting NCORE_SIM_GENERIC=1 in the environment
- * (or constructing with Machine::Options{ExecEngine::Generic}) forces
- * the generic path.
+ * perf counters, ECC counters and cycle counts (enforced by
+ * tests/fastpath_diff_test on random programs and directed cases).
+ * Setting NCORE_SIM_GENERIC=1 in the environment (or constructing with
+ * Machine::Options{ExecEngine::Generic}) forces the generic path.
  */
 
 #ifndef NCORE_NCORE_EXEC_SPECIALIZED_H
@@ -100,9 +129,41 @@ struct NduCtx
     uint8_t imm = 0; ///< SplatImm byte (ctrl.imm & 0xff).
 };
 
+/**
+ * Operand panels of one chunk of a fused conv Rep (see
+ * ExecPlan::convRep). The Machine fills them by replaying the Rep's
+ * addressing; a tap is one repetition. Values are u8 lanes minus their
+ * zero offset (zero when the slot has none), so each fits in i16, and
+ * taps 2p and 2p+1 share one dword as an i16 pair (2p in the low
+ * half). An odd chunk's last weight pair has zero high halves, so
+ * whatever the data pairs hold there adds nothing.
+ */
+struct ConvPanels
+{
+    static constexpr int kTaps = 512;          ///< Taps per chunk.
+    static constexpr int kPairs = kTaps / 2;
+    /// Halves from one group's data to the next: padded past kTaps so
+    /// that a tap's stores to every group do not share a few L1 sets.
+    static constexpr int kGroupStride = kTaps + 32;
+    int taps = 0;        ///< Taps in this chunk, 1..kTaps.
+    int groupStride = 0; ///< NDU0 group stride in bytes.
+    /// wt[p * 64 + j]: RepWindow lane j of taps 2p, 2p+1 (kPairs * 64).
+    int32_t *wt = nullptr;
+    /// GroupBcast: data[g * kGroupStride + k] is group g's value of tap
+    /// k, so taps 2p and 2p+1 form one i16 pair (one row's groups *
+    /// kGroupStride). Unused for WindowGather.
+    int16_t *data = nullptr;
+    /// WindowGather: each tap's data row and normalized window offset
+    /// (the kernel subtracts ExecCtx::zA itself). Unused for GroupBcast.
+    const uint8_t *rows[kTaps] = {};
+    int offs[kTaps] = {};
+};
+
 using NpuKernel = void (*)(const ExecCtx &);
 using OutKernel = void (*)(const ExecCtx &);
 using NduKernel = void (*)(const NduCtx &);
+/// Adds one chunk of a fused conv Rep into ExecCtx::acc.
+using ConvRepKernel = void (*)(const ExecCtx &, const ConvPanels &);
 
 /**
  * SIMD tier of the specialized engine's lane kernels (see
@@ -147,6 +208,9 @@ struct ExecPlan
     bool usesImm = false;      ///< Any slot reads RowSrc::Imm.
     bool wideLatch = false;    ///< 16-bit planar row-pair latch needed.
     bool repInvariant = false; ///< Eligible for the Rep fast path.
+    /// Non-null when the instruction has the conv-Rep shape (see the
+    /// file comment): the tier's kernel for its NDU0 op and predicate.
+    ConvRepKernel convRep = nullptr;
     bool npuIsMac = false;     ///< Counts macOps (Mac/MacFwd).
     uint8_t activeNduSlots = 0;
     uint8_t enabledReads = 0;

@@ -24,6 +24,39 @@ signed10(uint32_t v)
 }
 
 /**
+ * One tap's 64 RepWindow values `src[j] - z` into the i16 pairs
+ * dst[0..64): the low half for an even tap, which also clears the high
+ * half, the high half for an odd one. An odd chunk's last pair thus
+ * has zero high halves, so its data high halves add nothing.
+ */
+void
+putWeightTap(int32_t *__restrict dst, const uint8_t *__restrict src,
+             int32_t z, bool odd)
+{
+    if (odd) {
+        for (int j = 0; j < 64; ++j)
+            dst[j] = int32_t((uint32_t(dst[j]) & 0xffff) |
+                             uint32_t(uint16_t(src[j] - z)) << 16);
+    } else {
+        for (int j = 0; j < 64; ++j)
+            dst[j] = int32_t(uint16_t(src[j] - z));
+    }
+}
+
+/** dst[0..n) = src[0..n) - z, in blocks the compiler vectorizes. */
+void
+widenRun(int16_t *__restrict dst, const uint8_t *__restrict src, int n,
+         int32_t z)
+{
+    int i = 0;
+    for (; i + 16 <= n; i += 16)
+        for (int q = 0; q < 16; ++q)
+            dst[i + q] = int16_t(src[i + q] - z);
+    for (; i < n; ++i)
+        dst[i] = int16_t(src[i] - z);
+}
+
+/**
  * Resolve Options::execEngine. This is the single place the
  * NCORE_SIM_GENERIC env var is honored: ExecEngine::Default picks
  * the specialized engine unless NCORE_SIM_GENERIC=1 is set.
@@ -69,6 +102,13 @@ Machine::Machine(const MachineConfig &cfg, const SocConfig &soc,
     pred_[1].assign(rowBytes_, 1);
     nduScratch_.assign(rowBytes_, 0);
     acc_.assign(rowBytes_, 0);
+    if (fastExec_) {
+        convWt_.assign(size_t(ConvPanels::kPairs) * 64, 0);
+        convData_.assign(size_t(rowBytes_ / 64) * ConvPanels::kGroupStride,
+                         0);
+        convPanels_.wt = convWt_.data();
+        convPanels_.data = convData_.data();
+    }
 
     for (auto &e : rqTable_)
         e = RequantEntry{};
@@ -458,6 +498,8 @@ Machine::step()
         if (reps > 1 && plan.repInvariant) {
             execRepBodyFast(in, plan, reps);
             perf_.instructions += reps;
+        } else if (plan.convRep && execConvRepFast(in, plan, reps)) {
+            perf_.instructions += reps;
         } else {
             for (uint64_t r = 0; r < reps; ++r) {
                 execBodyFast(in, plan);
@@ -557,7 +599,14 @@ Machine::execNduSlotFast(const NduSlot &slot, NduKernel kern,
         return;
     }
     ++perf_.nduOps;
-    ctx.offset = addr_[slot.addrReg].byte;
+    runNduKernel(kern, ctx, addr_[slot.addrReg].byte);
+}
+
+/** Run a bound NDU kernel at `offset` and land its row in place. */
+void
+Machine::runNduKernel(NduKernel kern, NduCtx &ctx, int offset)
+{
+    ctx.offset = offset;
     kern(ctx);
     if (ctx.out != ctx.finalDst)
         std::memcpy(ctx.finalDst, ctx.out, size_t(rowBytes_));
@@ -637,8 +686,131 @@ Machine::execRepBodyFast(const Instruction &in, ExecPlan &plan,
             execOut(in.out);
     }
     // write.enable and all post-increments are provably absent here.
-    perf_.ramReads += (reps - 1) * plan.enabledReads;
+    // The rows cannot change, but with ECC modeled (both banks or
+    // neither) every repetition's reads scrub and count, as on the
+    // per-rep path.
+    if (dataRam_.eccModeled())
+        for (uint64_t r = 1; r < reps; ++r)
+            latchReads(in, plan.wideLatch);
+    else
+        perf_.ramReads += (reps - 1) * plan.enabledReads;
     perf_.nduOps += (reps - 1) * plan.activeNduSlots;
+}
+
+/**
+ * Fused conv Rep (ExecPlan::convRep): the whole Rep as one blocked
+ * GEMM, chunk by chunk. Replaying the addressing reads every rep's rows
+ * through SramBank::readRow, in the per-rep path's order (bounds panic
+ * and ECC scrub included), and fills the chunk's operand panels; the
+ * tier kernel then adds the chunk into the accumulators. Returns false,
+ * having changed nothing, when the saturation guard fails: then the
+ * caller runs the per-rep path.
+ */
+bool
+Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
+                         uint64_t reps)
+{
+    // Every partial sum of the per-rep path stays within
+    // max|acc| + reps * 255^2. When that fits int32 nothing saturates,
+    // so the tier kernel may pair taps and add in any order.
+    int32_t lo = 0, hi = 0;
+    for (int32_t v : acc_) {
+        lo = v < lo ? v : lo;
+        hi = v > hi ? v : hi;
+    }
+    const int64_t max_abs = std::max(int64_t(hi), -int64_t(lo));
+    if (max_abs + int64_t(reps) * (255 * 255) > INT32_MAX)
+        return false;
+
+    const int rb = rowBytes_;
+    const int groups = rb / 64;
+    const bool gather = in.ndu0.op == NduOp::WindowGather;
+    const int gs = plan.ndu[0].stride, ws = plan.ndu[1].stride;
+    const int32_t za = in.npu.zeroOff ? dataZeroOff_ : 0;
+    const int32_t zb = in.npu.zeroOff ? weightZeroOff_ : 0;
+    plan.ctx.zA = za;
+    ConvPanels &pn = convPanels_;
+    pn.groupStride = gs;
+
+    auto norm = [rb](int32_t off) {
+        return off >= 0 && off < rb ? off : ((off % rb) + rb) % rb;
+    };
+
+    // GroupBcast data in runs: taps that read consecutive bytes of one
+    // row (repMac's taps along a kernel row) fill each group's panel
+    // from one contiguous, possibly wrapping, stretch of the row.
+    const uint8_t *run_row = nullptr;
+    int run_off = 0, run_k = 0, run_n = 0;
+    auto flush_run = [&] {
+        for (int g = 0, i = run_off; g < groups; ++g) {
+            int16_t *d = pn.data + g * ConvPanels::kGroupStride + run_k;
+            for (int left = run_n, at = i; left > 0; at = 0) {
+                const int n = std::min(left, rb - at);
+                widenRun(d, run_row + at, n, za);
+                d += n;
+                left -= n;
+            }
+            if ((i += gs) >= rb)
+                i -= rb;
+        }
+        run_n = 0;
+    };
+
+    uint8_t wbuf[64] = {};
+    const uint8_t *drow = nullptr, *wrow = nullptr;
+    int doff = 0, woff = 0;
+    for (uint64_t done = 0; done < reps; done += uint64_t(pn.taps)) {
+        pn.taps = int(std::min<uint64_t>(reps - done, ConvPanels::kTaps));
+        for (int k = 0; k < pn.taps; ++k) {
+            // One rep's reads, then postIncrement's byte bumps.
+            drow = dataRam_.readRow(addr_[in.dataRead.reg].row);
+            wrow = weightRam_.readRow(addr_[in.weightRead.reg].row);
+            doff = norm(addr_[in.ndu0.addrReg].byte);
+            woff = norm(addr_[in.ndu1.addrReg].byte);
+            bumpByte(in.ndu0.addrReg);
+            bumpByte(in.ndu1.addrReg);
+
+            // The RepWindow lanes, in place unless strided or wrapping.
+            const uint8_t *wsrc = wrow + woff;
+            if (ws != 1 || woff + 64 > rb) {
+                for (int j = 0, i = woff; j < 64; ++j) {
+                    wbuf[j] = wrow[i];
+                    if ((i += ws) >= rb)
+                        i -= rb;
+                }
+                wsrc = wbuf;
+            }
+            putWeightTap(pn.wt + (k / 2) * 64, wsrc, zb, k & 1);
+
+            if (gather) {
+                pn.rows[k] = drow;
+                pn.offs[k] = doff;
+            } else if (run_n && drow == run_row &&
+                       doff == run_off + run_n) {
+                ++run_n;
+            } else {
+                if (run_n)
+                    flush_run();
+                run_row = drow;
+                run_off = doff;
+                run_k = k;
+                run_n = 1;
+            }
+        }
+        if (!gather)
+            flush_run();
+        plan.convRep(plan.ctx, pn);
+    }
+
+    // The end state of the last rep: its latched rows and NDU rows.
+    std::memcpy(dataLo_.data(), drow, size_t(rb));
+    std::memcpy(weightLo_.data(), wrow, size_t(rb));
+    runNduKernel(plan.nduKernel[0], plan.ndu[0], doff);
+    runNduKernel(plan.nduKernel[1], plan.ndu[1], woff);
+    perf_.ramReads += 2 * reps;
+    perf_.nduOps += 2 * reps;
+    perf_.macOps += reps * uint64_t(rb);
+    return true;
 }
 
 void

@@ -290,8 +290,11 @@ class Machine : public RamRowPort
     void execBodyFast(const Instruction &in, ExecPlan &plan);
     void execRepBodyFast(const Instruction &in, ExecPlan &plan,
                          uint64_t reps);
+    bool execConvRepFast(const Instruction &in, ExecPlan &plan,
+                         uint64_t reps);
     void execNduSlotFast(const NduSlot &slot, NduKernel kern,
                          NduCtx &ctx, uint32_t ctrl_imm);
+    void runNduKernel(NduKernel kern, NduCtx &ctx, int offset);
     void execNpuFast(ExecPlan &plan);
     void execNdu(const NduSlot &slot, uint32_t ctrl_imm);
     void execNpu(const NpuSlot &npu);
@@ -337,6 +340,11 @@ class Machine : public RamRowPort
     Row pred_[2];
     Row nduScratch_; ///< Aliasing-safe NDU compute row (one per Machine).
     std::vector<int32_t> acc_;
+    /// Fused conv Rep chunk (specialized engine only): the panels and
+    /// the storage their wt/data pointers point into.
+    ConvPanels convPanels_;
+    std::vector<int32_t> convWt_;
+    std::vector<int16_t> convData_;
 
     std::array<AddrReg, 8> addr_{};
     std::vector<LoopFrame> loopStack_;

@@ -46,6 +46,8 @@ class SramBank
 
     int rows() const { return rows_; }
     int rowBytes() const { return rowBytes_; }
+    /** Every readRow scrubs and counts ECC events. */
+    bool eccModeled() const { return modelEcc_; }
 
     /** Direct pointer to a row (hot path; caller honors row semantics). */
     uint8_t *

@@ -12,11 +12,12 @@
  *    step, one `vpdpwssds` instead of mullo plus a saturating add.
  *
  * Only those TUs get the ISA flags, so the rest of the binary stays
- * portable. The NPU lane kernels have one source, exec_npu_kernels.h,
- * written over a lane-traits type and instantiated once per tier
- * (the two AVX-512 TUs share exec_simd_avx512_lanes.h). Every tier
- * covers every NPU slot, so buildExecPlan() takes the NPU kernel of
- * the resolved tier directly. The OUT (requantize/activation) and NDU
+ * portable. The NPU lane kernels and the fused conv Rep kernels have
+ * one source, exec_npu_kernels.h, written over a lane-traits type and
+ * instantiated once per tier (the two AVX-512 TUs share
+ * exec_simd_avx512_lanes.h). Every tier covers every NPU slot and
+ * conv-Rep shape, so buildExecPlan() takes the kernels of the resolved
+ * tier directly. The OUT (requantize/activation) and NDU
  * kernels have vector forms only in the AVX2 TU: OUT requantize and
  * bf16 store, and the MergeMask, LoadMask, Compress2, RepWindow and
  * GroupBcast NDU ops. They chain down: any tier at or above avx2 uses
@@ -79,14 +80,17 @@ NduKernel simdSelectNdu(SimdTier tier, const NduSlot &slot);
 // should call these.
 #if NCORE_SIMD_AVX2
 NpuKernel selectNpuKernelAvx2(const NpuSlot &npu);
+ConvRepKernel selectConvRepKernelAvx2(NduOp data_op, Pred p);
 OutKernel selectOutKernelAvx2(const OutSlot &out);
 NduKernel selectNduKernelAvx2(const NduSlot &slot);
 #endif
 #if NCORE_SIMD_AVX512
 NpuKernel selectNpuKernelAvx512(const NpuSlot &npu);
+ConvRepKernel selectConvRepKernelAvx512(NduOp data_op, Pred p);
 #endif
 #if NCORE_SIMD_AVX512VNNI
 NpuKernel selectNpuKernelAvx512Vnni(const NpuSlot &npu);
+ConvRepKernel selectConvRepKernelAvx512Vnni(NduOp data_op, Pred p);
 #endif
 
 } // namespace ncore

@@ -20,18 +20,21 @@
  * wrap), so it can keep row accesses inside the initialized window and
  * rotate amounts within the 64 B/clock crossbar limit — everything the
  * generic interpreter itself would fault on — while still exercising
- * post-increments, circular addressing, Rep sequencing (both the
- * rep-invariant fast path and the per-rep path), predication, zero
- * offsets, all NPU lane types and every NDU/OUT operation.
+ * post-increments, circular addressing, Rep sequencing (the
+ * rep-invariant fast path, the fused conv Rep and the per-rep path),
+ * predication, zero offsets, all NPU lane types and every NDU/OUT
+ * operation. The diff also covers both SRAM banks' ECC counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/machine.h"
@@ -70,13 +73,16 @@ class ProgramGen
     {
         prog_.clear();
         for (int i = 0; i < body_instrs; ++i) {
-            switch (rng_.nextBelow(10)) {
+            switch (rng_.nextBelow(12)) {
               case 0:
               case 1:
                 emitAddrSetup();
                 break;
               case 2:
                 emitCtrlMisc();
+                break;
+              case 3:
+                emitConvRep();
                 break;
               default:
                 emitBody();
@@ -343,6 +349,72 @@ class ProgramGen
         }
     }
 
+    /**
+     * The conv-Rep shape NKL's repMac emits, which the specialized
+     * engine runs as one fused GEMM: a data and a weight register in
+     * circular mode, so taps step bytes and wrap onto the next (or
+     * previous) row. Sometimes both slots share one register. Rows
+     * move at most 40 times, so every read stays inside the window.
+     */
+    void
+    emitConvRep()
+    {
+        const bool gather = chance(30);
+        const uint32_t reps = 2 + (chance(5) ? rnd(600) : rnd(40));
+        const int dreg = int(rnd(7));
+        const int wreg = chance(15) ? dreg : int(rnd(7));
+        auto setup = [&](int reg, int byte_inc) {
+            const uint32_t bumps = reps * (dreg == wreg ? 2 : 1);
+            const uint32_t row_inc = rnd(3) == 0 ? 0x3ff : rnd(2);
+            Instruction in;
+            in.ctrl.reg = uint8_t(reg);
+            in.ctrl.op = CtrlOp::SetAddrRow;
+            in.ctrl.imm = 50 + rnd(11);
+            emit(in);
+            in.ctrl.op = CtrlOp::SetAddrByte;
+            in.ctrl.imm = rnd(4096);
+            emit(in);
+            in.ctrl.op = CtrlOp::SetAddrInc;
+            in.ctrl.imm = (row_inc << 10) | uint32_t(byte_inc);
+            emit(in);
+            in.ctrl.op = CtrlOp::SetAddrWrap;
+            in.ctrl.imm = (bumps + 39) / 40 + rnd(64);
+            emit(in);
+        };
+        static constexpr int kDataIncs[] = {1, 2, 64};
+        setup(dreg, gather ? 64 : kDataIncs[rnd(3)]);
+        if (wreg != dreg)
+            setup(wreg, chance(80) ? 64 : 1);
+
+        Instruction mac;
+        mac.ctrl.op = CtrlOp::Rep;
+        mac.ctrl.imm = reps;
+        mac.dataRead.enable = true;
+        mac.dataRead.reg = uint8_t(dreg);
+        mac.weightRead.enable = true;
+        mac.weightRead.reg = uint8_t(wreg);
+        mac.ndu0.op = gather ? NduOp::WindowGather : NduOp::GroupBcast;
+        mac.ndu0.srcA = RowSrc::DataRead;
+        mac.ndu0.dst = uint8_t(rnd(4));
+        mac.ndu0.addrReg = uint8_t(dreg);
+        mac.ndu0.addrInc = true;
+        mac.ndu0.param = uint8_t(rnd(6)); // NduStride S0..S256.
+        mac.ndu1.op = NduOp::RepWindow;
+        mac.ndu1.srcA = RowSrc::WeightRead;
+        mac.ndu1.dst = uint8_t((mac.ndu0.dst + 1 + rnd(3)) % 4);
+        mac.ndu1.addrReg = uint8_t(wreg);
+        mac.ndu1.addrInc = true;
+        mac.ndu1.param =
+            uint8_t(chance(70) ? uint32_t(NduStride::S1) : rnd(6));
+        mac.npu.op = NpuOp::Mac;
+        mac.npu.type = LaneType::U8;
+        mac.npu.a = RowSrc(int(RowSrc::N0) + mac.ndu0.dst);
+        mac.npu.b = RowSrc(int(RowSrc::N0) + mac.ndu1.dst);
+        mac.npu.zeroOff = chance(50);
+        mac.npu.pred = Pred(rnd(4));
+        emit(mac);
+    }
+
     void
     emitBody()
     {
@@ -402,15 +474,15 @@ class ProgramGen
 class FastPathDiff : public ::testing::Test
 {
   protected:
-    FastPathDiff()
-        : gen_(chaNcoreConfig(), chaSocConfig(), nullptr, false,
+    explicit FastPathDiff(bool model_ecc = false)
+        : gen_(chaNcoreConfig(), chaSocConfig(), nullptr, model_ecc,
                {ExecEngine::Generic})
     {
         // Explicit tiers, so NCORE_SIMD in the environment changes
         // nothing here; on a host without AVX2 only scalar is diffed.
         for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t)
             tiers_.push_back(std::make_unique<Machine>(
-                chaNcoreConfig(), chaSocConfig(), nullptr, false,
+                chaNcoreConfig(), chaSocConfig(), nullptr, model_ecc,
                 Machine::Options{ExecEngine::Specialized, nullptr,
                                  SimdTier(t)}));
     }
@@ -542,10 +614,28 @@ class FastPathDiff : public ::testing::Test
         }
     }
 
-    /** compareTo() for every specialized engine. */
+    /**
+     * compareTo() for every specialized engine, after diffing every
+     * engine's ECC counters: compareTo's host row reads scrub, and
+     * count, like any other read.
+     */
     void
     compareState(uint64_t seed)
     {
+        for (Machine *m : specialized()) {
+            for (bool w : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << m->execDescription() << " vs generic, "
+                             << (w ? "weight" : "data") << " ECC, seed "
+                             << seed);
+                const EccStats &ef =
+                    w ? m->weightRam().eccStats() : m->dataRam().eccStats();
+                const EccStats &eg = w ? gen_.weightRam().eccStats()
+                                       : gen_.dataRam().eccStats();
+                EXPECT_EQ(ef.corrected, eg.corrected);
+                EXPECT_EQ(ef.uncorrectable, eg.uncorrectable);
+            }
+        }
         for (Machine *m : specialized())
             compareTo(*m, seed);
     }
@@ -1154,6 +1244,413 @@ TEST_F(FastPathDiff, SaturatingAccumulators)
         for (Pred p : {Pred::None, Pred::P0})
             for (uint32_t zo : {0x80ffu, 0xff80u, 0x0180u})
                 runCase(LaneType::U8, op, p, zo);
+}
+
+Instruction
+setAddrInc(int reg, int row_inc, int byte_inc)
+{
+    Instruction in;
+    in.ctrl.op = CtrlOp::SetAddrInc;
+    in.ctrl.reg = uint8_t(reg);
+    in.ctrl.imm = (uint32_t(row_inc) & 0x3ff) << 10 |
+                  (uint32_t(byte_inc) & 0x3ff);
+    return in;
+}
+
+Instruction
+setAddrWrap(int reg, uint32_t n)
+{
+    Instruction in;
+    in.ctrl.op = CtrlOp::SetAddrWrap;
+    in.ctrl.reg = uint8_t(reg);
+    in.ctrl.imm = n;
+    return in;
+}
+
+Instruction
+setZeroOff(uint32_t imm)
+{
+    Instruction in;
+    in.ctrl.op = CtrlOp::SetZeroOff;
+    in.ctrl.imm = imm;
+    return in;
+}
+
+Instruction
+ctrlOnly(CtrlOp op)
+{
+    Instruction in;
+    in.ctrl.op = op;
+    return in;
+}
+
+Instruction
+accZero()
+{
+    Instruction in;
+    in.npu.op = NpuOp::AccZero;
+    return in;
+}
+
+/**
+ * A conv accumulation Rep as NKL's repMac emits it (nkl/kernels.cc):
+ * the data read and NDU0 address `dreg`, the weight read and NDU1
+ * address `wreg`, and both NDU slots step their register per tap.
+ */
+Instruction
+convRep(uint32_t reps, NduOp data_op, NduStride gs, Pred pred,
+        bool zero_off, int dreg = 0, int wreg = 1)
+{
+    Instruction mac;
+    mac.ctrl.op = CtrlOp::Rep;
+    mac.ctrl.imm = reps;
+    mac.dataRead.enable = true;
+    mac.dataRead.reg = uint8_t(dreg);
+    mac.weightRead.enable = true;
+    mac.weightRead.reg = uint8_t(wreg);
+    mac.ndu0.op = data_op;
+    mac.ndu0.srcA = RowSrc::DataRead;
+    mac.ndu0.dst = 0;
+    mac.ndu0.addrReg = uint8_t(dreg);
+    mac.ndu0.addrInc = true;
+    mac.ndu0.param = uint8_t(gs);
+    mac.ndu1.op = NduOp::RepWindow;
+    mac.ndu1.srcA = RowSrc::WeightRead;
+    mac.ndu1.dst = 1;
+    mac.ndu1.addrReg = uint8_t(wreg);
+    mac.ndu1.addrInc = true;
+    mac.ndu1.param = uint8_t(NduStride::S1);
+    mac.npu.op = NpuOp::Mac;
+    mac.npu.type = LaneType::U8;
+    mac.npu.a = RowSrc::N0;
+    mac.npu.b = RowSrc::N1;
+    mac.npu.zeroOff = zero_off;
+    mac.npu.pred = pred;
+    return mac;
+}
+
+/**
+ * repMac's addressing for a 3x3 conv over one 64-channel block: data
+ * +1 byte per tap and the next row every 192 taps, weights +64 bytes
+ * per tap and the next row every 64 taps.
+ */
+std::vector<Instruction>
+conv3x3Addressing(int data_row, int data_byte, int weight_row)
+{
+    return {setAddrRow(0, data_row),   setAddrByte(0, data_byte),
+            setAddrInc(0, 1, 1),       setAddrWrap(0, 192),
+            setAddrRow(1, weight_row), setAddrByte(1, 0),
+            setAddrInc(1, 1, 64),      setAddrWrap(1, 64)};
+}
+
+/** Whether buildExecPlan marks `in` as a fused conv Rep at `tier`. */
+bool
+fusedAt(const Instruction &in, SimdTier tier)
+{
+    constexpr int kRb = 4096;
+    static std::vector<uint8_t> rows(14 * kRb);
+    static std::vector<int32_t> acc(kRb);
+    static std::array<RequantEntry, 256> rq{};
+    static std::array<std::array<uint8_t, 256>, 4> luts{};
+    uint8_t *next = rows.data();
+    auto row = [&] { return std::exchange(next, next + kRb); };
+    PlanBindings b;
+    b.rb = kRb;
+    b.sliceBytes = kRb / 16;
+    b.acc = acc.data();
+    for (uint8_t *&n : b.n)
+        n = row();
+    b.outLo = row();
+    b.outHi = row();
+    b.dataLo = row();
+    b.dataHi = row();
+    b.weightLo = row();
+    b.weightHi = row();
+    b.immRow = row();
+    b.pred[0] = row();
+    b.pred[1] = row();
+    b.scratch = row();
+    b.rqTable = rq.data();
+    b.luts = luts.data();
+    return buildExecPlan(in, b, tier).convRep != nullptr;
+}
+
+/**
+ * The decode-time shape test: repMac's Rep fuses under every predicate,
+ * NDU0 op, group stride and zero-offset setting, at every tier, and
+ * changing any one part of the shape takes it off the fused path.
+ */
+TEST_F(FastPathDiff, ConvRepShape)
+{
+    for (Machine *m : specialized()) {
+        const SimdTier t = m->simdTier();
+        SCOPED_TRACE(m->execDescription());
+        for (NduOp op : {NduOp::GroupBcast, NduOp::WindowGather})
+            for (Pred p : {Pred::None, Pred::P0, Pred::P1, Pred::NotP0})
+                for (NduStride gs : {NduStride::S64, NduStride::S128})
+                    for (bool zoff : {false, true})
+                        EXPECT_TRUE(fusedAt(convRep(2, op, gs, p, zoff), t));
+        Instruction shared = convRep(9, NduOp::GroupBcast, NduStride::S64,
+                                     Pred::None, true, 2, 2);
+        EXPECT_TRUE(fusedAt(shared, t));
+
+        const Instruction base = convRep(576, NduOp::GroupBcast,
+                                         NduStride::S64, Pred::None, true);
+        auto rejects = [&](const char *what, auto change) {
+            Instruction in = base;
+            change(in);
+            EXPECT_FALSE(fusedAt(in, t)) << what;
+        };
+        rejects("one rep", [](Instruction &in) { in.ctrl.imm = 1; });
+        rejects("no Rep", [](Instruction &in) { in.ctrl.op = CtrlOp::None; });
+        rejects("data post-increment",
+                [](Instruction &in) { in.dataRead.postInc = true; });
+        rejects("weight post-increment",
+                [](Instruction &in) { in.weightRead.postInc = true; });
+        rejects("write-back", [](Instruction &in) {
+            in.write.enable = true;
+            in.write.src = RowSrc::N2;
+        });
+        rejects("OUT op",
+                [](Instruction &in) { in.out.op = OutOp::Requant8; });
+        rejects("NDU0 without addrInc",
+                [](Instruction &in) { in.ndu0.addrInc = false; });
+        rejects("NDU1 without addrInc",
+                [](Instruction &in) { in.ndu1.addrInc = false; });
+        rejects("NDU0 Bypass",
+                [](Instruction &in) { in.ndu0.op = NduOp::Bypass; });
+        rejects("NDU1 GroupBcast",
+                [](Instruction &in) { in.ndu1.op = NduOp::GroupBcast; });
+        rejects("NDU0 from the weight row",
+                [](Instruction &in) { in.ndu0.srcA = RowSrc::WeightRead; });
+        rejects("one NDU destination",
+                [](Instruction &in) { in.ndu1.dst = in.ndu0.dst; });
+        rejects("i8 lanes",
+                [](Instruction &in) { in.npu.type = LaneType::I8; });
+        rejects("MacFwd", [](Instruction &in) { in.npu.op = NpuOp::MacFwd; });
+        rejects("operands swapped", [](Instruction &in) {
+            std::swap(in.npu.a, in.npu.b);
+        });
+        rejects("raw data row operand",
+                [](Instruction &in) { in.npu.a = RowSrc::DataRead; });
+    }
+}
+
+/**
+ * Fused conv Reps against the interpreter, one program per shape: data
+ * bytes wrapping past the row end, weight rows advancing, chunk
+ * boundaries, S0/S64/S128/S256 group strides, WindowGather with
+ * wrapping windows, every predicate, 2- and 3-tap and odd Reps, zero
+ * offsets on and off, and address registers shared by both NDU slots.
+ * Every Rep is checked to be on the fused path at every tier.
+ */
+TEST_F(FastPathDiff, FusedConvReps)
+{
+    Rng rng(88);
+    seedState(rng);
+    // Predicates from the random rows, zero offsets, clean accumulators.
+    const std::vector<Instruction> prologue = {
+        setAddrRow(0, 12), setAddrRow(1, 44),
+        npuRR(NpuOp::CmpGtP0, LaneType::U8),
+        npuRR(NpuOp::CmpGtP1, LaneType::I8), setZeroOff(0x1580),
+        accZero()};
+    auto runCase = [&](const char *what,
+                       const std::vector<Instruction> &setup,
+                       std::vector<Instruction> macs) {
+        SCOPED_TRACE(what);
+        std::vector<Instruction> prog = prologue;
+        prog.insert(prog.end(), setup.begin(), setup.end());
+        for (const Instruction &mac : macs) {
+            for (Machine *m : specialized())
+                EXPECT_TRUE(fusedAt(mac, m->simdTier()))
+                    << m->execDescription();
+            prog.push_back(mac);
+        }
+        prog.push_back(ctrlOnly(CtrlOp::Halt));
+        runAll(prog);
+        compareState(88);
+    };
+    const NduOp kGb = NduOp::GroupBcast, kWg = NduOp::WindowGather;
+
+    runCase("3x3 conv, 576 taps", conv3x3Addressing(20, 0, 40),
+            {convRep(576, kGb, NduStride::S64, Pred::None, true)});
+    runCase("data bytes wrap past the row end",
+            conv3x3Addressing(20, 4096 - 70, 40),
+            {convRep(300, kGb, NduStride::S64, Pred::P0, true)});
+    runCase("weight rows advance across chunks, odd tap count",
+            conv3x3Addressing(20, 5, 40),
+            {convRep(1101, kGb, NduStride::S64, Pred::NotP0, true)});
+    runCase("stride-2 S128 gathers, both passes",
+            conv3x3Addressing(22, 64, 50),
+            {convRep(192, kGb, NduStride::S128, Pred::P0, true),
+             convRep(192, kGb, NduStride::S128, Pred::NotP0, true)});
+    runCase("S0 and S256 group strides", conv3x3Addressing(30, 100, 60),
+            {convRep(64, kGb, NduStride::S0, Pred::P1, false),
+             convRep(65, kGb, NduStride::S256, Pred::None, true)});
+
+    // Depthwise: +64 bytes (one x) per tap and the next row every kw.
+    const std::vector<Instruction> dw = {
+        setAddrRow(0, 20), setAddrByte(0, 128), setAddrInc(0, 1, 64),
+        setAddrWrap(0, 3),  setAddrRow(1, 40),   setAddrByte(1, 0),
+        setAddrInc(1, 1, 64), setAddrWrap(1, 64)};
+    runCase("WindowGather 3x3", dw,
+            {convRep(9, kWg, NduStride::S64, Pred::None, true),
+             convRep(3, kWg, NduStride::S64, Pred::P1, true)});
+    std::vector<Instruction> dw_wrap = dw;
+    dw_wrap[1] = setAddrByte(0, 4096 - 20);
+    runCase("WindowGather windows wrap, S128", dw_wrap,
+            {convRep(9, kWg, NduStride::S128, Pred::P0, true),
+             convRep(2, kWg, NduStride::S128, Pred::None, false)});
+
+    for (Pred p : {Pred::None, Pred::P0, Pred::P1, Pred::NotP0})
+        runCase("every predicate", conv3x3Addressing(24, 3, 44),
+                {convRep(37, kGb, NduStride::S64, p, true),
+                 convRep(37, kWg, NduStride::S64, p, true)});
+
+    runCase("2-tap and 3-tap Reps", conv3x3Addressing(26, 190, 46),
+            {convRep(2, kGb, NduStride::S64, Pred::None, true),
+             convRep(3, kGb, NduStride::S64, Pred::P0, true),
+             convRep(2, kWg, NduStride::S64, Pred::NotP0, true),
+             convRep(3, kWg, NduStride::S64, Pred::None, false)});
+
+    std::vector<Instruction> zo = conv3x3Addressing(28, 11, 48);
+    zo.push_back(setZeroOff(0xff80));
+    std::vector<Instruction> zo_off = conv3x3Addressing(28, 11, 48);
+    zo_off.push_back(setZeroOff(0x80ff));
+    runCase("zero offsets 0xff80", zo,
+            {convRep(200, kGb, NduStride::S64, Pred::None, true),
+             convRep(7, kWg, NduStride::S64, Pred::None, true)});
+    runCase("zero offsets set but off", zo_off,
+            {convRep(200, kGb, NduStride::S64, Pred::None, false)});
+
+    // All four slots on register 2: it steps twice per tap.
+    runCase("one register for both reads and both NDU slots",
+            {setAddrRow(2, 30), setAddrByte(2, 7), setAddrInc(2, 1, 1),
+             setAddrWrap(2, 100)},
+            {convRep(250, kGb, NduStride::S64, Pred::None, true, 2, 2)});
+    // Reads on registers 0 and 1, both NDU slots on register 3.
+    Instruction shared = convRep(150, kGb, NduStride::S64, Pred::P0, true);
+    shared.ndu0.addrReg = 3;
+    shared.ndu1.addrReg = 3;
+    std::vector<Instruction> shared_setup = conv3x3Addressing(32, 0, 52);
+    shared_setup.insert(shared_setup.end(),
+                        {setAddrByte(3, 4000), setAddrInc(3, 0, 1),
+                         setAddrWrap(3, 0)});
+    runCase("NDU0 and NDU1 share one address register", shared_setup,
+            {shared});
+}
+
+/**
+ * The saturation guard. Every byte is 0xff and the zero offsets are
+ * off, so each tap adds exactly 255^2 to every lane. Accumulators one
+ * over the guard's bound (max|acc| + reps * 255^2 <= INT32_MAX) must
+ * take the per-rep path, which saturates at INT32_MAX where pairing
+ * taps without saturation would wrap. On the bound the fused path
+ * runs, and its largest lane lands exactly on INT32_MAX.
+ */
+TEST_F(FastPathDiff, ConvRepSaturationGuard)
+{
+    const int rb = gen_.rowBytesInt();
+    constexpr uint32_t kReps = 576;
+    constexpr int32_t kReach = int32_t(kReps) * 255 * 255;
+    Rng rng(99);
+    seedState(rng);
+    const std::vector<uint8_t> ones(rb, 0xff);
+    for (int r = 20; r < 24; ++r)
+        writeRowAll(false, r, ones.data());
+    for (int r = 40; r < 50; ++r)
+        writeRowAll(true, r, ones.data());
+    const Instruction mac = convRep(kReps, NduOp::GroupBcast,
+                                    NduStride::S64, Pred::None, false);
+    for (Machine *m : specialized())
+        ASSERT_TRUE(fusedAt(mac, m->simdTier())) << m->execDescription();
+
+    // Accumulator seeds in data rows 60..63, one quarter per row; the
+    // largest is `margin` over the bound.
+    auto runCase = [&](int32_t margin) {
+        SCOPED_TRACE(testing::Message() << "margin " << margin);
+        const int32_t top = INT32_MAX - kReach + margin;
+        std::vector<int32_t> seeds(rb);
+        for (int32_t &v : seeds)
+            v = top - int32_t(rng.nextBelow(1000));
+        seeds[0] = top;
+        const int quarter = rb / 4;
+        for (int q = 0; q < 4; ++q)
+            writeRowAll(false, 60 + q,
+                        reinterpret_cast<const uint8_t *>(seeds.data() +
+                                                          q * quarter));
+        std::vector<Instruction> prog;
+        for (int q = 0; q < 4; ++q) {
+            prog.push_back(setAddrRow(2, 60 + q));
+            Instruction bias;
+            bias.dataRead.enable = true;
+            bias.dataRead.reg = 2;
+            bias.npu.op = NpuOp::AccLoadBias;
+            bias.npu.a = RowSrc::DataRead;
+            bias.npu.b = RowSrc(int(BiasMode::Quarter0) + q);
+            prog.push_back(bias);
+        }
+        for (const Instruction &in : conv3x3Addressing(20, 0, 40))
+            prog.push_back(in);
+        prog.push_back(mac);
+        prog.push_back(ctrlOnly(CtrlOp::Halt));
+        runAll(prog);
+        compareState(99);
+        return gen_.accState()[0];
+    };
+    EXPECT_EQ(runCase(1), INT32_MAX);   // Saturated on the per-rep path.
+    EXPECT_EQ(runCase(0), INT32_MAX);   // Fused, exactly on the rail.
+    EXPECT_EQ(runCase(-7), INT32_MAX - 7);
+}
+
+/** The same engines with ECC modeled in both SRAM banks. */
+class FastPathDiffEcc : public FastPathDiff
+{
+  protected:
+    FastPathDiffEcc() : FastPathDiff(true) {}
+};
+
+/**
+ * An uncorrectable row is counted on every read, so a Rep that reads
+ * it N times counts N, on the rep-invariant path (which latches its
+ * rows once) and on the fused conv path alike.
+ */
+TEST_F(FastPathDiffEcc, UncorrectableRowsCountPerRead)
+{
+    Rng rng(77);
+    seedState(rng);
+    for (Machine *m : all()) {
+        m->dataRam().flipBit(20, 3); // Two bits of granule 0.
+        m->dataRam().flipBit(20, 9);
+        m->weightRam().flipBit(41, 100); // Two bits of granule 1.
+        m->weightRam().flipBit(41, 101);
+        m->weightRam().flipBit(40, 5000); // One bit: corrected once.
+    }
+    std::vector<Instruction> prog = {setAddrRow(0, 20), setAddrRow(1, 40)};
+    Instruction invariant = npuRR(NpuOp::Mac, LaneType::U8, Pred::None, true);
+    invariant.ctrl.op = CtrlOp::Rep;
+    invariant.ctrl.imm = 5;
+    prog.push_back(invariant);
+    // 128 taps on data row 20; weight rows 40 then 41, 64 taps each.
+    for (const Instruction &in : conv3x3Addressing(20, 0, 40))
+        prog.push_back(in);
+    const Instruction mac =
+        convRep(128, NduOp::GroupBcast, NduStride::S64, Pred::None, true);
+    for (Machine *m : specialized())
+        ASSERT_TRUE(fusedAt(mac, m->simdTier())) << m->execDescription();
+    prog.push_back(mac);
+    prog.push_back(ctrlOnly(CtrlOp::Halt));
+    runAll(prog);
+
+    // Before compareState, whose host row reads scrub too.
+    for (Machine *m : all()) {
+        SCOPED_TRACE(m->execDescription());
+        EXPECT_EQ(m->dataRam().eccStats().uncorrectable, 5u + 128u);
+        EXPECT_EQ(m->weightRam().eccStats().uncorrectable, 64u);
+        EXPECT_EQ(m->weightRam().eccStats().corrected, 1u);
+        EXPECT_EQ(m->dataRam().eccStats().corrected, 0u);
+    }
+    compareState(77);
 }
 
 } // namespace
