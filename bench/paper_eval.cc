@@ -87,9 +87,9 @@ table7Fig11Latency(const std::vector<WorkloadProfile> &profiles)
                 "integrated submissions: %s (paper: yes)\n",
                 best_mobilenet ? "yes" : "NO");
     std::printf("Shape check -- lowest ResNet-50 latency: %s (paper: "
-                "yes; known deviation — our fixed 64-byte broadcast "
-                "groups under-pack 28-wide stages, see "
-                "EXPERIMENTS.md)\n",
+                "yes; known deviation — the six stride-2 layers take "
+                "the largest share of our Ncore cycles, see "
+                "EXPERIMENTS.md and ROADMAP.md item 3)\n",
                 best_resnet ? "yes" : "no");
     return best_mobilenet;
 }

@@ -1,24 +1,22 @@
 /**
  * @file
- * ncore-objdump: inspect a serialized Ncore Loadable — the graph, the
- * partitioning, per-subgraph resource plans, and a disassembly of the
- * 128-bit VLIW programs (decoded with the same bit-exact decoder the
- * sequencer uses).
+ * ncore-objdump: compile MobileNet-V1 and inspect the resulting
+ * Loadable — the graph, the partitioning, per-subgraph resource plans,
+ * and a disassembly of the 128-bit VLIW programs (decoded with the
+ * same bit-exact decoder the sequencer uses).
  *
  * Usage:
- *   ./build/examples/ncore_objdump <model.ncld> [--disasm N]
+ *   ./build/examples/ncore_objdump [--disasm N]
  *
- * With no file argument, compiles MobileNet-V1 in-process, saves it to
- * mobilenet_v1.ncld, and dumps that (a self-contained demo).
+ * --disasm N sets how many instructions of each subgraph to
+ * disassemble (default 24).
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "gcl/compiler.h"
-#include "gcl/serialize.h"
 #include "models/zoo.h"
 
 using namespace ncore;
@@ -26,27 +24,19 @@ using namespace ncore;
 int
 main(int argc, char **argv)
 {
-    std::string path;
     int disasm_count = 24;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--disasm") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--disasm") == 0 && i + 1 < argc) {
             disasm_count = std::atoi(argv[++i]);
-        else
-            path = argv[i];
+        } else {
+            std::fprintf(stderr, "usage: %s [--disasm N]\n", argv[0]);
+            return 2;
+        }
     }
 
-    if (path.empty()) {
-        std::printf("no Loadable given; compiling MobileNet-V1 and "
-                    "saving mobilenet_v1.ncld...\n\n");
-        Loadable ld = compile(buildMobileNetV1());
-        saveLoadable(ld, "mobilenet_v1.ncld");
-        path = "mobilenet_v1.ncld";
-    }
-
-    Loadable ld = loadLoadable(path);
+    Loadable ld = compile(buildMobileNetV1());
     const Graph &g = ld.graph;
 
-    std::printf("Loadable: %s\n", path.c_str());
     std::printf("graph '%s': %zu nodes, %d tensors, %.2f GMACs, "
                 "%.2fM weights\n",
                 g.name().c_str(), g.nodes().size(), g.numTensors(),

@@ -887,7 +887,6 @@ class SubgraphCompiler
             }
 
             pb.event(uint32_t(id) << 2 | 2);
-            sg_.macs += uint64_t(Graph::nodeMacs(g_, n));
         }
 
         pb.event(CompiledSubgraph::kEndTag);
