@@ -145,6 +145,8 @@ struct TensorLayout
     {
         return (yp * cblocks() + cb) * xtiles() + t;
     }
+
+    bool operator==(const TensorLayout &) const = default;
 };
 
 /** Build the standard interleaved layout for an NHWC activation. */

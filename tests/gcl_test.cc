@@ -261,5 +261,57 @@ TEST(GclPlanning, OversizedInputExhaustsDataRam)
     EXPECT_DEATH(compile(std::move(g)), "data RAM exhausted");
 }
 
+TEST(GclPlanning, CompileIsDeterministic)
+{
+    // Nothing caches a compiled Loadable between runs, so every run
+    // recompiles its model: two compiles of the same graph must agree
+    // on the partition, programs, tables, placements and weight
+    // images, with persistent and with streamed weights.
+    auto build = [] {
+        Rng rng(10);
+        GraphBuilder gb("determinism");
+        TensorId x =
+            gb.input("x", Shape{1, 12, 12, 16}, DType::UInt8, actQp());
+        TensorId t = qconv(gb, rng, "c0", x, 32, 3, 1, 1, ActFn::Relu);
+        t = qconv(gb, rng, "c1", t, 32, 3, 2, 1, ActFn::Relu6);
+        t = gb.maxPool2d("mp", t, 3, 3, 2, 2, 1, 1, 1, 1);
+        t = gb.avgPool2d("gap", t, 3, 3, 1, 1, 0, 0, 0, 0);
+        gb.output(gb.softmax("sm", gb.reshape("flat", t, Shape{1, 32}),
+                             1.0f));
+        return gb.take();
+    };
+    for (bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streamed weights" : "persistent");
+        CompileOptions opts;
+        opts.forceStreaming = streaming;
+        Loadable a = compile(build(), opts);
+        Loadable b = compile(build(), opts);
+
+        EXPECT_EQ(a.graph.nodes().size(), b.graph.nodes().size());
+        EXPECT_EQ(a.graph.numTensors(), b.graph.numTensors());
+        EXPECT_EQ(a.nodeAssignment, b.nodeAssignment);
+        ASSERT_EQ(a.subgraphs.size(), 1u);
+        ASSERT_EQ(b.subgraphs.size(), 1u);
+        const CompiledSubgraph &sa = a.subgraphs[0];
+        const CompiledSubgraph &sb = b.subgraphs[0];
+        EXPECT_EQ(sa.weightsPersistent, !streaming);
+        EXPECT_EQ(sa.nodeIds, sb.nodeIds);
+        EXPECT_EQ(sa.inputs, sb.inputs);
+        EXPECT_EQ(sa.outputs, sb.outputs);
+        EXPECT_TRUE(sa.layouts == sb.layouts);
+        EXPECT_EQ(sa.masks.baseRow, sb.masks.baseRow);
+        EXPECT_TRUE(sa.code == sb.code);
+        EXPECT_TRUE(sa.rqTable == sb.rqTable);
+        EXPECT_EQ(sa.extraMasks, sb.extraMasks);
+        EXPECT_EQ(sa.weightsPersistent, sb.weightsPersistent);
+        EXPECT_EQ(sa.persistentWeights, sb.persistentWeights);
+        EXPECT_EQ(sa.streamImage, sb.streamImage);
+        EXPECT_TRUE(sa.chunks == sb.chunks);
+        EXPECT_EQ(sa.maxPoolInitRowIdx, sb.maxPoolInitRowIdx);
+        EXPECT_EQ(sa.dataRowsUsed, sb.dataRowsUsed);
+        EXPECT_EQ(sa.weightRowsUsed, sb.weightRowsUsed);
+    }
+}
+
 } // namespace
 } // namespace ncore
