@@ -109,10 +109,9 @@ struct Pads
  * Requirements a consumer node places on its spatial input. Only the
  * node's own convolution padding is materialized: downstream layout
  * padding of the consumer's *output* shifts gathers by a small
- * negative delta, which is safe — the affected lanes are the output's
- * own pad lanes, re-stamped by the edge-patch pass (see emitConv).
- * Propagating downstream pads through strides would grow them
- * geometrically along stride-2 chains.
+ * negative delta, which emitConv repairs (see there). Propagating
+ * downstream pads through strides would grow them geometrically along
+ * stride-2 chains.
  */
 Pads
 inputPadsFor(const Node &n, const Pads &out_pads)
@@ -456,9 +455,12 @@ class SubgraphCompiler
      * dimension is rounded to a power of two and W x K fills the 4096
      * lanes; when W alone cannot, fold consecutive ys into the row).
      * A tensor is packed when its width allows it and every consumer
-     * can gather from packed rows; producers that cannot write packed
-     * rows (stride-2 layers, region entries) emit into a shared plain
-     * scratch and an on-chip repack pass follows.
+     * can gather from packed rows. Standard stride-2 convs write packed
+     * rows directly: they first copy the input phases they read into
+     * the shared scratch (the paper's NDU strided compression, IV-B),
+     * then run as stride-1 packed convs. Producers that cannot write
+     * packed rows (stems, depthwise stride-2 layers, region entries)
+     * emit into the shared scratch and an on-chip repack pass follows.
      */
     bool
     consumerAllowsPacking(const Node &n, TensorId c) const
@@ -570,11 +572,16 @@ class SubgraphCompiler
               case OpKind::Conv2D:
               case OpKind::DepthwiseConv2D: {
                 const Shape &w = g_.tensor(producer->inputs[1]).shape;
-                direct = producer->attrs.strideH == 1 &&
-                         w.dim(1) <= 3 &&
-                         layouts_
-                             .at(canonical(producer->inputs[0]))
-                             .packed();
+                const TensorLayout &in =
+                    layouts_.at(canonical(producer->inputs[0]));
+                // Stride-2 standard convs run phase-split (emitConv).
+                direct = producer->attrs.strideH == 1
+                             ? w.dim(1) <= 3 && in.packed()
+                             : producer->kind == OpKind::Conv2D &&
+                                   phaseSplitFits(
+                                       in, int(w.dim(1)), int(w.dim(2)),
+                                       producer->attrs.padTop,
+                                       producer->attrs.padLeft);
                 break;
               }
               case OpKind::MaxPool2D:
@@ -638,18 +645,27 @@ class SubgraphCompiler
         RowAllocator alloc(kMaskRows + int(sg_.extraMasks.size()),
                            kDataRamRows);
 
-        // Shared scratch regions: one for repack staging (plain
-        // temporaries), a separate one for the min-code copies of
-        // padded max-pool inputs (a pool may use both at once when
-        // its output is itself repacked).
-        int repack_rows = 0;
+        // Shared scratch regions: one for staging (plain repack
+        // temporaries and phase copies, both dead once their layer is
+        // done), a separate one for the min-code copies of padded
+        // max-pool inputs (a pool may use both at once when its
+        // output is itself repacked).
+        int staging_rows = 0;
         for (auto &kv : repackTemp_)
-            repack_rows = std::max(repack_rows, kv.second.rows());
-        if (repack_rows > 0) {
-            int base = alloc.allocate(repack_rows);
-            fatal_if(base < 0, "no room for the repack scratch");
+            staging_rows = std::max(staging_rows, kv.second.rows());
+        for (int id : nodeIds_) {
+            const Node &n = node(id);
+            if (n.kind != OpKind::Conv2D)
+                continue;
+            const ConvKernel p = convGeometry(n, id);
+            if (usesPhaseSplit(p))
+                staging_rows = std::max(staging_rows, phaseSplitRows(p));
+        }
+        if (staging_rows > 0) {
+            stagingBase_ = alloc.allocate(staging_rows);
+            fatal_if(stagingBase_ < 0, "no room for the staging scratch");
             for (auto &kv : repackTemp_)
-                kv.second.baseRow = base;
+                kv.second.baseRow = stagingBase_;
         }
         int restamp_rows = 0;
         for (int id : nodeIds_) {
@@ -750,7 +766,11 @@ class SubgraphCompiler
             if (stem) {
                 img.bytes = packStemConvWeights(w.value, bias, wz);
             } else if (n.kind == OpKind::Conv2D) {
-                img.bytes = packConvWeights(w.value, bias, wz);
+                img.bytes = packConvWeights(
+                    w.value, bias, wz,
+                    usesPhaseSplit(convGeometry(n, id))
+                        ? ConvTapOrder::PerTap
+                        : ConvTapOrder::RowMajor);
             } else if (n.kind == OpKind::DepthwiseConv2D) {
                 img.bytes = packDepthwiseWeights(w.value, bias, wz);
             } else {
@@ -894,6 +914,26 @@ class SubgraphCompiler
         sg_.code = pb.encode();
     }
 
+    /** A conv node's layouts and shape (no RAM placement needed). */
+    ConvKernel
+    convGeometry(const Node &n, int id)
+    {
+        const Shape &w = g_.tensor(n.inputs[1]).shape;
+        ConvKernel p;
+        p.in = layoutOf(n.inputs[0]);
+        p.out = outLayoutFor(id, n.outputs[0]);
+        p.kh = int(w.dim(1));
+        p.kw = int(w.dim(2));
+        p.strideH = n.attrs.strideH;
+        p.strideW = n.attrs.strideW;
+        p.padTop = n.attrs.padTop;
+        p.padLeft = n.attrs.padLeft;
+        p.cin = int(g_.tensor(n.inputs[0]).shape.dim(3));
+        p.cout = int(g_.tensor(n.outputs[0]).shape.dim(3));
+        p.depthwise = n.kind == OpKind::DepthwiseConv2D;
+        return p;
+    }
+
     ConvKernel
     makeConvKernel(const Node &n, int id)
     {
@@ -902,20 +942,11 @@ class SubgraphCompiler
         const GirTensor &w = g_.tensor(n.inputs[1]);
         float m =
             in_t.quant.scale * w.quant.scale / out_t.quant.scale;
-        ConvKernel p;
-        p.in = layoutOf(n.inputs[0]);
-        p.out = outLayoutFor(id, n.outputs[0]);
+        ConvKernel p = convGeometry(n, id);
         if (p.out.packed())
             p.contentMaskRow = contentMaskRowFor(p.out);
-        p.kh = int(w.shape.dim(1));
-        p.kw = int(w.shape.dim(2));
-        p.strideH = n.attrs.strideH;
-        p.strideW = n.attrs.strideW;
-        p.padTop = n.attrs.padTop;
-        p.padLeft = n.attrs.padLeft;
-        p.cin = int(in_t.shape.dim(3));
-        p.cout = int(out_t.shape.dim(3));
-        p.depthwise = n.kind == OpKind::DepthwiseConv2D;
+        if (usesPhaseSplit(p))
+            p.phaseBase = stagingBase_;
         p.weightBase = weightBase_.at(id);
         p.rqIndex = newRqEntry(makeRequantEntry(
             m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
@@ -1035,6 +1066,7 @@ class SubgraphCompiler
 
     std::unordered_map<int, TensorLayout> repackTemp_;
     std::unordered_map<int, TensorId> repackTensor_;
+    int stagingBase_ = -1; ///< Repack temps and phase copies.
     std::unordered_map<uint64_t, int> contentMasks_;
     int scratchBase_ = -1;
 };

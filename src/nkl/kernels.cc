@@ -1,6 +1,8 @@
 #include "kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace ncore {
 
@@ -333,6 +335,176 @@ emitRepack(ProgramBuilder &pb, const RepackKernel &p)
     }
 }
 
+namespace {
+
+/** Byte offset `bytes` as an address-register byte (mod one row). */
+int
+rowByte(int bytes)
+{
+    return (bytes % 4096 + 4096) % 4096;
+}
+
+/** Phase index and phase-position offset of tap `r` of a stride-2
+ *  conv with padding `pad`: input 2*o + r - pad is phase (r - pad) & 1
+ *  at position o + floor((r - pad) / 2). */
+std::pair<int, int>
+tapPhase(int r, int pad)
+{
+    const int d = r - pad;
+    const int ph = d & 1;
+    return {ph, (d - ph) / 2};
+}
+
+/** Phases a stride-2 conv reads, as a bit mask over py * 2 + px. */
+unsigned
+phaseSplitPhases(int kh, int kw, int pad_top, int pad_left)
+{
+    unsigned mask = 0;
+    for (int r = 0; r < kh; ++r)
+        for (int s = 0; s < kw; ++s)
+            mask |= 1u << (tapPhase(r, pad_top).first * 2 +
+                           tapPhase(s, pad_left).first);
+    return mask;
+}
+
+/** Layout of one phase copy of a `c`-channel input for a conv writing
+ *  the y-packed `out`: `out`'s geometry with the input's channels. */
+TensorLayout
+phaseLayout(const TensorLayout &out, int c, uint8_t zero_byte)
+{
+    return yPackedLayout(Shape{1, out.h, out.w, c}, zero_byte);
+}
+
+/**
+ * Phase split (space-to-depth by 2): fill the y-packed `ph` so that its
+ * position (y, x) holds src(2y + py, 2x + px), the zero point where that
+ * lies outside `src`, halo slots and pads included. The source is a
+ * plain single-tile or y-packed tensor.
+ */
+void
+emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
+               const TensorLayout &ph, int py, int px,
+               const MaskTable &masks)
+{
+    fatal_if(!ph.packed() || ph.c != src.c,
+             "phase split needs a y-packed phase of the source");
+    const int ncb = ph.cblocks();
+    const int pitch = ph.pitch;
+
+    // Zero-point the phase: pads and positions outside the source
+    // keep it, as convolution padding.
+    pb.splat(0, ph.zeroByte);
+    pb.setRow(kOutReg, ph.baseRow);
+    pb.setInc(kOutReg, 1, 0);
+    Instruction fill;
+    fill.ctrl.op = CtrlOp::Rep;
+    fill.ctrl.imm = uint32_t(ph.rows());
+    fill.write.enable = true;
+    fill.write.addrReg = kOutReg;
+    fill.write.postInc = true;
+    fill.write.src = RowSrc::N0;
+    pb.emit(fill);
+
+    // Phase columns [x_lo, x_hi) whose source x = 2*(xp - padLeft) + px
+    // lies inside the source (and the slot).
+    const int x_lo = ph.padLeft;
+    const int x_hi = std::min(
+        pitch, x_lo + (src.w > px ? (src.w - 1 - px) / 2 + 1 : 0));
+
+    // Slot by slot (halos included): one S128 gather of the source row
+    // of padded y B*ny + j - 1, merged into the slot's columns.
+    for (int j = 0; j < ph.slots(); ++j) {
+        pb.loadMask(kMask, masks.rowFor(j * pitch + x_lo), 0);
+        pb.loadMask(kMask, masks.rowFor(j * pitch + x_hi), 1);
+        int gather_byte = -1;
+        for (int b = 0; b < ph.blocks(); ++b) {
+            const int sy = 2 * (b * ph.ny + j - 1 - ph.padTop) + py;
+            if (sy < 0 || sy >= src.h)
+                continue; // Stays zero point.
+            // The source row of cblock 0 (the others follow it, in
+            // both layouts) and the lane group of source x = 0.
+            const int syp = sy + src.padTop;
+            int src_row = src.baseRow + src.rowOf(syp, 0, 0);
+            int src_x0 = src.padLeft;
+            if (src.packed()) {
+                src_row =
+                    src.baseRow + src.rowOfPacked(src.blockOf(syp), 0);
+                src_x0 += src.slotOf(syp) * src.pitch;
+            }
+            // Lane group j*pitch + xp gathers source group
+            // src_x0 + 2*(xp - padLeft) + px.
+            const int byte = rowByte(
+                (src_x0 + px - 2 * ph.padLeft - 2 * j * pitch) * 64);
+            if (byte != gather_byte) {
+                pb.setByte(kPatchB, byte);
+                gather_byte = byte;
+            }
+            for (int cb = 0; cb < ncb; ++cb) {
+                Instruction i1;
+                i1.ctrl.op = CtrlOp::SetAddrRow;
+                i1.ctrl.reg = kPatchA;
+                i1.ctrl.imm = uint32_t(src_row + cb);
+                i1.dataRead.enable = true;
+                i1.dataRead.reg = kPatchA;
+                i1.ndu0.op = NduOp::WindowGather;
+                i1.ndu0.srcA = RowSrc::DataRead;
+                i1.ndu0.dst = 0;
+                i1.ndu0.addrReg = kPatchB;
+                i1.ndu0.param = uint8_t(NduStride::S128);
+                pb.emit(i1);
+
+                // Below the slot's columns (P0) and above them (not
+                // P1) keep the row; the columns take the gather.
+                Instruction i2;
+                i2.ctrl.op = CtrlOp::SetAddrRow;
+                i2.ctrl.reg = kOutReg;
+                i2.ctrl.imm =
+                    uint32_t(ph.baseRow + ph.rowOfPacked(b, cb));
+                i2.dataRead.enable = true;
+                i2.dataRead.reg = kOutReg;
+                i2.ndu0.op = NduOp::MergeMask;
+                i2.ndu0.srcA = RowSrc::N0;
+                i2.ndu0.srcB = RowSrc::DataRead;
+                i2.ndu0.dst = 1;
+                i2.ndu0.param = 1; // P1.
+                i2.ndu1.op = NduOp::MergeMask;
+                i2.ndu1.srcA = RowSrc::DataRead;
+                i2.ndu1.srcB = RowSrc::N1;
+                i2.ndu1.dst = 2;
+                i2.ndu1.param = 0; // P0.
+                i2.write.enable = true;
+                i2.write.addrReg = kOutReg;
+                i2.write.src = RowSrc::N2;
+                pb.emit(i2);
+            }
+        }
+    }
+}
+
+} // namespace
+
+bool
+phaseSplitFits(const TensorLayout &in, int kh, int kw, int pad_top,
+               int pad_left)
+{
+    // Taps r = 0 and r = k - 1 bound the phase offsets to [-1, 1].
+    auto fits = [](int k, int pad) {
+        return tapPhase(0, pad).second >= -1 &&
+               tapPhase(k - 1, pad).second <= 1;
+    };
+    return in.kind == LayoutKind::Interleaved &&
+           (in.packed() || in.xtiles() == 1) && fits(kh, pad_top) &&
+           fits(kw, pad_left);
+}
+
+int
+phaseSplitRows(const ConvKernel &p)
+{
+    return std::popcount(phaseSplitPhases(p.kh, p.kw, p.padTop,
+                                          p.padLeft)) *
+           phaseLayout(p.out, p.cin, p.in.zeroByte).rows();
+}
+
 void
 emitPadRowInit(ProgramBuilder &pb, const TensorLayout &lay)
 {
@@ -471,6 +643,55 @@ emitEdgePatch(ProgramBuilder &pb, const TensorLayout &lay,
 namespace {
 
 /**
+ * Repair the first `lanes` lanes of every x-tile after the first: a
+ * negative gather shift reads them from before the input tile's row.
+ * The previous tile computed the same outputs correctly as its halo
+ * lanes 56.., from its own row. Run before emitEdgePatch, which
+ * overwrites those halo lanes.
+ */
+void
+emitTileStartRepair(ProgramBuilder &pb, const TensorLayout &lay,
+                    const MaskTable &masks, int lanes)
+{
+    if (lanes <= 0 || lay.xtiles() < 2)
+        return;
+    pb.setByte(kPatchB, kOwnW * 64); // Gather lane 56 + g into g.
+    pb.loadMask(kMask, masks.rowFor(lanes), 0);
+    for (int t = 1; t < lay.xtiles(); ++t)
+    for (int yp = lay.padTop; yp < lay.padTop + lay.h; ++yp)
+    for (int cb = 0; cb < lay.cblocks(); ++cb) {
+        Instruction i1;
+        i1.ctrl.op = CtrlOp::SetAddrRow;
+        i1.ctrl.reg = kPatchA;
+        i1.ctrl.imm = uint32_t(lay.baseRow + lay.rowOf(yp, cb, t - 1));
+        i1.dataRead.enable = true;
+        i1.dataRead.reg = kPatchA;
+        i1.ndu0.op = NduOp::WindowGather;
+        i1.ndu0.srcA = RowSrc::DataRead;
+        i1.ndu0.dst = 0;
+        i1.ndu0.addrReg = kPatchB;
+        i1.ndu0.param = uint8_t(NduStride::S64);
+        pb.emit(i1);
+
+        Instruction i2;
+        i2.ctrl.op = CtrlOp::SetAddrRow;
+        i2.ctrl.reg = kPatchA;
+        i2.ctrl.imm = uint32_t(lay.baseRow + lay.rowOf(yp, cb, t));
+        i2.dataRead.enable = true;
+        i2.dataRead.reg = kPatchA;
+        i2.ndu0.op = NduOp::MergeMask;
+        i2.ndu0.srcA = RowSrc::N0;
+        i2.ndu0.srcB = RowSrc::DataRead;
+        i2.ndu0.dst = 1;
+        i2.ndu0.param = 0; // P0.
+        i2.write.enable = true;
+        i2.write.addrReg = kPatchA;
+        i2.write.src = RowSrc::N1;
+        pb.emit(i2);
+    }
+}
+
+/**
  * Stem convolution over a GroupedRf input: each group already holds
  * its output position's receptive-field row (strides folded into the
  * packing), so the whole accumulation is one dense Rep over
@@ -595,8 +816,9 @@ emitConvPackedToPacked(ProgramBuilder &pb, const ConvKernel &p)
 
 /**
  * Convolution reading a y-packed input and writing a plain interleaved
- * output (any stride; used by stride-2 stage transitions and global
- * heads). Vertical taps pick the owning block/slot statically per r.
+ * output (any stride; used by depthwise stride-2 stage transitions,
+ * stride-2 convs whose output is too narrow to pack, and global heads).
+ * Vertical taps pick the owning block/slot statically per r.
  */
 void
 emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
@@ -673,11 +895,77 @@ emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
     emitEdgePatch(pb, lo, p.masks);
 }
 
+/**
+ * Stride-2 standard convolution writing a y-packed output: copy the
+ * input phases the taps read (emitPhaseSplit), then run a stride-1
+ * packed->packed conv over them. Tap (r, s) reads phase
+ * ((r - padTop) & 1, (s - padLeft) & 1) at a slot/position offset of
+ * -1, 0 or 1, as one repMac Rep of ncb*64 taps over PerTap weights.
+ */
+void
+emitConvPhaseSplit(ProgramBuilder &pb, const ConvKernel &p)
+{
+    const TensorLayout &lo = p.out;
+    fatal_if(!phaseSplitFits(p.in, p.kh, p.kw, p.padTop, p.padLeft),
+             "stride-2 conv (k %dx%d, pad %d/%d) cannot run phase-split",
+             p.kh, p.kw, p.padTop, p.padLeft);
+    fatal_if(p.phaseBase < 0, "phase-split conv needs a phase scratch");
+
+    const unsigned phases =
+        phaseSplitPhases(p.kh, p.kw, p.padTop, p.padLeft);
+    TensorLayout ph[4];
+    int next = p.phaseBase;
+    for (int i = 0; i < 4; ++i) {
+        if (!(phases >> i & 1))
+            continue;
+        ph[i] = phaseLayout(lo, p.cin, p.in.zeroByte);
+        ph[i].baseRow = next;
+        next += ph[i].rows();
+        emitPhaseSplit(pb, p.in, ph[i], i >> 1, i & 1, p.masks);
+    }
+
+    const int ncb = (p.cin + kCBlock - 1) / kCBlock;
+    const int nkb = (p.cout + kCBlock - 1) / kCBlock;
+    const int tap_rows_per_kb = p.kh * ncb * p.kw;
+
+    pb.setZeroOff(p.dataZero, p.weightZero);
+    pb.setInc(kDataA, 1, 1);
+    pb.setWrap(kDataA, 64);
+    pb.setInc(kWtA, 1, 64);
+    pb.setWrap(kWtA, 64);
+
+    for (int b = 0; b < lo.blocks(); ++b)
+    for (int kb = 0; kb < nkb; ++kb) {
+        pb.emit(biasLoad(p.weightBase + kb));
+        pb.setRow(kWtA, p.weightBase + nkb + kb * tap_rows_per_kb);
+        pb.setByte(kWtA, 0);
+        for (int r = 0; r < p.kh; ++r)
+        for (int s = 0; s < p.kw; ++s) {
+            auto [py, oy] = tapPhase(r, p.padTop);
+            auto [px, ox] = tapPhase(s, p.padLeft);
+            const TensorLayout &src = ph[py * 2 + px];
+            pb.setRow(kDataA, src.baseRow + src.rowOfPacked(b, 0));
+            pb.setByte(kDataA, rowByte((oy * lo.pitch + ox) * 64));
+            pb.emit(repMac(uint32_t(ncb * 64), kDataA, kWtA,
+                           NduOp::GroupBcast, NduStride::S64,
+                           Pred::None));
+        }
+        pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, kb),
+                             p.rqIndex));
+    }
+
+    emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
+}
+
 } // namespace
 
 void
 emitConv(ProgramBuilder &pb, const ConvKernel &p)
 {
+    if (usesPhaseSplit(p)) {
+        emitConvPhaseSplit(pb, p);
+        return;
+    }
     if (p.in.kind == LayoutKind::GroupedRf) {
         emitStemConv(pb, p);
         return;
@@ -702,10 +990,18 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
     const bool s2 = p.strideW == 2;
     fatal_if(p.strideW != 1 && p.strideW != 2,
              "conv stride %d unsupported", p.strideW);
+    // Stride-2 gathers over a multi-tile input run as two predicated
+    // passes: pass A (P0, lanes 0..28) reads the even input tile, pass
+    // B (not P0) the odd one. A single-tile input needs only pass A,
+    // unpredicated: the gather bound below keeps every valid output
+    // lane inside the row, and the rest are output padding.
+    const bool two_pass = s2 && nt_i > 1;
 
     // Horizontal shift between output lanes and input bytes. A
-    // negative delta only corrupts lanes that are the output's own
-    // padding (restored by the edge patch); the stride-2 split keeps
+    // negative delta corrupts the first -delta lanes of every output
+    // tile: in tile 0 they are the output's own left padding (restored
+    // by the edge patch), later tiles take them from the previous
+    // tile's halo lanes (emitTileStartRepair). The stride-2 split keeps
     // its pass-B boundary valid down to delta = -2. Single-tile
     // tensors additionally allow negative coordinates outright: the
     // gather wraps into the zero-stamped row tail, which reads as
@@ -723,9 +1019,6 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
                      63,
                  "gathers overrun the single-tile row (delta=%d)",
                  delta);
-        fatal_if(s2 && lo.padLeft + lo.w > 29,
-                 "single-tile stride-2 output too wide for the "
-                 "predicated split");
     } else {
         fatal_if(delta + p.kw - 1 > 8,
                  "layout padding slack %d out of halo range (kw=%d)",
@@ -757,7 +1050,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
     pb.setWrap(kDataA, data_wrap);
     pb.setInc(kWtA, 1, 64);
     pb.setWrap(kWtA, 64);
-    if (s2) {
+    if (two_pass) {
         pb.setInc(kBias, data_row_inc, data_byte_inc);
         pb.setWrap(kBias, data_wrap);
         pb.setInc(kWtB, 1, 64);
@@ -793,9 +1086,9 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
 
             pb.emit(biasLoad(bias_row));
             pb.emit(repMac(reps, kDataA, kWtA, data_op, gs,
-                           s2 ? Pred::P0 : Pred::None));
+                           two_pass ? Pred::P0 : Pred::None));
 
-            if (s2) {
+            if (two_pass) {
                 int t_ib = clampTile(2 * t_o + 1, nt_i);
                 pb.setRow(kBias,
                           li.baseRow +
@@ -815,6 +1108,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         }
     }
 
+    emitTileStartRepair(pb, lo, p.masks, -delta);
     emitEdgePatch(pb, lo, p.masks);
 }
 
@@ -1040,6 +1334,7 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
     const int nt_i = li.xtiles();
     const int nt_o = lo.xtiles();
     const bool s2 = p.strideW == 2;
+    const bool two_pass = s2 && nt_i > 1; // As in emitConv.
 
     const int delta = li.padLeft - p.padLeft - p.strideW * lo.padLeft;
     if (nt_i == 1 && nt_o == 1) {
@@ -1048,8 +1343,6 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
                              delta >
                          63,
                  "pool gathers overrun the single-tile row");
-        fatal_if(s2 && lo.padLeft + lo.w > 29,
-                 "single-tile stride-2 pool output too wide");
     } else {
         fatal_if(delta + p.kw - 1 > 8,
                  "pool layout padding slack %d out of halo range",
@@ -1062,7 +1355,7 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
     pb.setZeroOff(p.dataZero, 0);
     pb.setInc(kDataA, ncb * nt_i, 64);
     pb.setWrap(kDataA, p.kw);
-    if (s2) {
+    if (two_pass) {
         pb.setInc(kBias, ncb * nt_i, 64);
         pb.setWrap(kBias, p.kw);
         pb.loadMask(kMask, p.masks.rowFor(29), 0);
@@ -1112,9 +1405,9 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
         int t_ia = clampTile(s2 ? 2 * t_o : t_o, nt_i);
         pb.setRow(kDataA, li.baseRow + li.rowOf(yi_p, cb, t_ia));
         pb.setByte(kDataA, ((delta * 64) % 4096 + 4096) % 4096);
-        pb.emit(pool_pass(kDataA, s2 ? Pred::P0 : Pred::None));
+        pb.emit(pool_pass(kDataA, two_pass ? Pred::P0 : Pred::None));
 
-        if (s2) {
+        if (two_pass) {
             int t_ib = clampTile(2 * t_o + 1, nt_i);
             pb.setRow(kBias, li.baseRow + li.rowOf(yi_p, cb, t_ib));
             int base_b = ((delta - kOwnW) * 64 % 4096 + 4096) % 4096;
@@ -1127,6 +1420,7 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
             p.rqIndex));
     }
 
+    emitTileStartRepair(pb, lo, p.masks, -delta);
     emitEdgePatch(pb, lo, p.masks);
 }
 

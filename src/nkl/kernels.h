@@ -9,9 +9,12 @@
  * (ky, cblock, kx, c) runs as ONE Rep instruction per output row-tile,
  * using circular-buffer address registers — the paper's "entire loop
  * can be encoded in a single Ncore instruction" (Fig. 6). Stride-2
- * kernels run two predicated passes (even/odd input tiles). After each
- * layer an edge-patch pass rewrites the halo lanes and re-stamps
- * padding lanes with the zero point.
+ * kernels gather every second x position; over a multi-tile input they
+ * run two predicated passes (even/odd input tiles), over a single-tile
+ * input one. A standard stride-2 conv with a y-packed output instead
+ * reads phase copies of its input (space-to-depth by 2) and runs as a
+ * stride-1 packed conv. After each layer an edge-patch pass rewrites
+ * the halo lanes and re-stamps padding lanes with the zero point.
  *
  * Address register convention inside kernels:
  *   a0/a1: edge patch scratch;  a2: output row writes;  a3: weights B;
@@ -62,9 +65,37 @@ struct ConvKernel
     /// Data-RAM row of the y-packed content mask (owned slots x valid
     /// x positions); required when `out` is packed.
     int contentMaskRow = -1;
+    /// Scratch rows for the phase copies of a phase-split conv (see
+    /// usesPhaseSplit); the copies sit back to back from here.
+    int phaseBase = -1;
 };
 
+/**
+ * Emit a convolution. A standard stride-2 conv with a y-packed output
+ * first copies the input phases it reads into `phaseBase` and expects
+ * its weights packed in ConvTapOrder::PerTap; every other conv reads
+ * ConvTapOrder::RowMajor weights.
+ */
 void emitConv(ProgramBuilder &pb, const ConvKernel &p);
+
+/** True when emitConv runs `p` as a phase-split conv. */
+inline bool
+usesPhaseSplit(const ConvKernel &p)
+{
+    return !p.depthwise && p.strideH == 2 && p.strideW == 2 &&
+           p.out.packed();
+}
+
+/**
+ * True when a stride-2 conv reading `in` can run phase-split: the
+ * source is a plain single-tile or y-packed tensor, and every tap lands
+ * at most one phase position (or slot) away from its output lane.
+ */
+bool phaseSplitFits(const TensorLayout &in, int kh, int kw, int pad_top,
+                    int pad_left);
+
+/** Scratch rows all phase copies of a phase-split conv occupy. */
+int phaseSplitRows(const ConvKernel &p);
 
 /**
  * Re-stamp a produced y-packed tensor: zero-point the non-content
@@ -80,7 +111,8 @@ std::vector<uint8_t> yPackedContentMask(const TensorLayout &lay);
 /**
  * Repack a plain interleaved tensor into its y-packed form on-chip
  * (used after producers that cannot write packed rows directly:
- * stride-2 layers and layer outputs entering a packed region).
+ * stems, depthwise stride-2 layers and layer outputs entering a packed
+ * region).
  */
 struct RepackKernel
 {

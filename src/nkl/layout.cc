@@ -248,7 +248,8 @@ convWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin)
 }
 
 std::vector<uint8_t>
-packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte)
+packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte,
+                ConvTapOrder order)
 {
     const Shape &ws = w.shape(); // OHWI
     const int64_t k = ws.dim(0), kh = ws.dim(1), kw = ws.dim(2),
@@ -271,17 +272,20 @@ packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte)
         }
     }
 
-    // Tap rows: per kb, taps ordered (r, cb, s, c), 64 taps per row,
-    // each tap a 64-byte block of w[kb*64 + 0..63, r, s, cb*64 + c].
+    // Tap rows: per kb, taps in `order`, 64 taps per row, each tap a
+    // 64-byte block of w[kb*64 + 0..63, r, s, cb*64 + c].
     const uint8_t *pw = w.raw();
+    const bool per_tap = order == ConvTapOrder::PerTap;
     for (int64_t kb = 0; kb < nkb; ++kb) {
         uint8_t *base =
             img.data() + size_t(nkb + kb * tap_rows_per_kb) * kRowBytes;
         int64_t tap = 0;
         for (int64_t r = 0; r < kh; ++r)
-        for (int64_t cb = 0; cb < ncb; ++cb)
-        for (int64_t s = 0; s < kw; ++s)
+        for (int64_t outer = 0; outer < (per_tap ? kw : ncb); ++outer)
+        for (int64_t inner = 0; inner < (per_tap ? ncb : kw); ++inner)
         for (int64_t cc = 0; cc < kCBlock; ++cc, ++tap) {
+            const int64_t s = per_tap ? outer : inner;
+            const int64_t cb = per_tap ? inner : outer;
             int64_t c = cb * kCBlock + cc;
             uint8_t *block = base + (tap / 64) * kRowBytes +
                              (tap % 64) * 64;

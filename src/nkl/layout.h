@@ -210,16 +210,25 @@ void unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
 // Weight RAM images
 // ---------------------------------------------------------------------
 
+/** Tap order of a conv weight image (the kernel's Rep-loop order). */
+enum class ConvTapOrder : uint8_t {
+    RowMajor, ///< (r, cb, s, c): one Rep per kernel row r.
+    PerTap,   ///< (r, s, cb, c): one Rep per tap (r, s); phase-split
+              ///< stride-2 convs, whose taps read different phases.
+};
+
 /**
  * Conv weight image for OHWI weights [K, Kh, Kw, Cin]:
  * per output-channel block kb, `Kh * cblocks(Cin) * Kw` 64-tap groups in
- * the Rep-loop order (r, cb, s, c); each tap is a 64-byte block
+ * the Rep-loop order `order`; each tap is a 64-byte block
  * w[kb*64 .. kb*64+63, tap], padded with the weight zero point.
  * Preceded by one bias row per kb (64 int32 in bytes 0..255).
- * Returns rows of 4096 bytes: [bias rows][tap rows].
+ * Returns rows of 4096 bytes: [bias rows][tap rows]. For 1x1 kernels
+ * both orders are (cb, c).
  */
-std::vector<uint8_t> packConvWeights(const Tensor &w, const Tensor *bias,
-                                     uint8_t zero_byte);
+std::vector<uint8_t>
+packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte,
+                ConvTapOrder order = ConvTapOrder::RowMajor);
 
 /** Rows occupied by packConvWeights output. */
 int convWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin);

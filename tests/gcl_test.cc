@@ -3,13 +3,19 @@
  * GCL tests: optimization passes (batch-norm folding, pad fusion,
  * activation fusion, dead-node elimination), partitioning decisions,
  * and compile-time planning invariants (layouts, memory plan, weight
- * promotion vs streaming).
+ * promotion vs streaming, phase-split stride-2 convs).
  */
+
+#include <algorithm>
+#include <array>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "gcl/compiler.h"
 #include "gcl/passes.h"
+#include "models/zoo.h"
+#include "ncore/exec_specialized.h"
 #include "x86/reference.h"
 
 namespace ncore {
@@ -259,6 +265,92 @@ TEST(GclPlanning, OversizedInputExhaustsDataRam)
     gb.output(qconv(gb, rng, "c", x, 64, 3, 2, 1, ActFn::Relu));
     Graph g = gb.take();
     EXPECT_DEATH(compile(std::move(g)), "data RAM exhausted");
+}
+
+/** Whether the specialized engine runs `in` as a fused conv Rep. */
+bool
+convRepShaped(const Instruction &in)
+{
+    constexpr int kRb = 4096;
+    static std::vector<uint8_t> rows(14 * kRb);
+    static std::vector<int32_t> acc(kRb);
+    static std::array<RequantEntry, 256> rq{};
+    static std::array<std::array<uint8_t, 256>, 4> luts{};
+    uint8_t *next = rows.data();
+    auto row = [&] { return std::exchange(next, next + kRb); };
+    PlanBindings b;
+    b.rb = kRb;
+    b.sliceBytes = kRb / 16;
+    b.acc = acc.data();
+    for (uint8_t *&n : b.n)
+        n = row();
+    b.outLo = row();
+    b.outHi = row();
+    b.dataLo = row();
+    b.dataHi = row();
+    b.weightLo = row();
+    b.weightHi = row();
+    b.immRow = row();
+    b.pred[0] = row();
+    b.pred[1] = row();
+    b.scratch = row();
+    b.rqTable = rq.data();
+    b.luts = luts.data();
+    return buildExecPlan(in, b).convRep != nullptr;
+}
+
+TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
+{
+    // Stage-4/5 block1 `b` and `proj` write their y-packed outputs
+    // directly (every requant store lands in the output tensor, none
+    // in a repack temp) with one unpredicated pass of fused conv Reps.
+    // A fallback to the predicated or repacked lowering fails here.
+    Loadable ld = compile(buildResNet50V15());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    std::vector<Instruction> code;
+    for (const EncodedInstruction &e : sg.code)
+        code.push_back(decodeInstruction(e));
+
+    for (const char *name : {"stage4/block1/b", "stage4/block1/proj",
+                             "stage5/block1/b", "stage5/block1/proj"}) {
+        SCOPED_TRACE(name);
+        int id = -1;
+        for (size_t i = 0; i < ld.graph.nodes().size(); ++i)
+            if (ld.graph.nodes()[i].name == name)
+                id = int(i);
+        ASSERT_GE(id, 0);
+        const TensorLayout &out =
+            sg.layouts.at(ld.graph.nodes()[size_t(id)].outputs[0]);
+        EXPECT_TRUE(out.packed());
+
+        auto marker = [&](uint32_t tag) {
+            return std::find_if(code.begin(), code.end(),
+                                [&](const Instruction &in) {
+                                    return in.ctrl.op == CtrlOp::Event &&
+                                           in.ctrl.imm == tag;
+                                });
+        };
+        auto begin = marker(uint32_t(id) << 2 | 1);
+        auto end = marker(uint32_t(id) << 2 | 2);
+        ASSERT_TRUE(begin < end && end != code.end());
+
+        int stores = 0, mac_reps = 0;
+        for (auto it = begin; it != end; ++it) {
+            if (it->out.op == OutOp::Requant8) {
+                ++stores;
+                EXPECT_GE(int(it->ctrl.imm), out.baseRow);
+                EXPECT_LT(int(it->ctrl.imm), out.baseRow + out.rows());
+            }
+            if (it->ctrl.op == CtrlOp::Rep && it->npu.op == NpuOp::Mac) {
+                ++mac_reps;
+                EXPECT_TRUE(convRepShaped(*it));
+                EXPECT_EQ(it->npu.pred, Pred::None);
+            }
+        }
+        EXPECT_EQ(stores, out.rows());
+        EXPECT_GT(mac_reps, 0);
+    }
 }
 
 TEST(GclPlanning, CompileIsDeterministic)

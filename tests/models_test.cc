@@ -3,9 +3,10 @@
  * Model zoo tests: Table V characteristics (MACs, weights,
  * MACs/weight) for all four benchmark networks, compile-time planning
  * properties the paper calls out (MobileNet weight promotion, ResNet
- * pad fusion, SSD's x86-resident NMS tail), a full MobileNet-V1
- * end-to-end Ncore-vs-reference inference, and golden per-model device
- * totals (any cycle change must update these deliberately).
+ * pad fusion, SSD's x86-resident NMS tail), full MobileNet-V1,
+ * ResNet-50 and SSD end-to-end Ncore-vs-reference inferences, and
+ * golden per-model device totals (any cycle change must update these
+ * deliberately).
  */
 
 #include <gtest/gtest.h>
@@ -124,27 +125,67 @@ TEST(ModelCompile, SsdUsesStemLayoutAndX86Nms)
     }
 }
 
-TEST(ModelEndToEnd, MobileNetNcoreMatchesReference)
+/**
+ * One sample through compile + NcoreDevice: every model output, and
+ * every Ncore subgraph output (logits before an x86 softmax or NMS,
+ * which can hide wrong codes), must match the x86 reference bit for
+ * bit.
+ */
+InferenceResult
+expectNcoreMatchesReference(Graph g, uint64_t seed)
 {
-    Graph g = buildMobileNetV1();
     Loadable ld = compile(std::move(g));
-
-    Tensor x(Shape{1, 224, 224, 3}, DType::UInt8,
-             ld.graph.tensor(ld.graph.inputs()[0]).quant);
-    Rng rng(123);
+    const GirTensor &in = ld.graph.tensor(ld.graph.inputs()[0]);
+    Tensor x(in.shape, DType::UInt8, in.quant);
+    Rng rng(seed);
     x.fillRandom(rng);
 
-    Tensor want = ReferenceExecutor(ld.graph).run({x})[0];
+    ReferenceExecutor ref(ld.graph);
+    std::vector<Tensor> want = ref.run({x});
 
-    NcoreDevice dev(LoadedModel::create(std::move(ld)));
+    NcoreDevice dev(LoadedModel::create(ld));
     InferenceResult res = dev.exec.infer({x});
+    EXPECT_EQ(res.outputs.size(), want.size());
+    for (size_t i = 0; i < want.size() && i < res.outputs.size(); ++i)
+        EXPECT_EQ(maxAbsDiff(res.outputs[i], want[i]), 0.0f)
+            << "model output " << i;
 
-    EXPECT_EQ(maxAbsDiff(res.outputs[0], want), 0.0f);
+    for (size_t s = 0; s < ld.subgraphs.size(); ++s) {
+        const CompiledSubgraph &sg = ld.subgraphs[s];
+        std::vector<Tensor> ins;
+        for (TensorId t : sg.inputs)
+            ins.push_back(ref.valueOf(t));
+        std::vector<Tensor> outs = dev.runtime.invoke(int(s), ins);
+        for (size_t k = 0; k < sg.outputs.size(); ++k)
+            EXPECT_EQ(maxAbsDiff(outs[k], ref.valueOf(sg.outputs[k])),
+                      0.0f)
+                << ld.graph.tensor(sg.outputs[k]).name;
+    }
+    return res;
+}
+
+TEST(ModelEndToEnd, MobileNetNcoreMatchesReference)
+{
+    InferenceResult res =
+        expectNcoreMatchesReference(buildMobileNetV1(), 123);
 
     // Sanity on the measured compute: MobileNet is 0.57 GMACs; with
     // tiling overheads the machine executes somewhat more lane-MACs.
     EXPECT_GT(res.timing.ncoreMacs, 550ull * 1000 * 1000);
     EXPECT_GT(res.timing.ncoreCycles, 100000u);
+}
+
+// Stride-2 stage transitions (ResNet's block1 b/proj, SSD's extra
+// layers) run phase-split on Ncore; one sample each (the reference
+// takes about 10 s per ResNet-50 sample).
+TEST(ModelEndToEnd, ResNet50NcoreMatchesReference)
+{
+    expectNcoreMatchesReference(buildResNet50V15(), 7);
+}
+
+TEST(ModelEndToEnd, SsdMobileNetNcoreMatchesReference)
+{
+    expectNcoreMatchesReference(buildSsdMobileNetV1(), 11);
 }
 
 TEST(ModelGnmt, TranslateIsDeterministic)
@@ -214,19 +255,19 @@ expectDeviceTotals(Workload w, const DeviceTotals &golden)
 TEST(ModelDeviceTotals, MobileNetV1)
 {
     expectDeviceTotals(Workload::MobileNetV1,
-                       {378564, 378564, 0, 1437118464});
+                       {377548, 377548, 0, 1431265280});
 }
 
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {3355884, 3138428, 27320320, 12562948096});
+                       {2534191, 2316735, 27320320, 9231601664});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)
 {
     expectDeviceTotals(Workload::SsdMobileNet,
-                       {995826, 995826, 0, 3888623616});
+                       {907374, 907374, 0, 3525279744});
 }
 
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time

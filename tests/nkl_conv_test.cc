@@ -1,9 +1,12 @@
 /**
  * @file
  * NKL convolution kernels vs the x86 reference executor: standard and
- * depthwise convolutions across strides, paddings, kernel sizes and
- * channel counts must match the quantized reference bit-for-bit.
+ * depthwise convolutions across strides, paddings, kernel sizes,
+ * channel counts and output paddings must match the quantized
+ * reference bit-for-bit.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,7 +25,31 @@ struct ConvCase
     int pad; // Same pad on all sides.
     bool depthwise;
     ActFn act;
+    /// Materialized x/y pad of the output layout: its gathers shift by
+    /// -stride * outPad, which later x-tiles repair from their left
+    /// neighbor's halo.
+    int outPad = 0;
 };
+
+/** Test name, e.g. h8w8_c64_k64_3x3_s2_p1 (_dw, _op1 for outPad). */
+std::string
+convCaseName(const ::testing::TestParamInfo<ConvCase> &info)
+{
+    const ConvCase &c = info.param;
+    std::string name = "h" + std::to_string(c.h) + "w" +
+                       std::to_string(c.w) + "_c" +
+                       std::to_string(c.cin) + "_k" +
+                       std::to_string(c.cout) + "_" +
+                       std::to_string(c.kh) + "x" +
+                       std::to_string(c.kw) + "_s" +
+                       std::to_string(c.stride) + "_p" +
+                       std::to_string(c.pad);
+    if (c.depthwise)
+        name += "_dw";
+    if (c.outPad > 0)
+        name += "_op" + std::to_string(c.outPad);
+    return name;
+}
 
 class NklConvTest : public ::testing::TestWithParam<ConvCase>
 {
@@ -89,8 +116,9 @@ TEST_P(NklConvTest, MatchesQuantizedReference)
     TensorLayout li = interleavedLayout(x_val.shape(), cc.pad, cc.pad,
                                         cc.pad, cc.pad,
                                         uint8_t(in_qp.zeroPoint));
-    li.baseRow = 64;
-    TensorLayout lo = interleavedLayout(out_desc.shape, 0, 0, 0, 0,
+    li.baseRow = MaskTable::kRows; // Past the mask table.
+    TensorLayout lo = interleavedLayout(out_desc.shape, cc.outPad,
+                                        cc.outPad, cc.outPad, cc.outPad,
                                         uint8_t(out_qp.zeroPoint));
     lo.baseRow = li.baseRow + li.rows() + 8;
     ASSERT_LE(lo.baseRow + lo.rows(), 2048);
@@ -159,7 +187,8 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{8, 60, 64, 64, 3, 3, 1, 1, false, ActFn::None},
         ConvCase{6, 120, 64, 64, 3, 3, 1, 1, false, ActFn::Relu},
         ConvCase{8, 8, 64, 64, 5, 5, 1, 2, false, ActFn::None},
-        ConvCase{10, 10, 32, 48, 3, 3, 1, 1, false, ActFn::None}));
+        ConvCase{10, 10, 32, 48, 3, 3, 1, 1, false, ActFn::None}),
+    convCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     StridedConv, NklConvTest,
@@ -169,7 +198,13 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{14, 14, 64, 64, 3, 3, 2, 1, false, ActFn::None},
         ConvCase{12, 60, 64, 64, 3, 3, 2, 1, false, ActFn::None},
         ConvCase{16, 16, 3, 32, 3, 3, 2, 1, false, ActFn::Relu6},
-        ConvCase{12, 12, 64, 64, 7, 7, 2, 3, false, ActFn::Relu}));
+        ConvCase{12, 12, 64, 64, 7, 7, 2, 3, false, ActFn::Relu},
+        // Single-tile inputs run one unpredicated pass.
+        ConvCase{28, 28, 64, 64, 3, 3, 2, 1, false, ActFn::Relu},
+        ConvCase{27, 27, 128, 64, 1, 1, 2, 0, false, ActFn::None},
+        ConvCase{28, 28, 192, 64, 3, 3, 2, 1, false, ActFn::None},
+        ConvCase{56, 53, 64, 64, 3, 3, 2, 1, false, ActFn::None}),
+    convCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     DepthwiseConv, NklConvTest,
@@ -179,7 +214,24 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{8, 60, 64, 64, 3, 3, 1, 1, true, ActFn::None},
         ConvCase{8, 8, 64, 64, 3, 3, 2, 1, true, ActFn::Relu6},
         ConvCase{14, 14, 96, 96, 3, 3, 2, 1, true, ActFn::None},
-        ConvCase{7, 7, 32, 32, 3, 3, 1, 1, true, ActFn::Relu}));
+        ConvCase{7, 7, 32, 32, 3, 3, 1, 1, true, ActFn::Relu},
+        ConvCase{28, 28, 64, 64, 3, 3, 2, 1, true, ActFn::Relu6},
+        ConvCase{27, 27, 64, 64, 3, 3, 2, 1, true, ActFn::None}),
+    convCaseName);
+
+// Padded multi-tile outputs: negative gather shifts, whose first lanes
+// of every later x-tile come from the previous tile's halo.
+INSTANTIATE_TEST_SUITE_P(
+    PaddedOutput, NklConvTest,
+    ::testing::Values(
+        ConvCase{4, 120, 64, 64, 1, 1, 1, 0, false, ActFn::None, 1},
+        ConvCase{4, 150, 32, 64, 1, 1, 1, 0, false, ActFn::Relu6, 1},
+        ConvCase{4, 120, 64, 64, 3, 3, 1, 1, false, ActFn::None, 1},
+        ConvCase{4, 120, 64, 64, 3, 3, 1, 1, true, ActFn::Relu, 1},
+        ConvCase{6, 150, 64, 64, 3, 3, 2, 1, true, ActFn::Relu6, 1},
+        ConvCase{6, 240, 64, 64, 3, 3, 2, 1, false, ActFn::None, 1},
+        ConvCase{8, 8, 64, 64, 3, 3, 2, 1, false, ActFn::None, 1}),
+    convCaseName);
 
 } // namespace
 } // namespace ncore

@@ -25,13 +25,31 @@ class NklOpsTest : public ::testing::Test
         testutil::writeMaskTable(m, masks);
     }
 
+    /** 3x3/2 pad-1 max pool of an h x w x 64 input into an output
+     *  layout with `out_pad` materialized pads. */
+    void runMaxPoolStride2(int h, int w, int out_pad);
+
     Machine m;
     MaskTable masks;
 };
 
+// A single-tile input runs one unpredicated pass.
 TEST_F(NklOpsTest, MaxPoolStride2MatchesReference)
 {
-    const int h = 12, w = 12, c = 64;
+    runMaxPoolStride2(12, 12, 0);
+}
+
+// Multi-tile inputs run two predicated passes; the padded multi-tile
+// output repairs the first lanes of its second tile.
+TEST_F(NklOpsTest, MaxPoolStride2MultiTileMatchesReference)
+{
+    runMaxPoolStride2(6, 150, 1);
+}
+
+void
+NklOpsTest::runMaxPoolStride2(int h, int w, int out_pad)
+{
+    const int c = 64;
     QuantParams qp = chooseAsymmetricUint8(-1.0f, 3.0f);
     Rng rng(31);
 
@@ -49,10 +67,10 @@ TEST_F(NklOpsTest, MaxPoolStride2MatchesReference)
     TensorLayout li =
         interleavedLayout(x_val.shape(), 1, 1, 1, 1,
                           uint8_t(qp.zeroPoint));
-    li.baseRow = 64;
+    li.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout lo =
-        interleavedLayout(want.shape(), 0, 0, 0, 0,
-                          uint8_t(qp.zeroPoint));
+        interleavedLayout(want.shape(), out_pad, out_pad, out_pad,
+                          out_pad, uint8_t(qp.zeroPoint));
     lo.baseRow = li.baseRow + li.rows() + 4;
     testutil::loadInterleaved(m, x_val, li);
 
@@ -115,7 +133,7 @@ TEST_F(NklOpsTest, GlobalAvgPoolMatchesReference)
 
     TensorLayout li = interleavedLayout(x_val.shape(), 0, 0, 0, 0,
                                         uint8_t(qp.zeroPoint));
-    li.baseRow = 64;
+    li.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout lo = interleavedLayout(want.shape(), 0, 0, 0, 0,
                                         uint8_t(qp.zeroPoint));
     lo.baseRow = li.baseRow + li.rows() + 4;
@@ -176,7 +194,7 @@ TEST_F(NklOpsTest, ResidualAddMatchesReference)
 
     TensorLayout la = interleavedLayout(a_val.shape(), 0, 0, 0, 0,
                                         uint8_t(a_qp.zeroPoint));
-    la.baseRow = 64;
+    la.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout lb = la;
     lb.zeroByte = uint8_t(b_qp.zeroPoint);
     lb.baseRow = la.baseRow + la.rows();
@@ -231,7 +249,7 @@ TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
     Tensor want = ref.run({a_val})[0];
 
     TensorLayout li = flatLayout(k);
-    li.baseRow = 64;
+    li.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout lo = flatLayout(n);
     lo.baseRow = li.baseRow + li.rows();
     testutil::loadFlat(m, a_val, li);
@@ -322,7 +340,7 @@ TEST_F(NklOpsTest, ChainedConvsExerciseHaloPatch)
     // rule the GCL implements.
     TensorLayout l0 = interleavedLayout(x_val.shape(), 1, 1, 2, 2,
                                         uint8_t(qp0.zeroPoint));
-    l0.baseRow = 64;
+    l0.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout l1 =
         interleavedLayout(g.tensor(t1).shape, 1, 1, 1, 1,
                           uint8_t(qp1.zeroPoint));

@@ -2,12 +2,15 @@
  * @file
  * Y-packed layout kernel tests: host pack/unpack round-trips, on-chip
  * repack from plain rows, packed->packed and packed->plain
- * convolutions (standard + depthwise, stride 1 and 2), pooling from
+ * convolutions (standard + depthwise, stride 1 and 2), phase-split
+ * stride-2 convolutions writing packed rows, pooling from
  * packed inputs, and residual adds over packed rows — all bit-exact
  * against the x86 reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "gir/graph.h"
 #include "nkl_test_util.h"
@@ -132,7 +135,22 @@ struct PackedConvCase
     int pad;
     bool depthwise;
     bool outPacked;
+    bool inPacked = true; ///< Else a plain single-tile input.
 };
+
+/** Test name, e.g. h14w14_c64_k64_3x3_s2_p1_packed_to_plain. */
+std::string
+packedConvName(const ::testing::TestParamInfo<PackedConvCase> &info)
+{
+    const PackedConvCase &c = info.param;
+    return "h" + std::to_string(c.h) + "w" + std::to_string(c.w) +
+           "_c" + std::to_string(c.cin) + "_k" + std::to_string(c.cout) +
+           "_" + std::to_string(c.k) + "x" + std::to_string(c.k) +
+           "_s" + std::to_string(c.stride) + "_p" +
+           std::to_string(c.pad) + (c.depthwise ? "_dw" : "") +
+           (c.inPacked ? "_packed" : "_plain") +
+           (c.outPacked ? "_to_packed" : "_to_plain");
+}
 
 class PackedConvTest : public ::testing::TestWithParam<PackedConvCase>
 {
@@ -180,8 +198,11 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     Tensor want = ReferenceExecutor(g).run({x_val})[0];
 
     // Device setup.
-    TensorLayout li = yPackedLayout(x_val.shape(),
-                                    uint8_t(in_qp.zeroPoint));
+    const uint8_t in_zp = uint8_t(in_qp.zeroPoint);
+    TensorLayout li =
+        cc.inPacked ? yPackedLayout(x_val.shape(), in_zp)
+                    : interleavedLayout(x_val.shape(), cc.pad, cc.pad,
+                                        cc.pad, cc.pad, in_zp);
     li.baseRow = 80;
     TensorLayout lo;
     if (cc.outPacked) {
@@ -199,23 +220,15 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
         m.hostWriteRow(false, cm_row, mask.data());
     }
 
-    std::vector<uint8_t> img(size_t(li.rows()) * 4096);
-    packYPacked(x_val, 0, li, img.data());
-    for (int r = 0; r < li.rows(); ++r)
-        m.hostWriteRow(false, li.baseRow + r,
-                       img.data() + size_t(r) * 4096);
-
-    auto w_img = cc.depthwise
-                     ? packDepthwiseWeights(w_val, &b_val,
-                                            uint8_t(w_qp.zeroPoint))
-                     : packConvWeights(w_val, &b_val,
-                                       uint8_t(w_qp.zeroPoint));
-    testutil::loadWeights(m, w_img, 0);
-
-    float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
-    m.writeRequantEntry(1, makeRequantEntry(mreal, out_qp,
-                                            DType::UInt8,
-                                            ActFn::Relu));
+    if (cc.inPacked) {
+        std::vector<uint8_t> img(size_t(li.rows()) * 4096);
+        packYPacked(x_val, 0, li, img.data());
+        for (int r = 0; r < li.rows(); ++r)
+            m.hostWriteRow(false, li.baseRow + r,
+                           img.data() + size_t(r) * 4096);
+    } else {
+        testutil::loadInterleaved(m, x_val, li);
+    }
 
     ConvKernel kp;
     kp.in = li;
@@ -232,6 +245,28 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     kp.masks = masks;
     kp.contentMaskRow = cm_row;
+    const bool phase_split = usesPhaseSplit(kp);
+    if (phase_split) {
+        kp.phaseBase = lo.baseRow + lo.rows() + 2;
+        ASSERT_LE(kp.phaseBase + phaseSplitRows(kp), 2048);
+    }
+    EXPECT_EQ(phase_split, !cc.depthwise && cc.stride == 2 &&
+                               cc.outPacked);
+
+    auto w_img = cc.depthwise
+                     ? packDepthwiseWeights(w_val, &b_val,
+                                            uint8_t(w_qp.zeroPoint))
+                     : packConvWeights(w_val, &b_val,
+                                       uint8_t(w_qp.zeroPoint),
+                                       phase_split
+                                           ? ConvTapOrder::PerTap
+                                           : ConvTapOrder::RowMajor);
+    testutil::loadWeights(m, w_img, 0);
+
+    float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
+    m.writeRequantEntry(1, makeRequantEntry(mreal, out_qp,
+                                            DType::UInt8,
+                                            ActFn::Relu));
 
     ProgramBuilder pb;
     emitConv(pb, kp);
@@ -265,7 +300,8 @@ INSTANTIATE_TEST_SUITE_P(
         PackedConvCase{7, 7, 256, 64, 1, 1, 0, false, true},
         PackedConvCase{14, 14, 96, 96, 3, 1, 1, true, true},
         PackedConvCase{7, 7, 64, 64, 3, 1, 1, true, true},
-        PackedConvCase{9, 12, 64, 64, 3, 1, 1, false, true}));
+        PackedConvCase{9, 12, 64, 64, 3, 1, 1, false, true}),
+    packedConvName);
 
 INSTANTIATE_TEST_SUITE_P(
     PackedToPlain, PackedConvTest,
@@ -274,7 +310,31 @@ INSTANTIATE_TEST_SUITE_P(
         PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, false},
         PackedConvCase{14, 14, 64, 64, 3, 2, 1, true, false},
         PackedConvCase{7, 7, 128, 64, 3, 1, 1, false, false},
-        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, false}));
+        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, false}),
+    packedConvName);
+
+// Stride-2 standard convs writing packed rows run phase-split: plain
+// single-tile inputs (ResNet stage 4's 28-wide input) and packed ones
+// (stage 5's 14-wide input, SSD's extra layers), odd widths and
+// heights, cin of one to three channel blocks.
+INSTANTIATE_TEST_SUITE_P(
+    PhaseSplit, PackedConvTest,
+    ::testing::Values(
+        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, true, false},
+        PackedConvCase{28, 28, 128, 64, 1, 2, 0, false, true, false},
+        PackedConvCase{28, 28, 192, 128, 3, 2, 1, false, true, false},
+        PackedConvCase{27, 27, 64, 64, 3, 2, 1, false, true, false},
+        PackedConvCase{27, 25, 64, 64, 1, 2, 0, false, true, false},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 1, false, true},
+        PackedConvCase{14, 14, 128, 128, 1, 2, 0, false, true},
+        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false, true},
+        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, true},
+        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false, true},
+        PackedConvCase{5, 5, 64, 64, 3, 2, 1, false, true},
+        PackedConvCase{3, 3, 64, 32, 3, 2, 1, false, true},
+        PackedConvCase{14, 14, 48, 64, 2, 2, 0, false, true},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, true}),
+    packedConvName);
 
 TEST_F(NklPackedTest, GlobalAvgPoolFromPackedInput)
 {

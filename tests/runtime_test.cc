@@ -278,6 +278,48 @@ TEST_F(RuntimeTest, StemChainMatchesReference)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
 }
 
+TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
+{
+    // A ResNet stage-transition block, 28 -> 14: its stride-2 `b` (3x3
+    // pad 1, after an explicit pad like the MLPerf graph) and `proj`
+    // (1x1) write y-packed rows from phase copies of their plain
+    // 28-wide inputs.
+    Rng rng(52);
+    GraphBuilder gb("block1");
+    QuantParams in_qp = actQp(-1.0f, 1.0f);
+    TensorId x = gb.input("x", Shape{1, 28, 28, 64}, DType::UInt8,
+                          in_qp);
+    TensorId proj = qconv(gb, rng, "proj", x, 128, 1, 2, 0, ActFn::None);
+    TensorId t = qconv(gb, rng, "a", x, 64, 1, 1, 0, ActFn::Relu);
+    t = gb.pad("pad", t, 1, 1, 1, 1);
+    t = qconv(gb, rng, "b", t, 64, 3, 2, 0, ActFn::Relu);
+    t = qconv(gb, rng, "c", t, 128, 1, 1, 0, ActFn::None);
+    gb.output(gb.add("add", t, proj, ActFn::Relu, actQp()));
+    Graph g = gb.take();
+
+    Tensor xv(Shape{1, 28, 28, 64}, DType::UInt8, in_qp);
+    Rng dr(53);
+    xv.fillRandom(dr);
+
+    Loadable ld = compile(std::move(g));
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    for (const Node &n : ld.graph.nodes()) {
+        if (n.name == "b" || n.name == "proj") {
+            EXPECT_TRUE(
+                ld.subgraphs[0].layouts.at(n.outputs[0]).packed())
+                << n.name;
+        }
+    }
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({xv});
+    for (int64_t i = 0; i < want.numElements(); ++i)
+        ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
+}
+
 TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
 {
     // A rank-2 subgraph input is a 1x1 interleaved tensor, so the FC
