@@ -12,9 +12,6 @@ namespace {
 constexpr int kMaskRows = MaskTable::kRows;
 constexpr int kDataRamRows = 2048;
 constexpr int kWeightRamRows = 2048;
-/// Rows per ping-pong streaming buffer when weights do not fit on-chip
-/// (two buffers are carved from the weight RAM).
-constexpr int kStreamBufferRows = 960;
 
 bool
 isQuantU8(const Graph &g, TensorId id)
@@ -807,33 +804,46 @@ class SubgraphCompiler
             }
             sg_.weightRowsUsed = base + reserved;
         } else {
-            // Stream through two ping-pong buffers.
+            // Stream through one ring over the unreserved weight RAM,
+            // one transfer per image on one FIFO queue. An image sits
+            // after the previous one (wrapping to row 0 when it does
+            // not fit) and is kicked, in stream order, once every
+            // earlier layer whose rows it overwrites has run.
             sg_.weightsPersistent = false;
-            fatal_if(2 * kStreamBufferRows + reserved > kWeightRamRows,
-                     "stream buffers do not fit the weight RAM");
+            const int ring = kWeightRamRows - reserved;
             uint64_t offset = 0;
-            int k = 0;
+            int next_row = 0;
             for (const Image &img : images) {
                 int rows = int(img.bytes.size() / 4096);
-                fatal_if(rows > kStreamBufferRows,
+                fatal_if(rows > ring,
                          "layer weight image (%d rows) exceeds the "
-                         "stream buffer (%d rows)",
-                         rows, kStreamBufferRows);
+                         "weight ring (%d rows)",
+                         rows, ring);
+                if (next_row + rows > ring)
+                    next_row = 0;
+                int after = kickAfter_.empty() ? -1 : kickAfter_.back();
+                for (size_t i = 0; i < sg_.chunks.size(); ++i) {
+                    const StreamChunk &o = sg_.chunks[i];
+                    if (int(o.targetRow) < next_row + rows &&
+                        next_row < int(o.targetRow + o.rows))
+                        after = std::max(after, int(i));
+                }
+                kickAfter_.push_back(after);
                 StreamChunk ch;
                 ch.dramOffset = offset;
                 ch.rows = uint32_t(rows);
-                ch.targetRow = uint32_t((k % 2) * kStreamBufferRows);
-                ch.queue = uint8_t(k % 2);
+                ch.targetRow = uint32_t(next_row);
+                weightBase_[img.nodeId] = next_row;
+                chunkOf_[img.nodeId] = int(sg_.chunks.size());
                 sg_.chunks.push_back(ch);
-                weightBase_[img.nodeId] = int(ch.targetRow);
-                chunkOf_[img.nodeId] = k;
                 sg_.streamImage.insert(sg_.streamImage.end(),
                                        img.bytes.begin(),
                                        img.bytes.end());
                 offset += uint64_t(rows) * 4096;
-                ++k;
+                next_row += rows;
+                sg_.weightRowsUsed =
+                    std::max(sg_.weightRowsUsed, next_row + reserved);
             }
-            sg_.weightRowsUsed = 2 * kStreamBufferRows + reserved;
         }
     }
 
@@ -868,12 +878,15 @@ class SubgraphCompiler
         ProgramBuilder pb;
         pb.event(CompiledSubgraph::kStartTag);
 
-        const int n_chunks = int(sg_.chunks.size());
-        if (!sg_.weightsPersistent) {
-            pb.dmaKick(0);
-            if (n_chunks > 1)
-                pb.dmaKick(1);
-        }
+        // Kick, in stream order, every image that may start once the
+        // layer of image `after` has run (-1: at subgraph start).
+        int kicked = 0;
+        auto kick_after = [&](int after) {
+            while (kicked < int(kickAfter_.size()) &&
+                   kickAfter_[size_t(kicked)] == after)
+                pb.dmaKick(kicked++);
+        };
+        kick_after(-1);
 
         for (size_t pos = 0; pos < nodeIds_.size(); ++pos) {
             int id = nodeIds_[pos];
@@ -882,10 +895,11 @@ class SubgraphCompiler
             // Per-layer event-log markers (the Table IX methodology).
             pb.event(uint32_t(id) << 2 | 1);
 
-            if (hasWeights(n.kind) && !sg_.weightsPersistent) {
-                int k = chunkOf_.at(id);
-                pb.dmaFence(k % 2);
-            }
+            // FIFO completion: image k is in once at most the images
+            // kicked after it are outstanding.
+            if (hasWeights(n.kind) && !sg_.weightsPersistent)
+                pb.dmaFence(CompiledSubgraph::kStreamQueue,
+                            kicked - 1 - chunkOf_.at(id));
 
             emitNode(pb, n, id);
 
@@ -900,11 +914,8 @@ class SubgraphCompiler
                 emitRepack(pb, rk);
             }
 
-            if (hasWeights(n.kind) && !sg_.weightsPersistent) {
-                int k = chunkOf_.at(id);
-                if (k + 2 < n_chunks)
-                    pb.dmaKick(k + 2);
-            }
+            if (hasWeights(n.kind) && !sg_.weightsPersistent)
+                kick_after(chunkOf_.at(id));
 
             pb.event(uint32_t(id) << 2 | 2);
         }
@@ -1060,6 +1071,9 @@ class SubgraphCompiler
     std::unordered_map<TensorId, int> baseRow_;
     std::unordered_map<int, int> weightBase_;
     std::unordered_map<int, int> chunkOf_;
+    /// Per stream chunk: the chunk whose layer must run before it is
+    /// kicked (-1: kicked at subgraph start). Non-decreasing.
+    std::vector<int> kickAfter_;
 
     int stemNodeId_ = -1;
     TensorId stemInput_ = kNoTensor;

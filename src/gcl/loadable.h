@@ -31,7 +31,6 @@ struct StreamChunk
     uint64_t dramOffset = 0; ///< Offset within the stream image.
     uint32_t rows = 0;       ///< Rows to transfer.
     uint32_t targetRow = 0;  ///< Destination weight RAM row.
-    uint8_t queue = 0;       ///< DMA completion queue (ping/pong).
 
     bool operator==(const StreamChunk &) const = default;
 };
@@ -75,6 +74,8 @@ struct CompiledSubgraph
     /// loadable event streams).
     static constexpr uint32_t kStartTag = kProfileSubgraphStart;
     static constexpr uint32_t kEndTag = kProfileSubgraphEnd;
+    /// DMA queue every stream chunk is kicked on, in chunk order.
+    static constexpr int kStreamQueue = 0;
 };
 
 /** Everything the runtime needs to execute one model. */

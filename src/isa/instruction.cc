@@ -121,7 +121,11 @@ Instruction::toString() const
     char buf[256];
     std::string s;
 
-    if (ctrl.op != CtrlOp::None) {
+    if (ctrl.op == CtrlOp::DmaFence) {
+        std::snprintf(buf, sizeof(buf), "dmafence q%u outstanding<=%u; ",
+                      ctrl.reg, ctrl.imm);
+        s += buf;
+    } else if (ctrl.op != CtrlOp::None) {
         std::snprintf(buf, sizeof(buf), "%s r%u #%u; ",
                       ctrlOpName(ctrl.op), ctrl.reg, ctrl.imm);
         s += buf;

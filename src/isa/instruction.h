@@ -139,8 +139,9 @@ enum class CtrlOp : uint8_t {
                  ///< the byte offset snaps back and row += rowInc
                  ///< (the paper's "circular buffer addressing modes").
     SetZeroOff,  ///< {dataZero,weightZero} = (imm>>8 & 255, imm & 255).
-    DmaKick,     ///< Start DMA descriptor `imm` from the descriptor table.
-    DmaFence,    ///< Stall until DMA queue `reg` drains.
+    DmaKick,     ///< Queue DMA descriptor `imm` on its FIFO queue.
+    DmaFence,    ///< Stall until DMA queue `reg` has at most `imm`
+                 ///< transfers outstanding (0: the queue drained).
     Event,       ///< Append `imm` to the debug event log (IV-F).
     Halt,        ///< Stop execution; raises the done interrupt.
 };

@@ -465,7 +465,7 @@ Machine::step()
       case CtrlOp::DmaFence: {
         int q = in.ctrl.reg;
         uint64_t stall0 = cost;
-        while (dma_->queueBusy(q)) {
+        while (dma_->outstanding(q) > int64_t(in.ctrl.imm)) {
             dma_->advance(8);
             cost += 8;
             perf_.dmaFenceStalls += 8;
@@ -539,18 +539,20 @@ Machine::step()
         }
     }
 
+    // Cycle-exact attribution: cost == fence_stall + reps * body_cost
+    // by construction, so the profiler's buckets sum to total cycles,
+    // and the hook sits in the one step() both engines share, so the
+    // accounting is bit-identical across engines. It runs before the
+    // pc advances: leaving a bank fires onBankFree_, which may refill
+    // that bank and re-decode the slot `in` refers to.
+    if (prof_)
+        prof_->onStep(in, reps, body_cost, fence_stall);
+
     if (halted) {
         running_ = false;
     } else if (!looped_back) {
         advancePcWithCallback();
     }
-
-    // Cycle-exact attribution: cost == fence_stall + reps * body_cost
-    // by construction, so the profiler's buckets sum to total cycles,
-    // and the hook sits in the one step() both engines share, so the
-    // accounting is bit-identical across engines.
-    if (prof_)
-        prof_->onStep(in, reps, body_cost, fence_stall);
 
     perf_.cycles += cost;
     return cost;

@@ -75,10 +75,11 @@ class ProgramBuilder
         emit(ctrl(CtrlOp::DmaKick, 0, uint32_t(desc)));
     }
 
+    /** Stall until `queue` has at most `outstanding` transfers left. */
     void
-    dmaFence(int queue)
+    dmaFence(int queue, int outstanding = 0)
     {
-        emit(ctrl(CtrlOp::DmaFence, queue, 0));
+        emit(ctrl(CtrlOp::DmaFence, queue, uint32_t(outstanding)));
     }
 
     void

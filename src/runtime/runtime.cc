@@ -106,7 +106,7 @@ NcoreRuntime::loadImages()
                 d.ramRow = ch.targetRow;
                 d.rowCount = ch.rows;
                 d.sysAddr = streamBase_[si] + ch.dramOffset;
-                d.queue = ch.queue;
+                d.queue = uint8_t(CompiledSubgraph::kStreamQueue);
                 driver_.writeDescriptor(int(k), d);
             }
         }

@@ -3,6 +3,7 @@
 #include "soc/compress.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -66,11 +67,11 @@ DmaEngine::kick(int idx)
     ++stats_.transfers;
 }
 
-bool
-DmaEngine::queueBusy(int q) const
+int
+DmaEngine::outstanding(int q) const
 {
     panic_if(q < 0 || q >= kQueues, "bad DMA queue %d", q);
-    return queueDepth_[q] > 0;
+    return queueDepth_[size_t(q)];
 }
 
 bool
@@ -82,43 +83,56 @@ DmaEngine::anyBusy() const
 void
 DmaEngine::advance(uint64_t n)
 {
-    // Coarse stepping: give each active transfer its fair share of DRAM
-    // bandwidth per direction, capped by the ring's 64 B/cycle/direction.
+    // Coarse stepping: give each queue head (the oldest transfer of its
+    // queue; active_ is in kick order) its fair share of DRAM bandwidth
+    // per direction, capped by the ring's 64 B/cycle/direction. A head
+    // that completes mid-step hands the cycles it did not need to the
+    // next transfer of its queue.
     while (n > 0 && !active_.empty()) {
         uint64_t step = std::min<uint64_t>(n, 64);
         n -= step;
         stats_.busyCycles += step;
 
         int readers = 0, writers = 0;
+        unsigned heads = 0;
         for (const Active &a : active_) {
-            if (a.latencyLeft >= step)
+            unsigned bit = 1u << a.desc.queue;
+            if (heads & bit)
                 continue;
-            (a.desc.toNcore ? readers : writers)++;
+            heads |= bit;
+            if (a.latencyLeft < step)
+                (a.desc.toNcore ? readers : writers)++;
         }
 
+        std::array<uint64_t, kQueues> usable;
+        usable.fill(step);
         for (size_t i = 0; i < active_.size();) {
             Active &a = active_[i];
-            uint64_t usable = step;
-            if (a.latencyLeft > 0) {
-                uint64_t burn = std::min(a.latencyLeft, usable);
-                a.latencyLeft -= burn;
-                usable -= burn;
-            }
-            if (usable > 0) {
-                int peers = a.desc.toNcore ? readers : writers;
-                double share = dramBytesPerCycle_ / std::max(peers, 1);
-                double rate = std::min(
-                    share, double(soc_.ringBytesPerCycle));
-                a.bytesMoved += rate * double(usable);
-            }
-            if (a.bytesMoved >= double(a.totalBytes)) {
-                complete(a);
-                --queueDepth_[a.desc.queue];
-                a = active_.back();
-                active_.pop_back();
-            } else {
+            // 0 once the queue's head has used up this step.
+            uint64_t &left = usable[a.desc.queue];
+            uint64_t burn = std::min(a.latencyLeft, left);
+            a.latencyLeft -= burn;
+            left -= burn;
+            if (left == 0) {
                 ++i;
+                continue;
             }
+            int peers = a.desc.toNcore ? readers : writers;
+            double share = dramBytesPerCycle_ / std::max(peers, 1);
+            double rate = std::min(share, double(soc_.ringBytesPerCycle));
+            double moved = a.bytesMoved + rate * double(left);
+            if (moved < double(a.totalBytes)) {
+                a.bytesMoved = moved;
+                left = 0;
+                ++i;
+                continue;
+            }
+            uint64_t used = uint64_t(
+                std::ceil((double(a.totalBytes) - a.bytesMoved) / rate));
+            left -= std::min(used, left);
+            complete(a);
+            --queueDepth_[a.desc.queue];
+            active_.erase(active_.begin() + ptrdiff_t(i));
         }
     }
 }

@@ -11,9 +11,11 @@
  * DRAM"); the driver configures base-address windows of up to 4 GB.
  *
  * The engine is advanced in Ncore clock cycles by the Ncore machine.
- * Transfers drain at the minimum of the ring per-direction bandwidth and
- * their fair share of DRAM bandwidth; data is copied functionally when
- * the modeled transfer completes, so programs observe the data only after
+ * Each queue is a FIFO: only its oldest outstanding transfer moves data,
+ * so a queue delivers transfers in kick order. The heads of the queues
+ * drain at the minimum of the ring per-direction bandwidth and their
+ * fair share of DRAM bandwidth; data is copied functionally when the
+ * modeled transfer completes, so programs observe the data only after
  * a DmaFence (exactly the discipline the NKL emits).
  */
 
@@ -88,11 +90,15 @@ class DmaEngine
     void setDescriptor(int idx, const DmaDescriptor &desc);
     const DmaDescriptor &descriptor(int idx) const;
 
-    /** Start the transfer in descriptor slot idx (from CtrlOp::DmaKick). */
+    /** Queue the transfer in descriptor slot idx at the tail of its
+     *  queue (from CtrlOp::DmaKick). */
     void kick(int idx);
 
+    /** Transfers kicked on queue q that have not completed. */
+    int outstanding(int q) const;
+
     /** True while queue q has outstanding transfers. */
-    bool queueBusy(int q) const;
+    bool queueBusy(int q) const { return outstanding(q) > 0; }
 
     /** True while any transfer is outstanding. */
     bool anyBusy() const;
@@ -114,7 +120,8 @@ class DmaEngine
         DmaDescriptor desc;
         double bytesMoved = 0;   ///< Modeled progress.
         uint64_t totalBytes = 0;
-        uint64_t latencyLeft = 0; ///< Startup latency cycles remaining.
+        uint64_t latencyLeft = 0; ///< Startup latency cycles remaining,
+                                  ///< paid once the transfer is head.
     };
 
     void complete(const Active &a);
@@ -123,7 +130,7 @@ class DmaEngine
     SystemMemory *mem_;
     RamRowPort *ram_;
     std::vector<DmaDescriptor> table_;
-    std::vector<Active> active_;
+    std::vector<Active> active_; ///< Outstanding transfers, kick order.
     std::array<int, kQueues> queueDepth_{};
     DmaStats stats_;
     double dramBytesPerCycle_;

@@ -216,6 +216,98 @@ TEST_F(DmaTest, ConcurrentQueuesBothComplete)
     EXPECT_FALSE(m.dma().queueBusy(1));
 }
 
+/** Stage `rows` rows of `fill` in DRAM and program descriptor `idx` to
+ *  move them into weight RAM row 0 on queue 0. */
+void
+stageWeightRows(Machine &m, int idx, uint32_t rows, uint8_t fill)
+{
+    const int rb = m.rowBytesInt();
+    std::vector<uint8_t> bytes(size_t(rows) * rb, fill);
+    uint64_t addr = m.sysmem().allocate(bytes.size());
+    m.sysmem().write(addr, bytes.data(), bytes.size());
+    DmaDescriptor d;
+    d.toNcore = true;
+    d.weightRam = true;
+    d.ramRow = 0;
+    d.rowCount = rows;
+    d.sysAddr = addr;
+    d.queue = 0;
+    m.dma().setDescriptor(idx, d);
+}
+
+TEST_F(DmaTest, QueueCompletesTransfersInKickOrder)
+{
+    // Both transfers write the same rows, so the RAM shows which one
+    // landed last. The head gets the full DRAM rate, and the second
+    // moves nothing until the head completes.
+    const int rb = m.rowBytesInt();
+    stageWeightRows(m, 0, 64, 0x11);
+    stageWeightRows(m, 1, 64, 0x22);
+    const double alone = 64.0 * rb / m.dma().dramBytesPerCycle();
+    m.dma().kick(0);
+    m.dma().kick(1);
+    EXPECT_EQ(m.dma().outstanding(0), 2);
+
+    std::vector<uint8_t> row(rb);
+    uint64_t cycles = 0;
+    while (m.dma().outstanding(0) == 2) {
+        m.dma().advance(1);
+        ++cycles;
+    }
+    EXPECT_EQ(m.dma().outstanding(0), 1);
+    EXPECT_GT(double(cycles), alone);
+    EXPECT_LT(double(cycles), alone + 300); // + start latency, no more.
+    m.hostReadRow(true, 5, row.data());
+    EXPECT_EQ(row[0], 0x11);
+
+    uint64_t first = cycles;
+    while (m.dma().queueBusy(0)) {
+        m.dma().advance(1);
+        ++cycles;
+    }
+    EXPECT_GT(double(cycles - first), alone);
+    EXPECT_LT(double(cycles - first), alone + 300);
+    m.hostReadRow(true, 5, row.data());
+    EXPECT_EQ(row[0], 0x22);
+    EXPECT_EQ(m.dma().stats().bytesRead, uint64_t(128) * rb);
+}
+
+TEST_F(DmaTest, CountedFenceWaitsForOlderTransfers)
+{
+    // A short transfer, then a long one, on one queue. `dmafence q0 #1`
+    // returns once the short one is in; `dmafence q0 #0` drains.
+    const int rb = m.rowBytesInt();
+    stageWeightRows(m, 0, 16, 0x33);
+    stageWeightRows(m, 1, 512, 0x44);
+    auto ctrl = [](CtrlOp op, uint32_t imm, uint8_t reg = 0) {
+        Instruction in;
+        in.ctrl.op = op;
+        in.ctrl.imm = imm;
+        in.ctrl.reg = reg;
+        return in;
+    };
+    Instruction halt = ctrl(CtrlOp::Halt, 0);
+
+    m.writeIram(0, enc({ctrl(CtrlOp::DmaKick, 0), ctrl(CtrlOp::DmaKick, 1),
+                        ctrl(CtrlOp::DmaFence, 1), halt}));
+    m.start(0);
+    ASSERT_EQ(m.run(1 << 22).reason, StopReason::Halted);
+    EXPECT_EQ(m.dma().outstanding(0), 1);
+    const double short_cycles = 16.0 * rb / m.dma().dramBytesPerCycle();
+    EXPECT_GT(double(m.perf().dmaFenceStalls), short_cycles);
+    EXPECT_LT(double(m.perf().dmaFenceStalls), short_cycles + 300);
+    std::vector<uint8_t> row(rb);
+    m.hostReadRow(true, 3, row.data());
+    EXPECT_EQ(row[0], 0x33);
+
+    m.writeIram(0, enc({ctrl(CtrlOp::DmaFence, 0), halt}));
+    m.start(0);
+    ASSERT_EQ(m.run(1 << 22).reason, StopReason::Halted);
+    EXPECT_FALSE(m.dma().queueBusy(0));
+    m.hostReadRow(true, 3, row.data());
+    EXPECT_EQ(row[0], 0x44);
+}
+
 TEST_F(DmaTest, L3PathAddsLatency)
 {
     const int rb = m.rowBytesInt();

@@ -170,16 +170,20 @@ TEST(GclPartition, SoftmaxStaysOnX86)
     EXPECT_GT(ld.subgraphs[0].code.size(), 0u);
 }
 
-TEST(GclPlanning, StreamingChunksAlternateBuffers)
+TEST(GclPlanning, StreamingChunksFollowTheWeightRing)
 {
+    // Six 3x3 512->512 images overflow the 2048-row weight RAM, so the
+    // ring wraps and later images must wait for the layers they
+    // overwrite. A max-pool reserves the top weight row.
     Rng rng(6);
     GraphBuilder gb("stream");
     QuantParams qp = actQp();
-    TensorId x = gb.input("x", Shape{1, 8, 8, 64}, DType::UInt8, qp);
-    TensorId t = x;
-    for (int i = 0; i < 4; ++i)
-        t = qconv(gb, rng, "c" + std::to_string(i), t, 64, 3, 1, 1,
+    TensorId x = gb.input("x", Shape{1, 4, 4, 512}, DType::UInt8, qp);
+    TensorId t = gb.maxPool2d("mp", x, 3, 3, 1, 1, 1, 1, 1, 1);
+    for (int i = 0; i < 6; ++i)
+        t = qconv(gb, rng, "c" + std::to_string(i), t, 512, 3, 1, 1,
                   ActFn::Relu);
+    t = qconv(gb, rng, "p", t, 64, 1, 1, 0, ActFn::None);
     gb.output(t);
     Graph g = gb.take();
 
@@ -189,13 +193,66 @@ TEST(GclPlanning, StreamingChunksAlternateBuffers)
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
     EXPECT_FALSE(sg.weightsPersistent);
-    ASSERT_EQ(sg.chunks.size(), 4u);
-    for (size_t k = 0; k < sg.chunks.size(); ++k) {
-        EXPECT_EQ(sg.chunks[k].queue, k % 2);
-        EXPECT_EQ(sg.chunks[k].targetRow,
-                  uint32_t((k % 2) * 960));
-    }
+    ASSERT_EQ(sg.chunks.size(), 7u);
     EXPECT_EQ(sg.streamImage.size() % 4096, 0u);
+
+    // Every chunk lies inside the ring below the reserved row.
+    ASSERT_GE(sg.maxPoolInitRowIdx, 0);
+    const uint32_t ring = uint32_t(sg.maxPoolInitRowIdx);
+    int wraps = 0;
+    for (size_t k = 0; k < sg.chunks.size(); ++k) {
+        EXPECT_LE(sg.chunks[k].targetRow + sg.chunks[k].rows, ring) << k;
+        wraps += k > 0 && sg.chunks[k].targetRow == 0;
+    }
+    EXPECT_GT(wraps, 0);
+
+    // Walk the program. Chunk k belongs to the k-th fenced layer;
+    // lastRead[k] is that layer's last weight-RAM read.
+    std::vector<Instruction> code;
+    for (const EncodedInstruction &e : sg.code)
+        code.push_back(decodeInstruction(e));
+    std::vector<size_t> lastRead(sg.chunks.size(), 0);
+    std::vector<size_t> kickAt;
+    int fences = 0;
+    int current = -1;
+    for (size_t pc = 0; pc < code.size(); ++pc) {
+        const Instruction &in = code[pc];
+        if (in.ctrl.op == CtrlOp::DmaKick) {
+            // Kicks go out in stream order, on the one stream queue.
+            ASSERT_EQ(in.ctrl.imm, kickAt.size()) << pc;
+            kickAt.push_back(pc);
+        } else if (in.ctrl.op == CtrlOp::DmaFence) {
+            EXPECT_EQ(in.ctrl.reg, CompiledSubgraph::kStreamQueue);
+            // Image k is in once only the images kicked after it are
+            // outstanding.
+            ASSERT_LT(size_t(fences), kickAt.size()) << pc;
+            EXPECT_EQ(in.ctrl.imm, kickAt.size() - 1 - size_t(fences))
+                << "fence " << fences;
+            current = fences++;
+        } else if (in.ctrl.op == CtrlOp::Event &&
+                   (in.ctrl.imm & 3) == 2) {
+            current = -1;
+        }
+        if (in.weightRead.enable && current >= 0)
+            lastRead[size_t(current)] = pc;
+    }
+    ASSERT_EQ(size_t(fences), sg.chunks.size());
+    ASSERT_EQ(kickAt.size(), sg.chunks.size());
+
+    // A kick comes after the last weight read of every earlier layer
+    // whose rows it overwrites.
+    int waits = 0;
+    for (size_t j = 0; j < sg.chunks.size(); ++j)
+        for (size_t i = 0; i < j; ++i) {
+            const StreamChunk &a = sg.chunks[i];
+            const StreamChunk &b = sg.chunks[j];
+            if (a.targetRow < b.targetRow + b.rows &&
+                b.targetRow < a.targetRow + a.rows) {
+                EXPECT_GT(kickAt[j], lastRead[i]) << j << " over " << i;
+                ++waits;
+            }
+        }
+    EXPECT_GT(waits, 0);
 }
 
 TEST(GclPlanning, LayoutPadsMatchDirectConsumers)

@@ -134,6 +134,16 @@ TEST(IsaDisasm, RendersAConvInnerLoop)
     EXPECT_NE(s.find("mac"), std::string::npos);
 }
 
+TEST(IsaDisasm, DmaFencePrintsItsCount)
+{
+    Instruction in;
+    in.ctrl.op = CtrlOp::DmaFence;
+    in.ctrl.reg = 1;
+    in.ctrl.imm = 2;
+    EXPECT_EQ(in.toString().find("dmafence q1 outstanding<=2"), 0u)
+        << in.toString();
+}
+
 TEST(Isa, StrideDecoding)
 {
     EXPECT_EQ(nduStrideBytes(NduStride::S0), 0);

@@ -97,9 +97,19 @@ TEST(ModelCompile, ResNetPadsFusedAndWeightsStreamed)
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     EXPECT_FALSE(ld.subgraphs[0].weightsPersistent);
     EXPECT_GT(ld.subgraphs[0].chunks.size(), 40u);
-    // Ping-pong buffers alternate.
-    for (size_t k = 0; k < ld.subgraphs[0].chunks.size(); ++k)
-        EXPECT_EQ(ld.subgraphs[0].chunks[k].queue, k % 2);
+    // The images fill one ring in stream order: each follows the
+    // previous one or wraps to row 0, and the ring wraps at least once.
+    const std::vector<StreamChunk> &chunks = ld.subgraphs[0].chunks;
+    int wraps = 0;
+    for (size_t k = 1; k < chunks.size(); ++k) {
+        uint32_t end = chunks[k - 1].targetRow + chunks[k - 1].rows;
+        if (chunks[k].targetRow == 0)
+            ++wraps;
+        else
+            EXPECT_EQ(chunks[k].targetRow, end) << k;
+        EXPECT_LE(chunks[k].targetRow + chunks[k].rows, 2047u) << k;
+    }
+    EXPECT_GT(wraps, 0);
 }
 
 TEST(ModelCompile, SsdUsesStemLayoutAndX86Nms)
@@ -240,6 +250,7 @@ struct DeviceTotals
     uint64_t instructions;
     uint64_t dmaBytesRead;
     uint64_t laneMacs;
+    uint64_t dmaFenceStall;
 };
 
 void
@@ -250,24 +261,27 @@ expectDeviceTotals(Workload w, const DeviceTotals &golden)
     EXPECT_EQ(t.instructions, golden.instructions) << workloadName(w);
     EXPECT_EQ(t.dmaBytesRead, golden.dmaBytesRead) << workloadName(w);
     EXPECT_EQ(t.macOps, golden.laneMacs) << workloadName(w);
+    EXPECT_EQ(t.buckets[size_t(CycleBucket::DmaFenceStall)],
+              golden.dmaFenceStall)
+        << workloadName(w);
 }
 
 TEST(ModelDeviceTotals, MobileNetV1)
 {
     expectDeviceTotals(Workload::MobileNetV1,
-                       {377548, 377548, 0, 1431265280});
+                       {377548, 377548, 0, 1435926528, 0});
 }
 
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {2534191, 2316735, 27320320, 9231601664});
+                       {2317391, 2316735, 27320320, 9257549824, 656});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)
 {
     expectDeviceTotals(Workload::SsdMobileNet,
-                       {907374, 907374, 0, 3525279744});
+                       {907374, 907374, 0, 3531096064, 0});
 }
 
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time

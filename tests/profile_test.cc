@@ -62,6 +62,7 @@ TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
     EXPECT_EQ(bucketSum(prof.counters()), machine.cycles() - c0);
     EXPECT_EQ(prof.counters().instructions,
               machine.perf().instructions);
+    EXPECT_EQ(prof.counters().macOps, machine.perf().macOps);
 
     // The double-buffered IRAM and the OUT stage never stall — the
     // paper's IV-C claim as a measured number.
@@ -243,6 +244,26 @@ checkFullAttribution(Workload w)
 TEST(ProfileAttributionTest, MobileNetV1FullyAttributed)
 {
     checkFullAttribution(Workload::MobileNetV1);
+}
+
+TEST(ProfileAttributionTest, IdenticalLayersGetIdenticalCounters)
+{
+    // MobileNet's block7..block11 pointwise convs run one program on
+    // one shape. Some of them end an IRAM bank, whose refill re-decodes
+    // the slot of the instruction just retired; its counters must still
+    // go to that instruction.
+    ProfileReport rep = profileWorkloadReport(Workload::MobileNetV1);
+    std::vector<const LayerProfile *> pw;
+    for (const char *name : {"block7/pw", "block8/pw", "block9/pw",
+                             "block10/pw", "block11/pw"})
+        for (const LayerProfile &row : rep.rows)
+            if (row.name == name)
+                pw.push_back(&row);
+    ASSERT_EQ(pw.size(), 5u);
+    for (const LayerProfile *row : pw) {
+        EXPECT_EQ(row->d, pw[0]->d) << row->name;
+        EXPECT_EQ(row->d.macOps, 512ull * 64 * 4096) << row->name;
+    }
 }
 
 TEST(ProfileAttributionTest, ResNet50FullyAttributed)

@@ -195,6 +195,39 @@ TEST_F(RuntimeTest, StreamedWeightsMatchPersistent)
               streamed.subgraphs[0].streamImage.size() / 2);
 }
 
+TEST_F(RuntimeTest, RingStreamsLargeImagesBitExact)
+{
+    // Two 3x3 768->768 convs: each weight image is 1,308 rows, so the
+    // second wraps to row 0 of the weight ring over the first and is
+    // kicked only after the first layer has run.
+    Rng rng(45);
+    GraphBuilder gb("wide");
+    QuantParams in_qp = actQp(-1.0f, 1.0f);
+    TensorId x_id = gb.input("x", Shape{1, 4, 4, 768}, DType::UInt8,
+                             in_qp);
+    TensorId a = qconv(gb, rng, "a", x_id, 768, 3, 1, 1, ActFn::Relu);
+    gb.output(qconv(gb, rng, "b", a, 768, 3, 1, 1, ActFn::None));
+    CompileOptions opts;
+    opts.forceStreaming = true;
+    Loadable ld = compile(gb.take(), opts);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    ASSERT_EQ(sg.chunks.size(), 2u);
+    EXPECT_EQ(sg.chunks[0].rows, 1308u);
+    EXPECT_EQ(sg.chunks[1].targetRow, 0u);
+
+    Tensor x(Shape{1, 4, 4, 768}, DType::UInt8, in_qp);
+    Rng data_rng(9);
+    x.fillRandom(data_rng);
+    Tensor want = ReferenceExecutor(ld.graph).run({x})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({x});
+    EXPECT_EQ(maxAbsDiff(res.outputs[0], want), 0.0f);
+    EXPECT_EQ(res.timing.dmaBytes, sg.streamImage.size());
+}
+
 TEST_F(RuntimeTest, EventLogBracketsSubgraph)
 {
     Rng rng(44);
