@@ -214,7 +214,9 @@ class SubgraphCompiler
         assignPads();
         buildLayouts();
         planStem();
+        planDense();
         planPacking();
+        planRelayouts();
         syncStemWithOutput();
         planDataRam();
         planWeights();
@@ -428,9 +430,9 @@ class SubgraphCompiler
     }
 
     /**
-     * The packing pass may replace the stem's output layout (or stage
-     * it through a repack temp); the GroupedRf geometry must track the
-     * layout the stem actually writes.
+     * The dense and packing passes may replace the stem's output
+     * layout (or stage it through a relayout temp); the GroupedRf
+     * geometry must track the layout the stem actually writes.
      */
     void
     syncStemWithOutput()
@@ -441,7 +443,7 @@ class SubgraphCompiler
         const TensorLayout &target =
             outLayoutFor(stemNodeId_, first.outputs[0]);
         fatal_if(target.packed(),
-                 "stem convolutions write plain rows (repack follows)");
+                 "stem convolutions write plain rows (a relayout follows)");
         TensorLayout &rf = layouts_.at(stemInput_);
         rf.rfOutTiles = target.xtiles();
         rf.rfOutPadL = target.padLeft;
@@ -457,7 +459,7 @@ class SubgraphCompiler
      * the shared scratch (the paper's NDU strided compression, IV-B),
      * then run as stride-1 packed convs. Producers that cannot write
      * packed rows (stems, depthwise stride-2 layers, region entries)
-     * emit into the shared scratch and an on-chip repack pass follows.
+     * write a plain temp that an on-chip relayout moves into place.
      */
     bool
     consumerAllowsPacking(const Node &n, TensorId c) const
@@ -485,138 +487,234 @@ class SubgraphCompiler
         }
     }
 
+    /**
+     * An add reads a and b in one layout: drop a layout choice from
+     * both inputs where either lacks it (fixpoint). With `outputs` the
+     * add's output joins the group, as an add writing y-packed or plain
+     * rows from inputs of the same kind needs; an add over dense rows
+     * writes a temp instead when its output is not dense.
+     */
     void
-    planPacking()
+    equalizeAdds(std::unordered_map<TensorId, bool> &want,
+                 bool outputs) const
     {
-        // Initial candidates.
-        std::unordered_map<TensorId, bool> want;
-        for (auto &kv : layouts_) {
-            TensorId c = kv.first;
-            const TensorLayout &lay = kv.second;
-            if (lay.kind != LayoutKind::Interleaved || lay.w < 2 ||
-                !yPackable(lay.w))
-                continue;
-            Pads p = pads_.count(c) ? pads_.at(c) : Pads{};
-            if (p.t > 1 || p.b > 1 || p.l > 1 || p.r > 1)
-                continue;
-            bool ok = true;
-            for (int id : nodeIds_) {
-                const Node &n = node(id);
-                bool consumes = false;
-                for (TensorId in : n.inputs)
-                    if (canonical(in) == c)
-                        consumes = true;
-                if (consumes && !consumerAllowsPacking(n, c))
-                    ok = false;
-            }
-            if (ok)
-                want[c] = true;
-        }
-
-        // Adds need identical layouts on a, b and out: equalize to
-        // the weakest member (fixpoint).
         for (int iter = 0; iter < 8; ++iter) {
             bool changed = false;
             for (int id : nodeIds_) {
                 const Node &n = node(id);
-                if (n.kind != OpKind::Add)
+                if (n.kind != OpKind::Add ||
+                    (outputs && layoutOf(n.inputs[0]).dense))
                     continue;
                 TensorId ts[3] = {canonical(n.inputs[0]),
                                   canonical(n.inputs[1]),
                                   canonical(n.outputs[0])};
+                const int members = outputs ? 3 : 2;
                 bool all = true;
-                for (TensorId t : ts)
-                    all &= want.count(t) && want[t];
+                for (int i = 0; i < members; ++i)
+                    all &= want.count(ts[i]) && want[ts[i]];
                 if (!all)
-                    for (TensorId t : ts)
-                        if (want.count(t) && want[t]) {
-                            want[t] = false;
+                    for (int i = 0; i < members; ++i)
+                        if (want.count(ts[i]) && want[ts[i]]) {
+                            want[ts[i]] = false;
                             changed = true;
                         }
             }
             if (!changed)
                 break;
         }
+    }
 
-        // Convert layouts; decide repacks.
-        for (auto &kv : want) {
-            if (!kv.second)
-                continue;
-            TensorId c = kv.first;
-            const GirTensor &t = g_.tensor(c);
-            TensorLayout packed = yPackedLayout(
-                Shape{1, t.shape.dim(1), t.shape.dim(2),
-                      t.shape.dim(3)},
-                uint8_t(t.quant.zeroPoint));
-            layouts_[c] = packed;
+    /** In-subgraph consumers of `c` that pass `allows`, or -1 when
+     *  any consumer does not. */
+    template <typename F>
+    int
+    consumersAllowing(TensorId c, F &&allows) const
+    {
+        int count = 0;
+        for (int id : nodeIds_) {
+            const Node &n = node(id);
+            for (TensorId in : n.inputs)
+                if (canonical(in) == c) {
+                    if (!allows(n))
+                        return -1;
+                    ++count;
+                }
         }
+        return count;
+    }
+
+    /**
+     * Dense rows for 1x1 convolutions: a tensor read only by stride-1
+     * 1x1 convs and adds needs no pads or halos, so its h*w positions
+     * pack 64 per row. It is chosen for tensors that would otherwise be
+     * y-packed when that takes at most 3/4 of their rows per channel
+     * block: the relayouts after its producer and before 3x3 or
+     * depthwise consumers cost a few hundred cycles, which the smaller
+     * 1x1 convs must repay. Wider tensors keep plain rows, which keeps
+     * SSD's Ncore time and Fig. 13 saturation at the paper's (DESIGN.md
+     * section 2). An add's inputs equalize; a tensor with no consumer
+     * in the subgraph stays as it is.
+     */
+    void
+    planDense()
+    {
+        // Stride-1 1x1 convs reading the tensor as data, and adds.
+        auto dense_consumer = [&](const Node &n, TensorId c) {
+            if (n.kind == OpKind::Add)
+                return true;
+            if (n.kind != OpKind::Conv2D || canonical(n.inputs[0]) != c)
+                return false;
+            const Shape &w = g_.tensor(n.inputs[1]).shape;
+            const OpAttrs &a = n.attrs;
+            return w.dim(1) == 1 && w.dim(2) == 1 && a.strideH == 1 &&
+                   a.strideW == 1 && a.padTop == 0 && a.padBottom == 0 &&
+                   a.padLeft == 0 && a.padRight == 0;
+        };
+        std::unordered_map<TensorId, bool> want;
+        for (auto &kv : layouts_) {
+            TensorId c = kv.first;
+            const TensorLayout &lay = kv.second;
+            if (lay.kind != LayoutKind::Interleaved ||
+                g_.tensor(c).shape.rank() != 4 || lay.w < 2 ||
+                !yPackable(lay.w) || lay.paddedW() != lay.w ||
+                lay.paddedH() != lay.h)
+                continue;
+            const int other =
+                yPackedLayout(g_.tensor(c).shape, lay.zeroByte).blocks();
+            const int dense = (lay.h * lay.w + kRowPos - 1) / kRowPos;
+            if (4 * dense > 3 * other)
+                continue;
+            // Subgraph outputs the host alone reads gain nothing.
+            if (consumersAllowing(c, [&](const Node &n) {
+                    return dense_consumer(n, c);
+                }) > 0)
+                want[c] = true;
+        }
+        equalizeAdds(want, false);
+        for (auto &kv : want)
+            if (kv.second)
+                layouts_[kv.first] = denseLayout(
+                    g_.tensor(kv.first).shape, layouts_[kv.first].zeroByte);
+    }
+
+    void
+    planPacking()
+    {
+        std::unordered_map<TensorId, bool> want;
+        for (auto &kv : layouts_) {
+            TensorId c = kv.first;
+            const TensorLayout &lay = kv.second;
+            if (lay.kind != LayoutKind::Interleaved || lay.dense ||
+                lay.w < 2 || !yPackable(lay.w))
+                continue;
+            Pads p = pads_.count(c) ? pads_.at(c) : Pads{};
+            if (p.t > 1 || p.b > 1 || p.l > 1 || p.r > 1)
+                continue;
+            if (consumersAllowing(c, [&](const Node &n) {
+                    return consumerAllowsPacking(n, c);
+                }) >= 0)
+                want[c] = true;
+        }
+        equalizeAdds(want, true);
         for (auto &kv : want) {
             if (!kv.second)
                 continue;
-            TensorId c = kv.first;
-            const Node *producer = nullptr;
-            int producer_id = -1;
-            for (int id : nodeIds_)
-                for (TensorId out : node(id).outputs)
-                    if (canonical(out) == c) {
-                        producer = &node(id);
-                        producer_id = id;
-                    }
-            if (!producer)
-                continue; // Subgraph input: the host packs directly.
-            bool direct = false;
-            switch (producer->kind) {
-              case OpKind::Conv2D:
-              case OpKind::DepthwiseConv2D: {
-                const Shape &w = g_.tensor(producer->inputs[1]).shape;
-                const TensorLayout &in =
-                    layouts_.at(canonical(producer->inputs[0]));
-                // Stride-2 standard convs run phase-split (emitConv).
-                direct = producer->attrs.strideH == 1
-                             ? w.dim(1) <= 3 && in.packed()
-                             : producer->kind == OpKind::Conv2D &&
-                                   phaseSplitFits(
-                                       in, int(w.dim(1)), int(w.dim(2)),
-                                       producer->attrs.padTop,
-                                       producer->attrs.padLeft);
-                break;
-              }
-              case OpKind::MaxPool2D:
-              case OpKind::AvgPool2D:
-                direct = producer->attrs.strideH == 1 &&
-                         producer->attrs.kernelH <= 3 &&
-                         layouts_
-                             .at(canonical(producer->inputs[0]))
-                             .packed();
-                break;
-              case OpKind::Add:
-                direct = layouts_
-                             .at(canonical(producer->inputs[0]))
-                             .packed() &&
-                         layouts_
-                             .at(canonical(producer->inputs[1]))
-                             .packed();
-                break;
-              default:
-                direct = false;
-                break;
+            const GirTensor &t = g_.tensor(kv.first);
+            layouts_[kv.first] = yPackedLayout(
+                Shape{1, t.shape.dim(1), t.shape.dim(2), t.shape.dim(3)},
+                uint8_t(t.quant.zeroPoint));
+        }
+    }
+
+    /** True when `producer` (reading non-dense rows) can write y-packed
+     *  rows directly. Stride-2 standard convs run phase-split. */
+    bool
+    writesPacked(const Node &producer) const
+    {
+        auto in_packed = [&](int i) {
+            return layouts_.at(canonical(producer.inputs[size_t(i)]))
+                .packed();
+        };
+        switch (producer.kind) {
+          case OpKind::Conv2D:
+          case OpKind::DepthwiseConv2D: {
+            const Shape &w = g_.tensor(producer.inputs[1]).shape;
+            return producer.attrs.strideH == 1
+                       ? w.dim(1) <= 3 && in_packed(0)
+                       : producer.kind == OpKind::Conv2D &&
+                             phaseSplitFits(
+                                 layouts_.at(canonical(producer.inputs[0])),
+                                 int(w.dim(1)), int(w.dim(2)),
+                                 producer.attrs.padTop,
+                                 producer.attrs.padLeft);
+          }
+          case OpKind::MaxPool2D:
+          case OpKind::AvgPool2D:
+            return producer.attrs.strideH == 1 &&
+                   producer.attrs.kernelH <= 3 && in_packed(0);
+          default:
+            return false;
+        }
+    }
+
+    /**
+     * Producers that cannot write their output's layout emit into a
+     * staging temp, and an on-chip relayout moves the rows into place:
+     * 1x1 convs over dense rows write dense rows; other producers of a
+     * dense tensor write y-packed rows where they can, else plain rows;
+     * producers of a y-packed tensor that cannot write it (stems,
+     * depthwise stride-2 layers, region entries) write plain rows.
+     */
+    void
+    planRelayouts()
+    {
+        for (int id : nodeIds_) {
+            const Node &n = node(id);
+            if (n.kind == OpKind::Reshape)
+                continue;
+            TensorId c = canonical(n.outputs[0]);
+            const TensorLayout &target = layouts_.at(c);
+            const TensorLayout &in = layouts_.at(canonical(n.inputs[0]));
+            const bool reads_dense =
+                (n.kind == OpKind::Conv2D || n.kind == OpKind::Add) &&
+                in.dense;
+            bool direct;
+            if (n.kind == OpKind::Add)
+                direct = reads_dense == target.dense;
+            else if (target.dense)
+                direct = reads_dense;
+            else if (target.packed())
+                direct = !reads_dense && writesPacked(n);
+            else
+                direct = !reads_dense;
+            if (direct)
+                continue;
+
+            const GirTensor &t = g_.tensor(c);
+            const uint8_t zp = uint8_t(t.quant.zeroPoint);
+            TensorLayout temp;
+            if (n.kind == OpKind::Add) {
+                temp = in; // emitAdd needs one geometry.
+                temp.zeroByte = zp;
+            } else if (reads_dense) {
+                temp = denseLayout(t.shape, zp);
+            } else if (target.dense && writesPacked(n)) {
+                temp = yPackedLayout(t.shape, zp);
+            } else {
+                temp = interleavedLayout(t.shape, 0, 0, 0, 0, zp);
             }
-            if (!direct) {
-                const GirTensor &t = g_.tensor(c);
-                TensorLayout temp = interleavedLayout(
-                    Shape{1, t.shape.dim(1), t.shape.dim(2),
-                          t.shape.dim(3)},
-                    1, 1, 1, 1, uint8_t(t.quant.zeroPoint));
-                repackTemp_[producer_id] = temp;
-                repackTensor_[producer_id] = c;
-            }
+            relayoutTemp_[id] = temp;
+            relayoutTensor_[id] = c;
         }
 
         // Content-mask rows are carved right after the prefix table,
         // before tensor placement.
-        for (auto &kv : want)
-            if (kv.second)
-                contentMaskRowFor(layouts_.at(kv.first));
+        for (auto &kv : layouts_)
+            if (kv.second.packed())
+                contentMaskRowFor(kv.second);
+        for (auto &kv : relayoutTemp_) // Pools patch their temps.
+            if (kv.second.packed())
+                contentMaskRowFor(kv.second);
     }
 
     /** Data-RAM row of the content mask for a packed layout. */
@@ -642,27 +740,36 @@ class SubgraphCompiler
         RowAllocator alloc(kMaskRows + int(sg_.extraMasks.size()),
                            kDataRamRows);
 
-        // Shared scratch regions: one for staging (plain repack
-        // temporaries and phase copies, both dead once their layer is
-        // done), a separate one for the min-code copies of padded
-        // max-pool inputs (a pool may use both at once when its
-        // output is itself repacked).
+        // Shared scratch regions, each dead once its layer is done:
+        // one for relayout temps, one for a layer's own staging (phase
+        // copies, K-split FC input replicas; a phase-split conv may
+        // write a temp as well), and one for the min-code copies of
+        // padded max-pool inputs (a pool may also write a temp).
+        int temp_rows = 0;
+        for (auto &kv : relayoutTemp_)
+            temp_rows = std::max(temp_rows, kv.second.rows());
         int staging_rows = 0;
-        for (auto &kv : repackTemp_)
-            staging_rows = std::max(staging_rows, kv.second.rows());
         for (int id : nodeIds_) {
             const Node &n = node(id);
+            if (n.kind == OpKind::FullyConnected && fcSplit(n))
+                staging_rows = std::max(
+                    staging_rows,
+                    fcScratchRows(g_.tensor(n.inputs[1]).shape.dim(1)));
             if (n.kind != OpKind::Conv2D)
                 continue;
             const ConvKernel p = convGeometry(n, id);
             if (usesPhaseSplit(p))
                 staging_rows = std::max(staging_rows, phaseSplitRows(p));
         }
+        if (temp_rows > 0) {
+            const int base = alloc.allocate(temp_rows);
+            fatal_if(base < 0, "no room for the relayout temps");
+            for (auto &kv : relayoutTemp_)
+                kv.second.baseRow = base;
+        }
         if (staging_rows > 0) {
             stagingBase_ = alloc.allocate(staging_rows);
             fatal_if(stagingBase_ < 0, "no room for the staging scratch");
-            for (auto &kv : repackTemp_)
-                kv.second.baseRow = stagingBase_;
         }
         int restamp_rows = 0;
         for (int id : nodeIds_) {
@@ -770,6 +877,8 @@ class SubgraphCompiler
                         : ConvTapOrder::RowMajor);
             } else if (n.kind == OpKind::DepthwiseConv2D) {
                 img.bytes = packDepthwiseWeights(w.value, bias, wz);
+            } else if (fcSplit(n)) {
+                img.bytes = packFcWeights(w.value, bias, wz);
             } else {
                 // FC: reinterpret [Cout, Cin] as OHWI [Cout, 1, 1, Cin].
                 Tensor w4(Shape{w.shape.dim(0), 1, 1, w.shape.dim(1)},
@@ -863,13 +972,27 @@ class SubgraphCompiler
         return it->second;
     }
 
-    /** Layout the node writes its output into: the repack scratch for
-     *  producers that cannot write packed rows directly. */
+    /** Layout the node writes its output into: the relayout temp for
+     *  producers that cannot write their output's layout directly. */
     const TensorLayout &
     outLayoutFor(int node_id, TensorId out)
     {
-        auto it = repackTemp_.find(node_id);
-        return it != repackTemp_.end() ? it->second : layoutOf(out);
+        auto it = relayoutTemp_.find(node_id);
+        return it != relayoutTemp_.end() ? it->second : layoutOf(out);
+    }
+
+    /** True when an FC runs as a K-split matvec (fcSplitExact), else
+     *  as a 1x1 conv over one position. */
+    bool
+    fcSplit(const Node &n) const
+    {
+        int64_t max_abs = 0;
+        if (n.inputs.size() > 2) {
+            const Tensor &b = g_.tensor(n.inputs[2]).value;
+            for (int64_t i = 0; i < b.numElements(); ++i)
+                max_abs = std::max(max_abs, std::abs(int64_t(b.intAt(i))));
+        }
+        return fcSplitExact(g_.tensor(n.inputs[1]).shape.dim(1), max_abs);
     }
 
     void
@@ -903,16 +1026,12 @@ class SubgraphCompiler
 
             emitNode(pb, n, id);
 
-            // Producers that stage into the repack scratch: move the
-            // rows into the packed layout now.
-            auto rit = repackTemp_.find(id);
-            if (rit != repackTemp_.end()) {
-                RepackKernel rk;
-                rk.plain = rit->second;
-                rk.packed = layoutOf(repackTensor_.at(id));
-                rk.masks = sg_.masks;
-                emitRepack(pb, rk);
-            }
+            // Producers that wrote a relayout temp: move the rows into
+            // the output's layout now.
+            auto rit = relayoutTemp_.find(id);
+            if (rit != relayoutTemp_.end())
+                emitRelayout(pb, rit->second,
+                             layoutOf(relayoutTensor_.at(id)), sg_.masks);
 
             if (hasWeights(n.kind) && !sg_.weightsPersistent)
                 kick_after(chunkOf_.at(id));
@@ -954,7 +1073,8 @@ class SubgraphCompiler
         float m =
             in_t.quant.scale * w.quant.scale / out_t.quant.scale;
         ConvKernel p = convGeometry(n, id);
-        if (p.out.packed())
+        p.patchOutput = !relayoutTemp_.count(id);
+        if (p.out.packed() && p.patchOutput)
             p.contentMaskRow = contentMaskRowFor(p.out);
         if (usesPhaseSplit(p))
             p.phaseBase = stagingBase_;
@@ -982,6 +1102,25 @@ class SubgraphCompiler
             const GirTensor &w = g_.tensor(n.inputs[1]);
             float m = in_t.quant.scale * w.quant.scale /
                       out_t.quant.scale;
+            const int rq = newRqEntry(makeRequantEntry(
+                m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
+            if (fcSplit(n)) {
+                FcKernel p;
+                p.in = layoutOf(n.inputs[0]);
+                p.out = layoutOf(n.outputs[0]);
+                p.cin = int(w.shape.dim(1));
+                p.cout = int(w.shape.dim(0));
+                p.weightBase = weightBase_.at(id);
+                p.rqIndex = rq;
+                p.dataZero = uint8_t(in_t.quant.zeroPoint);
+                p.weightZero = uint8_t(w.quant.zeroPoint);
+                p.masks = sg_.masks;
+                p.scratchBase = stagingBase_;
+                emitFc(pb, p);
+                break;
+            }
+            // A saturating sum must keep the reference's channel
+            // order: a dense 1x1 conv over the one position.
             ConvKernel p;
             p.in = layoutOf(n.inputs[0]);
             p.out = layoutOf(n.outputs[0]);
@@ -989,8 +1128,7 @@ class SubgraphCompiler
             p.cin = int(w.shape.dim(1));
             p.cout = int(w.shape.dim(0));
             p.weightBase = weightBase_.at(id);
-            p.rqIndex = newRqEntry(makeRequantEntry(
-                m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
+            p.rqIndex = rq;
             p.dataZero = uint8_t(in_t.quant.zeroPoint);
             p.weightZero = uint8_t(w.quant.zeroPoint);
             p.masks = sg_.masks;
@@ -1005,7 +1143,7 @@ class SubgraphCompiler
             AddKernel p;
             p.a = layoutOf(n.inputs[0]);
             p.b = layoutOf(n.inputs[1]);
-            p.out = layoutOf(n.outputs[0]);
+            p.out = outLayoutFor(id, n.outputs[0]);
             p.ka = plan.ka;
             p.kb = plan.kb;
             p.zeroA = uint8_t(in_t.quant.zeroPoint);
@@ -1078,9 +1216,9 @@ class SubgraphCompiler
     int stemNodeId_ = -1;
     TensorId stemInput_ = kNoTensor;
 
-    std::unordered_map<int, TensorLayout> repackTemp_;
-    std::unordered_map<int, TensorId> repackTensor_;
-    int stagingBase_ = -1; ///< Repack temps and phase copies.
+    std::unordered_map<int, TensorLayout> relayoutTemp_;
+    std::unordered_map<int, TensorId> relayoutTensor_;
+    int stagingBase_ = -1; ///< Phase copies and FC input replicas.
     std::unordered_map<uint64_t, int> contentMasks_;
     int scratchBase_ = -1;
 };

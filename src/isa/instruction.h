@@ -100,7 +100,7 @@ enum class NpuOp : uint8_t {
     Or,         ///< acc |= a.
     Xor,        ///< acc ^= a.
     AccZero,    ///< acc = 0.
-    AccLoadBias,///< acc <- int32 words of srcA (see BiasMode in param).
+    AccLoadBias,///< acc <- int32 words of srcA (BiasMode in b).
     CmpGtP0,    ///< P0 = (a > b) per lane.
     CmpGtP1,    ///< P1 = (a > b) per lane.
 };
@@ -146,14 +146,29 @@ enum class CtrlOp : uint8_t {
     Halt,        ///< Stop execution; raises the done interrupt.
 };
 
-/** Bias load addressing mode for NpuOp::AccLoadBias (in ndu1.param). */
+/** Bias load addressing mode for NpuOp::AccLoadBias (in npu.b). */
 enum class BiasMode : uint8_t {
     Rep64 = 0, ///< acc[g*64+j] = w32[j]  (64 per-channel biases).
     Quarter0,  ///< acc[0..1023] = w32[0..1023].
     Quarter1,
     Quarter2,
     Quarter3,
+    /// acc[q*1024 + i] += w32[i], saturating, for quarter q = mode -
+    /// AddQuarter0: folds one accumulator quarter, copied out by
+    /// CopyAcc32, into another (the K-split FC's reduction).
+    AddQuarter0,
+    AddQuarter1,
+    AddQuarter2,
+    AddQuarter3,
 };
+
+/** True for the modes that add into the accumulators instead of
+ *  loading them (not idempotent under Rep). */
+constexpr bool
+biasModeAccumulates(BiasMode m)
+{
+    return m >= BiasMode::AddQuarter0 && m <= BiasMode::AddQuarter3;
+}
 
 /** One address register reference with optional post-increment. */
 struct AddrRef

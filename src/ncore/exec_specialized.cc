@@ -423,9 +423,12 @@ computeRepInvariant(const Instruction &in, const ExecPlan &p)
       case NpuOp::CmpGtP0:
       case NpuOp::CmpGtP1:
         return false; // Writes predicates the NDU may consume.
+      case NpuOp::AccLoadBias:
+        if (biasModeAccumulates(BiasMode(uint8_t(in.npu.b))))
+            return false; // Adds once per repetition.
+        break;
       case NpuOp::None:
       case NpuOp::AccZero:
-      case NpuOp::AccLoadBias:
         break; // Idempotent: executed once.
       default:
         if (!p.npuKernel)

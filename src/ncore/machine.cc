@@ -176,7 +176,6 @@ Machine::publishStats(Stats &into) const
     into.add(stats::kDmaBytesWritten, d.bytesWritten);
     into.add(stats::kDmaTransfers, d.transfers);
     into.add(stats::kDmaBusyCycles, d.busyCycles);
-    into.add(stats::kDmaStallCycles, d.stallCycles);
 
     into.add(stats::kEccCorrectedData, dataRam_.eccStats().corrected);
     into.add(stats::kEccUncorrectableData,
@@ -679,7 +678,7 @@ Machine::execRepBodyFast(const Instruction &in, ExecPlan &plan,
         if (plan.npuIsMac)
             perf_.macOps += reps * uint64_t(rowBytes_);
     } else if (in.npu.op != NpuOp::None) {
-        execNpu(in.npu); // AccZero / AccLoadBias: idempotent.
+        execNpu(in.npu); // AccZero / loading AccLoadBias: idempotent.
     }
     if (in.out.op != OutOp::None) {
         if (plan.outKernel)
@@ -1054,6 +1053,15 @@ Machine::execNpu(const NpuSlot &npu)
             for (int g = 0; g < rb / 64; ++g)
                 for (int j = 0; j < 64; ++j)
                     acc_[g * 64 + j] = vals[j];
+        } else if (biasModeAccumulates(mode)) {
+            int32_t *dst = acc_.data() +
+                           (int(mode) - int(BiasMode::AddQuarter0)) *
+                               quarter;
+            for (int i = 0; i < quarter; ++i) {
+                int32_t v;
+                std::memcpy(&v, a + 4 * i, 4);
+                dst[i] = satAdd32(dst[i], v);
+            }
         } else {
             int q = int(mode) - int(BiasMode::Quarter0);
             panic_if(q < 0 || q > 3, "bad bias quarter");

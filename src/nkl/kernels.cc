@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
 #include <utility>
 
 namespace ncore {
@@ -256,85 +257,6 @@ emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
     }
 }
 
-void
-emitRepack(ProgramBuilder &pb, const RepackKernel &p)
-{
-    const TensorLayout &pl = p.plain;
-    const TensorLayout &pk = p.packed;
-    fatal_if(!pk.packed() || pk.pitch != pl.paddedW(),
-             "repack needs matching geometry (pitch %d vs %d)",
-             pk.pitch, pl.paddedW());
-    fatal_if(pl.xtiles() != 1, "repack source must be single-tile");
-    const int ncb = pk.cblocks();
-    const int nb = pk.blocks();
-
-    pb.splat(3, pk.zeroByte);
-
-    for (int j = 0; j < pk.slots(); ++j) {
-        pb.loadMask(kMask, p.masks.rowFor(j * pk.pitch), 0); // P0.
-        pb.setByte(kPatchB,
-                   ((-(j * pk.pitch) * 64) % 4096 + 4096) % 4096);
-        for (int b = 0; b < nb; ++b) {
-            int yp = b * pk.ny + j - 1;
-            bool in_range = yp >= 0 && yp < pl.paddedH();
-            for (int cb = 0; cb < ncb; ++cb) {
-                if (in_range) {
-                    Instruction i1;
-                    i1.ctrl.op = CtrlOp::SetAddrRow;
-                    i1.ctrl.reg = kPatchA;
-                    i1.ctrl.imm = uint32_t(pl.baseRow +
-                                           pl.rowOf(yp, cb, 0));
-                    i1.dataRead.enable = true;
-                    i1.dataRead.reg = kPatchA;
-                    i1.ndu0.op = NduOp::WindowGather;
-                    i1.ndu0.srcA = RowSrc::DataRead;
-                    i1.ndu0.dst = 0;
-                    i1.ndu0.addrReg = kPatchB;
-                    i1.ndu0.param = uint8_t(NduStride::S64);
-                    pb.emit(i1);
-                }
-                Instruction i2;
-                i2.ctrl.op = CtrlOp::SetAddrRow;
-                i2.ctrl.reg = kOutReg;
-                i2.ctrl.imm =
-                    uint32_t(pk.baseRow + pk.rowOfPacked(b, cb));
-                i2.dataRead.enable = true;
-                i2.dataRead.reg = kOutReg;
-                i2.ndu0.op = NduOp::MergeMask;
-                i2.ndu0.srcA = RowSrc::DataRead; // Keep below j*pitch.
-                i2.ndu0.srcB = in_range ? RowSrc::N0 : RowSrc::N3;
-                i2.ndu0.dst = 1;
-                i2.ndu0.param = 0;
-                i2.write.enable = true;
-                i2.write.addrReg = kOutReg;
-                i2.write.src = RowSrc::N1;
-                pb.emit(i2);
-            }
-        }
-    }
-
-    // Zero-point the tail beyond the last slot.
-    pb.loadMask(kMask, p.masks.rowFor(pk.slots() * pk.pitch), 0);
-    for (int b = 0; b < nb; ++b)
-    for (int cb = 0; cb < ncb; ++cb) {
-        Instruction i;
-        i.ctrl.op = CtrlOp::SetAddrRow;
-        i.ctrl.reg = kOutReg;
-        i.ctrl.imm = uint32_t(pk.baseRow + pk.rowOfPacked(b, cb));
-        i.dataRead.enable = true;
-        i.dataRead.reg = kOutReg;
-        i.ndu0.op = NduOp::MergeMask;
-        i.ndu0.srcA = RowSrc::DataRead;
-        i.ndu0.srcB = RowSrc::N3;
-        i.ndu0.dst = 1;
-        i.ndu0.param = 0;
-        i.write.enable = true;
-        i.write.addrReg = kOutReg;
-        i.write.src = RowSrc::N1;
-        pb.emit(i);
-    }
-}
-
 namespace {
 
 /** Byte offset `bytes` as an address-register byte (mod one row). */
@@ -503,6 +425,158 @@ phaseSplitRows(const ConvKernel &p)
     return std::popcount(phaseSplitPhases(p.kh, p.kw, p.padTop,
                                           p.padLeft)) *
            phaseLayout(p.out, p.cin, p.in.zeroByte).rows();
+}
+
+namespace {
+
+/** Where position (y, x) of `l` lives (its owned copy): the row group
+ *  (the row of channel block 0; block cb is cb rows on) and lane. */
+std::pair<int, int>
+placeOf(const TensorLayout &l, int y, int x)
+{
+    if (l.dense) {
+        const int p = y * l.w + x;
+        return {p / kRowPos, p % kRowPos};
+    }
+    const int yp = y + l.padTop;
+    if (l.packed())
+        return {l.blockOf(yp), l.slotOf(yp) * l.pitch + l.padLeft + x};
+    return {yp, l.padLeft + x};
+}
+
+/** Row groups of a plain single-tile, y-packed or dense layout. */
+int
+rowGroups(const TensorLayout &l)
+{
+    return l.packed() || l.dense ? l.blocks() : l.paddedH();
+}
+
+/** Call f(lane, y, x) for every lane of row group `g` that holds a
+ *  copy of position (y, x), in lane order (halo slots included). */
+template <typename F>
+void
+forEachPosition(const TensorLayout &l, int g, F &&f)
+{
+    if (l.dense) {
+        for (int i = 0; i < kRowPos && g * kRowPos + i < l.h * l.w; ++i)
+            f(i, (g * kRowPos + i) / l.w, (g * kRowPos + i) % l.w);
+        return;
+    }
+    auto image_row = [&](int yp, int lane0) {
+        const int y = yp - l.padTop;
+        if (y >= 0 && y < l.h)
+            for (int x = 0; x < l.w; ++x)
+                f(lane0 + l.padLeft + x, y, x);
+    };
+    if (l.packed())
+        for (int j = 0; j < l.slots(); ++j)
+            image_row(g * l.ny + j - 1, j * l.pitch);
+    else
+        image_row(g, 0);
+}
+
+} // namespace
+
+void
+emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
+             const TensorLayout &dst, const MaskTable &masks)
+{
+    fatal_if(src.h != dst.h || src.w != dst.w || src.c != dst.c,
+             "relayout needs one tensor shape");
+    for (const TensorLayout *l : {&src, &dst})
+        fatal_if(l->kind != LayoutKind::Interleaved ||
+                     (!l->packed() && !l->dense && l->xtiles() != 1),
+                 "relayout supports plain single-tile, y-packed and "
+                 "dense rows");
+    const int ncb = dst.cblocks();
+
+    // Runs: lanes [lo, hi) of destination row group g that one gather
+    // of source row group sg, shifted by `shift` lanes, supplies.
+    struct Run
+    {
+        int lo, hi, shift, g, sg;
+    };
+    std::vector<Run> runs;
+    for (int g = 0; g < rowGroups(dst); ++g)
+        forEachPosition(dst, g, [&](int lane, int y, int x) {
+            auto [sg, sl] = placeOf(src, y, x);
+            if (!runs.empty()) {
+                Run &r = runs.back();
+                if (r.g == g && r.hi == lane && r.sg == sg &&
+                    r.shift == sl - lane) {
+                    ++r.hi;
+                    return;
+                }
+            }
+            runs.push_back({lane, lane + 1, sl - lane, g, sg});
+        });
+    // Runs with equal lane ranges and shifts share masks and offsets.
+    std::sort(runs.begin(), runs.end(), [](const Run &a, const Run &b) {
+        return std::tie(a.lo, a.hi, a.shift, a.g) <
+               std::tie(b.lo, b.hi, b.shift, b.g);
+    });
+
+    // Zero-point the destination; the runs then merge in their lanes.
+    pb.splat(0, dst.zeroByte);
+    pb.setRow(kOutReg, dst.baseRow);
+    pb.setInc(kOutReg, 1, 0);
+    Instruction fill;
+    fill.ctrl.op = CtrlOp::Rep;
+    fill.ctrl.imm = uint32_t(dst.rows());
+    fill.write.enable = true;
+    fill.write.addrReg = kOutReg;
+    fill.write.postInc = true;
+    fill.write.src = RowSrc::N0;
+    pb.emit(fill);
+
+    int lo = -1, hi = -1, shift = 0;
+    bool shift_set = false;
+    for (const Run &r : runs) {
+        if (r.lo != lo)
+            pb.loadMask(kMask, masks.rowFor(lo = r.lo), 0); // P0.
+        if (r.hi != hi)
+            pb.loadMask(kMask, masks.rowFor(hi = r.hi), 1); // P1.
+        if (!shift_set || r.shift != shift) {
+            pb.setByte(kPatchB, rowByte((shift = r.shift) * 64));
+            shift_set = true;
+        }
+        for (int cb = 0; cb < ncb; ++cb) {
+            Instruction i1;
+            i1.ctrl.op = CtrlOp::SetAddrRow;
+            i1.ctrl.reg = kPatchA;
+            i1.ctrl.imm = uint32_t(src.baseRow + r.sg * ncb + cb);
+            i1.dataRead.enable = true;
+            i1.dataRead.reg = kPatchA;
+            i1.ndu0.op = NduOp::WindowGather;
+            i1.ndu0.srcA = RowSrc::DataRead;
+            i1.ndu0.dst = 0;
+            i1.ndu0.addrReg = kPatchB;
+            i1.ndu0.param = uint8_t(NduStride::S64);
+            pb.emit(i1);
+
+            // Lanes [lo, hi) take the gather; the rest keep the row.
+            Instruction i2;
+            i2.ctrl.op = CtrlOp::SetAddrRow;
+            i2.ctrl.reg = kOutReg;
+            i2.ctrl.imm = uint32_t(dst.baseRow + r.g * ncb + cb);
+            i2.dataRead.enable = true;
+            i2.dataRead.reg = kOutReg;
+            i2.ndu0.op = NduOp::MergeMask;
+            i2.ndu0.srcA = RowSrc::N0;
+            i2.ndu0.srcB = RowSrc::DataRead;
+            i2.ndu0.dst = 1;
+            i2.ndu0.param = 1; // P1.
+            i2.ndu1.op = NduOp::MergeMask;
+            i2.ndu1.srcA = RowSrc::DataRead;
+            i2.ndu1.srcB = RowSrc::N1;
+            i2.ndu1.dst = 2;
+            i2.ndu1.param = 0; // P0.
+            i2.write.enable = true;
+            i2.write.addrReg = kOutReg;
+            i2.write.src = RowSrc::N2;
+            pb.emit(i2);
+        }
+    }
 }
 
 void
@@ -739,7 +813,8 @@ emitStemConv(ProgramBuilder &pb, const ConvKernel &p)
         }
     }
 
-    emitEdgePatch(pb, lo, p.masks);
+    if (p.patchOutput)
+        emitEdgePatch(pb, lo, p.masks);
 }
 
 /**
@@ -811,7 +886,8 @@ emitConvPackedToPacked(ProgramBuilder &pb, const ConvKernel &p)
                              p.rqIndex));
     }
 
-    emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
+    if (p.patchOutput)
+        emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
 }
 
 /**
@@ -892,7 +968,8 @@ emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
         }
     }
 
-    emitEdgePatch(pb, lo, p.masks);
+    if (p.patchOutput)
+        emitEdgePatch(pb, lo, p.masks);
 }
 
 /**
@@ -954,7 +1031,48 @@ emitConvPhaseSplit(ProgramBuilder &pb, const ConvKernel &p)
                              p.rqIndex));
     }
 
-    emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
+    if (p.patchOutput)
+        emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
+}
+
+/**
+ * Stride-1 1x1 convolution over dense rows: per 64-position block and
+ * output channel block, one bias load, one repMac Rep over the input's
+ * ncb*64 channels and one store. Each Rep leaves the weight register
+ * on the next output block's taps, so only the data row is re-aimed.
+ */
+void
+emitConvDense(ProgramBuilder &pb, const ConvKernel &p)
+{
+    const TensorLayout &li = p.in;
+    const TensorLayout &lo = p.out;
+    fatal_if(!lo.dense || p.depthwise || p.kh != 1 || p.kw != 1 ||
+                 p.strideH != 1 || p.strideW != 1 || p.padTop != 0 ||
+                 p.padLeft != 0 || li.h != lo.h || li.w != lo.w,
+             "dense rows feed stride-1 1x1 convs writing dense rows");
+    const int ncb = li.cblocks();
+    const int nkb = (p.cout + kCBlock - 1) / kCBlock;
+
+    pb.setZeroOff(p.dataZero, p.weightZero);
+    pb.setInc(kDataA, 1, 1);
+    pb.setWrap(kDataA, 64);
+    pb.setByte(kDataA, 0);
+    pb.setInc(kWtA, 1, 64);
+    pb.setWrap(kWtA, 64);
+    pb.setByte(kWtA, 0);
+
+    for (int b = 0; b < lo.blocks(); ++b) {
+        pb.setRow(kWtA, p.weightBase + nkb);
+        for (int kb = 0; kb < nkb; ++kb) {
+            pb.emit(biasLoad(p.weightBase + kb));
+            pb.setRow(kDataA, li.baseRow + li.rowOfPacked(b, 0));
+            pb.emit(repMac(uint32_t(ncb * 64), kDataA, kWtA,
+                           NduOp::GroupBcast, NduStride::S64,
+                           Pred::None));
+            pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, kb),
+                                 p.rqIndex));
+        }
+    }
 }
 
 } // namespace
@@ -970,6 +1088,10 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         emitStemConv(pb, p);
         return;
     }
+    if (p.in.dense) {
+        emitConvDense(pb, p);
+        return;
+    }
     if (p.in.packed() && p.out.packed()) {
         emitConvPackedToPacked(pb, p);
         return;
@@ -979,7 +1101,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         return;
     }
     fatal_if(p.out.packed(),
-             "plain->packed convolutions need a repack stage");
+             "plain->packed convolutions need a relayout");
     const TensorLayout &li = p.in;
     const TensorLayout &lo = p.out;
     const int ncb_in = li.cblocks();
@@ -1109,7 +1231,8 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
     }
 
     emitTileStartRepair(pb, lo, p.masks, -delta);
-    emitEdgePatch(pb, lo, p.masks);
+    if (p.patchOutput)
+        emitEdgePatch(pb, lo, p.masks);
 }
 
 std::vector<uint8_t>
@@ -1316,7 +1439,7 @@ emitPool(ProgramBuilder &pb, const PoolKernel &p)
         return;
     }
     fatal_if(p.out.packed(),
-             "plain->packed pooling needs a repack stage");
+             "plain->packed pooling needs a relayout");
     TensorLayout li = p.in;
     const TensorLayout &lo = p.out;
 
@@ -1475,6 +1598,161 @@ emitAdd(ProgramBuilder &pb, const AddKernel &p)
         st.write.src = RowSrc::OutLo;
         pb.emit(st);
     }
+}
+
+bool
+fcSplitExact(int64_t cin, int64_t max_abs_bias)
+{
+    return max_abs_bias + cin * (255 * 255) <= INT32_MAX;
+}
+
+void
+emitFc(ProgramBuilder &pb, const FcKernel &p)
+{
+    const int depth = fcSplitDepth(p.cin);
+    const int drows = fcScratchRows(p.cin);
+    const int ncb_in = p.in.cblocks();
+    const int ncb_out = p.out.cblocks();
+    const int quarter_groups = kRowPos / 4;
+    fatal_if(p.in.h != 1 || p.in.w != 1 || p.out.h != 1 ||
+                 p.out.w != 1 || p.in.packed() || p.out.packed(),
+             "K-split FCs read and write 1x1 interleaved vectors");
+    fatal_if(p.scratchBase < 0, "K-split FC needs a replication scratch");
+
+    // Replicate: scratch row r, quarter q = input channel block
+    // q*drows + r (group 0 of its row) in all 16 of the quarter's lane
+    // groups. Blocks past cin stay stale: their weights are the zero
+    // point.
+    pb.setByte(kPatchB, 0);
+    for (int q = 0; q < 4; ++q) {
+        pb.loadMask(kMask, p.masks.rowFor(q * quarter_groups), 0);
+        pb.loadMask(kMask, p.masks.rowFor((q + 1) * quarter_groups), 1);
+        for (int r = 0; r < drows && q * drows + r < ncb_in; ++r) {
+            Instruction i1;
+            i1.ctrl.op = CtrlOp::SetAddrRow;
+            i1.ctrl.reg = kPatchA;
+            i1.ctrl.imm =
+                uint32_t(p.in.baseRow + p.in.rowOf(0, q * drows + r, 0));
+            i1.dataRead.enable = true;
+            i1.dataRead.reg = kPatchA;
+            i1.ndu0.op = NduOp::WindowGather;
+            i1.ndu0.srcA = RowSrc::DataRead;
+            i1.ndu0.dst = 0;
+            i1.ndu0.addrReg = kPatchB;
+            i1.ndu0.param = uint8_t(NduStride::S0);
+            pb.emit(i1);
+
+            Instruction i2;
+            i2.ctrl.op = CtrlOp::SetAddrRow;
+            i2.ctrl.reg = kOutReg;
+            i2.ctrl.imm = uint32_t(p.scratchBase + r);
+            i2.dataRead.enable = true;
+            i2.dataRead.reg = kOutReg;
+            i2.ndu0.op = NduOp::MergeMask;
+            i2.ndu0.srcA = RowSrc::N0;
+            i2.ndu0.srcB = RowSrc::DataRead;
+            i2.ndu0.dst = 1;
+            i2.ndu0.param = 1; // P1: below the quarter's end.
+            i2.ndu1.op = NduOp::MergeMask;
+            i2.ndu1.srcA = RowSrc::DataRead;
+            i2.ndu1.srcB = RowSrc::N1;
+            i2.ndu1.dst = 2;
+            i2.ndu1.param = 0; // P0: below the quarter's start.
+            i2.write.enable = true;
+            i2.write.addrReg = kOutReg;
+            i2.write.src = RowSrc::N2;
+            pb.emit(i2);
+        }
+    }
+
+    pb.setZeroOff(p.dataZero, p.weightZero);
+    pb.setInc(kDataA, 1, 1);
+    pb.setWrap(kDataA, 64);
+    pb.setInc(kWtA, 1, 0);
+    pb.setInc(kPatchB, 0, 64);
+    pb.setWrap(kPatchB, 0);
+
+    const int chunks = (p.cout + kFcChunk - 1) / kFcChunk;
+    for (int ch = 0; ch < chunks; ++ch) {
+        const int bias_row = p.weightBase + ch * (1 + depth);
+        Instruction z;
+        z.npu.op = NpuOp::AccZero;
+        pb.emit(z);
+        Instruction bi = biasLoad(bias_row);
+        bi.npu.b = RowSrc(uint8_t(BiasMode::Quarter0));
+        pb.emit(bi);
+
+        // Step k: every lane group of quarter q broadcasts channel k%64
+        // of its replicated block; the weight row is used as is.
+        pb.setRow(kDataA, p.scratchBase);
+        pb.setByte(kDataA, 0);
+        pb.setRow(kWtA, bias_row + 1);
+        Instruction mac;
+        mac.ctrl.op = CtrlOp::Rep;
+        mac.ctrl.imm = uint32_t(depth);
+        mac.dataRead.enable = true;
+        mac.dataRead.reg = kDataA;
+        mac.weightRead.enable = true;
+        mac.weightRead.reg = kWtA;
+        mac.weightRead.postInc = true;
+        mac.ndu0.op = NduOp::GroupBcast;
+        mac.ndu0.srcA = RowSrc::DataRead;
+        mac.ndu0.dst = 0;
+        mac.ndu0.addrReg = kDataA;
+        mac.ndu0.addrInc = true;
+        mac.ndu0.param = uint8_t(NduStride::S64);
+        mac.npu.op = NpuOp::Mac;
+        mac.npu.type = LaneType::U8;
+        mac.npu.a = RowSrc::N0;
+        mac.npu.b = RowSrc::WeightRead;
+        mac.npu.zeroOff = true;
+        pb.emit(mac);
+
+        // Two-step fold: quarters 0 += 2 and 1 += 3, then 0 += 1. The
+        // NPU adds the OUT row CopyAcc32 produced one instruction
+        // earlier, while OUT copies the next quarter (NPU before OUT).
+        auto fold = [&](int add_into, OutOp next, int next_param) {
+            Instruction f;
+            if (add_into >= 0) {
+                f.npu.op = NpuOp::AccLoadBias;
+                f.npu.a = RowSrc::OutLo;
+                f.npu.b = RowSrc(
+                    uint8_t(int(BiasMode::AddQuarter0) + add_into));
+            }
+            f.out.op = next;
+            f.out.param = uint8_t(next_param);
+            f.out.rqIndex = uint8_t(p.rqIndex);
+            pb.emit(f);
+        };
+        fold(-1, OutOp::CopyAcc32, 2);
+        fold(0, OutOp::CopyAcc32, 3);
+        fold(1, OutOp::CopyAcc32, 1);
+        fold(0, OutOp::Requant8, 0);
+
+        // Scatter: output block cb takes lanes cb*64.. of the chunk.
+        pb.setByte(kPatchB, 0);
+        for (int i = 0; i < kFcChunk / kCBlock; ++i) {
+            const int cb = ch * (kFcChunk / kCBlock) + i;
+            if (cb >= ncb_out)
+                break;
+            Instruction sc;
+            sc.ctrl.op = CtrlOp::SetAddrRow;
+            sc.ctrl.reg = kOutReg;
+            sc.ctrl.imm = uint32_t(p.out.baseRow + p.out.rowOf(0, cb, 0));
+            sc.ndu0.op = NduOp::WindowGather;
+            sc.ndu0.srcA = RowSrc::OutLo;
+            sc.ndu0.dst = 0;
+            sc.ndu0.addrReg = kPatchB;
+            sc.ndu0.addrInc = true;
+            sc.ndu0.param = uint8_t(NduStride::S64);
+            sc.write.enable = true;
+            sc.write.addrReg = kOutReg;
+            sc.write.src = RowSrc::N0;
+            pb.emit(sc);
+        }
+    }
+
+    emitEdgePatch(pb, p.out, p.masks);
 }
 
 void

@@ -5,16 +5,18 @@
  * (data RAM placement) and the weight-image base row (weight RAM).
  *
  * Kernel strategy (see DESIGN.md section 2): activations live in the
- * interleaved layout; a convolution's entire accumulation over
- * (ky, cblock, kx, c) runs as ONE Rep instruction per output row-tile,
- * using circular-buffer address registers — the paper's "entire loop
- * can be encoded in a single Ncore instruction" (Fig. 6). Stride-2
- * kernels gather every second x position; over a multi-tile input they
- * run two predicated passes (even/odd input tiles), over a single-tile
- * input one. A standard stride-2 conv with a y-packed output instead
- * reads phase copies of its input (space-to-depth by 2) and runs as a
- * stride-1 packed conv. After each layer an edge-patch pass rewrites
- * the halo lanes and re-stamps padding lanes with the zero point.
+ * interleaved layout (plain, y-packed or dense rows); a convolution's
+ * entire accumulation over (ky, cblock, kx, c) runs as ONE Rep
+ * instruction per output row-tile, using circular-buffer address
+ * registers — the paper's "entire loop can be encoded in a single
+ * Ncore instruction" (Fig. 6). Stride-2 kernels gather every second x
+ * position; over a multi-tile input they run two predicated passes
+ * (even/odd input tiles), over a single-tile input one. A standard
+ * stride-2 conv with a y-packed output instead reads phase copies of
+ * its input (space-to-depth by 2) and runs as a stride-1 packed conv.
+ * A stride-1 1x1 conv over dense rows reads and writes dense rows.
+ * After each layer an edge-patch pass rewrites the halo lanes and
+ * re-stamps padding lanes with the zero point.
  *
  * Address register convention inside kernels:
  *   a0/a1: edge patch scratch;  a2: output row writes;  a3: weights B;
@@ -68,6 +70,9 @@ struct ConvKernel
     /// Scratch rows for the phase copies of a phase-split conv (see
     /// usesPhaseSplit); the copies sit back to back from here.
     int phaseBase = -1;
+    /// Re-stamp pads and halos of `out` after the layer. A relayout
+    /// temp skips it: the relayout reads owned lanes only.
+    bool patchOutput = true;
 };
 
 /**
@@ -109,19 +114,52 @@ void emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
 std::vector<uint8_t> yPackedContentMask(const TensorLayout &lay);
 
 /**
- * Repack a plain interleaved tensor into its y-packed form on-chip
- * (used after producers that cannot write packed rows directly:
- * stems, depthwise stride-2 layers and layer outputs entering a packed
- * region).
+ * Copy a tensor between layouts on chip: plain single-tile, y-packed
+ * or dense rows, in any direction (same shape and channels). The
+ * destination comes out exactly as the host packer writes it: every
+ * copy of every position, halo slots included, and the zero point in
+ * every other lane. Runs after producers that cannot write their
+ * output's layout directly (stems and depthwise layers feeding packed
+ * or dense rows, 1x1 convs feeding 3x3 or depthwise layers).
  */
-struct RepackKernel
+void emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
+                  const TensorLayout &dst, const MaskTable &masks);
+
+/**
+ * Quantized FC as a K-split matvec over a 1x1 interleaved input and
+ * output (see fcSplitDepth): replicate the input into `scratchBase`
+ * (each 1024-lane quarter broadcasts its own channel block), run one
+ * MAC Rep of fcSplitDepth(cin) steps per 1024 outputs, fold the four
+ * accumulator quarters in two steps (CopyAcc32 + AccLoadBias
+ * AddQuarter), requantize, and scatter the result into the output's
+ * channel-block rows. Weights come from packFcWeights.
+ */
+struct FcKernel
 {
-    TensorLayout plain;  ///< Source (pads 1, same tensor).
-    TensorLayout packed; ///< Destination y-packed layout.
+    TensorLayout in;  ///< 1x1 interleaved input vector.
+    TensorLayout out; ///< 1x1 interleaved output vector.
+    int cin = 0, cout = 0;
+    int weightBase = 0;
+    int rqIndex = 0;
+    uint8_t dataZero = 0, weightZero = 0;
     MaskTable masks;
+    int scratchBase = -1; ///< fcScratchRows(cin) rows.
 };
 
-void emitRepack(ProgramBuilder &pb, const RepackKernel &p);
+void emitFc(ProgramBuilder &pb, const FcKernel &p);
+
+/** Data-RAM scratch rows emitFc replicates its input into. */
+inline int
+fcScratchRows(int64_t cin)
+{
+    return fcSplitDepth(cin) / kCBlock;
+}
+
+/**
+ * True when the K-split FC computes exactly the reference's sum:
+ * no partial sum can saturate, so the quarter fold may reorder it.
+ */
+bool fcSplitExact(int64_t cin, int64_t max_abs_bias);
 
 /** Max/avg pooling over the interleaved layout. */
 struct PoolKernel

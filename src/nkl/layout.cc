@@ -109,6 +109,82 @@ yPackedLayout(const Shape &shape, uint8_t zero_byte)
     return lay;
 }
 
+TensorLayout
+denseLayout(const Shape &shape, uint8_t zero_byte)
+{
+    TensorLayout lay = interleavedLayout(shape, 0, 0, 0, 0, zero_byte);
+    lay.dense = true;
+    return lay;
+}
+
+void
+packDense(const Tensor &t, int64_t n, const TensorLayout &lay,
+          uint8_t *dst)
+{
+    panic_if(!lay.dense, "packDense on a non-dense layout");
+    const int ncb = lay.cblocks();
+    const int64_t hw = int64_t(lay.h) * lay.w;
+    const uint8_t *src = t.raw() + n * hw * lay.c;
+
+    std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
+    for (int64_t p = 0; p < hw; ++p)
+        for (int cb = 0; cb < ncb; ++cb) {
+            int span = std::min(kCBlock, lay.c - cb * kCBlock);
+            std::memcpy(dst + size_t(lay.rowOfPacked(int(p / kRowPos),
+                                                     cb)) *
+                                  kRowBytes +
+                            (p % kRowPos) * kCBlock,
+                        src + p * lay.c + cb * kCBlock, size_t(span));
+        }
+}
+
+void
+unpackDense(const uint8_t *src, const TensorLayout &lay, Tensor &t,
+            int64_t n)
+{
+    panic_if(!lay.dense, "unpackDense on a non-dense layout");
+    const int ncb = lay.cblocks();
+    const int64_t hw = int64_t(lay.h) * lay.w;
+    uint8_t *dst = t.raw() + n * hw * lay.c;
+
+    for (int64_t p = 0; p < hw; ++p)
+        for (int cb = 0; cb < ncb; ++cb) {
+            int span = std::min(kCBlock, lay.c - cb * kCBlock);
+            std::memcpy(dst + p * lay.c + cb * kCBlock,
+                        src + size_t(lay.rowOfPacked(int(p / kRowPos),
+                                                     cb)) *
+                                  kRowBytes +
+                            (p % kRowPos) * kCBlock,
+                        size_t(span));
+        }
+}
+
+void
+packActivation(const Tensor &t, int64_t n, const TensorLayout &lay,
+               uint8_t *dst)
+{
+    if (lay.dense)
+        packDense(t, n, lay, dst);
+    else if (lay.packed())
+        packYPacked(t, n, lay, dst);
+    else if (lay.kind == LayoutKind::GroupedRf)
+        packGroupedRf(t, n, lay, dst);
+    else
+        packInterleaved(t, n, lay, dst);
+}
+
+void
+unpackActivation(const uint8_t *src, const TensorLayout &lay, Tensor &t,
+                 int64_t n)
+{
+    if (lay.dense)
+        unpackDense(src, lay, t, n);
+    else if (lay.packed())
+        unpackYPacked(src, lay, t, n);
+    else
+        unpackInterleaved(src, lay, t, n);
+}
+
 void
 packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
             uint8_t *dst)
@@ -391,6 +467,47 @@ packDepthwiseWeights(const Tensor &w, const Tensor *bias,
             for (int64_t j = 0; j < kCBlock && cb * kCBlock + j < c;
                  ++j)
                 block[j] = pw[(r * kw + s) * c + cb * kCBlock + j];
+        }
+    }
+    return img;
+}
+
+int
+fcWeightRows(int64_t cin, int64_t cout)
+{
+    const int64_t chunks = (cout + kFcChunk - 1) / kFcChunk;
+    return int(chunks * (1 + fcSplitDepth(cin)));
+}
+
+std::vector<uint8_t>
+packFcWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte)
+{
+    const int64_t cout = w.shape().dim(0), cin = w.shape().dim(1);
+    const int64_t depth = fcSplitDepth(cin);
+    const int64_t chunks = (cout + kFcChunk - 1) / kFcChunk;
+    std::vector<uint8_t> img(size_t(fcWeightRows(cin, cout)) * kRowBytes,
+                             zero_byte);
+    const uint8_t *pw = w.raw();
+
+    for (int64_t ch = 0; ch < chunks; ++ch) {
+        uint8_t *brow = img.data() + size_t(ch * (1 + depth)) * kRowBytes;
+        std::memset(brow, 0, kRowBytes);
+        for (int64_t o = 0; o < kFcChunk && ch * kFcChunk + o < cout;
+             ++o) {
+            int32_t b = bias ? bias->intAt(ch * kFcChunk + o) : 0;
+            std::memcpy(brow + o * 4, &b, 4);
+        }
+        for (int64_t k = 0; k < depth; ++k) {
+            uint8_t *row = brow + size_t(1 + k) * kRowBytes;
+            for (int64_t q = 0; q < 4; ++q) {
+                const int64_t c = q * depth + k;
+                if (c >= cin)
+                    continue;
+                for (int64_t o = 0;
+                     o < kFcChunk && ch * kFcChunk + o < cout; ++o)
+                    row[q * kFcChunk + o] =
+                        pw[(ch * kFcChunk + o) * cin + c];
+            }
         }
     }
     return img;

@@ -14,15 +14,20 @@
  * (so u8 MACs of pad positions contribute exactly zero after the
  * zero-offset subtraction).
  *
+ * Dense (1x1 convolutions and adds): an interleaved geometry with the
+ * h*w positions flattened row-major, 64 per row, and no pads or halos:
+ * byte [i*64 + c] = value(p = block*64 + i, cb*64 + c). A 1x1 conv
+ * reads no neighbours, so it needs neither; 14x14 fills 196 of 256
+ * lanes instead of y-packing's 112 of 256.
+ *
  * Flat (GNMT's bf16 matmul vectors): 4096 elements per planar row
  * pair, low bytes then high bytes (paper IV-C2). Quantized vectors
  * (FC inputs and outputs) are 1x1 interleaved tensors instead.
  *
  * Weight layouts: conv weights pack 64-output-channel blocks as
  * 64-byte tap blocks (64 taps per row) in the exact order the kernel's
- * single-instruction Rep loop consumes them (an FC's [Cout, Cin]
- * weights pack as a 1x1 conv); depthwise and matmul weights have their
- * own packings documented at the functions.
+ * single-instruction Rep loop consumes them; FC, depthwise and matmul
+ * weights have their own packings documented at the functions.
  */
 
 #ifndef NCORE_NKL_LAYOUT_H
@@ -87,17 +92,24 @@ struct TensorLayout
     int ny = 0;
     int pitch = 0;
 
+    // Dense spatial rows: positions p = y*w + x flattened, 64 per row;
+    // row (block, cb) holds p = block*64 .. block*64 + 63. No pads.
+    bool dense = false;
+
     bool packed() const { return ny > 0; }
     int slots() const { return ny + 2; }
 
-    /** Y-blocks a packed tensor spans. */
+    /** Row blocks a packed (y-blocks) or dense (64-position blocks)
+     *  tensor spans. */
     int
     blocks() const
     {
+        if (dense)
+            return (h * w + kRowPos - 1) / kRowPos;
         return (paddedH() + ny - 1) / ny;
     }
 
-    /** Row of (block, cblock) for packed tensors. */
+    /** Row of (block, cblock) for packed and dense tensors. */
     int
     rowOfPacked(int block, int cb) const
     {
@@ -125,6 +137,8 @@ struct TensorLayout
     {
         if (kind == LayoutKind::GroupedRf)
             return rfOutTiles;
+        if (dense)
+            return 1;
         return (paddedW() + kOwnW - 1) / kOwnW;
     }
 
@@ -134,7 +148,7 @@ struct TensorLayout
     {
         if (kind == LayoutKind::Flat)
             return 2 * ((c + 4095) / 4096);
-        if (packed())
+        if (packed() || dense)
             return blocks() * cblocks();
         return paddedH() * cblocks() * xtiles();
     }
@@ -164,6 +178,9 @@ TensorLayout flatLayout(int64_t elems);
  */
 TensorLayout yPackedLayout(const Shape &shape, uint8_t zero_byte);
 
+/** Build the dense layout of an NHWC activation. */
+TensorLayout denseLayout(const Shape &shape, uint8_t zero_byte);
+
 /** True when a tensor of this width benefits from y-packing. */
 inline bool
 yPackable(int64_t w)
@@ -179,6 +196,20 @@ void packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
                  uint8_t *dst);
 void unpackYPacked(const uint8_t *src, const TensorLayout &lay,
                    Tensor &t, int64_t n);
+
+/** Pack / unpack an NHWC uint8 tensor to/from dense rows (host side;
+ *  lanes past the last position hold the zero point). */
+void packDense(const Tensor &t, int64_t n, const TensorLayout &lay,
+               uint8_t *dst);
+void unpackDense(const uint8_t *src, const TensorLayout &lay, Tensor &t,
+                 int64_t n);
+
+/** Pack / unpack any 8-bit interleaved-family layout (plain, y-packed
+ *  or dense), dispatching on its geometry. */
+void packActivation(const Tensor &t, int64_t n, const TensorLayout &lay,
+                    uint8_t *dst);
+void unpackActivation(const uint8_t *src, const TensorLayout &lay,
+                      Tensor &t, int64_t n);
 
 /**
  * Pack an NHWC uint8 tensor (batch index `n`) into interleaved rows.
@@ -253,6 +284,34 @@ std::vector<uint8_t> packDepthwiseWeights(const Tensor &w,
                                           uint8_t zero_byte);
 
 int depthwiseWeightRows(int64_t kh, int64_t kw, int64_t c);
+
+/**
+ * K-split FC: lane q*1024 + o of MAC step k accumulates input channel
+ * q*D + k times output o, so one 4096-lane step does four input
+ * channels of 1024 outputs; D = fcSplitDepth(cin) steps cover cin.
+ * D is a multiple of 64, so each quarter's inputs are whole channel
+ * blocks of the 1x1 input.
+ */
+inline int
+fcSplitDepth(int64_t cin)
+{
+    return int(((cin + 3) / 4 + kCBlock - 1) / kCBlock * kCBlock);
+}
+
+/** Outputs per K-split FC chunk (one 4096-lane quarter each). */
+constexpr int kFcChunk = 1024;
+
+/**
+ * K-split FC weight image for [Cout, Cin] weights: per chunk of 1024
+ * outputs, one bias row (int32 bias[chunk*1024 + o] at word o), then
+ * fcSplitDepth(cin) tap rows; tap row k holds w[chunk*1024 + o,
+ * q*D + k] at byte q*1024 + o. Out-of-range taps hold the weight zero
+ * point, so they contribute nothing.
+ */
+std::vector<uint8_t> packFcWeights(const Tensor &w, const Tensor *bias,
+                                   uint8_t zero_byte);
+
+int fcWeightRows(int64_t cin, int64_t cout);
 
 /**
  * bf16 matmul weight image for [K, N] (row-major): per output chunk of

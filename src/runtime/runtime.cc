@@ -180,12 +180,7 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     for (size_t i = 0; i < inputs.size(); ++i) {
         const TensorLayout &lay = sg.layouts.at(sg.inputs[i]);
         packBuf_.assign(size_t(lay.rows()) * 4096, 0);
-        if (lay.packed())
-            packYPacked(inputs[i], 0, lay, packBuf_.data());
-        else if (lay.kind == LayoutKind::GroupedRf)
-            packGroupedRf(inputs[i], 0, lay, packBuf_.data());
-        else
-            packInterleaved(inputs[i], 0, lay, packBuf_.data());
+        packActivation(inputs[i], 0, lay, packBuf_.data());
         for (int r = 0; r < lay.rows(); ++r)
             machine_->hostWriteRow(false, lay.baseRow + r,
                                    packBuf_.data() + size_t(r) * 4096);
@@ -209,10 +204,7 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
         for (int r = 0; r < lay.rows(); ++r)
             machine_->hostReadRow(false, lay.baseRow + r,
                                   packBuf_.data() + size_t(r) * 4096);
-        if (lay.packed())
-            unpackYPacked(packBuf_.data(), lay, t, 0);
-        else
-            unpackInterleaved(packBuf_.data(), lay, t, 0);
+        unpackActivation(packBuf_.data(), lay, t, 0);
         outs.push_back(std::move(t));
     }
 

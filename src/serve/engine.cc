@@ -388,8 +388,8 @@ ServeEngine::run(const ServeConfig &user_cfg, int queries)
           stats::kNcoreRamWrites, stats::kNcoreDmaFenceStalls,
           stats::kNcoreEvents, stats::kDmaBytesRead,
           stats::kDmaBytesWritten, stats::kDmaTransfers,
-          stats::kDmaBusyCycles, stats::kDmaStallCycles,
-          stats::kEccCorrectedData, stats::kEccCorrectedWeight,
+          stats::kDmaBusyCycles, stats::kEccCorrectedData,
+          stats::kEccCorrectedWeight,
           stats::kEccUncorrectableData, stats::kEccUncorrectableWeight,
           stats::kIramSwaps})
         result.stats.add(name, 0.0);

@@ -74,7 +74,6 @@ struct DmaStats
     uint64_t bytesWritten = 0;
     uint64_t transfers = 0;
     uint64_t busyCycles = 0;   ///< Cycles with at least one active transfer.
-    uint64_t stallCycles = 0;  ///< Execution cycles stalled on a fence.
 };
 
 /** The DMA subsystem: descriptor table, queues and bandwidth model. */

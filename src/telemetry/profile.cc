@@ -330,10 +330,17 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
     // Derived roofline metrics.
     for (LayerProfile &lp : rows) {
         const uint64_t cyc = lp.cycles();
-        lp.macUtilPct =
-            cyc > 0 ? 100.0 * double(lp.d.macOps) /
-                          (double(cyc) * double(rep.rowBytes))
-                    : 0.0;
+        const double peak = double(cyc) * double(rep.rowBytes);
+        lp.macUtilPct = cyc > 0 ? 100.0 * double(lp.d.macOps) / peak : 0.0;
+        if (graph && lp.node >= 0 &&
+            size_t(lp.node) < graph->nodes().size())
+            lp.usefulMacs =
+                uint64_t(Graph::nodeMacs(*graph,
+                                         graph->nodes()[size_t(lp.node)])) *
+                lp.enters;
+        lp.usefulMacPct =
+            cyc > 0 ? 100.0 * double(lp.usefulMacs) / peak : 0.0;
+        rep.usefulMacs += lp.usefulMacs;
         lp.dramBytes = lp.d.dmaBytesRead + lp.d.dmaBytesWritten;
         uint64_t row_accesses = 0;
         for (int i = 0; i < 2; ++i)
@@ -393,6 +400,16 @@ ProfileReport::text() const
                        : 0.0);
     s += buf;
     snprintf(buf, sizeof buf,
+             "  useful macs %llu (%.1f%% of peak, %.1f%% of mac lanes)\n",
+             (unsigned long long)usefulMacs,
+             total > 0 ? 100.0 * double(usefulMacs) /
+                             (double(total) * double(rowBytes))
+                       : 0.0,
+             totals.macOps > 0
+                 ? 100.0 * double(usefulMacs) / double(totals.macOps)
+                 : 0.0);
+    s += buf;
+    snprintf(buf, sizeof buf,
              "  dma bytes: %llu in, %llu out\n",
              (unsigned long long)totals.dmaBytesRead,
              (unsigned long long)totals.dmaBytesWritten);
@@ -430,16 +447,17 @@ ProfileReport::text() const
     s += buf;
 
     s += "  per-layer roofline (cycles desc):\n";
-    snprintf(buf, sizeof buf, "    %12s %7s %6s %10s %10s  %s\n",
-             "cycles", "%cyc", "mac%", "dram_KiB", "sram_KiB",
+    snprintf(buf, sizeof buf, "    %12s %7s %6s %6s %10s %10s  %s\n",
+             "cycles", "%cyc", "mac%", "use%", "dram_KiB", "sram_KiB",
              "layer");
     s += buf;
     for (const LayerProfile &lp : rows) {
         snprintf(buf, sizeof buf,
-                 "    %12llu %6.2f%% %5.1f%% %10.1f %10.1f  "
+                 "    %12llu %6.2f%% %5.1f%% %5.1f%% %10.1f %10.1f  "
                  "%s (%s) x%llu\n",
                  (unsigned long long)lp.cycles(), pct(lp.cycles()),
-                 lp.macUtilPct, double(lp.dramBytes) / 1024.0,
+                 lp.macUtilPct, lp.usefulMacPct,
+                 double(lp.dramBytes) / 1024.0,
                  double(lp.sramBytes) / 1024.0, lp.name.c_str(),
                  lp.kind.c_str(), (unsigned long long)lp.enters);
         s += buf;
@@ -468,6 +486,12 @@ ProfileReport::json() const
     j.field("mac_ops", totals.macOps);
     j.field("mac_util_pct",
             total > 0 ? 100.0 * double(totals.macOps) /
+                            (double(total) * double(rowBytes))
+                      : 0.0,
+            "%.3f");
+    j.field("useful_macs", usefulMacs);
+    j.field("useful_mac_pct",
+            total > 0 ? 100.0 * double(usefulMacs) /
                             (double(total) * double(rowBytes))
                       : 0.0,
             "%.3f");
@@ -505,6 +529,8 @@ ProfileReport::json() const
                 "%.3f");
         j.field("mac_ops", lp.d.macOps);
         j.field("mac_util_pct", lp.macUtilPct, "%.3f");
+        j.field("useful_macs", lp.usefulMacs);
+        j.field("useful_mac_pct", lp.usefulMacPct, "%.3f");
         j.field("dram_bytes", lp.dramBytes);
         j.field("sram_bytes", lp.sramBytes);
         j.field("dma_fence_stall_cycles",

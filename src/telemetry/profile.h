@@ -228,7 +228,11 @@ struct LayerProfile
     ProfileCounters d;   ///< Exclusive counter deltas of this row.
 
     uint64_t cycles() const { return d.cycles(); }
-    double macUtilPct = 0; ///< Achieved vs rowBytes MACs/cycle peak.
+    double macUtilPct = 0; ///< Lane-MACs issued vs the rowBytes/cycle peak.
+    /// MACs the layer's op needs (Graph::nodeMacs per enter): lane-MACs
+    /// spent on pads, halos and idle lanes do not count.
+    uint64_t usefulMacs = 0;
+    double usefulMacPct = 0; ///< usefulMacs vs the rowBytes/cycle peak.
     uint64_t dramBytes = 0; ///< DMA bytes moved inside this scope.
     uint64_t sramBytes = 0; ///< Scratchpad row-access bytes.
 };
@@ -246,6 +250,8 @@ struct ProfileReport
     double clockHz = 0;
     int rowBytes = 4096;
     ProfileCounters totals;
+    /// Sum of the rows' usefulMacs.
+    uint64_t usefulMacs = 0;
     /// Cycles no scope claimed (0 when the runtime brackets every
     /// program with marks; asserted by tests).
     uint64_t unattributedCycles = 0;

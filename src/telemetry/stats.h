@@ -117,8 +117,6 @@ inline constexpr const char *kDmaBytesWritten =
     "ncore_dma_written_bytes_total";
 inline constexpr const char *kDmaTransfers = "ncore_dma_transfers_total";
 inline constexpr const char *kDmaBusyCycles = "ncore_dma_busy_cycles_total";
-inline constexpr const char *kDmaStallCycles =
-    "ncore_dma_stall_cycles_total";
 
 // SRAM ECC counters (src/ncore/ram.h), labeled per bank.
 inline constexpr const char *kEccCorrectedData =

@@ -39,6 +39,7 @@
 
 #include "common/machine.h"
 #include "common/rng.h"
+#include "common/saturate.h"
 #include "isa/encoding.h"
 #include "ncore/machine.h"
 #include "ncore/simd.h"
@@ -725,7 +726,21 @@ TEST_F(FastPathDiff, SimdTierSelection)
 /** ≥1000 random programs, bit-identical across the engine matrix
  *  (override the count with NCORE_DIFF_PROGRAMS; the sanitizer CI
  *  job runs a reduced count). */
-TEST_F(FastPathDiff, RandomPrograms)
+/**
+ * RandomPrograms runs in kDiffShards shards that ctest schedules in
+ * parallel. Shard s takes programs i with i % kDiffShards == s from the
+ * one `master` seed sequence, so together the shards run the same
+ * NCORE_DIFF_PROGRAMS programs (1000 by default) with the same seeds
+ * as a single loop.
+ */
+constexpr int kDiffShards = 8;
+
+class FastPathDiffShard : public FastPathDiff,
+                          public ::testing::WithParamInterface<int>
+{
+};
+
+TEST_P(FastPathDiffShard, RandomPrograms)
 {
     int programs = 1000;
     if (const char *s = getenv("NCORE_DIFF_PROGRAMS"))
@@ -733,6 +748,8 @@ TEST_F(FastPathDiff, RandomPrograms)
     Rng master(0x5eedc0de);
     for (int i = 0; i < programs; ++i) {
         uint64_t seed = master.next64();
+        if (i % kDiffShards != GetParam())
+            continue;
         Rng rng(seed);
         seedState(rng);
         ProgramGen pgen(seed ^ 0x9e3779b97f4a7c15ull,
@@ -748,6 +765,9 @@ TEST_F(FastPathDiff, RandomPrograms)
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, FastPathDiffShard,
+                         ::testing::Range(0, kDiffShards));
 
 /**
  * Diagnostic (skipped unless NCORE_BISECT_SEED is set): re-generate the
@@ -1601,6 +1621,76 @@ TEST_F(FastPathDiff, ConvRepSaturationGuard)
     EXPECT_EQ(runCase(1), INT32_MAX);   // Saturated on the per-rep path.
     EXPECT_EQ(runCase(0), INT32_MAX);   // Fused, exactly on the rail.
     EXPECT_EQ(runCase(-7), INT32_MAX - 7);
+}
+
+/**
+ * The K-split FC's fold (nkl emitFc): CopyAcc32 copies one accumulator
+ * quarter to OutLo, and AccLoadBias in an AddQuarter mode adds int32
+ * words into another quarter, from OutLo in the same instruction as the
+ * next copy (NPU before OUT) or from a RAM row. Under Rep the add runs
+ * once per repetition, and the random words drive lanes onto the
+ * rails. Every engine matches the interpreter.
+ */
+TEST_F(FastPathDiff, AccumulatingBiasModes)
+{
+    Rng rng(23);
+    seedState(rng);
+    std::vector<Instruction> prog;
+    for (int q = 0; q < 4; ++q) {
+        prog.push_back(setAddrRow(2, 40 + q));
+        Instruction load;
+        load.dataRead.enable = true;
+        load.dataRead.reg = 2;
+        load.npu.op = NpuOp::AccLoadBias;
+        load.npu.a = RowSrc::DataRead;
+        load.npu.b = RowSrc(int(BiasMode::Quarter0) + q);
+        prog.push_back(load);
+    }
+    auto fold = [&](int add_into, OutOp next, int next_param) {
+        Instruction f;
+        if (add_into >= 0) {
+            f.npu.op = NpuOp::AccLoadBias;
+            f.npu.a = RowSrc::OutLo;
+            f.npu.b = RowSrc(int(BiasMode::AddQuarter0) + add_into);
+        }
+        f.out.op = next;
+        f.out.param = uint8_t(next_param);
+        prog.push_back(f);
+    };
+    fold(-1, OutOp::CopyAcc32, 2);
+    fold(0, OutOp::CopyAcc32, 3);
+    fold(1, OutOp::CopyAcc32, 1);
+    fold(0, OutOp::Requant8, 0);
+    prog.push_back(setAddrRow(2, 44));
+    Instruction rep;
+    rep.ctrl.op = CtrlOp::Rep;
+    rep.ctrl.imm = 3;
+    rep.dataRead.enable = true;
+    rep.dataRead.reg = 2;
+    rep.npu.op = NpuOp::AccLoadBias;
+    rep.npu.a = RowSrc::DataRead;
+    rep.npu.b = RowSrc(int(BiasMode::AddQuarter2));
+    prog.push_back(rep);
+    prog.push_back(ctrlOnly(CtrlOp::Halt));
+    runAll(prog);
+    compareState(23);
+
+    // Quarter 2 kept its load through the fold, then took row 44's
+    // words three times, saturating.
+    const int quarter = gen_.rowBytesInt() / 4;
+    std::vector<int32_t> base(static_cast<size_t>(quarter));
+    std::vector<int32_t> add(static_cast<size_t>(quarter));
+    gen_.hostReadRow(false, 42, reinterpret_cast<uint8_t *>(base.data()));
+    gen_.hostReadRow(false, 44, reinterpret_cast<uint8_t *>(add.data()));
+    int rails = 0;
+    for (int i = 0; i < quarter; ++i) {
+        int32_t want = base[size_t(i)];
+        for (int r = 0; r < 3; ++r)
+            want = satAdd32(want, add[size_t(i)]);
+        ASSERT_EQ(gen_.accState()[size_t(2 * quarter + i)], want) << i;
+        rails += want == INT32_MAX || want == INT32_MIN;
+    }
+    EXPECT_GT(rails, 0);
 }
 
 /** The same engines with ECC modeled in both SRAM banks. */

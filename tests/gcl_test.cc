@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -358,10 +359,12 @@ convRepShaped(const Instruction &in)
 
 TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
 {
-    // Stage-4/5 block1 `b` and `proj` write their y-packed outputs
-    // directly (every requant store lands in the output tensor, none
-    // in a repack temp) with one unpredicated pass of fused conv Reps.
-    // A fallback to the predicated or repacked lowering fails here.
+    // Stage-4/5 block1 `b` and `proj` write y-packed rows directly
+    // from phase copies, with one unpredicated pass of fused conv
+    // Reps: every requant store lands in one y-packed image, the
+    // output tensor itself or, for outputs that only 1x1 convs and
+    // adds read, the temp a relayout then moves into dense rows. A
+    // fallback to the predicated or plain lowering fails here.
     Loadable ld = compile(buildResNet50V15());
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
@@ -377,9 +380,11 @@ TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
             if (ld.graph.nodes()[i].name == name)
                 id = int(i);
         ASSERT_GE(id, 0);
-        const TensorLayout &out =
-            sg.layouts.at(ld.graph.nodes()[size_t(id)].outputs[0]);
-        EXPECT_TRUE(out.packed());
+        const TensorId out_id = ld.graph.nodes()[size_t(id)].outputs[0];
+        const TensorLayout &out = sg.layouts.at(out_id);
+        EXPECT_TRUE(out.packed() || out.dense);
+        const int packed_rows =
+            yPackedLayout(ld.graph.tensor(out_id).shape, 0).rows();
 
         auto marker = [&](uint32_t tag) {
             return std::find_if(code.begin(), code.end(),
@@ -393,11 +398,11 @@ TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
         ASSERT_TRUE(begin < end && end != code.end());
 
         int stores = 0, mac_reps = 0;
+        std::set<int> rows;
         for (auto it = begin; it != end; ++it) {
             if (it->out.op == OutOp::Requant8) {
                 ++stores;
-                EXPECT_GE(int(it->ctrl.imm), out.baseRow);
-                EXPECT_LT(int(it->ctrl.imm), out.baseRow + out.rows());
+                rows.insert(int(it->ctrl.imm));
             }
             if (it->ctrl.op == CtrlOp::Rep && it->npu.op == NpuOp::Mac) {
                 ++mac_reps;
@@ -405,9 +410,93 @@ TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
                 EXPECT_EQ(it->npu.pred, Pred::None);
             }
         }
-        EXPECT_EQ(stores, out.rows());
+        EXPECT_EQ(stores, packed_rows);
+        ASSERT_EQ(int(rows.size()), packed_rows);
+        EXPECT_EQ(*rows.rbegin() - *rows.begin() + 1, packed_rows);
+        if (out.packed()) {
+            EXPECT_EQ(*rows.begin(), out.baseRow);
+        }
         EXPECT_GT(mac_reps, 0);
     }
+}
+
+TEST(GclPlanning, MobileNetPointwiseRunsOnDenseRows)
+{
+    // The 14x14 and 7x7 pointwise convs read dense rows and write dense
+    // rows (their requant stores fill exactly a dense image of their
+    // output) with fused conv Reps. The relayouts sit at depthwise
+    // boundaries only: every dense tensor is a depthwise output that
+    // only a pointwise conv reads, and every pointwise output feeds a
+    // depthwise layer (or the pool) through a relayout.
+    Loadable ld = compile(buildMobileNetV1());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    const Graph &g = ld.graph;
+    std::vector<Instruction> code;
+    for (const EncodedInstruction &e : sg.code)
+        code.push_back(decodeInstruction(e));
+
+    int dense_pw = 0;
+    for (size_t id = 0; id < g.nodes().size(); ++id) {
+        const Node &n = g.nodes()[id];
+        if (n.kind != OpKind::Conv2D && n.kind != OpKind::DepthwiseConv2D)
+            continue;
+        SCOPED_TRACE(n.name);
+        const TensorLayout &in = sg.layouts.at(n.inputs[0]);
+        const bool pw = n.name.ends_with("/pw");
+        EXPECT_EQ(in.dense, pw && in.w <= 14);
+        if (!in.dense)
+            continue;
+        ++dense_pw;
+        EXPECT_EQ(g.producer(n.inputs[0])->kind, OpKind::DepthwiseConv2D);
+        EXPECT_FALSE(sg.layouts.at(n.outputs[0]).dense);
+
+        auto marker = [&](uint32_t tag) {
+            return std::find_if(code.begin(), code.end(),
+                                [&](const Instruction &i) {
+                                    return i.ctrl.op == CtrlOp::Event &&
+                                           i.ctrl.imm == tag;
+                                });
+        };
+        auto begin = marker(uint32_t(id) << 2 | 1);
+        auto end = marker(uint32_t(id) << 2 | 2);
+        ASSERT_TRUE(begin < end && end != code.end());
+        int stores = 0;
+        for (auto it = begin; it != end; ++it) {
+            stores += it->out.op == OutOp::Requant8;
+            if (it->ctrl.op == CtrlOp::Rep && it->npu.op == NpuOp::Mac) {
+                EXPECT_TRUE(convRepShaped(*it));
+            }
+        }
+        EXPECT_EQ(stores,
+                  denseLayout(g.tensor(n.outputs[0]).shape, 0).rows());
+    }
+    // block6..block11 at 14x14, block12 and block13 at 7x7.
+    EXPECT_EQ(dense_pw, 8);
+}
+
+TEST(GclPlanning, ResNetDenseRowsStopAtStrideTwo)
+{
+    // A stride-2 projection reads its input at every second position,
+    // so that input keeps plain or y-packed rows; the stage-4/5 blocks'
+    // other 1x1 inputs and residual adds run on dense rows.
+    Loadable ld = compile(buildResNet50V15());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    int proj = 0, dense_adds = 0;
+    for (const Node &n : ld.graph.nodes()) {
+        if (n.name.ends_with("/proj") && n.attrs.strideH == 2) {
+            ++proj;
+            EXPECT_FALSE(sg.layouts.at(n.inputs[0]).dense) << n.name;
+        }
+        if (n.kind == OpKind::Add && sg.layouts.at(n.outputs[0]).dense) {
+            ++dense_adds;
+            EXPECT_TRUE(sg.layouts.at(n.inputs[0]).dense);
+            EXPECT_TRUE(sg.layouts.at(n.inputs[1]).dense);
+        }
+    }
+    EXPECT_EQ(proj, 3);
+    EXPECT_GT(dense_adds, 0);
 }
 
 TEST(GclPlanning, CompileIsDeterministic)

@@ -269,19 +269,19 @@ expectDeviceTotals(Workload w, const DeviceTotals &golden)
 TEST(ModelDeviceTotals, MobileNetV1)
 {
     expectDeviceTotals(Workload::MobileNetV1,
-                       {377548, 377548, 0, 1435926528, 0});
+                       {246856, 246856, 0, 900104192, 0});
 }
 
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {2317391, 2316735, 27320320, 9257549824, 656});
+                       {2014697, 2014041, 27258880, 8047755264, 656});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)
 {
     expectDeviceTotals(Workload::SsdMobileNet,
-                       {907374, 907374, 0, 3531096064, 0});
+                       {828822, 828822, 0, 3212328960, 0});
 }
 
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time

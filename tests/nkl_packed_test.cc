@@ -1,7 +1,7 @@
 /**
  * @file
  * Y-packed layout kernel tests: host pack/unpack round-trips, on-chip
- * repack from plain rows, packed->packed and packed->plain
+ * relayout from plain rows, packed->packed and packed->plain
  * convolutions (standard + depthwise, stride 1 and 2), phase-split
  * stride-2 convolutions writing packed rows, pooling from
  * packed inputs, and residual adds over packed rows — all bit-exact
@@ -92,7 +92,7 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
     Tensor t(Shape{1, 7, 7, 128}, DType::UInt8, qp);
     t.fillRandom(rng);
 
-    // Plain layout with uniform pads 1 (the repack-temp convention).
+    // Plain layout with uniform pads 1.
     TensorLayout plain = interleavedLayout(t.shape(), 1, 1, 1, 1,
                                            uint8_t(qp.zeroPoint));
     plain.baseRow = 80;
@@ -101,29 +101,21 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
     packed.baseRow = plain.baseRow + plain.rows() + 2;
     testutil::loadInterleaved(m, t, plain);
 
-    RepackKernel rk;
-    rk.plain = plain;
-    rk.packed = packed;
-    rk.masks = masks;
     ProgramBuilder pb;
-    emitRepack(pb, rk);
+    emitRelayout(pb, plain, packed, masks);
     ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);
 
     // The on-chip rows must match the host packer bit-for-bit
-    // (including materialized halos and pads).
+    // (including materialized halos, pads and the dead tail).
     std::vector<uint8_t> want(size_t(packed.rows()) * 4096);
     packYPacked(t, 0, packed, want.data());
     std::vector<uint8_t> got(4096);
     for (int r = 0; r < packed.rows(); ++r) {
         m.hostReadRow(false, packed.baseRow + r, got.data());
-        for (int i = 0; i < 4096; ++i) {
-            // Lanes beyond the slots are dead space.
-            if (i / 64 >= packed.slots() * packed.pitch)
-                continue;
+        for (int i = 0; i < 4096; ++i)
             ASSERT_EQ(got[size_t(i)], want[size_t(r) * 4096 + i])
                 << "row " << r << " byte " << i;
-        }
     }
 }
 

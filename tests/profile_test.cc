@@ -262,7 +262,10 @@ TEST(ProfileAttributionTest, IdenticalLayersGetIdenticalCounters)
     ASSERT_EQ(pw.size(), 5u);
     for (const LayerProfile *row : pw) {
         EXPECT_EQ(row->d, pw[0]->d) << row->name;
-        EXPECT_EQ(row->d.macOps, 512ull * 64 * 4096) << row->name;
+        // Dense rows: 4 position blocks x 8 output blocks, one Rep of
+        // 512 taps each.
+        EXPECT_EQ(row->d.macOps, 512ull * 4 * 8 * 4096) << row->name;
+        EXPECT_EQ(row->usefulMacs, 14ull * 14 * 512 * 512) << row->name;
     }
 }
 
@@ -287,6 +290,7 @@ constexpr const char kGoldenText[] =
     "ncore profile: golden  (row 4096 B, clock 2.5e+09 Hz)\n"
     "  cycles 25 (0.000 ms)  instructions 7  mac lanes 20480 "
     "(20.0% of peak)\n"
+    "  useful macs 0 (0.0% of peak, 0.0% of mac lanes)\n"
     "  dma bytes: 4096 in, 0 out\n"
     "  cycle buckets:\n"
     "    issue                       5   20.00%\n"
@@ -302,10 +306,11 @@ constexpr const char kGoldenText[] =
     "  ram rows: data 4r/0w (0 conflicts), weight 0r/0w "
     "(0 conflicts)\n"
     "  per-layer roofline (cycles desc):\n"
-    "          cycles    %cyc   mac%   dram_KiB   sram_KiB  layer\n"
-    "              24  96.00%  20.8%        4.0       16.0  "
+    "          cycles    %cyc   mac%   use%   dram_KiB   sram_KiB  "
+    "layer\n"
+    "              24  96.00%  20.8%   0.0%        4.0       16.0  "
     "stage (host) x1\n"
-    "               1   4.00%   0.0%        0.0        0.0  "
+    "               1   4.00%   0.0%   0.0%        0.0        0.0  "
     "(unattributed) (overhead) x0\n"
     "  unattributed: 1 cycles\n";
 
@@ -319,6 +324,8 @@ constexpr const char kGoldenJson[] =
     "  \"instructions\": 7,\n"
     "  \"mac_ops\": 20480,\n"
     "  \"mac_util_pct\": 20.000,\n"
+    "  \"useful_macs\": 0,\n"
+    "  \"useful_mac_pct\": 0.000,\n"
     "  \"dma_bytes_read\": 4096,\n"
     "  \"dma_bytes_written\": 0,\n"
     "  \"buckets\": {\n"
@@ -358,6 +365,8 @@ constexpr const char kGoldenJson[] =
     "      \"cycles_pct\": 96.000,\n"
     "      \"mac_ops\": 20480,\n"
     "      \"mac_util_pct\": 20.833,\n"
+    "      \"useful_macs\": 0,\n"
+    "      \"useful_mac_pct\": 0.000,\n"
     "      \"dram_bytes\": 4096,\n"
     "      \"sram_bytes\": 16384,\n"
     "      \"dma_fence_stall_cycles\": 16,\n"
@@ -380,6 +389,8 @@ constexpr const char kGoldenJson[] =
     "      \"cycles_pct\": 4.000,\n"
     "      \"mac_ops\": 0,\n"
     "      \"mac_util_pct\": 0.000,\n"
+    "      \"useful_macs\": 0,\n"
+    "      \"useful_mac_pct\": 0.000,\n"
     "      \"dram_bytes\": 0,\n"
     "      \"sram_bytes\": 0,\n"
     "      \"dma_fence_stall_cycles\": 0,\n"

@@ -316,7 +316,8 @@ TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
     // A ResNet stage-transition block, 28 -> 14: its stride-2 `b` (3x3
     // pad 1, after an explicit pad like the MLPerf graph) and `proj`
     // (1x1) write y-packed rows from phase copies of their plain
-    // 28-wide inputs.
+    // 28-wide inputs; relayouts then move them into dense rows for
+    // `c` and the add.
     Rng rng(52);
     GraphBuilder gb("block1");
     QuantParams in_qp = actQp(-1.0f, 1.0f);
@@ -338,8 +339,7 @@ TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     for (const Node &n : ld.graph.nodes()) {
         if (n.name == "b" || n.name == "proj") {
-            EXPECT_TRUE(
-                ld.subgraphs[0].layouts.at(n.outputs[0]).packed())
+            EXPECT_TRUE(ld.subgraphs[0].layouts.at(n.outputs[0]).dense)
                 << n.name;
         }
     }
@@ -356,7 +356,8 @@ TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
 TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
 {
     // A rank-2 subgraph input is a 1x1 interleaved tensor, so the FC
-    // consuming it lowers as a dense 1x1 conv like every other FC.
+    // consuming it runs on Ncore as a K-split matvec like every other
+    // FC.
     const int cin = 1024, cout = 1000;
     QuantParams in_qp = actQp(-4.0f, 4.0f);
     QuantParams w_qp{0.01f, 120};
@@ -383,6 +384,50 @@ TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
 
     Tensor xv(Shape{1, cin}, DType::UInt8, in_qp);
     Rng dr(36);
+    xv.fillRandom(dr);
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    InferenceResult res = exec.infer({xv});
+    for (int64_t i = 0; i < want.numElements(); ++i)
+        ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
+}
+
+TEST_F(RuntimeTest, SaturatingFcKeepsReferenceOrder)
+{
+    // Biases near the int32 rails let partial sums saturate, so the
+    // K-split FC's reordered sum could differ from the reference's:
+    // gcl keeps the 1x1-conv lowering, which sums in channel order.
+    const int cin = 512, cout = 300;
+    QuantParams in_qp = actQp(-4.0f, 4.0f);
+    QuantParams w_qp{0.01f, 120};
+    Rng rng(37);
+
+    GraphBuilder gb("satfc");
+    TensorId x = gb.input("x", Shape{1, cin}, DType::UInt8, in_qp);
+    Tensor w(Shape{cout, cin}, DType::UInt8, w_qp);
+    w.fillRandom(rng);
+    Tensor b(Shape{cout}, DType::Int32);
+    for (int i = 0; i < cout; ++i)
+        b.setIntAt(i, i % 2 ? INT32_MAX - int32_t(rng.nextBelow(4000000))
+                            : INT32_MIN + int32_t(rng.nextBelow(4000000)));
+    TensorId y = gb.fullyConnected("fc", x, gb.constant("w", w, w_qp),
+                                   gb.constant("b", b), ActFn::None,
+                                   actQp(-10.0f, 10.0f));
+    gb.output(y);
+
+    Loadable ld = compile(gb.take());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    for (const EncodedInstruction &e : ld.subgraphs[0].code) {
+        const Instruction in = decodeInstruction(e);
+        EXPECT_FALSE(in.npu.op == NpuOp::AccLoadBias &&
+                     biasModeAccumulates(BiasMode(uint8_t(in.npu.b))));
+    }
+
+    Tensor xv(Shape{1, cin}, DType::UInt8, in_qp);
+    Rng dr(38);
     xv.fillRandom(dr);
     Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
 

@@ -427,7 +427,7 @@ TEST(TelemetryServeTest, StatsRegistryConsistency)
     // The hardware counter families are always present (zero-seeded),
     // so Prometheus snapshots expose them even when zero.
     EXPECT_TRUE(r.stats.contains(stats::kEccUncorrectableWeight));
-    EXPECT_TRUE(r.stats.contains(stats::kDmaStallCycles));
+    EXPECT_TRUE(r.stats.contains(stats::kNcoreDmaFenceStalls));
 }
 
 TEST(TelemetryServeTest, TraceBytesIdenticalAcrossEnginesAndMemoState)
