@@ -12,12 +12,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "common/json.h"
 #include "common/ecc.h"
 #include "common/machine.h"
 #include "common/rng.h"
+#include "common/tensor.h"
 #include "mlperf/profiles.h"
 #include "models/gnmt.h"
 #include "models/zoo.h"
@@ -497,6 +499,30 @@ bestWall(Build build)
     return best;
 }
 
+/**
+ * Million bf16 gaussians per second over a 16M-element fillGaussian,
+ * best of 3, with the fill forced to `tier` through NCORE_SIMD (the
+ * fill resolves its tier once per call, before its threads start).
+ * NCORE_SIMD is restored afterwards.
+ */
+double
+bf16FillMgps(SimdTier tier)
+{
+    const char *old = getenv("NCORE_SIMD");
+    const std::string saved = old ? old : "";
+    setenv("NCORE_SIMD", simdTierName(tier), 1);
+    Tensor t(Shape{int64_t(16) << 20}, DType::BFloat16);
+    const double wall = bestWall([&] {
+        Rng rng(1);
+        t.fillGaussian(rng, 0.08f);
+    });
+    if (old)
+        setenv("NCORE_SIMD", saved.c_str(), 1);
+    else
+        unsetenv("NCORE_SIMD");
+    return double(t.numElements()) / wall / 1e6;
+}
+
 void
 writeBenchSimJson()
 {
@@ -546,9 +572,17 @@ writeBenchSimJson()
 
     // Weight synthesis: best-of-3 wall seconds of building each model,
     // the set-up cost paid before anything is compiled or simulated.
-    // The fills use every host thread (Tensor::kFillChunk).
+    // The fills use every host thread (Tensor::kFillChunk) and the
+    // SIMD lanes of fill_tier; bf16_fill_mgps gives the gaussian fill
+    // rate at every tier the host supports.
     j.key("synthesis").beginObject();
     j.field("host_threads", int(std::thread::hardware_concurrency()));
+    j.field("fill_tier", simdTierName(resolveSimdTier(SimdTier::Auto)));
+    j.key("bf16_fill_mgps").beginObject();
+    for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t)
+        j.field(simdTierName(SimdTier(t)), bf16FillMgps(SimdTier(t)),
+                "%.1f");
+    j.endObject();
     j.field("gnmt_ctor_s", bestWall([] { Gnmt g; }), "%.3f");
     j.field("resnet50_build_s",
             bestWall([] { Graph g = buildResNet50V15(); }), "%.3f");

@@ -162,6 +162,16 @@ table8Fig12Throughput(const std::vector<WorkloadProfile> &profiles)
 
     const char *models[4] = {"MobileNet-V1", "ResNet-50-V1.5",
                              "SSD-MobileNet-V1", "GNMT"};
+    std::printf("\nNcore time per input behind the (ours) row:\n");
+    for (int m = 0; m < 4; ++m) {
+        const WorkloadProfile &p = profiles[size_t(m)];
+        std::printf("  %-18s %9.3f ms  %s\n", models[m],
+                    p.ncoreSeconds * 1e3,
+                    p.ncoreModeled
+                        ? "modeled (batch-64 max(MAC, DMA) cost model, "
+                          "not simulated cycles)"
+                        : "simulated");
+    }
     printTitle("Fig. 12 -- Throughput (inputs/sec, log scale)");
     for (int m = 0; m < 4; ++m) {
         std::printf("\n%s:\n", models[m]);

@@ -117,6 +117,7 @@ benchWorkload(JsonWriter &j, Workload w, int distinct, int queries,
     j.field("model", p.model);
     j.key("profile").beginObject();
     j.field("ncore_s", p.ncoreSeconds, "%.6f");
+    j.field("ncore_s_source", p.ncoreModeled ? "modeled" : "simulated");
     j.field("x86_s", p.x86Seconds, "%.6f");
     j.field("unhidden_s", p.unhiddenSeconds, "%.6f");
     j.endObject();

@@ -9,6 +9,8 @@
 #ifndef NCORE_COMMON_RNG_H
 #define NCORE_COMMON_RNG_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace ncore {
@@ -17,6 +19,9 @@ namespace ncore {
 class Rng
 {
   public:
+    /** Outputs of the stream one nextGaussian() takes. */
+    static constexpr int kGaussianDraws = 12;
+
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
         // splitmix64 to expand the seed into four non-zero words.
@@ -42,6 +47,26 @@ class Rng
         s[2] ^= t;
         s[3] = rotl(s[3], 45);
         return result;
+    }
+
+    /**
+     * The four state words. With fromState() they let a fill run
+     * copies of the stream outside this class (common/gaussian_fill.h
+     * runs them in vector lanes) and hand the end state back.
+     */
+    std::array<uint64_t, 4>
+    state() const
+    {
+        return {s[0], s[1], s[2], s[3]};
+    }
+
+    static Rng
+    fromState(const std::array<uint64_t, 4> &words)
+    {
+        Rng r;
+        for (std::size_t w = 0; w < 4; ++w)
+            r.s[w] = words[w];
+        return r;
     }
 
     /**
@@ -80,7 +105,7 @@ class Rng
     nextGaussian()
     {
         float acc = 0.0f;
-        for (int i = 0; i < 12; ++i)
+        for (int i = 0; i < kGaussianDraws; ++i)
             acc += nextFloat();
         return acc - 6.0f;
     }

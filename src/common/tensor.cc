@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "common/gaussian_fill.h"
 #include "common/saturate.h"
 
 namespace ncore {
@@ -128,28 +129,25 @@ Tensor::setFloatAt(int64_t i, float v)
 namespace {
 
 /**
- * Store `draw(r)` as a T into every element of `t`, each draw taking
- * `draws` outputs of the stream. The elements are split into
- * Tensor::kFillChunk pieces filled on up to hardware_concurrency()
- * threads; each piece starts from a copy of `rng` advanced by the draws
- * of the elements before it, so the result is that of one sequential
- * pass whatever the thread count. `rng` ends advanced by all the draws.
- * Fills under two pieces run inline.
+ * Fill every element of `t` with `fill(r, out, count)`, which stores
+ * `count` elements from `out` on and takes `draws` outputs of the
+ * stream per element. The elements are split into Tensor::kFillChunk
+ * pieces filled on up to hardware_concurrency() threads; each piece
+ * starts from a copy of `rng` advanced by the draws of the elements
+ * before it, so the result is that of one sequential pass whatever the
+ * thread count. `rng` ends advanced by all the draws. Fills under two
+ * pieces run inline.
  */
-template <typename T, typename Draw>
+template <typename T, typename Fill>
 void
-fillTyped(Tensor &t, Rng &rng, uint64_t draws, Draw draw)
+fillTyped(Tensor &t, Rng &rng, uint64_t draws, Fill fill)
 {
     T *out = t.typed<T>();
     const int64_t n = t.numElements();
-    auto fill = [&](Rng &r, int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i)
-            out[i] = draw(r);
-    };
     const int64_t chunk = Tensor::kFillChunk;
     const int64_t chunks = (n + chunk - 1) / chunk;
     if (chunks < 2) {
-        fill(rng, 0, n);
+        fill(rng, out, n);
         return;
     }
     std::atomic<int64_t> next{0};
@@ -157,7 +155,7 @@ fillTyped(Tensor &t, Rng &rng, uint64_t draws, Draw draw)
         for (int64_t c; (c = next.fetch_add(1)) < chunks;) {
             Rng r = rng;
             r.discard(uint64_t(c * chunk) * draws);
-            fill(r, c * chunk, std::min(n, (c + 1) * chunk));
+            fill(r, out + c * chunk, std::min(n - c * chunk, chunk));
         }
     };
     const int64_t threads = std::min<int64_t>(
@@ -171,23 +169,22 @@ fillTyped(Tensor &t, Rng &rng, uint64_t draws, Draw draw)
     rng.discard(uint64_t(n) * draws);
 }
 
-/** One nextGaussian() takes 12 outputs of the stream. */
-constexpr uint64_t kGaussianDraws = 12;
-
 /**
- * Store `sigma`-scaled gaussians into a Float32 or BFloat16 tensor.
+ * Store `sigma`-scaled gaussians into a Float32 or BFloat16 tensor,
+ * each piece in the SIMD lanes of the host's tier (gaussian_fill.h).
  * sigma 1 gives fillRandom's unscaled values: x * 1.0f is exactly x.
  */
 void
 fillFloat(Tensor &t, Rng &rng, float sigma)
 {
+    const SimdTier tier = resolveSimdTier(SimdTier::Auto);
+    auto pieces = [=](Rng &r, auto *out, int64_t count) {
+        fillGaussians(tier, r, out, count, sigma);
+    };
     if (t.dtype() == DType::Float32)
-        fillTyped<float>(t, rng, kGaussianDraws,
-                         [=](Rng &r) { return r.nextGaussian() * sigma; });
+        fillTyped<float>(t, rng, Rng::kGaussianDraws, pieces);
     else
-        fillTyped<uint16_t>(t, rng, kGaussianDraws, [=](Rng &r) {
-            return BFloat16::fromFloat(r.nextGaussian() * sigma).bits;
-        });
+        fillTyped<uint16_t>(t, rng, Rng::kGaussianDraws, pieces);
 }
 
 /** Store rng.nextRange(lo, hi) as a T into every element of `t`. */
@@ -195,8 +192,10 @@ template <typename T>
 void
 fillRange(Tensor &t, Rng &rng, int64_t lo, int64_t hi)
 {
-    fillTyped<T>(t, rng, 1,
-                 [=](Rng &r) { return static_cast<T>(r.nextRange(lo, hi)); });
+    fillTyped<T>(t, rng, 1, [=](Rng &r, T *out, int64_t count) {
+        for (int64_t i = 0; i < count; ++i)
+            out[i] = static_cast<T>(r.nextRange(lo, hi));
+    });
 }
 
 } // namespace

@@ -20,11 +20,17 @@
 
 namespace ncore {
 
-/** Measured per-inference components of one workload. */
+/** Per-inference components of one workload. */
 struct WorkloadProfile
 {
     std::string model;
-    double ncoreSeconds = 0;    ///< Coprocessor portion (measured).
+    /// Coprocessor portion: simulated device cycles at the clock, or a
+    /// modeled figure when ncoreModeled is set.
+    double ncoreSeconds = 0;
+    /// ncoreSeconds and ncoreCycles come from a cost model, not from
+    /// simulated cycles: GNMT's batch-64 max(MAC, DMA) model
+    /// (profileGnmt).
+    bool ncoreModeled = false;
     double x86Seconds = 0;      ///< Parallelizable x86 portion.
     double unhiddenSeconds = 0; ///< Serial overhead batching cannot hide.
     bool batchingSupported = true; ///< SSD NMS lacked batching (VI-C).

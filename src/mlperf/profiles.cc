@@ -96,6 +96,7 @@ profileGnmt()
     WorkloadProfile p;
     p.model = workloadKey(Workload::Gnmt);
     p.ncoreSeconds = ncore_seconds;
+    p.ncoreModeled = true;
     p.x86Seconds = stats.x86Seconds * scale + kGnmtFrameworkSeconds;
     p.unhiddenSeconds = kUnhiddenFraction * p.x86Seconds;
     // The TF-based stack serialized the x86 work (the paper expects

@@ -81,6 +81,7 @@
 #include <cstdint>
 
 #include "common/quant.h"
+#include "common/simd_tier.h"
 #include "isa/instruction.h"
 
 namespace ncore {
@@ -165,21 +166,6 @@ using NduKernel = void (*)(const NduCtx &);
 /// Adds one chunk of a fused conv Rep into ExecCtx::acc.
 using ConvRepKernel = void (*)(const ExecCtx &, const ConvPanels &);
 
-/**
- * SIMD tier of the specialized engine's lane kernels (see
- * ncore/simd.h for probing/dispatch). Ordering is meaningful: a higher
- * enum value needs a superset of the ISA extensions below it; Auto
- * resolves via the NCORE_SIMD env var, then cpuid.
- */
-enum class SimdTier : uint8_t
-{
-    Auto = 0,   ///< Resolve via NCORE_SIMD env var, then cpuid.
-    Scalar,     ///< Portable scalar specialized kernels only.
-    Avx2,       ///< 256-bit kernels (requires AVX2).
-    Avx512,     ///< 512-bit kernels (requires AVX-512 F/BW/VL/DQ).
-    Avx512Vnni, ///< Avx512 with a `vpdpwssds` integer MAC (+VNNI).
-};
-
 /** Stable row/register pointers of one Machine, for plan binding. */
 struct PlanBindings
 {
@@ -219,7 +205,7 @@ struct ExecPlan
 /**
  * Classify one decoded instruction and bind its specialized plan.
  * `simd` must be a concrete tier (not Auto; resolve it first via
- * resolveSimdTier in ncore/simd.h): the NPU kernel is that tier's
+ * resolveSimdTier in common/simd_tier.h): the NPU kernel is that tier's
  * instantiation; OUT and NDU slots take the AVX2 vector kernel where
  * one exists at avx2 and above and keep the scalar one otherwise,
  * bit-identically either way.

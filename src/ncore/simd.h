@@ -24,11 +24,14 @@
  * them where they exist and keeps the scalar specialized kernel for
  * the rest.
  *
- * Tier selection happens once per Machine: Options::simd == Auto
- * honors the NCORE_SIMD env var (`scalar`, `avx2`, `avx512` or
- * `avx512vnni` — the one place it is read) and otherwise probes cpuid;
- * explicit requests are clamped to what the host actually supports so
- * a binary built with AVX-512 objects still runs everywhere.
+ * Tier selection happens once per Machine, through the probe in
+ * common/simd_tier.h: Options::simd == Auto honors the NCORE_SIMD env
+ * var (`scalar`, `avx2`, `avx512` or `avx512vnni`) and otherwise
+ * probes cpuid; explicit requests are clamped to what the host
+ * actually supports so a binary built with AVX-512 objects still runs
+ * everywhere. The probe has a second user, the gaussian weight fill
+ * (common/gaussian_fill.h), which resolves its tier the same way on
+ * every fill, so one NCORE_SIMD value forces both down.
  *
  * Bit-identity contract: every vector kernel must match the generic
  * interpreter bit for bit (same RAM bytes, accumulators, predicates,
@@ -42,27 +45,13 @@
 
 #include <cstdint>
 
+#include "common/simd_tier.h"
 #include "ncore/exec_specialized.h"
 
 namespace ncore {
 
-// SimdTier itself lives in exec_specialized.h (buildExecPlan takes it).
-
-/** Lower-case tier name ("scalar", ..., "avx512vnni"); Auto -> "auto". */
-const char *simdTierName(SimdTier t);
-
-/** Best tier the running CPU supports among the compiled-in kernels. */
-SimdTier bestSimdTier();
-
-/** Parse a NCORE_SIMD value; fatal on anything unrecognized. */
-SimdTier parseSimdTier(const char *s);
-
-/**
- * Resolve a Machine::Options tier request to a concrete tier: Auto
- * consults NCORE_SIMD then bestSimdTier(); explicit requests are
- * clamped to bestSimdTier() so they never select an unsupported ISA.
- */
-SimdTier resolveSimdTier(SimdTier requested);
+// SimdTier and its probe (simdTierName, bestSimdTier, parseSimdTier,
+// resolveSimdTier) live in common/simd_tier.h.
 
 /**
  * Vector OUT/NDU kernel for `tier`: the AVX2 kernel at any tier at or

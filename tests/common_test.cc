@@ -6,16 +6,20 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bf16.h"
+#include "common/gaussian_fill.h"
 #include "common/quant.h"
 #include "common/rng.h"
 #include "common/saturate.h"
+#include "common/simd_tier.h"
 #include "common/stats.h"
 #include "common/tensor.h"
 
@@ -228,6 +232,59 @@ TEST(Tensor, ChunkedFillMatchesSequential)
                     << dtypeName(dt) << " n=" << n << " sigma=" << sigma;
                 ASSERT_EQ(a.next64(), b.next64())
                     << dtypeName(dt) << " n=" << n << " sigma=" << sigma;
+            }
+        }
+    }
+}
+
+TEST(Tensor, LaneFillMatchesScalarAtEveryTier)
+{
+    // fillGaussians(tier, ...) is what each fill piece runs. At every
+    // tier the host supports it must store the bytes of the scalar
+    // loop and leave the Rng where that loop does, whatever n % lanes.
+    const int64_t c = Tensor::kFillChunk;
+    const int64_t sizes[] = {0, 1, 7, 9, 4095, c - 1, c + 1, 3 * c + 5};
+    // 1e-40f makes every product a binary32 subnormal, which bf16
+    // rounds to a subnormal or to ±0.
+    const float sigmas[] = {1.0f, 0.03f, 1e-40f};
+    // Bit patterns, so a -0 for +0 counts as a difference.
+    auto sameBits = [](float x, float y) {
+        return std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+    };
+    uint64_t seed = 1;
+    for (int64_t n : sizes) {
+        for (float sigma : sigmas) {
+            Rng start(seed++);
+            start.discard(7); // Start off any lane or draw boundary.
+            Rng ref = start;
+            std::vector<float> want_f32(size_t(n), 0.0f);
+            std::vector<uint16_t> want_bf16(size_t(n), 0);
+            for (int64_t i = 0; i < n; ++i) {
+                want_f32[size_t(i)] = ref.nextGaussian() * sigma;
+                want_bf16[size_t(i)] =
+                    BFloat16::fromFloat(want_f32[size_t(i)]).bits;
+            }
+            for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier());
+                 ++t) {
+                const SimdTier tier = SimdTier(t);
+                std::vector<float> got_f32(size_t(n), 0.0f);
+                std::vector<uint16_t> got_bf16(size_t(n), 0);
+                Rng a = start, b = start;
+                fillGaussians(tier, a, got_f32.data(), n, sigma);
+                fillGaussians(tier, b, got_bf16.data(), n, sigma);
+                const std::string where = std::string(simdTierName(tier)) +
+                                          " n=" + std::to_string(n) +
+                                          " sigma=" + std::to_string(sigma);
+                ASSERT_TRUE(std::equal(got_f32.begin(), got_f32.end(),
+                                       want_f32.begin(), sameBits))
+                    << "f32 " << where;
+                ASSERT_EQ(got_bf16, want_bf16) << "bf16 " << where;
+                EXPECT_EQ(a.state(), ref.state()) << "f32 " << where;
+                EXPECT_EQ(b.state(), ref.state()) << "bf16 " << where;
+            }
+            if (sigma == 1e-40f && n > 0) {
+                EXPECT_LT(std::fabs(want_f32[0]),
+                          std::numeric_limits<float>::min());
             }
         }
     }
