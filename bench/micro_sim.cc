@@ -14,10 +14,12 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/json.h"
 #include "common/ecc.h"
 #include "common/machine.h"
+#include "common/quant.h"
 #include "common/rng.h"
 #include "common/tensor.h"
 #include "mlperf/profiles.h"
@@ -394,10 +396,11 @@ BENCHMARK(BM_DmaStream)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------
 // BENCH_sim.json: machine-readable snapshot of simulator throughput
-// (sim_cycles/s and lane_MACs/s per MAC variant, system-memory and DMA
-// stream GB/s, model weight-synthesis seconds, wall time per workload
-// profile) for tracking the simulator's performance across
-// commits. Profile measurement re-simulates all four MLPerf workloads
+// (sim_cycles/s and lane_MACs/s per MAC variant and ns per OUT
+// requantize row, at every tier; instruction decode/encode ns;
+// system-memory and DMA stream GB/s, model weight-synthesis seconds,
+// wall time per workload profile) for tracking the simulator's
+// performance across commits. Profile measurement re-simulates all four MLPerf workloads
 // and takes a while; set NCORE_BENCH_NO_PROFILES to skip that section.
 // --------------------------------------------------------------------
 
@@ -470,6 +473,94 @@ measureMacVariant(const char *name, LaneType type, Pred pred,
 {
     return measureMacProgram(name, macProgram(type, pred),
                              pred != Pred::None, tier);
+}
+
+/**
+ * Host nanoseconds per 4,096-lane Requant8 row at `tier`: a program of
+ * back-to-back OUT-only Requant8 instructions over random accumulators
+ * (loaded once through AccLoadBias quarters), divided by its row count.
+ * Each run rewrites the IRAM bank, so its decode and plan binding (a
+ * few percent of a run at the AVX-512 tiers) are included.
+ */
+double
+measureOutRequantNs(SimdTier tier)
+{
+    Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
+              {ExecEngine::Default, nullptr, tier});
+    Rng rng(3);
+    std::vector<uint8_t> row(size_t(m.rowBytesInt()));
+    for (int r = 0; r < 4; ++r) {
+        for (uint8_t &b : row)
+            b = uint8_t(rng.next64());
+        m.hostWriteRow(false, r, row.data());
+    }
+    RequantEntry e;
+    e.rq = computeRequant(0.0123f, 7);
+    m.writeRequantEntry(0, e);
+
+    std::vector<Instruction> prog;
+    for (int q = 0; q < 4; ++q) {
+        Instruction set;
+        set.ctrl.op = CtrlOp::SetAddrRow;
+        set.ctrl.imm = uint32_t(q);
+        prog.push_back(set);
+        Instruction bias;
+        bias.dataRead.enable = true;
+        bias.npu.op = NpuOp::AccLoadBias;
+        bias.npu.a = RowSrc::DataRead;
+        bias.npu.b = RowSrc(int(BiasMode::Quarter0) + q);
+        prog.push_back(bias);
+    }
+    const int kRows = Machine::kBankInstrs - int(prog.size()) - 1;
+    Instruction out;
+    out.out.op = OutOp::Requant8;
+    prog.insert(prog.end(), size_t(kRows), out);
+    Instruction halt;
+    halt.ctrl.op = CtrlOp::Halt;
+    prog.push_back(halt);
+    std::vector<EncodedInstruction> enc;
+    for (const Instruction &in : prog)
+        enc.push_back(encodeInstruction(in));
+
+    auto run = [&] {
+        m.writeIram(0, enc);
+        m.start(0);
+        m.run();
+    };
+    run();
+    const Timed t = timeRepeated(run);
+    return t.wall / t.iters / kRows * 1e9;
+}
+
+/**
+ * Host nanoseconds per instruction of decodeInstruction and
+ * encodeInstruction over the MAC and conv-Rep programs' instructions.
+ */
+std::pair<double, double>
+measureCodecNs()
+{
+    std::vector<EncodedInstruction> words = convRepProgram();
+    for (LaneType t : {LaneType::U8, LaneType::I16, LaneType::BF16})
+        for (Pred p : {Pred::None, Pred::P0}) {
+            const std::vector<EncodedInstruction> w = macProgram(t, p);
+            words.insert(words.end(), w.begin(), w.end());
+        }
+    std::vector<Instruction> insts;
+    for (const EncodedInstruction &w : words)
+        insts.push_back(decodeInstruction(w));
+
+    uint64_t sink = 0;
+    const Timed dec = timeRepeated([&] {
+        for (const EncodedInstruction &w : words)
+            sink += decodeInstruction(w).ctrl.imm;
+    });
+    const Timed enc = timeRepeated([&] {
+        for (const Instruction &in : insts)
+            sink += encodeInstruction(in).lo;
+    });
+    benchmark::DoNotOptimize(sink);
+    const double n = double(words.size());
+    return {dec.wall / dec.iters / n * 1e9, enc.wall / enc.iters / n * 1e9};
 }
 
 /** Host GB/s of `step`, which moves `bytes`, after one warm-up call
@@ -556,8 +647,20 @@ writeBenchSimJson()
             j.field("wall_s_per_run", m.wallPerRun, "%.6f");
             j.endObject();
         }
+        j.beginObject();
+        j.field("name", "out_requant");
+        j.field("tier", simdTierName(tier));
+        j.field("ns_per_row", measureOutRequantNs(tier), "%.0f");
+        j.endObject();
     }
     j.endArray();
+
+    // Instruction codec: every IRAM refill decodes its instructions.
+    const auto [decode_ns, encode_ns] = measureCodecNs();
+    j.key("codec").beginObject();
+    j.field("decode_ns", decode_ns, "%.1f");
+    j.field("encode_ns", encode_ns, "%.1f");
+    j.endObject();
 
     SysmemStream stream;
     j.key("sysmem_stream").beginObject();

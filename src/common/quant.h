@@ -89,7 +89,7 @@ struct Requant
             high = std::numeric_limits<int32_t>::max();
         if (shift > 0) {
             // Rounding arithmetic right shift.
-            int32_t mask = (1 << shift) - 1;
+            int32_t mask = int32_t((1u << shift) - 1); // No overflow at 31.
             int32_t rem = high & mask;
             int32_t threshold = (mask >> 1) + (high < 0 ? 1 : 0);
             high = (high >> shift) + (rem > threshold ? 1 : 0);

@@ -6,7 +6,10 @@ namespace ncore {
 
 namespace {
 
-/** Sequential bit writer over a 128-bit pair. */
+/**
+ * Sequential field writer over a 128-bit pair: each field is ORed in
+ * whole, split across the lo/hi word boundary when it straddles bit 64.
+ */
 class BitWriter
 {
   public:
@@ -16,15 +19,17 @@ class BitWriter
         panic_if(bits <= 0 || bits > 32, "bad field width %d", bits);
         panic_if(bits < 32 && value >= (1u << bits),
                  "field value %u overflows %d bits", value, bits);
-        for (int i = 0; i < bits; ++i, ++pos_) {
-            panic_if(pos_ >= kInstructionBits, "encoding exceeds 128 bits");
-            if ((value >> i) & 1) {
-                if (pos_ < 64)
-                    word_.lo |= 1ull << pos_;
-                else
-                    word_.hi |= 1ull << (pos_ - 64);
-            }
+        panic_if(pos_ + bits > kInstructionBits,
+                 "encoding exceeds 128 bits");
+        const uint64_t v = value;
+        if (pos_ >= 64) {
+            word_.hi |= v << (pos_ - 64);
+        } else {
+            word_.lo |= v << pos_;
+            if (pos_ + bits > 64)
+                word_.hi |= v >> (64 - pos_);
         }
+        pos_ += bits;
     }
 
     EncodedInstruction
@@ -40,7 +45,7 @@ class BitWriter
     int pos_ = 0;
 };
 
-/** Sequential bit reader over a 128-bit pair. */
+/** Sequential field reader over a 128-bit pair, the writer's inverse. */
 class BitReader
 {
   public:
@@ -49,14 +54,18 @@ class BitReader
     uint32_t
     get(int bits)
     {
-        uint32_t v = 0;
-        for (int i = 0; i < bits; ++i, ++pos_) {
-            panic_if(pos_ >= kInstructionBits, "decoding exceeds 128 bits");
-            uint64_t bit = pos_ < 64 ? (word_.lo >> pos_)
-                                     : (word_.hi >> (pos_ - 64));
-            v |= static_cast<uint32_t>(bit & 1) << i;
+        panic_if(pos_ + bits > kInstructionBits,
+                 "decoding exceeds 128 bits");
+        uint64_t v;
+        if (pos_ >= 64) {
+            v = word_.hi >> (pos_ - 64);
+        } else {
+            v = word_.lo >> pos_;
+            if (pos_ + bits > 64)
+                v |= word_.hi << (64 - pos_);
         }
-        return v;
+        pos_ += bits;
+        return uint32_t(v & ((uint64_t(1) << bits) - 1));
     }
 
     void

@@ -32,8 +32,9 @@
  *                                    NaN and ±0 ties included
  *     cmpGt(p, a, b)                 p[0..kLanes) = a > b as 0/1
  *
- * The fused conv kernels use load, store, splat, widen, pass and
- * select, which ScalarLanes also states, plus:
+ * The fused conv kernels and their saturation guard (accMaxAbs) use
+ * load, store, splat, widen, pass, select, min and max, which
+ * ScalarLanes also states, plus:
  *
  *     kConvGroups                    64-lane groups per register tile
  *     madd2(acc, a, b)               acc + a.lo16 * b.lo16
@@ -460,6 +461,39 @@ selectNpuKernelFor(const NpuSlot &npu)
 // int32, so pairing two taps per madd2 and adding without saturation
 // gives exactly the per-rep path's sums.
 // --------------------------------------------------------------------
+
+/**
+ * The guard's max|acc[i]| over i < n, n a multiple of 64 like every
+ * row (ExecPlan::accMaxAbs). It takes the lane-wise min and max and
+ * negates the min in int64, so INT32_MIN gives 2^31; a lane |x| would
+ * wrap there (vpabsd returns INT32_MIN).
+ */
+template <class V>
+int64_t
+accMaxAbs(const int32_t *acc, int n)
+{
+    constexpr int kL = V::kLanes;
+    // Two independent min/max chains.
+    auto lo0 = V::splat(0), lo1 = lo0, hi0 = lo0, hi1 = lo0;
+    for (int i = 0; i < n; i += 2 * kL) {
+        const auto a = V::load(acc + i), b = V::load(acc + i + kL);
+        lo0 = V::min(lo0, a);
+        hi0 = V::max(hi0, a);
+        lo1 = V::min(lo1, b);
+        hi1 = V::max(hi1, b);
+    }
+    int32_t l[2 * kL] = {}, h[2 * kL] = {};
+    V::store(l, lo0);
+    V::store(l + kL, lo1);
+    V::store(h, hi0);
+    V::store(h + kL, hi1);
+    int32_t mn = 0, mx = 0;
+    for (int k = 0; k < 2 * kL; ++k) {
+        mn = l[k] < mn ? l[k] : mn;
+        mx = h[k] > mx ? h[k] : mx;
+    }
+    return -int64_t(mn) > int64_t(mx) ? -int64_t(mn) : int64_t(mx);
+}
 
 /**
  * GroupBcast chunk over the G groups from g0: lane j of group g gains

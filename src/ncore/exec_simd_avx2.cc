@@ -1,9 +1,11 @@
 /**
  * @file
  * AVX2 lane kernels for the specialized execution engine: the AVX2
- * instantiation of the NPU and fused conv Rep kernels
- * (exec_npu_kernels.h, 8 int32 lanes per step) plus the vector OUT and
- * NDU kernels, which also serve the avx512 and avx512vnni tiers.
+ * instantiation of the NPU and fused conv Rep kernels and the guard
+ * scan (exec_npu_kernels.h, 8 int32 lanes per step) plus the vector
+ * OUT and NDU kernels. The NDU kernels and the bf16 store also serve
+ * the avx512 and avx512vnni tiers, whose requantize is the AVX-512
+ * one (exec_simd_avx512.cc).
  *
  * This TU is compiled with `-mavx2 -ffp-contract=off` via per-source
  * CMake flags; nothing outside it may call into it except through the
@@ -283,7 +285,7 @@ requant8x(const Requant &q, __m256i x)
     hi = requantHalf64(hi, mul64, lshift, pre);
     __m256i high = pack64Lo(lo, hi);
     if (q.shift > 0) {
-        const int32_t mask = (1 << q.shift) - 1;
+        const int32_t mask = int32_t((1u << q.shift) - 1);
         __m256i rem = _mm256_and_si256(high, _mm256_set1_epi32(mask));
         __m256i thr = _mm256_add_epi32(_mm256_set1_epi32(mask >> 1),
                                        _mm256_srli_epi32(high, 31));
@@ -501,6 +503,12 @@ ConvRepKernel
 selectConvRepKernelAvx2(NduOp data_op, Pred p)
 {
     return selectConvRepKernelFor<Avx2Lanes>(data_op, p);
+}
+
+AccMaxAbsKernel
+selectAccMaxAbsAvx2()
+{
+    return &accMaxAbs<Avx2Lanes>;
 }
 
 OutKernel

@@ -1,20 +1,144 @@
 /**
  * @file
- * AVX-512 instantiation of the NPU lane kernels and fused conv Rep
- * kernels (exec_npu_kernels.h) over Avx512Lanes
- * (exec_simd_avx512_lanes.h).
+ * AVX-512 instantiation of the NPU lane kernels, fused conv Rep kernels
+ * and guard scan (exec_npu_kernels.h) over Avx512Lanes
+ * (exec_simd_avx512_lanes.h), plus the AVX-512 OUT requantize kernel,
+ * which also serves the avx512vnni tier.
  *
  * Compiled with `-mavx512f -mavx512bw -mavx512vl -mavx512dq
  * -ffp-contract=off` via per-source CMake flags; only reachable through
- * selectNpuKernelAvx512 and selectConvRepKernelAvx512, and only after
- * bestSimdTier() proved the host supports those AVX-512 subsets. The tier has no OUT or NDU kernels of
- * its own: buildExecPlan uses the AVX2 ones at this tier.
+ * the select*Avx512 entry points, and only after bestSimdTier() proved
+ * the host supports those AVX-512 subsets. The tier has no NDU kernels
+ * of its own, nor OUT kernels for LUT activations or StoreBf16:
+ * buildExecPlan uses the AVX2 ones there.
+ *
+ * Bit-identity notes for the requantize (Requant::apply, common/quant.h):
+ *
+ *  - The product of two int32 values fits int64 exactly, so
+ *    `vpmuldq` on the even and odd dwords gives Requant::apply's prod.
+ *  - `(prod + nudge) / 2^31`, truncating, equals
+ *    `(prod + 2^30) >> 31` with an arithmetic shift for either sign of
+ *    prod: for prod >= 0 the nudge is 2^30 and the sum is not
+ *    negative; for prod < 0 the sum prod + 1 - 2^30 is negative, and
+ *    truncating it is flooring prod + 1 - 2^30 + (2^31 - 1).
+ *  - That quotient fits int32 except when acc and the multiplier are
+ *    both INT32_MIN, Requant::apply's overflow case.
  */
 
 #include "ncore/exec_simd_avx512_lanes.h"
 #include "ncore/simd.h"
 
 namespace ncore {
+
+namespace {
+
+/**
+ * Requant::apply on 16 accumulator lanes at a time, its constants set
+ * up once per row. The kernel keeps it in a local: a store through the
+ * output row pointers could alias the entry, so reading the entry in
+ * the loop would reload it after every store.
+ */
+struct Requant16x
+{
+    explicit Requant16x(const Requant &q)
+        : pre(q.shift < 0), round(q.shift > 0),
+          mulMin(q.multiplier == INT32_MIN),
+          mul(_mm512_set1_epi64(q.multiplier)),
+          lshift(_mm_cvtsi32_si128(pre ? -q.shift : 0)),
+          rshift(_mm_cvtsi32_si128(round ? q.shift : 0)),
+          mask(_mm512_set1_epi32(round ? int32_t((1u << q.shift) - 1) : 0)),
+          half(_mm512_set1_epi32(round ? int32_t((1u << (q.shift - 1)) - 1)
+                                       : 0)),
+          satLo(_mm512_set1_epi32(q.offset < 0 ? INT32_MIN - q.offset
+                                               : INT32_MIN)),
+          satHi(_mm512_set1_epi32(q.offset > 0 ? INT32_MAX - q.offset
+                                               : INT32_MAX)),
+          offset(_mm512_set1_epi32(q.offset))
+    {
+    }
+
+    __m512i
+    apply(__m512i x) const
+    {
+        // vpmuldq reads the low dword of each qword: the even lanes in
+        // place, the odd lanes shifted down.
+        __m512i xe = x;
+        __m512i xo = _mm512_srli_epi64(x, 32);
+        if (pre) {
+            // Saturating pre-left-shift on sign-extended 64-bit lanes.
+            const __m512i mx = _mm512_set1_epi64(INT32_MAX);
+            const __m512i mn = _mm512_set1_epi64(INT32_MIN);
+            xe = _mm512_sll_epi64(
+                _mm512_srai_epi64(_mm512_slli_epi64(x, 32), 32), lshift);
+            xo = _mm512_sll_epi64(_mm512_srai_epi64(x, 32), lshift);
+            xe = _mm512_min_epi64(_mm512_max_epi64(xe, mn), mx);
+            xo = _mm512_min_epi64(_mm512_max_epi64(xo, mn), mx);
+        }
+        const __m512i nudge = _mm512_set1_epi64(int64_t(1) << 30);
+        const __m512i he = _mm512_srai_epi64(
+            _mm512_add_epi64(_mm512_mul_epi32(xe, mul), nudge), 31);
+        const __m512i ho = _mm512_srai_epi64(
+            _mm512_add_epi64(_mm512_mul_epi32(xo, mul), nudge), 31);
+        __m512i high = _mm512_mask_blend_epi32(0xaaaa, he,
+                                               _mm512_slli_epi64(ho, 32));
+        if (mulMin) {
+            // The overflow case: x == multiplier == INT32_MIN.
+            const __m512i x32 = _mm512_mask_blend_epi32(
+                0xaaaa, xe, _mm512_slli_epi64(xo, 32));
+            high = _mm512_mask_mov_epi32(
+                high,
+                _mm512_cmpeq_epi32_mask(x32, _mm512_set1_epi32(INT32_MIN)),
+                _mm512_set1_epi32(INT32_MAX));
+        }
+        if (round) {
+            // Rounding arithmetic right shift.
+            const __m512i rem = _mm512_and_si512(high, mask);
+            const __m512i thr =
+                _mm512_add_epi32(half, _mm512_srli_epi32(high, 31));
+            const __m512i sh = _mm512_sra_epi32(high, rshift);
+            high = _mm512_mask_add_epi32(sh,
+                                         _mm512_cmpgt_epi32_mask(rem, thr),
+                                         sh, _mm512_set1_epi32(1));
+        }
+        // satAdd32(high, offset): clamp so the add cannot leave int32.
+        return _mm512_add_epi32(
+            _mm512_min_epi32(_mm512_max_epi32(high, satLo), satHi), offset);
+    }
+
+    bool pre, round, mulMin;
+    __m512i mul;
+    __m128i lshift, rshift;
+    __m512i mask, half, satLo, satHi, offset;
+};
+
+/** Requant8 (non-LUT) / Requant16 / ActOnly8. */
+template <OutOp OP>
+void
+outRequant512(const ExecCtx &c)
+{
+    const RequantEntry &e = *c.rq;
+    const Requant16x rq(e.rq);
+    const __m512i mn = _mm512_set1_epi32(e.actMin);
+    const __m512i mx = _mm512_set1_epi32(e.actMax);
+    const int rb = c.rb;
+    int32_t *acc = c.acc;
+    uint8_t *lo = c.outLo, *hi = c.outHi;
+    for (int i = 0; i < rb; i += 16) {
+        __m512i v = Avx512Lanes::load(acc + i);
+        if constexpr (OP != OutOp::ActOnly8)
+            v = rq.apply(v);
+        // std::clamp(v, actMin, actMax), then the low byte(s).
+        v = _mm512_min_epi32(_mm512_max_epi32(v, mn), mx);
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(lo + i),
+                         _mm512_cvtepi32_epi8(v));
+        if constexpr (OP == OutOp::Requant16)
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(hi + i),
+                _mm512_cvtepi32_epi8(_mm512_srli_epi32(v, 8)));
+    }
+}
+
+} // namespace
 
 NpuKernel
 selectNpuKernelAvx512(const NpuSlot &npu)
@@ -26,6 +150,29 @@ ConvRepKernel
 selectConvRepKernelAvx512(NduOp data_op, Pred p)
 {
     return selectConvRepKernelFor<Avx512Lanes>(data_op, p);
+}
+
+AccMaxAbsKernel
+selectAccMaxAbsAvx512()
+{
+    return &accMaxAbs<Avx512Lanes>;
+}
+
+OutKernel
+selectOutKernelAvx512(const OutSlot &out)
+{
+    switch (out.op) {
+      case OutOp::Requant8:
+        if (out.act == ActFn::Sigmoid || out.act == ActFn::Tanh)
+            return nullptr; // LUT path stays scalar.
+        return &outRequant512<OutOp::Requant8>;
+      case OutOp::Requant16:
+        return &outRequant512<OutOp::Requant16>;
+      case OutOp::ActOnly8:
+        return &outRequant512<OutOp::ActOnly8>;
+      default:
+        return nullptr; // StoreBf16 keeps the AVX2 kernel.
+    }
 }
 
 } // namespace ncore

@@ -7,8 +7,9 @@
  * Compiled with the avx512 TU's flags plus `-mavx512vnni`; only
  * reachable through selectNpuKernelAvx512Vnni and
  * selectConvRepKernelAvx512Vnni, after bestSimdTier() proved the host
- * supports AVX512_VNNI. Like the avx512 tier it uses
- * the AVX2 OUT and NDU kernels.
+ * supports AVX512_VNNI. It shares the avx512 TU's guard scan and OUT
+ * requantize kernel, and like that tier uses the AVX2 NDU kernels and
+ * bf16 store.
  */
 
 #include "ncore/exec_simd_avx512_lanes.h"

@@ -58,6 +58,8 @@ struct ScalarLanes
     }
 
     static Vec select(Mask m, Vec old, Vec neu) { return m ? neu : old; }
+    static Vec min(Vec a, Vec b) { return b < a ? b : a; }
+    static Vec max(Vec a, Vec b) { return a < b ? b : a; }
 
     static Vec
     madd2(Vec acc, Vec a, Vec b)
@@ -110,6 +112,22 @@ selectConvRepKernel(SimdTier tier, NduOp data_op, Pred p)
       case SimdTier::Avx2: return selectConvRepKernelAvx2(data_op, p);
 #endif
       default: return selectConvRepKernelFor<ScalarLanes>(data_op, p);
+    }
+}
+
+/** The guard scan of the resolved tier; VNNI adds nothing to it. */
+AccMaxAbsKernel
+selectAccMaxAbs(SimdTier tier)
+{
+    switch (tier) {
+#if NCORE_SIMD_AVX512
+      case SimdTier::Avx512Vnni:
+      case SimdTier::Avx512: return selectAccMaxAbsAvx512();
+#endif
+#if NCORE_SIMD_AVX2
+      case SimdTier::Avx2: return selectAccMaxAbsAvx2();
+#endif
+      default: return &accMaxAbs<ScalarLanes>;
     }
 }
 
@@ -573,8 +591,10 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
         if (OutKernel v = simdSelectOut(simd, in.out))
             p.outKernel = v;
     p.repInvariant = computeRepInvariant(in, p);
-    if (isConvRep(in, p))
+    if (isConvRep(in, p)) {
         p.convRep = selectConvRepKernel(simd, in.ndu0.op, in.npu.pred);
+        p.accMaxAbs = selectAccMaxAbs(simd);
+    }
     return p;
 }
 

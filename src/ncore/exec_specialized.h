@@ -63,7 +63,11 @@
  *
  * Pairing taps is exact only when no partial sum can saturate, so a
  * guard checks max|acc| + reps * 255^2 <= INT32_MAX once per Rep and
- * falls back to the per-rep path when it fails.
+ * falls back to the per-rep path when it fails. The scan over the 4096
+ * accumulators is the tier's accMaxAbs (exec_npu_kernels.h, bound into
+ * ExecPlan::accMaxAbs with the conv kernel): lane-wise min and max,
+ * then max(hi, -lo) in int64, so INT32_MIN counts as 2^31 rather than
+ * wrapping the way a lane |x| would.
  *
  * Equivalence guarantee: for any program the generic interpreter
  * executes without a fault, the specialized engine produces bit
@@ -165,6 +169,8 @@ using OutKernel = void (*)(const ExecCtx &);
 using NduKernel = void (*)(const NduCtx &);
 /// Adds one chunk of a fused conv Rep into ExecCtx::acc.
 using ConvRepKernel = void (*)(const ExecCtx &, const ConvPanels &);
+/// max|acc[i]| over i < n, in int64: the fused conv Rep's guard scan.
+using AccMaxAbsKernel = int64_t (*)(const int32_t *acc, int n);
 
 /** Stable row/register pointers of one Machine, for plan binding. */
 struct PlanBindings
@@ -197,6 +203,8 @@ struct ExecPlan
     /// Non-null when the instruction has the conv-Rep shape (see the
     /// file comment): the tier's kernel for its NDU0 op and predicate.
     ConvRepKernel convRep = nullptr;
+    /// Set with convRep: the same tier's saturation-guard scan.
+    AccMaxAbsKernel accMaxAbs = nullptr;
     bool npuIsMac = false;     ///< Counts macOps (Mac/MacFwd).
     uint8_t activeNduSlots = 0;
     uint8_t enabledReads = 0;
@@ -205,10 +213,11 @@ struct ExecPlan
 /**
  * Classify one decoded instruction and bind its specialized plan.
  * `simd` must be a concrete tier (not Auto; resolve it first via
- * resolveSimdTier in common/simd_tier.h): the NPU kernel is that tier's
- * instantiation; OUT and NDU slots take the AVX2 vector kernel where
- * one exists at avx2 and above and keep the scalar one otherwise,
- * bit-identically either way.
+ * resolveSimdTier in common/simd_tier.h): the NPU kernel, fused conv
+ * kernel and guard scan are that tier's instantiation; OUT and NDU
+ * slots take the best vector kernel at or below the tier
+ * (simdSelectOut/Ndu in ncore/simd.h) and keep the scalar one
+ * otherwise, bit-identically either way.
  */
 ExecPlan buildExecPlan(const Instruction &in, const PlanBindings &b,
                        SimdTier simd = SimdTier::Scalar);

@@ -714,12 +714,7 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
     // Every partial sum of the per-rep path stays within
     // max|acc| + reps * 255^2. When that fits int32 nothing saturates,
     // so the tier kernel may pair taps and add in any order.
-    int32_t lo = 0, hi = 0;
-    for (int32_t v : acc_) {
-        lo = v < lo ? v : lo;
-        hi = v > hi ? v : hi;
-    }
-    const int64_t max_abs = std::max(int64_t(hi), -int64_t(lo));
+    const int64_t max_abs = plan.accMaxAbs(acc_.data(), rowBytes_);
     if (max_abs + int64_t(reps) * (255 * 255) > INT32_MAX)
         return false;
 

@@ -15,14 +15,19 @@
  * portable. The NPU lane kernels and the fused conv Rep kernels have
  * one source, exec_npu_kernels.h, written over a lane-traits type and
  * instantiated once per tier (the two AVX-512 TUs share
- * exec_simd_avx512_lanes.h). Every tier covers every NPU slot and
- * conv-Rep shape, so buildExecPlan() takes the kernels of the resolved
- * tier directly. The OUT (requantize/activation) and NDU
- * kernels have vector forms only in the AVX2 TU: OUT requantize and
- * bf16 store, and the MergeMask, LoadMask, Compress2, RepWindow and
- * GroupBcast NDU ops. They chain down: any tier at or above avx2 uses
- * them where they exist and keeps the scalar specialized kernel for
- * the rest.
+ * exec_simd_avx512_lanes.h), as does the fused conv Rep's saturation
+ * guard scan (accMaxAbs). Every tier covers every NPU slot and conv-Rep
+ * shape, so buildExecPlan() takes the kernels of the resolved tier
+ * directly. The OUT (requantize/activation) and NDU kernels chain down
+ * instead:
+ *
+ *  - the avx512 TU has the OUT requantize (Requant8 without a LUT,
+ *    Requant16, ActOnly8), used at avx512 and avx512vnni;
+ *  - the AVX2 TU has the same OUT ops, the bf16 store, and the
+ *    MergeMask, LoadMask, Compress2, RepWindow and GroupBcast NDU ops,
+ *    used at any tier from avx2 up where no AVX-512 form exists;
+ *  - everything else (LUT activations, CopyAcc32, the memcpy-class
+ *    NDU ops) keeps the scalar specialized kernel.
  *
  * Tier selection happens once per Machine, through the probe in
  * common/simd_tier.h: Options::simd == Auto honors the NCORE_SIMD env
@@ -54,8 +59,9 @@ namespace ncore {
 // resolveSimdTier) live in common/simd_tier.h.
 
 /**
- * Vector OUT/NDU kernel for `tier`: the AVX2 kernel at any tier at or
- * above avx2, else null. Null means the op has no vector form (the
+ * Vector OUT/NDU kernel for `tier`: the AVX-512 OUT kernel at avx512
+ * and above where one exists, else the AVX2 kernel at avx2 and above,
+ * else null. Null means the op has no vector form (the
  * caller keeps the scalar specialized kernel). The slot must already
  * have a scalar specialized kernel: these selectors assume the scalar
  * selector's validity rules already passed.
@@ -70,12 +76,15 @@ NduKernel simdSelectNdu(SimdTier tier, const NduSlot &slot);
 #if NCORE_SIMD_AVX2
 NpuKernel selectNpuKernelAvx2(const NpuSlot &npu);
 ConvRepKernel selectConvRepKernelAvx2(NduOp data_op, Pred p);
+AccMaxAbsKernel selectAccMaxAbsAvx2();
 OutKernel selectOutKernelAvx2(const OutSlot &out);
 NduKernel selectNduKernelAvx2(const NduSlot &slot);
 #endif
 #if NCORE_SIMD_AVX512
 NpuKernel selectNpuKernelAvx512(const NpuSlot &npu);
 ConvRepKernel selectConvRepKernelAvx512(NduOp data_op, Pred p);
+AccMaxAbsKernel selectAccMaxAbsAvx512();
+OutKernel selectOutKernelAvx512(const OutSlot &out);
 #endif
 #if NCORE_SIMD_AVX512VNNI
 NpuKernel selectNpuKernelAvx512Vnni(const NpuSlot &npu);

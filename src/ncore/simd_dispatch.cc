@@ -13,6 +13,11 @@ namespace ncore {
 OutKernel
 simdSelectOut(SimdTier tier, const OutSlot &out)
 {
+#if NCORE_SIMD_AVX512
+    if (tier >= SimdTier::Avx512)
+        if (OutKernel k = selectOutKernelAvx512(out))
+            return k;
+#endif
 #if NCORE_SIMD_AVX2
     if (tier >= SimdTier::Avx2)
         return selectOutKernelAvx2(out);

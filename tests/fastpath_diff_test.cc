@@ -556,6 +556,17 @@ class FastPathDiff : public ::testing::Test
             m->hostWriteRow(weight, r, data);
     }
 
+    /** One int32 per lane into data rows row..row+3, a quarter each. */
+    void
+    writeAccSeeds(const std::vector<int32_t> &seeds, int row)
+    {
+        const size_t quarter = seeds.size() / 4;
+        for (int q = 0; q < 4; ++q)
+            writeRowAll(false, row + q,
+                        reinterpret_cast<const uint8_t *>(seeds.data() +
+                                                          q * quarter));
+    }
+
     void
     runAll(const std::vector<Instruction> &prog)
     {
@@ -965,6 +976,27 @@ npuRR(NpuOp op, LaneType t, Pred p = Pred::None, bool zeroOff = false)
     in.npu.pred = p;
     in.npu.zeroOff = zeroOff;
     return in;
+}
+
+/**
+ * Load the accumulators from data rows row..row+3 (writeAccSeeds)
+ * through AccLoadBias quarters, addressing with register 2.
+ */
+std::vector<Instruction>
+loadAccQuarters(int row)
+{
+    std::vector<Instruction> prog;
+    for (int q = 0; q < 4; ++q) {
+        prog.push_back(setAddrRow(2, row + q));
+        Instruction bias;
+        bias.dataRead.enable = true;
+        bias.dataRead.reg = 2;
+        bias.npu.op = NpuOp::AccLoadBias;
+        bias.npu.a = RowSrc::DataRead;
+        bias.npu.b = RowSrc(int(BiasMode::Quarter0) + q);
+        prog.push_back(bias);
+    }
+    return prog;
 }
 
 /**
@@ -1566,7 +1598,8 @@ TEST_F(FastPathDiff, FusedConvReps)
  * over the guard's bound (max|acc| + reps * 255^2 <= INT32_MAX) must
  * take the per-rep path, which saturates at INT32_MAX where pairing
  * taps without saturation would wrap. On the bound the fused path
- * runs, and its largest lane lands exactly on INT32_MAX.
+ * runs, and its largest lane lands exactly on INT32_MAX. A last case
+ * makes a lane at INT32_MIN the only one over the bound.
  */
 TEST_F(FastPathDiff, ConvRepSaturationGuard)
 {
@@ -1594,22 +1627,8 @@ TEST_F(FastPathDiff, ConvRepSaturationGuard)
         for (int32_t &v : seeds)
             v = top - int32_t(rng.nextBelow(1000));
         seeds[0] = top;
-        const int quarter = rb / 4;
-        for (int q = 0; q < 4; ++q)
-            writeRowAll(false, 60 + q,
-                        reinterpret_cast<const uint8_t *>(seeds.data() +
-                                                          q * quarter));
-        std::vector<Instruction> prog;
-        for (int q = 0; q < 4; ++q) {
-            prog.push_back(setAddrRow(2, 60 + q));
-            Instruction bias;
-            bias.dataRead.enable = true;
-            bias.dataRead.reg = 2;
-            bias.npu.op = NpuOp::AccLoadBias;
-            bias.npu.a = RowSrc::DataRead;
-            bias.npu.b = RowSrc(int(BiasMode::Quarter0) + q);
-            prog.push_back(bias);
-        }
+        writeAccSeeds(seeds, 60);
+        std::vector<Instruction> prog = loadAccQuarters(60);
         for (const Instruction &in : conv3x3Addressing(20, 0, 40))
             prog.push_back(in);
         prog.push_back(mac);
@@ -1621,6 +1640,123 @@ TEST_F(FastPathDiff, ConvRepSaturationGuard)
     EXPECT_EQ(runCase(1), INT32_MAX);   // Saturated on the per-rep path.
     EXPECT_EQ(runCase(0), INT32_MAX);   // Fused, exactly on the rail.
     EXPECT_EQ(runCase(-7), INT32_MAX - 7);
+
+    // The deciding lane negative: data bytes 0 less the data zero
+    // offset 255 make every tap add -255^2. Lane 0 sits at INT32_MIN,
+    // whose |acc| of 2^31 fails the guard; every other lane is within
+    // the bound and would pass it. A guard whose |acc| wraps INT32_MIN
+    // to a negative value (vpabsd) would fuse, and lane 0 would wrap to
+    // a positive sum instead of saturating.
+    const std::vector<uint8_t> zeros(rb, 0);
+    for (int r = 24; r < 28; ++r)
+        writeRowAll(false, r, zeros.data());
+    std::vector<int32_t> seeds(rb);
+    for (int32_t &v : seeds)
+        v = -(INT32_MAX - kReach) + int32_t(rng.nextBelow(1000));
+    seeds[0] = INT32_MIN;
+    seeds[1] = -(INT32_MAX - kReach);
+    writeAccSeeds(seeds, 60);
+    std::vector<Instruction> prog = loadAccQuarters(60);
+    prog.push_back(setZeroOff(0xff00));
+    for (const Instruction &in : conv3x3Addressing(24, 0, 40))
+        prog.push_back(in);
+    prog.push_back(convRep(kReps, NduOp::GroupBcast, NduStride::S64,
+                           Pred::None, true));
+    prog.push_back(ctrlOnly(CtrlOp::Halt));
+    runAll(prog);
+    compareState(99);
+    EXPECT_EQ(gen_.accState()[0], INT32_MIN); // Saturated per rep.
+    EXPECT_EQ(gen_.accState()[1], -INT32_MAX); // On the bound: no rail.
+}
+
+/**
+ * The OUT requantize kernels at the edges of Requant::apply, at every
+ * tier (the random programs draw shift -4..8, offset -128..255 and
+ * multiplier >= 2^29, so they never get there). The accumulators hold
+ * INT32_MIN, INT32_MAX, 0 and +-1 in every other lane and random
+ * values of every magnitude in the rest. The entries take every shift
+ * in -31..31 (the large left shifts saturate before the multiply),
+ * multipliers 1, 2^30 and INT32_MAX, offsets +-INT32_MAX (satAdd32
+ * saturates) and small ones, and a full-int32 or a narrow act range.
+ * Requant8, Requant16 and ActOnly8 each run every entry, and every
+ * result row is written to RAM, so each one is diffed.
+ */
+TEST_F(FastPathDiff, OutRequantEdgeRows)
+{
+    const int rb = gen_.rowBytesInt();
+    Rng rng(55);
+    seedState(rng);
+
+    static constexpr int32_t kEdges[] = {INT32_MIN, INT32_MAX, 0, 1, -1};
+    std::vector<int32_t> seeds(rb);
+    for (int i = 0; i < rb; ++i)
+        seeds[i] = i % 2 ? kEdges[(i / 2) % std::size(kEdges)]
+                         : int32_t(rng.next64()) >> rng.nextBelow(32);
+    writeAccSeeds(seeds, 60);
+
+    static constexpr int32_t kMuls[] = {1, 1 << 30, INT32_MAX};
+    static constexpr int32_t kOffsets[] = {INT32_MAX, -INT32_MAX, 0, -77,
+                                           200};
+    std::vector<RequantEntry> entries;
+    for (int shift = -31; shift <= 31; ++shift) {
+        for (int32_t mul : kMuls) {
+            const int k = int(entries.size());
+            RequantEntry e;
+            e.rq.multiplier = mul;
+            e.rq.shift = int8_t(shift);
+            e.rq.offset = kOffsets[k % std::size(kOffsets)];
+            const bool full = (k / std::size(kOffsets)) % 2 == 0;
+            e.actMin = full ? INT32_MIN : -200;
+            e.actMax = full ? INT32_MAX : 300;
+            entries.push_back(e);
+        }
+    }
+    ASSERT_LE(entries.size(), size_t(256));
+    for (size_t i = 0; i < entries.size(); ++i)
+        for (Machine *m : all())
+            m->writeRequantEntry(int(i), entries[i]);
+
+    // The entries drive Requant::apply onto both rails.
+    int rails = 0;
+    for (const RequantEntry &e : entries)
+        for (int32_t x : kEdges) {
+            const int32_t v = e.rq.apply(x);
+            rails += v == INT32_MAX || v == INT32_MIN;
+        }
+    EXPECT_GT(rails, 0);
+
+    // Result rows 64..127: one per entry, two for Requant16.
+    for (OutOp op : {OutOp::Requant8, OutOp::Requant16, OutOp::ActOnly8}) {
+        const int per_entry = op == OutOp::Requant16 ? 2 : 1;
+        const size_t batch = size_t(64 / per_entry);
+        for (size_t first = 0; first < entries.size(); first += batch) {
+            SCOPED_TRACE(testing::Message() << "op " << int(op)
+                                            << ", entries from " << first);
+            std::vector<Instruction> prog = loadAccQuarters(60);
+            prog.push_back(setAddrRow(3, 64));
+            prog.push_back(setAddrInc(3, 1, 0));
+            const size_t last = std::min(entries.size(), first + batch);
+            for (size_t i = first; i < last; ++i) {
+                Instruction out;
+                out.out.op = op;
+                out.out.rqIndex = uint8_t(i);
+                out.write.enable = true;
+                out.write.addrReg = 3;
+                out.write.postInc = true;
+                out.write.src = RowSrc::OutLo;
+                prog.push_back(out);
+                if (op == OutOp::Requant16) {
+                    Instruction hi;
+                    hi.write = out.write;
+                    hi.write.src = RowSrc::OutHi;
+                    prog.push_back(hi);
+                }
+            }
+            prog.push_back(ctrlOnly(CtrlOp::Halt));
+            runAll(prog);
+            compareState(55);
+        }
+    }
 }
 
 /**

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "isa/encoding.h"
 #include "isa/instruction.h"
@@ -84,6 +86,121 @@ TEST(IsaEncoding, ImmOverflowPanics)
     Instruction in;
     in.ctrl.imm = 1u << 20; // 21 bits: overflows the 20-bit field.
     EXPECT_DEATH(encodeInstruction(in), "overflows");
+}
+
+/** One encoded field: its width and how to set it in an Instruction. */
+struct Field
+{
+    const char *name;
+    int bits;
+    void (*set)(Instruction &, uint32_t);
+};
+
+/** Every field in encoding order (isa/encoding.h's layout). */
+std::vector<Field>
+fieldTable()
+{
+#define NCORE_FIELD(name, bits, lvalue, type)                                \
+    Field{name, bits,                                                        \
+          [](Instruction &in, uint32_t v) { in.lvalue = type(v); }}
+    std::vector<Field> f = {
+        NCORE_FIELD("ctrl.op", 4, ctrl.op, CtrlOp),
+        NCORE_FIELD("ctrl.reg", 3, ctrl.reg, uint8_t),
+        NCORE_FIELD("ctrl.imm", 20, ctrl.imm, uint32_t),
+        NCORE_FIELD("dataRead.enable", 1, dataRead.enable, bool),
+        NCORE_FIELD("dataRead.reg", 3, dataRead.reg, uint8_t),
+        NCORE_FIELD("dataRead.postInc", 1, dataRead.postInc, bool),
+        NCORE_FIELD("weightRead.enable", 1, weightRead.enable, bool),
+        NCORE_FIELD("weightRead.reg", 3, weightRead.reg, uint8_t),
+        NCORE_FIELD("weightRead.postInc", 1, weightRead.postInc, bool),
+        NCORE_FIELD("ndu0.op", 4, ndu0.op, NduOp),
+        NCORE_FIELD("ndu0.srcA", 4, ndu0.srcA, RowSrc),
+        NCORE_FIELD("ndu0.srcB", 4, ndu0.srcB, RowSrc),
+        NCORE_FIELD("ndu0.dst", 2, ndu0.dst, uint8_t),
+        NCORE_FIELD("ndu0.addrReg", 3, ndu0.addrReg, uint8_t),
+        NCORE_FIELD("ndu0.addrInc", 1, ndu0.addrInc, bool),
+        NCORE_FIELD("ndu0.param", 6, ndu0.param, uint8_t),
+        NCORE_FIELD("ndu1.op", 4, ndu1.op, NduOp),
+        NCORE_FIELD("ndu1.srcA", 4, ndu1.srcA, RowSrc),
+        NCORE_FIELD("ndu1.srcB", 4, ndu1.srcB, RowSrc),
+        NCORE_FIELD("ndu1.dst", 2, ndu1.dst, uint8_t),
+        NCORE_FIELD("ndu1.addrReg", 3, ndu1.addrReg, uint8_t),
+        NCORE_FIELD("ndu1.addrInc", 1, ndu1.addrInc, bool),
+        NCORE_FIELD("ndu1.param", 6, ndu1.param, uint8_t),
+        NCORE_FIELD("npu.op", 4, npu.op, NpuOp),
+        NCORE_FIELD("npu.type", 2, npu.type, LaneType),
+        NCORE_FIELD("npu.a", 4, npu.a, RowSrc),
+        NCORE_FIELD("npu.b", 4, npu.b, RowSrc),
+        NCORE_FIELD("npu.zeroOff", 1, npu.zeroOff, bool),
+        NCORE_FIELD("npu.pred", 2, npu.pred, Pred),
+        NCORE_FIELD("out.op", 3, out.op, OutOp),
+        NCORE_FIELD("out.act", 3, out.act, ActFn),
+        NCORE_FIELD("out.rqIndex", 8, out.rqIndex, uint8_t),
+        NCORE_FIELD("out.param", 2, out.param, uint8_t),
+        NCORE_FIELD("write.enable", 1, write.enable, bool),
+        NCORE_FIELD("write.weightRam", 1, write.weightRam, bool),
+        NCORE_FIELD("write.addrReg", 3, write.addrReg, uint8_t),
+        NCORE_FIELD("write.postInc", 1, write.postInc, bool),
+        NCORE_FIELD("write.src", 4, write.src, RowSrc),
+    };
+#undef NCORE_FIELD
+    return f;
+}
+
+/** Bit-serial reference encoder: field i's value, LSB first, in order. */
+EncodedInstruction
+referenceEncode(const std::vector<Field> &fields,
+                const std::vector<uint32_t> &values)
+{
+    EncodedInstruction w;
+    int pos = 0;
+    for (size_t i = 0; i < fields.size(); ++i)
+        for (int b = 0; b < fields[i].bits; ++b, ++pos)
+            if ((values[i] >> b) & 1)
+                (pos < 64 ? w.lo : w.hi) |= uint64_t(1) << (pos % 64);
+    return w;
+}
+
+/**
+ * Each field alone at 0 and at its maximum (every other field 0): the
+ * word matches the bit-serial reference and decodes back. The fields
+ * that straddle bit 64 split across the two words.
+ */
+TEST(IsaEncoding, FieldBoundaries)
+{
+    const std::vector<Field> fields = fieldTable();
+    int total = 0, straddling = 0;
+    for (const Field &f : fields) {
+        straddling += total < 64 && total + f.bits > 64;
+        total += f.bits;
+    }
+    ASSERT_EQ(total, kInstructionBits);
+    EXPECT_GT(straddling, 0);
+
+    for (size_t i = 0; i < fields.size(); ++i) {
+        const uint32_t max = (uint32_t(1) << fields[i].bits) - 1;
+        for (uint32_t v : {0u, max}) {
+            SCOPED_TRACE(testing::Message() << fields[i].name << " = " << v);
+            Instruction in;
+            fields[i].set(in, v);
+            std::vector<uint32_t> values(fields.size(), 0);
+            values[i] = v;
+            const EncodedInstruction enc = encodeInstruction(in);
+            const EncodedInstruction ref = referenceEncode(fields, values);
+            EXPECT_EQ(enc.lo, ref.lo);
+            EXPECT_EQ(enc.hi, ref.hi);
+            EXPECT_EQ(decodeInstruction(enc), in);
+        }
+    }
+
+    // Every field at its maximum at once: all 128 bits set.
+    Instruction all;
+    for (const Field &f : fields)
+        f.set(all, (uint32_t(1) << f.bits) - 1);
+    const EncodedInstruction enc = encodeInstruction(all);
+    EXPECT_EQ(enc.lo, ~uint64_t(0));
+    EXPECT_EQ(enc.hi, ~uint64_t(0));
+    EXPECT_EQ(decodeInstruction(enc), all);
 }
 
 TEST(IsaEncoding, Exactly128Bits)
