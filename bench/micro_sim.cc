@@ -130,7 +130,8 @@ macProgram(LaneType type, Pred pred)
  * wraps to the next row every 192 taps, and whose weight register
  * steps 64 bytes and wraps to the next row every 64 taps. The
  * specialized engine runs it as one fused GEMM; the "u8" program above
- * is rep-invariant and takes the other Rep fast path.
+ * steps no address register, so it is not the conv-Rep shape and runs
+ * one 4096-lane step per rep.
  */
 std::vector<EncodedInstruction>
 convRepProgram()
@@ -206,7 +207,7 @@ runMacPipeline(benchmark::State &state, LaneType type, Pred pred,
                SimdTier tier = SimdTier::Auto)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, nullptr, tier});
+              {ExecEngine::Default, tier});
     state.SetLabel(m.execDescription());
     if (pred != Pred::None)
         fillPredRow(m);
@@ -442,7 +443,7 @@ measureMacProgram(const char *name,
                   SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, nullptr, tier});
+              {ExecEngine::Default, tier});
     if (pred)
         fillPredRow(m);
     auto run = [&] {
@@ -486,7 +487,7 @@ double
 measureOutRequantNs(SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, nullptr, tier});
+              {ExecEngine::Default, tier});
     Rng rng(3);
     std::vector<uint8_t> row(size_t(m.rowBytesInt()));
     for (int r = 0; r < 4; ++r) {

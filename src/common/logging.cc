@@ -4,22 +4,6 @@
 
 namespace ncore {
 
-namespace {
-LogLevel gLogLevel = LogLevel::Warn;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
 namespace detail {
 
 void
@@ -36,11 +20,9 @@ diePrintf(const char *kind, const char *file, int line, const char *fmt, ...)
 }
 
 void
-logPrintf(LogLevel level, const char *prefix, const char *fmt, ...)
+warnPrintf(const char *fmt, ...)
 {
-    if (static_cast<int>(level) > static_cast<int>(gLogLevel))
-        return;
-    std::fprintf(stderr, "%s", prefix);
+    std::fprintf(stderr, "warn: ");
     va_list ap;
     va_start(ap, fmt);
     std::vfprintf(stderr, fmt, ap);

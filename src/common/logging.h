@@ -2,8 +2,8 @@
  * @file
  * Status-message and error helpers in the gem5 tradition: panic() for
  * internal invariant violations (simulator bugs), fatal() for conditions
- * caused by bad user input or configuration, warn()/inform() for
- * non-fatal status.
+ * caused by bad user input or configuration, warn() for non-fatal
+ * status.
  */
 
 #ifndef NCORE_COMMON_LOGGING_H
@@ -16,19 +16,11 @@
 
 namespace ncore {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Quiet = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Global log level; benches lower it, tests usually leave it alone. */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 namespace detail {
 [[noreturn]] void diePrintf(const char *kind, const char *file, int line,
                             const char *fmt, ...)
     __attribute__((format(printf, 4, 5)));
-void logPrintf(LogLevel level, const char *prefix, const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
+void warnPrintf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
 /**
@@ -60,12 +52,7 @@ void logPrintf(LogLevel level, const char *prefix, const char *fmt, ...)
     } while (0)
 
 /** Non-fatal warning about questionable but survivable conditions. */
-#define warn(...) \
-    ::ncore::detail::logPrintf(::ncore::LogLevel::Warn, "warn: ", __VA_ARGS__)
-
-/** Informational status message. */
-#define inform(...) \
-    ::ncore::detail::logPrintf(::ncore::LogLevel::Info, "info: ", __VA_ARGS__)
+#define warn(...) ::ncore::detail::warnPrintf(__VA_ARGS__)
 
 } // namespace ncore
 

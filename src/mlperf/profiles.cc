@@ -108,12 +108,6 @@ profileGnmt()
     return p;
 }
 
-WorkloadProfile
-simulateWorkload(Workload w)
-{
-    return w == Workload::Gnmt ? profileGnmt() : profileCnn(w);
-}
-
 } // namespace
 
 const char *
@@ -143,10 +137,7 @@ workloadKey(Workload w)
 WorkloadProfile
 measureWorkload(Workload w)
 {
-    inform("profiling %s on the Ncore simulator (this can take a "
-           "minute)",
-           workloadName(w));
-    return simulateWorkload(w);
+    return w == Workload::Gnmt ? profileGnmt() : profileCnn(w);
 }
 
 std::vector<WorkloadProfile>
@@ -156,14 +147,13 @@ measureAllWorkloads()
                                  Workload::ResNet50,
                                  Workload::SsdMobileNet, Workload::Gnmt};
     std::vector<WorkloadProfile> out(std::size(kAll));
-    inform("profiling all four workloads on the Ncore simulator");
     // Each profile run builds its own model, compiler invocation and
     // simulator Machine, so the threads share no mutable state.
     {
         std::vector<std::jthread> threads;
         for (size_t i = 0; i < std::size(kAll); ++i)
             threads.emplace_back(
-                [&out, i, w = kAll[i]] { out[i] = simulateWorkload(w); });
+                [&out, i, w = kAll[i]] { out[i] = measureWorkload(w); });
     } // jthreads join here.
     return out;
 }

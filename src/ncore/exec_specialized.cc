@@ -415,84 +415,6 @@ srcIsN(RowSrc s, int idx)
 }
 
 /**
- * Rep-invariance: with CtrlOp::Rep, can the body's non-accumulator
- * inputs provably stay constant across repetitions? Requires: no
- * address-register post-increments, no RAM write-back, an NPU op that
- * touches only the accumulators (or an idempotent special op), no NDU
- * output feeding an NDU input of a subsequent repetition, no
- * predicate-write feeding an earlier predicate read, and no slot
- * consuming OUT rows that the OUT unit refreshes per repetition.
- */
-bool
-computeRepInvariant(const Instruction &in, const ExecPlan &p)
-{
-    if (in.dataRead.enable && in.dataRead.postInc)
-        return false;
-    if (in.weightRead.enable && in.weightRead.postInc)
-        return false;
-    if (in.ndu0.op != NduOp::None && in.ndu0.addrInc)
-        return false;
-    if (in.ndu1.op != NduOp::None && in.ndu1.addrInc)
-        return false;
-    if (in.write.enable)
-        return false;
-
-    switch (in.npu.op) {
-      case NpuOp::CmpGtP0:
-      case NpuOp::CmpGtP1:
-        return false; // Writes predicates the NDU may consume.
-      case NpuOp::AccLoadBias:
-        if (biasModeAccumulates(BiasMode(uint8_t(in.npu.b))))
-            return false; // Adds once per repetition.
-        break;
-      case NpuOp::None:
-      case NpuOp::AccZero:
-        break; // Idempotent: executed once.
-      default:
-        if (!p.npuKernel)
-            return false; // Accumulating op needs its kernel.
-        break;
-    }
-
-    // MergeMask before a LoadMask would see the pre-load predicates
-    // only on the first repetition.
-    if (in.ndu0.op == NduOp::MergeMask && in.ndu1.op == NduOp::LoadMask)
-        return false;
-
-    // NDU destination feeding an NDU source of the next repetition.
-    auto dstOf = [](const NduSlot &s) {
-        return (s.op == NduOp::None || s.op == NduOp::LoadMask)
-                   ? -1
-                   : int(s.dst & 3);
-    };
-    int d0 = dstOf(in.ndu0), d1 = dstOf(in.ndu1);
-    if (in.ndu0.op != NduOp::None &&
-        (srcIsN(in.ndu0.srcA, d0) || srcIsN(in.ndu0.srcA, d1) ||
-         srcIsN(in.ndu0.srcB, d0) || srcIsN(in.ndu0.srcB, d1)))
-        return false;
-    if (in.ndu1.op != NduOp::None &&
-        (srcIsN(in.ndu1.srcA, d1) || srcIsN(in.ndu1.srcB, d1)))
-        return false;
-
-    // OUT rows are only final after the last repetition.
-    if (in.out.op != OutOp::None) {
-        auto readsOut = [](RowSrc s) {
-            return s == RowSrc::OutLo || s == RowSrc::OutHi;
-        };
-        if (in.ndu0.op != NduOp::None &&
-            (readsOut(in.ndu0.srcA) || readsOut(in.ndu0.srcB)))
-            return false;
-        if (in.ndu1.op != NduOp::None &&
-            (readsOut(in.ndu1.srcA) || readsOut(in.ndu1.srcB)))
-            return false;
-        if (in.npu.op != NpuOp::None &&
-            (readsOut(in.npu.a) || readsOut(in.npu.b)))
-            return false;
-    }
-    return true;
-}
-
-/**
  * The conv-Rep shape NKL's repMac emits (nkl/kernels.cc): a Rep of at
  * least two taps that reads a data and a weight row without
  * post-increment, gathers the data row with a GroupBcast or
@@ -536,10 +458,6 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
                    (in.npu.type == LaneType::I16 ||
                     in.npu.type == LaneType::BF16)) ||
                   nduUsesHi(in.ndu0) || nduUsesHi(in.ndu1);
-    p.enabledReads = uint8_t((in.dataRead.enable ? 1 : 0) +
-                             (in.weightRead.enable ? 1 : 0));
-    p.activeNduSlots = uint8_t((in.ndu0.op != NduOp::None ? 1 : 0) +
-                               (in.ndu1.op != NduOp::None ? 1 : 0));
 
     bindNdu(in.ndu0, b, in.ctrl.imm, p.ndu[0], p.nduKernel[0], simd);
     bindNdu(in.ndu1, b, in.ctrl.imm, p.ndu[1], p.nduKernel[1], simd);
@@ -590,7 +508,6 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
     if (p.outKernel && simd != SimdTier::Scalar)
         if (OutKernel v = simdSelectOut(simd, in.out))
             p.outKernel = v;
-    p.repInvariant = computeRepInvariant(in, p);
     if (isConvRep(in, p)) {
         p.convRep = selectConvRepKernel(simd, in.ndu0.op, in.npu.pred);
         p.accMaxAbs = selectAccMaxAbs(simd);

@@ -8,8 +8,9 @@
  * For whole-model profiling runs that is the dominant cost of the
  * repository's evaluation harness.
  *
- * This engine classifies each instruction once, at decodeBank time, and
- * binds a specialized executor per issue slot:
+ * This engine classifies each instruction once, when writeIram, loadRom
+ * or reset decodes its slot, and binds a specialized executor per issue
+ * slot:
  *
  *  - NPU kernels are template instantiations over
  *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish.
@@ -28,22 +29,14 @@
  * at decode time; only the few runtime-variant inputs (address-register
  * byte offsets, zero offsets) are refreshed per call.
  *
- * The plan also records whether an instruction is *rep-invariant*: a
- * CtrlOp::Rep body whose non-accumulator state provably cannot change
- * across repetitions. For those the sequencer latches reads and runs
- * the NDU slots once, applies the NPU kernel N times back to back, and
- * derives the OUT row once from the final accumulator state — identical
- * architectural results and cycle/perf accounting without N rounds of
- * fetch/latch/post-increment bookkeeping. With ECC modeled the rows
- * are still read once per repetition, so every read scrubs and counts.
- *
- * It also marks the *conv-Rep* shape (ExecPlan::convRep), the
- * single-instruction accumulation loop NKL emits for every convolution
- * and FC (repMac in nkl/kernels.cc): a Rep of at least two taps that
- * reads a data and a weight row without post-increment, gathers the
- * data row with GroupBcast or WindowGather and replicates the weight
- * row with RepWindow (both stepping their address register), and
- * u8-MACs the two NDU results under any predicate and either
+ * A CtrlOp::Rep runs its body once per repetition through the bound
+ * kernels unless the plan marks the *conv-Rep* shape (ExecPlan::convRep),
+ * the single-instruction accumulation loop NKL emits for every
+ * convolution and FC (repMac in nkl/kernels.cc): a Rep of at least two
+ * taps that reads a data and a weight row without post-increment,
+ * gathers the data row with GroupBcast or WindowGather and replicates
+ * the weight row with RepWindow (both stepping their address register),
+ * and u8-MACs the two NDU results under any predicate and either
  * zero-offset setting, with no OUT op or write-back. Machine::step runs
  * such a Rep as one blocked GEMM (Machine::execConvRepFast):
  *
@@ -199,15 +192,12 @@ struct ExecPlan
     NduCtx ndu[2];
     bool usesImm = false;      ///< Any slot reads RowSrc::Imm.
     bool wideLatch = false;    ///< 16-bit planar row-pair latch needed.
-    bool repInvariant = false; ///< Eligible for the Rep fast path.
     /// Non-null when the instruction has the conv-Rep shape (see the
     /// file comment): the tier's kernel for its NDU0 op and predicate.
     ConvRepKernel convRep = nullptr;
     /// Set with convRep: the same tier's saturation-guard scan.
     AccMaxAbsKernel accMaxAbs = nullptr;
     bool npuIsMac = false;     ///< Counts macOps (Mac/MacFwd).
-    uint8_t activeNduSlots = 0;
-    uint8_t enabledReads = 0;
 };
 
 /**

@@ -124,8 +124,6 @@ Machine::Machine(const MachineConfig &cfg, const SocConfig &soc,
     dma_ = std::make_unique<DmaEngine>(soc, sysmem_, this);
 
     loadRom();
-    if (opts.profile)
-        setProfile(opts.profile);
 }
 
 Machine::~Machine() = default;
@@ -300,14 +298,6 @@ Machine::writeRequantEntry(int idx, const RequantEntry &e)
     fatal_if(idx < 0 || idx >= int(rqTable_.size()),
              "requant entry %d out of range", idx);
     rqTable_[idx] = e;
-}
-
-const RequantEntry &
-Machine::requantEntry(int idx) const
-{
-    fatal_if(idx < 0 || idx >= int(rqTable_.size()),
-             "requant entry %d out of range", idx);
-    return rqTable_[idx];
 }
 
 void
@@ -494,10 +484,7 @@ Machine::step()
     }
 
     if (fastExec_) {
-        if (reps > 1 && plan.repInvariant) {
-            execRepBodyFast(in, plan, reps);
-            perf_.instructions += reps;
-        } else if (plan.convRep && execConvRepFast(in, plan, reps)) {
+        if (plan.convRep && execConvRepFast(in, plan, reps)) {
             perf_.instructions += reps;
         } else {
             for (uint64_t r = 0; r < reps; ++r) {
@@ -648,54 +635,6 @@ Machine::execBodyFast(const Instruction &in, ExecPlan &plan)
     }
     execWrite(in.write);
     postIncrement(in);
-}
-
-/**
- * Rep fast path: the plan proved the body's non-accumulator inputs are
- * constant across repetitions (no post-increments, no write-back, NPU
- * touches only the accumulators). Latch and the NDU slots run once, the
- * NPU kernel runs back to back, and OUT derives its rows once from the
- * final accumulator state — bit-identical to executing the body `reps`
- * times, including the perf counters.
- */
-void
-Machine::execRepBodyFast(const Instruction &in, ExecPlan &plan,
-                         uint64_t reps)
-{
-    latchReads(in, plan.wideLatch);
-    if (plan.usesImm)
-        std::fill(immRow_.begin(), immRow_.end(),
-                  uint8_t(in.ctrl.imm & 0xff));
-    execNduSlotFast(in.ndu0, plan.nduKernel[0], plan.ndu[0],
-                    in.ctrl.imm);
-    execNduSlotFast(in.ndu1, plan.nduKernel[1], plan.ndu[1],
-                    in.ctrl.imm);
-    if (plan.npuKernel) {
-        plan.ctx.zA = dataZeroOff_;
-        plan.ctx.zB = weightZeroOff_;
-        for (uint64_t r = 0; r < reps; ++r)
-            plan.npuKernel(plan.ctx);
-        if (plan.npuIsMac)
-            perf_.macOps += reps * uint64_t(rowBytes_);
-    } else if (in.npu.op != NpuOp::None) {
-        execNpu(in.npu); // AccZero / loading AccLoadBias: idempotent.
-    }
-    if (in.out.op != OutOp::None) {
-        if (plan.outKernel)
-            plan.outKernel(plan.ctx);
-        else
-            execOut(in.out);
-    }
-    // write.enable and all post-increments are provably absent here.
-    // The rows cannot change, but with ECC modeled (both banks or
-    // neither) every repetition's reads scrub and count, as on the
-    // per-rep path.
-    if (dataRam_.eccModeled())
-        for (uint64_t r = 1; r < reps; ++r)
-            latchReads(in, plan.wideLatch);
-    else
-        perf_.ramReads += (reps - 1) * plan.enabledReads;
-    perf_.nduOps += (reps - 1) * plan.activeNduSlots;
 }
 
 /**

@@ -68,10 +68,6 @@ enum class ExecEngine : uint8_t
 struct MachineOptions
 {
     ExecEngine execEngine = ExecEngine::Default;
-    /// Microarchitectural cycle profiler (telemetry/profile.h);
-    /// nullptr = no profiling work at all. Not owned; may also be
-    /// attached/detached later via setProfile().
-    CycleProfile *profile = nullptr;
     /// SIMD tier of the specialized engine's lane kernels. Auto
     /// honors the NCORE_SIMD env var
     /// (`scalar|avx2|avx512|avx512vnni`, the one place it is read)
@@ -136,7 +132,6 @@ class Machine : public RamRowPort
 
     /** Program one requant table entry (256 entries). */
     void writeRequantEntry(int idx, const RequantEntry &e);
-    const RequantEntry &requantEntry(int idx) const;
 
     /** Program one of the four 256-byte activation LUTs. */
     void writeLut(int idx, const std::array<uint8_t, 256> &lut);
@@ -285,11 +280,8 @@ class Machine : public RamRowPort
 
     // Execution helpers.
     uint64_t step();                     ///< Returns cycles consumed.
-    void execCtrlPre(const Instruction &in, uint64_t &extra_cycles);
     void execBody(const Instruction &in);
     void execBodyFast(const Instruction &in, ExecPlan &plan);
-    void execRepBodyFast(const Instruction &in, ExecPlan &plan,
-                         uint64_t reps);
     bool execConvRepFast(const Instruction &in, ExecPlan &plan,
                          uint64_t reps);
     void execNduSlotFast(const NduSlot &slot, NduKernel kern,
@@ -317,7 +309,6 @@ class Machine : public RamRowPort
     float floatLane(const uint8_t *lo, const uint8_t *hi, int lane) const;
     bool predPass(Pred p, int lane) const;
 
-    void decodeBank(int bank);
     void loadRom();
 
     MachineConfig cfg_;

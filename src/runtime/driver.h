@@ -73,8 +73,6 @@ class NcoreDriver
         claimed_ = false;
     }
 
-    bool claimed() const { return claimed_; }
-
     /** Run the ROM self-test (driver bring-up diagnostic). */
     bool
     selfTest()

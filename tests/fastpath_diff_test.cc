@@ -20,8 +20,8 @@
  * wrap), so it can keep row accesses inside the initialized window and
  * rotate amounts within the 64 B/clock crossbar limit — everything the
  * generic interpreter itself would fault on — while still exercising
- * post-increments, circular addressing, Rep sequencing (the
- * rep-invariant fast path, the fused conv Rep and the per-rep path),
+ * post-increments, circular addressing, Rep sequencing (the fused conv
+ * Rep and the per-rep path),
  * predication, zero offsets, all NPU lane types and every NDU/OUT
  * operation. The diff also covers both SRAM banks' ECC counters.
  */
@@ -484,8 +484,7 @@ class FastPathDiff : public ::testing::Test
         for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t)
             tiers_.push_back(std::make_unique<Machine>(
                 chaNcoreConfig(), chaSocConfig(), nullptr, model_ecc,
-                Machine::Options{ExecEngine::Specialized, nullptr,
-                                 SimdTier(t)}));
+                Machine::Options{ExecEngine::Specialized, SimdTier(t)}));
     }
 
     /** The scalar-tier specialized engine. */
@@ -724,7 +723,7 @@ TEST_F(FastPathDiff, SimdTierSelection)
     // more than the host supports clamps to the probed best tier.
     for (SimdTier t : {SimdTier::Avx512, SimdTier::Avx512Vnni}) {
         Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                     {ExecEngine::Specialized, nullptr, t});
+                     {ExecEngine::Specialized, t});
         EXPECT_EQ(int(expl.simdTier()), int(std::min(t, bestSimdTier())));
     }
 
@@ -1838,8 +1837,8 @@ class FastPathDiffEcc : public FastPathDiff
 
 /**
  * An uncorrectable row is counted on every read, so a Rep that reads
- * it N times counts N, on the rep-invariant path (which latches its
- * rows once) and on the fused conv path alike.
+ * it N times counts N, on the per-rep path and on the fused conv path
+ * alike.
  */
 TEST_F(FastPathDiffEcc, UncorrectableRowsCountPerRead)
 {

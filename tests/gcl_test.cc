@@ -357,6 +357,33 @@ convRepShaped(const Instruction &in)
     return buildExecPlan(in, b).convRep != nullptr;
 }
 
+TEST(GclPlanning, EveryZooConvRepIsFused)
+{
+    // Every convolution's accumulation is one repMac Rep, and the
+    // specialized engine fuses that shape into one GEMM. A u8 Mac Rep
+    // whose weight read stays put is such a Rep, so each one must have
+    // the fused shape; the K-split FC, which post-increments its weight
+    // read, runs per rep.
+    auto check = [](Graph g) {
+        SCOPED_TRACE(g.name());
+        Loadable ld = compile(std::move(g));
+        int fused = 0;
+        for (const CompiledSubgraph &sg : ld.subgraphs)
+            for (const EncodedInstruction &e : sg.code) {
+                const Instruction in = decodeInstruction(e);
+                if (in.ctrl.op != CtrlOp::Rep || in.npu.op != NpuOp::Mac ||
+                    in.npu.type != LaneType::U8 || in.weightRead.postInc)
+                    continue;
+                EXPECT_TRUE(convRepShaped(in));
+                ++fused;
+            }
+        EXPECT_GT(fused, 0);
+    };
+    check(buildMobileNetV1());
+    check(buildResNet50V15());
+    check(buildSsdMobileNetV1());
+}
+
 TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
 {
     // Stage-4/5 block1 `b` and `proj` write y-packed rows directly

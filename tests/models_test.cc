@@ -129,9 +129,10 @@ TEST(ModelCompile, SsdUsesStemLayoutAndX86Nms)
     // All convs (backbone + extras + heads) on Ncore.
     for (size_t i = 0; i < ld.graph.nodes().size(); ++i) {
         OpKind k = ld.graph.nodes()[i].kind;
-        if (k == OpKind::Conv2D || k == OpKind::DepthwiseConv2D)
+        if (k == OpKind::Conv2D || k == OpKind::DepthwiseConv2D) {
             EXPECT_GE(ld.nodeAssignment[i], 0)
                 << ld.graph.nodes()[i].name;
+        }
     }
 }
 

@@ -82,9 +82,9 @@ TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
 struct SyntheticRun
 {
     explicit SyntheticRun(ExecEngine engine)
-        : m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-            {engine, &prof})
+        : m(chaNcoreConfig(), chaSocConfig(), nullptr, false, {engine})
     {
+        m.setProfile(&prof);
         // 64 rows of streamable bytes in DRAM for the DMA stall.
         const size_t bytes = 64 * 4096;
         std::vector<uint8_t> img(bytes);
