@@ -125,9 +125,7 @@ inputPadsFor(const Node &n, const Pads &out_pads)
         p.r = n.attrs.padRight;
         break;
       case OpKind::Add:
-      case OpKind::Relu:
-      case OpKind::Relu6:
-        p = out_pads; // Lane-aligned ops.
+        p = out_pads; // Lane-aligned op.
         break;
       default:
         break; // FC / Reshape: no spatial requirement.

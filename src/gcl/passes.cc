@@ -47,83 +47,6 @@ removeNodes(Graph &g, const std::vector<size_t> &dead)
 } // namespace
 
 int
-foldBatchNorm(Graph &g)
-{
-    int folded = 0;
-    std::vector<size_t> dead;
-
-    for (size_t i = 0; i < g.nodes().size(); ++i) {
-        Node &bn = g.nodes()[i];
-        if (bn.kind != OpKind::BatchNorm)
-            continue;
-        TensorId conv_out = bn.inputs[0];
-        if (consumerCount(g, conv_out) != 1 ||
-            isGraphOutput(g, conv_out))
-            continue;
-
-        // Find the producing conv.
-        Node *conv = nullptr;
-        for (Node &c : g.nodes()) {
-            if (!c.outputs.empty() && c.outputs[0] == conv_out &&
-                (c.kind == OpKind::Conv2D ||
-                 c.kind == OpKind::DepthwiseConv2D)) {
-                conv = &c;
-                break;
-            }
-        }
-        if (!conv)
-            continue;
-
-        GirTensor &w = g.tensor(conv->inputs[1]);
-        if (w.dtype != DType::Float32)
-            continue; // Quantized graphs arrive pre-folded.
-        const Tensor &scale = g.tensor(bn.inputs[1]).value;
-        const Tensor &offset = g.tensor(bn.inputs[2]).value;
-
-        bool depthwise = conv->kind == OpKind::DepthwiseConv2D;
-        const Shape &ws = w.shape; // OHWI or [1,Kh,Kw,C]
-        int64_t k_dim = depthwise ? ws.dim(3) : ws.dim(0);
-        int64_t inner = ws.numElements() / k_dim;
-
-        for (int64_t k = 0; k < k_dim; ++k) {
-            float s = scale.floatAt(k);
-            for (int64_t j = 0; j < inner; ++j) {
-                // OHWI: k outer; depthwise [1,Kh,Kw,C]: k inner.
-                int64_t idx = depthwise ? j * k_dim + k : k * inner + j;
-                w.value.setFloatAt(idx, w.value.floatAt(idx) * s);
-            }
-        }
-
-        // Fold into (or create) the bias.
-        if (conv->inputs.size() > 2) {
-            GirTensor &b = g.tensor(conv->inputs[2]);
-            for (int64_t k = 0; k < k_dim; ++k)
-                b.value.setFloatAt(k, b.value.floatAt(k) *
-                                          scale.floatAt(k) +
-                                      offset.floatAt(k));
-        } else {
-            Tensor nb(Shape{k_dim}, DType::Float32);
-            for (int64_t k = 0; k < k_dim; ++k)
-                nb.setFloatAt(k, offset.floatAt(k));
-            GirTensor bt;
-            bt.name = conv->name + ":folded_bias";
-            bt.shape = nb.shape();
-            bt.dtype = DType::Float32;
-            bt.isConst = true;
-            bt.value = std::move(nb);
-            conv->inputs.push_back(g.addTensor(std::move(bt)));
-        }
-
-        // The conv now produces the BN's output directly.
-        conv->outputs[0] = bn.outputs[0];
-        dead.push_back(i);
-        ++folded;
-    }
-    removeNodes(g, dead);
-    return folded;
-}
-
-int
 fusePads(Graph &g)
 {
     int fused = 0;
@@ -163,49 +86,6 @@ fusePads(Graph &g)
 }
 
 int
-fuseActivations(Graph &g)
-{
-    int fused = 0;
-    std::vector<size_t> dead;
-
-    for (size_t i = 0; i < g.nodes().size(); ++i) {
-        Node &act = g.nodes()[i];
-        ActFn fn;
-        if (act.kind == OpKind::Relu)
-            fn = ActFn::Relu;
-        else if (act.kind == OpKind::Relu6)
-            fn = ActFn::Relu6;
-        else
-            continue;
-
-        TensorId pre = act.inputs[0];
-        if (consumerCount(g, pre) != 1 || isGraphOutput(g, pre))
-            continue;
-
-        Node *producer = nullptr;
-        for (Node &c : g.nodes())
-            if (!c.outputs.empty() && c.outputs[0] == pre &&
-                (c.kind == OpKind::Conv2D ||
-                 c.kind == OpKind::DepthwiseConv2D ||
-                 c.kind == OpKind::FullyConnected ||
-                 c.kind == OpKind::Add) &&
-                c.attrs.fusedAct == ActFn::None) {
-                producer = &c;
-                break;
-            }
-        if (!producer)
-            continue;
-
-        producer->attrs.fusedAct = fn;
-        producer->outputs[0] = act.outputs[0];
-        dead.push_back(i);
-        ++fused;
-    }
-    removeNodes(g, dead);
-    return fused;
-}
-
-int
 eliminateDeadNodes(Graph &g)
 {
     std::unordered_set<TensorId> live(g.outputs().begin(),
@@ -234,9 +114,7 @@ int
 runStandardPasses(Graph &g)
 {
     int total = 0;
-    total += foldBatchNorm(g);
     total += fusePads(g);
-    total += fuseActivations(g);
     total += eliminateDeadNodes(g);
     g.verify();
     return total;

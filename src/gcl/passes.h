@@ -1,9 +1,9 @@
 /**
  * @file
- * GCL graph-level optimization passes (paper V-B): batch-norm folding
- * into adjacent convolution weights/biases, explicit-pad fusion into
- * convolutions (the MLPerf ResNet-50 reference graph case), and
- * standalone-activation fusion into the producing op.
+ * GCL graph-level optimization passes (paper V-B): explicit-pad fusion
+ * into convolutions and pools (the MLPerf ResNet-50 reference graph
+ * case) and dead-node elimination. The zoo's graphs arrive with batch
+ * norms folded and activations fused, so those passes are not modeled.
  */
 
 #ifndef NCORE_GCL_PASSES_H
@@ -14,24 +14,10 @@
 namespace ncore {
 
 /**
- * Fold BatchNorm(Conv2D(x)) into the convolution: w'[k,...] =
- * w[k,...] * scale[k]; b'[k] = b[k] * scale[k] + offset[k].
- * Float graphs only (quantized graphs arrive pre-folded).
- * Returns the number of folded nodes.
- */
-int foldBatchNorm(Graph &g);
-
-/**
  * Fuse an explicit Pad node into a following Conv2D / DepthwiseConv2D /
  * pool by adding to its padding attributes. Returns nodes fused.
  */
 int fusePads(Graph &g);
-
-/**
- * Fuse standalone Relu/Relu6 nodes into the producing conv/fc/add as
- * fusedAct. Returns nodes fused.
- */
-int fuseActivations(Graph &g);
 
 /** Drop nodes whose outputs are never used (after fusion). */
 int eliminateDeadNodes(Graph &g);

@@ -11,21 +11,14 @@ opKindName(OpKind k)
       case OpKind::Conv2D: return "Conv2D";
       case OpKind::DepthwiseConv2D: return "DepthwiseConv2D";
       case OpKind::FullyConnected: return "FullyConnected";
-      case OpKind::MatMul: return "MatMul";
       case OpKind::Add: return "Add";
-      case OpKind::Mul: return "Mul";
       case OpKind::MaxPool2D: return "MaxPool2D";
       case OpKind::AvgPool2D: return "AvgPool2D";
       case OpKind::Pad: return "Pad";
-      case OpKind::BatchNorm: return "BatchNorm";
-      case OpKind::Relu: return "Relu";
-      case OpKind::Relu6: return "Relu6";
       case OpKind::Sigmoid: return "Sigmoid";
-      case OpKind::Tanh: return "Tanh";
       case OpKind::Softmax: return "Softmax";
       case OpKind::Concat: return "Concat";
       case OpKind::Reshape: return "Reshape";
-      case OpKind::Quantize: return "Quantize";
       case OpKind::Dequantize: return "Dequantize";
       case OpKind::NonMaxSuppression: return "NonMaxSuppression";
     }
@@ -141,14 +134,6 @@ Graph::nodeMacs(const Graph &g, const Node &n)
         const Shape &w = g.tensor(n.inputs[1]).shape; // [Cout, Cin]
         return out.numElements() * w.dim(1);
       }
-      case OpKind::MatMul: {
-        const Shape &out = g.tensor(n.outputs[0]).shape;
-        const Shape &a = g.tensor(n.inputs[0]).shape;
-        return out.numElements() * a.dim(a.rank() - 1);
-      }
-      case OpKind::BatchNorm:
-      case OpKind::Mul:
-        return g.tensor(n.outputs[0]).shape.numElements();
       default:
         return 0;
     }
@@ -364,33 +349,6 @@ GraphBuilder::fullyConnected(const std::string &name, TensorId in,
 }
 
 TensorId
-GraphBuilder::matmul(const std::string &name, TensorId a, TensorId b,
-                     bool transpose_b)
-{
-    const GirTensor &ta = g_.tensor(a);
-    const GirTensor &tb = g_.tensor(b);
-    int64_t k = ta.shape.dim(ta.shape.rank() - 1);
-    int64_t n_dim = transpose_b ? tb.shape.dim(0) : tb.shape.dim(1);
-    int64_t kb = transpose_b ? tb.shape.dim(1) : tb.shape.dim(0);
-    fatal_if(k != kb, "%s: matmul K mismatch", name.c_str());
-
-    GirTensor out;
-    out.name = name + ":out";
-    out.shape = Shape{ta.shape.dim(0), n_dim};
-    out.dtype = ta.dtype;
-    TensorId out_id = activationValue(std::move(out));
-
-    Node n;
-    n.kind = OpKind::MatMul;
-    n.name = name;
-    n.inputs = {a, b};
-    n.outputs = {out_id};
-    n.attrs.transposeB = transpose_b;
-    g_.addNode(std::move(n));
-    return out_id;
-}
-
-TensorId
 GraphBuilder::add(const std::string &name, TensorId a, TensorId b,
                   ActFn fused_act, QuantParams out_qp)
 {
@@ -517,25 +475,6 @@ GraphBuilder::pad(const std::string &name, TensorId in, int pad_top,
 }
 
 TensorId
-GraphBuilder::batchNorm(const std::string &name, TensorId in,
-                        TensorId scale, TensorId offset)
-{
-    const GirTensor &x = g_.tensor(in);
-    GirTensor out;
-    out.name = name + ":out";
-    out.shape = x.shape;
-    out.dtype = x.dtype;
-    TensorId out_id = activationValue(std::move(out));
-    Node n;
-    n.kind = OpKind::BatchNorm;
-    n.name = name;
-    n.inputs = {in, scale, offset};
-    n.outputs = {out_id};
-    g_.addNode(std::move(n));
-    return out_id;
-}
-
-TensorId
 GraphBuilder::unary(const std::string &name, OpKind kind, TensorId in)
 {
     const GirTensor &x = g_.tensor(in);
@@ -555,27 +494,9 @@ GraphBuilder::unary(const std::string &name, OpKind kind, TensorId in)
 }
 
 TensorId
-GraphBuilder::relu(const std::string &name, TensorId in)
-{
-    return unary(name, OpKind::Relu, in);
-}
-
-TensorId
-GraphBuilder::relu6(const std::string &name, TensorId in)
-{
-    return unary(name, OpKind::Relu6, in);
-}
-
-TensorId
 GraphBuilder::sigmoid(const std::string &name, TensorId in)
 {
     return unary(name, OpKind::Sigmoid, in);
-}
-
-TensorId
-GraphBuilder::tanh(const std::string &name, TensorId in)
-{
-    return unary(name, OpKind::Tanh, in);
 }
 
 TensorId
@@ -627,26 +548,6 @@ GraphBuilder::reshape(const std::string &name, TensorId in, Shape shape)
     TensorId out_id = activationValue(std::move(out));
     Node n;
     n.kind = OpKind::Reshape;
-    n.name = name;
-    n.inputs = {in};
-    n.outputs = {out_id};
-    g_.addNode(std::move(n));
-    return out_id;
-}
-
-TensorId
-GraphBuilder::quantize(const std::string &name, TensorId in, DType dtype,
-                       QuantParams qp)
-{
-    const GirTensor &x = g_.tensor(in);
-    GirTensor out;
-    out.name = name + ":out";
-    out.shape = x.shape;
-    out.dtype = dtype;
-    out.quant = qp;
-    TensorId out_id = activationValue(std::move(out));
-    Node n;
-    n.kind = OpKind::Quantize;
     n.name = name;
     n.inputs = {in};
     n.outputs = {out_id};

@@ -4,9 +4,11 @@
  *
  * Frameworks each have their own dataflow graph format; the Ncore Graph
  * Compiler Library imports them into this common GIR, on which the
- * generic optimization passes (batch-norm folding, pad fusion,
- * bias/activation fusion), layout selection, memory planning and code
- * generation operate. Tensors are NHWC, weights are OHWI (TFLite
+ * generic optimization passes (pad fusion, dead-node elimination),
+ * layout selection, memory planning and code generation operate. The
+ * op kinds are the ones the model zoo emits: its graphs arrive
+ * quantized, with batch norms folded and activations fused into the
+ * conv/fc/add nodes. Tensors are NHWC, weights are OHWI (TFLite
  * convention); quantized tensors carry affine QuantParams.
  */
 
@@ -27,21 +29,14 @@ enum class OpKind : uint8_t {
     Conv2D,
     DepthwiseConv2D,
     FullyConnected,
-    MatMul,        ///< Dense bf16/float matmul (GNMT building block).
     Add,           ///< Elementwise (residual connections).
-    Mul,           ///< Elementwise multiply.
     MaxPool2D,
     AvgPool2D,
     Pad,           ///< Explicit spatial zero padding.
-    BatchNorm,     ///< Inference-mode scale/offset (foldable).
-    Relu,
-    Relu6,
     Sigmoid,
-    Tanh,
     Softmax,
     Concat,
     Reshape,
-    Quantize,      ///< float -> quantized at subgraph edges.
     Dequantize,    ///< quantized -> float at subgraph edges.
     NonMaxSuppression, ///< SSD post-processing (always on x86).
 };
@@ -73,7 +68,6 @@ struct OpAttrs
     ActFn fusedAct = ActFn::None; ///< Fused activation (conv/fc/add).
     int axis = 0;                 ///< Concat axis.
     float beta = 1.0f;            ///< Softmax temperature.
-    bool transposeB = false;      ///< MatMul: B given as [N, K].
     float nmsIouThreshold = 0.6f;
     float nmsScoreThreshold = 0.3f;
     int nmsMaxDetections = 100;
@@ -189,10 +183,6 @@ class GraphBuilder
                             TensorId weights, TensorId bias,
                             ActFn fused_act, QuantParams out_qp = {});
 
-    /** MatMul: A [M, K] x B [K, N] (or [N, K] with transposeB). */
-    TensorId matmul(const std::string &name, TensorId a, TensorId b,
-                    bool transpose_b = false);
-
     /** Elementwise add with output rescale (residual connections). */
     TensorId add(const std::string &name, TensorId a, TensorId b,
                  ActFn fused_act, QuantParams out_qp = {});
@@ -211,14 +201,7 @@ class GraphBuilder
     TensorId pad(const std::string &name, TensorId in, int pad_top,
                  int pad_bottom, int pad_left, int pad_right);
 
-    /** Inference batch-norm: y = x * scale + offset, per channel. */
-    TensorId batchNorm(const std::string &name, TensorId in,
-                       TensorId scale, TensorId offset);
-
-    TensorId relu(const std::string &name, TensorId in);
-    TensorId relu6(const std::string &name, TensorId in);
     TensorId sigmoid(const std::string &name, TensorId in);
-    TensorId tanh(const std::string &name, TensorId in);
     TensorId softmax(const std::string &name, TensorId in, float beta);
 
     TensorId concat(const std::string &name,
@@ -227,8 +210,6 @@ class GraphBuilder
 
     TensorId reshape(const std::string &name, TensorId in, Shape shape);
 
-    TensorId quantize(const std::string &name, TensorId in, DType dtype,
-                      QuantParams qp);
     TensorId dequantize(const std::string &name, TensorId in);
 
     /**

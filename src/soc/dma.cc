@@ -39,13 +39,6 @@ DmaEngine::setDescriptor(int idx, const DmaDescriptor &desc)
     table_[idx].valid = true;
 }
 
-const DmaDescriptor &
-DmaEngine::descriptor(int idx) const
-{
-    fatal_if(idx < 0 || idx >= kDescriptors, "DMA descriptor %d", idx);
-    return table_[idx];
-}
-
 void
 DmaEngine::kick(int idx)
 {

@@ -87,7 +87,6 @@ class DmaEngine
 
     /** Runtime-side: program a descriptor slot. */
     void setDescriptor(int idx, const DmaDescriptor &desc);
-    const DmaDescriptor &descriptor(int idx) const;
 
     /** Queue the transfer in descriptor slot idx at the tail of its
      *  queue (from CtrlOp::DmaKick). */

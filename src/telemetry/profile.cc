@@ -188,15 +188,6 @@ CycleProfile::publish(Stats &into) const
     }
 }
 
-void
-CycleProfile::clear()
-{
-    c_ = ProfileCounters{};
-    marks_.clear();
-    dmaReadBase_ = 0;
-    dmaWrittenBase_ = 0;
-}
-
 namespace stats {
 
 std::string

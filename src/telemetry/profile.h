@@ -194,8 +194,6 @@ class CycleProfile
      */
     void publish(Stats &into) const;
 
-    void clear();
-
   private:
     ProfileCounters c_;
     std::vector<ProfileMark> marks_;

@@ -78,20 +78,13 @@ X86CostModel::nodeSeconds(const Graph &g, const Node &n) const
     switch (n.kind) {
       case OpKind::Conv2D:
       case OpKind::DepthwiseConv2D:
-      case OpKind::FullyConnected:
-      case OpKind::MatMul: {
+      case OpKind::FullyConnected: {
         double peak_macs =
             cnsPeakGops(out.dtype, clockHz_) * 1e9 / 2.0;
         return double(macs) / (peak_macs * kMacEfficiency);
       }
       case OpKind::Add:
-      case OpKind::Mul:
-      case OpKind::Relu:
-      case OpKind::Relu6:
       case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::BatchNorm:
-      case OpKind::Quantize:
       case OpKind::Dequantize:
         return double(out_elems) * dtypeSize(out.dtype) * 3.0 / move_bps;
       case OpKind::MaxPool2D:

@@ -195,33 +195,6 @@ execFullyConnected(const Graph &g, const Node &n,
 }
 
 Tensor
-execMatMul(const Graph &g, const Node &n,
-           const std::vector<const Tensor *> &ins)
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    Tensor out = makeOutput(g, n);
-    const int64_t m_dim = out.shape().dim(0);
-    const int64_t n_dim = out.shape().dim(1);
-    const int64_t k_dim = a.shape().dim(a.shape().rank() - 1);
-    const bool tb = n.attrs.transposeB;
-
-    // Float accumulation regardless of storage type: the NPU
-    // accumulates bf16 products in full float precision.
-    for (int64_t i = 0; i < m_dim; ++i)
-    for (int64_t j = 0; j < n_dim; ++j) {
-        float acc = 0.0f;
-        for (int64_t k = 0; k < k_dim; ++k) {
-            float fb = tb ? b.floatAt(j * k_dim + k)
-                          : b.floatAt(k * n_dim + j);
-            acc += a.floatAt(i * k_dim + k) * fb;
-        }
-        out.setFloatAt(i * n_dim + j, acc);
-    }
-    return out;
-}
-
-Tensor
 execAdd(const Graph &g, const Node &n,
         const std::vector<const Tensor *> &ins)
 {
@@ -252,20 +225,6 @@ execAdd(const Graph &g, const Node &n,
 }
 
 Tensor
-execMul(const Graph &g, const Node &n,
-        const std::vector<const Tensor *> &ins)
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    Tensor out = makeOutput(g, n);
-    fatal_if(isQuant8(a.dtype()), "%s: quantized Mul unsupported",
-             n.name.c_str());
-    for (int64_t i = 0; i < out.numElements(); ++i)
-        out.setFloatAt(i, a.floatAt(i) * b.floatAt(i));
-    return out;
-}
-
-Tensor
 execPool(const Graph &g, const Node &n,
          const std::vector<const Tensor *> &ins, bool is_max)
 {
@@ -282,7 +241,6 @@ execPool(const Graph &g, const Node &n,
         if (isQuant8(x.dtype())) {
             const int32_t z = x.quant().zeroPoint;
             int32_t acc = is_max ? INT32_MIN : 0;
-            int32_t count = 0;
             for (int r = 0; r < at.kernelH; ++r)
             for (int s = 0; s < at.kernelW; ++s) {
                 int64_t iy = oy * at.strideH + r - at.padTop;
@@ -295,7 +253,6 @@ execPool(const Graph &g, const Node &n,
                     acc = std::max(acc, v);
                 else
                     acc += v;
-                ++count;
             }
             int32_t v;
             if (is_max) {
@@ -307,7 +264,6 @@ execPool(const Graph &g, const Node &n,
                     1.0f / float(at.kernelH * at.kernelW),
                     out.quant().zeroPoint);
                 v = rq.apply(acc);
-                (void)count;
             }
             out.setIntAt(out.nhwc(b, oy, ox, c), v);
         } else {
@@ -336,7 +292,6 @@ execPad(const Graph &g, const Node &n,
 {
     const Tensor &x = *ins[0];
     Tensor out = makeOutput(g, n);
-    const Shape &os = out.shape();
     // Quantized pads fill with the zero-point code.
     if (isQuant8(x.dtype())) {
         int32_t z = x.quant().zeroPoint;
@@ -354,24 +309,6 @@ execPad(const Graph &g, const Node &n,
             out.setIntAt(oi, x.intAt(ii));
         else
             out.setFloatAt(oi, x.floatAt(ii));
-    }
-    (void)os;
-    return out;
-}
-
-Tensor
-execBatchNorm(const Graph &g, const Node &n,
-              const std::vector<const Tensor *> &ins)
-{
-    const Tensor &x = *ins[0];
-    const Tensor &scale = *ins[1];
-    const Tensor &offset = *ins[2];
-    Tensor out = makeOutput(g, n);
-    const int64_t c_dim = x.shape().dim(x.shape().rank() - 1);
-    for (int64_t i = 0; i < out.numElements(); ++i) {
-        int64_t c = i % c_dim;
-        out.setFloatAt(i, x.floatAt(i) * scale.floatAt(c) +
-                              offset.floatAt(c));
     }
     return out;
 }
@@ -470,17 +407,6 @@ execConcat(const Graph &g, const Node &n,
         }
         offset += span;
     }
-    return out;
-}
-
-Tensor
-execQuantize(const Graph &g, const Node &n,
-             const std::vector<const Tensor *> &ins)
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(g, n);
-    for (int64_t i = 0; i < out.numElements(); ++i)
-        out.setIntAt(i, out.quant().quantize(x.floatAt(i), out.dtype()));
     return out;
 }
 
@@ -597,28 +523,16 @@ ReferenceExecutor::executeNode(const Graph &g, const Node &n,
         return execConv(g, n, ins, true);
       case OpKind::FullyConnected:
         return execFullyConnected(g, n, ins);
-      case OpKind::MatMul:
-        return execMatMul(g, n, ins);
       case OpKind::Add:
         return execAdd(g, n, ins);
-      case OpKind::Mul:
-        return execMul(g, n, ins);
       case OpKind::MaxPool2D:
         return execPool(g, n, ins, true);
       case OpKind::AvgPool2D:
         return execPool(g, n, ins, false);
       case OpKind::Pad:
         return execPad(g, n, ins);
-      case OpKind::BatchNorm:
-        return execBatchNorm(g, n, ins);
-      case OpKind::Relu:
-        return execUnaryAct(g, n, ins, ActFn::Relu);
-      case OpKind::Relu6:
-        return execUnaryAct(g, n, ins, ActFn::Relu6);
       case OpKind::Sigmoid:
         return execUnaryAct(g, n, ins, ActFn::Sigmoid);
-      case OpKind::Tanh:
-        return execUnaryAct(g, n, ins, ActFn::Tanh);
       case OpKind::Softmax:
         return execSoftmax(g, n, ins);
       case OpKind::Concat:
@@ -628,8 +542,6 @@ ReferenceExecutor::executeNode(const Graph &g, const Node &n,
         std::memcpy(out.raw(), ins[0]->raw(), out.byteSize());
         return out;
       }
-      case OpKind::Quantize:
-        return execQuantize(g, n, ins);
       case OpKind::Dequantize:
         return execDequantize(g, n, ins);
       case OpKind::NonMaxSuppression:

@@ -1,8 +1,8 @@
 /**
  * @file
- * GCL tests: optimization passes (batch-norm folding, pad fusion,
- * activation fusion, dead-node elimination), partitioning decisions,
- * and compile-time planning invariants (layouts, memory plan, weight
+ * GCL tests: optimization passes (pad fusion, dead-node elimination,
+ * and the rewrites they make on the zoo), partitioning decisions, and
+ * compile-time planning invariants (layouts, memory plan, weight
  * promotion vs streaming, phase-split stride-2 convs).
  */
 
@@ -46,41 +46,6 @@ qconv(GraphBuilder &gb, Rng &rng, const std::string &name, TensorId in,
                      pad, act, actQp());
 }
 
-TEST(GclPasses, FoldBatchNormIntoConv)
-{
-    Rng rng(1);
-    GraphBuilder gb("bn");
-    TensorId x = gb.input("x", Shape{1, 8, 8, 4}, DType::Float32);
-    Tensor w(Shape{8, 3, 3, 4}, DType::Float32);
-    w.fillGaussian(rng, 0.2f);
-    TensorId conv = gb.conv2d("c", x, gb.constant("w", w), kNoTensor, 1,
-                              1, 1, 1, 1, 1, ActFn::None);
-    Tensor scale(Shape{8}, DType::Float32);
-    Tensor offset(Shape{8}, DType::Float32);
-    for (int i = 0; i < 8; ++i) {
-        scale.setFloatAt(i, 0.5f + 0.1f * float(i));
-        offset.setFloatAt(i, float(i) - 4.0f);
-    }
-    TensorId bn = gb.batchNorm("bn", conv, gb.constant("s", scale),
-                               gb.constant("o", offset));
-    gb.output(bn);
-    Graph g = gb.take();
-
-    // Reference before folding.
-    Tensor x_val(Shape{1, 8, 8, 4}, DType::Float32);
-    x_val.fillGaussian(rng, 1.0f);
-    Tensor want = ReferenceExecutor(g).run({x_val})[0];
-
-    EXPECT_EQ(foldBatchNorm(g), 1);
-    g.verify();
-    EXPECT_EQ(g.nodes().size(), 1u);
-    EXPECT_EQ(g.nodes()[0].kind, OpKind::Conv2D);
-    EXPECT_EQ(g.nodes()[0].inputs.size(), 3u); // Bias created.
-
-    Tensor got = ReferenceExecutor(g).run({x_val})[0];
-    EXPECT_LT(maxAbsDiff(got, want), 1e-4f);
-}
-
 TEST(GclPasses, FuseExplicitPadIntoConv)
 {
     // The MLPerf ResNet-50 reference-graph pattern (paper V-B).
@@ -107,22 +72,6 @@ TEST(GclPasses, FuseExplicitPadIntoConv)
         ASSERT_EQ(got.intAt(i), want.intAt(i));
 }
 
-TEST(GclPasses, FuseStandaloneRelu)
-{
-    Rng rng(3);
-    GraphBuilder gb("act");
-    QuantParams qp = actQp();
-    TensorId x = gb.input("x", Shape{1, 4, 4, 8}, DType::UInt8, qp);
-    TensorId c = qconv(gb, rng, "c", x, 8, 1, 1, 0, ActFn::None);
-    TensorId r = gb.relu("r", c);
-    gb.output(r);
-    Graph g = gb.take();
-
-    EXPECT_EQ(fuseActivations(g), 1);
-    EXPECT_EQ(g.nodes().size(), 1u);
-    EXPECT_EQ(g.nodes()[0].attrs.fusedAct, ActFn::Relu);
-}
-
 TEST(GclPasses, DeadNodeElimination)
 {
     Rng rng(4);
@@ -137,6 +86,22 @@ TEST(GclPasses, DeadNodeElimination)
     EXPECT_EQ(eliminateDeadNodes(g), 1);
     EXPECT_EQ(g.nodes().size(), 1u);
     EXPECT_EQ(g.nodes()[0].name, "live");
+}
+
+TEST(GclPasses, ZooRewritesAreResNetPadsOnly)
+{
+    // The zoo's graphs arrive folded and fused: the only rewrites the
+    // standard passes make are ResNet-50's four explicit pads.
+    Graph mobilenet = buildMobileNetV1();
+    EXPECT_EQ(runStandardPasses(mobilenet), 0);
+
+    Graph resnet = buildResNet50V15();
+    EXPECT_EQ(runStandardPasses(resnet), 4);
+    for (const Node &n : resnet.nodes())
+        EXPECT_NE(n.kind, OpKind::Pad) << "pad not fused: " << n.name;
+
+    Graph ssd = buildSsdMobileNetV1();
+    EXPECT_EQ(runStandardPasses(ssd), 0);
 }
 
 TEST(GclPartition, SoftmaxStaysOnX86)

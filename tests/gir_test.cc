@@ -67,16 +67,6 @@ TEST(GirShapes, ConcatSumsAxis)
     EXPECT_EQ(gb.graph().tensor(y).shape, (Shape{16, 4}));
 }
 
-TEST(GirShapes, MatmulTransposeB)
-{
-    GraphBuilder gb("g");
-    TensorId a = gb.input("a", Shape{1, 64}, DType::BFloat16);
-    Tensor w(Shape{32, 64}, DType::BFloat16);
-    TensorId b = gb.constant("w", w);
-    TensorId y = gb.matmul("mm", a, b, true);
-    EXPECT_EQ(gb.graph().tensor(y).shape, (Shape{1, 32}));
-}
-
 TEST(GirVerify, DetectsRedefinition)
 {
     GraphBuilder gb("g");
