@@ -33,8 +33,8 @@ main()
     std::printf("%-22s %.1fGHz (single CHA clock domain)\n",
                 "Ncore frequency", mc.clockHz / 1e9);
     std::printf("%-22s %dKB instruction (+%dKB ROM)\n", "Ncore memory",
-                2 * mc.iramEntries * 16 / 1024,
-                mc.iromEntries * 16 / 1024);
+                2 * Machine::kBankInstrs * 16 / 1024,
+                (Machine::kPcSpace - Machine::kRomBase) * 16 / 1024);
     std::printf("%-22s %lldMB data+weight RAM\n", "",
                 (long long)((mc.dataRamBytes() + mc.weightRamBytes()) >>
                             20));

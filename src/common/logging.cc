@@ -19,16 +19,5 @@ diePrintf(const char *kind, const char *file, int line, const char *fmt, ...)
     std::abort();
 }
 
-void
-warnPrintf(const char *fmt, ...)
-{
-    std::fprintf(stderr, "warn: ");
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "\n");
-}
-
 } // namespace detail
 } // namespace ncore

@@ -1,9 +1,8 @@
 /**
  * @file
- * Status-message and error helpers in the gem5 tradition: panic() for
- * internal invariant violations (simulator bugs), fatal() for conditions
- * caused by bad user input or configuration, warn() for non-fatal
- * status.
+ * Error helpers in the gem5 tradition: panic() for internal
+ * invariant violations (simulator bugs), fatal() for conditions caused
+ * by bad user input or configuration.
  */
 
 #ifndef NCORE_COMMON_LOGGING_H
@@ -20,7 +19,6 @@ namespace detail {
 [[noreturn]] void diePrintf(const char *kind, const char *file, int line,
                             const char *fmt, ...)
     __attribute__((format(printf, 4, 5)));
-void warnPrintf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
 /**
@@ -50,9 +48,6 @@ void warnPrintf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
         if (cond)                                                         \
             fatal(__VA_ARGS__);                                           \
     } while (0)
-
-/** Non-fatal warning about questionable but survivable conditions. */
-#define warn(...) ::ncore::detail::warnPrintf(__VA_ARGS__)
 
 } // namespace ncore
 

@@ -27,12 +27,6 @@ struct MachineConfig
     /// Rows in each of the data and weight SRAM banks, per slice: 2048
     /// rows of sliceBytes (IV-B), i.e. 512 KB data + 512 KB weight/slice.
     int ramRows = 2048;
-    /// Instructions per IRAM bank; 8 KB double-buffered = 2 x 256
-    /// 128-bit instructions (IV-C). Fixed: Machine::kBankInstrs and
-    /// the program cache use this default, not a per-instance value.
-    int iramEntries = 256;
-    /// Instructions in the boot/self-test ROM (4 KB).
-    int iromEntries = 256;
     /// Core clock in Hz; Ncore shares CHA's single 2.5 GHz domain.
     double clockHz = 2.5e9;
 

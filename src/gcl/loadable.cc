@@ -1,36 +1,8 @@
 #include "loadable.h"
 
-#include <algorithm>
-
-#include "common/machine.h"
-
 namespace ncore {
 
-namespace {
-
-ModelProgramCache
-buildProgramCache(const Loadable &ld)
-{
-    const size_t bank = size_t(MachineConfig{}.iramEntries);
-    ModelProgramCache cache;
-    cache.subgraphs.reserve(ld.subgraphs.size());
-    for (const CompiledSubgraph &sg : ld.subgraphs) {
-        ProgramSegments segs;
-        for (size_t at = 0; at < sg.code.size(); at += bank) {
-            size_t n = std::min(bank, sg.code.size() - at);
-            segs.emplace_back(sg.code.begin() + long(at),
-                              sg.code.begin() + long(at + n));
-        }
-        cache.subgraphs.push_back(std::move(segs));
-    }
-    return cache;
-}
-
-} // namespace
-
-LoadedModel::LoadedModel(Loadable ld)
-    : loadable_(std::move(ld)), cache_(buildProgramCache(loadable_))
-{}
+LoadedModel::LoadedModel(Loadable ld) : loadable_(std::move(ld)) {}
 
 std::shared_ptr<const LoadedModel>
 LoadedModel::create(Loadable ld)

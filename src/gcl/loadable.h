@@ -47,7 +47,7 @@ struct CompiledSubgraph
     std::unordered_map<TensorId, TensorLayout> layouts;
     MaskTable masks;
 
-    /// The full program (the runtime segments it into IRAM banks).
+    /// The full program (the Machine streams it through IRAM banks).
     std::vector<EncodedInstruction> code;
     /// Requant table image (entry i -> table slot i).
     std::vector<RequantEntry> rqTable;
@@ -87,26 +87,10 @@ struct Loadable
     std::vector<CompiledSubgraph> subgraphs;
 };
 
-/** A program split into segments of at most one IRAM bank. */
-using ProgramSegments = std::vector<std::vector<EncodedInstruction>>;
-
-/**
- * Per-model program cache, derived once and shareable across contexts:
- * each subgraph's instruction stream pre-segmented into IRAM banks, so
- * a runtime context can stream the double-buffered instruction RAM
- * without re-chunking (and re-allocating) the program on every invoke.
- */
-struct ModelProgramCache
-{
-    /// Per subgraph: sg.code in IRAM-bank-sized segments.
-    std::vector<ProgramSegments> subgraphs;
-};
-
 /**
  * An immutable loaded model shared by N runtime contexts: the Loadable
- * (weights, requant tables, programs) plus its derived program
- * cache, built exactly once. Contexts driving machines that share one
- * SystemMemory additionally share a single DRAM copy of any
+ * (weights, requant tables, programs). Contexts driving machines that
+ * share one SystemMemory additionally share a single DRAM copy of any
  * DMA-streamed weight image, so per-context load cost and memory are
  * reduced to context state (scratchpad rows, descriptors, decode
  * shadows).
@@ -119,11 +103,10 @@ struct ModelProgramCache
 class LoadedModel
 {
   public:
-    /** Take ownership of a compiled Loadable and derive its cache. */
+    /** Take ownership of a compiled Loadable. */
     static std::shared_ptr<const LoadedModel> create(Loadable ld);
 
     const Loadable &loadable() const { return loadable_; }
-    const ModelProgramCache &programCache() const { return cache_; }
 
     /**
      * DRAM base per subgraph of the streamed weight image inside `mem`
@@ -138,7 +121,6 @@ class LoadedModel
     explicit LoadedModel(Loadable ld);
 
     Loadable loadable_;
-    ModelProgramCache cache_;
 
     mutable std::mutex streamMu_;
     /// SystemMemory::id() -> bases.

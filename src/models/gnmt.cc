@@ -376,29 +376,14 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
         }
     pb.halt();
 
-    // Run, streaming through the IRAM banks.
+    // Run, streaming through the IRAM banks. Host profile bracket:
+    // GNMT has no gir graph, so each matmul program names its own
+    // scope by shape ("matmul_1024x4096").
     uint64_t cycles0 = m.cycles();
-    auto code = pb.encode();
-    size_t next = 0;
-    auto fill = [&](int bank) {
-        std::vector<EncodedInstruction> seg;
-        for (int i = 0;
-             i < Machine::kBankInstrs && next < code.size(); ++i)
-            seg.push_back(code[next++]);
-        if (!seg.empty())
-            m.writeIram(bank, seg);
-    };
-    fill(0);
-    fill(1);
-    // Host profile bracket: GNMT has no gir graph, so each matmul
-    // program names its own scope by shape ("matmul_1024x4096").
     char mark[32];
     snprintf(mark, sizeof mark, "matmul_%dx%d", k_total, n_total);
     m.profileMark(mark, true);
-    m.setBankFreeCallback([&](int freed) { fill(freed); });
-    m.start(0);
-    RunResult res = m.run();
-    m.setBankFreeCallback(nullptr);
+    RunResult res = m.runStreamed(pb.encode());
     m.profileMark(mark, false);
     fatal_if(res.reason != StopReason::Halted, "GNMT matmul hung");
 

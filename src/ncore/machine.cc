@@ -260,7 +260,7 @@ Machine::execDescription() const
 // --------------------------------------------------------------------
 
 void
-Machine::writeIram(int bank, const std::vector<EncodedInstruction> &code,
+Machine::writeIram(int bank, std::span<const EncodedInstruction> code,
                    int offset)
 {
     fatal_if(bank < 0 || bank > 1, "IRAM bank %d out of range", bank);
@@ -383,26 +383,55 @@ Machine::run(uint64_t max_cycles)
     return res;
 }
 
+RunResult
+Machine::runStreamed(std::span<const EncodedInstruction> code,
+                     std::vector<uint64_t> *refills, uint64_t max_cycles)
+{
+    stream_ = code;
+    streamNext_ = 0;
+    refills_ = refills;
+    loadNextSegment(0);
+    loadNextSegment(1);
+    start(0);
+    RunResult res = run(max_cycles);
+    stream_ = {};
+    refills_ = nullptr;
+    return res;
+}
+
+/** Load the streamed program's next bank-sized segment, if any. */
+bool
+Machine::loadNextSegment(int bank)
+{
+    if (streamNext_ >= stream_.size())
+        return false;
+    size_t n = std::min(stream_.size() - streamNext_, size_t(kBankInstrs));
+    writeIram(bank, stream_.subspan(streamNext_, n));
+    streamNext_ += n;
+    return true;
+}
+
 void
-Machine::advancePcWithCallback()
+Machine::advancePc()
 {
     int pc = pc_;
     int next = pc + 1;
-    int freed = -1;
+    int left = -1;
     if (pc < kRomBase) {
         if (next == kBankInstrs) {
-            freed = 0; // Crossed into bank 1; bank 0 writable again.
+            left = 0; // Crossed into bank 1; bank 0 writable again.
         } else if (next == kRomBase) {
             next = 0; // Wrap from bank 1 back to bank 0.
-            freed = 1;
+            left = 1;
         }
     } else {
         panic_if(next >= kPcSpace, "pc ran off the end of the ROM");
     }
     pc_ = next;
-    // Fire after pc_ moves so the callback may write the freed bank.
-    if (freed >= 0 && onBankFree_)
-        onBankFree_(freed);
+    // Reload the bank just left once pc_ is out of it. The crossing
+    // instruction's cost is not yet in perf_.cycles.
+    if (left >= 0 && loadNextSegment(left) && refills_)
+        refills_->push_back(perf_.cycles);
 }
 
 uint64_t
@@ -504,7 +533,7 @@ Machine::step()
     if (in.ctrl.op == CtrlOp::LoopBegin) {
         LoopFrame f;
         f.id = in.ctrl.reg;
-        f.startPc = advancePcNoCallback(pc_);
+        f.startPc = nextPc(pc_);
         f.remaining = std::max<uint32_t>(in.ctrl.imm, 1);
         panic_if(loopStack_.size() >= 4, "hardware loop nesting > 4");
         loopStack_.push_back(f);
@@ -529,15 +558,15 @@ Machine::step()
     // by construction, so the profiler's buckets sum to total cycles,
     // and the hook sits in the one step() both engines share, so the
     // accounting is bit-identical across engines. It runs before the
-    // pc advances: leaving a bank fires onBankFree_, which may refill
-    // that bank and re-decode the slot `in` refers to.
+    // pc advances: leaving a bank may reload that bank of a streamed
+    // program and re-decode the slot `in` refers to.
     if (prof_)
         prof_->onStep(in, reps, body_cost, fence_stall);
 
     if (halted) {
         running_ = false;
     } else if (!looped_back) {
-        advancePcWithCallback();
+        advancePc();
     }
 
     perf_.cycles += cost;
@@ -545,7 +574,7 @@ Machine::step()
 }
 
 int
-Machine::advancePcNoCallback(int pc) const
+Machine::nextPc(int pc) const
 {
     int next = pc + 1;
     if (pc < kRomBase && next == kRomBase)

@@ -30,8 +30,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -105,8 +105,10 @@ struct AddrReg
 class Machine : public RamRowPort
 {
   public:
-    /// Program-counter map: two IRAM banks then the ROM.
-    static constexpr int kBankInstrs = MachineConfig{}.iramEntries;
+    /// Instructions per IRAM bank: 8 KB double-buffered = 2 x 256
+    /// 128-bit instructions (IV-C). The 4 KB ROM holds one bank's
+    /// worth. Program-counter map: two IRAM banks then the ROM.
+    static constexpr int kBankInstrs = 256;
     static constexpr int kRomBase = 2 * kBankInstrs;
     static constexpr int kPcSpace = 3 * kBankInstrs;
 
@@ -123,7 +125,7 @@ class Machine : public RamRowPort
     // --- Host (x86 core) interface: PCI / memory-mapped accesses -------
 
     /** Load instructions into IRAM bank 0 or 1 at the given offset. */
-    void writeIram(int bank, const std::vector<EncodedInstruction> &code,
+    void writeIram(int bank, std::span<const EncodedInstruction> code,
                    int offset = 0);
 
     /** Host row accesses (row-buffered; no interference modeled). */
@@ -146,20 +148,23 @@ class Machine : public RamRowPort
      */
     RunResult run(uint64_t max_cycles = ~0ull);
 
+    /**
+     * Run a program of any length from pc 0, streamed through the
+     * double-buffered IRAM (paper IV-C: "the instruction RAM
+     * double-buffering allows instruction RAM loading to not hinder
+     * Ncore's latency or throughput"). Both banks are filled, then
+     * each bank the pc leaves is reloaded with the next kBankInstrs
+     * instructions while any remain; the loading costs no cycles.
+     * When `refills` is non-null, the cycle count at each reload is
+     * appended to it. `code` need only outlive the call: streaming
+     * ends when it returns, whatever the stop reason.
+     */
+    RunResult runStreamed(std::span<const EncodedInstruction> code,
+                          std::vector<uint64_t> *refills = nullptr,
+                          uint64_t max_cycles = ~0ull);
+
     /** Full reset: registers, RAMs, debug state (power-up clear). */
     void reset();
-
-    // --- Bank streaming (double-buffered IRAM) -------------------------
-
-    /**
-     * Called when the pc crosses into an IRAM bank, with the index of the
-     * bank that just became writable. The runtime uses this to stream the
-     * next program segment (paper IV-C: "the instruction RAM
-     * double-buffering allows instruction RAM loading to not hinder
-     * Ncore's latency or throughput").
-     */
-    using BankFreeCallback = std::function<void(int freed_bank)>;
-    void setBankFreeCallback(BankFreeCallback cb) { onBankFree_ = cb; }
 
     // --- DMA ------------------------------------------------------------
 
@@ -296,8 +301,9 @@ class Machine : public RamRowPort
     void latchReads(const Instruction &in, bool wide);
     void bumpByte(int reg);
     void postIncrement(const Instruction &in);
-    void advancePcWithCallback();
-    int advancePcNoCallback(int pc) const;
+    void advancePc();
+    int nextPc(int pc) const;
+    bool loadNextSegment(int bank);
     PlanBindings planBindings();
     void bindPlan(int idx);
 
@@ -363,7 +369,13 @@ class Machine : public RamRowPort
     uint64_t nStep_ = 0;
     uint64_t nStepCredit_ = 0;
     WrapBreakpoint wrapBp_;
-    BankFreeCallback onBankFree_;
+
+    /// The program runStreamed() is streaming (empty otherwise), the
+    /// index of its first instruction not yet loaded, and where
+    /// reload cycles are logged.
+    std::span<const EncodedInstruction> stream_;
+    size_t streamNext_ = 0;
+    std::vector<uint64_t> *refills_ = nullptr;
 };
 
 } // namespace ncore

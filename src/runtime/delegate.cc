@@ -26,11 +26,12 @@ DelegateExecutor::infer(const std::vector<Tensor> &inputs)
 
     InferenceResult result;
     double t = 0; ///< Cursor on the sequential inference timeline.
+    // Computed tensors; constants are read in place from the graph.
     std::unordered_map<TensorId, Tensor> values;
-
-    for (TensorId id = 0; id < g.numTensors(); ++id)
-        if (g.tensor(id).isConst)
-            values[id] = g.tensor(id).value;
+    auto value = [&](TensorId id) -> const Tensor & {
+        const GirTensor &t = g.tensor(id);
+        return t.isConst ? t.value : values.at(id);
+    };
     for (size_t i = 0; i < inputs.size(); ++i)
         values[g.inputs()[i]] = inputs[i];
 
@@ -46,7 +47,7 @@ DelegateExecutor::infer(const std::vector<Tensor> &inputs)
             const Node &n = g.nodes()[ni];
             std::vector<const Tensor *> ins;
             for (TensorId in : n.inputs)
-                ins.push_back(&values.at(in));
+                ins.push_back(&value(in));
             values[n.outputs[0]] =
                 ReferenceExecutor::executeNode(g, n, ins);
             double cost = cost_.nodeSeconds(g, n);
@@ -63,7 +64,7 @@ DelegateExecutor::infer(const std::vector<Tensor> &inputs)
         std::vector<Tensor> sg_inputs;
         int64_t edge_bytes = 0;
         for (TensorId in : sg.inputs) {
-            sg_inputs.push_back(values.at(in));
+            sg_inputs.push_back(value(in));
             edge_bytes += int64_t(sg_inputs.back().byteSize());
         }
 
@@ -116,7 +117,7 @@ DelegateExecutor::infer(const std::vector<Tensor> &inputs)
     result.timing.dmaBytes = result.counters.counter(stats::kDmaBytesRead);
 
     for (TensorId out : g.outputs())
-        result.outputs.push_back(values.at(out));
+        result.outputs.push_back(value(out));
     return result;
 }
 

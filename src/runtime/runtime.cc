@@ -1,7 +1,5 @@
 #include "runtime.h"
 
-#include <string_view>
-
 namespace ncore {
 
 namespace {
@@ -41,7 +39,7 @@ NcoreRuntime::loadModel(const Loadable &loadable)
 {
     // Single-owner SharedModel: copy the Loadable into a LoadedModel
     // held only by this context, so the shared path below is the one
-    // load/program-cache implementation.
+    // load implementation.
     loadModel(LoadedModel::create(Loadable(loadable)));
 }
 
@@ -51,7 +49,6 @@ NcoreRuntime::loadModel(SharedModel model)
     fatal_if(!model, "loadModel on a null shared model");
     shared_ = std::move(model);
     model_ = &shared_->loadable();
-    cache_ = &shared_->programCache();
 
     // One DRAM image of streamed weights per SystemMemory, shared by
     // every context whose machine is backed by that memory.
@@ -113,40 +110,6 @@ NcoreRuntime::loadImages()
     }
 }
 
-void
-NcoreRuntime::runProgram(const ProgramSegments &segments,
-                         InvokeStats *st, uint64_t t0)
-{
-    // Stream the pre-segmented program through the double-buffered
-    // IRAM: fill both banks, then refill each bank as the sequencer
-    // leaves it. The paper (IV-C) measures that this loading never
-    // stalls execution, so no extra cycles are modeled for it.
-    size_t next = 0;
-    bool streaming = false;
-    auto fill = [&](int b) {
-        if (next < segments.size()) {
-            machine_->writeIram(b, segments[next++]);
-            if (st && streaming) {
-                // Zero-length span marking a mid-program bank swap.
-                uint64_t c = machine_->cycles() - t0;
-                st->spans.push_back({"iram_swap", c, c});
-            }
-        }
-    };
-    fill(0);
-    fill(1);
-    streaming = true;
-    uint64_t begin = machine_->cycles() - t0;
-    machine_->setBankFreeCallback([&](int freed) { fill(freed); });
-    machine_->start(0);
-    RunResult res = machine_->run();
-    machine_->setBankFreeCallback(nullptr);
-    fatal_if(res.reason != StopReason::Halted,
-             "Ncore program did not run to completion");
-    if (st)
-        st->spans.push_back({"program", begin, machine_->cycles() - t0});
-}
-
 std::vector<Tensor>
 NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
                      InvokeStats *st)
@@ -154,8 +117,6 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     fatal_if(!model_, "invoke before loadModel");
     const CompiledSubgraph &sg =
         model_->subgraphs[size_t(subgraph_index)];
-    const ProgramSegments &segments =
-        cache_->subgraphs[size_t(subgraph_index)];
     fatal_if(inputs.size() != sg.inputs.size(),
              "subgraph expects %zu inputs, got %zu", sg.inputs.size(),
              inputs.size());
@@ -188,9 +149,21 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
 
     // The "(subgraph)" bracket mirrors the program's kStartTag/kEndTag
     // events and additionally covers the end-event and halt cycles, so
-    // a profiled invoke attributes 100% of device cycles.
+    // a profiled invoke attributes 100% of device cycles. Each
+    // mid-program IRAM bank reload becomes a zero-length "iram_swap"
+    // span inside the "program" span.
     machine_->profileMark("(subgraph)", true);
-    runProgram(segments, st, t0);
+    std::vector<uint64_t> refills;
+    const uint64_t begin = machine_->cycles() - t0;
+    RunResult res =
+        machine_->runStreamed(sg.code, st ? &refills : nullptr);
+    fatal_if(res.reason != StopReason::Halted,
+             "Ncore program did not run to completion");
+    if (st) {
+        for (uint64_t c : refills)
+            st->spans.push_back({"iram_swap", c - t0, c - t0});
+        st->spans.push_back({"program", begin, machine_->cycles() - t0});
+    }
     machine_->profileMark("(subgraph)", false);
 
     // Unpack outputs (the buffer is fully overwritten by the row
@@ -213,11 +186,7 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
         machine_->publishStats(after);
         st->counters = after.diffFrom(before);
         st->counters.add(stats::kInvokes, uint64_t(1));
-        uint64_t swaps = 0;
-        for (const CycleSpan &s : st->spans)
-            if (s.name == std::string_view("iram_swap"))
-                ++swaps;
-        st->counters.add(stats::kIramSwaps, swaps);
+        st->counters.add(stats::kIramSwaps, uint64_t(refills.size()));
 
         // Aggregate counter-sourced detail spans, anchored at the
         // invocation origin (duration is exact; position is the

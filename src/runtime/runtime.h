@@ -2,8 +2,8 @@
  * @file
  * User-mode Ncore runtime (paper V-C): a standalone library over the
  * memory-mapped device interface. Loads Loadables (weights, requant
- * tables, DMA plans), streams programs through the
- * double-buffered instruction RAM, launches execution and collects the
+ * tables, DMA plans), launches each program for the Machine to stream
+ * through its double-buffered instruction RAM, and collects the
  * debug/event information the evaluation methodology relies on.
  */
 
@@ -66,17 +66,19 @@ class NcoreRuntime
      * Load a compiled model. Thin wrapper over the SharedModel path:
      * copies the Loadable into a single-owner LoadedModel (this
      * context alone holds the reference), so there is exactly one
-     * load/program-cache code path. The caller's Loadable need not
-     * outlive the call.
+     * load code path. The caller's Loadable need not outlive the
+     * call.
      */
     void loadModel(const Loadable &loadable);
 
     /**
      * Load a shared immutable model. N contexts loading the same
-     * LoadedModel share the weight/requant/program images and the
-     * pre-segmented program cache — nothing is re-derived per context,
-     * and contexts whose machines share a SystemMemory also share one
-     * DRAM copy of any streamed weight image.
+     * LoadedModel share its weight, requant and program images —
+     * nothing is re-derived per context, and each invoke streams the
+     * subgraph's program straight from the model into the Machine's
+     * IRAM (Machine::runStreamed). Contexts whose machines share a
+     * SystemMemory also share one DRAM copy of any streamed weight
+     * image.
      */
     void loadModel(SharedModel model);
 
@@ -95,27 +97,16 @@ class NcoreRuntime
 
     const Loadable *model() const { return model_; }
 
-    /** The program cache in use (shared or context-owned). */
-    const ModelProgramCache *programCache() const { return cache_; }
-
     /** Direct machine access for tests/debug tooling. */
     Machine &machine() { return *machine_; }
 
   private:
     void loadImages();
-    /**
-     * Stream one pre-segmented program; when `st` is non-null,
-     * record a "program" CycleSpan (and per-swap "iram_swap"
-     * instants) relative to invocation start cycle `t0`.
-     */
-    void runProgram(const ProgramSegments &segments, InvokeStats *st,
-                    uint64_t t0);
 
     NcoreDriver &driver_;
     Machine *machine_ = nullptr;
     const Loadable *model_ = nullptr;
     SharedModel shared_;           ///< Keeps the loaded model alive.
-    const ModelProgramCache *cache_ = nullptr;
     std::vector<uint64_t> streamBase_; ///< DRAM base per subgraph.
     std::vector<uint8_t> packBuf_; ///< Reusable layout-edge staging.
 };

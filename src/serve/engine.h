@@ -144,9 +144,9 @@ struct ServeResult
  * N-context serving engine over one shared loaded model.
  *
  * All device machines share one SystemMemory (one DRAM copy of any
- * streamed weight image) and one LoadedModel (one program cache, one
- * set of weight/requant images); per-context memory is scratchpad
- * and decode state only. run() may be called repeatedly with
+ * streamed weight image) and one LoadedModel (one set of program,
+ * weight and requant images); per-context memory is scratchpad and
+ * decode state only. run() may be called repeatedly with
  * different configurations; the memoization cache persists across
  * runs.
  */

@@ -9,8 +9,8 @@
  * IRAM hiding swap latency, DMA/compute overlap, 4096-byte-slice
  * utilization).
  *
- * A `CycleProfile` attaches to a Machine (Machine::setProfile or
- * Machine::Options::profile) and accounts EVERY device cycle into one
+ * A `CycleProfile` attaches to a Machine (Machine::setProfile) and
+ * accounts EVERY device cycle into one
  * of a set of exclusive buckets as the sequencer retires instructions.
  * The accounting hooks live in the one `Machine::step()` shared by the
  * generic interpreter and the specialized fast path, so bucket values
@@ -143,8 +143,8 @@ struct ProfileMark
 
 /**
  * The cycle-exact profiler a Machine drives. Attach with
- * Machine::setProfile (or Options::profile); detach (setProfile with
- * nullptr) to finalize the DMA byte totals. One CycleProfile may be
+ * Machine::setProfile; detach (setProfile with nullptr) to finalize
+ * the DMA byte totals. One CycleProfile may be
  * attached to at most one Machine at a time; counters accumulate
  * across attachments.
  */

@@ -655,24 +655,27 @@ TEST_F(MachineTest, EccDetectsDoubleBitFault)
     EXPECT_EQ(em.dataRam().eccStats().uncorrectable, 1u);
 }
 
-TEST_F(MachineTest, BankStreamingCallbackFires)
+TEST_F(MachineTest, StreamedProgramRefillsEachBankItLeaves)
 {
-    // Fill bank 0 with nops flowing into bank 1 which halts; the
-    // callback must report bank 0 free when pc crosses over.
-    std::vector<Instruction> bank0(Machine::kBankInstrs);
-    m.writeIram(0, enc(bank0));
-    Instruction halt;
-    halt.ctrl.op = CtrlOp::Halt;
-    m.writeIram(1, enc({halt}));
-
-    std::vector<int> freed;
-    m.setBankFreeCallback([&](int bank) { freed.push_back(bank); });
-    m.start(0);
-    RunResult res = m.run(1 << 20);
-    ASSERT_EQ(res.reason, StopReason::Halted);
-    ASSERT_EQ(freed.size(), 1u);
-    EXPECT_EQ(freed[0], 0);
-    m.setBankFreeCallback(nullptr);
+    // 3.5 banks of nops plus a halt: both banks are loaded up front,
+    // then bank 0 is reloaded as the pc leaves it (cycle 255) and bank
+    // 1 as the pc wraps back to bank 0 (cycle 511). The last segment
+    // leaves nothing to load at cycle 767.
+    std::vector<Instruction> prog(size_t(Machine::kBankInstrs) * 7 / 2);
+    prog.back().ctrl.op = CtrlOp::Halt;
+    for (ExecEngine engine :
+         {ExecEngine::Generic, ExecEngine::Specialized}) {
+        SCOPED_TRACE(engine == ExecEngine::Generic ? "generic"
+                                                    : "specialized");
+        Machine::Options opts;
+        opts.execEngine = engine;
+        Machine sm(chaNcoreConfig(), chaSocConfig(), nullptr, false, opts);
+        std::vector<uint64_t> refills;
+        RunResult res = sm.runStreamed(enc(prog), &refills);
+        EXPECT_EQ(res.reason, StopReason::Halted);
+        EXPECT_EQ(res.cycles, uint64_t(prog.size()));
+        EXPECT_EQ(refills, (std::vector<uint64_t>{255, 511}));
+    }
 }
 
 TEST_F(MachineTest, WriteToExecutingBankFails)

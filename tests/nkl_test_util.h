@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for NKL kernel tests: a mini-harness that places
  * layouts in Ncore RAM by hand (the GCL does this in production),
- * streams arbitrarily long programs through the double-buffered IRAM,
- * and round-trips tensors through the internal layouts.
+ * runs arbitrarily long programs (the Machine streams them through the
+ * double-buffered IRAM), and round-trips tensors through the internal
+ * layouts.
  */
 
 #ifndef NCORE_TESTS_NKL_TEST_UTIL_H
@@ -20,35 +21,14 @@
 namespace ncore {
 namespace testutil {
 
-/** Stream a program of any length through the two IRAM banks. */
+/** Run a program of any length, plus a halt, streamed through IRAM. */
 inline RunResult
 runStreamed(Machine &m, std::vector<Instruction> prog)
 {
-    Instruction halt;
-    halt.ctrl.op = CtrlOp::Halt;
-    prog.push_back(halt);
-
-    std::vector<EncodedInstruction> enc;
-    enc.reserve(prog.size());
-    for (const Instruction &in : prog)
-        enc.push_back(encodeInstruction(in));
-
-    const int bank_size = Machine::kBankInstrs;
-    size_t next = 0;
-    auto fill = [&](int bank) {
-        std::vector<EncodedInstruction> seg;
-        for (int i = 0; i < bank_size && next < enc.size(); ++i, ++next)
-            seg.push_back(enc[next]);
-        if (!seg.empty())
-            m.writeIram(bank, seg);
-    };
-    fill(0);
-    fill(1);
-    m.setBankFreeCallback([&](int freed) { fill(freed); });
-    m.start(0);
-    RunResult res = m.run(1ull << 34);
-    m.setBankFreeCallback(nullptr);
-    return res;
+    ProgramBuilder pb;
+    pb.instructions() = std::move(prog);
+    pb.halt();
+    return m.runStreamed(pb.encode(), nullptr, 1ull << 34);
 }
 
 /** Write the shared prefix-mask table into data RAM at masks.baseRow. */

@@ -95,7 +95,7 @@ makeSamples(const LoadedModel &model, int count, uint64_t seed = 7)
 
 // ---------------- Shared loadable ----------------
 
-TEST(SharedLoadableTest, ContextsShareProgramCacheAndStreamImage)
+TEST(SharedLoadableTest, ContextsShareOneStreamImage)
 {
     SharedModel model = makeServeModel(/*force_streaming=*/true);
     ASSERT_FALSE(model->loadable().subgraphs.empty());
@@ -118,10 +118,6 @@ TEST(SharedLoadableTest, ContextsShareProgramCacheAndStreamImage)
     NcoreRuntime r2(d2);
     r2.loadModel(model);
     int64_t bytes_after_second = mem.bytesAllocated();
-
-    // One program cache, owned by the model, referenced by both.
-    EXPECT_EQ(r1.programCache(), &model->programCache());
-    EXPECT_EQ(r2.programCache(), &model->programCache());
 
     // One DRAM copy of the streamed weight image: the second context
     // must not re-place it (its growth is per-context state only).

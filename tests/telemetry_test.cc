@@ -289,8 +289,11 @@ TEST(TelemetryMachineTest, RuntimeRecordsIramBankSwapsOfStreamingModel)
     // initial fills, then one refill per bank the sequencer leaves
     // while segments remain — each refill one "iram_swap" span.
     uint64_t want_swaps = 0;
-    for (const ProgramSegments &segs : model->programCache().subgraphs)
-        want_swaps += segs.size() > 2 ? uint64_t(segs.size() - 2) : 0;
+    for (const CompiledSubgraph &sg : model->loadable().subgraphs) {
+        size_t segs = (sg.code.size() + Machine::kBankInstrs - 1) /
+                      Machine::kBankInstrs;
+        want_swaps += segs > 2 ? uint64_t(segs - 2) : 0;
+    }
     ASSERT_GE(want_swaps, 2u) << "model no longer refills IRAM banks";
 
     NcoreDevice dev(model);
