@@ -9,8 +9,11 @@
 #define NCORE_COMMON_TENSOR_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bf16.h"
@@ -59,6 +62,58 @@ class Shape
     std::vector<int64_t> dims_;
 };
 
+/**
+ * Allocator of zeroed bytes: storage comes from calloc, and
+ * value-initializing an element does nothing, so a new vector of n
+ * elements is all zero without a serial memset. calloc gets a large
+ * block as fresh pages from the OS, which are already zero, and the
+ * first fill that writes them (on every core, for the weight fills)
+ * faults them in. A vector that shrank and regrew in place would show
+ * stale bytes, so Tensor never resizes its storage.
+ */
+template <typename T>
+struct ZeroedAllocator
+{
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (!p && n)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, size_t) noexcept { std::free(p); }
+
+    /// Value-initialization leaves calloc's zeros in place.
+    template <typename U>
+    void
+    construct(U *)
+    {
+    }
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <typename U>
+    bool
+    operator==(const ZeroedAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
+
 /** A dense tensor value: shape + dtype + quantization + storage. */
 class Tensor
 {
@@ -68,6 +123,25 @@ class Tensor
         : shape_(std::move(shape)), dtype_(dtype), quant_(qp),
           data_(static_cast<size_t>(shape_.numElements()) * dtypeSize(dtype))
     {}
+
+    // A vector with a custom allocator copies element by element, so
+    // copies take the bytes in one memcpy instead.
+    Tensor(const Tensor &o)
+        : shape_(o.shape_), dtype_(o.dtype_), quant_(o.quant_),
+          data_(o.data_.size())
+    {
+        if (!data_.empty())
+            std::memcpy(data_.data(), o.data_.data(), data_.size());
+    }
+    Tensor(Tensor &&) = default;
+    Tensor &
+    operator=(const Tensor &o)
+    {
+        if (this != &o)
+            *this = Tensor(o);
+        return *this;
+    }
+    Tensor &operator=(Tensor &&) = default;
 
     const Shape &shape() const { return shape_; }
     DType dtype() const { return dtype_; }
@@ -142,7 +216,7 @@ class Tensor
     Shape shape_;
     DType dtype_ = DType::Float32;
     QuantParams quant_;
-    std::vector<uint8_t> data_;
+    std::vector<uint8_t, ZeroedAllocator<uint8_t>> data_;
 };
 
 /** Max absolute elementwise difference between two float tensors. */

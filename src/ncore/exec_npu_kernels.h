@@ -32,15 +32,17 @@
  *                                    NaN and ±0 ties included
  *     cmpGt(p, a, b)                 p[0..kLanes) = a > b as 0/1
  *
- * The fused conv kernels and their saturation guard (accMaxAbs) use
- * load, store, splat, widen, pass, select, min and max, which
- * ScalarLanes also states, plus:
+ * The fused conv kernels, their operand-panel fill and their
+ * saturation guard (ConvRepFill) use load, store, splat, widen, pass,
+ * select, min and max, which ScalarLanes also states, plus:
  *
  *     kConvGroups                    64-lane groups per register tile
  *     madd2(acc, a, b)               acc + a.lo16 * b.lo16
  *                                        + a.hi16 * b.hi16, no
  *                                    saturation (vpmaddwd, vpdpwssd)
  *     pair16(lo, hi)                 low words of lo and hi as i16 pairs
+ *     kHalves, widen16(dst, src, z)  dst[0..kHalves) = src[i] - z as
+ *                                    i16 (z a u8 zero offset)
  *
  * Linkage: everything below sits in an anonymous namespace, and the
  * traits types live in each TU's own anonymous namespace, so every
@@ -623,6 +625,106 @@ convRepGather(const ExecCtx &c, const ConvPanels &pn)
         }
         g_off = normOffset(g_off + pn.groupStride, rb);
     }
+}
+
+// --------------------------------------------------------------------
+// The fused conv Rep's operand-panel fill (ConvRepFill), which
+// Machine::execConvRepFast drives a segment of taps at a time.
+// --------------------------------------------------------------------
+
+/** dst[0..n) = src[0..n) - z as i16, V::kHalves values per step. */
+template <class V>
+inline void
+widenRun(int16_t *dst, const uint8_t *src, int n, int32_t z)
+{
+    int i = 0;
+    for (; i + V::kHalves <= n; i += V::kHalves)
+        V::widen16(dst + i, src + i, z);
+    for (; i < n; ++i)
+        dst[i] = int16_t(src[i] - z);
+}
+
+/**
+ * One tap's 64 RepWindow values `src[j] - z` into the i16 pairs
+ * dst[0..64): the low half for an even tap, which also clears the high
+ * half, the high half for an odd one. An odd chunk's last pair thus
+ * has zero high halves, so its data high halves add nothing.
+ */
+template <class V>
+inline void
+putWeightTap(int32_t *dst, const uint8_t *src, int32_t z, bool odd)
+{
+    constexpr int kL = V::kLanes;
+    const auto zv = V::splat(z);
+    for (int i = 0; i < 64; i += kL) {
+        const auto w = V::template widen<LaneType::U8, true>(src, nullptr,
+                                                             i, zv);
+        V::store(dst + i, odd ? V::pair16(V::load(dst + i), w)
+                              : V::pair16(w, V::splat(0)));
+    }
+}
+
+/** Taps 2p (`x`) and 2p+1 (`y`) into their i16 pairs in one pass. */
+template <class V>
+inline void
+putWeightPair(int32_t *dst, const uint8_t *x, const uint8_t *y, int32_t z)
+{
+    constexpr int kL = V::kLanes;
+    const auto zv = V::splat(z);
+#pragma GCC unroll 16
+    for (int i = 0; i < 64; i += kL)
+        V::store(dst + i,
+                 V::pair16(V::template widen<LaneType::U8, true>(
+                               x, nullptr, i, zv),
+                           V::template widen<LaneType::U8, true>(
+                               y, nullptr, i, zv)));
+}
+
+/** ConvRepFill::weightTaps: an odd first tap, whole pairs, an even tail. */
+template <class V>
+void
+convWeightTaps(int32_t *wt, int k, int n, const uint8_t *src, int step,
+               int32_t z)
+{
+    int i = 0;
+    if (k & 1) {
+        putWeightTap<V>(wt + (k / 2) * 64, src, z, true);
+        i = 1;
+    }
+    for (; i + 2 <= n; i += 2)
+        putWeightPair<V>(wt + ((k + i) / 2) * 64, src + i * step,
+                         src + (i + 1) * step, z);
+    if (i < n)
+        putWeightTap<V>(wt + ((k + i) / 2) * 64, src + i * step, z, false);
+}
+
+/** ConvRepFill::dataRun: one widened run per group. */
+template <class V>
+void
+convDataRun(int16_t *data, int k, int n, const uint8_t *row, int off,
+            int gs, int rb, int32_t z)
+{
+    for (int g = 0; g < rb / 64; ++g) {
+        int16_t *d = data + g * ConvPanels::kGroupStride + k;
+        for (int left = n, at = off; left > 0; at = 0) {
+            const int m = left < rb - at ? left : rb - at;
+            widenRun<V>(d, row + at, m, z);
+            d += m;
+            left -= m;
+        }
+        if ((off += gs) >= rb)
+            off -= rb;
+    }
+}
+
+/** The tier-V panel fill and guard scan (ExecPlan::convFill). */
+template <class V>
+const ConvRepFill *
+convRepFillFor()
+{
+    static constexpr ConvRepFill kFill = {&convWeightTaps<V>,
+                                          &convDataRun<V>, &accMaxAbs<V>};
+    return &kFill;
 }
 
 /** The tier-V fused conv kernel for an NDU0 op and predicate. */

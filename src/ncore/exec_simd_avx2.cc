@@ -1,8 +1,9 @@
 /**
  * @file
  * AVX2 lane kernels for the specialized execution engine: the AVX2
- * instantiation of the NPU and fused conv Rep kernels and the guard
- * scan (exec_npu_kernels.h, 8 int32 lanes per step) plus the vector
+ * instantiation of the NPU and fused conv Rep kernels, the conv Rep's
+ * panel fill and guard scan (exec_npu_kernels.h, 8 int32 lanes per
+ * step) plus the vector
  * OUT and NDU kernels. The NDU kernels and the bf16 store also serve
  * the avx512 and avx512vnni tiers, whose requantize is the AVX-512
  * one (exec_simd_avx512.cc).
@@ -168,6 +169,18 @@ struct Avx2Lanes
     pair16(Vec lo, Vec hi)
     {
         return _mm256_blend_epi16(lo, _mm256_slli_epi32(hi, 16), 0xaa);
+    }
+
+    static constexpr int kHalves = 16;
+
+    static void
+    widen16(int16_t *dst, const uint8_t *src, int32_t z)
+    {
+        const __m256i w = _mm256_cvtepu8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst),
+                            _mm256_sub_epi16(w, _mm256_set1_epi16(
+                                                    int16_t(z))));
     }
 
     static Vec
@@ -505,10 +518,10 @@ selectConvRepKernelAvx2(NduOp data_op, Pred p)
     return selectConvRepKernelFor<Avx2Lanes>(data_op, p);
 }
 
-AccMaxAbsKernel
-selectAccMaxAbsAvx2()
+const ConvRepFill *
+selectConvRepFillAvx2()
 {
-    return &accMaxAbs<Avx2Lanes>;
+    return convRepFillFor<Avx2Lanes>();
 }
 
 OutKernel

@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX-512 instantiation of the NPU lane kernels, fused conv Rep kernels
- * and guard scan (exec_npu_kernels.h) over Avx512Lanes
+ * AVX-512 instantiation of the NPU lane kernels, fused conv Rep kernels,
+ * panel fill and guard scan (exec_npu_kernels.h) over Avx512Lanes
  * (exec_simd_avx512_lanes.h), plus the AVX-512 OUT requantize kernel,
  * which also serves the avx512vnni tier.
  *
@@ -152,10 +152,10 @@ selectConvRepKernelAvx512(NduOp data_op, Pred p)
     return selectConvRepKernelFor<Avx512Lanes>(data_op, p);
 }
 
-AccMaxAbsKernel
-selectAccMaxAbsAvx512()
+const ConvRepFill *
+selectConvRepFillAvx512()
 {
-    return &accMaxAbs<Avx512Lanes>;
+    return convRepFillFor<Avx512Lanes>();
 }
 
 OutKernel

@@ -121,6 +121,17 @@ struct Avx512Lanes
                                        _mm512_slli_epi32(hi, 16));
     }
 
+    static constexpr int kHalves = 32;
+
+    static void
+    widen16(int16_t *dst, const uint8_t *src, int32_t z)
+    {
+        const __m512i w = _mm512_cvtepu8_epi16(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src)));
+        _mm512_storeu_si512(dst, _mm512_sub_epi16(
+                                     w, _mm512_set1_epi16(int16_t(z))));
+    }
+
     static Vec
     neg(Vec a)
     {

@@ -7,8 +7,8 @@
  * Compiled with the avx512 TU's flags plus `-mavx512vnni`; only
  * reachable through selectNpuKernelAvx512Vnni and
  * selectConvRepKernelAvx512Vnni, after bestSimdTier() proved the host
- * supports AVX512_VNNI. It shares the avx512 TU's guard scan and OUT
- * requantize kernel, and like that tier uses the AVX2 NDU kernels and
+ * supports AVX512_VNNI. It shares the avx512 TU's conv panel fill and
+ * guard scan, which have no MAC step, and its OUT requantize kernel, and like that tier uses the AVX2 NDU kernels and
  * bf16 store.
  */
 

@@ -73,6 +73,17 @@ struct ScalarLanes
     {
         return int32_t((uint32_t(lo) & 0xffff) | (uint32_t(hi) << 16));
     }
+
+    /// A block the compiler vectorizes at the baseline ISA.
+    static constexpr int kHalves = 16;
+
+    static void
+    widen16(int16_t *__restrict dst, const uint8_t *__restrict src,
+            int32_t z)
+    {
+        for (int i = 0; i < kHalves; ++i)
+            dst[i] = int16_t(src[i] - z);
+    }
 };
 
 /**
@@ -115,20 +126,87 @@ selectConvRepKernel(SimdTier tier, NduOp data_op, Pred p)
     }
 }
 
-/** The guard scan of the resolved tier; VNNI adds nothing to it. */
-AccMaxAbsKernel
-selectAccMaxAbs(SimdTier tier)
+/**
+ * The conv panel fill and guard scan of the resolved tier; VNNI adds
+ * nothing to them.
+ */
+const ConvRepFill *
+selectConvRepFill(SimdTier tier)
 {
     switch (tier) {
 #if NCORE_SIMD_AVX512
       case SimdTier::Avx512Vnni:
-      case SimdTier::Avx512: return selectAccMaxAbsAvx512();
+      case SimdTier::Avx512: return selectConvRepFillAvx512();
 #endif
 #if NCORE_SIMD_AVX2
-      case SimdTier::Avx2: return selectAccMaxAbsAvx2();
+      case SimdTier::Avx2: return selectConvRepFillAvx2();
 #endif
-      default: return &accMaxAbs<ScalarLanes>;
+      default: return convRepFillFor<ScalarLanes>();
     }
+}
+
+// --------------------------------------------------------------------
+// Accumulator loads: one kernel for every tier.
+// --------------------------------------------------------------------
+
+void
+accZeroKern(const ExecCtx &c)
+{
+    std::memset(c.acc, 0, size_t(c.rb) * sizeof(int32_t));
+}
+
+/** AccLoadBias in mode M from the int32 words of row aLo. */
+template <BiasMode M>
+void
+accLoadBiasKern(const ExecCtx &c)
+{
+    const int quarter = c.rb / 4;
+    if constexpr (M == BiasMode::Rep64) {
+        int32_t vals[64];
+        std::memcpy(vals, c.aLo, sizeof(vals));
+        for (int g = 0; g < c.rb / 64; ++g)
+            std::memcpy(c.acc + g * 64, vals, sizeof(vals));
+    } else if constexpr (biasModeAccumulates(M)) {
+        int32_t *dst =
+            c.acc + (int(M) - int(BiasMode::AddQuarter0)) * quarter;
+        for (int i = 0; i < quarter; ++i) {
+            int32_t v;
+            std::memcpy(&v, c.aLo + 4 * i, 4);
+            dst[i] = satAdd32(dst[i], v);
+        }
+    } else {
+        std::memcpy(c.acc + (int(M) - int(BiasMode::Quarter0)) * quarter,
+                    c.aLo, size_t(quarter) * 4);
+    }
+}
+
+/**
+ * The AccZero or AccLoadBias kernel, or null for any other op and for a
+ * bias mode the generic interpreter rejects.
+ */
+NpuKernel
+selectAccKernel(const NpuSlot &npu)
+{
+    if (npu.op == NpuOp::AccZero)
+        return &accZeroKern;
+    if (npu.op != NpuOp::AccLoadBias)
+        return nullptr;
+    switch (BiasMode(uint8_t(npu.b))) {
+      case BiasMode::Rep64: return &accLoadBiasKern<BiasMode::Rep64>;
+      case BiasMode::Quarter0: return &accLoadBiasKern<BiasMode::Quarter0>;
+      case BiasMode::Quarter1: return &accLoadBiasKern<BiasMode::Quarter1>;
+      case BiasMode::Quarter2: return &accLoadBiasKern<BiasMode::Quarter2>;
+      case BiasMode::Quarter3: return &accLoadBiasKern<BiasMode::Quarter3>;
+      case BiasMode::AddQuarter0:
+        return &accLoadBiasKern<BiasMode::AddQuarter0>;
+      case BiasMode::AddQuarter1:
+        return &accLoadBiasKern<BiasMode::AddQuarter1>;
+      case BiasMode::AddQuarter2:
+        return &accLoadBiasKern<BiasMode::AddQuarter2>;
+      case BiasMode::AddQuarter3:
+        return &accLoadBiasKern<BiasMode::AddQuarter3>;
+    }
+    return nullptr;
 }
 
 // --------------------------------------------------------------------
@@ -475,7 +553,12 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
     c.rq = &b.rqTable[in.out.rqIndex];
     c.outParam = in.out.param & 3;
 
-    if (in.npu.op != NpuOp::None) {
+    if (NpuKernel k = selectAccKernel(in.npu)) {
+        // AccLoadBias reads its words from row A; AccZero reads nothing.
+        c.aLo = resolvePtr(b, in.npu.a);
+        if (in.npu.op == NpuOp::AccZero || c.aLo)
+            p.npuKernel = k;
+    } else if (in.npu.op != NpuOp::None) {
         NpuKernel k = selectNpuKernel(simd, in.npu);
         if (k) {
             bool wide = in.npu.type == LaneType::I16 ||
@@ -510,7 +593,7 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
             p.outKernel = v;
     if (isConvRep(in, p)) {
         p.convRep = selectConvRepKernel(simd, in.ndu0.op, in.npu.pred);
-        p.accMaxAbs = selectAccMaxAbs(simd);
+        p.convFill = selectConvRepFill(simd);
     }
     return p;
 }

@@ -10,13 +10,18 @@
  *
  * This engine classifies each instruction once, when writeIram, loadRom
  * or reset decodes its slot, and binds a specialized executor per issue
- * slot:
+ * slot. A plan depends only on the decoded instruction, the Machine's
+ * fixed row and register bindings and its tier, so writeIram keeps the
+ * plans it built in a per-Machine table keyed by the 16-byte encoding
+ * and copies them on every later IRAM refill that loads the same word
+ * (Machine::kPlanTableEntries bounds it; reaching the bound clears it).
  *
  *  - NPU kernels are template instantiations over
  *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish.
  *    They are written once, in exec_npu_kernels.h, over a lane-traits
  *    type, and instantiated four times: portable scalar (here), AVX2,
- *    AVX-512 and AVX-512 VNNI (ncore/simd.h).
+ *    AVX-512 and AVX-512 VNNI (ncore/simd.h). AccZero and each
+ *    AccLoadBias mode have one tier-independent kernel (here).
  *  - NDU kernels are instantiated per NduOp with the `% rowBytes`
  *    modulo arithmetic replaced by normalize-once-then-wrap indexing,
  *    and write directly to their destination register when the decoder
@@ -40,12 +45,28 @@
  * zero-offset setting, with no OUT op or write-back. Machine::step runs
  * such a Rep as one blocked GEMM (Machine::execConvRepFast):
  *
- *  1. Replay the addressing: step the address registers through every
- *     tap in postIncrement's order and read each tap's rows through
- *     SramBank::readRow (bounds panic and ECC scrub included).
+ *  1. Walk the addressing in closed form. Both NDU address registers
+ *     are affine between wraps, so the Rep splits into segments in
+ *     which neither register wraps and both read rows stay fixed: a
+ *     segment is min(wrapCount - iter) taps of the two registers, and
+ *     tap i of it reads byte b + i * byteInc. Each segment reads its
+ *     two rows once through SramBank::readRow (the bounds panic fires
+ *     at the same tap, with the same message, as a per-tap read), and
+ *     the registers' end state is written directly. The per-tap replay
+ *     of postIncrement's order remains only where the closed form does
+ *     not hold or would hide an effect: an ECC-modeled RAM (every read
+ *     scrubs and counts), both NDU slots on one address register (it
+ *     steps twice per tap), iter >= wrapCount, or a byte offset that
+ *     could leave int32 during the Rep.
  *  2. Fill the operand panels of a chunk of up to ConvPanels::kTaps
- *     taps: weights as i16 tap pairs per lane, GroupBcast data per
- *     group contiguous over taps, WindowGather rows and offsets.
+ *     taps, a segment at a time, through the tier's ConvRepFill
+ *     (exec_npu_kernels.h, bound into ExecPlan::convFill): weights as
+ *     i16 tap pairs per lane, both taps of a pair in one pass, straight
+ *     from the row when a segment's windows lie in it at a fixed step
+ *     (RepWindow stride 1, no window past the row end); GroupBcast data
+ *     per group contiguous over taps, one widened run per group for a
+ *     stretch of consecutive bytes of one row (byteInc 1), wrapping at
+ *     the row end; WindowGather rows and offsets.
  *  3. Run the tier's kernel (exec_npu_kernels.h), which keeps a tile
  *     of accumulators in registers across every tap of the chunk and
  *     applies two taps per `vpmaddwd`/`vpdpwssd`, without saturation;
@@ -57,9 +78,9 @@
  * Pairing taps is exact only when no partial sum can saturate, so a
  * guard checks max|acc| + reps * 255^2 <= INT32_MAX once per Rep and
  * falls back to the per-rep path when it fails. The scan over the 4096
- * accumulators is the tier's accMaxAbs (exec_npu_kernels.h, bound into
- * ExecPlan::accMaxAbs with the conv kernel): lane-wise min and max,
- * then max(hi, -lo) in int64, so INT32_MIN counts as 2^31 rather than
+ * accumulators is the tier's accMaxAbs (exec_npu_kernels.h, bound in
+ * ExecPlan::convFill with the fill): lane-wise min and max, then
+ * max(hi, -lo) in int64, so INT32_MIN counts as 2^31 rather than
  * wrapping the way a lane |x| would.
  *
  * Equivalence guarantee: for any program the generic interpreter
@@ -129,11 +150,11 @@ struct NduCtx
 
 /**
  * Operand panels of one chunk of a fused conv Rep (see
- * ExecPlan::convRep). The Machine fills them by replaying the Rep's
- * addressing; a tap is one repetition. Values are u8 lanes minus their
- * zero offset (zero when the slot has none), so each fits in i16, and
- * taps 2p and 2p+1 share one dword as an i16 pair (2p in the low
- * half). An odd chunk's last weight pair has zero high halves, so
+ * ExecPlan::convRep). The Machine fills them segment by segment through
+ * the tier's ConvRepFill; a tap is one repetition. Values are u8 lanes
+ * minus their zero offset (zero when the slot has none), so each fits in
+ * i16, and taps 2p and 2p+1 share one dword as an i16 pair (2p in the
+ * low half). An odd chunk's last weight pair has zero high halves, so
  * whatever the data pairs hold there adds nothing.
  */
 struct ConvPanels
@@ -165,6 +186,24 @@ using ConvRepKernel = void (*)(const ExecCtx &, const ConvPanels &);
 /// max|acc[i]| over i < n, in int64: the fused conv Rep's guard scan.
 using AccMaxAbsKernel = int64_t (*)(const int32_t *acc, int n);
 
+/**
+ * One tier's operand-panel fill and guard scan for the fused conv Rep
+ * (exec_npu_kernels.h, instantiated beside the tier's conv kernels).
+ */
+struct ConvRepFill
+{
+    /// Weight taps k..k+n-1 of a chunk into ConvPanels::wt: tap k+i's
+    /// 64 RepWindow lanes are src[i * step + j] - z.
+    void (*weightTaps)(int32_t *wt, int k, int n, const uint8_t *src,
+                       int step, int32_t z);
+    /// GroupBcast data of taps k..k+n-1, which read n consecutive
+    /// bytes of `row` from `off` < rb: group g's values start at
+    /// (off + g * gs) mod rb and wrap at the row end.
+    void (*dataRun)(int16_t *data, int k, int n, const uint8_t *row,
+                    int off, int gs, int rb, int32_t z);
+    AccMaxAbsKernel accMaxAbs;
+};
+
 /** Stable row/register pointers of one Machine, for plan binding. */
 struct PlanBindings
 {
@@ -182,7 +221,11 @@ struct PlanBindings
     const std::array<uint8_t, 256> *luts = nullptr;
 };
 
-/** The per-instruction execution plan stored in the decoded shadow. */
+/**
+ * The per-instruction execution plan stored in the decoded shadow. Its
+ * pointers bind the owning Machine's rows, registers and tables, so a
+ * plan is only ever copied between slots of one Machine.
+ */
 struct ExecPlan
 {
     NpuKernel npuKernel = nullptr; ///< Null: generic / special op.
@@ -195,8 +238,8 @@ struct ExecPlan
     /// Non-null when the instruction has the conv-Rep shape (see the
     /// file comment): the tier's kernel for its NDU0 op and predicate.
     ConvRepKernel convRep = nullptr;
-    /// Set with convRep: the same tier's saturation-guard scan.
-    AccMaxAbsKernel accMaxAbs = nullptr;
+    /// Set with convRep: the same tier's panel fill and guard scan.
+    const ConvRepFill *convFill = nullptr;
     bool npuIsMac = false;     ///< Counts macOps (Mac/MacFwd).
 };
 

@@ -24,39 +24,6 @@ signed10(uint32_t v)
 }
 
 /**
- * One tap's 64 RepWindow values `src[j] - z` into the i16 pairs
- * dst[0..64): the low half for an even tap, which also clears the high
- * half, the high half for an odd one. An odd chunk's last pair thus
- * has zero high halves, so its data high halves add nothing.
- */
-void
-putWeightTap(int32_t *__restrict dst, const uint8_t *__restrict src,
-             int32_t z, bool odd)
-{
-    if (odd) {
-        for (int j = 0; j < 64; ++j)
-            dst[j] = int32_t((uint32_t(dst[j]) & 0xffff) |
-                             uint32_t(uint16_t(src[j] - z)) << 16);
-    } else {
-        for (int j = 0; j < 64; ++j)
-            dst[j] = int32_t(uint16_t(src[j] - z));
-    }
-}
-
-/** dst[0..n) = src[0..n) - z, in blocks the compiler vectorizes. */
-void
-widenRun(int16_t *__restrict dst, const uint8_t *__restrict src, int n,
-         int32_t z)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16)
-        for (int q = 0; q < 16; ++q)
-            dst[i + q] = int16_t(src[i + q] - z);
-    for (; i < n; ++i)
-        dst[i] = int16_t(src[i] - z);
-}
-
-/**
  * Resolve Options::execEngine. This is the single place the
  * NCORE_SIM_GENERIC env var is honored: ExecEngine::Default picks
  * the specialized engine unless NCORE_SIM_GENERIC=1 is set.
@@ -75,6 +42,145 @@ resolveFastExec(ExecEngine e)
     const char *env = std::getenv("NCORE_SIM_GENERIC");
     return env == nullptr || env[0] == '\0' || env[0] == '0';
 }
+
+/** A byte offset normalized into [0, rb), as `((off % rb) + rb) % rb`. */
+int
+normByte(int32_t off, int rb)
+{
+    return off >= 0 && off < rb ? off : ((off % rb) + rb) % rb;
+}
+
+/**
+ * Whether every byte offset that register `a` holds over `reps` more
+ * byte bumps fits int32, the transient one before a wrap snaps back
+ * included, and its iteration count is below its wrap count. Then the
+ * closed-form walk computes exactly what bumpByte would.
+ */
+bool
+walkFits(const AddrReg &a, uint64_t reps)
+{
+    const int64_t inc = std::abs(int64_t(a.byteInc));
+    if (a.wrapCount == 0)
+        return std::abs(int64_t(a.byte)) + int64_t(reps) * inc <=
+               INT32_MAX;
+    if (a.iter >= a.wrapCount)
+        return false;
+    const int64_t base = int64_t(a.byte) - int64_t(a.iter) * a.byteInc;
+    return std::abs(base) + int64_t(a.wrapCount) * inc <= INT32_MAX;
+}
+
+/** Taps before `a` wraps (its row then changes), or "never". */
+uint64_t
+tapsToWrap(const AddrReg &a)
+{
+    return a.wrapCount ? a.wrapCount - a.iter : UINT64_MAX;
+}
+
+/** n byte bumps of `a` in one step (n <= tapsToWrap(a)), as bumpByte. */
+void
+advanceByte(AddrReg &a, int n)
+{
+    a.byte += n * a.byteInc;
+    if (a.wrapCount && (a.iter += uint32_t(n)) == a.wrapCount) {
+        a.iter = 0;
+        a.byte -= int32_t(a.byteInc) * int32_t(a.wrapCount);
+        a.row += a.rowInc;
+    }
+}
+
+/**
+ * Fills one chunk's operand panels (ConvPanels) through a tier's
+ * ConvRepFill, a stretch of taps at a time: n taps that read one data
+ * and one weight row at byte offsets d + i * dInc and w + i * wInc
+ * (i < n, each normalized into the row). GroupBcast data runs of
+ * consecutive bytes of one row, which wrap at the row end, carry over
+ * from one stretch to the next and are widened when they end.
+ */
+class PanelFiller
+{
+  public:
+    PanelFiller(ConvPanels &pn, const ConvRepFill &fill, int rb,
+                bool gather, int ws, int32_t za, int32_t zb)
+        : pn_(pn), fill_(fill), rb_(rb), gather_(gather), ws_(ws), za_(za),
+          zb_(zb)
+    {
+    }
+
+    void
+    add(int k, int n, const uint8_t *drow, int32_t d, int d_inc,
+        const uint8_t *wrow, int32_t w, int w_inc)
+    {
+        addWeights(k, n, wrow, w, w_inc);
+        if (gather_) {
+            for (int i = 0; i < n; ++i) {
+                pn_.rows[k + i] = drow;
+                pn_.offs[k + i] = normByte(d + i * d_inc, rb_);
+            }
+        } else if (d_inc == 1) {
+            addRun(drow, normByte(d, rb_), k, n);
+        } else {
+            for (int i = 0; i < n; ++i)
+                addRun(drow, normByte(d + i * d_inc, rb_), k + i, 1);
+        }
+    }
+
+    /** Widen the pending data run; call once the chunk is complete. */
+    void
+    flush()
+    {
+        if (runN_)
+            fill_.dataRun(pn_.data, runK_, runN_, runRow_, runOff_,
+                          pn_.groupStride, rb_, za_);
+        runN_ = 0;
+    }
+
+  private:
+    void
+    addWeights(int k, int n, const uint8_t *wrow, int32_t w, int w_inc)
+    {
+        // Windows in the row at a fixed step: straight from the row.
+        const int first = normByte(w, rb_);
+        const int64_t last = first + int64_t(n - 1) * w_inc;
+        if (ws_ == 1 && std::min<int64_t>(first, last) >= 0 &&
+            std::max<int64_t>(first, last) + 64 <= rb_) {
+            fill_.weightTaps(pn_.wt, k, n, wrow + first, w_inc, zb_);
+            return;
+        }
+        // Strided or wrapping windows: gather each one.
+        uint8_t buf[64];
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0, at = normByte(w + i * w_inc, rb_); j < 64; ++j) {
+                buf[j] = wrow[at];
+                if ((at += ws_) >= rb_)
+                    at -= rb_;
+            }
+            fill_.weightTaps(pn_.wt, k + i, 1, buf, 0, zb_);
+        }
+    }
+
+    void
+    addRun(const uint8_t *row, int off, int k, int n)
+    {
+        if (runN_ && row == runRow_ && off == runOff_ + runN_) {
+            runN_ += n;
+            return;
+        }
+        flush();
+        runRow_ = row;
+        runOff_ = off;
+        runK_ = k;
+        runN_ = n;
+    }
+
+    ConvPanels &pn_;
+    const ConvRepFill &fill_;
+    const int rb_;
+    const bool gather_;
+    const int ws_;
+    const int32_t za_, zb_;
+    const uint8_t *runRow_ = nullptr;
+    int runOff_ = 0, runK_ = 0, runN_ = 0;
+};
 
 } // namespace
 
@@ -271,11 +377,25 @@ Machine::writeIram(int bank, std::span<const EncodedInstruction> code,
     fatal_if(running_ && pc_ / kBankInstrs == bank,
              "host write to IRAM bank %d while Ncore executes from it",
              bank);
-    int base = bank * kBankInstrs + offset;
+    const int base = bank * kBankInstrs + offset;
     for (size_t i = 0; i < code.size(); ++i) {
+        // A slot is a function of its encoding alone (exec_specialized.h),
+        // so a content key is exact, whatever buffer the code came from.
+        auto it = planTable_.find(code[i]);
+        if (it == planTable_.end()) {
+            if (planTable_.size() >= kPlanTableEntries)
+                planTable_.clear();
+            const Instruction in = decodeInstruction(code[i]);
+            it = planTable_
+                     .emplace(code[i],
+                              DecodedSlot{in, buildExecPlan(in,
+                                                            planBindings(),
+                                                            simdTier_)})
+                     .first;
+        }
         iram_[base + i] = code[i];
-        decoded_[base + i] = decodeInstruction(code[i]);
-        bindPlan(base + int(i));
+        decoded_[base + i] = it->second.decoded;
+        plans_[base + i] = it->second.plan;
     }
 }
 
@@ -668,10 +788,12 @@ Machine::execBodyFast(const Instruction &in, ExecPlan &plan)
 
 /**
  * Fused conv Rep (ExecPlan::convRep): the whole Rep as one blocked
- * GEMM, chunk by chunk. Replaying the addressing reads every rep's rows
- * through SramBank::readRow, in the per-rep path's order (bounds panic
- * and ECC scrub included), and fills the chunk's operand panels; the
- * tier kernel then adds the chunk into the accumulators. Returns false,
+ * GEMM, chunk by chunk. The addressing is walked in closed form, a
+ * segment of taps between register wraps at a time, unless only a
+ * per-tap replay of postIncrement's order reproduces its effects (see
+ * exec_specialized.h); either way every row is read through
+ * SramBank::readRow and the chunk's operand panels are filled before
+ * the tier kernel adds the chunk into the accumulators. Returns false,
  * having changed nothing, when the saturation guard fails: then the
  * caller runs the per-rep path.
  */
@@ -682,88 +804,68 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
     // Every partial sum of the per-rep path stays within
     // max|acc| + reps * 255^2. When that fits int32 nothing saturates,
     // so the tier kernel may pair taps and add in any order.
-    const int64_t max_abs = plan.accMaxAbs(acc_.data(), rowBytes_);
+    const ConvRepFill &fill = *plan.convFill;
+    const int64_t max_abs = fill.accMaxAbs(acc_.data(), rowBytes_);
     if (max_abs + int64_t(reps) * (255 * 255) > INT32_MAX)
         return false;
 
     const int rb = rowBytes_;
-    const int groups = rb / 64;
-    const bool gather = in.ndu0.op == NduOp::WindowGather;
-    const int gs = plan.ndu[0].stride, ws = plan.ndu[1].stride;
+    const int dreg = in.ndu0.addrReg, wreg = in.ndu1.addrReg;
     const int32_t za = in.npu.zeroOff ? dataZeroOff_ : 0;
     const int32_t zb = in.npu.zeroOff ? weightZeroOff_ : 0;
     plan.ctx.zA = za;
     ConvPanels &pn = convPanels_;
-    pn.groupStride = gs;
+    pn.groupStride = plan.ndu[0].stride;
+    PanelFiller filler(pn, fill, rb, in.ndu0.op == NduOp::WindowGather,
+                       plan.ndu[1].stride, za, zb);
 
-    auto norm = [rb](int32_t off) {
-        return off >= 0 && off < rb ? off : ((off % rb) + rb) % rb;
+    const bool closed = !dataRam_.eccModeled() &&
+                        !weightRam_.eccModeled() && dreg != wreg &&
+                        walkFits(addr_[dreg], reps) &&
+                        walkFits(addr_[wreg], reps);
+    (closed ? convTaps_.closedForm : convTaps_.replayed) += reps;
+    // The two stepped registers, in locals on the closed-form walk, and
+    // the row register a read names.
+    AddrReg d = addr_[dreg], w = addr_[wreg];
+    auto row_of = [&](int reg) {
+        return reg == dreg ? d.row : reg == wreg ? w.row : addr_[reg].row;
     };
 
-    // GroupBcast data in runs: taps that read consecutive bytes of one
-    // row (repMac's taps along a kernel row) fill each group's panel
-    // from one contiguous, possibly wrapping, stretch of the row.
-    const uint8_t *run_row = nullptr;
-    int run_off = 0, run_k = 0, run_n = 0;
-    auto flush_run = [&] {
-        for (int g = 0, i = run_off; g < groups; ++g) {
-            int16_t *d = pn.data + g * ConvPanels::kGroupStride + run_k;
-            for (int left = run_n, at = i; left > 0; at = 0) {
-                const int n = std::min(left, rb - at);
-                widenRun(d, run_row + at, n, za);
-                d += n;
-                left -= n;
-            }
-            if ((i += gs) >= rb)
-                i -= rb;
-        }
-        run_n = 0;
-    };
-
-    uint8_t wbuf[64] = {};
+    // The last tap's rows and (raw) byte offsets.
     const uint8_t *drow = nullptr, *wrow = nullptr;
-    int doff = 0, woff = 0;
+    int32_t doff = 0, woff = 0;
     for (uint64_t done = 0; done < reps; done += uint64_t(pn.taps)) {
         pn.taps = int(std::min<uint64_t>(reps - done, ConvPanels::kTaps));
-        for (int k = 0; k < pn.taps; ++k) {
-            // One rep's reads, then postIncrement's byte bumps.
-            drow = dataRam_.readRow(addr_[in.dataRead.reg].row);
-            wrow = weightRam_.readRow(addr_[in.weightRead.reg].row);
-            doff = norm(addr_[in.ndu0.addrReg].byte);
-            woff = norm(addr_[in.ndu1.addrReg].byte);
-            bumpByte(in.ndu0.addrReg);
-            bumpByte(in.ndu1.addrReg);
-
-            // The RepWindow lanes, in place unless strided or wrapping.
-            const uint8_t *wsrc = wrow + woff;
-            if (ws != 1 || woff + 64 > rb) {
-                for (int j = 0, i = woff; j < 64; ++j) {
-                    wbuf[j] = wrow[i];
-                    if ((i += ws) >= rb)
-                        i -= rb;
-                }
-                wsrc = wbuf;
-            }
-            putWeightTap(pn.wt + (k / 2) * 64, wsrc, zb, k & 1);
-
-            if (gather) {
-                pn.rows[k] = drow;
-                pn.offs[k] = doff;
-            } else if (run_n && drow == run_row &&
-                       doff == run_off + run_n) {
-                ++run_n;
+        for (int k = 0, n = 1; k < pn.taps; k += n) {
+            if (closed) {
+                // A segment: neither register wraps before its last tap.
+                n = int(std::min({uint64_t(pn.taps - k), tapsToWrap(d),
+                                  tapsToWrap(w)}));
+                drow = dataRam_.readRow(row_of(in.dataRead.reg));
+                wrow = weightRam_.readRow(row_of(in.weightRead.reg));
+                filler.add(k, n, drow, d.byte, d.byteInc, wrow, w.byte,
+                           w.byteInc);
+                doff = d.byte + (n - 1) * d.byteInc;
+                woff = w.byte + (n - 1) * w.byteInc;
+                advanceByte(d, n);
+                advanceByte(w, n);
             } else {
-                if (run_n)
-                    flush_run();
-                run_row = drow;
-                run_off = doff;
-                run_k = k;
-                run_n = 1;
+                // One rep's reads, then postIncrement's byte bumps.
+                drow = dataRam_.readRow(addr_[in.dataRead.reg].row);
+                wrow = weightRam_.readRow(addr_[in.weightRead.reg].row);
+                doff = addr_[dreg].byte;
+                woff = addr_[wreg].byte;
+                bumpByte(dreg);
+                bumpByte(wreg);
+                filler.add(k, 1, drow, doff, 0, wrow, woff, 0);
             }
         }
-        if (!gather)
-            flush_run();
+        filler.flush();
         plan.convRep(plan.ctx, pn);
+    }
+    if (closed) {
+        addr_[dreg] = d;
+        addr_[wreg] = w;
     }
 
     // The end state of the last rep: its latched rows and NDU rows.
@@ -880,6 +982,8 @@ Machine::execNdu(const NduSlot &slot, uint32_t ctrl_imm)
 
     // Compute into the scratch row first: dst may alias a source.
     uint8_t *d = nduScratch_.data();
+    // The addressed byte, as an index into the circular row.
+    const int off = normByte(addr_[slot.addrReg].byte, rb);
 
     switch (slot.op) {
       case NduOp::Bypass: {
@@ -893,17 +997,15 @@ Machine::execNdu(const NduSlot &slot, uint32_t ctrl_imm)
       }
       case NduOp::Rotate: {
         const uint8_t *a = resolveSrc(slot.srcA);
-        int amount = addr_[slot.addrReg].byte;
-        int m = ((amount % rb) + rb) % rb;
-        fatal_if(std::min(m, rb - m) > 64,
-                 "NDU rotate of %d bytes exceeds 64 B/clock", amount);
+        fatal_if(std::min(off, rb - off) > 64,
+                 "NDU rotate of %d bytes exceeds 64 B/clock",
+                 addr_[slot.addrReg].byte);
         for (int i = 0; i < rb; ++i)
-            d[i] = a[(i + m) % rb];
+            d[i] = a[(i + off) % rb];
         break;
       }
       case NduOp::WindowGather: {
         const uint8_t *a = resolveSrc(slot.srcA);
-        int off = addr_[slot.addrReg].byte;
         int gs = nduStrideBytes(NduStride(slot.param & 7));
         for (int g = 0; g < groups; ++g) {
             int base = off + g * gs;
@@ -914,7 +1016,6 @@ Machine::execNdu(const NduSlot &slot, uint32_t ctrl_imm)
       }
       case NduOp::RepWindow: {
         const uint8_t *a = resolveSrc(slot.srcA);
-        int off = addr_[slot.addrReg].byte;
         int es = nduStrideBytes(NduStride(slot.param & 7));
         uint8_t pattern[64];
         for (int j = 0; j < 64; ++j)
@@ -925,7 +1026,6 @@ Machine::execNdu(const NduSlot &slot, uint32_t ctrl_imm)
       }
       case NduOp::GroupBcast: {
         const uint8_t *a = resolveSrc(slot.srcA);
-        int off = addr_[slot.addrReg].byte;
         int gs = nduStrideBytes(NduStride(slot.param & 7));
         for (int g = 0; g < groups; ++g)
             std::memset(d + g * 64, a[(off + g * gs) % rb], 64);

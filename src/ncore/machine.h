@@ -33,6 +33,7 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/machine.h"
@@ -101,6 +102,16 @@ struct AddrReg
     uint32_t iter = 0;
 };
 
+/**
+ * Taps of fused conv Reps (exec_specialized.h) by how their addressing
+ * was walked: in closed form, or by the per-tap replay it falls back to.
+ */
+struct ConvRepTaps
+{
+    uint64_t closedForm = 0;
+    uint64_t replayed = 0;
+};
+
 /** The Ncore coprocessor model. */
 class Machine : public RamRowPort
 {
@@ -111,6 +122,10 @@ class Machine : public RamRowPort
     static constexpr int kBankInstrs = 256;
     static constexpr int kRomBase = 2 * kBankInstrs;
     static constexpr int kPcSpace = 3 * kBankInstrs;
+    /// Distinct encodings whose decoded form and plan writeIram keeps
+    /// for reuse; reaching the bound empties the table. MobileNet-V1
+    /// streams 6,224 distinct encodings and ResNet-50 9,596.
+    static constexpr size_t kPlanTableEntries = 16384;
 
     using Options = MachineOptions;
 
@@ -265,6 +280,12 @@ class Machine : public RamRowPort
         return hi ? outHi_ : outLo_;
     }
 
+    /** Fused conv Rep taps since construction, by addressing walk. */
+    const ConvRepTaps &convRepTaps() const { return convTaps_; }
+
+    /** Encodings in writeIram's plan table (< kPlanTableEntries). */
+    size_t planTableSize() const { return planTable_.size(); }
+
     // --- RamRowPort (DMA side) ------------------------------------------
 
     void dmaWriteRow(bool weight_ram, uint32_t row,
@@ -328,6 +349,26 @@ class Machine : public RamRowPort
     std::vector<Instruction> decoded_;       ///< Decoded shadow.
     std::vector<ExecPlan> plans_;            ///< Specialized exec plans.
 
+    /// A slot's decoded shadow and plan, as writeIram builds them.
+    struct DecodedSlot
+    {
+        Instruction decoded;
+        ExecPlan plan;
+    };
+    struct EncodingHash
+    {
+        size_t
+        operator()(const EncodedInstruction &e) const
+        {
+            const uint64_t h = (e.lo ^ (e.hi * 0x9e3779b97f4a7c15ull)) *
+                               0xbf58476d1ce4e5b9ull;
+            return size_t(h ^ (h >> 31));
+        }
+    };
+    /// writeIram's table of the slots it built, keyed by encoding.
+    std::unordered_map<EncodedInstruction, DecodedSlot, EncodingHash>
+        planTable_;
+
     // Row registers.
     Row n_[4];
     Row outLo_, outHi_;
@@ -342,6 +383,7 @@ class Machine : public RamRowPort
     ConvPanels convPanels_;
     std::vector<int32_t> convWt_;
     std::vector<int16_t> convData_;
+    ConvRepTaps convTaps_;
 
     std::array<AddrReg, 8> addr_{};
     std::vector<LoopFrame> loopStack_;

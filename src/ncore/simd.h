@@ -15,8 +15,9 @@
  * portable. The NPU lane kernels and the fused conv Rep kernels have
  * one source, exec_npu_kernels.h, written over a lane-traits type and
  * instantiated once per tier (the two AVX-512 TUs share
- * exec_simd_avx512_lanes.h), as does the fused conv Rep's saturation
- * guard scan (accMaxAbs). Every tier covers every NPU slot and conv-Rep
+ * exec_simd_avx512_lanes.h), as do the fused conv Rep's operand-panel
+ * fill and saturation guard scan (ConvRepFill; avx512vnni takes the
+ * avx512 one). Every tier covers every NPU slot and conv-Rep
  * shape, so buildExecPlan() takes the kernels of the resolved tier
  * directly. The OUT (requantize/activation) and NDU kernels chain down
  * instead:
@@ -76,14 +77,14 @@ NduKernel simdSelectNdu(SimdTier tier, const NduSlot &slot);
 #if NCORE_SIMD_AVX2
 NpuKernel selectNpuKernelAvx2(const NpuSlot &npu);
 ConvRepKernel selectConvRepKernelAvx2(NduOp data_op, Pred p);
-AccMaxAbsKernel selectAccMaxAbsAvx2();
+const ConvRepFill *selectConvRepFillAvx2();
 OutKernel selectOutKernelAvx2(const OutSlot &out);
 NduKernel selectNduKernelAvx2(const NduSlot &slot);
 #endif
 #if NCORE_SIMD_AVX512
 NpuKernel selectNpuKernelAvx512(const NpuSlot &npu);
 ConvRepKernel selectConvRepKernelAvx512(NduOp data_op, Pred p);
-AccMaxAbsKernel selectAccMaxAbsAvx512();
+const ConvRepFill *selectConvRepFillAvx512();
 OutKernel selectOutKernelAvx512(const OutSlot &out);
 #endif
 #if NCORE_SIMD_AVX512VNNI

@@ -1394,9 +1394,9 @@ conv3x3Addressing(int data_row, int data_byte, int weight_row)
             setAddrInc(1, 1, 64),      setAddrWrap(1, 64)};
 }
 
-/** Whether buildExecPlan marks `in` as a fused conv Rep at `tier`. */
-bool
-fusedAt(const Instruction &in, SimdTier tier)
+/** The plan buildExecPlan binds for `in` at `tier`. */
+ExecPlan
+planAt(const Instruction &in, SimdTier tier)
 {
     constexpr int kRb = 4096;
     static std::vector<uint8_t> rows(14 * kRb);
@@ -1423,7 +1423,14 @@ fusedAt(const Instruction &in, SimdTier tier)
     b.scratch = row();
     b.rqTable = rq.data();
     b.luts = luts.data();
-    return buildExecPlan(in, b, tier).convRep != nullptr;
+    return buildExecPlan(in, b, tier);
+}
+
+/** Whether buildExecPlan marks `in` as a fused conv Rep at `tier`. */
+bool
+fusedAt(const Instruction &in, SimdTier tier)
+{
+    return planAt(in, tier).convRep != nullptr;
 }
 
 /**
@@ -1589,6 +1596,186 @@ TEST_F(FastPathDiff, FusedConvReps)
                          setAddrWrap(3, 0)});
     runCase("NDU0 and NDU1 share one address register", shared_setup,
             {shared});
+}
+
+/**
+ * The closed-form walk of a fused conv Rep's addressing
+ * (Machine::execConvRepFast) against the interpreter, at every tier: it
+ * splits a Rep into segments at either register's wraps, fills a
+ * segment's weight windows straight from the row or window by window,
+ * and widens GroupBcast data in runs that may cross segments and split
+ * at the row end. Each case also checks which walk its taps took: the
+ * closed form, or the per-tap replay for one address register shared
+ * by both NDU slots.
+ */
+TEST_F(FastPathDiff, ClosedFormConvWalk)
+{
+    Rng rng(61);
+    seedState(rng);
+    const std::vector<Instruction> prologue = {
+        setAddrRow(0, 12), setAddrRow(1, 44),
+        npuRR(NpuOp::CmpGtP0, LaneType::U8), setZeroOff(0x2a91),
+        accZero()};
+    auto runCase = [&](const char *what,
+                       const std::vector<Instruction> &setup,
+                       std::vector<Instruction> macs, bool closed = true) {
+        SCOPED_TRACE(what);
+        std::vector<Instruction> prog = prologue;
+        uint64_t taps = 0;
+        for (const Instruction &in : setup) {
+            prog.push_back(in);
+            if (in.ctrl.op == CtrlOp::Rep)
+                taps += in.ctrl.imm;
+        }
+        for (const Instruction &mac : macs) {
+            for (Machine *m : specialized())
+                EXPECT_TRUE(fusedAt(mac, m->simdTier()))
+                    << m->execDescription();
+            prog.push_back(mac);
+            taps += mac.ctrl.imm;
+        }
+        prog.push_back(ctrlOnly(CtrlOp::Halt));
+        std::vector<ConvRepTaps> before;
+        for (Machine *m : specialized())
+            before.push_back(m->convRepTaps());
+        runAll(prog);
+        compareState(61);
+        for (size_t i = 0; i < before.size(); ++i) {
+            const ConvRepTaps &after = tiers_[i]->convRepTaps();
+            EXPECT_EQ(after.closedForm - before[i].closedForm,
+                      closed ? taps : 0);
+            EXPECT_EQ(after.replayed - before[i].replayed,
+                      closed ? 0 : taps);
+        }
+    };
+    const NduOp kGb = NduOp::GroupBcast, kWg = NduOp::WindowGather;
+
+    // Data snaps every 37 taps and weights every 64: segments of 37,
+    // 27, 10, 37, ... taps, so most start on an odd tap.
+    runCase("segments starting on odd taps",
+            {setAddrRow(0, 20), setAddrByte(0, 3), setAddrInc(0, 1, 1),
+             setAddrWrap(0, 37), setAddrRow(1, 40), setAddrByte(1, 0),
+             setAddrInc(1, 1, 64), setAddrWrap(1, 64)},
+            {convRep(301, kGb, NduStride::S64, Pred::P0, true),
+             convRep(41, kWg, NduStride::S64, Pred::None, true)});
+
+    // A first Rep leaves both registers mid-wrap, so the second's
+    // 64-tap weight segments end at taps 54, 118, ..., 566: one spans
+    // the 512-tap chunk boundary.
+    std::vector<Instruction> straddle = conv3x3Addressing(20, 0, 40);
+    straddle.push_back(convRep(10, kGb, NduStride::S64, Pred::None, true));
+    runCase("a segment across the chunk boundary", straddle,
+            {convRep(1000, kGb, NduStride::S64, Pred::NotP0, true)});
+
+    // byteInc -1 walks the data offsets below zero, one tap per run;
+    // then +1 from a negative start runs to the row end and wraps.
+    runCase("negative start bytes, data offsets wrapping the row end",
+            {setAddrRow(0, 24), setAddrByte(0, 5), setAddrInc(0, 0, -1),
+             setAddrWrap(0, 0), setAddrRow(1, 44), setAddrByte(1, 0),
+             setAddrInc(1, 1, 64), setAddrWrap(1, 64),
+             convRep(40, kGb, NduStride::S64, Pred::None, true),
+             setAddrInc(0, 0, 1)},
+            {convRep(100, kGb, NduStride::S128, Pred::P0, true),
+             convRep(70, kWg, NduStride::S64, Pred::None, true)});
+
+    // The first weight window crosses the row end; later ones wrap.
+    runCase("weight windows crossing the row end",
+            {setAddrRow(0, 20), setAddrByte(0, 9), setAddrInc(0, 1, 1),
+             setAddrWrap(0, 192), setAddrRow(1, 40),
+             setAddrByte(1, 4096 - 32), setAddrInc(1, 1, 64),
+             setAddrWrap(1, 64)},
+            {convRep(130, kGb, NduStride::S64, Pred::None, true)});
+
+    Instruction strided = convRep(150, kGb, NduStride::S64, Pred::P0, true);
+    strided.ndu1.param = uint8_t(NduStride::S2);
+    Instruction bcast_w = convRep(20, kWg, NduStride::S64, Pred::None, true);
+    bcast_w.ndu1.param = uint8_t(NduStride::S0);
+    runCase("strided RepWindows", conv3x3Addressing(22, 17, 42),
+            {strided, bcast_w});
+
+    // The data row from register 4, which no NDU slot steps, and the
+    // weight row from register 0, which NDU0 steps: weight rows then
+    // advance with the data register's wraps.
+    Instruction cross = convRep(200, kGb, NduStride::S64, Pred::None, true);
+    cross.dataRead.reg = 4;
+    cross.weightRead.reg = 0;
+    std::vector<Instruction> cross_setup = conv3x3Addressing(30, 100, 40);
+    cross_setup.insert(cross_setup.end(),
+                       {setAddrRow(4, 26), setAddrWrap(0, 48)});
+    runCase("read rows from registers the NDU slots do not pair with",
+            cross_setup, {cross});
+
+    // Depthwise addressing: data +64 bytes and never a new row.
+    runCase("WindowGather over one row",
+            {setAddrRow(0, 20), setAddrByte(0, 4096 - 200),
+             setAddrInc(0, 1, 64), setAddrWrap(0, 0), setAddrRow(1, 40),
+             setAddrByte(1, 0), setAddrInc(1, 1, 64), setAddrWrap(1, 64)},
+            {convRep(90, kWg, NduStride::S64, Pred::NotP0, true)});
+
+    // One register for both NDU slots steps twice per tap: replayed.
+    Instruction shared = convRep(150, kGb, NduStride::S64, Pred::P0, true);
+    shared.ndu0.addrReg = 3;
+    shared.ndu1.addrReg = 3;
+    std::vector<Instruction> shared_setup = conv3x3Addressing(32, 0, 52);
+    shared_setup.insert(shared_setup.end(),
+                        {setAddrByte(3, 4000), setAddrInc(3, 0, 1),
+                         setAddrWrap(3, 0)});
+    runCase("NDU0 and NDU1 share one address register", shared_setup,
+            {shared}, false);
+}
+
+/**
+ * AccZero and every AccLoadBias mode run on a bound plan kernel at every
+ * tier and match the interpreter: Rep64 and the four quarter loads, and
+ * the four AddQuarter modes over accumulators near both rails, so that
+ * most lanes of each added quarter saturate.
+ */
+TEST_F(FastPathDiff, EveryBiasMode)
+{
+    const int rb = gen_.rowBytesInt();
+    Rng rng(37);
+    seedState(rng);
+    std::vector<int32_t> seeds(rb);
+    for (int i = 0; i < rb; ++i)
+        seeds[i] = i % 2 ? INT32_MAX - int32_t(rng.nextBelow(1 << 30))
+                         : INT32_MIN + int32_t(rng.nextBelow(1 << 30));
+    writeAccSeeds(seeds, 60);
+
+    Instruction zero = accZero();
+    for (Machine *m : specialized())
+        EXPECT_NE(planAt(zero, m->simdTier()).npuKernel, nullptr);
+    for (int mode = int(BiasMode::Rep64); mode <= int(BiasMode::AddQuarter3);
+         ++mode) {
+        SCOPED_TRACE(testing::Message() << "bias mode " << mode);
+        Instruction load;
+        load.dataRead.enable = true;
+        load.dataRead.reg = 2;
+        load.npu.op = NpuOp::AccLoadBias;
+        load.npu.a = RowSrc::DataRead;
+        load.npu.b = RowSrc(mode);
+        for (Machine *m : specialized())
+            EXPECT_NE(planAt(load, m->simdTier()).npuKernel, nullptr)
+                << m->execDescription();
+        std::vector<Instruction> prog = {zero};
+        const std::vector<Instruction> seed = loadAccQuarters(60);
+        prog.insert(prog.end(), seed.begin(), seed.end());
+        prog.push_back(setAddrRow(2, 44));
+        prog.push_back(load);
+        prog.push_back(ctrlOnly(CtrlOp::Halt));
+        runAll(prog);
+        compareState(37);
+
+        if (!biasModeAccumulates(BiasMode(mode)))
+            continue;
+        const int quarter = rb / 4;
+        const int q = mode - int(BiasMode::AddQuarter0);
+        int rails = 0;
+        for (int i = 0; i < quarter; ++i) {
+            const int32_t v = gen_.accState()[size_t(q * quarter + i)];
+            rails += v == INT32_MAX || v == INT32_MIN;
+        }
+        EXPECT_GT(rails, quarter / 4);
+    }
 }
 
 /**
@@ -1867,6 +2054,11 @@ TEST_F(FastPathDiffEcc, UncorrectableRowsCountPerRead)
     prog.push_back(ctrlOnly(CtrlOp::Halt));
     runAll(prog);
 
+    // ECC-modeled banks count every read, so the Rep was replayed.
+    for (Machine *m : specialized()) {
+        EXPECT_EQ(m->convRepTaps().replayed, 128u) << m->execDescription();
+        EXPECT_EQ(m->convRepTaps().closedForm, 0u) << m->execDescription();
+    }
     // Before compareState, whose host row reads scrub too.
     for (Machine *m : all()) {
         SCOPED_TRACE(m->execDescription());

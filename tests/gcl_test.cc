@@ -3,7 +3,8 @@
  * GCL tests: optimization passes (pad fusion, dead-node elimination,
  * and the rewrites they make on the zoo), partitioning decisions, and
  * compile-time planning invariants (layouts, memory plan, weight
- * promotion vs streaming, phase-split stride-2 convs).
+ * promotion vs streaming, phase-split stride-2 convs, and the conv Reps
+ * the specialized engine fuses and walks in closed form).
  */
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "gcl/passes.h"
 #include "models/zoo.h"
 #include "ncore/exec_specialized.h"
+#include "runtime/device.h"
 #include "x86/reference.h"
 
 namespace ncore {
@@ -343,6 +345,30 @@ TEST(GclPlanning, EveryZooConvRepIsFused)
                 ++fused;
             }
         EXPECT_GT(fused, 0);
+    };
+    check(buildMobileNetV1());
+    check(buildResNet50V15());
+    check(buildSsdMobileNetV1());
+}
+
+TEST(GclPlanning, EveryZooConvRepWalksInClosedForm)
+{
+    // The fused conv Rep walks its addressing in closed form unless the
+    // RAMs model ECC, both NDU slots step one register or a byte offset
+    // could leave int32 (exec_specialized.h). None of that happens in
+    // the zoo: one inference replays no tap.
+    auto check = [](Graph g) {
+        SCOPED_TRACE(g.name());
+        Loadable ld = compile(std::move(g));
+        const GirTensor &in = ld.graph.tensor(ld.graph.inputs()[0]);
+        Tensor x(in.shape, DType::UInt8, in.quant);
+        Rng rng(5);
+        x.fillRandom(rng);
+        NcoreDevice dev(LoadedModel::create(ld), nullptr,
+                        {ExecEngine::Specialized});
+        dev.exec.infer({x});
+        EXPECT_GT(dev.machine.convRepTaps().closedForm, 0u);
+        EXPECT_EQ(dev.machine.convRepTaps().replayed, 0u);
     };
     check(buildMobileNetV1());
     check(buildResNet50V15());

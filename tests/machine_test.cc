@@ -1,10 +1,11 @@
 /**
  * @file
  * Ncore machine tests: 8-bit execution pipeline semantics, NDU dataflow
- * ops, sequencer loops and reps, debug features, ECC scrubbing, and the
- * ROM self-test.
+ * ops, sequencer loops and reps, debug features, ECC scrubbing, IRAM
+ * streaming and its plan table, and the ROM self-test.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -676,6 +677,47 @@ TEST_F(MachineTest, StreamedProgramRefillsEachBankItLeaves)
         EXPECT_EQ(res.cycles, uint64_t(prog.size()));
         EXPECT_EQ(refills, (std::vector<uint64_t>{255, 511}));
     }
+}
+
+TEST_F(MachineTest, PlanTableKeysOnEncodingNotBuffer)
+{
+    // Nops, then a splat of `value` stored to data row 5 in the third
+    // bank-sized segment, which streaming loads on a refill.
+    auto program = [](uint8_t value) {
+        std::vector<Instruction> prog(600);
+        prog[590] = setRow(1, 5);
+        prog[591].ctrl.imm = value;
+        prog[591].ndu0.op = NduOp::SplatImm;
+        prog[591].ndu0.dst = 0;
+        prog[591].write.enable = true;
+        prog[591].write.addrReg = 1;
+        prog[591].write.src = RowSrc::N0;
+        prog.back().ctrl.op = CtrlOp::Halt;
+        return enc(prog);
+    };
+    const size_t rb = size_t(m.rowBytesInt());
+    std::vector<EncodedInstruction> buf = program(0x11);
+    ASSERT_EQ(m.runStreamed(buf).reason, StopReason::Halted);
+    EXPECT_EQ(readData(5), std::vector<uint8_t>(rb, 0x11));
+    const size_t entries = m.planTableSize();
+    EXPECT_EQ(entries, 4u); // Nop, SetAddrRow, splat, halt.
+
+    // Program B in A's buffer: the refill must load B's splat.
+    const std::vector<EncodedInstruction> b = program(0x22);
+    std::copy(b.begin(), b.end(), buf.begin());
+    ASSERT_EQ(m.runStreamed(buf).reason, StopReason::Halted);
+    EXPECT_EQ(readData(5), std::vector<uint8_t>(rb, 0x22));
+    EXPECT_EQ(m.planTableSize(), entries + 1);
+
+    // 100 distinct encodings more than the table holds: reaching the
+    // bound empties it once, and the last 101 (with the halt) remain.
+    Machine fresh(chaNcoreConfig(), chaSocConfig());
+    std::vector<Instruction> many;
+    for (size_t i = 0; i < Machine::kPlanTableEntries + 100; ++i)
+        many.push_back(setRow(0, int(i)));
+    many.emplace_back().ctrl.op = CtrlOp::Halt;
+    ASSERT_EQ(fresh.runStreamed(enc(many)).reason, StopReason::Halted);
+    EXPECT_EQ(fresh.planTableSize(), 101u);
 }
 
 TEST_F(MachineTest, WriteToExecutingBankFails)
