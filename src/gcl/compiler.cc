@@ -625,7 +625,7 @@ class SubgraphCompiler
     }
 
     /** True when `producer` (reading non-dense rows) can write y-packed
-     *  rows directly. Stride-2 standard convs run phase-split. */
+     *  rows directly. Stride-2 standard convs run over phase copies. */
     bool
     writesPacked(const Node &producer) const
     {
@@ -640,9 +640,9 @@ class SubgraphCompiler
             return producer.attrs.strideH == 1
                        ? w.dim(1) <= 3 && in_packed(0)
                        : producer.kind == OpKind::Conv2D &&
-                             phaseSplitFits(
+                             stagedCopiesFit(
                                  layouts_.at(canonical(producer.inputs[0])),
-                                 int(w.dim(1)), int(w.dim(2)),
+                                 2, int(w.dim(1)), int(w.dim(2)),
                                  producer.attrs.padTop,
                                  producer.attrs.padLeft);
           }
@@ -656,12 +656,36 @@ class SubgraphCompiler
     }
 
     /**
+     * True when a standard conv that writes a y-packed temp writes
+     * halo-free rows instead: its input can be staged (one copy per
+     * kernel row and column phase) and its output takes fewer halo-free
+     * blocks than y-packed ones. The halo-free rows hold no vertical
+     * halo or pad slots, so the conv issues only the lanes of the
+     * output rows it owns.
+     */
+    bool
+    writesHaloFree(const Node &n) const
+    {
+        if (n.kind != OpKind::Conv2D)
+            return false;
+        const Shape &w = g_.tensor(n.inputs[1]).shape;
+        const Shape &out = g_.tensor(n.outputs[0]).shape;
+        return n.attrs.strideH == n.attrs.strideW &&
+               haloFreePays(out.dim(1), out.dim(2)) &&
+               stagedCopiesFit(layouts_.at(canonical(n.inputs[0])),
+                               n.attrs.strideH, int(w.dim(1)),
+                               int(w.dim(2)), n.attrs.padTop,
+                               n.attrs.padLeft);
+    }
+
+    /**
      * Producers that cannot write their output's layout emit into a
      * staging temp, and an on-chip relayout moves the rows into place:
      * 1x1 convs over dense rows write dense rows; other producers of a
-     * dense tensor write y-packed rows where they can, else plain rows;
-     * producers of a y-packed tensor that cannot write it (stems,
-     * depthwise stride-2 layers, region entries) write plain rows.
+     * dense tensor write y-packed rows where they can (halo-free rows
+     * where writesHaloFree), else plain rows; producers of a y-packed
+     * tensor that cannot write it (stems, depthwise stride-2 layers,
+     * region entries) write plain rows.
      */
     void
     planRelayouts()
@@ -697,7 +721,8 @@ class SubgraphCompiler
             } else if (reads_dense) {
                 temp = denseLayout(t.shape, zp);
             } else if (target.dense && writesPacked(n)) {
-                temp = yPackedLayout(t.shape, zp);
+                temp = writesHaloFree(n) ? haloFreeLayout(t.shape, zp)
+                                         : yPackedLayout(t.shape, zp);
             } else {
                 temp = interleavedLayout(t.shape, 0, 0, 0, 0, zp);
             }
@@ -711,7 +736,7 @@ class SubgraphCompiler
             if (kv.second.packed())
                 contentMaskRowFor(kv.second);
         for (auto &kv : relayoutTemp_) // Pools patch their temps.
-            if (kv.second.packed())
+            if (kv.second.packed() && !kv.second.haloFree)
                 contentMaskRowFor(kv.second);
     }
 
@@ -739,8 +764,8 @@ class SubgraphCompiler
                            kDataRamRows);
 
         // Shared scratch regions, each dead once its layer is done:
-        // one for relayout temps, one for a layer's own staging (phase
-        // copies, K-split FC input replicas; a phase-split conv may
+        // one for relayout temps, one for a layer's own staging (staged
+        // conv copies, K-split FC input replicas; a staged conv may
         // write a temp as well), and one for the min-code copies of
         // padded max-pool inputs (a pool may also write a temp).
         int temp_rows = 0;
@@ -756,8 +781,8 @@ class SubgraphCompiler
             if (n.kind != OpKind::Conv2D)
                 continue;
             const ConvKernel p = convGeometry(n, id);
-            if (usesPhaseSplit(p))
-                staging_rows = std::max(staging_rows, phaseSplitRows(p));
+            if (usesStagedCopies(p))
+                staging_rows = std::max(staging_rows, stagedCopyRows(p));
         }
         if (temp_rows > 0) {
             const int base = alloc.allocate(temp_rows);
@@ -870,7 +895,7 @@ class SubgraphCompiler
             } else if (n.kind == OpKind::Conv2D) {
                 img.bytes = packConvWeights(
                     w.value, bias, wz,
-                    usesPhaseSplit(convGeometry(n, id))
+                    usesStagedCopies(convGeometry(n, id))
                         ? ConvTapOrder::PerTap
                         : ConvTapOrder::RowMajor);
             } else if (n.kind == OpKind::DepthwiseConv2D) {
@@ -1074,8 +1099,8 @@ class SubgraphCompiler
         p.patchOutput = !relayoutTemp_.count(id);
         if (p.out.packed() && p.patchOutput)
             p.contentMaskRow = contentMaskRowFor(p.out);
-        if (usesPhaseSplit(p))
-            p.phaseBase = stagingBase_;
+        if (usesStagedCopies(p))
+            p.stageBase = stagingBase_;
         p.weightBase = weightBase_.at(id);
         p.rqIndex = newRqEntry(makeRequantEntry(
             m, out_t.quant, DType::UInt8, n.attrs.fusedAct));

@@ -378,11 +378,11 @@ Gnmt::matmulOnNcore(Machine &m, const Tensor &w,
 
     // Run, streaming through the IRAM banks. Host profile bracket:
     // GNMT has no gir graph, so each matmul program names its own
-    // scope by shape ("matmul_1024x4096").
+    // scope by shape ("matmul_1024x4096") and carries its K*N MACs.
     uint64_t cycles0 = m.cycles();
     char mark[32];
     snprintf(mark, sizeof mark, "matmul_%dx%d", k_total, n_total);
-    m.profileMark(mark, true);
+    m.profileMark(mark, true, uint64_t(k_total) * uint64_t(n_total));
     RunResult res = m.runStreamed(pb.encode());
     m.profileMark(mark, false);
     fatal_if(res.reason != StopReason::Halted, "GNMT matmul hung");

@@ -314,13 +314,13 @@ Machine::setProfile(CycleProfile *p)
 }
 
 void
-Machine::profileMark(const char *name, bool begin)
+Machine::profileMark(const char *name, bool begin, uint64_t useful_macs)
 {
     if (!prof_)
         return;
     const DmaStats &d = dma_->stats();
     prof_->hostMark(name, begin, perf_.cycles, d.bytesRead,
-                    d.bytesWritten);
+                    d.bytesWritten, useful_macs);
 }
 
 PlanBindings

@@ -259,10 +259,13 @@ class Machine : public RamRowPort
 
     /**
      * Host-side attribution mark: opens (`begin`) or closes a named
-     * scope in the attached profile at the current cycle. No-op when
-     * no profile is attached.
+     * scope in the attached profile at the current cycle. A scope
+     * opened with `useful_macs` > 0 is a graph-less Ncore program that
+     * needs that many MACs per enter (see CycleProfile::hostMark).
+     * No-op when no profile is attached.
      */
-    void profileMark(const char *name, bool begin);
+    void profileMark(const char *name, bool begin,
+                     uint64_t useful_macs = 0);
 
     // --- Architectural state peeks (differential testing / debug) --------
 

@@ -101,6 +101,8 @@ repMac(uint32_t reps, int data_reg, int wt_reg, NduOp data_op,
 std::vector<uint8_t>
 yPackedContentMask(const TensorLayout &lay)
 {
+    fatal_if(!lay.packed() || lay.haloFree,
+             "content masks are for y-packed rows");
     std::vector<uint8_t> row(4096, 0);
     for (int j = 1; j < 1 + lay.ny; ++j)
         for (int x = lay.padLeft; x < lay.padLeft + lay.w; ++x)
@@ -266,86 +268,108 @@ rowByte(int bytes)
     return (bytes % 4096 + 4096) % 4096;
 }
 
-/** Phase index and phase-position offset of tap `r` of a stride-2
- *  conv with padding `pad`: input 2*o + r - pad is phase (r - pad) & 1
- *  at position o + floor((r - pad) / 2). */
+/** Phase index and phase-position offset of tap `r` of a conv with
+ *  stride `stride` and padding `pad`: input stride*o + r - pad is
+ *  phase (r - pad) mod stride at position o + floor((r - pad) /
+ *  stride). Stride 1 has one phase. */
 std::pair<int, int>
-tapPhase(int r, int pad)
+tapPhase(int r, int pad, int stride)
 {
     const int d = r - pad;
-    const int ph = d & 1;
-    return {ph, (d - ph) / 2};
-}
-
-/** Phases a stride-2 conv reads, as a bit mask over py * 2 + px. */
-unsigned
-phaseSplitPhases(int kh, int kw, int pad_top, int pad_left)
-{
-    unsigned mask = 0;
-    for (int r = 0; r < kh; ++r)
-        for (int s = 0; s < kw; ++s)
-            mask |= 1u << (tapPhase(r, pad_top).first * 2 +
-                           tapPhase(s, pad_left).first);
-    return mask;
-}
-
-/** Layout of one phase copy of a `c`-channel input for a conv writing
- *  the y-packed `out`: `out`'s geometry with the input's channels. */
-TensorLayout
-phaseLayout(const TensorLayout &out, int c, uint8_t zero_byte)
-{
-    return yPackedLayout(Shape{1, out.h, out.w, c}, zero_byte);
+    const int ph = (d % stride + stride) % stride;
+    return {ph, (d - ph) / stride};
 }
 
 /**
- * Phase split (space-to-depth by 2): fill the y-packed `ph` so that its
- * position (y, x) holds src(2y + py, 2x + px), the zero point where that
- * lies outside `src`, halo slots and pads included. The source is a
- * plain single-tile or y-packed tensor.
+ * Tap (r, s) of a staged conv: the copy it reads and the byte offset,
+ * in that copy's rows, of the input of output lane 0. Copy keys are
+ * py * 2 + px (y-packed output: phase copies) or r * 2 + px (halo-free
+ * output: one copy per kernel row and column phase).
+ */
+std::pair<int, int>
+stagedTap(const ConvKernel &p, int r, int s)
+{
+    auto [px, ox] = tapPhase(s, p.padLeft, p.strideW);
+    if (p.out.haloFree)
+        return {r * 2 + px, rowByte(ox * 64)};
+    auto [py, oy] = tapPhase(r, p.padTop, 2);
+    return {py * 2 + px, rowByte((oy * p.out.pitch + ox) * 64)};
+}
+
+/** Copies a staged conv reads, as a bit mask over copy keys. */
+uint64_t
+stagedCopySet(const ConvKernel &p)
+{
+    uint64_t mask = 0;
+    for (int r = 0; r < p.kh; ++r)
+        for (int s = 0; s < p.kw; ++s)
+            mask |= uint64_t(1) << stagedTap(p, r, s).first;
+    return mask;
+}
+
+/** Layout of one staged copy: `out`'s geometry with the input's
+ *  channels. */
+TensorLayout
+stagedCopyLayout(const ConvKernel &p)
+{
+    const Shape shape{1, p.out.h, p.out.w, p.cin};
+    return p.out.haloFree ? haloFreeLayout(shape, p.in.zeroByte)
+                          : yPackedLayout(shape, p.in.zeroByte);
+}
+
+/**
+ * Staged copy: fill the y-packed or halo-free `dst` so that its
+ * position (y, x), halo slots and pads included, holds src(sy*y + oy,
+ * sx*x + ox) (sx of 1 or 2, 0 <= ox < sx), the zero point where that
+ * lies outside `src`. The source is a plain single-tile or y-packed
+ * tensor.
  */
 void
-emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
-               const TensorLayout &ph, int py, int px,
+emitStagedCopy(ProgramBuilder &pb, const TensorLayout &src,
+               const TensorLayout &dst, int sy, int oy, int sx, int ox,
                const MaskTable &masks)
 {
-    fatal_if(!ph.packed() || ph.c != src.c,
-             "phase split needs a y-packed phase of the source");
-    const int ncb = ph.cblocks();
-    const int pitch = ph.pitch;
+    fatal_if(!dst.packed() || dst.c != src.c,
+             "staged copy needs packed rows of the source's channels");
+    fatal_if(sx < 1 || sx > 2 || ox < 0 || ox >= sx,
+             "staged copy column map %d*x + %d unsupported", sx, ox);
+    const int ncb = dst.cblocks();
+    const int pitch = dst.pitch;
 
-    // Zero-point the phase: pads and positions outside the source
+    // Zero-point the copy: pads and positions outside the source
     // keep it, as convolution padding.
-    pb.splat(0, ph.zeroByte);
-    pb.setRow(kOutReg, ph.baseRow);
+    pb.splat(0, dst.zeroByte);
+    pb.setRow(kOutReg, dst.baseRow);
     pb.setInc(kOutReg, 1, 0);
     Instruction fill;
     fill.ctrl.op = CtrlOp::Rep;
-    fill.ctrl.imm = uint32_t(ph.rows());
+    fill.ctrl.imm = uint32_t(dst.rows());
     fill.write.enable = true;
     fill.write.addrReg = kOutReg;
     fill.write.postInc = true;
     fill.write.src = RowSrc::N0;
     pb.emit(fill);
 
-    // Phase columns [x_lo, x_hi) whose source x = 2*(xp - padLeft) + px
+    // Slot columns [x_lo, x_hi) whose source x = sx*(xl - padLeft) + ox
     // lies inside the source (and the slot).
-    const int x_lo = ph.padLeft;
+    const int x_lo = dst.padLeft;
     const int x_hi = std::min(
-        pitch, x_lo + (src.w > px ? (src.w - 1 - px) / 2 + 1 : 0));
+        pitch, x_lo + (src.w > ox ? (src.w - 1 - ox) / sx + 1 : 0));
 
-    // Slot by slot (halos included): one S128 gather of the source row
-    // of padded y B*ny + j - 1, merged into the slot's columns.
-    for (int j = 0; j < ph.slots(); ++j) {
+    // Slot by slot (halos included): one gather of the source row
+    // of y = B*ny + j - halo - padTop, merged into the slot's columns.
+    for (int j = 0; j < dst.slots(); ++j) {
         pb.loadMask(kMask, masks.rowFor(j * pitch + x_lo), 0);
         pb.loadMask(kMask, masks.rowFor(j * pitch + x_hi), 1);
         int gather_byte = -1;
-        for (int b = 0; b < ph.blocks(); ++b) {
-            const int sy = 2 * (b * ph.ny + j - 1 - ph.padTop) + py;
-            if (sy < 0 || sy >= src.h)
+        for (int b = 0; b < dst.blocks(); ++b) {
+            const int sy_src =
+                sy * (b * dst.ny + j - dst.halo() - dst.padTop) + oy;
+            if (sy_src < 0 || sy_src >= src.h)
                 continue; // Stays zero point.
             // The source row of cblock 0 (the others follow it, in
             // both layouts) and the lane group of source x = 0.
-            const int syp = sy + src.padTop;
+            const int syp = sy_src + src.padTop;
             int src_row = src.baseRow + src.rowOf(syp, 0, 0);
             int src_x0 = src.padLeft;
             if (src.packed()) {
@@ -353,10 +377,10 @@ emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
                     src.baseRow + src.rowOfPacked(src.blockOf(syp), 0);
                 src_x0 += src.slotOf(syp) * src.pitch;
             }
-            // Lane group j*pitch + xp gathers source group
-            // src_x0 + 2*(xp - padLeft) + px.
+            // Lane group j*pitch + xl gathers source group
+            // src_x0 + sx*(xl - padLeft) + ox.
             const int byte = rowByte(
-                (src_x0 + px - 2 * ph.padLeft - 2 * j * pitch) * 64);
+                (src_x0 + ox - sx * dst.padLeft - sx * j * pitch) * 64);
             if (byte != gather_byte) {
                 pb.setByte(kPatchB, byte);
                 gather_byte = byte;
@@ -372,7 +396,8 @@ emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
                 i1.ndu0.srcA = RowSrc::DataRead;
                 i1.ndu0.dst = 0;
                 i1.ndu0.addrReg = kPatchB;
-                i1.ndu0.param = uint8_t(NduStride::S128);
+                i1.ndu0.param = uint8_t(sx == 2 ? NduStride::S128
+                                                : NduStride::S64);
                 pb.emit(i1);
 
                 // Below the slot's columns (P0) and above them (not
@@ -381,7 +406,7 @@ emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
                 i2.ctrl.op = CtrlOp::SetAddrRow;
                 i2.ctrl.reg = kOutReg;
                 i2.ctrl.imm =
-                    uint32_t(ph.baseRow + ph.rowOfPacked(b, cb));
+                    uint32_t(dst.baseRow + dst.rowOfPacked(b, cb));
                 i2.dataRead.enable = true;
                 i2.dataRead.reg = kOutReg;
                 i2.ndu0.op = NduOp::MergeMask;
@@ -406,25 +431,24 @@ emitPhaseSplit(ProgramBuilder &pb, const TensorLayout &src,
 } // namespace
 
 bool
-phaseSplitFits(const TensorLayout &in, int kh, int kw, int pad_top,
-               int pad_left)
+stagedCopiesFit(const TensorLayout &in, int stride, int kh, int kw,
+                int pad_top, int pad_left)
 {
-    // Taps r = 0 and r = k - 1 bound the phase offsets to [-1, 1].
-    auto fits = [](int k, int pad) {
-        return tapPhase(0, pad).second >= -1 &&
-               tapPhase(k - 1, pad).second <= 1;
+    // Taps r = 0 and r = k - 1 bound the offsets to [-1, 1].
+    auto fits = [&](int k, int pad) {
+        return tapPhase(0, pad, stride).second >= -1 &&
+               tapPhase(k - 1, pad, stride).second <= 1;
     };
-    return in.kind == LayoutKind::Interleaved &&
+    return (stride == 1 || stride == 2) &&
+           in.kind == LayoutKind::Interleaved && !in.dense &&
            (in.packed() || in.xtiles() == 1) && fits(kh, pad_top) &&
            fits(kw, pad_left);
 }
 
 int
-phaseSplitRows(const ConvKernel &p)
+stagedCopyRows(const ConvKernel &p)
 {
-    return std::popcount(phaseSplitPhases(p.kh, p.kw, p.padTop,
-                                          p.padLeft)) *
-           phaseLayout(p.out, p.cin, p.in.zeroByte).rows();
+    return std::popcount(stagedCopySet(p)) * stagedCopyLayout(p).rows();
 }
 
 namespace {
@@ -470,7 +494,7 @@ forEachPosition(const TensorLayout &l, int g, F &&f)
     };
     if (l.packed())
         for (int j = 0; j < l.slots(); ++j)
-            image_row(g * l.ny + j - 1, j * l.pitch);
+            image_row(g * l.ny + j - l.halo(), j * l.pitch);
     else
         image_row(g, 0);
 }
@@ -973,32 +997,45 @@ emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
 }
 
 /**
- * Stride-2 standard convolution writing a y-packed output: copy the
- * input phases the taps read (emitPhaseSplit), then run a stride-1
- * packed->packed conv over them. Tap (r, s) reads phase
- * ((r - padTop) & 1, (s - padLeft) & 1) at a slot/position offset of
- * -1, 0 or 1, as one repMac Rep of ncb*64 taps over PerTap weights.
+ * Staged standard convolution: copy the input once into the geometry
+ * the taps read (emitStagedCopy), then run unpredicated fused Reps
+ * over the copies, one repMac Rep of ncb*64 taps per tap (r, s) over
+ * PerTap weights. A halo-free output reads one copy per kernel row r
+ * and column phase, indexed by output y, so a block covers 64/(w+2)
+ * output rows; tap (r, s) reads its copy at a position offset of -1,
+ * 0 or 1. A y-packed output (stride 2) reads one copy per input phase
+ * ((r - padTop) & 1, (s - padLeft) & 1) at a slot and position offset
+ * of -1, 0 or 1 each.
  */
 void
-emitConvPhaseSplit(ProgramBuilder &pb, const ConvKernel &p)
+emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
 {
     const TensorLayout &lo = p.out;
-    fatal_if(!phaseSplitFits(p.in, p.kh, p.kw, p.padTop, p.padLeft),
-             "stride-2 conv (k %dx%d, pad %d/%d) cannot run phase-split",
-             p.kh, p.kw, p.padTop, p.padLeft);
-    fatal_if(p.phaseBase < 0, "phase-split conv needs a phase scratch");
+    fatal_if(p.strideH != p.strideW ||
+                 !stagedCopiesFit(p.in, p.strideH, p.kh, p.kw, p.padTop,
+                                  p.padLeft),
+             "conv (k %dx%d, stride %d, pad %d/%d) cannot run staged",
+             p.kh, p.kw, p.strideH, p.padTop, p.padLeft);
+    fatal_if(p.stageBase < 0, "staged conv needs a staging scratch");
+    fatal_if(lo.haloFree && p.patchOutput,
+             "halo-free rows are a relayout temp");
 
-    const unsigned phases =
-        phaseSplitPhases(p.kh, p.kw, p.padTop, p.padLeft);
-    TensorLayout ph[4];
-    int next = p.phaseBase;
-    for (int i = 0; i < 4; ++i) {
-        if (!(phases >> i & 1))
+    const uint64_t keys = stagedCopySet(p);
+    std::vector<TensorLayout> copies(size_t(std::bit_width(keys)));
+    int next = p.stageBase;
+    for (int k = 0; k < int(copies.size()); ++k) {
+        if (!(keys >> k & 1))
             continue;
-        ph[i] = phaseLayout(lo, p.cin, p.in.zeroByte);
-        ph[i].baseRow = next;
-        next += ph[i].rows();
-        emitPhaseSplit(pb, p.in, ph[i], i >> 1, i & 1, p.masks);
+        copies[size_t(k)] = stagedCopyLayout(p);
+        copies[size_t(k)].baseRow = next;
+        next += copies[size_t(k)].rows();
+        if (lo.haloFree)
+            emitStagedCopy(pb, p.in, copies[size_t(k)], p.strideH,
+                           (k >> 1) - p.padTop, p.strideW, k & 1,
+                           p.masks);
+        else
+            emitStagedCopy(pb, p.in, copies[size_t(k)], 2, k >> 1, 2,
+                           k & 1, p.masks);
     }
 
     const int ncb = (p.cin + kCBlock - 1) / kCBlock;
@@ -1018,11 +1055,10 @@ emitConvPhaseSplit(ProgramBuilder &pb, const ConvKernel &p)
         pb.setByte(kWtA, 0);
         for (int r = 0; r < p.kh; ++r)
         for (int s = 0; s < p.kw; ++s) {
-            auto [py, oy] = tapPhase(r, p.padTop);
-            auto [px, ox] = tapPhase(s, p.padLeft);
-            const TensorLayout &src = ph[py * 2 + px];
+            auto [key, byte] = stagedTap(p, r, s);
+            const TensorLayout &src = copies[size_t(key)];
             pb.setRow(kDataA, src.baseRow + src.rowOfPacked(b, 0));
-            pb.setByte(kDataA, rowByte((oy * lo.pitch + ox) * 64));
+            pb.setByte(kDataA, byte);
             pb.emit(repMac(uint32_t(ncb * 64), kDataA, kWtA,
                            NduOp::GroupBcast, NduStride::S64,
                            Pred::None));
@@ -1080,8 +1116,8 @@ emitConvDense(ProgramBuilder &pb, const ConvKernel &p)
 void
 emitConv(ProgramBuilder &pb, const ConvKernel &p)
 {
-    if (usesPhaseSplit(p)) {
-        emitConvPhaseSplit(pb, p);
+    if (usesStagedCopies(p)) {
+        emitConvStaged(pb, p);
         return;
     }
     if (p.in.kind == LayoutKind::GroupedRf) {

@@ -11,10 +11,13 @@
  * registers — the paper's "entire loop can be encoded in a single
  * Ncore instruction" (Fig. 6). Stride-2 kernels gather every second x
  * position; over a multi-tile input they run two predicated passes
- * (even/odd input tiles), over a single-tile input one. A standard
- * stride-2 conv with a y-packed output instead reads phase copies of
- * its input (space-to-depth by 2) and runs as a stride-1 packed conv.
- * A stride-1 1x1 conv over dense rows reads and writes dense rows.
+ * (even/odd input tiles), over a single-tile input one. A staged conv
+ * (usesStagedCopies) first copies its input into the geometry its taps
+ * read and then runs unpredicated Reps over the copies: a stride-2
+ * conv writing y-packed rows reads phase copies (space-to-depth by 2),
+ * a conv writing halo-free rows one copy per kernel row and column
+ * phase. A stride-1 1x1 conv over dense rows reads and writes dense
+ * rows.
  * After each layer an edge-patch pass rewrites the halo lanes and
  * re-stamps padding lanes with the zero point.
  *
@@ -67,40 +70,46 @@ struct ConvKernel
     /// Data-RAM row of the y-packed content mask (owned slots x valid
     /// x positions); required when `out` is packed.
     int contentMaskRow = -1;
-    /// Scratch rows for the phase copies of a phase-split conv (see
-    /// usesPhaseSplit); the copies sit back to back from here.
-    int phaseBase = -1;
+    /// Scratch rows for the copies of a staged conv (see
+    /// usesStagedCopies); the copies sit back to back from here.
+    int stageBase = -1;
     /// Re-stamp pads and halos of `out` after the layer. A relayout
     /// temp skips it: the relayout reads owned lanes only.
     bool patchOutput = true;
 };
 
 /**
- * Emit a convolution. A standard stride-2 conv with a y-packed output
- * first copies the input phases it reads into `phaseBase` and expects
- * its weights packed in ConvTapOrder::PerTap; every other conv reads
- * ConvTapOrder::RowMajor weights.
+ * Emit a convolution. A staged conv first copies its input into
+ * `stageBase` and expects its weights packed in ConvTapOrder::PerTap;
+ * every other conv reads ConvTapOrder::RowMajor weights.
  */
 void emitConv(ProgramBuilder &pb, const ConvKernel &p);
 
-/** True when emitConv runs `p` as a phase-split conv. */
+/**
+ * True when emitConv runs `p` over staged copies of its input: a
+ * standard conv writing halo-free rows (one copy per kernel row and
+ * column phase), or a stride-2 one writing y-packed rows (one copy per
+ * input phase).
+ */
 inline bool
-usesPhaseSplit(const ConvKernel &p)
+usesStagedCopies(const ConvKernel &p)
 {
-    return !p.depthwise && p.strideH == 2 && p.strideW == 2 &&
-           p.out.packed();
+    return !p.depthwise &&
+           (p.out.haloFree ||
+            (p.strideH == 2 && p.strideW == 2 && p.out.packed()));
 }
 
 /**
- * True when a stride-2 conv reading `in` can run phase-split: the
- * source is a plain single-tile or y-packed tensor, and every tap lands
- * at most one phase position (or slot) away from its output lane.
+ * True when a standard conv of stride 1 or 2 reading `in` can run over
+ * staged copies: the source is a plain single-tile or y-packed tensor,
+ * and every tap lands at most one (phase) position or slot away from
+ * its output lane.
  */
-bool phaseSplitFits(const TensorLayout &in, int kh, int kw, int pad_top,
-                    int pad_left);
+bool stagedCopiesFit(const TensorLayout &in, int stride, int kh, int kw,
+                     int pad_top, int pad_left);
 
-/** Scratch rows all phase copies of a phase-split conv occupy. */
-int phaseSplitRows(const ConvKernel &p);
+/** Scratch rows all staged copies of a staged conv occupy. */
+int stagedCopyRows(const ConvKernel &p);
 
 /**
  * Re-stamp a produced y-packed tensor: zero-point the non-content
@@ -114,13 +123,15 @@ void emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
 std::vector<uint8_t> yPackedContentMask(const TensorLayout &lay);
 
 /**
- * Copy a tensor between layouts on chip: plain single-tile, y-packed
- * or dense rows, in any direction (same shape and channels). The
+ * Copy a tensor between layouts on chip: plain single-tile, y-packed,
+ * halo-free or dense rows, in any direction (same shape and
+ * channels). The
  * destination comes out exactly as the host packer writes it: every
  * copy of every position, halo slots included, and the zero point in
  * every other lane. Runs after producers that cannot write their
  * output's layout directly (stems and depthwise layers feeding packed
- * or dense rows, 1x1 convs feeding 3x3 or depthwise layers).
+ * or dense rows, 1x1 convs feeding 3x3 or depthwise layers, staged
+ * convs writing halo-free rows).
  */
 void emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
                   const TensorLayout &dst, const MaskTable &masks);

@@ -110,6 +110,26 @@ yPackedLayout(const Shape &shape, uint8_t zero_byte)
 }
 
 TensorLayout
+haloFreeLayout(const Shape &shape, uint8_t zero_byte)
+{
+    TensorLayout lay = interleavedLayout(shape, 0, 0, 1, 1, zero_byte);
+    lay.pitch = int(shape.dim(2)) + 2;
+    lay.ny = 64 / lay.pitch;
+    lay.haloFree = true;
+    fatal_if(lay.ny < 1, "width %lld too wide for halo-free rows",
+             (long long)shape.dim(2));
+    return lay;
+}
+
+bool
+haloFreePays(int64_t h, int64_t w)
+{
+    const Shape shape{1, h, w, 1};
+    return yPackable(w) && haloFreeLayout(shape, 0).blocks() <
+                               yPackedLayout(shape, 0).blocks();
+}
+
+TensorLayout
 denseLayout(const Shape &shape, uint8_t zero_byte)
 {
     TensorLayout lay = interleavedLayout(shape, 0, 0, 0, 0, zero_byte);
@@ -201,7 +221,7 @@ packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
         uint8_t *row =
             dst + size_t(lay.rowOfPacked(b, cb)) * kRowBytes;
         for (int j = 0; j < lay.slots(); ++j) {
-            int yp = b * lay.ny + j - 1;
+            int yp = b * lay.ny + j - lay.halo();
             int y = yp - lay.padTop;
             if (y < 0 || y >= lay.h)
                 continue;

@@ -85,19 +85,26 @@ struct TensorLayout
     // `ny + 2` y-slots of `pitch` positions each — one pre and one
     // post vertical-halo slot around ny owned padded ys. Row (B, cb)
     // slot j covers padded y = B*ny + j - 1. Requires pitch ==
-    // paddedW() and (ny + 2) * pitch <= 64. The paper's mapping
+    // paddedW() and slots() * pitch <= 64. The paper's mapping
     // rounds a spatial dimension up to a power of two and fills the
     // 4096 lanes with W x K; this is the same idea with y folded in
     // when W alone cannot fill a row.
     int ny = 0;
     int pitch = 0;
+    // Halo-free packing (staged conv rows): all slots are owned and
+    // there are no vertical pads, so row (B, cb) slot j holds
+    // y = B*ny + j. Only the staged copies a conv reads and the temp
+    // it writes for a relayout use it.
+    bool haloFree = false;
 
     // Dense spatial rows: positions p = y*w + x flattened, 64 per row;
     // row (block, cb) holds p = block*64 .. block*64 + 63. No pads.
     bool dense = false;
 
     bool packed() const { return ny > 0; }
-    int slots() const { return ny + 2; }
+    /** Vertical-halo slots on each side of a block's owned ys. */
+    int halo() const { return haloFree ? 0 : 1; }
+    int slots() const { return ny + 2 * halo(); }
 
     /** Row blocks a packed (y-blocks) or dense (64-position blocks)
      *  tensor spans. */
@@ -119,7 +126,7 @@ struct TensorLayout
     /** Block containing padded y (as an owned slot). */
     int blockOf(int yp) const { return yp / ny; }
     /** Slot index of padded y within its owning block's row. */
-    int slotOf(int yp) const { return yp - blockOf(yp) * ny + 1; }
+    int slotOf(int yp) const { return yp - blockOf(yp) * ny + halo(); }
 
     int paddedW() const { return padLeft + w + padRight; }
     int paddedH() const { return padTop + h + padBottom; }
@@ -178,6 +185,12 @@ TensorLayout flatLayout(int64_t elems);
  */
 TensorLayout yPackedLayout(const Shape &shape, uint8_t zero_byte);
 
+/**
+ * Halo-free packed layout: pads 1 left and right only, pitch = w + 2,
+ * ny = 64/pitch owned ys per row (4 for w = 14, 7 for w = 7).
+ */
+TensorLayout haloFreeLayout(const Shape &shape, uint8_t zero_byte);
+
 /** Build the dense layout of an NHWC activation. */
 TensorLayout denseLayout(const Shape &shape, uint8_t zero_byte);
 
@@ -189,9 +202,15 @@ yPackable(int64_t w)
     return pitch <= 16 && 64 / pitch - 2 >= 2;
 }
 
-/** Pack / unpack an NHWC uint8 tensor to/from y-packed rows (host
- *  side; halo slots and pads are materialized, so host-packed inputs
- *  need no on-chip patch). */
+/**
+ * True when an h x w tensor that y-packing takes fits in fewer blocks of
+ * halo-free rows than of y-packed ones.
+ */
+bool haloFreePays(int64_t h, int64_t w);
+
+/** Pack / unpack an NHWC uint8 tensor to/from y-packed or halo-free
+ *  rows (host side; halo slots and pads are materialized, so
+ *  host-packed inputs need no on-chip patch). */
 void packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
                  uint8_t *dst);
 void unpackYPacked(const uint8_t *src, const TensorLayout &lay,
@@ -244,8 +263,8 @@ void unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
 /** Tap order of a conv weight image (the kernel's Rep-loop order). */
 enum class ConvTapOrder : uint8_t {
     RowMajor, ///< (r, cb, s, c): one Rep per kernel row r.
-    PerTap,   ///< (r, s, cb, c): one Rep per tap (r, s); phase-split
-              ///< stride-2 convs, whose taps read different phases.
+    PerTap,   ///< (r, s, cb, c): one Rep per tap (r, s); staged
+              ///< convs, whose taps read different copies.
 };
 
 /**

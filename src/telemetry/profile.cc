@@ -157,13 +157,15 @@ CycleProfile::eventMark(uint32_t tag, uint64_t cycle,
 
 void
 CycleProfile::hostMark(const char *name, bool begin, uint64_t cycle,
-                       uint64_t dma_read, uint64_t dma_written)
+                       uint64_t dma_read, uint64_t dma_written,
+                       uint64_t useful_macs)
 {
     syncDma(dma_read, dma_written);
     ProfileMark m;
     m.name = name;
     m.host = true;
     m.begin = begin;
+    m.usefulMacs = useful_macs;
     m.cycle = cycle;
     m.at = c_;
     marks_.push_back(std::move(m));
@@ -293,10 +295,13 @@ buildProfileReport(const CycleProfile &prof, const Graph *graph,
     for (const ProfileMark &m : prof.marks()) {
         attribute(m.at);
         if (m.host) {
-            size_t row = rowFor(-1, m.name, "host");
+            size_t row = rowFor(-1, m.name,
+                                m.usefulMacs > 0 ? kProgramKind
+                                                 : kHostKind);
             if (m.begin) {
                 stack.push_back(row);
                 ++rows[row].enters;
+                rows[row].usefulMacs += m.usefulMacs;
             } else {
                 close(row);
             }

@@ -137,6 +137,8 @@ struct ProfileMark
     std::string name;  ///< Host mark label ("" for device marks).
     bool host = false; ///< Host mark vs device Event.
     bool begin = false; ///< Host marks: scope open vs close.
+    /// Host begin marks: MACs the scope's program needs (0: unknown).
+    uint64_t usefulMacs = 0;
     uint64_t cycle = 0; ///< Machine cycle count at the mark.
     ProfileCounters at; ///< Cumulative counters at the mark.
 };
@@ -173,9 +175,14 @@ class CycleProfile
     void eventMark(uint32_t tag, uint64_t cycle, uint64_t dma_read,
                    uint64_t dma_written);
 
-    /** Snapshot a host-side scope mark (Machine::profileMark). */
+    /**
+     * Snapshot a host-side scope mark (Machine::profileMark). A begin
+     * mark with `useful_macs` > 0 opens a kProgramKind row that counts
+     * those MACs per enter; other host scopes are kHostKind rows.
+     */
     void hostMark(const char *name, bool begin, uint64_t cycle,
-                  uint64_t dma_read, uint64_t dma_written);
+                  uint64_t dma_read, uint64_t dma_written,
+                  uint64_t useful_macs = 0);
 
     // --- Results ------------------------------------------------------
 
@@ -215,20 +222,28 @@ std::string ramConflictCounter(bool weight_ram);
 
 } // namespace stats
 
+/** Report row kind of a host-marked Ncore program that carries its
+ *  useful MACs (GNMT's graph-less matmuls). */
+inline constexpr const char *kProgramKind = "ncore program";
+/** Report row kind of any other host-marked scope. */
+inline constexpr const char *kHostKind = "host";
+
 /** One report row: a gir op, a host-marked scope, or a synthetic
  *  overhead row ("(subgraph)" program brackets, "(unattributed)"). */
 struct LayerProfile
 {
     int node = -1;      ///< gir node id, or -1 for host/synthetic rows.
     std::string name;
-    std::string kind;   ///< opKindName / "host" / "overhead".
+    std::string kind;   ///< opKindName / kProgramKind / kHostKind /
+                        ///< "overhead".
     uint64_t enters = 0; ///< Times the scope was opened.
     ProfileCounters d;   ///< Exclusive counter deltas of this row.
 
     uint64_t cycles() const { return d.cycles(); }
     double macUtilPct = 0; ///< Lane-MACs issued vs the rowBytes/cycle peak.
-    /// MACs the layer's op needs (Graph::nodeMacs per enter): lane-MACs
-    /// spent on pads, halos and idle lanes do not count.
+    /// MACs the layer's op needs (Graph::nodeMacs, or the program's
+    /// mark, per enter): lane-MACs spent on pads, halos and idle lanes
+    /// do not count.
     uint64_t usefulMacs = 0;
     double usefulMacPct = 0; ///< usefulMacs vs the rowBytes/cycle peak.
     uint64_t dramBytes = 0; ///< DMA bytes moved inside this scope.

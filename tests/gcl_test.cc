@@ -3,8 +3,9 @@
  * GCL tests: optimization passes (pad fusion, dead-node elimination,
  * and the rewrites they make on the zoo), partitioning decisions, and
  * compile-time planning invariants (layouts, memory plan, weight
- * promotion vs streaming, phase-split stride-2 convs, and the conv Reps
- * the specialized engine fuses and walks in closed form).
+ * promotion vs streaming, staged convs over phase and halo-free
+ * copies, and the conv Reps the specialized engine fuses and walks in
+ * closed form).
  */
 
 #include <algorithm>
@@ -375,46 +376,65 @@ TEST(GclPlanning, EveryZooConvRepWalksInClosedForm)
     check(buildSsdMobileNetV1());
 }
 
-TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
+/** Node index of layer `name` in a compiled graph (-1 if none). */
+int
+nodeNamed(const Loadable &ld, const std::string &name)
 {
-    // Stage-4/5 block1 `b` and `proj` write y-packed rows directly
-    // from phase copies, with one unpredicated pass of fused conv
-    // Reps: every requant store lands in one y-packed image, the
-    // output tensor itself or, for outputs that only 1x1 convs and
-    // adds read, the temp a relayout then moves into dense rows. A
-    // fallback to the predicated or plain lowering fails here.
-    Loadable ld = compile(buildResNet50V15());
-    ASSERT_EQ(ld.subgraphs.size(), 1u);
-    const CompiledSubgraph &sg = ld.subgraphs[0];
+    for (size_t i = 0; i < ld.graph.nodes().size(); ++i)
+        if (ld.graph.nodes()[i].name == name)
+            return int(i);
+    return -1;
+}
+
+/** A layer's instructions: between its two event-log markers. */
+std::pair<std::vector<Instruction>::const_iterator,
+          std::vector<Instruction>::const_iterator>
+layerCode(const std::vector<Instruction> &code, int id)
+{
+    auto marker = [&](uint32_t tag) {
+        return std::find_if(code.begin(), code.end(),
+                            [&](const Instruction &in) {
+                                return in.ctrl.op == CtrlOp::Event &&
+                                       in.ctrl.imm == tag;
+                            });
+    };
+    return {marker(uint32_t(id) << 2 | 1), marker(uint32_t(id) << 2 | 2)};
+}
+
+std::vector<Instruction>
+decodeAll(const CompiledSubgraph &sg)
+{
     std::vector<Instruction> code;
     for (const EncodedInstruction &e : sg.code)
         code.push_back(decodeInstruction(e));
+    return code;
+}
+
+TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
+{
+    // Stage-4/5 block1 `b` and `proj` read staged copies of their
+    // input's phases and write halo-free rows, with one unpredicated
+    // pass of fused conv Reps: every requant store lands in one
+    // halo-free image, the temp a relayout then moves into the dense
+    // rows that the 1x1 convs and adds after them read. A fallback to
+    // the predicated, plain or y-packed lowering fails here.
+    Loadable ld = compile(buildResNet50V15());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    const std::vector<Instruction> code = decodeAll(sg);
 
     for (const char *name : {"stage4/block1/b", "stage4/block1/proj",
                              "stage5/block1/b", "stage5/block1/proj"}) {
         SCOPED_TRACE(name);
-        int id = -1;
-        for (size_t i = 0; i < ld.graph.nodes().size(); ++i)
-            if (ld.graph.nodes()[i].name == name)
-                id = int(i);
+        const int id = nodeNamed(ld, name);
         ASSERT_GE(id, 0);
         const TensorId out_id = ld.graph.nodes()[size_t(id)].outputs[0];
-        const TensorLayout &out = sg.layouts.at(out_id);
-        EXPECT_TRUE(out.packed() || out.dense);
-        const int packed_rows =
-            yPackedLayout(ld.graph.tensor(out_id).shape, 0).rows();
+        EXPECT_TRUE(sg.layouts.at(out_id).dense);
+        const int staged_rows =
+            haloFreeLayout(ld.graph.tensor(out_id).shape, 0).rows();
 
-        auto marker = [&](uint32_t tag) {
-            return std::find_if(code.begin(), code.end(),
-                                [&](const Instruction &in) {
-                                    return in.ctrl.op == CtrlOp::Event &&
-                                           in.ctrl.imm == tag;
-                                });
-        };
-        auto begin = marker(uint32_t(id) << 2 | 1);
-        auto end = marker(uint32_t(id) << 2 | 2);
+        auto [begin, end] = layerCode(code, id);
         ASSERT_TRUE(begin < end && end != code.end());
-
         int stores = 0, mac_reps = 0;
         std::set<int> rows;
         for (auto it = begin; it != end; ++it) {
@@ -428,14 +448,85 @@ TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
                 EXPECT_EQ(it->npu.pred, Pred::None);
             }
         }
-        EXPECT_EQ(stores, packed_rows);
-        ASSERT_EQ(int(rows.size()), packed_rows);
-        EXPECT_EQ(*rows.rbegin() - *rows.begin() + 1, packed_rows);
-        if (out.packed()) {
-            EXPECT_EQ(*rows.begin(), out.baseRow);
-        }
+        EXPECT_EQ(stores, staged_rows);
+        ASSERT_EQ(int(rows.size()), staged_rows);
+        EXPECT_EQ(*rows.rbegin() - *rows.begin() + 1, staged_rows);
         EXPECT_GT(mac_reps, 0);
     }
+}
+
+TEST(GclPlanning, ResNetSmallConvsReadHaloFreeCopies)
+{
+    // Every stage-4/5 `b` and `proj` (14- and 7-wide outputs) runs
+    // staged: it copies its input into halo-free rows (no vertical halo
+    // or pad slots) and issues only unpredicated fused conv Reps of one
+    // tap's ncb*64 channel taps (PerTap weights). Its requant stores
+    // number cout-blocks x ceil(h_out / floor(64 / (w_out + 2))), half
+    // the y-packed count, and the copies fit the data RAM.
+    Loadable ld = compile(buildResNet50V15());
+    ASSERT_EQ(ld.subgraphs.size(), 1u);
+    const CompiledSubgraph &sg = ld.subgraphs[0];
+    const std::vector<Instruction> code = decodeAll(sg);
+    EXPECT_LE(sg.dataRowsUsed, chaNcoreConfig().ramRows);
+
+    int staged = 0;
+    for (size_t id = 0; id < ld.graph.nodes().size(); ++id) {
+        const Node &n = ld.graph.nodes()[id];
+        if (n.kind != OpKind::Conv2D ||
+            !(n.name.starts_with("stage4/") ||
+              n.name.starts_with("stage5/")) ||
+            !(n.name.ends_with("/b") || n.name.ends_with("/proj")))
+            continue;
+        SCOPED_TRACE(n.name);
+        ++staged;
+        const Shape &out = ld.graph.tensor(n.outputs[0]).shape;
+        const Shape &w = ld.graph.tensor(n.inputs[1]).shape;
+        const int h = int(out.dim(1)), wd = int(out.dim(2));
+        const int cin = int(w.dim(3));
+        const int ncb = (cin + 63) / 64;
+        const int nkb = int(out.dim(3) + 63) / 64;
+        const int ny = 64 / (wd + 2);
+        EXPECT_TRUE(haloFreePays(h, wd));
+
+        // Its kernel geometry as gcl plans it.
+        ConvKernel kp;
+        kp.in = sg.layouts.at(n.inputs[0]);
+        kp.out = haloFreeLayout(out, 0);
+        kp.kh = int(w.dim(1));
+        kp.kw = int(w.dim(2));
+        kp.strideH = n.attrs.strideH;
+        kp.strideW = n.attrs.strideW;
+        kp.padTop = n.attrs.padTop;
+        kp.padLeft = n.attrs.padLeft;
+        kp.cin = cin;
+        kp.cout = int(out.dim(3));
+        EXPECT_TRUE(usesStagedCopies(kp));
+        EXPECT_LE(stagedCopyRows(kp), chaNcoreConfig().ramRows);
+
+        auto [begin, end] = layerCode(code, int(id));
+        ASSERT_TRUE(begin < end && end != code.end());
+        int stores = 0, mac_reps = 0;
+        for (auto it = begin; it != end; ++it) {
+            if (it->out.op == OutOp::Requant8)
+                ++stores;
+            if (it->ctrl.op == CtrlOp::Rep && it->npu.op == NpuOp::Mac) {
+                ++mac_reps;
+                EXPECT_TRUE(convRepShaped(*it));
+                EXPECT_EQ(it->npu.pred, Pred::None);
+                EXPECT_EQ(it->ctrl.imm, uint32_t(ncb * 64));
+            }
+            // Every data row the layer reads or writes is planned.
+            if (it->ctrl.op == CtrlOp::SetAddrRow &&
+                it->ctrl.reg != 3 && it->ctrl.reg != 5 &&
+                it->ctrl.reg != 6) { // Weight registers.
+                EXPECT_LT(int(it->ctrl.imm), sg.dataRowsUsed);
+            }
+        }
+        const int blocks = (h + ny - 1) / ny;
+        EXPECT_EQ(stores, nkb * blocks);
+        EXPECT_EQ(mac_reps, blocks * nkb * kp.kh * kp.kw);
+    }
+    EXPECT_EQ(staged, 11);
 }
 
 TEST(GclPlanning, MobileNetPointwiseRunsOnDenseRows)

@@ -186,9 +186,9 @@ TEST(ModelEndToEnd, MobileNetNcoreMatchesReference)
     EXPECT_GT(res.timing.ncoreCycles, 100000u);
 }
 
-// Stride-2 stage transitions (ResNet's block1 b/proj, SSD's extra
-// layers) run phase-split on Ncore; one sample each (the reference
-// takes about 10 s per ResNet-50 sample).
+// Staged convs (ResNet's stage-4/5 b and proj over halo-free copies,
+// SSD's extra layers over phase copies) run on Ncore; one sample each
+// (the reference takes about 10 s per ResNet-50 sample).
 TEST(ModelEndToEnd, ResNet50NcoreMatchesReference)
 {
     expectNcoreMatchesReference(buildResNet50V15(), 7);
@@ -276,7 +276,7 @@ TEST(ModelDeviceTotals, MobileNetV1)
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {2014697, 2014041, 27258880, 8047755264, 656});
+                       {1671234, 1618250, 27258880, 6420365312, 52984});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)

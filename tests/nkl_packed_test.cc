@@ -2,8 +2,9 @@
  * @file
  * Y-packed layout kernel tests: host pack/unpack round-trips, on-chip
  * relayout from plain rows, packed->packed and packed->plain
- * convolutions (standard + depthwise, stride 1 and 2), phase-split
- * stride-2 convolutions writing packed rows, pooling from
+ * convolutions (standard + depthwise, stride 1 and 2), staged
+ * convolutions (stride-2 phase copies writing packed rows, and per-row
+ * copies writing halo-free rows), pooling from
  * packed inputs, and residual adds over packed rows — all bit-exact
  * against the x86 reference.
  */
@@ -128,6 +129,9 @@ struct PackedConvCase
     bool depthwise;
     bool outPacked;
     bool inPacked = true; ///< Else a plain single-tile input.
+    /// The output is a relayout temp, as for a tensor only 1x1 convs
+    /// read: halo-free rows where the geometry rule picks them.
+    bool viaTemp = false;
 };
 
 /** Test name, e.g. h14w14_c64_k64_3x3_s2_p1_packed_to_plain. */
@@ -141,7 +145,8 @@ packedConvName(const ::testing::TestParamInfo<PackedConvCase> &info)
            "_s" + std::to_string(c.stride) + "_p" +
            std::to_string(c.pad) + (c.depthwise ? "_dw" : "") +
            (c.inPacked ? "_packed" : "_plain") +
-           (c.outPacked ? "_to_packed" : "_to_plain");
+           (c.viaTemp ? "_to_temp"
+                      : c.outPacked ? "_to_packed" : "_to_plain");
 }
 
 class PackedConvTest : public ::testing::TestWithParam<PackedConvCase>
@@ -196,8 +201,15 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
                     : interleavedLayout(x_val.shape(), cc.pad, cc.pad,
                                         cc.pad, cc.pad, in_zp);
     li.baseRow = 80;
+    // The geometry rule gcl applies to a conv writing a y-packed temp.
+    const bool halo_free =
+        cc.viaTemp && !cc.depthwise &&
+        stagedCopiesFit(li, cc.stride, cc.k, cc.k, cc.pad, cc.pad) &&
+        haloFreePays(want.shape().dim(1), want.shape().dim(2));
     TensorLayout lo;
-    if (cc.outPacked) {
+    if (halo_free) {
+        lo = haloFreeLayout(want.shape(), uint8_t(out_qp.zeroPoint));
+    } else if (cc.outPacked) {
         lo = yPackedLayout(want.shape(), uint8_t(out_qp.zeroPoint));
     } else {
         lo = interleavedLayout(want.shape(), 0, 0, 0, 0,
@@ -205,9 +217,9 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     }
     lo.baseRow = li.baseRow + li.rows() + 2;
 
-    // Content mask for packed outputs.
+    // Content mask for y-packed outputs.
     int cm_row = 70;
-    if (cc.outPacked) {
+    if (cc.outPacked && !halo_free) {
         auto mask = yPackedContentMask(lo);
         m.hostWriteRow(false, cm_row, mask.data());
     }
@@ -237,20 +249,21 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     kp.masks = masks;
     kp.contentMaskRow = cm_row;
-    const bool phase_split = usesPhaseSplit(kp);
-    if (phase_split) {
-        kp.phaseBase = lo.baseRow + lo.rows() + 2;
-        ASSERT_LE(kp.phaseBase + phaseSplitRows(kp), 2048);
+    kp.patchOutput = !cc.viaTemp;
+    const bool staged = usesStagedCopies(kp);
+    if (staged) {
+        kp.stageBase = lo.baseRow + lo.rows() + 2;
+        ASSERT_LE(kp.stageBase + stagedCopyRows(kp), 2048);
     }
-    EXPECT_EQ(phase_split, !cc.depthwise && cc.stride == 2 &&
-                               cc.outPacked);
+    EXPECT_EQ(staged, !cc.depthwise &&
+                          (halo_free || (cc.stride == 2 && cc.outPacked)));
 
     auto w_img = cc.depthwise
                      ? packDepthwiseWeights(w_val, &b_val,
                                             uint8_t(w_qp.zeroPoint))
                      : packConvWeights(w_val, &b_val,
                                        uint8_t(w_qp.zeroPoint),
-                                       phase_split
+                                       staged
                                            ? ConvTapOrder::PerTap
                                            : ConvTapOrder::RowMajor);
     testutil::loadWeights(m, w_img, 0);
@@ -305,7 +318,7 @@ INSTANTIATE_TEST_SUITE_P(
         PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, false}),
     packedConvName);
 
-// Stride-2 standard convs writing packed rows run phase-split: plain
+// Stride-2 standard convs writing packed rows read phase copies: plain
 // single-tile inputs (ResNet stage 4's 28-wide input) and packed ones
 // (stage 5's 14-wide input, SSD's extra layers), odd widths and
 // heights, cin of one to three channel blocks.
@@ -327,6 +340,97 @@ INSTANTIATE_TEST_SUITE_P(
         PackedConvCase{14, 14, 48, 64, 2, 2, 0, false, true},
         PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, true}),
     packedConvName);
+
+// Standard convs writing a relayout temp (outputs only 1x1 convs read)
+// write halo-free rows wherever those take fewer blocks than y-packed
+// ones: stride 1 over y-packed inputs, stride 2 over plain single-tile
+// (ResNet's 28-wide stage-4 inputs) and y-packed ones, cin of one to
+// three channel blocks and a partial one, pads 0 and 1. A 5x5 output
+// takes one block either way, so the rule declines and the y-packed
+// phase copies run.
+INSTANTIATE_TEST_SUITE_P(
+    StagedHaloFree, PackedConvTest,
+    ::testing::Values(
+        PackedConvCase{14, 14, 64, 64, 3, 1, 1, false, true, true, true},
+        PackedConvCase{13, 13, 96, 64, 3, 1, 1, false, true, true, true},
+        PackedConvCase{10, 10, 192, 64, 3, 1, 1, false, true, true, true},
+        PackedConvCase{7, 7, 64, 128, 3, 1, 1, false, true, true, true},
+        PackedConvCase{6, 6, 96, 96, 3, 1, 1, false, true, true, true},
+        PackedConvCase{14, 14, 192, 64, 1, 1, 0, false, true, true, true},
+        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, true, false, true},
+        PackedConvCase{28, 28, 96, 128, 1, 2, 0, false, true, false, true},
+        PackedConvCase{15, 15, 64, 64, 3, 2, 0, false, true, false, true},
+        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false, true, true, true},
+        PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, true, true, true},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, true, true, true},
+        PackedConvCase{13, 13, 96, 64, 3, 2, 1, false, true, true, true},
+        PackedConvCase{13, 13, 64, 192, 1, 2, 0, false, true, true, true},
+        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false, true, true, true}),
+    packedConvName);
+
+TEST(StagedRule, HaloFreeRowsWhereTheyTakeFewerBlocks)
+{
+    // Halo-free rows hold 64/(w+2) owned ys: 4 for w = 14, 7 for w = 7.
+    const TensorLayout l14 = haloFreeLayout(Shape{1, 14, 14, 256}, 0);
+    EXPECT_EQ(l14.pitch, 16);
+    EXPECT_EQ(l14.ny, 4);
+    EXPECT_EQ(l14.slots(), 4);
+    EXPECT_EQ(l14.blocks(), 4);
+    EXPECT_EQ(l14.rows(), 16);
+    const TensorLayout l7 = haloFreeLayout(Shape{1, 7, 7, 512}, 0);
+    EXPECT_EQ(l7.ny, 7);
+    EXPECT_EQ(l7.blocks(), 1);
+
+    // y-packed rows take 8, 8, 4, 2 and 2 blocks here.
+    for (int hw : {14, 13, 10, 7, 6})
+        EXPECT_TRUE(haloFreePays(hw, hw)) << hw;
+    // One block either way, and widths y-packing does not take.
+    for (int hw : {5, 3, 2, 1, 15, 28})
+        EXPECT_FALSE(haloFreePays(hw, hw)) << hw;
+}
+
+TEST_F(NklPackedTest, OnChipHaloFreeRowsMatchHostPack)
+{
+    // The relayouts into and out of halo-free rows (y-packed input to a
+    // staged conv's geometry, and a staged conv's temp to the dense
+    // rows of its 1x1 consumers) write exactly what the host packers
+    // write, every pad and unused lane included.
+    QuantParams qp = chooseAsymmetricUint8(-2.0f, 2.0f);
+    Rng rng(12);
+    for (int hw : {14, 7}) {
+        SCOPED_TRACE(hw);
+        Tensor t(Shape{1, hw, hw, 96}, DType::UInt8, qp);
+        t.fillRandom(rng);
+        const uint8_t zp = uint8_t(qp.zeroPoint);
+        TensorLayout packed = yPackedLayout(t.shape(), zp);
+        packed.baseRow = 80;
+        TensorLayout free = haloFreeLayout(t.shape(), zp);
+        free.baseRow = packed.baseRow + packed.rows() + 2;
+        TensorLayout dense = denseLayout(t.shape(), zp);
+        dense.baseRow = free.baseRow + free.rows() + 2;
+        loadPacked(t, packed);
+
+        ProgramBuilder pb;
+        emitRelayout(pb, packed, free, masks);
+        emitRelayout(pb, free, dense, masks);
+        ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
+                  StopReason::Halted);
+
+        for (const TensorLayout *lay : {&free, &dense}) {
+            std::vector<uint8_t> want(size_t(lay->rows()) * 4096);
+            packActivation(t, 0, *lay, want.data());
+            std::vector<uint8_t> got(4096);
+            for (int r = 0; r < lay->rows(); ++r) {
+                m.hostReadRow(false, lay->baseRow + r, got.data());
+                for (int i = 0; i < 4096; ++i)
+                    ASSERT_EQ(got[size_t(i)],
+                              want[size_t(r) * 4096 + size_t(i)])
+                        << (lay->dense ? "dense" : "halo-free")
+                        << " row " << r << " byte " << i;
+            }
+        }
+    }
+}
 
 TEST_F(NklPackedTest, GlobalAvgPoolFromPackedInput)
 {

@@ -14,6 +14,7 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -282,6 +283,61 @@ TEST(ProfileAttributionTest, SsdMobileNetFullyAttributed)
 TEST(ProfileAttributionTest, GnmtFullyAttributed)
 {
     checkFullAttribution(Workload::Gnmt);
+}
+
+TEST(ProfileAttributionTest, GnmtMatmulsCountUsefulMacs)
+{
+    // GNMT's matmuls are graph-less Ncore programs: each scope carries
+    // its K*N MACs per enter, so the roofline counts them as useful
+    // work under the program row kind rather than as host time.
+    ProfileReport rep = profileWorkloadReport(Workload::Gnmt);
+    uint64_t sum = 0;
+    for (const LayerProfile &row : rep.rows) {
+        SCOPED_TRACE(row.name);
+        int k = 0, n = 0;
+        ASSERT_EQ(std::sscanf(row.name.c_str(), "matmul_%dx%d", &k, &n),
+                  2);
+        EXPECT_EQ(row.kind, kProgramKind);
+        EXPECT_EQ(row.usefulMacs, uint64_t(k) * uint64_t(n) * row.enters);
+        EXPECT_LE(row.usefulMacs, row.d.macOps);
+        EXPECT_GT(row.usefulMacPct, 0.0);
+        sum += row.usefulMacs;
+    }
+    EXPECT_EQ(rep.usefulMacs, sum);
+    EXPECT_GT(sum, 0u);
+}
+
+TEST(ProfileReportTest, ProgramMarksCarryUsefulMacs)
+{
+    // A begin mark's MACs add up per enter; a mark without MACs stays
+    // a host row with none.
+    CycleProfile prof;
+    prof.attach(4096, 0, 0);
+    Instruction mac;
+    mac.npu.op = NpuOp::Mac;
+    mac.npu.type = LaneType::I8;
+    for (int i = 0; i < 2; ++i) {
+        prof.hostMark("matmul_2x3", true, 0, 0, 0, 6);
+        prof.onStep(mac, 1, 1, 0);
+        prof.hostMark("matmul_2x3", false, 0, 0, 0);
+    }
+    prof.hostMark("setup", true, 0, 0, 0);
+    prof.onStep(mac, 1, 1, 0);
+    prof.hostMark("setup", false, 0, 0, 0);
+    ProfileReport rep = buildProfileReport(prof, nullptr, "m", 2.5e9);
+
+    ASSERT_EQ(rep.rows.size(), 2u);
+    const LayerProfile &mm = rep.rows[0];
+    EXPECT_EQ(mm.name, "matmul_2x3");
+    EXPECT_EQ(mm.kind, kProgramKind);
+    EXPECT_EQ(mm.enters, 2u);
+    EXPECT_EQ(mm.usefulMacs, 12u);
+    EXPECT_DOUBLE_EQ(mm.usefulMacPct, 100.0 * 12 / (2 * 4096));
+    EXPECT_EQ(rep.rows[1].kind, kHostKind);
+    EXPECT_EQ(rep.rows[1].usefulMacs, 0u);
+    EXPECT_EQ(rep.usefulMacs, 12u);
+    EXPECT_NE(rep.text().find("matmul_2x3 (ncore program) x2"),
+              std::string::npos);
 }
 
 // ---------------- Renderer goldens ----------------
