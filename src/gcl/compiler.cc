@@ -456,8 +456,10 @@ class SubgraphCompiler
      * rows directly: they first copy the input phases they read into
      * the shared scratch (the paper's NDU strided compression, IV-B),
      * then run as stride-1 packed convs. Producers that cannot write
-     * packed rows (stems, depthwise stride-2 layers, region entries)
-     * write a plain temp that an on-chip relayout moves into place.
+     * packed rows (stems, depthwise stride-2 layers, pools, region
+     * entries) write a plain temp that an on-chip relayout moves into
+     * place. Max-pools read plain rows only: padded ones stage through
+     * the min-code scratch, which runs on plain layouts.
      */
     bool
     consumerAllowsPacking(const Node &n, TensorId c) const
@@ -470,11 +472,6 @@ class SubgraphCompiler
                    w.dim(2) <= 7 && n.attrs.padLeft <= 1 &&
                    n.attrs.padTop <= 1;
           }
-          case OpKind::MaxPool2D:
-            // Padded max-pools stage through the min-code scratch,
-            // which runs on plain layouts.
-            return n.attrs.kernelW <= 7 && n.attrs.padLeft == 0 &&
-                   n.attrs.padTop == 0;
           case OpKind::AvgPool2D:
             return n.attrs.kernelW <= 7 && n.attrs.padLeft <= 1 &&
                    n.attrs.padTop <= 1;
@@ -629,30 +626,17 @@ class SubgraphCompiler
     bool
     writesPacked(const Node &producer) const
     {
-        auto in_packed = [&](int i) {
-            return layouts_.at(canonical(producer.inputs[size_t(i)]))
-                .packed();
-        };
-        switch (producer.kind) {
-          case OpKind::Conv2D:
-          case OpKind::DepthwiseConv2D: {
-            const Shape &w = g_.tensor(producer.inputs[1]).shape;
-            return producer.attrs.strideH == 1
-                       ? w.dim(1) <= 3 && in_packed(0)
-                       : producer.kind == OpKind::Conv2D &&
-                             stagedCopiesFit(
-                                 layouts_.at(canonical(producer.inputs[0])),
-                                 2, int(w.dim(1)), int(w.dim(2)),
-                                 producer.attrs.padTop,
-                                 producer.attrs.padLeft);
-          }
-          case OpKind::MaxPool2D:
-          case OpKind::AvgPool2D:
-            return producer.attrs.strideH == 1 &&
-                   producer.attrs.kernelH <= 3 && in_packed(0);
-          default:
+        if (producer.kind != OpKind::Conv2D &&
+            producer.kind != OpKind::DepthwiseConv2D)
             return false;
-        }
+        const TensorLayout &in = layouts_.at(canonical(producer.inputs[0]));
+        const Shape &w = g_.tensor(producer.inputs[1]).shape;
+        return producer.attrs.strideH == 1
+                   ? w.dim(1) <= 3 && in.packed()
+                   : producer.kind == OpKind::Conv2D &&
+                         stagedCopiesFit(in, 2, int(w.dim(1)), int(w.dim(2)),
+                                         producer.attrs.padTop,
+                                         producer.attrs.padLeft);
     }
 
     /**
@@ -685,7 +669,7 @@ class SubgraphCompiler
      * dense tensor write y-packed rows where they can (halo-free rows
      * where writesHaloFree), else plain rows; producers of a y-packed
      * tensor that cannot write it (stems, depthwise stride-2 layers,
-     * region entries) write plain rows.
+     * pools, region entries) write plain rows.
      */
     void
     planRelayouts()
@@ -734,9 +718,6 @@ class SubgraphCompiler
         // before tensor placement.
         for (auto &kv : layouts_)
             if (kv.second.packed())
-                contentMaskRowFor(kv.second);
-        for (auto &kv : relayoutTemp_) // Pools patch their temps.
-            if (kv.second.packed() && !kv.second.haloFree)
                 contentMaskRowFor(kv.second);
     }
 
@@ -1195,8 +1176,6 @@ class SubgraphCompiler
             PoolKernel p;
             p.in = layoutOf(n.inputs[0]);
             p.out = outLayoutFor(id, n.outputs[0]);
-            if (p.out.packed())
-                p.contentMaskRow = contentMaskRowFor(p.out);
             p.kh = n.attrs.kernelH;
             p.kw = n.attrs.kernelW;
             p.strideH = n.attrs.strideH;

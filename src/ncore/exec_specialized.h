@@ -52,12 +52,12 @@
  *     tap i of it reads byte b + i * byteInc. Each segment reads its
  *     two rows once through SramBank::readRow (the bounds panic fires
  *     at the same tap, with the same message, as a per-tap read), and
- *     the registers' end state is written directly. The per-tap replay
- *     of postIncrement's order remains only where the closed form does
- *     not hold or would hide an effect: an ECC-modeled RAM (every read
- *     scrubs and counts), both NDU slots on one address register (it
- *     steps twice per tap), iter >= wrapCount, or a byte offset that
- *     could leave int32 during the Rep.
+ *     the registers' end state is written directly. Where the closed
+ *     form does not hold or would hide an effect, the Rep runs per rep
+ *     instead: an ECC-modeled RAM (every read scrubs and counts), both
+ *     NDU slots on one address register (it steps twice per tap),
+ *     iter >= wrapCount, or a byte offset that could leave int32 during
+ *     the Rep.
  *  2. Fill the operand panels of a chunk of up to ConvPanels::kTaps
  *     taps, a segment at a time, through the tier's ConvRepFill
  *     (exec_npu_kernels.h, bound into ExecPlan::convFill): weights as

@@ -788,19 +788,25 @@ Machine::execBodyFast(const Instruction &in, ExecPlan &plan)
 
 /**
  * Fused conv Rep (ExecPlan::convRep): the whole Rep as one blocked
- * GEMM, chunk by chunk. The addressing is walked in closed form, a
- * segment of taps between register wraps at a time, unless only a
- * per-tap replay of postIncrement's order reproduces its effects (see
- * exec_specialized.h); either way every row is read through
- * SramBank::readRow and the chunk's operand panels are filled before
- * the tier kernel adds the chunk into the accumulators. Returns false,
- * having changed nothing, when the saturation guard fails: then the
- * caller runs the per-rep path.
+ * GEMM, chunk by chunk, its addressing walked in closed form a segment
+ * of taps between register wraps at a time (see exec_specialized.h).
+ * Every row is read through SramBank::readRow and the chunk's operand
+ * panels are filled before the tier kernel adds the chunk into the
+ * accumulators. Returns false, having changed nothing, when the closed
+ * form does not hold or the saturation guard fails: then the caller
+ * runs the per-rep path.
  */
 bool
 Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
                          uint64_t reps)
 {
+    // An ECC-modeled RAM scrubs and counts every read, and one register
+    // stepped by both NDU slots moves twice per tap: the closed-form
+    // walk reproduces neither.
+    const int dreg = in.ndu0.addrReg, wreg = in.ndu1.addrReg;
+    if (dataRam_.eccModeled() || weightRam_.eccModeled() || dreg == wreg ||
+        !walkFits(addr_[dreg], reps) || !walkFits(addr_[wreg], reps))
+        return false;
     // Every partial sum of the per-rep path stays within
     // max|acc| + reps * 255^2. When that fits int32 nothing saturates,
     // so the tier kernel may pair taps and add in any order.
@@ -810,7 +816,6 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
         return false;
 
     const int rb = rowBytes_;
-    const int dreg = in.ndu0.addrReg, wreg = in.ndu1.addrReg;
     const int32_t za = in.npu.zeroOff ? dataZeroOff_ : 0;
     const int32_t zb = in.npu.zeroOff ? weightZeroOff_ : 0;
     plan.ctx.zA = za;
@@ -818,14 +823,9 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
     pn.groupStride = plan.ndu[0].stride;
     PanelFiller filler(pn, fill, rb, in.ndu0.op == NduOp::WindowGather,
                        plan.ndu[1].stride, za, zb);
-
-    const bool closed = !dataRam_.eccModeled() &&
-                        !weightRam_.eccModeled() && dreg != wreg &&
-                        walkFits(addr_[dreg], reps) &&
-                        walkFits(addr_[wreg], reps);
-    (closed ? convTaps_.closedForm : convTaps_.replayed) += reps;
-    // The two stepped registers, in locals on the closed-form walk, and
-    // the row register a read names.
+    fusedConvTaps_ += reps;
+    // The two stepped registers, in locals, and the row register a read
+    // names.
     AddrReg d = addr_[dreg], w = addr_[wreg];
     auto row_of = [&](int reg) {
         return reg == dreg ? d.row : reg == wreg ? w.row : addr_[reg].row;
@@ -837,36 +837,23 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
     for (uint64_t done = 0; done < reps; done += uint64_t(pn.taps)) {
         pn.taps = int(std::min<uint64_t>(reps - done, ConvPanels::kTaps));
         for (int k = 0, n = 1; k < pn.taps; k += n) {
-            if (closed) {
-                // A segment: neither register wraps before its last tap.
-                n = int(std::min({uint64_t(pn.taps - k), tapsToWrap(d),
-                                  tapsToWrap(w)}));
-                drow = dataRam_.readRow(row_of(in.dataRead.reg));
-                wrow = weightRam_.readRow(row_of(in.weightRead.reg));
-                filler.add(k, n, drow, d.byte, d.byteInc, wrow, w.byte,
-                           w.byteInc);
-                doff = d.byte + (n - 1) * d.byteInc;
-                woff = w.byte + (n - 1) * w.byteInc;
-                advanceByte(d, n);
-                advanceByte(w, n);
-            } else {
-                // One rep's reads, then postIncrement's byte bumps.
-                drow = dataRam_.readRow(addr_[in.dataRead.reg].row);
-                wrow = weightRam_.readRow(addr_[in.weightRead.reg].row);
-                doff = addr_[dreg].byte;
-                woff = addr_[wreg].byte;
-                bumpByte(dreg);
-                bumpByte(wreg);
-                filler.add(k, 1, drow, doff, 0, wrow, woff, 0);
-            }
+            // A segment: neither register wraps before its last tap.
+            n = int(std::min({uint64_t(pn.taps - k), tapsToWrap(d),
+                              tapsToWrap(w)}));
+            drow = dataRam_.readRow(row_of(in.dataRead.reg));
+            wrow = weightRam_.readRow(row_of(in.weightRead.reg));
+            filler.add(k, n, drow, d.byte, d.byteInc, wrow, w.byte,
+                       w.byteInc);
+            doff = d.byte + (n - 1) * d.byteInc;
+            woff = w.byte + (n - 1) * w.byteInc;
+            advanceByte(d, n);
+            advanceByte(w, n);
         }
         filler.flush();
         plan.convRep(plan.ctx, pn);
     }
-    if (closed) {
-        addr_[dreg] = d;
-        addr_[wreg] = w;
-    }
+    addr_[dreg] = d;
+    addr_[wreg] = w;
 
     // The end state of the last rep: its latched rows and NDU rows.
     std::memcpy(dataLo_.data(), drow, size_t(rb));

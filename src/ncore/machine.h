@@ -102,16 +102,6 @@ struct AddrReg
     uint32_t iter = 0;
 };
 
-/**
- * Taps of fused conv Reps (exec_specialized.h) by how their addressing
- * was walked: in closed form, or by the per-tap replay it falls back to.
- */
-struct ConvRepTaps
-{
-    uint64_t closedForm = 0;
-    uint64_t replayed = 0;
-};
-
 /** The Ncore coprocessor model. */
 class Machine : public RamRowPort
 {
@@ -283,8 +273,9 @@ class Machine : public RamRowPort
         return hi ? outHi_ : outLo_;
     }
 
-    /** Fused conv Rep taps since construction, by addressing walk. */
-    const ConvRepTaps &convRepTaps() const { return convTaps_; }
+    /** Taps run as fused conv Reps (exec_specialized.h) since
+     *  construction. */
+    uint64_t fusedConvTaps() const { return fusedConvTaps_; }
 
     /** Encodings in writeIram's plan table (< kPlanTableEntries). */
     size_t planTableSize() const { return planTable_.size(); }
@@ -386,7 +377,7 @@ class Machine : public RamRowPort
     ConvPanels convPanels_;
     std::vector<int32_t> convWt_;
     std::vector<int16_t> convData_;
-    ConvRepTaps convTaps_;
+    uint64_t fusedConvTaps_ = 0;
 
     std::array<AddrReg, 8> addr_{};
     std::vector<LoopFrame> loopStack_;

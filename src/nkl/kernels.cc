@@ -103,10 +103,12 @@ yPackedContentMask(const TensorLayout &lay)
 {
     fatal_if(!lay.packed() || lay.haloFree,
              "content masks are for y-packed rows");
+    // The lanes of block 0 that own a padded y and a position x.
     std::vector<uint8_t> row(4096, 0);
-    for (int j = 1; j < 1 + lay.ny; ++j)
-        for (int x = lay.padLeft; x < lay.padLeft + lay.w; ++x)
-            std::memset(row.data() + (j * lay.pitch + x) * 64, 1, 64);
+    for (int yp = 0; yp < lay.ny; ++yp)
+        for (int x = 0; x < lay.w; ++x)
+            std::memset(row.data() + lay.placeOf(yp - lay.padTop, x).lane * 64,
+                        1, 64);
     return row;
 }
 
@@ -317,117 +319,6 @@ stagedCopyLayout(const ConvKernel &p)
                           : yPackedLayout(shape, p.in.zeroByte);
 }
 
-/**
- * Staged copy: fill the y-packed or halo-free `dst` so that its
- * position (y, x), halo slots and pads included, holds src(sy*y + oy,
- * sx*x + ox) (sx of 1 or 2, 0 <= ox < sx), the zero point where that
- * lies outside `src`. The source is a plain single-tile or y-packed
- * tensor.
- */
-void
-emitStagedCopy(ProgramBuilder &pb, const TensorLayout &src,
-               const TensorLayout &dst, int sy, int oy, int sx, int ox,
-               const MaskTable &masks)
-{
-    fatal_if(!dst.packed() || dst.c != src.c,
-             "staged copy needs packed rows of the source's channels");
-    fatal_if(sx < 1 || sx > 2 || ox < 0 || ox >= sx,
-             "staged copy column map %d*x + %d unsupported", sx, ox);
-    const int ncb = dst.cblocks();
-    const int pitch = dst.pitch;
-
-    // Zero-point the copy: pads and positions outside the source
-    // keep it, as convolution padding.
-    pb.splat(0, dst.zeroByte);
-    pb.setRow(kOutReg, dst.baseRow);
-    pb.setInc(kOutReg, 1, 0);
-    Instruction fill;
-    fill.ctrl.op = CtrlOp::Rep;
-    fill.ctrl.imm = uint32_t(dst.rows());
-    fill.write.enable = true;
-    fill.write.addrReg = kOutReg;
-    fill.write.postInc = true;
-    fill.write.src = RowSrc::N0;
-    pb.emit(fill);
-
-    // Slot columns [x_lo, x_hi) whose source x = sx*(xl - padLeft) + ox
-    // lies inside the source (and the slot).
-    const int x_lo = dst.padLeft;
-    const int x_hi = std::min(
-        pitch, x_lo + (src.w > ox ? (src.w - 1 - ox) / sx + 1 : 0));
-
-    // Slot by slot (halos included): one gather of the source row
-    // of y = B*ny + j - halo - padTop, merged into the slot's columns.
-    for (int j = 0; j < dst.slots(); ++j) {
-        pb.loadMask(kMask, masks.rowFor(j * pitch + x_lo), 0);
-        pb.loadMask(kMask, masks.rowFor(j * pitch + x_hi), 1);
-        int gather_byte = -1;
-        for (int b = 0; b < dst.blocks(); ++b) {
-            const int sy_src =
-                sy * (b * dst.ny + j - dst.halo() - dst.padTop) + oy;
-            if (sy_src < 0 || sy_src >= src.h)
-                continue; // Stays zero point.
-            // The source row of cblock 0 (the others follow it, in
-            // both layouts) and the lane group of source x = 0.
-            const int syp = sy_src + src.padTop;
-            int src_row = src.baseRow + src.rowOf(syp, 0, 0);
-            int src_x0 = src.padLeft;
-            if (src.packed()) {
-                src_row =
-                    src.baseRow + src.rowOfPacked(src.blockOf(syp), 0);
-                src_x0 += src.slotOf(syp) * src.pitch;
-            }
-            // Lane group j*pitch + xl gathers source group
-            // src_x0 + sx*(xl - padLeft) + ox.
-            const int byte = rowByte(
-                (src_x0 + ox - sx * dst.padLeft - sx * j * pitch) * 64);
-            if (byte != gather_byte) {
-                pb.setByte(kPatchB, byte);
-                gather_byte = byte;
-            }
-            for (int cb = 0; cb < ncb; ++cb) {
-                Instruction i1;
-                i1.ctrl.op = CtrlOp::SetAddrRow;
-                i1.ctrl.reg = kPatchA;
-                i1.ctrl.imm = uint32_t(src_row + cb);
-                i1.dataRead.enable = true;
-                i1.dataRead.reg = kPatchA;
-                i1.ndu0.op = NduOp::WindowGather;
-                i1.ndu0.srcA = RowSrc::DataRead;
-                i1.ndu0.dst = 0;
-                i1.ndu0.addrReg = kPatchB;
-                i1.ndu0.param = uint8_t(sx == 2 ? NduStride::S128
-                                                : NduStride::S64);
-                pb.emit(i1);
-
-                // Below the slot's columns (P0) and above them (not
-                // P1) keep the row; the columns take the gather.
-                Instruction i2;
-                i2.ctrl.op = CtrlOp::SetAddrRow;
-                i2.ctrl.reg = kOutReg;
-                i2.ctrl.imm =
-                    uint32_t(dst.baseRow + dst.rowOfPacked(b, cb));
-                i2.dataRead.enable = true;
-                i2.dataRead.reg = kOutReg;
-                i2.ndu0.op = NduOp::MergeMask;
-                i2.ndu0.srcA = RowSrc::N0;
-                i2.ndu0.srcB = RowSrc::DataRead;
-                i2.ndu0.dst = 1;
-                i2.ndu0.param = 1; // P1.
-                i2.ndu1.op = NduOp::MergeMask;
-                i2.ndu1.srcA = RowSrc::DataRead;
-                i2.ndu1.srcB = RowSrc::N1;
-                i2.ndu1.dst = 2;
-                i2.ndu1.param = 0; // P0.
-                i2.write.enable = true;
-                i2.write.addrReg = kOutReg;
-                i2.write.src = RowSrc::N2;
-                pb.emit(i2);
-            }
-        }
-    }
-}
-
 } // namespace
 
 bool
@@ -451,88 +342,43 @@ stagedCopyRows(const ConvKernel &p)
     return std::popcount(stagedCopySet(p)) * stagedCopyLayout(p).rows();
 }
 
-namespace {
-
-/** Where position (y, x) of `l` lives (its owned copy): the row group
- *  (the row of channel block 0; block cb is cb rows on) and lane. */
-std::pair<int, int>
-placeOf(const TensorLayout &l, int y, int x)
-{
-    if (l.dense) {
-        const int p = y * l.w + x;
-        return {p / kRowPos, p % kRowPos};
-    }
-    const int yp = y + l.padTop;
-    if (l.packed())
-        return {l.blockOf(yp), l.slotOf(yp) * l.pitch + l.padLeft + x};
-    return {yp, l.padLeft + x};
-}
-
-/** Row groups of a plain single-tile, y-packed or dense layout. */
-int
-rowGroups(const TensorLayout &l)
-{
-    return l.packed() || l.dense ? l.blocks() : l.paddedH();
-}
-
-/** Call f(lane, y, x) for every lane of row group `g` that holds a
- *  copy of position (y, x), in lane order (halo slots included). */
-template <typename F>
-void
-forEachPosition(const TensorLayout &l, int g, F &&f)
-{
-    if (l.dense) {
-        for (int i = 0; i < kRowPos && g * kRowPos + i < l.h * l.w; ++i)
-            f(i, (g * kRowPos + i) / l.w, (g * kRowPos + i) % l.w);
-        return;
-    }
-    auto image_row = [&](int yp, int lane0) {
-        const int y = yp - l.padTop;
-        if (y >= 0 && y < l.h)
-            for (int x = 0; x < l.w; ++x)
-                f(lane0 + l.padLeft + x, y, x);
-    };
-    if (l.packed())
-        for (int j = 0; j < l.slots(); ++j)
-            image_row(g * l.ny + j - l.halo(), j * l.pitch);
-    else
-        image_row(g, 0);
-}
-
-} // namespace
-
 void
 emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
-             const TensorLayout &dst, const MaskTable &masks)
+             const TensorLayout &dst, const MaskTable &masks, Resample rs)
 {
-    fatal_if(src.h != dst.h || src.w != dst.w || src.c != dst.c,
+    fatal_if(src.kind != LayoutKind::Interleaved ||
+                 dst.kind != LayoutKind::Interleaved || src.c != dst.c,
+             "relayout moves interleaved-family rows of one channel count");
+    fatal_if(rs == Resample{} && (src.h != dst.h || src.w != dst.w),
              "relayout needs one tensor shape");
-    for (const TensorLayout *l : {&src, &dst})
-        fatal_if(l->kind != LayoutKind::Interleaved ||
-                     (!l->packed() && !l->dense && l->xtiles() != 1),
-                 "relayout supports plain single-tile, y-packed and "
-                 "dense rows");
+    fatal_if(rs.sx < 1 || rs.sx > 2,
+             "relayout column step %d unsupported", rs.sx);
     const int ncb = dst.cblocks();
 
-    // Runs: lanes [lo, hi) of destination row group g that one gather
-    // of source row group sg, shifted by `shift` lanes, supplies.
+    // Runs: lanes [lo, hi) of destination group g that one gather of
+    // source group sg supplies, lane i reading source lane
+    // shift + sx*i.
     struct Run
     {
         int lo, hi, shift, g, sg;
     };
     std::vector<Run> runs;
-    for (int g = 0; g < rowGroups(dst); ++g)
-        forEachPosition(dst, g, [&](int lane, int y, int x) {
-            auto [sg, sl] = placeOf(src, y, x);
+    for (int g = 0; g < dst.groups(); ++g)
+        dst.forEachLane(g, [&](int lane, int y, int x) {
+            const int ys = rs.sy * y + rs.oy, xs = rs.sx * x + rs.ox;
+            if (ys < 0 || ys >= src.h || xs < 0 || xs >= src.w)
+                return; // Keeps the zero point.
+            const TensorLayout::Place at = src.placeOf(ys, xs);
+            const int shift = at.lane - rs.sx * lane;
             if (!runs.empty()) {
                 Run &r = runs.back();
-                if (r.g == g && r.hi == lane && r.sg == sg &&
-                    r.shift == sl - lane) {
+                if (r.g == g && r.hi == lane && r.sg == at.group &&
+                    r.shift == shift) {
                     ++r.hi;
                     return;
                 }
             }
-            runs.push_back({lane, lane + 1, sl - lane, g, sg});
+            runs.push_back({lane, lane + 1, shift, g, at.group});
         });
     // Runs with equal lane ranges and shifts share masks and offsets.
     std::sort(runs.begin(), runs.end(), [](const Run &a, const Run &b) {
@@ -568,21 +414,22 @@ emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
             Instruction i1;
             i1.ctrl.op = CtrlOp::SetAddrRow;
             i1.ctrl.reg = kPatchA;
-            i1.ctrl.imm = uint32_t(src.baseRow + r.sg * ncb + cb);
+            i1.ctrl.imm = uint32_t(src.baseRow + src.groupRow(r.sg, cb));
             i1.dataRead.enable = true;
             i1.dataRead.reg = kPatchA;
             i1.ndu0.op = NduOp::WindowGather;
             i1.ndu0.srcA = RowSrc::DataRead;
             i1.ndu0.dst = 0;
             i1.ndu0.addrReg = kPatchB;
-            i1.ndu0.param = uint8_t(NduStride::S64);
+            i1.ndu0.param = uint8_t(rs.sx == 2 ? NduStride::S128
+                                               : NduStride::S64);
             pb.emit(i1);
 
             // Lanes [lo, hi) take the gather; the rest keep the row.
             Instruction i2;
             i2.ctrl.op = CtrlOp::SetAddrRow;
             i2.ctrl.reg = kOutReg;
-            i2.ctrl.imm = uint32_t(dst.baseRow + r.g * ncb + cb);
+            i2.ctrl.imm = uint32_t(dst.baseRow + dst.groupRow(r.g, cb));
             i2.dataRead.enable = true;
             i2.dataRead.reg = kOutReg;
             i2.ndu0.op = NduOp::MergeMask;
@@ -998,7 +845,7 @@ emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
 
 /**
  * Staged standard convolution: copy the input once into the geometry
- * the taps read (emitStagedCopy), then run unpredicated fused Reps
+ * the taps read (resampled relayouts), then run unpredicated fused Reps
  * over the copies, one repMac Rep of ncb*64 taps per tap (r, s) over
  * PerTap weights. A halo-free output reads one copy per kernel row r
  * and column phase, indexed by output y, so a block covers 64/(w+2)
@@ -1029,13 +876,10 @@ emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
         copies[size_t(k)] = stagedCopyLayout(p);
         copies[size_t(k)].baseRow = next;
         next += copies[size_t(k)].rows();
-        if (lo.haloFree)
-            emitStagedCopy(pb, p.in, copies[size_t(k)], p.strideH,
-                           (k >> 1) - p.padTop, p.strideW, k & 1,
-                           p.masks);
-        else
-            emitStagedCopy(pb, p.in, copies[size_t(k)], 2, k >> 1, 2,
-                           k & 1, p.masks);
+        emitRelayout(pb, p.in, copies[size_t(k)], p.masks,
+                     lo.haloFree ? Resample{p.strideH, (k >> 1) - p.padTop,
+                                            p.strideW, k & 1}
+                                 : Resample{2, k >> 1, 2, k & 1});
     }
 
     const int ncb = (p.cin + kCBlock - 1) / kCBlock;
@@ -1284,94 +1128,46 @@ maxPoolInitRow()
 
 namespace {
 
-/** Pooling from a y-packed input (plain or packed output). */
+/** Average pooling from a y-packed input into plain rows. */
 void
-emitPoolPacked(ProgramBuilder &pb, const PoolKernel &p)
+emitAvgPoolPacked(ProgramBuilder &pb, const PoolKernel &p)
 {
     const TensorLayout &li = p.in;
     const TensorLayout &lo = p.out;
-    const int ncb = li.cblocks();
+    fatal_if(p.isMax || lo.packed() || lo.xtiles() != 1,
+             "pools over y-packed rows average into single-tile rows");
     const int pitch = li.pitch;
-    const bool out_packed = lo.packed();
+    const int dx2 = li.padLeft - p.padLeft - p.strideW * lo.padLeft;
 
-    if (out_packed) {
-        fatal_if(p.strideW != 1 || p.kh > 3 || lo.pitch != pitch ||
-                     lo.ny != li.ny,
-                 "packed->packed pooling needs stride 1, kh<=3, "
-                 "matching packing");
-    } else {
-        fatal_if(lo.xtiles() != 1, "pool output must be single-tile");
-    }
-
-    const int phi = li.padTop - p.padTop - lo.padTop; // packed out.
-    const int dx2 = li.padLeft - p.padLeft -
-                    (out_packed ? lo.padLeft
-                                : p.strideW * lo.padLeft);
     pb.setZeroOff(p.dataZero, 0);
     pb.setInc(kDataA, 0, 64);
     // Address registers keep their circular-wrap state across layers;
     // clear it or a stale wrap snaps the gather window back mid-tap.
     pb.setWrap(kDataA, 0);
-    if (!out_packed)
-        emitPadRowInit(pb, lo);
+    emitPadRowInit(pb, lo);
 
-    const NduStride gs =
-        p.strideW == 2 ? NduStride::S128 : NduStride::S64;
+    Instruction op;
+    op.ctrl.op = CtrlOp::Rep;
+    op.ctrl.imm = uint32_t(p.kw);
+    op.dataRead.enable = true;
+    op.dataRead.reg = kDataA;
+    op.ndu0.op = NduOp::WindowGather;
+    op.ndu0.srcA = RowSrc::DataRead;
+    op.ndu0.dst = 0;
+    op.ndu0.addrReg = kDataA;
+    op.ndu0.addrInc = true;
+    op.ndu0.param =
+        uint8_t(p.strideW == 2 ? NduStride::S128 : NduStride::S64);
+    op.npu.op = NpuOp::Add;
+    op.npu.type = LaneType::U8;
+    op.npu.a = RowSrc::N0;
+    op.npu.zeroOff = true;
 
-    auto pool_op = [&](uint32_t reps, Pred pred) {
-        Instruction op;
-        op.ctrl.op = CtrlOp::Rep;
-        op.ctrl.imm = reps;
-        op.dataRead.enable = true;
-        op.dataRead.reg = kDataA;
-        op.ndu0.op = NduOp::WindowGather;
-        op.ndu0.srcA = RowSrc::DataRead;
-        op.ndu0.dst = 0;
-        op.ndu0.addrReg = kDataA;
-        op.ndu0.addrInc = true;
-        op.ndu0.param = uint8_t(gs);
-        op.npu.op = p.isMax ? NpuOp::Max : NpuOp::Add;
-        op.npu.type = LaneType::U8;
-        op.npu.a = RowSrc::N0;
-        op.npu.zeroOff = !p.isMax;
-        op.npu.pred = pred;
-        return op;
-    };
-
-    if (out_packed) {
-        for (int b = 0; b < lo.blocks(); ++b)
-        for (int cb = 0; cb < ncb; ++cb) {
-            if (p.isMax) {
-                pb.emit(biasLoad(p.weightBase));
-            } else {
-                Instruction z;
-                z.npu.op = NpuOp::AccZero;
-                pb.emit(z);
-            }
-            for (int r = 0; r < p.kh; ++r) {
-                pb.setRow(kDataA, li.baseRow + li.rowOfPacked(b, cb));
-                int base = (((r + phi) * pitch + dx2) * 64 % 4096 +
-                            4096) %
-                           4096;
-                pb.setByte(kDataA, base);
-                pb.emit(pool_op(uint32_t(p.kw), Pred::None));
-            }
-            pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, cb),
-                                 p.rqIndex));
-        }
-        emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
-        return;
-    }
-
-    for (int cb = 0; cb < ncb; ++cb)
+    for (int cb = 0; cb < li.cblocks(); ++cb)
     for (int yo = 0; yo < lo.h; ++yo) {
-        if (p.isMax) {
-            pb.emit(biasLoad(p.weightBase));
-        } else {
-            Instruction z;
-            z.npu.op = NpuOp::AccZero;
-            pb.emit(z);
-        }
+        Instruction z;
+        z.npu.op = NpuOp::AccZero;
+        pb.emit(z);
         for (int r = 0; r < p.kh; ++r) {
             int yi_p = yo * p.strideH + r - p.padTop + li.padTop;
             panic_if(yi_p < 0 || yi_p >= li.paddedH(),
@@ -1379,11 +1175,8 @@ emitPoolPacked(ProgramBuilder &pb, const PoolKernel &p)
             pb.setRow(kDataA,
                       li.baseRow +
                           li.rowOfPacked(li.blockOf(yi_p), cb));
-            int base = ((li.slotOf(yi_p) * pitch + dx2) * 64 % 4096 +
-                        4096) %
-                       4096;
-            pb.setByte(kDataA, base);
-            pb.emit(pool_op(uint32_t(p.kw), Pred::None));
+            pb.setByte(kDataA, rowByte((li.slotOf(yi_p) * pitch + dx2) * 64));
+            pb.emit(op);
         }
         pb.emit(requantStore(
             lo.baseRow + lo.rowOf(yo + lo.padTop, cb, 0), p.rqIndex));
@@ -1468,10 +1261,7 @@ void
 emitPool(ProgramBuilder &pb, const PoolKernel &p)
 {
     if (p.in.packed()) {
-        fatal_if(p.isMax &&
-                     (p.padTop > 0 || p.padLeft > 0),
-                 "padded max-pools run on plain layouts");
-        emitPoolPacked(pb, p);
+        emitAvgPoolPacked(pb, p);
         return;
     }
     fatal_if(p.out.packed(),

@@ -122,19 +122,31 @@ void emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
 /** Build the content-mask row for a y-packed layout. */
 std::vector<uint8_t> yPackedContentMask(const TensorLayout &lay);
 
+/** Destination position (y, x) of a relayout takes source position
+ *  (sy*y + oy, sx*x + ox); sx is 1 or 2. */
+struct Resample
+{
+    int sy = 1, oy = 0, sx = 1, ox = 0;
+
+    bool operator==(const Resample &) const = default;
+};
+
 /**
- * Copy a tensor between layouts on chip: plain single-tile, y-packed,
- * halo-free or dense rows, in any direction (same shape and
- * channels). The
- * destination comes out exactly as the host packer writes it: every
- * copy of every position, halo slots included, and the zero point in
- * every other lane. Runs after producers that cannot write their
- * output's layout directly (stems and depthwise layers feeding packed
- * or dense rows, 1x1 convs feeding 3x3 or depthwise layers, staged
- * convs writing halo-free rows).
+ * Copy a tensor between layouts on chip: plain, y-packed, halo-free or
+ * dense rows, in any direction (same channels). Without a resample the
+ * shapes match and the destination comes out exactly as
+ * packActivation writes it: every copy of every position, halo lanes
+ * included, and the zero point in every other lane. With one, every
+ * lane of the destination's padded extent whose resampled position
+ * lies inside the source takes it, pad lanes included, and the rest
+ * hold the zero point: the staged copies of a staged conv. Runs after
+ * producers that cannot write their output's layout directly (stems
+ * and depthwise layers feeding packed or dense rows, 1x1 convs feeding
+ * 3x3 or depthwise layers, staged convs writing halo-free rows).
  */
 void emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
-                  const TensorLayout &dst, const MaskTable &masks);
+                  const TensorLayout &dst, const MaskTable &masks,
+                  Resample rs = {});
 
 /**
  * Quantized FC as a K-split matvec over a 1x1 interleaved input and
@@ -172,7 +184,8 @@ fcScratchRows(int64_t cin)
  */
 bool fcSplitExact(int64_t cin, int64_t max_abs_bias);
 
-/** Max/avg pooling over the interleaved layout. */
+/** Max/avg pooling over the interleaved layout: plain rows in and out,
+ *  or (average pools only) y-packed rows in and plain rows out. */
 struct PoolKernel
 {
     TensorLayout in;
@@ -186,7 +199,6 @@ struct PoolKernel
     int rqIndex = 0;
     uint8_t dataZero = 0;
     MaskTable masks;
-    int contentMaskRow = -1; ///< Required when `out` is packed.
     /// Padded max-pools stage the input into a scratch copy whose pad
     /// lanes hold code 0 (so padding can never win the max, matching
     /// the exclude-padding semantics); this is the scratch base row.

@@ -37,66 +37,6 @@ flatLayout(int64_t elems)
     return lay;
 }
 
-void
-packInterleaved(const Tensor &t, int64_t n, const TensorLayout &lay,
-                uint8_t *dst)
-{
-    panic_if(t.dtype() != DType::UInt8 && t.dtype() != DType::Int8,
-             "packInterleaved supports 8-bit tensors");
-    const int ncb = lay.cblocks();
-    const int nt = lay.xtiles();
-    const uint8_t *src = t.raw();
-    const int64_t hw_c = int64_t(lay.w) * lay.c;
-
-    std::memset(dst, lay.zeroByte,
-                size_t(lay.rows()) * kRowBytes);
-
-    for (int y = 0; y < lay.h; ++y) { // Pad rows stay zero-point.
-        int yp = y + lay.padTop;
-        for (int cb = 0; cb < ncb; ++cb)
-        for (int tile = 0; tile < nt; ++tile) {
-            uint8_t *row = dst +
-                size_t(lay.rowOf(yp, cb, tile)) * kRowBytes;
-            for (int i = 0; i < kRowPos; ++i) {
-                int xp = tile * kOwnW + i;
-                int x = xp - lay.padLeft;
-                if (x < 0 || x >= lay.w)
-                    continue;
-                const uint8_t *px =
-                    src + (n * lay.h + y) * hw_c + int64_t(x) * lay.c +
-                    int64_t(cb) * kCBlock;
-                int span = std::min(kCBlock, lay.c - cb * kCBlock);
-                std::memcpy(row + i * kCBlock, px, size_t(span));
-            }
-        }
-    }
-}
-
-void
-unpackInterleaved(const uint8_t *src, const TensorLayout &lay, Tensor &t,
-                  int64_t n)
-{
-    const int ncb = lay.cblocks();
-    uint8_t *dst = t.raw();
-    const int64_t hw_c = int64_t(lay.w) * lay.c;
-
-    for (int y = 0; y < lay.h; ++y) {
-        int yp = y + lay.padTop;
-        for (int cb = 0; cb < ncb; ++cb)
-        for (int x = 0; x < lay.w; ++x) {
-            int xp = x + lay.padLeft;
-            int tile = xp / kOwnW; // Owner tile.
-            int i = xp - tile * kOwnW;
-            const uint8_t *row =
-                src + size_t(lay.rowOf(yp, cb, tile)) * kRowBytes;
-            uint8_t *px = dst + (n * lay.h + y) * hw_c +
-                          int64_t(x) * lay.c + int64_t(cb) * kCBlock;
-            int span = std::min(kCBlock, lay.c - cb * kCBlock);
-            std::memcpy(px, row + i * kCBlock, size_t(span));
-        }
-    }
-}
-
 TensorLayout
 yPackedLayout(const Shape &shape, uint8_t zero_byte)
 {
@@ -138,134 +78,54 @@ denseLayout(const Shape &shape, uint8_t zero_byte)
 }
 
 void
-packDense(const Tensor &t, int64_t n, const TensorLayout &lay,
-          uint8_t *dst)
-{
-    panic_if(!lay.dense, "packDense on a non-dense layout");
-    const int ncb = lay.cblocks();
-    const int64_t hw = int64_t(lay.h) * lay.w;
-    const uint8_t *src = t.raw() + n * hw * lay.c;
-
-    std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
-    for (int64_t p = 0; p < hw; ++p)
-        for (int cb = 0; cb < ncb; ++cb) {
-            int span = std::min(kCBlock, lay.c - cb * kCBlock);
-            std::memcpy(dst + size_t(lay.rowOfPacked(int(p / kRowPos),
-                                                     cb)) *
-                                  kRowBytes +
-                            (p % kRowPos) * kCBlock,
-                        src + p * lay.c + cb * kCBlock, size_t(span));
-        }
-}
-
-void
-unpackDense(const uint8_t *src, const TensorLayout &lay, Tensor &t,
-            int64_t n)
-{
-    panic_if(!lay.dense, "unpackDense on a non-dense layout");
-    const int ncb = lay.cblocks();
-    const int64_t hw = int64_t(lay.h) * lay.w;
-    uint8_t *dst = t.raw() + n * hw * lay.c;
-
-    for (int64_t p = 0; p < hw; ++p)
-        for (int cb = 0; cb < ncb; ++cb) {
-            int span = std::min(kCBlock, lay.c - cb * kCBlock);
-            std::memcpy(dst + p * lay.c + cb * kCBlock,
-                        src + size_t(lay.rowOfPacked(int(p / kRowPos),
-                                                     cb)) *
-                                  kRowBytes +
-                            (p % kRowPos) * kCBlock,
-                        size_t(span));
-        }
-}
-
-void
 packActivation(const Tensor &t, int64_t n, const TensorLayout &lay,
                uint8_t *dst)
 {
-    if (lay.dense)
-        packDense(t, n, lay, dst);
-    else if (lay.packed())
-        packYPacked(t, n, lay, dst);
-    else if (lay.kind == LayoutKind::GroupedRf)
+    if (lay.kind == LayoutKind::GroupedRf) {
         packGroupedRf(t, n, lay, dst);
-    else
-        packInterleaved(t, n, lay, dst);
+        return;
+    }
+    panic_if(lay.kind != LayoutKind::Interleaved ||
+                 (t.dtype() != DType::UInt8 && t.dtype() != DType::Int8),
+             "packActivation packs 8-bit interleaved-family layouts");
+    const int ncb = lay.cblocks();
+    const uint8_t *src = t.raw() + n * lay.h * lay.w * lay.c;
+
+    std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
+    for (int g = 0; g < lay.groups(); ++g)
+        lay.forEachLane(g, [&](int lane, int y, int x) {
+            if (y < 0 || y >= lay.h || x < 0 || x >= lay.w)
+                return; // Pads keep the zero point.
+            for (int cb = 0; cb < ncb; ++cb)
+                std::memcpy(dst + size_t(lay.groupRow(g, cb)) * kRowBytes +
+                                lane * kCBlock,
+                            src + (int64_t(y) * lay.w + x) * lay.c +
+                                cb * kCBlock,
+                            size_t(std::min(kCBlock, lay.c - cb * kCBlock)));
+        });
 }
 
 void
 unpackActivation(const uint8_t *src, const TensorLayout &lay, Tensor &t,
                  int64_t n)
 {
-    if (lay.dense)
-        unpackDense(src, lay, t, n);
-    else if (lay.packed())
-        unpackYPacked(src, lay, t, n);
-    else
-        unpackInterleaved(src, lay, t, n);
-}
-
-void
-packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
-            uint8_t *dst)
-{
-    panic_if(!lay.packed(), "packYPacked on unpacked layout");
+    panic_if(lay.kind != LayoutKind::Interleaved,
+             "unpackActivation reads interleaved-family layouts");
     const int ncb = lay.cblocks();
-    const uint8_t *src = t.raw();
-    const int64_t hw_c = int64_t(lay.w) * lay.c;
+    uint8_t *dst = t.raw() + n * lay.h * lay.w * lay.c;
 
-    std::memset(dst, lay.zeroByte, size_t(lay.rows()) * kRowBytes);
-
-    for (int b = 0; b < lay.blocks(); ++b)
-    for (int cb = 0; cb < ncb; ++cb) {
-        uint8_t *row =
-            dst + size_t(lay.rowOfPacked(b, cb)) * kRowBytes;
-        for (int j = 0; j < lay.slots(); ++j) {
-            int yp = b * lay.ny + j - lay.halo();
-            int y = yp - lay.padTop;
-            if (y < 0 || y >= lay.h)
-                continue;
-            for (int x = 0; x < lay.w; ++x) {
-                const uint8_t *px = src + (n * lay.h + y) * hw_c +
-                                    int64_t(x) * lay.c +
-                                    int64_t(cb) * kCBlock;
-                int span = std::min(kCBlock, lay.c - cb * kCBlock);
-                std::memcpy(row +
-                                (j * lay.pitch + lay.padLeft + x) * 64,
-                            px, size_t(span));
-            }
+    for (int y = 0; y < lay.h; ++y)
+        for (int x = 0; x < lay.w; ++x) {
+            const TensorLayout::Place at = lay.placeOf(y, x);
+            for (int cb = 0; cb < ncb; ++cb)
+                std::memcpy(dst + (int64_t(y) * lay.w + x) * lay.c +
+                                cb * kCBlock,
+                            src +
+                                size_t(lay.groupRow(at.group, cb)) *
+                                    kRowBytes +
+                                at.lane * kCBlock,
+                            size_t(std::min(kCBlock, lay.c - cb * kCBlock)));
         }
-    }
-}
-
-void
-unpackYPacked(const uint8_t *src, const TensorLayout &lay, Tensor &t,
-              int64_t n)
-{
-    panic_if(!lay.packed(), "unpackYPacked on unpacked layout");
-    const int ncb = lay.cblocks();
-    uint8_t *dst = t.raw();
-    const int64_t hw_c = int64_t(lay.w) * lay.c;
-
-    for (int y = 0; y < lay.h; ++y) {
-        int yp = y + lay.padTop;
-        int b = lay.blockOf(yp);
-        int j = lay.slotOf(yp);
-        for (int cb = 0; cb < ncb; ++cb) {
-            const uint8_t *row =
-                src + size_t(lay.rowOfPacked(b, cb)) * kRowBytes;
-            for (int x = 0; x < lay.w; ++x) {
-                uint8_t *px = dst + (n * lay.h + y) * hw_c +
-                              int64_t(x) * lay.c +
-                              int64_t(cb) * kCBlock;
-                int span = std::min(kCBlock, lay.c - cb * kCBlock);
-                std::memcpy(px,
-                            row + (j * lay.pitch + lay.padLeft + x) *
-                                      64,
-                            size_t(span));
-            }
-        }
-    }
 }
 
 void

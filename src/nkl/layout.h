@@ -167,6 +167,70 @@ struct TensorLayout
         return (yp * cblocks() + cb) * xtiles() + t;
     }
 
+    // The lane map of the 8-bit interleaved family (plain, y-packed,
+    // halo-free and dense rows). A row group is the set of rows, one per
+    // channel block, whose 64 lanes hold the same positions: a block of
+    // packed or dense rows, or one (padded y, x-tile) of plain rows.
+
+    /** Row groups the tensor spans. */
+    int
+    groups() const
+    {
+        return packed() || dense ? blocks() : paddedH() * xtiles();
+    }
+
+    /** Row (relative to baseRow) of channel block `cb` of group `g`. */
+    int
+    groupRow(int g, int cb) const
+    {
+        if (packed() || dense)
+            return rowOfPacked(g, cb);
+        return rowOf(g / xtiles(), cb, g % xtiles());
+    }
+
+    /**
+     * Call f(lane, y, x) for every lane of group `g` inside the padded
+     * extent, in lane order, with the unpadded position the lane stands
+     * for: pad lanes report positions outside [0, h) x [0, w), and halo
+     * lanes (a plain tile's last 8, a y-packed row's first and last
+     * slots) their owner's position. Dense rows have no pads.
+     */
+    template <typename F>
+    void
+    forEachLane(int g, F &&f) const
+    {
+        if (dense) {
+            for (int i = 0; i < kRowPos && g * kRowPos + i < h * w; ++i)
+                f(i, (g * kRowPos + i) / w, (g * kRowPos + i) % w);
+        } else if (packed()) {
+            for (int j = 0; j < slots(); ++j)
+                for (int i = 0; i < pitch; ++i)
+                    f(j * pitch + i, g * ny + j - halo() - padTop,
+                      i - padLeft);
+        } else {
+            const int t = g % xtiles();
+            for (int i = 0; i < kRowPos && t * kOwnW + i < paddedW(); ++i)
+                f(i, g / xtiles() - padTop, t * kOwnW + i - padLeft);
+        }
+    }
+
+    /** The group and lane that own position (y, x) of the padded
+     *  extent. */
+    struct Place
+    {
+        int group, lane;
+    };
+    Place
+    placeOf(int y, int x) const
+    {
+        if (dense)
+            return {(y * w + x) / kRowPos, (y * w + x) % kRowPos};
+        const int yp = y + padTop, xp = x + padLeft;
+        if (packed())
+            return {blockOf(yp), slotOf(yp) * pitch + xp};
+        return {yp * xtiles() + xp / kOwnW, xp % kOwnW};
+    }
+
     bool operator==(const TensorLayout &) const = default;
 };
 
@@ -208,38 +272,20 @@ yPackable(int64_t w)
  */
 bool haloFreePays(int64_t h, int64_t w);
 
-/** Pack / unpack an NHWC uint8 tensor to/from y-packed or halo-free
- *  rows (host side; halo slots and pads are materialized, so
- *  host-packed inputs need no on-chip patch). */
-void packYPacked(const Tensor &t, int64_t n, const TensorLayout &lay,
-                 uint8_t *dst);
-void unpackYPacked(const uint8_t *src, const TensorLayout &lay,
-                   Tensor &t, int64_t n);
-
-/** Pack / unpack an NHWC uint8 tensor to/from dense rows (host side;
- *  lanes past the last position hold the zero point). */
-void packDense(const Tensor &t, int64_t n, const TensorLayout &lay,
-               uint8_t *dst);
-void unpackDense(const uint8_t *src, const TensorLayout &lay, Tensor &t,
-                 int64_t n);
-
-/** Pack / unpack any 8-bit interleaved-family layout (plain, y-packed
- *  or dense), dispatching on its geometry. */
+/**
+ * Pack an NHWC 8-bit tensor (batch index `n`) into plain, y-packed,
+ * halo-free or dense rows, or into GroupedRf rows. Every lane of every
+ * copy of a position holds its value, halos included, and every other
+ * byte the zero point, so host-packed inputs need no on-chip patch.
+ * `dst` must hold lay.rows() * 4096 bytes.
+ */
 void packActivation(const Tensor &t, int64_t n, const TensorLayout &lay,
                     uint8_t *dst);
+
+/** Inverse of packActivation for plain, y-packed, halo-free and dense
+ *  rows: read each position from the lane that owns it. */
 void unpackActivation(const uint8_t *src, const TensorLayout &lay,
                       Tensor &t, int64_t n);
-
-/**
- * Pack an NHWC uint8 tensor (batch index `n`) into interleaved rows.
- * `dst` must hold layout.rows() * 4096 bytes.
- */
-void packInterleaved(const Tensor &t, int64_t n, const TensorLayout &lay,
-                     uint8_t *dst);
-
-/** Inverse of packInterleaved: extract the valid region into `t`. */
-void unpackInterleaved(const uint8_t *src, const TensorLayout &lay,
-                       Tensor &t, int64_t n);
 
 /**
  * Pack an NHWC uint8 tensor into the GroupedRf stem layout: row

@@ -1604,9 +1604,9 @@ TEST_F(FastPathDiff, FusedConvReps)
  * splits a Rep into segments at either register's wraps, fills a
  * segment's weight windows straight from the row or window by window,
  * and widens GroupBcast data in runs that may cross segments and split
- * at the row end. Each case also checks which walk its taps took: the
- * closed form, or the per-tap replay for one address register shared
- * by both NDU slots.
+ * at the row end. Each case also checks which path its taps took: the
+ * fused one, or the per-rep one for one address register shared by
+ * both NDU slots.
  */
 TEST_F(FastPathDiff, ClosedFormConvWalk)
 {
@@ -1635,18 +1635,14 @@ TEST_F(FastPathDiff, ClosedFormConvWalk)
             taps += mac.ctrl.imm;
         }
         prog.push_back(ctrlOnly(CtrlOp::Halt));
-        std::vector<ConvRepTaps> before;
+        std::vector<uint64_t> before;
         for (Machine *m : specialized())
-            before.push_back(m->convRepTaps());
+            before.push_back(m->fusedConvTaps());
         runAll(prog);
         compareState(61);
-        for (size_t i = 0; i < before.size(); ++i) {
-            const ConvRepTaps &after = tiers_[i]->convRepTaps();
-            EXPECT_EQ(after.closedForm - before[i].closedForm,
+        for (size_t i = 0; i < before.size(); ++i)
+            EXPECT_EQ(tiers_[i]->fusedConvTaps() - before[i],
                       closed ? taps : 0);
-            EXPECT_EQ(after.replayed - before[i].replayed,
-                      closed ? 0 : taps);
-        }
     };
     const NduOp kGb = NduOp::GroupBcast, kWg = NduOp::WindowGather;
 
@@ -1712,7 +1708,7 @@ TEST_F(FastPathDiff, ClosedFormConvWalk)
              setAddrByte(1, 0), setAddrInc(1, 1, 64), setAddrWrap(1, 64)},
             {convRep(90, kWg, NduStride::S64, Pred::NotP0, true)});
 
-    // One register for both NDU slots steps twice per tap: replayed.
+    // One register for both NDU slots steps twice per tap: per rep.
     Instruction shared = convRep(150, kGb, NduStride::S64, Pred::P0, true);
     shared.ndu0.addrReg = 3;
     shared.ndu1.addrReg = 3;
@@ -2024,8 +2020,8 @@ class FastPathDiffEcc : public FastPathDiff
 
 /**
  * An uncorrectable row is counted on every read, so a Rep that reads
- * it N times counts N, on the per-rep path and on the fused conv path
- * alike.
+ * it N times counts N: a conv-shaped Rep over ECC-modeled banks leaves
+ * the fused path for the per-rep one.
  */
 TEST_F(FastPathDiffEcc, UncorrectableRowsCountPerRead)
 {
@@ -2054,11 +2050,9 @@ TEST_F(FastPathDiffEcc, UncorrectableRowsCountPerRead)
     prog.push_back(ctrlOnly(CtrlOp::Halt));
     runAll(prog);
 
-    // ECC-modeled banks count every read, so the Rep was replayed.
-    for (Machine *m : specialized()) {
-        EXPECT_EQ(m->convRepTaps().replayed, 128u) << m->execDescription();
-        EXPECT_EQ(m->convRepTaps().closedForm, 0u) << m->execDescription();
-    }
+    // ECC-modeled banks count every read, so the Rep ran per rep.
+    for (Machine *m : specialized())
+        EXPECT_EQ(m->fusedConvTaps(), 0u) << m->execDescription();
     // Before compareState, whose host row reads scrub too.
     for (Machine *m : all()) {
         SCOPED_TRACE(m->execDescription());

@@ -187,12 +187,9 @@ TEST(FuzzDiag, DISABLED_Seed8Intermediates)
         for (int r = 0; r < lay.rows(); ++r)
             rt.machine().hostReadRow(false, lay.baseRow + r,
                                      img.data() + size_t(r) * 4096);
-        if (lay.packed())
-            unpackYPacked(img.data(), lay, got, 0);
-        else if (lay.kind == LayoutKind::Interleaved)
-            unpackInterleaved(img.data(), lay, got, 0);
-        else
+        if (lay.kind != LayoutKind::Interleaved)
             continue;
+        unpackActivation(img.data(), lay, got, 0);
         const Tensor &want = ref.valueOf(out);
         int bad = 0;
         for (int64_t i = 0; i < want.numElements(); ++i)

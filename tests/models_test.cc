@@ -276,13 +276,13 @@ TEST(ModelDeviceTotals, MobileNetV1)
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {1671234, 1618250, 27258880, 6420365312, 52984});
+                       {1671171, 1618187, 27258880, 6420365312, 52984});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)
 {
     expectDeviceTotals(Workload::SsdMobileNet,
-                       {828822, 828822, 0, 3212328960, 0});
+                       {828598, 828598, 0, 3212328960, 0});
 }
 
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "gir/graph.h"
 #include "nkl_test_util.h"
@@ -129,10 +130,11 @@ INSTANTIATE_TEST_SUITE_P(
                       DenseConvCase{28, 28, 512, 128}),
     denseConvName);
 
-/** Relayout src -> dst on chip; dst must equal the host packer's rows
- *  in every byte, pads, halos and dead lanes included. */
-void
-checkRelayout(const Tensor &t, TensorLayout src, TensorLayout dst)
+/** Rows of `dst` after an on-chip relayout, resampled by `rs`, of `t`
+ *  host-packed into `src`. */
+std::vector<uint8_t>
+relayoutOnChip(const Tensor &t, TensorLayout src, TensorLayout dst,
+               Resample rs = {})
 {
     Machine m(chaNcoreConfig(), chaSocConfig());
     MaskTable masks;
@@ -143,18 +145,175 @@ checkRelayout(const Tensor &t, TensorLayout src, TensorLayout dst)
     loadActivation(m, t, src);
 
     ProgramBuilder pb;
-    emitRelayout(pb, src, dst, masks);
-    ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
+    emitRelayout(pb, src, dst, masks, rs);
+    EXPECT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);
+    std::vector<uint8_t> rows(size_t(dst.rows()) * 4096);
+    for (int r = 0; r < dst.rows(); ++r)
+        m.hostReadRow(false, dst.baseRow + r, rows.data() + size_t(r) * 4096);
+    return rows;
+}
 
+void
+expectRows(const std::vector<uint8_t> &got, const std::vector<uint8_t> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "row " << i / 4096 << " byte "
+                                   << i % 4096;
+}
+
+/** Relayout src -> dst on chip; dst must equal the host packer's rows
+ *  in every byte, pads, halos and dead lanes included. */
+void
+checkRelayout(const Tensor &t, const TensorLayout &src,
+              const TensorLayout &dst)
+{
     std::vector<uint8_t> want(size_t(dst.rows()) * 4096);
     packActivation(t, 0, dst, want.data());
-    std::vector<uint8_t> got(4096);
-    for (int r = 0; r < dst.rows(); ++r) {
-        m.hostReadRow(false, dst.baseRow + r, got.data());
-        for (int i = 0; i < 4096; ++i)
-            ASSERT_EQ(got[size_t(i)], want[size_t(r) * 4096 + i])
-                << "row " << r << " byte " << i;
+    expectRows(relayoutOnChip(t, src, dst), want);
+}
+
+enum class Rows { Plain, YPacked, HaloFree, Dense };
+
+TensorLayout
+rowsLayout(Rows kind, const Shape &shape, uint8_t zp)
+{
+    switch (kind) {
+      case Rows::Plain:
+        return interleavedLayout(shape, 1, 1, 1, 1, zp);
+      case Rows::YPacked:
+        return yPackedLayout(shape, zp);
+      case Rows::HaloFree:
+        return haloFreeLayout(shape, zp);
+      case Rows::Dense:
+        break;
+    }
+    return denseLayout(shape, zp);
+}
+
+std::string
+rowsName(Rows kind)
+{
+    const char *names[] = {"plain", "ypacked", "halofree", "dense"};
+    return names[int(kind)];
+}
+
+class NklRelayoutPairs
+    : public ::testing::TestWithParam<std::tuple<Rows, Rows>>
+{
+};
+
+TEST_P(NklRelayoutPairs, MatchesHostPack)
+{
+    const auto [from, to] = GetParam();
+    QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
+    const uint8_t zp = uint8_t(qp.zeroPoint);
+    // Halo-free rows of 4 and 7 ys, y-packed rows of 2 and 5, a partial
+    // dense block, and a width that leaves lanes past the last slot.
+    for (Shape shape : {Shape{1, 14, 14, 96}, Shape{1, 7, 7, 160},
+                        Shape{1, 6, 13, 64}}) {
+        SCOPED_TRACE(shape.toString());
+        Rng rng(uint64_t(shape.dim(1) * 100 + shape.dim(2)));
+        Tensor t(shape, DType::UInt8, qp);
+        t.fillRandom(rng);
+        checkRelayout(t, rowsLayout(from, shape, zp),
+                      rowsLayout(to, shape, zp));
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+const Rows kAllRows[] = {Rows::Plain, Rows::YPacked, Rows::HaloFree,
+                         Rows::Dense};
+
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, NklRelayoutPairs,
+    ::testing::Combine(::testing::ValuesIn(kAllRows),
+                       ::testing::ValuesIn(kAllRows)),
+    [](const ::testing::TestParamInfo<std::tuple<Rows, Rows>> &info) {
+        return rowsName(std::get<0>(info.param)) + "_to_" +
+               rowsName(std::get<1>(info.param));
+    });
+
+TEST(NklDenseRelayout, StrideTwoPhaseCopies)
+{
+    // A staged conv's copies: destination (y, x) takes source
+    // (2y + oy, 2x + ox), pad lanes included, and the zero point where
+    // that lies outside the source. The 15-wide source with a 7-wide
+    // copy (a 3x3 stride-2 conv with pad 0) puts source x = 14 in the
+    // copy's right pad column.
+    QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
+    const uint8_t zp = uint8_t(qp.zeroPoint);
+    struct Case
+    {
+        int hw;
+        TensorLayout src;
+    };
+    const Shape s15{1, 15, 15, 96}, s14{1, 14, 14, 96};
+    for (const Case &cs :
+         {Case{15, interleavedLayout(s15, 0, 0, 0, 0, zp)},
+          Case{14, interleavedLayout(s14, 1, 1, 1, 1, zp)},
+          Case{14, yPackedLayout(s14, zp)}}) {
+        const Shape shape = cs.hw == 15 ? s15 : s14;
+        Rng rng(uint64_t(cs.hw + cs.src.ny));
+        Tensor t(shape, DType::UInt8, qp);
+        t.fillRandom(rng);
+        const Shape copy{1, 7, 7, 96};
+        for (const TensorLayout &dst :
+             {yPackedLayout(copy, zp), haloFreeLayout(copy, zp)})
+            for (int oy = -1; oy <= 2; ++oy)
+                for (int ox = 0; ox <= 1; ++ox) {
+                    SCOPED_TRACE(testing::Message()
+                                 << cs.hw << (cs.src.packed() ? " ypacked"
+                                                              : " plain")
+                                 << " -> "
+                                 << (dst.haloFree ? "halofree" : "ypacked")
+                                 << " phase " << oy << "," << ox);
+                    std::vector<uint8_t> want(size_t(dst.rows()) * 4096,
+                                              zp);
+                    int right_pad = 0;
+                    for (int g = 0; g < dst.groups(); ++g)
+                        dst.forEachLane(g, [&](int lane, int y, int x) {
+                            const int ys = 2 * y + oy, xs = 2 * x + ox;
+                            if (ys < 0 || ys >= shape.dim(1) || xs < 0 ||
+                                xs >= shape.dim(2))
+                                return;
+                            right_pad += x == dst.w;
+                            for (int c = 0; c < 96; ++c)
+                                want[size_t(dst.groupRow(g, c / 64)) *
+                                         4096 +
+                                     size_t(lane * 64 + c % 64)] =
+                                    uint8_t(t.intAt(
+                                        (ys * shape.dim(2) + xs) * 96 + c));
+                        });
+                    EXPECT_EQ(right_pad > 0, cs.hw == 15 && ox == 0);
+                    expectRows(
+                        relayoutOnChip(t, cs.src, dst, {2, oy, 2, ox}),
+                        want);
+                    if (HasFatalFailure())
+                        return;
+                }
+    }
+}
+
+TEST(NklDenseRelayout, MultiTilePlainRows)
+{
+    // Plain rows of two and three x-tiles, whose halo lanes copy the
+    // next tile's first positions, to and from dense rows.
+    QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
+    const uint8_t zp = uint8_t(qp.zeroPoint);
+    for (Shape shape : {Shape{1, 3, 60, 96}, Shape{1, 2, 120, 64}}) {
+        SCOPED_TRACE(shape.toString());
+        Rng rng(uint64_t(shape.dim(2)));
+        Tensor t(shape, DType::UInt8, qp);
+        t.fillRandom(rng);
+        const TensorLayout plain = interleavedLayout(shape, 1, 1, 1, 1, zp);
+        ASSERT_GE(plain.xtiles(), 2);
+        checkRelayout(t, plain, denseLayout(shape, zp));
+        checkRelayout(t, denseLayout(shape, zp), plain);
+        if (HasFatalFailure())
+            return;
     }
 }
 
@@ -199,9 +358,9 @@ TEST(NklDenseRelayout, HostPackUnpackRoundTrip)
     EXPECT_EQ(lay.blocks(), 3); // 143 positions.
     EXPECT_EQ(lay.rows(), 3 * 2);
     std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-    packDense(t, 0, lay, img.data());
+    packActivation(t, 0, lay, img.data());
     Tensor back(t.shape(), DType::UInt8, qp);
-    unpackDense(img.data(), lay, back, 0);
+    unpackActivation(img.data(), lay, back, 0);
     for (int64_t i = 0; i < t.numElements(); ++i)
         ASSERT_EQ(back.intAt(i), t.intAt(i)) << i;
     // Position 100 (y 9, x 1), channel 70: row block 1, channel block

@@ -42,7 +42,7 @@ class NklPackedTest : public ::testing::Test
     loadPacked(const Tensor &t, const TensorLayout &lay)
     {
         std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-        packYPacked(t, 0, lay, img.data());
+        packActivation(t, 0, lay, img.data());
         for (int r = 0; r < lay.rows(); ++r)
             m.hostWriteRow(false, lay.baseRow + r,
                            img.data() + size_t(r) * 4096);
@@ -57,7 +57,7 @@ class NklPackedTest : public ::testing::Test
         for (int r = 0; r < lay.rows(); ++r)
             m.hostReadRow(false, lay.baseRow + r,
                           img.data() + size_t(r) * 4096);
-        unpackYPacked(img.data(), lay, t, 0);
+        unpackActivation(img.data(), lay, t, 0);
         return t;
     }
 
@@ -79,9 +79,9 @@ TEST_F(NklPackedTest, HostPackUnpackRoundTrip)
     lay.baseRow = 100;
 
     std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-    packYPacked(t, 0, lay, img.data());
+    packActivation(t, 0, lay, img.data());
     Tensor back(t.shape(), DType::UInt8, qp);
-    unpackYPacked(img.data(), lay, back, 0);
+    unpackActivation(img.data(), lay, back, 0);
     for (int64_t i = 0; i < t.numElements(); ++i)
         ASSERT_EQ(back.intAt(i), t.intAt(i)) << i;
 }
@@ -110,7 +110,7 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
     // The on-chip rows must match the host packer bit-for-bit
     // (including materialized halos, pads and the dead tail).
     std::vector<uint8_t> want(size_t(packed.rows()) * 4096);
-    packYPacked(t, 0, packed, want.data());
+    packActivation(t, 0, packed, want.data());
     std::vector<uint8_t> got(4096);
     for (int r = 0; r < packed.rows(); ++r) {
         m.hostReadRow(false, packed.baseRow + r, got.data());
@@ -224,15 +224,7 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
         m.hostWriteRow(false, cm_row, mask.data());
     }
 
-    if (cc.inPacked) {
-        std::vector<uint8_t> img(size_t(li.rows()) * 4096);
-        packYPacked(x_val, 0, li, img.data());
-        for (int r = 0; r < li.rows(); ++r)
-            m.hostWriteRow(false, li.baseRow + r,
-                           img.data() + size_t(r) * 4096);
-    } else {
-        testutil::loadInterleaved(m, x_val, li);
-    }
+    testutil::loadInterleaved(m, x_val, li);
 
     ConvKernel kp;
     kp.in = li;
@@ -279,19 +271,7 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
               StopReason::Halted);
 
     Tensor got(want.shape(), DType::UInt8, out_qp);
-    if (cc.outPacked) {
-        std::vector<uint8_t> oimg(size_t(lo.rows()) * 4096);
-        for (int r = 0; r < lo.rows(); ++r)
-            m.hostReadRow(false, lo.baseRow + r,
-                          oimg.data() + size_t(r) * 4096);
-        unpackYPacked(oimg.data(), lo, got, 0);
-    } else {
-        std::vector<uint8_t> oimg(size_t(lo.rows()) * 4096);
-        for (int r = 0; r < lo.rows(); ++r)
-            m.hostReadRow(false, lo.baseRow + r,
-                          oimg.data() + size_t(r) * 4096);
-        unpackInterleaved(oimg.data(), lo, got, 0);
-    }
+    testutil::readInterleaved(m, got, lo);
     for (int64_t i = 0; i < want.numElements(); ++i)
         ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
 }

@@ -46,7 +46,7 @@ inline void
 loadInterleaved(Machine &m, const Tensor &t, const TensorLayout &lay)
 {
     std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-    packInterleaved(t, 0, lay, img.data());
+    packActivation(t, 0, lay, img.data());
     for (int r = 0; r < lay.rows(); ++r)
         m.hostWriteRow(false, lay.baseRow + r, img.data() +
                                                    size_t(r) * 4096);
@@ -60,7 +60,7 @@ readInterleaved(Machine &m, Tensor &t, const TensorLayout &lay)
     for (int r = 0; r < lay.rows(); ++r)
         m.hostReadRow(false, lay.baseRow + r,
                       img.data() + size_t(r) * 4096);
-    unpackInterleaved(img.data(), lay, t, 0);
+    unpackActivation(img.data(), lay, t, 0);
 }
 
 /** Host-load a flat (bf16) tensor. */

@@ -161,6 +161,46 @@ class LayoutRoundTripTest : public ::testing::TestWithParam<int>
 {
 };
 
+/**
+ * Pack `t` into `lay` with packActivation and check the image against
+ * the lane map: every lane forEachLane reports for a position inside
+ * the tensor, halo lanes included, holds that position's value, and
+ * every other byte holds the zero point. placeOf must name one of the
+ * lanes that report a position, and unpackActivation must give `t`
+ * back.
+ */
+void
+checkPackUnpack(const Tensor &t, const TensorLayout &lay)
+{
+    std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
+    packActivation(t, 0, lay, img.data());
+
+    std::vector<uint8_t> want(img.size(), lay.zeroByte);
+    std::vector<int> owners(size_t(lay.h) * size_t(lay.w), 0);
+    for (int g = 0; g < lay.groups(); ++g)
+        lay.forEachLane(g, [&](int lane, int y, int x) {
+            if (y < 0 || y >= lay.h || x < 0 || x >= lay.w)
+                return;
+            const TensorLayout::Place at = lay.placeOf(y, x);
+            owners[size_t(y) * size_t(lay.w) + size_t(x)] +=
+                at.group == g && at.lane == lane;
+            for (int c = 0; c < lay.c; ++c)
+                want[size_t(lay.groupRow(g, c / kCBlock)) * 4096 +
+                     size_t(lane * kCBlock + c % kCBlock)] =
+                    uint8_t(t.intAt((int64_t(y) * lay.w + x) * lay.c + c));
+        });
+    for (size_t i = 0; i < owners.size(); ++i)
+        ASSERT_EQ(owners[i], 1) << "position " << i;
+    for (size_t i = 0; i < img.size(); ++i)
+        ASSERT_EQ(img[i], want[i]) << "row " << i / 4096 << " byte "
+                                   << i % 4096;
+
+    Tensor back(t.shape(), DType::UInt8, t.quant());
+    unpackActivation(img.data(), lay, back, 0);
+    for (int64_t i = 0; i < t.numElements(); ++i)
+        ASSERT_EQ(back.intAt(i), t.intAt(i)) << i;
+}
+
 TEST_P(LayoutRoundTripTest, InterleavedPackUnpack)
 {
     Rng rng(uint64_t(GetParam()) * 99 + 1);
@@ -171,15 +211,18 @@ TEST_P(LayoutRoundTripTest, InterleavedPackUnpack)
     Tensor t(Shape{1, h, w, c}, DType::UInt8,
              chooseAsymmetricUint8(-1, 1));
     t.fillRandom(rng);
+    checkPackUnpack(t, interleavedLayout(t.shape(), pad, pad, pad, pad,
+                                         uint8_t(128)));
 
-    TensorLayout lay = interleavedLayout(t.shape(), pad, pad, pad, pad,
-                                         uint8_t(128));
-    std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-    packInterleaved(t, 0, lay, img.data());
-    Tensor back(t.shape(), DType::UInt8, t.quant());
-    unpackInterleaved(img.data(), lay, back, 0);
-    for (int64_t i = 0; i < t.numElements(); ++i)
-        ASSERT_EQ(back.intAt(i), t.intAt(i));
+    // At least two x-tiles, with uneven pads: halo lanes duplicate the
+    // next tile's first positions.
+    Tensor wide(Shape{1, h, 55 + int(rng.nextBelow(100)), c},
+                DType::UInt8, t.quant());
+    wide.fillRandom(rng);
+    const TensorLayout lay =
+        interleavedLayout(wide.shape(), pad, 1, 2 - pad, pad, uint8_t(3));
+    ASSERT_GE(lay.xtiles(), 2);
+    checkPackUnpack(wide, lay);
 }
 
 TEST_P(LayoutRoundTripTest, YPackedPackUnpack)
@@ -193,14 +236,20 @@ TEST_P(LayoutRoundTripTest, YPackedPackUnpack)
     Tensor t(Shape{1, h, w, c}, DType::UInt8,
              chooseAsymmetricUint8(-1, 1));
     t.fillRandom(rng);
+    checkPackUnpack(t, yPackedLayout(t.shape(), 77));
+    checkPackUnpack(t, haloFreeLayout(t.shape(), 91));
+}
 
-    TensorLayout lay = yPackedLayout(t.shape(), 77);
-    std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-    packYPacked(t, 0, lay, img.data());
-    Tensor back(t.shape(), DType::UInt8, t.quant());
-    unpackYPacked(img.data(), lay, back, 0);
-    for (int64_t i = 0; i < t.numElements(); ++i)
-        ASSERT_EQ(back.intAt(i), t.intAt(i));
+TEST_P(LayoutRoundTripTest, DensePackUnpack)
+{
+    Rng rng(uint64_t(GetParam()) * 31 + 7);
+    int h = 1 + int(rng.nextBelow(20));
+    int w = 1 + int(rng.nextBelow(40));
+    int c = 1 + int(rng.nextBelow(200));
+    Tensor t(Shape{1, h, w, c}, DType::UInt8,
+             chooseAsymmetricUint8(-1, 1));
+    t.fillRandom(rng);
+    checkPackUnpack(t, denseLayout(t.shape(), 5));
 }
 
 TEST_P(LayoutRoundTripTest, FlatPackUnpack)
