@@ -71,8 +71,7 @@ main(int argc, char **argv)
         else
             std::printf("  weight image   %.2f MB preloaded\n",
                         double(sg.persistentWeights.size()) / 1e6);
-        std::printf("  requant table  %zu entries; %zu custom masks\n",
-                    sg.rqTable.size(), sg.extraMasks.size());
+        std::printf("  requant table  %zu entries\n", sg.rqTable.size());
 
         std::printf("\n  disassembly (first %d instructions):\n",
                     disasm_count);

@@ -39,7 +39,7 @@ main(int argc, char **argv)
     const TensorLayout &in_lay = stem_sg.layouts.at(stem_sg.inputs[0]);
     std::printf("  input layout %s, %d data-RAM rows\n",
                 in_lay.kind == LayoutKind::GroupedRf ? "GroupedRf"
-                : in_lay.packed()                    ? "y-packed"
+                : in_lay.dense                       ? "dense"
                                                      : "Interleaved",
                 in_lay.rows());
 

@@ -213,7 +213,6 @@ class SubgraphCompiler
         buildLayouts();
         planStem();
         planDense();
-        planPacking();
         planRelayouts();
         syncStemWithOutput();
         planDataRam();
@@ -428,9 +427,9 @@ class SubgraphCompiler
     }
 
     /**
-     * The dense and packing passes may replace the stem's output
-     * layout (or stage it through a relayout temp); the GroupedRf
-     * geometry must track the layout the stem actually writes.
+     * The dense pass may replace the stem's output layout (or stage it
+     * through a relayout temp); the GroupedRf geometry must track the
+     * layout the stem actually writes.
      */
     void
     syncStemWithOutput()
@@ -448,71 +447,24 @@ class SubgraphCompiler
     }
 
     /**
-     * Y-packing for small-width deep layers (paper IV-E: a spatial
-     * dimension is rounded to a power of two and W x K fills the 4096
-     * lanes; when W alone cannot, fold consecutive ys into the row).
-     * A tensor is packed when its width allows it and every consumer
-     * can gather from packed rows. Standard stride-2 convs write packed
-     * rows directly: they first copy the input phases they read into
-     * the shared scratch (the paper's NDU strided compression, IV-B),
-     * then run as stride-1 packed convs. Producers that cannot write
-     * packed rows (stems, depthwise stride-2 layers, pools, region
-     * entries) write a plain temp that an on-chip relayout moves into
-     * place. Max-pools read plain rows only: padded ones stage through
-     * the min-code scratch, which runs on plain layouts.
-     */
-    bool
-    consumerAllowsPacking(const Node &n, TensorId c) const
-    {
-        switch (n.kind) {
-          case OpKind::Conv2D:
-          case OpKind::DepthwiseConv2D: {
-            const Shape &w = g_.tensor(n.inputs[1]).shape;
-            return canonical(n.inputs[0]) == c && w.dim(1) <= 7 &&
-                   w.dim(2) <= 7 && n.attrs.padLeft <= 1 &&
-                   n.attrs.padTop <= 1;
-          }
-          case OpKind::AvgPool2D:
-            return n.attrs.kernelW <= 7 && n.attrs.padLeft <= 1 &&
-                   n.attrs.padTop <= 1;
-          case OpKind::Add:
-            return true; // Equalized below.
-          default:
-            return false;
-        }
-    }
-
-    /**
-     * An add reads a and b in one layout: drop a layout choice from
-     * both inputs where either lacks it (fixpoint). With `outputs` the
-     * add's output joins the group, as an add writing y-packed or plain
-     * rows from inputs of the same kind needs; an add over dense rows
-     * writes a temp instead when its output is not dense.
+     * An add reads a and b in one layout: drop the dense choice from
+     * both inputs where either lacks it (fixpoint).
      */
     void
-    equalizeAdds(std::unordered_map<TensorId, bool> &want,
-                 bool outputs) const
+    equalizeAdds(std::unordered_map<TensorId, bool> &want) const
     {
         for (int iter = 0; iter < 8; ++iter) {
             bool changed = false;
             for (int id : nodeIds_) {
                 const Node &n = node(id);
-                if (n.kind != OpKind::Add ||
-                    (outputs && layoutOf(n.inputs[0]).dense))
+                if (n.kind != OpKind::Add)
                     continue;
-                TensorId ts[3] = {canonical(n.inputs[0]),
-                                  canonical(n.inputs[1]),
-                                  canonical(n.outputs[0])};
-                const int members = outputs ? 3 : 2;
-                bool all = true;
-                for (int i = 0; i < members; ++i)
-                    all &= want.count(ts[i]) && want[ts[i]];
-                if (!all)
-                    for (int i = 0; i < members; ++i)
-                        if (want.count(ts[i]) && want[ts[i]]) {
-                            want[ts[i]] = false;
-                            changed = true;
-                        }
+                const TensorId a = canonical(n.inputs[0]);
+                const TensorId b = canonical(n.inputs[1]);
+                if (want[a] != want[b]) {
+                    want[a] = want[b] = false;
+                    changed = true;
+                }
             }
             if (!changed)
                 break;
@@ -538,138 +490,85 @@ class SubgraphCompiler
         return count;
     }
 
+    /** A stride-1 1x1 conv without padding: it reads dense rows in
+     *  place (emitConvDense). */
+    bool
+    pointwise(const Node &n) const
+    {
+        if (n.kind != OpKind::Conv2D)
+            return false;
+        const Shape &w = g_.tensor(n.inputs[1]).shape;
+        const OpAttrs &a = n.attrs;
+        return w.dim(1) == 1 && w.dim(2) == 1 && a.strideH == 1 &&
+               a.strideW == 1 && a.padTop == 0 && a.padBottom == 0 &&
+               a.padLeft == 0 && a.padRight == 0;
+    }
+
     /**
-     * Dense rows for 1x1 convolutions: a tensor read only by stride-1
-     * 1x1 convs and adds needs no pads or halos, so its h*w positions
-     * pack 64 per row. It is chosen for tensors that would otherwise be
-     * y-packed when that takes at most 3/4 of their rows per channel
-     * block: the relayouts after its producer and before 3x3 or
-     * depthwise consumers cost a few hundred cycles, which the smaller
-     * 1x1 convs must repay. Wider tensors keep plain rows, which keeps
-     * SSD's Ncore time and Fig. 13 saturation at the paper's (DESIGN.md
-     * section 2). An add's inputs equalize; a tensor with no consumer
-     * in the subgraph stays as it is.
+     * True when conv `n` reading `in` runs staged (emitConvStaged): it
+     * writes halo-free rows of at most 14 positions over copies of its
+     * input, unless it is pointwise over dense rows.
+     */
+    bool
+    staged(const Node &n, const TensorLayout &in) const
+    {
+        if (n.kind != OpKind::Conv2D && n.kind != OpKind::DepthwiseConv2D)
+            return false;
+        const Shape &w = g_.tensor(n.inputs[1]).shape;
+        return !(in.dense && pointwise(n)) &&
+               yPackable(g_.tensor(n.outputs[0]).shape.dim(2)) &&
+               n.attrs.strideH == n.attrs.strideW &&
+               stagedCopiesFit(in, n.attrs.strideH, int(w.dim(1)),
+                               int(w.dim(2)), n.attrs.padTop,
+                               n.attrs.padLeft);
+    }
+
+    /**
+     * Dense rows for small-width tensors (w <= 14, paper IV-E: fill the
+     * 4096 lanes when W alone cannot): a tensor read only by adds,
+     * pointwise convs and convs that can stage their copies from dense
+     * rows needs no pads or halos, so its h*w positions pack 64 per
+     * row, never more rows than any other layout takes. Wider tensors
+     * keep plain rows, which keeps SSD's Ncore time and Fig. 13
+     * saturation at the paper's (DESIGN.md section 2). An add's inputs
+     * equalize; a tensor with no consumer in the subgraph is left to
+     * planRelayouts.
      */
     void
     planDense()
     {
-        // Stride-1 1x1 convs reading the tensor as data, and adds.
-        auto dense_consumer = [&](const Node &n, TensorId c) {
-            if (n.kind == OpKind::Add)
-                return true;
-            if (n.kind != OpKind::Conv2D || canonical(n.inputs[0]) != c)
-                return false;
-            const Shape &w = g_.tensor(n.inputs[1]).shape;
-            const OpAttrs &a = n.attrs;
-            return w.dim(1) == 1 && w.dim(2) == 1 && a.strideH == 1 &&
-                   a.strideW == 1 && a.padTop == 0 && a.padBottom == 0 &&
-                   a.padLeft == 0 && a.padRight == 0;
-        };
         std::unordered_map<TensorId, bool> want;
         for (auto &kv : layouts_) {
             TensorId c = kv.first;
             const TensorLayout &lay = kv.second;
             if (lay.kind != LayoutKind::Interleaved ||
                 g_.tensor(c).shape.rank() != 4 || lay.w < 2 ||
-                !yPackable(lay.w) || lay.paddedW() != lay.w ||
-                lay.paddedH() != lay.h)
+                !yPackable(lay.w))
                 continue;
-            const int other =
-                yPackedLayout(g_.tensor(c).shape, lay.zeroByte).blocks();
-            const int dense = (lay.h * lay.w + kRowPos - 1) / kRowPos;
-            if (4 * dense > 3 * other)
-                continue;
+            const TensorLayout dense =
+                denseLayout(g_.tensor(c).shape, lay.zeroByte);
             // Subgraph outputs the host alone reads gain nothing.
             if (consumersAllowing(c, [&](const Node &n) {
-                    return dense_consumer(n, c);
+                    return n.kind == OpKind::Add ||
+                           (canonical(n.inputs[0]) == c &&
+                            (pointwise(n) || staged(n, dense)));
                 }) > 0)
                 want[c] = true;
         }
-        equalizeAdds(want, false);
+        equalizeAdds(want);
         for (auto &kv : want)
             if (kv.second)
                 layouts_[kv.first] = denseLayout(
                     g_.tensor(kv.first).shape, layouts_[kv.first].zeroByte);
     }
 
-    void
-    planPacking()
-    {
-        std::unordered_map<TensorId, bool> want;
-        for (auto &kv : layouts_) {
-            TensorId c = kv.first;
-            const TensorLayout &lay = kv.second;
-            if (lay.kind != LayoutKind::Interleaved || lay.dense ||
-                lay.w < 2 || !yPackable(lay.w))
-                continue;
-            Pads p = pads_.count(c) ? pads_.at(c) : Pads{};
-            if (p.t > 1 || p.b > 1 || p.l > 1 || p.r > 1)
-                continue;
-            if (consumersAllowing(c, [&](const Node &n) {
-                    return consumerAllowsPacking(n, c);
-                }) >= 0)
-                want[c] = true;
-        }
-        equalizeAdds(want, true);
-        for (auto &kv : want) {
-            if (!kv.second)
-                continue;
-            const GirTensor &t = g_.tensor(kv.first);
-            layouts_[kv.first] = yPackedLayout(
-                Shape{1, t.shape.dim(1), t.shape.dim(2), t.shape.dim(3)},
-                uint8_t(t.quant.zeroPoint));
-        }
-    }
-
-    /** True when `producer` (reading non-dense rows) can write y-packed
-     *  rows directly. Stride-2 standard convs run over phase copies. */
-    bool
-    writesPacked(const Node &producer) const
-    {
-        if (producer.kind != OpKind::Conv2D &&
-            producer.kind != OpKind::DepthwiseConv2D)
-            return false;
-        const TensorLayout &in = layouts_.at(canonical(producer.inputs[0]));
-        const Shape &w = g_.tensor(producer.inputs[1]).shape;
-        return producer.attrs.strideH == 1
-                   ? w.dim(1) <= 3 && in.packed()
-                   : producer.kind == OpKind::Conv2D &&
-                         stagedCopiesFit(in, 2, int(w.dim(1)), int(w.dim(2)),
-                                         producer.attrs.padTop,
-                                         producer.attrs.padLeft);
-    }
-
-    /**
-     * True when a standard conv that writes a y-packed temp writes
-     * halo-free rows instead: its input can be staged (one copy per
-     * kernel row and column phase) and its output takes fewer halo-free
-     * blocks than y-packed ones. The halo-free rows hold no vertical
-     * halo or pad slots, so the conv issues only the lanes of the
-     * output rows it owns.
-     */
-    bool
-    writesHaloFree(const Node &n) const
-    {
-        if (n.kind != OpKind::Conv2D)
-            return false;
-        const Shape &w = g_.tensor(n.inputs[1]).shape;
-        const Shape &out = g_.tensor(n.outputs[0]).shape;
-        return n.attrs.strideH == n.attrs.strideW &&
-               haloFreePays(out.dim(1), out.dim(2)) &&
-               stagedCopiesFit(layouts_.at(canonical(n.inputs[0])),
-                               n.attrs.strideH, int(w.dim(1)),
-                               int(w.dim(2)), n.attrs.padTop,
-                               n.attrs.padLeft);
-    }
-
     /**
      * Producers that cannot write their output's layout emit into a
-     * staging temp, and an on-chip relayout moves the rows into place:
-     * 1x1 convs over dense rows write dense rows; other producers of a
-     * dense tensor write y-packed rows where they can (halo-free rows
-     * where writesHaloFree), else plain rows; producers of a y-packed
-     * tensor that cannot write it (stems, depthwise stride-2 layers,
-     * pools, region entries) write plain rows.
+     * staging temp, and an on-chip relayout moves the rows into place.
+     * Staged convs write halo-free rows, pointwise convs over dense rows
+     * dense rows, adds their inputs' layout, and every other producer
+     * plain rows. A tensor only the host reads takes the layout its
+     * producer writes.
      */
     void
     planRelayouts()
@@ -679,70 +578,38 @@ class SubgraphCompiler
             if (n.kind == OpKind::Reshape)
                 continue;
             TensorId c = canonical(n.outputs[0]);
-            const TensorLayout &target = layouts_.at(c);
             const TensorLayout &in = layouts_.at(canonical(n.inputs[0]));
-            const bool reads_dense =
-                (n.kind == OpKind::Conv2D || n.kind == OpKind::Add) &&
-                in.dense;
-            bool direct;
-            if (n.kind == OpKind::Add)
-                direct = reads_dense == target.dense;
-            else if (target.dense)
-                direct = reads_dense;
-            else if (target.packed())
-                direct = !reads_dense && writesPacked(n);
-            else
-                direct = !reads_dense;
-            if (direct)
-                continue;
-
             const GirTensor &t = g_.tensor(c);
             const uint8_t zp = uint8_t(t.quant.zeroPoint);
-            TensorLayout temp;
-            if (n.kind == OpKind::Add) {
-                temp = in; // emitAdd needs one geometry.
-                temp.zeroByte = zp;
-            } else if (reads_dense) {
-                temp = denseLayout(t.shape, zp);
-            } else if (target.dense && writesPacked(n)) {
-                temp = writesHaloFree(n) ? haloFreeLayout(t.shape, zp)
-                                         : yPackedLayout(t.shape, zp);
-            } else {
-                temp = interleavedLayout(t.shape, 0, 0, 0, 0, zp);
+            TensorLayout writes = layouts_.at(c);
+            if (staged(n, in)) {
+                writes = stagedOutLayout(
+                    t.shape, n.attrs.strideH,
+                    n.kind == OpKind::DepthwiseConv2D, zp);
+            } else if (n.kind == OpKind::Add) {
+                writes = in; // emitAdd needs one geometry.
+                writes.zeroByte = zp;
+            } else if (in.dense && pointwise(n)) {
+                writes = denseLayout(t.shape, zp);
+            } else if (writes.dense) {
+                writes = interleavedLayout(t.shape, 0, 0, 0, 0, zp);
             }
-            relayoutTemp_[id] = temp;
+            if (writes == layouts_.at(c))
+                continue;
+            if (consumersAllowing(c, [](const Node &) { return true; }) ==
+                0) {
+                layouts_[c] = writes;
+                continue;
+            }
+            relayoutTemp_[id] = writes;
             relayoutTensor_[id] = c;
         }
-
-        // Content-mask rows are carved right after the prefix table,
-        // before tensor placement.
-        for (auto &kv : layouts_)
-            if (kv.second.packed())
-                contentMaskRowFor(kv.second);
-    }
-
-    /** Data-RAM row of the content mask for a packed layout. */
-    int
-    contentMaskRowFor(const TensorLayout &lay)
-    {
-        uint64_t key = uint64_t(lay.pitch) << 32 |
-                       uint64_t(lay.ny) << 16 | uint64_t(lay.w) << 4 |
-                       uint64_t(lay.padLeft);
-        auto it = contentMasks_.find(key);
-        if (it != contentMasks_.end())
-            return it->second;
-        int row = sg_.masks.baseRow + MaskTable::kRows +
-                  int(sg_.extraMasks.size());
-        sg_.extraMasks.push_back({row, yPackedContentMask(lay)});
-        contentMasks_[key] = row;
-        return row;
     }
 
     void
     planDataRam()
     {
-        RowAllocator alloc(kMaskRows + int(sg_.extraMasks.size()),
-                           kDataRamRows);
+        RowAllocator alloc(kMaskRows, kDataRamRows);
 
         // Shared scratch regions, each dead once its layer is done:
         // one for relayout temps, one for a layer's own staging (staged
@@ -759,7 +626,8 @@ class SubgraphCompiler
                 staging_rows = std::max(
                     staging_rows,
                     fcScratchRows(g_.tensor(n.inputs[1]).shape.dim(1)));
-            if (n.kind != OpKind::Conv2D)
+            if (n.kind != OpKind::Conv2D &&
+                n.kind != OpKind::DepthwiseConv2D)
                 continue;
             const ConvKernel p = convGeometry(n, id);
             if (usesStagedCopies(p))
@@ -1078,8 +946,6 @@ class SubgraphCompiler
             in_t.quant.scale * w.quant.scale / out_t.quant.scale;
         ConvKernel p = convGeometry(n, id);
         p.patchOutput = !relayoutTemp_.count(id);
-        if (p.out.packed() && p.patchOutput)
-            p.contentMaskRow = contentMaskRowFor(p.out);
         if (usesStagedCopies(p))
             p.stageBase = stagingBase_;
         p.weightBase = weightBase_.at(id);
@@ -1220,8 +1086,7 @@ class SubgraphCompiler
 
     std::unordered_map<int, TensorLayout> relayoutTemp_;
     std::unordered_map<int, TensorId> relayoutTensor_;
-    int stagingBase_ = -1; ///< Phase copies and FC input replicas.
-    std::unordered_map<uint64_t, int> contentMasks_;
+    int stagingBase_ = -1; ///< Staged copies and FC input replicas.
     int scratchBase_ = -1;
 };
 

@@ -51,9 +51,6 @@ struct CompiledSubgraph
     std::vector<EncodedInstruction> code;
     /// Requant table image (entry i -> table slot i).
     std::vector<RequantEntry> rqTable;
-    /// Extra data-RAM mask rows beyond the shared prefix table
-    /// (y-packed content masks): (row, content).
-    std::vector<std::pair<int, std::vector<uint8_t>>> extraMasks;
 
     /// Weight handling: either one persistent image loaded at row 0
     /// once, or a DRAM-resident stream image moved per inference.

@@ -98,169 +98,6 @@ repMac(uint32_t reps, int data_reg, int wt_reg, NduOp data_op,
 
 } // namespace
 
-std::vector<uint8_t>
-yPackedContentMask(const TensorLayout &lay)
-{
-    fatal_if(!lay.packed() || lay.haloFree,
-             "content masks are for y-packed rows");
-    // The lanes of block 0 that own a padded y and a position x.
-    std::vector<uint8_t> row(4096, 0);
-    for (int yp = 0; yp < lay.ny; ++yp)
-        for (int x = 0; x < lay.w; ++x)
-            std::memset(row.data() + lay.placeOf(yp - lay.padTop, x).lane * 64,
-                        1, 64);
-    return row;
-}
-
-void
-emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
-                 const MaskTable &masks, int content_mask_row)
-{
-    fatal_if(content_mask_row < 0, "packed patch needs a content mask");
-    const int ncb = lay.cblocks();
-    const int nb = lay.blocks();
-    const int pitch = lay.pitch;
-    const int ny = lay.ny;
-
-    pb.splat(3, lay.zeroByte); // N3 = zero-point row.
-
-    // Pass A: keep owned content, zero-point everything else.
-    pb.loadMask(kMask, content_mask_row, 0); // P0.
-    for (int b = 0; b < nb; ++b)
-    for (int cb = 0; cb < ncb; ++cb) {
-        Instruction i;
-        i.ndu0.op = NduOp::MergeMask;
-        i.ndu0.srcA = RowSrc::DataRead;
-        i.ndu0.srcB = RowSrc::N3;
-        i.ndu0.dst = 0;
-        i.ndu0.param = 0; // P0.
-        i.ctrl.op = CtrlOp::SetAddrRow;
-        i.ctrl.reg = kPatchA;
-        i.ctrl.imm = uint32_t(lay.baseRow + lay.rowOfPacked(b, cb));
-        i.dataRead.enable = true;
-        i.dataRead.reg = kPatchA;
-        i.write.enable = true;
-        i.write.addrReg = kPatchA;
-        i.write.src = RowSrc::N0;
-        pb.emit(i);
-    }
-
-    // Vertical pad slots (top/bottom padded ys) -> zero point.
-    // Prefix masks are group-granular and slot boundaries are group
-    // multiples, so one instruction stamps a single slot: N1 keeps
-    // bytes below j*pitch and zero-points above; N2 then restores
-    // everything above (j+1)*pitch.
-    auto stamp_slot = [&](int yp) {
-        int b = lay.blockOf(yp);
-        int j = lay.slotOf(yp);
-        pb.loadMask(kMask, masks.rowFor(j * pitch), 0);       // P0.
-        pb.loadMask(kMask, masks.rowFor((j + 1) * pitch), 1); // P1.
-        for (int cb = 0; cb < ncb; ++cb) {
-            Instruction i;
-            i.ctrl.op = CtrlOp::SetAddrRow;
-            i.ctrl.reg = kPatchA;
-            i.ctrl.imm =
-                uint32_t(lay.baseRow + lay.rowOfPacked(b, cb));
-            i.dataRead.enable = true;
-            i.dataRead.reg = kPatchA;
-            i.ndu0.op = NduOp::MergeMask;
-            i.ndu0.srcA = RowSrc::DataRead;
-            i.ndu0.srcB = RowSrc::N3;
-            i.ndu0.dst = 1;
-            i.ndu0.param = 0; // P0.
-            i.ndu1.op = NduOp::MergeMask;
-            i.ndu1.srcA = RowSrc::N1;
-            i.ndu1.srcB = RowSrc::DataRead;
-            i.ndu1.dst = 2;
-            i.ndu1.param = 1; // P1.
-            i.write.enable = true;
-            i.write.addrReg = kPatchA;
-            i.write.src = RowSrc::N2;
-            pb.emit(i);
-        }
-    };
-    if (lay.padTop > 0)
-        stamp_slot(0);
-    if (lay.padBottom > 0)
-        stamp_slot(lay.paddedH() - 1);
-
-    // Pass B: pre-halo slot (j = 0) from the previous block's last
-    // owned slot.
-    pb.loadMask(kMask, masks.rowFor(pitch), 0); // P0: slot 0 region.
-    pb.setByte(kPatchB, (ny * pitch * 64) % 4096);
-    for (int b = 0; b < nb; ++b)
-    for (int cb = 0; cb < ncb; ++cb) {
-        if (b > 0) {
-            Instruction i1;
-            i1.ctrl.op = CtrlOp::SetAddrRow;
-            i1.ctrl.reg = kPatchA;
-            i1.ctrl.imm =
-                uint32_t(lay.baseRow + lay.rowOfPacked(b - 1, cb));
-            i1.dataRead.enable = true;
-            i1.dataRead.reg = kPatchA;
-            i1.ndu0.op = NduOp::WindowGather;
-            i1.ndu0.srcA = RowSrc::DataRead;
-            i1.ndu0.dst = 0;
-            i1.ndu0.addrReg = kPatchB;
-            i1.ndu0.param = uint8_t(NduStride::S64);
-            pb.emit(i1);
-        }
-        Instruction i2;
-        i2.ctrl.op = CtrlOp::SetAddrRow;
-        i2.ctrl.reg = kPatchA;
-        i2.ctrl.imm = uint32_t(lay.baseRow + lay.rowOfPacked(b, cb));
-        i2.dataRead.enable = true;
-        i2.dataRead.reg = kPatchA;
-        i2.ndu0.op = NduOp::MergeMask;
-        i2.ndu0.srcA = b > 0 ? RowSrc::N0 : RowSrc::N3;
-        i2.ndu0.srcB = RowSrc::DataRead;
-        i2.ndu0.dst = 1;
-        i2.ndu0.param = 0; // P0.
-        i2.write.enable = true;
-        i2.write.addrReg = kPatchA;
-        i2.write.src = RowSrc::N1;
-        pb.emit(i2);
-    }
-
-    // Pass C: post-halo slot (j = ny + 1) from the next block's first
-    // owned slot.
-    pb.loadMask(kMask, masks.rowFor((ny + 1) * pitch), 0);
-    pb.setByte(kPatchB, ((-(ny * pitch) * 64) % 4096 + 4096) % 4096);
-    for (int b = 0; b < nb; ++b)
-    for (int cb = 0; cb < ncb; ++cb) {
-        if (b + 1 < nb) {
-            Instruction i1;
-            i1.ctrl.op = CtrlOp::SetAddrRow;
-            i1.ctrl.reg = kPatchA;
-            i1.ctrl.imm =
-                uint32_t(lay.baseRow + lay.rowOfPacked(b + 1, cb));
-            i1.dataRead.enable = true;
-            i1.dataRead.reg = kPatchA;
-            i1.ndu0.op = NduOp::WindowGather;
-            i1.ndu0.srcA = RowSrc::DataRead;
-            i1.ndu0.dst = 0;
-            i1.ndu0.addrReg = kPatchB;
-            i1.ndu0.param = uint8_t(NduStride::S64);
-            pb.emit(i1);
-        }
-        Instruction i2;
-        i2.ctrl.op = CtrlOp::SetAddrRow;
-        i2.ctrl.reg = kPatchA;
-        i2.ctrl.imm = uint32_t(lay.baseRow + lay.rowOfPacked(b, cb));
-        i2.dataRead.enable = true;
-        i2.dataRead.reg = kPatchA;
-        i2.ndu0.op = NduOp::MergeMask;
-        i2.ndu0.srcA = RowSrc::DataRead;
-        i2.ndu0.srcB = b + 1 < nb ? RowSrc::N0 : RowSrc::N3;
-        i2.ndu0.dst = 1;
-        i2.ndu0.param = 0; // P0: below boundary keep, above take halo.
-        i2.write.enable = true;
-        i2.write.addrReg = kPatchA;
-        i2.write.src = RowSrc::N1;
-        pb.emit(i2);
-    }
-}
-
 namespace {
 
 /** Byte offset `bytes` as an address-register byte (mod one row). */
@@ -283,25 +120,24 @@ tapPhase(int r, int pad, int stride)
 }
 
 /**
- * Tap (r, s) of a staged conv: the copy it reads and the byte offset,
- * in that copy's rows, of the input of output lane 0. Copy keys are
- * py * 2 + px (y-packed output: phase copies) or r * 2 + px (halo-free
- * output: one copy per kernel row and column phase).
+ * Tap (r, s) of a staged standard conv: the copy it reads (key r * 2 +
+ * px, one per kernel row and column phase) and the byte offset, in that
+ * copy's rows, of the input of output lane 0.
  */
 std::pair<int, int>
 stagedTap(const ConvKernel &p, int r, int s)
 {
     auto [px, ox] = tapPhase(s, p.padLeft, p.strideW);
-    if (p.out.haloFree)
-        return {r * 2 + px, rowByte(ox * 64)};
-    auto [py, oy] = tapPhase(r, p.padTop, 2);
-    return {py * 2 + px, rowByte((oy * p.out.pitch + ox) * 64)};
+    return {r * 2 + px, rowByte(ox * 64)};
 }
 
-/** Copies a staged conv reads, as a bit mask over copy keys. */
+/** Copies a staged conv reads, as a bit mask over copy keys: r * 2 +
+ *  px for a standard conv, r for a depthwise one. */
 uint64_t
 stagedCopySet(const ConvKernel &p)
 {
+    if (p.depthwise)
+        return (uint64_t(1) << p.kh) - 1;
     uint64_t mask = 0;
     for (int r = 0; r < p.kh; ++r)
         for (int s = 0; s < p.kw; ++s)
@@ -309,14 +145,25 @@ stagedCopySet(const ConvKernel &p)
     return mask;
 }
 
-/** Layout of one staged copy: `out`'s geometry with the input's
- *  channels. */
+/** Layout of one staged copy: `out`'s ys with the input's channels; a
+ *  depthwise conv's copies keep every input column (stagedOutLayout). */
 TensorLayout
 stagedCopyLayout(const ConvKernel &p)
 {
-    const Shape shape{1, p.out.h, p.out.w, p.cin};
-    return p.out.haloFree ? haloFreeLayout(shape, p.in.zeroByte)
-                          : yPackedLayout(shape, p.in.zeroByte);
+    const int s = p.depthwise ? p.strideW : 1;
+    return haloFreeLayout(Shape{1, p.out.h, s * (p.out.w + 2) - 2, p.cin},
+                          p.in.zeroByte);
+}
+
+/** The resample that fills copy `key`: destination (y, x) takes source
+ *  (stride*y + r - padTop, x) for a depthwise conv, (stride*y + r -
+ *  padTop, stride*x + px) for a standard one. */
+Resample
+stagedCopyResample(const ConvKernel &p, int key)
+{
+    if (p.depthwise)
+        return {p.strideH, key - p.padTop, 1, 0};
+    return {p.strideH, (key >> 1) - p.padTop, p.strideW, key & 1};
 }
 
 } // namespace
@@ -325,15 +172,28 @@ bool
 stagedCopiesFit(const TensorLayout &in, int stride, int kh, int kw,
                 int pad_top, int pad_left)
 {
-    // Taps r = 0 and r = k - 1 bound the offsets to [-1, 1].
+    // Taps r = 0 and r = k - 1 bound the offsets to [-1, 1];
+    // pad_left <= 1 keeps a depthwise conv's left tap, which reads an
+    // input column, in its copies' one pad column.
     auto fits = [&](int k, int pad) {
         return tapPhase(0, pad, stride).second >= -1 &&
                tapPhase(k - 1, pad, stride).second <= 1;
     };
     return (stride == 1 || stride == 2) &&
-           in.kind == LayoutKind::Interleaved && !in.dense &&
-           (in.packed() || in.xtiles() == 1) && fits(kh, pad_top) &&
-           fits(kw, pad_left);
+           in.kind == LayoutKind::Interleaved && in.xtiles() == 1 &&
+           fits(kh, pad_top) && fits(kw, pad_left) && pad_left <= 1;
+}
+
+TensorLayout
+stagedOutLayout(const Shape &out, int stride, bool depthwise,
+                uint8_t zero_byte)
+{
+    TensorLayout lay = haloFreeLayout(out, zero_byte);
+    if (depthwise)
+        lay.ny = 64 / (stride * lay.pitch);
+    fatal_if(lay.ny < 1, "width %lld too wide for staged rows",
+             (long long)out.dim(2));
+    return lay;
 }
 
 int
@@ -689,170 +549,17 @@ emitStemConv(ProgramBuilder &pb, const ConvKernel &p)
 }
 
 /**
- * Convolution with a y-packed input and y-packed output (stride 1,
- * kh <= 3, equal pitch): one accumulation covers a whole block of ny
- * output rows; vertical taps move within the row's slots, so the tap
- * loop is as dense as the plain kernel while touching ny fewer rows.
- */
-void
-emitConvPackedToPacked(ProgramBuilder &pb, const ConvKernel &p)
-{
-    const TensorLayout &li = p.in;
-    const TensorLayout &lo = p.out;
-    const int ncb_in = li.cblocks();
-    const int nkb = p.depthwise ? ncb_in
-                                : (p.cout + kCBlock - 1) / kCBlock;
-    const int pitch = li.pitch;
-
-    fatal_if(p.strideW != 1 || p.strideH != 1,
-             "packed->packed kernels are stride-1");
-    fatal_if(lo.pitch != pitch || lo.ny != li.ny,
-             "packed->packed needs matching packing");
-    const int phi = li.padTop - p.padTop - lo.padTop;
-    fatal_if(1 + phi < 0 || li.ny + p.kh - 1 + phi > li.ny + 1,
-             "vertical taps escape the slot halo (phi=%d, kh=%d)", phi,
-             p.kh);
-    const int dx = li.padLeft - p.padLeft - lo.padLeft;
-    fatal_if(lo.padLeft + dx < 0 ||
-                 lo.padLeft + lo.w - 1 + p.kw - 1 + dx >= pitch,
-             "horizontal taps escape the slot (dx=%d)", dx);
-
-    pb.setZeroOff(p.dataZero, p.weightZero);
-    pb.setInc(kDataA, 1, p.depthwise ? 64 : 1);
-    pb.setWrap(kDataA, p.depthwise ? 0 : p.kw * 64);
-    pb.setInc(kWtA, 1, 64);
-    pb.setWrap(kWtA, 64);
-
-    const uint32_t reps_per_r =
-        p.depthwise ? uint32_t(p.kw) : uint32_t(ncb_in * p.kw * 64);
-    const int tap_rows_per_kb =
-        p.depthwise ? 1 : p.kh * ncb_in * p.kw;
-    const NduOp data_op =
-        p.depthwise ? NduOp::WindowGather : NduOp::GroupBcast;
-
-    for (int b = 0; b < lo.blocks(); ++b)
-    for (int kb = 0; kb < nkb; ++kb) {
-        const int bias_row = p.weightBase + kb;
-        const int tap_base = p.weightBase + nkb +
-                             kb * (p.depthwise ? 1 : tap_rows_per_kb);
-        pb.emit(biasLoad(bias_row));
-        pb.setRow(kWtA, tap_base);
-        pb.setByte(kWtA, 0);
-        for (int r = 0; r < p.kh; ++r) {
-            pb.setRow(kDataA,
-                      li.baseRow +
-                          li.rowOfPacked(b, p.depthwise ? kb : 0));
-            int base =
-                (((r + phi) * pitch + dx) * 64 % 4096 + 4096) % 4096;
-            pb.setByte(kDataA, base);
-            Instruction mac = repMac(reps_per_r, kDataA, kWtA, data_op,
-                                     NduStride::S64, Pred::None);
-            if (p.depthwise) {
-                // Weight taps continue across r within one row.
-                mac.ndu1.addrInc = true;
-            }
-            pb.emit(mac);
-        }
-        pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, kb),
-                             p.rqIndex));
-    }
-
-    if (p.patchOutput)
-        emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
-}
-
-/**
- * Convolution reading a y-packed input and writing a plain interleaved
- * output (any stride; used by depthwise stride-2 stage transitions,
- * stride-2 convs whose output is too narrow to pack, and global heads).
- * Vertical taps pick the owning block/slot statically per r.
- */
-void
-emitConvPackedToPlain(ProgramBuilder &pb, const ConvKernel &p)
-{
-    const TensorLayout &li = p.in;
-    const TensorLayout &lo = p.out;
-    const int ncb_in = li.cblocks();
-    const int nkb = p.depthwise ? ncb_in
-                                : (p.cout + kCBlock - 1) / kCBlock;
-    const int pitch = li.pitch;
-    fatal_if(lo.xtiles() != 1,
-             "packed input implies a single output tile");
-
-    const int dx2 =
-        li.padLeft - p.padLeft - p.strideW * lo.padLeft;
-    fatal_if(p.strideW * (lo.padLeft + lo.w - 1) + p.kw - 1 + dx2 >=
-                 pitch,
-             "horizontal taps escape the slot (dx2=%d)", dx2);
-
-    pb.setZeroOff(p.dataZero, p.weightZero);
-    pb.setInc(kDataA, 1, p.depthwise ? 64 : 1);
-    pb.setWrap(kDataA, p.depthwise ? 0 : p.kw * 64);
-    pb.setInc(kWtA, 1, 64);
-    pb.setWrap(kWtA, 64);
-
-    emitPadRowInit(pb, lo);
-
-    const uint32_t reps_per_r =
-        p.depthwise ? uint32_t(p.kw) : uint32_t(ncb_in * p.kw * 64);
-    const int tap_rows_per_kb =
-        p.depthwise ? 1 : p.kh * ncb_in * p.kw;
-    const NduOp data_op =
-        p.depthwise ? NduOp::WindowGather : NduOp::GroupBcast;
-    const NduStride gs =
-        p.strideW == 2 ? NduStride::S128 : NduStride::S64;
-
-    for (int kb = 0; kb < nkb; ++kb) {
-        const int bias_row = p.weightBase + kb;
-        const int tap_base = p.weightBase + nkb +
-                             kb * (p.depthwise ? 1 : tap_rows_per_kb);
-        for (int yo = 0; yo < lo.h; ++yo) {
-            pb.emit(biasLoad(bias_row));
-            pb.setRow(kWtA, tap_base);
-            pb.setByte(kWtA, 0);
-            for (int r = 0; r < p.kh; ++r) {
-                int yi_p = yo * p.strideH + r - p.padTop + li.padTop;
-                panic_if(yi_p < 0 || yi_p >= li.paddedH(),
-                         "packed conv input row out of range");
-                int blk = li.blockOf(yi_p);
-                int slot = li.slotOf(yi_p);
-                // Prefer the owner block; its slot is always valid.
-                pb.setRow(kDataA,
-                          li.baseRow +
-                              li.rowOfPacked(blk,
-                                             p.depthwise ? kb : 0));
-                int base =
-                    ((slot * pitch + dx2) * 64 % 4096 + 4096) % 4096;
-                pb.setByte(kDataA, base);
-                Instruction mac = repMac(reps_per_r, kDataA, kWtA,
-                                         data_op, gs, Pred::None);
-                if (p.depthwise)
-                    mac.ndu1.addrInc = true;
-                // Depthwise gathers stride by x within the slot.
-                if (p.depthwise && p.strideW == 2)
-                    mac.ndu0.param = uint8_t(NduStride::S128);
-                pb.emit(mac);
-            }
-            pb.emit(requantStore(
-                lo.baseRow + lo.rowOf(yo + lo.padTop, kb, 0),
-                p.rqIndex));
-        }
-    }
-
-    if (p.patchOutput)
-        emitEdgePatch(pb, lo, p.masks);
-}
-
-/**
- * Staged standard convolution: copy the input once into the geometry
- * the taps read (resampled relayouts), then run unpredicated fused Reps
- * over the copies, one repMac Rep of ncb*64 taps per tap (r, s) over
- * PerTap weights. A halo-free output reads one copy per kernel row r
- * and column phase, indexed by output y, so a block covers 64/(w+2)
- * output rows; tap (r, s) reads its copy at a position offset of -1,
- * 0 or 1. A y-packed output (stride 2) reads one copy per input phase
- * ((r - padTop) & 1, (s - padLeft) & 1) at a slot and position offset
- * of -1, 0 or 1 each.
+ * Staged convolution: copy the input once into the geometry the taps
+ * read (resampled relayouts), then run unpredicated fused Reps over the
+ * copies, writing halo-free rows whose blocks cover ny output rows. A
+ * standard conv reads one copy per kernel row r and column phase and
+ * runs one repMac Rep of ncb*64 taps per tap (r, s) over PerTap
+ * weights, reading its copy at a position offset of -1, 0 or 1. A
+ * depthwise conv reads one copy per kernel row, holding every input
+ * column, and runs one Rep of kw WindowGather taps per kernel row and
+ * channel block, stepping one input column per tap: at stride 2 output
+ * lane i gathers copy lane 2i + t, which is why its copies' slots are
+ * twice the output pitch.
  */
 void
 emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
@@ -864,8 +571,6 @@ emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
              "conv (k %dx%d, stride %d, pad %d/%d) cannot run staged",
              p.kh, p.kw, p.strideH, p.padTop, p.padLeft);
     fatal_if(p.stageBase < 0, "staged conv needs a staging scratch");
-    fatal_if(lo.haloFree && p.patchOutput,
-             "halo-free rows are a relayout temp");
 
     const uint64_t keys = stagedCopySet(p);
     std::vector<TensorLayout> copies(size_t(std::bit_width(keys)));
@@ -877,21 +582,46 @@ emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
         copies[size_t(k)].baseRow = next;
         next += copies[size_t(k)].rows();
         emitRelayout(pb, p.in, copies[size_t(k)], p.masks,
-                     lo.haloFree ? Resample{p.strideH, (k >> 1) - p.padTop,
-                                            p.strideW, k & 1}
-                                 : Resample{2, k >> 1, 2, k & 1});
+                     stagedCopyResample(p, k));
     }
+    fatal_if(copies[0].ny != lo.ny, "staged output rows hold %d ys, its "
+             "copies %d", lo.ny, copies[0].ny);
 
     const int ncb = (p.cin + kCBlock - 1) / kCBlock;
     const int nkb = (p.cout + kCBlock - 1) / kCBlock;
-    const int tap_rows_per_kb = p.kh * ncb * p.kw;
-
     pb.setZeroOff(p.dataZero, p.weightZero);
-    pb.setInc(kDataA, 1, 1);
-    pb.setWrap(kDataA, 64);
     pb.setInc(kWtA, 1, 64);
     pb.setWrap(kWtA, 64);
 
+    if (p.depthwise) {
+        // Lane i's first tap reads copy lane stride*i + 1 - padLeft -
+        // stride; after kw taps the byte offset snaps back to it.
+        pb.setInc(kDataA, 0, 64);
+        pb.setWrap(kDataA, p.kw);
+        pb.setByte(kDataA, rowByte((1 - p.padLeft - p.strideW) * 64));
+        for (int b = 0; b < lo.blocks(); ++b)
+        for (int cb = 0; cb < ncb; ++cb) {
+            pb.emit(biasLoad(p.weightBase + cb));
+            pb.setRow(kWtA, p.weightBase + ncb + cb);
+            pb.setByte(kWtA, 0);
+            for (int r = 0; r < p.kh; ++r) {
+                const TensorLayout &src = copies[size_t(r)];
+                pb.setRow(kDataA, src.baseRow + src.rowOfPacked(b, cb));
+                pb.emit(repMac(uint32_t(p.kw), kDataA, kWtA,
+                               NduOp::WindowGather,
+                               p.strideW == 2 ? NduStride::S128
+                                              : NduStride::S64,
+                               Pred::None));
+            }
+            pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, cb),
+                                 p.rqIndex));
+        }
+        return;
+    }
+
+    const int tap_rows_per_kb = p.kh * ncb * p.kw;
+    pb.setInc(kDataA, 1, 1);
+    pb.setWrap(kDataA, 64);
     for (int b = 0; b < lo.blocks(); ++b)
     for (int kb = 0; kb < nkb; ++kb) {
         pb.emit(biasLoad(p.weightBase + kb));
@@ -910,9 +640,6 @@ emitConvStaged(ProgramBuilder &pb, const ConvKernel &p)
         pb.emit(requantStore(lo.baseRow + lo.rowOfPacked(b, kb),
                              p.rqIndex));
     }
-
-    if (p.patchOutput)
-        emitYPackedPatch(pb, lo, p.masks, p.contentMaskRow);
 }
 
 /**
@@ -972,16 +699,7 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         emitConvDense(pb, p);
         return;
     }
-    if (p.in.packed() && p.out.packed()) {
-        emitConvPackedToPacked(pb, p);
-        return;
-    }
-    if (p.in.packed()) {
-        emitConvPackedToPlain(pb, p);
-        return;
-    }
-    fatal_if(p.out.packed(),
-             "plain->packed convolutions need a relayout");
+    fatal_if(p.in.packed(), "packed rows feed staged convs only");
     const TensorLayout &li = p.in;
     const TensorLayout &lo = p.out;
     const int ncb_in = li.cblocks();
@@ -1128,66 +846,6 @@ maxPoolInitRow()
 
 namespace {
 
-/** Average pooling from a y-packed input into plain rows. */
-void
-emitAvgPoolPacked(ProgramBuilder &pb, const PoolKernel &p)
-{
-    const TensorLayout &li = p.in;
-    const TensorLayout &lo = p.out;
-    fatal_if(p.isMax || lo.packed() || lo.xtiles() != 1,
-             "pools over y-packed rows average into single-tile rows");
-    const int pitch = li.pitch;
-    const int dx2 = li.padLeft - p.padLeft - p.strideW * lo.padLeft;
-
-    pb.setZeroOff(p.dataZero, 0);
-    pb.setInc(kDataA, 0, 64);
-    // Address registers keep their circular-wrap state across layers;
-    // clear it or a stale wrap snaps the gather window back mid-tap.
-    pb.setWrap(kDataA, 0);
-    emitPadRowInit(pb, lo);
-
-    Instruction op;
-    op.ctrl.op = CtrlOp::Rep;
-    op.ctrl.imm = uint32_t(p.kw);
-    op.dataRead.enable = true;
-    op.dataRead.reg = kDataA;
-    op.ndu0.op = NduOp::WindowGather;
-    op.ndu0.srcA = RowSrc::DataRead;
-    op.ndu0.dst = 0;
-    op.ndu0.addrReg = kDataA;
-    op.ndu0.addrInc = true;
-    op.ndu0.param =
-        uint8_t(p.strideW == 2 ? NduStride::S128 : NduStride::S64);
-    op.npu.op = NpuOp::Add;
-    op.npu.type = LaneType::U8;
-    op.npu.a = RowSrc::N0;
-    op.npu.zeroOff = true;
-
-    for (int cb = 0; cb < li.cblocks(); ++cb)
-    for (int yo = 0; yo < lo.h; ++yo) {
-        Instruction z;
-        z.npu.op = NpuOp::AccZero;
-        pb.emit(z);
-        for (int r = 0; r < p.kh; ++r) {
-            int yi_p = yo * p.strideH + r - p.padTop + li.padTop;
-            panic_if(yi_p < 0 || yi_p >= li.paddedH(),
-                     "packed pool input row out of range");
-            pb.setRow(kDataA,
-                      li.baseRow +
-                          li.rowOfPacked(li.blockOf(yi_p), cb));
-            pb.setByte(kDataA, rowByte((li.slotOf(yi_p) * pitch + dx2) * 64));
-            pb.emit(op);
-        }
-        pb.emit(requantStore(
-            lo.baseRow + lo.rowOf(yo + lo.padTop, cb, 0), p.rqIndex));
-    }
-    emitEdgePatch(pb, lo, p.masks);
-}
-
-} // namespace
-
-namespace {
-
 /**
  * Stage a tensor into a scratch copy whose padding and invalid lanes
  * hold code 0 — the minimum uint8 code — so a max reduction over raw
@@ -1260,12 +918,8 @@ emitMinCodeRestamp(ProgramBuilder &pb, const TensorLayout &li,
 void
 emitPool(ProgramBuilder &pb, const PoolKernel &p)
 {
-    if (p.in.packed()) {
-        emitAvgPoolPacked(pb, p);
-        return;
-    }
-    fatal_if(p.out.packed(),
-             "plain->packed pooling needs a relayout");
+    fatal_if(p.in.packed() || p.in.dense || p.out.packed() || p.out.dense,
+             "pools read and write plain rows");
     TensorLayout li = p.in;
     const TensorLayout &lo = p.out;
 

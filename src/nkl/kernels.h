@@ -5,21 +5,20 @@
  * (data RAM placement) and the weight-image base row (weight RAM).
  *
  * Kernel strategy (see DESIGN.md section 2): activations live in the
- * interleaved layout (plain, y-packed or dense rows); a convolution's
+ * interleaved layout (plain, packed or dense rows); a convolution's
  * entire accumulation over (ky, cblock, kx, c) runs as ONE Rep
  * instruction per output row-tile, using circular-buffer address
  * registers — the paper's "entire loop can be encoded in a single
  * Ncore instruction" (Fig. 6). Stride-2 kernels gather every second x
  * position; over a multi-tile input they run two predicated passes
  * (even/odd input tiles), over a single-tile input one. A staged conv
- * (usesStagedCopies) first copies its input into the geometry its taps
- * read and then runs unpredicated Reps over the copies: a stride-2
- * conv writing y-packed rows reads phase copies (space-to-depth by 2),
- * a conv writing halo-free rows one copy per kernel row and column
- * phase. A stride-1 1x1 conv over dense rows reads and writes dense
- * rows.
- * After each layer an edge-patch pass rewrites the halo lanes and
- * re-stamps padding lanes with the zero point.
+ * (usesStagedCopies) writes halo-free packed rows: it first copies its
+ * input into the geometry its taps read (a standard conv one copy per
+ * kernel row and column phase, a depthwise conv one per kernel row)
+ * and then runs unpredicated Reps over the copies. A stride-1 1x1 conv
+ * over dense rows reads and writes dense rows.
+ * After each layer writing plain rows an edge-patch pass rewrites the
+ * halo lanes and re-stamps padding lanes with the zero point.
  *
  * Address register convention inside kernels:
  *   a0/a1: edge patch scratch;  a2: output row writes;  a3: weights B;
@@ -67,9 +66,6 @@ struct ConvKernel
     int rqIndex = 0;     ///< Requant table entry.
     uint8_t dataZero = 0, weightZero = 0;
     MaskTable masks;
-    /// Data-RAM row of the y-packed content mask (owned slots x valid
-    /// x positions); required when `out` is packed.
-    int contentMaskRow = -1;
     /// Scratch rows for the copies of a staged conv (see
     /// usesStagedCopies); the copies sit back to back from here.
     int stageBase = -1;
@@ -80,47 +76,41 @@ struct ConvKernel
 
 /**
  * Emit a convolution. A staged conv first copies its input into
- * `stageBase` and expects its weights packed in ConvTapOrder::PerTap;
- * every other conv reads ConvTapOrder::RowMajor weights.
+ * `stageBase`; a standard one expects its weights packed in
+ * ConvTapOrder::PerTap, every other conv reads ConvTapOrder::RowMajor
+ * weights.
  */
 void emitConv(ProgramBuilder &pb, const ConvKernel &p);
 
 /**
- * True when emitConv runs `p` over staged copies of its input: a
- * standard conv writing halo-free rows (one copy per kernel row and
- * column phase), or a stride-2 one writing y-packed rows (one copy per
- * input phase).
+ * True when emitConv runs `p` over staged copies of its input: every
+ * conv writing packed (halo-free) rows, standard or depthwise.
  */
 inline bool
 usesStagedCopies(const ConvKernel &p)
 {
-    return !p.depthwise &&
-           (p.out.haloFree ||
-            (p.strideH == 2 && p.strideW == 2 && p.out.packed()));
+    return p.out.packed();
 }
 
 /**
- * True when a standard conv of stride 1 or 2 reading `in` can run over
- * staged copies: the source is a plain single-tile or y-packed tensor,
- * and every tap lands at most one (phase) position or slot away from
- * its output lane.
+ * True when a conv of stride 1 or 2 reading `in` can run over staged
+ * copies: the source is a single-tile plain, packed or dense tensor,
+ * every tap lands at most one (phase) position or row away from its
+ * output lane, and the left padding is at most one column.
  */
 bool stagedCopiesFit(const TensorLayout &in, int stride, int kh, int kw,
                      int pad_top, int pad_left);
 
+/**
+ * The halo-free rows a staged conv with output shape `out` writes. A
+ * depthwise conv's copies keep every input column, so at stride 2 their
+ * slots are twice the output pitch and its rows hold half the ys.
+ */
+TensorLayout stagedOutLayout(const Shape &out, int stride, bool depthwise,
+                             uint8_t zero_byte);
+
 /** Scratch rows all staged copies of a staged conv occupy. */
 int stagedCopyRows(const ConvKernel &p);
-
-/**
- * Re-stamp a produced y-packed tensor: zero-point the non-content
- * lanes and the vertical pad slots, then fill the pre/post halo slots
- * from the neighboring blocks.
- */
-void emitYPackedPatch(ProgramBuilder &pb, const TensorLayout &lay,
-                      const MaskTable &masks, int content_mask_row);
-
-/** Build the content-mask row for a y-packed layout. */
-std::vector<uint8_t> yPackedContentMask(const TensorLayout &lay);
 
 /** Destination position (y, x) of a relayout takes source position
  *  (sy*y + oy, sx*x + ox); sx is 1 or 2. */
@@ -132,17 +122,16 @@ struct Resample
 };
 
 /**
- * Copy a tensor between layouts on chip: plain, y-packed, halo-free or
- * dense rows, in any direction (same channels). Without a resample the
- * shapes match and the destination comes out exactly as
- * packActivation writes it: every copy of every position, halo lanes
- * included, and the zero point in every other lane. With one, every
- * lane of the destination's padded extent whose resampled position
- * lies inside the source takes it, pad lanes included, and the rest
- * hold the zero point: the staged copies of a staged conv. Runs after
- * producers that cannot write their output's layout directly (stems
- * and depthwise layers feeding packed or dense rows, 1x1 convs feeding
- * 3x3 or depthwise layers, staged convs writing halo-free rows).
+ * Copy a tensor between layouts on chip: plain, packed or dense rows,
+ * in any direction (same channels). Without a resample the shapes
+ * match and the destination comes out exactly as packActivation writes
+ * it: every copy of every position, halo lanes included, and the zero
+ * point in every other lane. With one, every lane of the destination's
+ * padded extent whose resampled position lies inside the source takes
+ * it, pad lanes included, and the rest hold the zero point: the staged
+ * copies of a staged conv. Runs after producers that cannot write
+ * their output's layout directly (stems, pools and plain convs feeding
+ * dense rows, staged convs writing packed rows).
  */
 void emitRelayout(ProgramBuilder &pb, const TensorLayout &src,
                   const TensorLayout &dst, const MaskTable &masks,
@@ -184,8 +173,7 @@ fcScratchRows(int64_t cin)
  */
 bool fcSplitExact(int64_t cin, int64_t max_abs_bias);
 
-/** Max/avg pooling over the interleaved layout: plain rows in and out,
- *  or (average pools only) y-packed rows in and plain rows out. */
+/** Max/avg pooling over plain interleaved rows in and out. */
 struct PoolKernel
 {
     TensorLayout in;

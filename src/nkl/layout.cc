@@ -38,35 +38,14 @@ flatLayout(int64_t elems)
 }
 
 TensorLayout
-yPackedLayout(const Shape &shape, uint8_t zero_byte)
-{
-    fatal_if(!yPackable(shape.dim(2)), "width %lld not y-packable",
-             (long long)shape.dim(2));
-    TensorLayout lay =
-        interleavedLayout(shape, 1, 1, 1, 1, zero_byte);
-    lay.pitch = int(shape.dim(2)) + 2;
-    lay.ny = 64 / lay.pitch - 2;
-    return lay;
-}
-
-TensorLayout
 haloFreeLayout(const Shape &shape, uint8_t zero_byte)
 {
     TensorLayout lay = interleavedLayout(shape, 0, 0, 1, 1, zero_byte);
     lay.pitch = int(shape.dim(2)) + 2;
     lay.ny = 64 / lay.pitch;
-    lay.haloFree = true;
     fatal_if(lay.ny < 1, "width %lld too wide for halo-free rows",
              (long long)shape.dim(2));
     return lay;
-}
-
-bool
-haloFreePays(int64_t h, int64_t w)
-{
-    const Shape shape{1, h, w, 1};
-    return yPackable(w) && haloFreeLayout(shape, 0).blocks() <
-                               yPackedLayout(shape, 0).blocks();
 }
 
 TensorLayout

@@ -14,11 +14,15 @@
  * (so u8 MACs of pad positions contribute exactly zero after the
  * zero-offset subtraction).
  *
- * Dense (1x1 convolutions and adds): an interleaved geometry with the
- * h*w positions flattened row-major, 64 per row, and no pads or halos:
- * byte [i*64 + c] = value(p = block*64 + i, cb*64 + c). A 1x1 conv
- * reads no neighbours, so it needs neither; 14x14 fills 196 of 256
- * lanes instead of y-packing's 112 of 256.
+ * Packed (staged convolutions, w <= 14): an interleaved geometry with
+ * several ys per row and no vertical halo; a staged conv copies what
+ * its taps read into these rows and writes its output in them.
+ *
+ * Dense (tensors of w <= 14 read by 1x1 convs, adds and staged convs):
+ * an interleaved geometry with the h*w positions flattened row-major,
+ * 64 per row, and no pads or halos: byte [i*64 + c] = value(p =
+ * block*64 + i, cb*64 + c). A 1x1 conv reads no neighbours, and a
+ * staged conv's copies supply its pads; 14x14 fills 196 of 256 lanes.
  *
  * Flat (GNMT's bf16 matmul vectors): 4096 elements per planar row
  * pair, low bytes then high bytes (paper IV-C2). Quantized vectors
@@ -81,30 +85,22 @@ struct TensorLayout
     int rfOutPadL = 0;  ///< Left pad of the consumer's output layout
                         ///< (group g holds out coord t*56+g's field).
 
-    // Y-packing (small-width deep layers): when ny > 0 a row holds
-    // `ny + 2` y-slots of `pitch` positions each — one pre and one
-    // post vertical-halo slot around ny owned padded ys. Row (B, cb)
-    // slot j covers padded y = B*ny + j - 1. Requires pitch ==
-    // paddedW() and slots() * pitch <= 64. The paper's mapping
+    // Packed rows (small-width deep layers): when ny > 0 a row holds ny
+    // slots of `pitch` positions, one y each and no vertical halo or pad
+    // slot, so row (B, cb) slot j holds padded y = B*ny + j. Requires
+    // pitch == paddedW() and ny * pitch <= 64. The paper's mapping
     // rounds a spatial dimension up to a power of two and fills the
     // 4096 lanes with W x K; this is the same idea with y folded in
-    // when W alone cannot fill a row.
+    // when W alone cannot fill a row. Staged convs read and write these
+    // rows (see haloFreeLayout).
     int ny = 0;
     int pitch = 0;
-    // Halo-free packing (staged conv rows): all slots are owned and
-    // there are no vertical pads, so row (B, cb) slot j holds
-    // y = B*ny + j. Only the staged copies a conv reads and the temp
-    // it writes for a relayout use it.
-    bool haloFree = false;
 
     // Dense spatial rows: positions p = y*w + x flattened, 64 per row;
     // row (block, cb) holds p = block*64 .. block*64 + 63. No pads.
     bool dense = false;
 
     bool packed() const { return ny > 0; }
-    /** Vertical-halo slots on each side of a block's owned ys. */
-    int halo() const { return haloFree ? 0 : 1; }
-    int slots() const { return ny + 2 * halo(); }
 
     /** Row blocks a packed (y-blocks) or dense (64-position blocks)
      *  tensor spans. */
@@ -123,10 +119,10 @@ struct TensorLayout
         return block * cblocks() + cb;
     }
 
-    /** Block containing padded y (as an owned slot). */
+    /** Block holding padded y. */
     int blockOf(int yp) const { return yp / ny; }
-    /** Slot index of padded y within its owning block's row. */
-    int slotOf(int yp) const { return yp - blockOf(yp) * ny + halo(); }
+    /** Slot of padded y within its block's row. */
+    int slotOf(int yp) const { return yp % ny; }
 
     int paddedW() const { return padLeft + w + padRight; }
     int paddedH() const { return padTop + h + padBottom; }
@@ -167,8 +163,8 @@ struct TensorLayout
         return (yp * cblocks() + cb) * xtiles() + t;
     }
 
-    // The lane map of the 8-bit interleaved family (plain, y-packed,
-    // halo-free and dense rows). A row group is the set of rows, one per
+    // The lane map of the 8-bit interleaved family (plain, packed and
+    // dense rows). A row group is the set of rows, one per
     // channel block, whose 64 lanes hold the same positions: a block of
     // packed or dense rows, or one (padded y, x-tile) of plain rows.
 
@@ -191,9 +187,9 @@ struct TensorLayout
     /**
      * Call f(lane, y, x) for every lane of group `g` inside the padded
      * extent, in lane order, with the unpadded position the lane stands
-     * for: pad lanes report positions outside [0, h) x [0, w), and halo
-     * lanes (a plain tile's last 8, a y-packed row's first and last
-     * slots) their owner's position. Dense rows have no pads.
+     * for: pad lanes report positions outside [0, h) x [0, w), and a
+     * plain tile's 8 halo lanes their owner's position. Dense rows have
+     * no pads.
      */
     template <typename F>
     void
@@ -203,10 +199,9 @@ struct TensorLayout
             for (int i = 0; i < kRowPos && g * kRowPos + i < h * w; ++i)
                 f(i, (g * kRowPos + i) / w, (g * kRowPos + i) % w);
         } else if (packed()) {
-            for (int j = 0; j < slots(); ++j)
+            for (int j = 0; j < ny; ++j)
                 for (int i = 0; i < pitch; ++i)
-                    f(j * pitch + i, g * ny + j - halo() - padTop,
-                      i - padLeft);
+                    f(j * pitch + i, g * ny + j - padTop, i - padLeft);
         } else {
             const int t = g % xtiles();
             for (int i = 0; i < kRowPos && t * kOwnW + i < paddedW(); ++i)
@@ -243,38 +238,28 @@ TensorLayout interleavedLayout(const Shape &shape, int pad_top,
 TensorLayout flatLayout(int64_t elems);
 
 /**
- * Convert an interleaved layout to its y-packed form (pads forced to
- * 1 on every side; pitch = w + 2; ny = 64/pitch - 2). Caller must
- * check yPackable() first.
- */
-TensorLayout yPackedLayout(const Shape &shape, uint8_t zero_byte);
-
-/**
  * Halo-free packed layout: pads 1 left and right only, pitch = w + 2,
- * ny = 64/pitch owned ys per row (4 for w = 14, 7 for w = 7).
+ * ny = 64/pitch ys per row (4 for w = 14, 7 for w = 7).
  */
 TensorLayout haloFreeLayout(const Shape &shape, uint8_t zero_byte);
 
 /** Build the dense layout of an NHWC activation. */
 TensorLayout denseLayout(const Shape &shape, uint8_t zero_byte);
 
-/** True when a tensor of this width benefits from y-packing. */
+/**
+ * True when a tensor of this width packs at least four ys into a
+ * halo-free row (w <= 14): the widths that dense rows and staged convs
+ * take.
+ */
 inline bool
 yPackable(int64_t w)
 {
-    int pitch = int(w) + 2;
-    return pitch <= 16 && 64 / pitch - 2 >= 2;
+    return w + 2 <= 16;
 }
 
 /**
- * True when an h x w tensor that y-packing takes fits in fewer blocks of
- * halo-free rows than of y-packed ones.
- */
-bool haloFreePays(int64_t h, int64_t w);
-
-/**
- * Pack an NHWC 8-bit tensor (batch index `n`) into plain, y-packed,
- * halo-free or dense rows, or into GroupedRf rows. Every lane of every
+ * Pack an NHWC 8-bit tensor (batch index `n`) into plain, packed or
+ * dense rows, or into GroupedRf rows. Every lane of every
  * copy of a position holds its value, halos included, and every other
  * byte the zero point, so host-packed inputs need no on-chip patch.
  * `dst` must hold lay.rows() * 4096 bytes.
@@ -282,8 +267,8 @@ bool haloFreePays(int64_t h, int64_t w);
 void packActivation(const Tensor &t, int64_t n, const TensorLayout &lay,
                     uint8_t *dst);
 
-/** Inverse of packActivation for plain, y-packed, halo-free and dense
- *  rows: read each position from the lane that owns it. */
+/** Inverse of packActivation for plain, packed and dense rows: read
+ *  each position from the lane that owns it. */
 void unpackActivation(const uint8_t *src, const TensorLayout &lay,
                       Tensor &t, int64_t n);
 

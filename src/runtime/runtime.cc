@@ -64,15 +64,11 @@ NcoreRuntime::loadImages()
     for (size_t si = 0; si < model_->subgraphs.size(); ++si) {
         const CompiledSubgraph &sg = model_->subgraphs[si];
 
-        // Shared prefix-mask table (incl. the empty mask) plus any
-        // layout-specific content masks.
+        // Shared prefix-mask table (incl. the empty mask).
         const auto &prefix_rows = prefixMaskRowImages();
         for (int g = 0; g <= 64; ++g)
             machine_->hostWriteRow(false, sg.masks.rowFor(g),
                                    prefix_rows[size_t(g)].data());
-        for (const auto &kv : sg.extraMasks)
-            machine_->hostWriteRow(false, kv.first,
-                                   kv.second.data());
 
         for (size_t i = 0; i < sg.rqTable.size(); ++i)
             machine_->writeRequantEntry(int(i), sg.rqTable[i]);

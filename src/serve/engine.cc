@@ -44,8 +44,6 @@ ServeEngine::sharedModelBytes() const
         bytes += sg.streamImage.size();
         bytes += sg.code.size() * sizeof(EncodedInstruction);
         bytes += sg.rqTable.size() * sizeof(RequantEntry);
-        for (const auto &kv : sg.extraMasks)
-            bytes += kv.second.size();
     }
     return bytes;
 }

@@ -3,7 +3,7 @@
  * GCL tests: optimization passes (pad fusion, dead-node elimination,
  * and the rewrites they make on the zoo), partitioning decisions, and
  * compile-time planning invariants (layouts, memory plan, weight
- * promotion vs streaming, staged convs over phase and halo-free
+ * promotion vs streaming, dense rows, staged convs over halo-free
  * copies, and the conv Reps the specialized engine fuses and walks in
  * closed form).
  */
@@ -226,16 +226,19 @@ TEST(GclPlanning, StreamingChunksFollowTheWeightRing)
 
 TEST(GclPlanning, LayoutPadsMatchDirectConsumers)
 {
-    // Each tensor materializes exactly its direct consumers' conv
+    // Each plain tensor materializes exactly its direct consumers' conv
     // padding; downstream layout padding is absorbed as a (safe)
     // negative gather delta instead of escalating through the chain.
+    // A tensor of at most 14 positions whose consumers copy what they
+    // read takes dense rows, with no pads at all.
     Rng rng(7);
     GraphBuilder gb("pads");
     QuantParams qp = actQp();
-    TensorId x = gb.input("x", Shape{1, 8, 8, 16}, DType::UInt8, qp);
+    TensorId x = gb.input("x", Shape{1, 16, 16, 16}, DType::UInt8, qp);
     TensorId a = qconv(gb, rng, "a", x, 16, 3, 1, 1, ActFn::None);
     TensorId b = qconv(gb, rng, "b", a, 16, 5, 1, 2, ActFn::None);
-    gb.output(b);
+    TensorId c = qconv(gb, rng, "c", b, 16, 3, 2, 1, ActFn::None);
+    gb.output(qconv(gb, rng, "d", c, 16, 3, 1, 1, ActFn::None));
     Graph g = gb.take();
 
     Loadable ld = compile(std::move(g));
@@ -243,16 +246,24 @@ TEST(GclPlanning, LayoutPadsMatchDirectConsumers)
     TensorId x_id = ld.graph.inputs()[0];
     EXPECT_EQ(sg.layouts.at(x_id).padLeft, 1);
     EXPECT_EQ(sg.layouts.at(x_id).padTop, 1);
-    // The mid tensor materializes its 5x5 consumer's pad 2 (pad 2
-    // also disqualifies it from y-packing).
-    TensorId mid = ld.graph.nodes()[0].outputs[0];
-    EXPECT_EQ(sg.layouts.at(mid).padLeft, 2);
-    EXPECT_FALSE(sg.layouts.at(mid).packed());
-    // The final 8-wide output has no consumers and y-packs (uniform
-    // pad 1 in packed rows).
-    TensorId out = ld.graph.nodes()[1].outputs[0];
-    EXPECT_TRUE(sg.layouts.at(out).packed());
-    EXPECT_EQ(sg.layouts.at(out).padLeft, 1);
+    // The 5x5 consumer's input materializes pad 2; the stride-2 conv's
+    // input pad 1.
+    const TensorLayout &mid = sg.layouts.at(ld.graph.nodes()[0].outputs[0]);
+    EXPECT_EQ(mid.padLeft, 2);
+    EXPECT_FALSE(mid.packed() || mid.dense);
+    EXPECT_EQ(sg.layouts.at(ld.graph.nodes()[1].outputs[0]).padTop, 1);
+    // The 8-wide tensor feeds a staged 3x3 conv: dense, unpadded.
+    const TensorLayout &small =
+        sg.layouts.at(ld.graph.nodes()[2].outputs[0]);
+    EXPECT_TRUE(small.dense);
+    EXPECT_EQ(small.paddedW(), small.w);
+    EXPECT_EQ(small.paddedH(), small.h);
+    // The final output only the host reads keeps the halo-free rows
+    // its staged conv writes.
+    const TensorLayout &out = sg.layouts.at(ld.graph.nodes()[3].outputs[0]);
+    EXPECT_TRUE(out.packed());
+    EXPECT_EQ(out.padTop, 0);
+    EXPECT_EQ(out.padLeft, 1);
 }
 
 TEST(GclPlanning, DataRamReuseAcrossLiveness)
@@ -425,7 +436,7 @@ TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)
     // pass of fused conv Reps: every requant store lands in one
     // halo-free image, the temp a relayout then moves into the dense
     // rows that the 1x1 convs and adds after them read. A fallback to
-    // the predicated, plain or y-packed lowering fails here.
+    // the predicated or plain lowering fails here.
     Loadable ld = compile(buildResNet50V15());
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
@@ -469,8 +480,8 @@ TEST(GclPlanning, ResNetSmallConvsReadHaloFreeCopies)
     // staged: it copies its input into halo-free rows (no vertical halo
     // or pad slots) and issues only unpredicated fused conv Reps of one
     // tap's ncb*64 channel taps (PerTap weights). Its requant stores
-    // number cout-blocks x ceil(h_out / floor(64 / (w_out + 2))), half
-    // the y-packed count, and the copies fit the data RAM.
+    // number cout-blocks x ceil(h_out / floor(64 / (w_out + 2))), and
+    // the copies fit the data RAM.
     Loadable ld = compile(buildResNet50V15());
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
@@ -494,7 +505,7 @@ TEST(GclPlanning, ResNetSmallConvsReadHaloFreeCopies)
         const int ncb = (cin + 63) / 64;
         const int nkb = int(out.dim(3) + 63) / 64;
         const int ny = 64 / (wd + 2);
-        EXPECT_TRUE(haloFreePays(h, wd));
+        EXPECT_TRUE(yPackable(wd));
 
         // Its kernel geometry as gcl plans it.
         ConvKernel kp;
@@ -539,44 +550,35 @@ TEST(GclPlanning, ResNetSmallConvsReadHaloFreeCopies)
 
 TEST(GclPlanning, MobileNetPointwiseRunsOnDenseRows)
 {
-    // The 14x14 and 7x7 pointwise convs read dense rows and write dense
+    // Every conv reading a 14x14 or 7x7 tensor reads dense rows: the
+    // pointwise convs in place, the depthwise convs through staged
+    // copies, all with fused conv Reps. The pointwise convs write dense
     // rows (their requant stores fill exactly a dense image of their
-    // output) with fused conv Reps. The relayouts sit at depthwise
-    // boundaries only: every dense tensor is a depthwise output that
-    // only a pointwise conv reads, and every pointwise output feeds a
-    // depthwise layer (or the pool) through a relayout.
+    // output; block13/pw's, which the average pool reads, then moves
+    // into plain rows). The depthwise convs write halo-free rows that a
+    // relayout moves into the dense rows the next pointwise conv reads.
     Loadable ld = compile(buildMobileNetV1());
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
     const Graph &g = ld.graph;
-    std::vector<Instruction> code;
-    for (const EncodedInstruction &e : sg.code)
-        code.push_back(decodeInstruction(e));
+    const std::vector<Instruction> code = decodeAll(sg);
 
-    int dense_pw = 0;
+    int dense_pw = 0, staged_dw = 0;
     for (size_t id = 0; id < g.nodes().size(); ++id) {
         const Node &n = g.nodes()[id];
         if (n.kind != OpKind::Conv2D && n.kind != OpKind::DepthwiseConv2D)
             continue;
         SCOPED_TRACE(n.name);
         const TensorLayout &in = sg.layouts.at(n.inputs[0]);
-        const bool pw = n.name.ends_with("/pw");
-        EXPECT_EQ(in.dense, pw && in.w <= 14);
+        EXPECT_EQ(in.dense, in.w <= 14);
         if (!in.dense)
             continue;
-        ++dense_pw;
-        EXPECT_EQ(g.producer(n.inputs[0])->kind, OpKind::DepthwiseConv2D);
-        EXPECT_FALSE(sg.layouts.at(n.outputs[0]).dense);
+        const Shape &out = g.tensor(n.outputs[0]).shape;
+        const bool pw = n.kind == OpKind::Conv2D;
+        EXPECT_EQ(sg.layouts.at(n.outputs[0]).dense,
+                  n.name != "block13/pw");
 
-        auto marker = [&](uint32_t tag) {
-            return std::find_if(code.begin(), code.end(),
-                                [&](const Instruction &i) {
-                                    return i.ctrl.op == CtrlOp::Event &&
-                                           i.ctrl.imm == tag;
-                                });
-        };
-        auto begin = marker(uint32_t(id) << 2 | 1);
-        auto end = marker(uint32_t(id) << 2 | 2);
+        auto [begin, end] = layerCode(code, int(id));
         ASSERT_TRUE(begin < end && end != code.end());
         int stores = 0;
         for (auto it = begin; it != end; ++it) {
@@ -585,26 +587,38 @@ TEST(GclPlanning, MobileNetPointwiseRunsOnDenseRows)
                 EXPECT_TRUE(convRepShaped(*it));
             }
         }
-        EXPECT_EQ(stores,
-                  denseLayout(g.tensor(n.outputs[0]).shape, 0).rows());
+        if (pw) {
+            ++dense_pw;
+            EXPECT_EQ(stores, denseLayout(out, 0).rows());
+        } else {
+            ++staged_dw;
+            EXPECT_EQ(stores,
+                      stagedOutLayout(out, n.attrs.strideH, true, 0).rows());
+        }
     }
-    // block6..block11 at 14x14, block12 and block13 at 7x7.
+    // block6..block11 at 14x14, block12 and block13 at 7x7; the
+    // depthwise convs of blocks 7 to 13.
     EXPECT_EQ(dense_pw, 8);
+    EXPECT_EQ(staged_dw, 7);
 }
 
-TEST(GclPlanning, ResNetDenseRowsStopAtStrideTwo)
+TEST(GclPlanning, ResNetStridedConvsReadDenseRows)
 {
-    // A stride-2 projection reads its input at every second position,
-    // so that input keeps plain or y-packed rows; the stage-4/5 blocks'
-    // other 1x1 inputs and residual adds run on dense rows.
+    // Staged copies read dense rows, so stage 5's stride-2 projection
+    // and `b` read the dense sum of stage 4; the 56- and 28-wide inputs
+    // of stages 3 and 4 keep plain rows. Every residual add of stages 4
+    // and 5 runs on dense rows but the last, whose sum the average pool
+    // reads from plain rows.
     Loadable ld = compile(buildResNet50V15());
     ASSERT_EQ(ld.subgraphs.size(), 1u);
     const CompiledSubgraph &sg = ld.subgraphs[0];
-    int proj = 0, dense_adds = 0;
+    int strided = 0, dense_adds = 0;
     for (const Node &n : ld.graph.nodes()) {
-        if (n.name.ends_with("/proj") && n.attrs.strideH == 2) {
-            ++proj;
-            EXPECT_FALSE(sg.layouts.at(n.inputs[0]).dense) << n.name;
+        if (n.kind == OpKind::Conv2D && n.attrs.strideH == 2 &&
+            n.name != "conv1") {
+            ++strided;
+            const TensorLayout &in = sg.layouts.at(n.inputs[0]);
+            EXPECT_EQ(in.dense, in.w <= 14) << n.name;
         }
         if (n.kind == OpKind::Add && sg.layouts.at(n.outputs[0]).dense) {
             ++dense_adds;
@@ -612,8 +626,49 @@ TEST(GclPlanning, ResNetDenseRowsStopAtStrideTwo)
             EXPECT_TRUE(sg.layouts.at(n.inputs[1]).dense);
         }
     }
-    EXPECT_EQ(proj, 3);
-    EXPECT_GT(dense_adds, 0);
+    EXPECT_EQ(strided, 6); // A proj and a `b` at each of stages 3-5.
+    EXPECT_EQ(dense_adds, 8);
+}
+
+TEST(GclPlanning, StageFiveEntryIsDenseAndNoLayoutHasVerticalHalos)
+{
+    // ResNet's stage5/block1/a (1x1, 14x14x1024 -> 512) reads and writes
+    // dense rows: its input's other reader, the stride-2 projection,
+    // copies dense rows too. And no zoo tensor lives in rows with a
+    // vertical halo or pad slot: every packed layout owns each position
+    // in exactly one lane.
+    {
+        Loadable ld = compile(buildResNet50V15());
+        const CompiledSubgraph &sg = ld.subgraphs[0];
+        const int id = nodeNamed(ld, "stage5/block1/a");
+        ASSERT_GE(id, 0);
+        const Node &n = ld.graph.nodes()[size_t(id)];
+        EXPECT_TRUE(sg.layouts.at(n.inputs[0]).dense);
+        EXPECT_TRUE(sg.layouts.at(n.outputs[0]).dense);
+    }
+    int packed = 0;
+    for (Graph g :
+         {buildMobileNetV1(), buildResNet50V15(), buildSsdMobileNetV1()}) {
+        SCOPED_TRACE(g.name());
+        Loadable ld = compile(std::move(g));
+        for (const CompiledSubgraph &sg : ld.subgraphs)
+            for (const auto &[tensor, lay] : sg.layouts) {
+                if (!lay.packed())
+                    continue;
+                ++packed;
+                EXPECT_EQ(lay.padTop + lay.padBottom, 0) << tensor;
+                std::vector<int> lanes(size_t(lay.h) * size_t(lay.w), 0);
+                for (int gr = 0; gr < lay.groups(); ++gr)
+                    lay.forEachLane(gr, [&](int, int y, int x) {
+                        if (y >= 0 && y < lay.h && x >= 0 && x < lay.w)
+                            ++lanes[size_t(y) * size_t(lay.w) + size_t(x)];
+                    });
+                for (int count : lanes)
+                    EXPECT_EQ(count, 1) << tensor;
+            }
+    }
+    // SSD's 1x1 box and class heads keep their staged convs' rows.
+    EXPECT_GT(packed, 0);
 }
 
 TEST(GclPlanning, CompileIsDeterministic)
@@ -657,7 +712,6 @@ TEST(GclPlanning, CompileIsDeterministic)
         EXPECT_EQ(sa.masks.baseRow, sb.masks.baseRow);
         EXPECT_TRUE(sa.code == sb.code);
         EXPECT_TRUE(sa.rqTable == sb.rqTable);
-        EXPECT_EQ(sa.extraMasks, sb.extraMasks);
         EXPECT_EQ(sa.weightsPersistent, sb.weightsPersistent);
         EXPECT_EQ(sa.persistentWeights, sb.persistentWeights);
         EXPECT_EQ(sa.streamImage, sb.streamImage);

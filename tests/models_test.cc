@@ -270,19 +270,19 @@ expectDeviceTotals(Workload w, const DeviceTotals &golden)
 TEST(ModelDeviceTotals, MobileNetV1)
 {
     expectDeviceTotals(Workload::MobileNetV1,
-                       {246856, 246856, 0, 900104192, 0});
+                       {244091, 244091, 0, 891404288, 0});
 }
 
 TEST(ModelDeviceTotals, ResNet50)
 {
     expectDeviceTotals(Workload::ResNet50,
-                       {1671171, 1618187, 27258880, 6420365312, 52984});
+                       {1635037, 1581869, 27258880, 6286147584, 53168});
 }
 
 TEST(ModelDeviceTotals, SsdMobileNet)
 {
     expectDeviceTotals(Workload::SsdMobileNet,
-                       {828598, 828598, 0, 3212328960, 0});
+                       {827842, 827842, 0, 3209674752, 0});
 }
 
 /// (1,1) GNMT sentence. The digest was taken with the byte-at-a-time

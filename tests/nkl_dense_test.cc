@@ -2,8 +2,9 @@
  * @file
  * Dense-row kernel tests: stride-1 1x1 convolutions over dense rows
  * (h*w positions flattened, 64 per row) and the K-split FC, bit-exact
- * against the x86 reference; on-chip relayouts between dense, y-packed
- * and plain rows, which must reproduce the host packers byte for byte.
+ * against the x86 reference; on-chip relayouts between dense, packed
+ * and plain rows, which must reproduce the host packers byte for byte,
+ * and the resampled relayouts that fill staged convs' copies.
  */
 
 #include <gtest/gtest.h>
@@ -174,7 +175,7 @@ checkRelayout(const Tensor &t, const TensorLayout &src,
     expectRows(relayoutOnChip(t, src, dst), want);
 }
 
-enum class Rows { Plain, YPacked, HaloFree, Dense };
+enum class Rows { Plain, HaloFree, Dense };
 
 TensorLayout
 rowsLayout(Rows kind, const Shape &shape, uint8_t zp)
@@ -182,8 +183,6 @@ rowsLayout(Rows kind, const Shape &shape, uint8_t zp)
     switch (kind) {
       case Rows::Plain:
         return interleavedLayout(shape, 1, 1, 1, 1, zp);
-      case Rows::YPacked:
-        return yPackedLayout(shape, zp);
       case Rows::HaloFree:
         return haloFreeLayout(shape, zp);
       case Rows::Dense:
@@ -195,7 +194,7 @@ rowsLayout(Rows kind, const Shape &shape, uint8_t zp)
 std::string
 rowsName(Rows kind)
 {
-    const char *names[] = {"plain", "ypacked", "halofree", "dense"};
+    const char *names[] = {"plain", "halofree", "dense"};
     return names[int(kind)];
 }
 
@@ -209,8 +208,8 @@ TEST_P(NklRelayoutPairs, MatchesHostPack)
     const auto [from, to] = GetParam();
     QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
     const uint8_t zp = uint8_t(qp.zeroPoint);
-    // Halo-free rows of 4 and 7 ys, y-packed rows of 2 and 5, a partial
-    // dense block, and a width that leaves lanes past the last slot.
+    // Halo-free rows of 4 and 7 ys, a partial dense block, and a width
+    // that leaves lanes past the last slot.
     for (Shape shape : {Shape{1, 14, 14, 96}, Shape{1, 7, 7, 160},
                         Shape{1, 6, 13, 64}}) {
         SCOPED_TRACE(shape.toString());
@@ -224,8 +223,7 @@ TEST_P(NklRelayoutPairs, MatchesHostPack)
     }
 }
 
-const Rows kAllRows[] = {Rows::Plain, Rows::YPacked, Rows::HaloFree,
-                         Rows::Dense};
+const Rows kAllRows[] = {Rows::Plain, Rows::HaloFree, Rows::Dense};
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, NklRelayoutPairs,
@@ -236,64 +234,101 @@ INSTANTIATE_TEST_SUITE_P(
                rowsName(std::get<1>(info.param));
     });
 
+/**
+ * Relayout `t` from `src` into `dst` resampled by `rs`: every lane of
+ * dst's padded extent takes source (sy*y + oy, sx*x + ox), pad lanes
+ * included, and the zero point where that lies outside the source.
+ * Returns the destination lanes that took a source column at or past
+ * dst.w (the right pad column).
+ */
+int
+expectResampled(const Tensor &t, const TensorLayout &src,
+                const TensorLayout &dst, Resample rs)
+{
+    const Shape &shape = t.shape();
+    const int c = int(shape.dim(3));
+    std::vector<uint8_t> want(size_t(dst.rows()) * 4096, dst.zeroByte);
+    int right_pad = 0;
+    for (int g = 0; g < dst.groups(); ++g)
+        dst.forEachLane(g, [&](int lane, int y, int x) {
+            const int ys = rs.sy * y + rs.oy, xs = rs.sx * x + rs.ox;
+            if (ys < 0 || ys >= shape.dim(1) || xs < 0 ||
+                xs >= shape.dim(2))
+                return;
+            right_pad += x >= dst.w;
+            for (int ch = 0; ch < c; ++ch)
+                want[size_t(dst.groupRow(g, ch / 64)) * 4096 +
+                     size_t(lane * 64 + ch % 64)] =
+                    uint8_t(t.intAt((ys * shape.dim(2) + xs) * c + ch));
+        });
+    expectRows(relayoutOnChip(t, src, dst, rs), want);
+    return right_pad;
+}
+
 TEST(NklDenseRelayout, StrideTwoPhaseCopies)
 {
-    // A staged conv's copies: destination (y, x) takes source
-    // (2y + oy, 2x + ox), pad lanes included, and the zero point where
-    // that lies outside the source. The 15-wide source with a 7-wide
-    // copy (a 3x3 stride-2 conv with pad 0) puts source x = 14 in the
-    // copy's right pad column.
+    // A staged standard conv's copies: destination (y, x) takes source
+    // (2y + oy, 2x + ox). The 15-wide source with a 7-wide copy (a 3x3
+    // stride-2 conv with pad 0) puts source x = 14 in the copy's right
+    // pad column.
     QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
     const uint8_t zp = uint8_t(qp.zeroPoint);
-    struct Case
-    {
-        int hw;
-        TensorLayout src;
-    };
     const Shape s15{1, 15, 15, 96}, s14{1, 14, 14, 96};
-    for (const Case &cs :
-         {Case{15, interleavedLayout(s15, 0, 0, 0, 0, zp)},
-          Case{14, interleavedLayout(s14, 1, 1, 1, 1, zp)},
-          Case{14, yPackedLayout(s14, zp)}}) {
-        const Shape shape = cs.hw == 15 ? s15 : s14;
-        Rng rng(uint64_t(cs.hw + cs.src.ny));
+    for (const TensorLayout &src :
+         {interleavedLayout(s15, 0, 0, 0, 0, zp),
+          interleavedLayout(s14, 1, 1, 1, 1, zp), haloFreeLayout(s14, zp)}) {
+        Rng rng(uint64_t(src.w + src.ny));
+        Tensor t(src.w == 15 ? s15 : s14, DType::UInt8, qp);
+        t.fillRandom(rng);
+        const TensorLayout dst = haloFreeLayout(Shape{1, 7, 7, 96}, zp);
+        for (int oy = -1; oy <= 2; ++oy)
+            for (int ox = 0; ox <= 1; ++ox) {
+                SCOPED_TRACE(testing::Message()
+                             << src.w << (src.packed() ? " halofree"
+                                                       : " plain")
+                             << " phase " << oy << "," << ox);
+                EXPECT_EQ(expectResampled(t, src, dst, {2, oy, 2, ox}) > 0,
+                          src.w == 15 && ox == 0);
+                if (HasFatalFailure())
+                    return;
+            }
+    }
+}
+
+TEST(NklRelayoutResampled, DenseToHaloFree)
+{
+    // Staged convs copy dense rows too: stride 1 and 2, kernel-row
+    // offsets -1, 0 and +1, both column phases, a partial channel block,
+    // and the double-width copies of a stride-2 depthwise conv (every
+    // input column, two output pitches per slot).
+    QuantParams qp = chooseAsymmetricUint8(-1.0f, 1.0f);
+    const uint8_t zp = uint8_t(qp.zeroPoint);
+    for (Shape shape : {Shape{1, 14, 14, 96}, Shape{1, 7, 7, 160},
+                        Shape{1, 10, 10, 64}}) {
+        Rng rng(uint64_t(shape.dim(1) * 10 + shape.dim(3)));
         Tensor t(shape, DType::UInt8, qp);
         t.fillRandom(rng);
-        const Shape copy{1, 7, 7, 96};
-        for (const TensorLayout &dst :
-             {yPackedLayout(copy, zp), haloFreeLayout(copy, zp)})
-            for (int oy = -1; oy <= 2; ++oy)
-                for (int ox = 0; ox <= 1; ++ox) {
-                    SCOPED_TRACE(testing::Message()
-                                 << cs.hw << (cs.src.packed() ? " ypacked"
-                                                              : " plain")
-                                 << " -> "
-                                 << (dst.haloFree ? "halofree" : "ypacked")
-                                 << " phase " << oy << "," << ox);
-                    std::vector<uint8_t> want(size_t(dst.rows()) * 4096,
-                                              zp);
-                    int right_pad = 0;
-                    for (int g = 0; g < dst.groups(); ++g)
-                        dst.forEachLane(g, [&](int lane, int y, int x) {
-                            const int ys = 2 * y + oy, xs = 2 * x + ox;
-                            if (ys < 0 || ys >= shape.dim(1) || xs < 0 ||
-                                xs >= shape.dim(2))
-                                return;
-                            right_pad += x == dst.w;
-                            for (int c = 0; c < 96; ++c)
-                                want[size_t(dst.groupRow(g, c / 64)) *
-                                         4096 +
-                                     size_t(lane * 64 + c % 64)] =
-                                    uint8_t(t.intAt(
-                                        (ys * shape.dim(2) + xs) * 96 + c));
-                        });
-                    EXPECT_EQ(right_pad > 0, cs.hw == 15 && ox == 0);
-                    expectRows(
-                        relayoutOnChip(t, cs.src, dst, {2, oy, 2, ox}),
-                        want);
-                    if (HasFatalFailure())
-                        return;
-                }
+        const TensorLayout src = denseLayout(shape, zp);
+        const int h = int(shape.dim(1)), w = int(shape.dim(2));
+        const int c = int(shape.dim(3));
+        for (int s : {1, 2}) {
+            const int ho = (h + s - 1) / s, wo = (w + s - 1) / s;
+            for (int oy = -1; oy <= 1; ++oy) {
+                SCOPED_TRACE(testing::Message()
+                             << shape.toString() << " stride " << s
+                             << " row offset " << oy);
+                for (int ox = 0; ox < s; ++ox)
+                    expectResampled(t, src,
+                                    haloFreeLayout(Shape{1, ho, wo, c}, zp),
+                                    {s, oy, s, ox});
+                expectResampled(
+                    t, src,
+                    haloFreeLayout(Shape{1, ho, s * (wo + 2) - 2, c}, zp),
+                    {s, oy, 1, 0});
+                if (HasFatalFailure())
+                    return;
+            }
+        }
     }
 }
 
@@ -334,7 +369,7 @@ TEST(NklDenseRelayout, RoundTripsThroughPackedAndPlainRows)
         Tensor t(shape, DType::UInt8, qp);
         t.fillRandom(rng);
         const TensorLayout dense = denseLayout(shape, zp);
-        const TensorLayout packed = yPackedLayout(shape, zp);
+        const TensorLayout packed = haloFreeLayout(shape, zp);
         const TensorLayout plain = interleavedLayout(shape, 1, 1, 1, 1, zp);
         const TensorLayout bare = interleavedLayout(shape, 0, 0, 0, 0, zp);
         checkRelayout(t, dense, packed);

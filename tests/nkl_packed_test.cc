@@ -1,12 +1,10 @@
 /**
  * @file
- * Y-packed layout kernel tests: host pack/unpack round-trips, on-chip
- * relayout from plain rows, packed->packed and packed->plain
- * convolutions (standard + depthwise, stride 1 and 2), staged
- * convolutions (stride-2 phase copies writing packed rows, and per-row
- * copies writing halo-free rows), pooling from
- * packed inputs, and residual adds over packed rows — all bit-exact
- * against the x86 reference.
+ * Packed-row kernel tests: halo-free host pack/unpack round-trips,
+ * on-chip relayouts into and out of halo-free rows, staged convolutions
+ * (standard and depthwise, stride 1 and 2, from plain single-tile,
+ * packed and dense sources) and residual adds over packed rows — all
+ * bit-exact against the x86 reference.
  */
 
 #include <gtest/gtest.h>
@@ -29,38 +27,6 @@ class NklPackedTest : public ::testing::Test
         testutil::writeMaskTable(m, masks);
     }
 
-    /** Write a layout's content-mask row and return its index. */
-    int
-    writeContentMask(const TensorLayout &lay, int row)
-    {
-        auto mask = yPackedContentMask(lay);
-        m.hostWriteRow(false, row, mask.data());
-        return row;
-    }
-
-    void
-    loadPacked(const Tensor &t, const TensorLayout &lay)
-    {
-        std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-        packActivation(t, 0, lay, img.data());
-        for (int r = 0; r < lay.rows(); ++r)
-            m.hostWriteRow(false, lay.baseRow + r,
-                           img.data() + size_t(r) * 4096);
-    }
-
-    Tensor
-    readPacked(const Shape &shape, const QuantParams &qp,
-               const TensorLayout &lay)
-    {
-        Tensor t(shape, DType::UInt8, qp);
-        std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
-        for (int r = 0; r < lay.rows(); ++r)
-            m.hostReadRow(false, lay.baseRow + r,
-                          img.data() + size_t(r) * 4096);
-        unpackActivation(img.data(), lay, t, 0);
-        return t;
-    }
-
     Machine m;
     MaskTable masks;
 };
@@ -72,10 +38,10 @@ TEST_F(NklPackedTest, HostPackUnpackRoundTrip)
     Tensor t(Shape{1, 14, 14, 96}, DType::UInt8, qp);
     t.fillRandom(rng);
 
-    TensorLayout lay = yPackedLayout(t.shape(), uint8_t(qp.zeroPoint));
+    TensorLayout lay = haloFreeLayout(t.shape(), uint8_t(qp.zeroPoint));
     EXPECT_EQ(lay.pitch, 16);
-    EXPECT_EQ(lay.ny, 2);
-    EXPECT_EQ(lay.blocks(), 8);
+    EXPECT_EQ(lay.ny, 4);
+    EXPECT_EQ(lay.blocks(), 4);
     lay.baseRow = 100;
 
     std::vector<uint8_t> img(size_t(lay.rows()) * 4096);
@@ -97,8 +63,8 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
     TensorLayout plain = interleavedLayout(t.shape(), 1, 1, 1, 1,
                                            uint8_t(qp.zeroPoint));
     plain.baseRow = 80;
-    TensorLayout packed = yPackedLayout(t.shape(),
-                                        uint8_t(qp.zeroPoint));
+    TensorLayout packed = haloFreeLayout(t.shape(),
+                                         uint8_t(qp.zeroPoint));
     packed.baseRow = plain.baseRow + plain.rows() + 2;
     testutil::loadInterleaved(m, t, plain);
 
@@ -108,7 +74,7 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
               StopReason::Halted);
 
     // The on-chip rows must match the host packer bit-for-bit
-    // (including materialized halos, pads and the dead tail).
+    // (including the pad lanes and the dead tail).
     std::vector<uint8_t> want(size_t(packed.rows()) * 4096);
     packActivation(t, 0, packed, want.data());
     std::vector<uint8_t> got(4096);
@@ -120,6 +86,14 @@ TEST_F(NklPackedTest, OnChipRepackMatchesHostPack)
     }
 }
 
+/** Rows a staged conv's source lives in, and where its output goes. */
+enum class Rows {
+    Plain,  ///< Plain single-tile rows (as a source, with conv pads).
+    Packed, ///< Halo-free rows: the rows the conv itself writes.
+    Dense,  ///< Dense rows (sources only).
+    Temp,   ///< The conv's halo-free temp, relayouted into dense rows.
+};
+
 struct PackedConvCase
 {
     int h, w, cin, cout;
@@ -127,11 +101,8 @@ struct PackedConvCase
     int stride;
     int pad;
     bool depthwise;
-    bool outPacked;
-    bool inPacked = true; ///< Else a plain single-tile input.
-    /// The output is a relayout temp, as for a tensor only 1x1 convs
-    /// read: halo-free rows where the geometry rule picks them.
-    bool viaTemp = false;
+    Rows out = Rows::Packed;
+    Rows in = Rows::Packed;
 };
 
 /** Test name, e.g. h14w14_c64_k64_3x3_s2_p1_packed_to_plain. */
@@ -139,14 +110,13 @@ std::string
 packedConvName(const ::testing::TestParamInfo<PackedConvCase> &info)
 {
     const PackedConvCase &c = info.param;
+    const char *rows[] = {"plain", "packed", "dense", "temp"};
     return "h" + std::to_string(c.h) + "w" + std::to_string(c.w) +
            "_c" + std::to_string(c.cin) + "_k" + std::to_string(c.cout) +
            "_" + std::to_string(c.k) + "x" + std::to_string(c.k) +
            "_s" + std::to_string(c.stride) + "_p" +
-           std::to_string(c.pad) + (c.depthwise ? "_dw" : "") +
-           (c.inPacked ? "_packed" : "_plain") +
-           (c.viaTemp ? "_to_temp"
-                      : c.outPacked ? "_to_packed" : "_to_plain");
+           std::to_string(c.pad) + (c.depthwise ? "_dw" : "") + "_" +
+           rows[int(c.in)] + "_to_" + rows[int(c.out)];
 }
 
 class PackedConvTest : public ::testing::TestWithParam<PackedConvCase>
@@ -194,36 +164,22 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     x_val.fillRandom(rng);
     Tensor want = ReferenceExecutor(g).run({x_val})[0];
 
-    // Device setup.
+    // Device setup: the source rows, the halo-free rows the conv
+    // writes, then its staging scratch.
     const uint8_t in_zp = uint8_t(in_qp.zeroPoint);
+    const uint8_t out_zp = uint8_t(out_qp.zeroPoint);
     TensorLayout li =
-        cc.inPacked ? yPackedLayout(x_val.shape(), in_zp)
-                    : interleavedLayout(x_val.shape(), cc.pad, cc.pad,
-                                        cc.pad, cc.pad, in_zp);
+        cc.in == Rows::Packed  ? haloFreeLayout(x_val.shape(), in_zp)
+        : cc.in == Rows::Dense ? denseLayout(x_val.shape(), in_zp)
+                               : interleavedLayout(x_val.shape(), cc.pad,
+                                                   cc.pad, cc.pad, cc.pad,
+                                                   in_zp);
     li.baseRow = 80;
-    // The geometry rule gcl applies to a conv writing a y-packed temp.
-    const bool halo_free =
-        cc.viaTemp && !cc.depthwise &&
-        stagedCopiesFit(li, cc.stride, cc.k, cc.k, cc.pad, cc.pad) &&
-        haloFreePays(want.shape().dim(1), want.shape().dim(2));
-    TensorLayout lo;
-    if (halo_free) {
-        lo = haloFreeLayout(want.shape(), uint8_t(out_qp.zeroPoint));
-    } else if (cc.outPacked) {
-        lo = yPackedLayout(want.shape(), uint8_t(out_qp.zeroPoint));
-    } else {
-        lo = interleavedLayout(want.shape(), 0, 0, 0, 0,
-                               uint8_t(out_qp.zeroPoint));
-    }
+    ASSERT_TRUE(
+        stagedCopiesFit(li, cc.stride, cc.k, cc.k, cc.pad, cc.pad));
+    TensorLayout lo = stagedOutLayout(want.shape(), cc.stride,
+                                      cc.depthwise, out_zp);
     lo.baseRow = li.baseRow + li.rows() + 2;
-
-    // Content mask for y-packed outputs.
-    int cm_row = 70;
-    if (cc.outPacked && !halo_free) {
-        auto mask = yPackedContentMask(lo);
-        m.hostWriteRow(false, cm_row, mask.data());
-    }
-
     testutil::loadInterleaved(m, x_val, li);
 
     ConvKernel kp;
@@ -237,27 +193,19 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     kp.depthwise = cc.depthwise;
     kp.weightBase = 0;
     kp.rqIndex = 1;
-    kp.dataZero = uint8_t(in_qp.zeroPoint);
+    kp.dataZero = in_zp;
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     kp.masks = masks;
-    kp.contentMaskRow = cm_row;
-    kp.patchOutput = !cc.viaTemp;
-    const bool staged = usesStagedCopies(kp);
-    if (staged) {
-        kp.stageBase = lo.baseRow + lo.rows() + 2;
-        ASSERT_LE(kp.stageBase + stagedCopyRows(kp), 2048);
-    }
-    EXPECT_EQ(staged, !cc.depthwise &&
-                          (halo_free || (cc.stride == 2 && cc.outPacked)));
+    ASSERT_TRUE(usesStagedCopies(kp));
+    kp.stageBase = lo.baseRow + lo.rows() + 2;
+    ASSERT_LE(kp.stageBase + stagedCopyRows(kp), 2048);
 
     auto w_img = cc.depthwise
                      ? packDepthwiseWeights(w_val, &b_val,
                                             uint8_t(w_qp.zeroPoint))
                      : packConvWeights(w_val, &b_val,
                                        uint8_t(w_qp.zeroPoint),
-                                       staged
-                                           ? ConvTapOrder::PerTap
-                                           : ConvTapOrder::RowMajor);
+                                       ConvTapOrder::PerTap);
     testutil::loadWeights(m, w_img, 0);
 
     float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
@@ -267,11 +215,20 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
 
     ProgramBuilder pb;
     emitConv(pb, kp);
+    // Plain and dense homes take the rows the way gcl moves them.
+    TensorLayout home = lo;
+    if (cc.out != Rows::Packed) {
+        home = cc.out == Rows::Plain
+                   ? interleavedLayout(want.shape(), 1, 1, 1, 1, out_zp)
+                   : denseLayout(want.shape(), out_zp);
+        home.baseRow = kp.stageBase;
+        emitRelayout(pb, lo, home, masks);
+    }
     ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);
 
     Tensor got(want.shape(), DType::UInt8, out_qp);
-    testutil::readInterleaved(m, got, lo);
+    testutil::readInterleaved(m, got, home);
     for (int64_t i = 0; i < want.numElements(); ++i)
         ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
 }
@@ -279,102 +236,172 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
 INSTANTIATE_TEST_SUITE_P(
     PackedToPacked, PackedConvTest,
     ::testing::Values(
-        PackedConvCase{14, 14, 64, 64, 1, 1, 0, false, true},
-        PackedConvCase{14, 14, 128, 64, 3, 1, 1, false, true},
-        PackedConvCase{7, 7, 64, 128, 3, 1, 1, false, true},
-        PackedConvCase{7, 7, 256, 64, 1, 1, 0, false, true},
-        PackedConvCase{14, 14, 96, 96, 3, 1, 1, true, true},
-        PackedConvCase{7, 7, 64, 64, 3, 1, 1, true, true},
-        PackedConvCase{9, 12, 64, 64, 3, 1, 1, false, true}),
+        PackedConvCase{14, 14, 64, 64, 1, 1, 0, false},
+        PackedConvCase{14, 14, 128, 64, 3, 1, 1, false},
+        PackedConvCase{7, 7, 64, 128, 3, 1, 1, false},
+        PackedConvCase{7, 7, 256, 64, 1, 1, 0, false},
+        PackedConvCase{14, 14, 96, 96, 3, 1, 1, true},
+        PackedConvCase{7, 7, 64, 64, 3, 1, 1, true},
+        PackedConvCase{9, 12, 64, 64, 3, 1, 1, false}),
     packedConvName);
 
+// Staged convs whose output lives in plain rows (the tensor also feeds
+// a pool, say): a relayout moves the halo-free rows there.
 INSTANTIATE_TEST_SUITE_P(
     PackedToPlain, PackedConvTest,
     ::testing::Values(
-        PackedConvCase{14, 14, 64, 64, 3, 2, 1, false, false},
-        PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, false},
-        PackedConvCase{14, 14, 64, 64, 3, 2, 1, true, false},
-        PackedConvCase{7, 7, 128, 64, 3, 1, 1, false, false},
-        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, false}),
+        PackedConvCase{14, 14, 64, 64, 3, 2, 1, false, Rows::Plain},
+        PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, Rows::Plain},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 1, true, Rows::Plain},
+        PackedConvCase{7, 7, 128, 64, 3, 1, 1, false, Rows::Plain},
+        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, Rows::Plain}),
     packedConvName);
 
-// Stride-2 standard convs writing packed rows read phase copies: plain
-// single-tile inputs (ResNet stage 4's 28-wide input) and packed ones
-// (stage 5's 14-wide input, SSD's extra layers), odd widths and
-// heights, cin of one to three channel blocks.
+// Stride-2 standard convs read one copy per kernel row and column
+// phase: plain single-tile inputs (ResNet stage 4's 28-wide input) and
+// packed ones, odd widths and heights, cin of one to three channel
+// blocks.
 INSTANTIATE_TEST_SUITE_P(
     PhaseSplit, PackedConvTest,
     ::testing::Values(
-        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, true, false},
-        PackedConvCase{28, 28, 128, 64, 1, 2, 0, false, true, false},
-        PackedConvCase{28, 28, 192, 128, 3, 2, 1, false, true, false},
-        PackedConvCase{27, 27, 64, 64, 3, 2, 1, false, true, false},
-        PackedConvCase{27, 25, 64, 64, 1, 2, 0, false, true, false},
-        PackedConvCase{14, 14, 64, 64, 3, 2, 1, false, true},
-        PackedConvCase{14, 14, 128, 128, 1, 2, 0, false, true},
-        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false, true},
-        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false, true},
-        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false, true},
-        PackedConvCase{5, 5, 64, 64, 3, 2, 1, false, true},
-        PackedConvCase{3, 3, 64, 32, 3, 2, 1, false, true},
-        PackedConvCase{14, 14, 48, 64, 2, 2, 0, false, true},
-        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, true}),
+        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{28, 28, 128, 64, 1, 2, 0, false, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{28, 28, 192, 128, 3, 2, 1, false, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{27, 27, 64, 64, 3, 2, 1, false, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{27, 25, 64, 64, 1, 2, 0, false, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 1, false},
+        PackedConvCase{14, 14, 128, 128, 1, 2, 0, false},
+        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false},
+        PackedConvCase{13, 13, 64, 64, 3, 2, 1, false},
+        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false},
+        PackedConvCase{5, 5, 64, 64, 3, 2, 1, false},
+        PackedConvCase{3, 3, 64, 32, 3, 2, 1, false},
+        PackedConvCase{14, 14, 48, 64, 2, 2, 0, false},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false}),
     packedConvName);
 
-// Standard convs writing a relayout temp (outputs only 1x1 convs read)
-// write halo-free rows wherever those take fewer blocks than y-packed
-// ones: stride 1 over y-packed inputs, stride 2 over plain single-tile
-// (ResNet's 28-wide stage-4 inputs) and y-packed ones, cin of one to
-// three channel blocks and a partial one, pads 0 and 1. A 5x5 output
-// takes one block either way, so the rule declines and the y-packed
-// phase copies run.
+// Standard convs whose output lives in dense rows (only 1x1 convs,
+// adds and staged convs read it): stride 1 and 2 over packed, plain
+// single-tile (ResNet's 28-wide stage-4 inputs) and dense sources
+// (ResNet's stage-4/5 blocks, SSD's extra layers), cin of one to three
+// channel blocks and a partial one, pads 0 and 1.
 INSTANTIATE_TEST_SUITE_P(
     StagedHaloFree, PackedConvTest,
     ::testing::Values(
-        PackedConvCase{14, 14, 64, 64, 3, 1, 1, false, true, true, true},
-        PackedConvCase{13, 13, 96, 64, 3, 1, 1, false, true, true, true},
-        PackedConvCase{10, 10, 192, 64, 3, 1, 1, false, true, true, true},
-        PackedConvCase{7, 7, 64, 128, 3, 1, 1, false, true, true, true},
-        PackedConvCase{6, 6, 96, 96, 3, 1, 1, false, true, true, true},
-        PackedConvCase{14, 14, 192, 64, 1, 1, 0, false, true, true, true},
-        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, true, false, true},
-        PackedConvCase{28, 28, 96, 128, 1, 2, 0, false, true, false, true},
-        PackedConvCase{15, 15, 64, 64, 3, 2, 0, false, true, false, true},
-        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false, true, true, true},
-        PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, true, true, true},
-        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, true, true, true},
-        PackedConvCase{13, 13, 96, 64, 3, 2, 1, false, true, true, true},
-        PackedConvCase{13, 13, 64, 192, 1, 2, 0, false, true, true, true},
-        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false, true, true, true}),
+        PackedConvCase{14, 14, 64, 64, 3, 1, 1, false, Rows::Temp},
+        PackedConvCase{13, 13, 96, 64, 3, 1, 1, false, Rows::Temp},
+        PackedConvCase{10, 10, 192, 64, 3, 1, 1, false, Rows::Temp},
+        PackedConvCase{7, 7, 64, 128, 3, 1, 1, false, Rows::Temp},
+        PackedConvCase{6, 6, 96, 96, 3, 1, 1, false, Rows::Temp},
+        PackedConvCase{14, 14, 192, 64, 1, 1, 0, false, Rows::Temp},
+        PackedConvCase{28, 28, 64, 64, 3, 2, 1, false, Rows::Temp,
+                       Rows::Plain},
+        PackedConvCase{28, 28, 96, 128, 1, 2, 0, false, Rows::Temp,
+                       Rows::Plain},
+        PackedConvCase{15, 15, 64, 64, 3, 2, 0, false, Rows::Temp,
+                       Rows::Plain},
+        PackedConvCase{14, 14, 192, 64, 3, 2, 1, false, Rows::Temp},
+        PackedConvCase{14, 14, 64, 64, 1, 2, 0, false, Rows::Temp},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 0, false, Rows::Temp},
+        PackedConvCase{13, 13, 96, 64, 3, 2, 1, false, Rows::Temp},
+        PackedConvCase{13, 13, 64, 192, 1, 2, 0, false, Rows::Temp},
+        PackedConvCase{10, 10, 64, 64, 3, 2, 1, false, Rows::Temp},
+        PackedConvCase{14, 14, 96, 64, 3, 1, 1, false, Rows::Temp,
+                       Rows::Dense},
+        PackedConvCase{14, 14, 64, 128, 3, 2, 1, false, Rows::Temp,
+                       Rows::Dense},
+        PackedConvCase{14, 14, 160, 64, 1, 2, 0, false, Rows::Temp,
+                       Rows::Dense},
+        PackedConvCase{5, 5, 64, 64, 3, 2, 1, false, Rows::Packed,
+                       Rows::Dense},
+        PackedConvCase{2, 2, 64, 128, 3, 2, 1, false, Rows::Plain,
+                       Rows::Dense}),
     packedConvName);
 
-TEST(StagedRule, HaloFreeRowsWhereTheyTakeFewerBlocks)
+// Depthwise convs read one copy per kernel row: stride 1 at the zoo's
+// widths (MobileNet's 14 and 7, SSD's 10, 5 and 3), stride 2 from 14 to
+// 7 (MobileNet block12) and from 19 to 10 (SSD block12), over dense,
+// plain single-tile and packed sources, with whole and partial channel
+// blocks.
+INSTANTIATE_TEST_SUITE_P(
+    StagedDepthwise, PackedConvTest,
+    ::testing::Values(
+        PackedConvCase{14, 14, 96, 96, 3, 1, 1, true, Rows::Temp,
+                       Rows::Dense},
+        PackedConvCase{10, 10, 128, 128, 3, 1, 1, true, Rows::Packed,
+                       Rows::Plain},
+        PackedConvCase{7, 7, 160, 160, 3, 1, 1, true, Rows::Temp},
+        PackedConvCase{5, 5, 64, 64, 3, 1, 1, true, Rows::Plain,
+                       Rows::Dense},
+        PackedConvCase{3, 3, 96, 96, 3, 1, 1, true, Rows::Packed,
+                       Rows::Dense},
+        PackedConvCase{14, 14, 96, 96, 3, 2, 1, true, Rows::Temp,
+                       Rows::Dense},
+        PackedConvCase{14, 14, 64, 64, 3, 2, 0, true, Rows::Packed},
+        PackedConvCase{19, 19, 64, 64, 3, 2, 1, true, Rows::Temp,
+                       Rows::Plain},
+        PackedConvCase{19, 19, 96, 96, 3, 2, 1, true, Rows::Plain,
+                       Rows::Plain},
+        PackedConvCase{28, 28, 64, 64, 3, 2, 1, true, Rows::Temp,
+                       Rows::Plain}),
+    packedConvName);
+
+TEST(StagedRule, StagedConvsWriteHaloFreeRows)
 {
-    // Halo-free rows hold 64/(w+2) owned ys: 4 for w = 14, 7 for w = 7.
+    // Halo-free rows hold 64/(w+2) ys: 4 for w = 14, 7 for w = 7.
     const TensorLayout l14 = haloFreeLayout(Shape{1, 14, 14, 256}, 0);
     EXPECT_EQ(l14.pitch, 16);
     EXPECT_EQ(l14.ny, 4);
-    EXPECT_EQ(l14.slots(), 4);
     EXPECT_EQ(l14.blocks(), 4);
     EXPECT_EQ(l14.rows(), 16);
     const TensorLayout l7 = haloFreeLayout(Shape{1, 7, 7, 512}, 0);
     EXPECT_EQ(l7.ny, 7);
     EXPECT_EQ(l7.blocks(), 1);
 
-    // y-packed rows take 8, 8, 4, 2 and 2 blocks here.
-    for (int hw : {14, 13, 10, 7, 6})
-        EXPECT_TRUE(haloFreePays(hw, hw)) << hw;
-    // One block either way, and widths y-packing does not take.
-    for (int hw : {5, 3, 2, 1, 15, 28})
-        EXPECT_FALSE(haloFreePays(hw, hw)) << hw;
+    // A stride-2 depthwise conv's copies hold two output pitches of
+    // input columns per slot, so its rows hold half the ys.
+    EXPECT_EQ(stagedOutLayout(Shape{1, 7, 7, 64}, 1, true, 0).ny, 7);
+    EXPECT_EQ(stagedOutLayout(Shape{1, 7, 7, 64}, 2, false, 0).ny, 7);
+    const TensorLayout dw7 = stagedOutLayout(Shape{1, 7, 7, 64}, 2, true, 0);
+    EXPECT_EQ(dw7.pitch, 9);
+    EXPECT_EQ(dw7.ny, 3);
+    EXPECT_EQ(stagedOutLayout(Shape{1, 10, 10, 64}, 2, true, 0).ny, 2);
+
+    // Every conv writing packed rows runs staged, standard or depthwise.
+    ConvKernel p;
+    p.out = l7;
+    EXPECT_TRUE(usesStagedCopies(p));
+    p.depthwise = true;
+    EXPECT_TRUE(usesStagedCopies(p));
+    p.out = denseLayout(Shape{1, 7, 7, 512}, 0);
+    EXPECT_FALSE(usesStagedCopies(p));
+
+    // Copies read single-tile plain, packed and dense sources, but not
+    // multi-tile rows or taps two positions out.
+    const Shape s14{1, 14, 14, 64};
+    EXPECT_TRUE(stagedCopiesFit(denseLayout(s14, 0), 2, 3, 3, 1, 1));
+    EXPECT_TRUE(stagedCopiesFit(haloFreeLayout(s14, 0), 1, 3, 3, 1, 1));
+    EXPECT_TRUE(stagedCopiesFit(
+        interleavedLayout(Shape{1, 28, 28, 64}, 1, 1, 1, 1, 0), 2, 3, 3, 1,
+        1));
+    EXPECT_FALSE(stagedCopiesFit(
+        interleavedLayout(Shape{1, 56, 56, 64}, 1, 1, 1, 1, 0), 2, 3, 3, 1,
+        1));
+    EXPECT_FALSE(stagedCopiesFit(denseLayout(s14, 0), 1, 5, 5, 2, 2));
+    EXPECT_FALSE(stagedCopiesFit(denseLayout(s14, 0), 3, 3, 3, 1, 1));
 }
 
 TEST_F(NklPackedTest, OnChipHaloFreeRowsMatchHostPack)
 {
-    // The relayouts into and out of halo-free rows (y-packed input to a
-    // staged conv's geometry, and a staged conv's temp to the dense
-    // rows of its 1x1 consumers) write exactly what the host packers
-    // write, every pad and unused lane included.
+    // The relayouts into and out of halo-free rows (plain rows to a
+    // staged conv's geometry, and a staged conv's output to the dense
+    // rows of its consumers) write exactly what the host packers write,
+    // every pad and unused lane included.
     QuantParams qp = chooseAsymmetricUint8(-2.0f, 2.0f);
     Rng rng(12);
     for (int hw : {14, 7}) {
@@ -382,16 +409,16 @@ TEST_F(NklPackedTest, OnChipHaloFreeRowsMatchHostPack)
         Tensor t(Shape{1, hw, hw, 96}, DType::UInt8, qp);
         t.fillRandom(rng);
         const uint8_t zp = uint8_t(qp.zeroPoint);
-        TensorLayout packed = yPackedLayout(t.shape(), zp);
-        packed.baseRow = 80;
+        TensorLayout plain = interleavedLayout(t.shape(), 1, 1, 1, 1, zp);
+        plain.baseRow = 80;
         TensorLayout free = haloFreeLayout(t.shape(), zp);
-        free.baseRow = packed.baseRow + packed.rows() + 2;
+        free.baseRow = plain.baseRow + plain.rows() + 2;
         TensorLayout dense = denseLayout(t.shape(), zp);
         dense.baseRow = free.baseRow + free.rows() + 2;
-        loadPacked(t, packed);
+        testutil::loadInterleaved(m, t, plain);
 
         ProgramBuilder pb;
-        emitRelayout(pb, packed, free, masks);
+        emitRelayout(pb, plain, free, masks);
         emitRelayout(pb, free, dense, masks);
         ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
                   StopReason::Halted);
@@ -412,57 +439,10 @@ TEST_F(NklPackedTest, OnChipHaloFreeRowsMatchHostPack)
     }
 }
 
-TEST_F(NklPackedTest, GlobalAvgPoolFromPackedInput)
-{
-    QuantParams qp = chooseAsymmetricUint8(-2.0f, 2.0f);
-    Rng rng(9);
-    GraphBuilder gb("gap");
-    TensorId x = gb.input("x", Shape{1, 7, 7, 256}, DType::UInt8, qp);
-    TensorId y = gb.avgPool2d("gap", x, 7, 7, 1, 1, 0, 0, 0, 0);
-    gb.output(y);
-    Graph g = gb.take();
-    Tensor x_val(Shape{1, 7, 7, 256}, DType::UInt8, qp);
-    x_val.fillRandom(rng);
-    Tensor want = ReferenceExecutor(g).run({x_val})[0];
-
-    TensorLayout li = yPackedLayout(x_val.shape(),
-                                    uint8_t(qp.zeroPoint));
-    li.baseRow = 80;
-    TensorLayout lo = interleavedLayout(want.shape(), 0, 0, 0, 0,
-                                        uint8_t(qp.zeroPoint));
-    lo.baseRow = li.baseRow + li.rows() + 2;
-    loadPacked(x_val, li);
-
-    RequantEntry e;
-    e.rq = computeRequant(1.0f / 49.0f, qp.zeroPoint);
-    e.outType = DType::UInt8;
-    e.actMin = 0;
-    e.actMax = 255;
-    m.writeRequantEntry(2, e);
-
-    PoolKernel p;
-    p.in = li;
-    p.out = lo;
-    p.kh = p.kw = 7;
-    p.c = 256;
-    p.isMax = false;
-    p.rqIndex = 2;
-    p.dataZero = uint8_t(qp.zeroPoint);
-    p.masks = masks;
-
-    ProgramBuilder pb;
-    emitPool(pb, p);
-    ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
-              StopReason::Halted);
-
-    Tensor got(want.shape(), DType::UInt8, qp);
-    testutil::readInterleaved(m, got, lo);
-    for (int64_t i = 0; i < want.numElements(); ++i)
-        ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
-}
-
 TEST_F(NklPackedTest, ResidualAddOverPackedRows)
 {
+    // emitAdd is lane-aligned, so it runs over halo-free rows as over
+    // any one geometry; only the owned lanes are read back.
     QuantParams a_qp = chooseAsymmetricUint8(-1.0f, 1.0f);
     QuantParams b_qp = chooseAsymmetricUint8(-2.0f, 2.0f);
     QuantParams o_qp = chooseAsymmetricUint8(-3.0f, 3.0f);
@@ -481,14 +461,14 @@ TEST_F(NklPackedTest, ResidualAddOverPackedRows)
     b_val.fillRandom(rng);
     Tensor want = ReferenceExecutor(g).run({a_val, b_val})[0];
 
-    TensorLayout la = yPackedLayout(shape, uint8_t(a_qp.zeroPoint));
+    TensorLayout la = haloFreeLayout(shape, uint8_t(a_qp.zeroPoint));
     la.baseRow = 80;
-    TensorLayout lb = yPackedLayout(shape, uint8_t(b_qp.zeroPoint));
+    TensorLayout lb = haloFreeLayout(shape, uint8_t(b_qp.zeroPoint));
     lb.baseRow = la.baseRow + la.rows();
-    TensorLayout lo = yPackedLayout(shape, uint8_t(o_qp.zeroPoint));
+    TensorLayout lo = haloFreeLayout(shape, uint8_t(o_qp.zeroPoint));
     lo.baseRow = lb.baseRow + lb.rows();
-    loadPacked(a_val, la);
-    loadPacked(b_val, lb);
+    testutil::loadInterleaved(m, a_val, la);
+    testutil::loadInterleaved(m, b_val, lb);
 
     AddQuantPlan plan =
         makeAddPlan(a_qp, b_qp, o_qp, DType::UInt8, ActFn::Relu);
@@ -509,7 +489,8 @@ TEST_F(NklPackedTest, ResidualAddOverPackedRows)
     ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);
 
-    Tensor got = readPacked(shape, o_qp, lo);
+    Tensor got(shape, DType::UInt8, o_qp);
+    testutil::readInterleaved(m, got, lo);
     for (int64_t i = 0; i < want.numElements(); ++i)
         ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
 }

@@ -315,7 +315,7 @@ TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
 {
     // A ResNet stage-transition block, 28 -> 14: its stride-2 `b` (3x3
     // pad 1, after an explicit pad like the MLPerf graph) and `proj`
-    // (1x1) write y-packed rows from phase copies of their plain
+    // (1x1) write halo-free rows from phase copies of their plain
     // 28-wide inputs; relayouts then move them into dense rows for
     // `c` and the add.
     Rng rng(52);
