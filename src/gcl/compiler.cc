@@ -27,6 +27,20 @@ hasWeights(OpKind k)
            k == OpKind::FullyConnected;
 }
 
+/** NPU op of an emitConv window: Mac for convs, Max or Add for max and
+ *  average pools, None for every other kind. */
+NpuOp
+windowOp(OpKind k)
+{
+    switch (k) {
+      case OpKind::Conv2D:
+      case OpKind::DepthwiseConv2D: return NpuOp::Mac;
+      case OpKind::MaxPool2D: return NpuOp::Max;
+      case OpKind::AvgPool2D: return NpuOp::Add;
+      default: return NpuOp::None;
+    }
+}
+
 // -------------------------------------------------------------------
 // Scratchpad row allocator (first fit with coalescing free list)
 // -------------------------------------------------------------------
@@ -612,10 +626,10 @@ class SubgraphCompiler
         RowAllocator alloc(kMaskRows, kDataRamRows);
 
         // Shared scratch regions, each dead once its layer is done:
-        // one for relayout temps, one for a layer's own staging (staged
-        // conv copies, K-split FC input replicas; a staged conv may
-        // write a temp as well), and one for the min-code copies of
-        // padded max-pool inputs (a pool may also write a temp).
+        // one for relayout temps and one for a layer's own staging
+        // (staged conv copies, K-split FC input replicas, the min-code
+        // copy of a padded max pool's input; a staged conv or a pool
+        // may write a temp as well).
         int temp_rows = 0;
         for (auto &kv : relayoutTemp_)
             temp_rows = std::max(temp_rows, kv.second.rows());
@@ -626,12 +640,9 @@ class SubgraphCompiler
                 staging_rows = std::max(
                     staging_rows,
                     fcScratchRows(g_.tensor(n.inputs[1]).shape.dim(1)));
-            if (n.kind != OpKind::Conv2D &&
-                n.kind != OpKind::DepthwiseConv2D)
-                continue;
-            const ConvKernel p = convGeometry(n, id);
-            if (usesStagedCopies(p))
-                staging_rows = std::max(staging_rows, stagedCopyRows(p));
+            if (windowOp(n.kind) != NpuOp::None)
+                staging_rows =
+                    std::max(staging_rows, stagingRows(convGeometry(n, id)));
         }
         if (temp_rows > 0) {
             const int base = alloc.allocate(temp_rows);
@@ -642,20 +653,6 @@ class SubgraphCompiler
         if (staging_rows > 0) {
             stagingBase_ = alloc.allocate(staging_rows);
             fatal_if(stagingBase_ < 0, "no room for the staging scratch");
-        }
-        int restamp_rows = 0;
-        for (int id : nodeIds_) {
-            const Node &n = node(id);
-            if (n.kind == OpKind::MaxPool2D &&
-                (n.attrs.padTop > 0 || n.attrs.padLeft > 0))
-                restamp_rows = std::max(
-                    restamp_rows,
-                    layouts_.at(canonical(n.inputs[0])).rows());
-        }
-        if (restamp_rows > 0) {
-            scratchBase_ = alloc.allocate(restamp_rows);
-            fatal_if(scratchBase_ < 0,
-                     "no room for the max-pool restamp scratch");
         }
 
         // Death index per canonical tensor.
@@ -720,12 +717,9 @@ class SubgraphCompiler
             std::vector<uint8_t> bytes;
         };
         std::vector<Image> images;
-        bool needs_maxpool_row = false;
 
         for (int id : nodeIds_) {
             const Node &n = node(id);
-            if (n.kind == OpKind::MaxPool2D)
-                needs_maxpool_row = true;
             if (!hasWeights(n.kind))
                 continue;
             const GirTensor &w = g_.tensor(n.inputs[1]);
@@ -762,16 +756,11 @@ class SubgraphCompiler
             images.push_back(std::move(img));
         }
 
-        int reserved = needs_maxpool_row ? 1 : 0;
-        if (needs_maxpool_row)
-            sg_.maxPoolInitRowIdx = kWeightRamRows - 1;
-
         int64_t total_rows = 0;
         for (const Image &img : images)
             total_rows += int64_t(img.bytes.size() / 4096);
 
-        if (!opts_.forceStreaming &&
-            total_rows <= kWeightRamRows - reserved) {
+        if (!opts_.forceStreaming && total_rows <= kWeightRamRows) {
             // Promote all weights to persistent on-chip buffers
             // (the paper's MobileNet-V1 case).
             sg_.weightsPersistent = true;
@@ -783,24 +772,23 @@ class SubgraphCompiler
                     img.bytes.end());
                 base += int(img.bytes.size() / 4096);
             }
-            sg_.weightRowsUsed = base + reserved;
+            sg_.weightRowsUsed = base;
         } else {
-            // Stream through one ring over the unreserved weight RAM,
+            // Stream through one ring over the whole weight RAM,
             // one transfer per image on one FIFO queue. An image sits
             // after the previous one (wrapping to row 0 when it does
             // not fit) and is kicked, in stream order, once every
             // earlier layer whose rows it overwrites has run.
             sg_.weightsPersistent = false;
-            const int ring = kWeightRamRows - reserved;
             uint64_t offset = 0;
             int next_row = 0;
             for (const Image &img : images) {
                 int rows = int(img.bytes.size() / 4096);
-                fatal_if(rows > ring,
+                fatal_if(rows > kWeightRamRows,
                          "layer weight image (%d rows) exceeds the "
                          "weight ring (%d rows)",
-                         rows, ring);
-                if (next_row + rows > ring)
+                         rows, kWeightRamRows);
+                if (next_row + rows > kWeightRamRows)
                     next_row = 0;
                 int after = kickAfter_.empty() ? -1 : kickAfter_.back();
                 for (size_t i = 0; i < sg_.chunks.size(); ++i) {
@@ -822,8 +810,7 @@ class SubgraphCompiler
                                        img.bytes.end());
                 offset += uint64_t(rows) * 4096;
                 next_row += rows;
-                sg_.weightRowsUsed =
-                    std::max(sg_.weightRowsUsed, next_row + reserved);
+                sg_.weightRowsUsed = std::max(sg_.weightRowsUsed, next_row);
             }
         }
     }
@@ -916,23 +903,30 @@ class SubgraphCompiler
         sg_.code = pb.encode();
     }
 
-    /** A conv node's layouts and shape (no RAM placement needed). */
+    /** A conv or pool node's layouts and window (no RAM placement
+     *  needed). A pool is a depthwise window with no weights. */
     ConvKernel
     convGeometry(const Node &n, int id)
     {
-        const Shape &w = g_.tensor(n.inputs[1]).shape;
         ConvKernel p;
+        p.op = windowOp(n.kind);
         p.in = layoutOf(n.inputs[0]);
         p.out = outLayoutFor(id, n.outputs[0]);
-        p.kh = int(w.dim(1));
-        p.kw = int(w.dim(2));
+        if (p.op == NpuOp::Mac) {
+            const Shape &w = g_.tensor(n.inputs[1]).shape;
+            p.kh = int(w.dim(1));
+            p.kw = int(w.dim(2));
+        } else {
+            p.kh = n.attrs.kernelH;
+            p.kw = n.attrs.kernelW;
+        }
         p.strideH = n.attrs.strideH;
         p.strideW = n.attrs.strideW;
         p.padTop = n.attrs.padTop;
         p.padLeft = n.attrs.padLeft;
         p.cin = int(g_.tensor(n.inputs[0]).shape.dim(3));
         p.cout = int(g_.tensor(n.outputs[0]).shape.dim(3));
-        p.depthwise = n.kind == OpKind::DepthwiseConv2D;
+        p.depthwise = n.kind == OpKind::DepthwiseConv2D || p.op != NpuOp::Mac;
         return p;
     }
 
@@ -941,19 +935,34 @@ class SubgraphCompiler
     {
         const GirTensor &out_t = g_.tensor(n.outputs[0]);
         const GirTensor &in_t = g_.tensor(n.inputs[0]);
-        const GirTensor &w = g_.tensor(n.inputs[1]);
-        float m =
-            in_t.quant.scale * w.quant.scale / out_t.quant.scale;
         ConvKernel p = convGeometry(n, id);
         p.patchOutput = !relayoutTemp_.count(id);
-        if (usesStagedCopies(p))
-            p.stageBase = stagingBase_;
-        p.weightBase = weightBase_.at(id);
-        p.rqIndex = newRqEntry(makeRequantEntry(
-            m, out_t.quant, DType::UInt8, n.attrs.fusedAct));
+        p.stageBase = stagingBase_;
         p.dataZero = uint8_t(in_t.quant.zeroPoint);
-        p.weightZero = uint8_t(w.quant.zeroPoint);
         p.masks = sg_.masks;
+        RequantEntry e;
+        if (p.op == NpuOp::Mac) {
+            const GirTensor &w = g_.tensor(n.inputs[1]);
+            p.weightBase = weightBase_.at(id);
+            p.weightZero = uint8_t(w.quant.zeroPoint);
+            e = makeRequantEntry(
+                in_t.quant.scale * w.quant.scale / out_t.quant.scale,
+                out_t.quant, DType::UInt8, n.attrs.fusedAct);
+        } else {
+            // Max reduces raw codes; the identity requant passes them
+            // through (in/out quantization are equal). Average divides
+            // the zero-offset sum by the window.
+            e.rq = p.op == NpuOp::Max
+                       ? computeRequant(1.0f, 0)
+                       : computeRequant(in_t.quant.scale /
+                                            (out_t.quant.scale *
+                                             float(p.kh * p.kw)),
+                                        out_t.quant.zeroPoint);
+            e.outType = DType::UInt8;
+            e.actMin = 0;
+            e.actMax = 255;
+        }
+        p.rqIndex = newRqEntry(e);
         return p;
     }
 
@@ -966,6 +975,8 @@ class SubgraphCompiler
         switch (n.kind) {
           case OpKind::Conv2D:
           case OpKind::DepthwiseConv2D:
+          case OpKind::MaxPool2D:
+          case OpKind::AvgPool2D:
             emitConv(pb, makeConvKernel(n, id));
             break;
           case OpKind::FullyConnected: {
@@ -1022,42 +1033,6 @@ class SubgraphCompiler
             emitAdd(pb, p);
             break;
           }
-          case OpKind::MaxPool2D:
-          case OpKind::AvgPool2D: {
-            bool is_max = n.kind == OpKind::MaxPool2D;
-            RequantEntry e;
-            if (is_max) {
-                // Max reduces raw codes; the identity requant passes
-                // them through (in/out quantization are equal).
-                e.rq = computeRequant(1.0f, 0);
-            } else {
-                float m = in_t.quant.scale /
-                          (out_t.quant.scale *
-                           float(n.attrs.kernelH * n.attrs.kernelW));
-                e.rq = computeRequant(m, out_t.quant.zeroPoint);
-            }
-            e.outType = DType::UInt8;
-            e.actMin = 0;
-            e.actMax = 255;
-            PoolKernel p;
-            p.in = layoutOf(n.inputs[0]);
-            p.out = outLayoutFor(id, n.outputs[0]);
-            p.kh = n.attrs.kernelH;
-            p.kw = n.attrs.kernelW;
-            p.strideH = n.attrs.strideH;
-            p.strideW = n.attrs.strideW;
-            p.padTop = n.attrs.padTop;
-            p.padLeft = n.attrs.padLeft;
-            p.c = int(in_t.shape.dim(3));
-            p.isMax = is_max;
-            p.weightBase = sg_.maxPoolInitRowIdx;
-            p.rqIndex = newRqEntry(e);
-            p.dataZero = uint8_t(in_t.quant.zeroPoint);
-            p.masks = sg_.masks;
-            p.scratchBase = scratchBase_;
-            emitPool(pb, p);
-            break;
-          }
           case OpKind::Reshape:
             break; // Pure alias.
           default:
@@ -1086,8 +1061,8 @@ class SubgraphCompiler
 
     std::unordered_map<int, TensorLayout> relayoutTemp_;
     std::unordered_map<int, TensorId> relayoutTensor_;
-    int stagingBase_ = -1; ///< Staged copies and FC input replicas.
-    int scratchBase_ = -1;
+    /// Staged copies, FC input replicas and min-code pool copies.
+    int stagingBase_ = -1;
 };
 
 } // namespace
@@ -1120,11 +1095,11 @@ compile(Graph g, const CompileOptions &opts)
     // delegate round trip).
     for (auto &run : runs) {
         bool has_mac = false;
-        for (int id : run)
-            if (Graph::nodeMacs(g, g.nodes()[size_t(id)]) > 0 ||
-                g.nodes()[size_t(id)].kind == OpKind::MaxPool2D ||
-                g.nodes()[size_t(id)].kind == OpKind::AvgPool2D)
-                has_mac = true;
+        for (int id : run) {
+            const Node &n = g.nodes()[size_t(id)];
+            has_mac |= Graph::nodeMacs(g, n) > 0 ||
+                       windowOp(n.kind) != NpuOp::None;
+        }
         if (!has_mac)
             continue;
         SubgraphCompiler sc(g, run, opts);

@@ -58,8 +58,6 @@ struct CompiledSubgraph
     std::vector<uint8_t> persistentWeights;
     std::vector<uint8_t> streamImage;
     std::vector<StreamChunk> chunks;
-    /// Weight RAM row holding the max-pool accumulator-init constants.
-    int maxPoolInitRowIdx = -1;
 
     /// Bookkeeping for reports.
     int dataRowsUsed = 0;

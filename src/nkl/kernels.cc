@@ -42,6 +42,15 @@ requantStore(int out_row, int rq_index, OutOp op = OutOp::Requant8)
     return st;
 }
 
+/** acc = 0 in every lane. */
+Instruction
+accZero()
+{
+    Instruction z;
+    z.npu.op = NpuOp::AccZero;
+    return z;
+}
+
 /** AccLoadBias(Rep64) from a weight RAM row. */
 Instruction
 biasLoad(int bias_row)
@@ -94,6 +103,34 @@ repMac(uint32_t reps, int data_reg, int wt_reg, NduOp data_op,
     mac.npu.zeroOff = true;
     mac.npu.pred = pred;
     return mac;
+}
+
+/**
+ * A pool's window: repeat `reps` times { read data row, NDU gather, NPU
+ * `op` } with no weight read. Max runs over raw codes, Add over
+ * zero-offset codes.
+ */
+Instruction
+repPool(uint32_t reps, int data_reg, NpuOp op, NduStride data_stride,
+        Pred pred)
+{
+    Instruction pool;
+    pool.ctrl.op = CtrlOp::Rep;
+    pool.ctrl.imm = reps;
+    pool.dataRead.enable = true;
+    pool.dataRead.reg = uint8_t(data_reg);
+    pool.ndu0.op = NduOp::WindowGather;
+    pool.ndu0.srcA = RowSrc::DataRead;
+    pool.ndu0.dst = 0;
+    pool.ndu0.addrReg = uint8_t(data_reg);
+    pool.ndu0.addrInc = true;
+    pool.ndu0.param = uint8_t(data_stride);
+    pool.npu.op = op;
+    pool.npu.type = LaneType::U8;
+    pool.npu.a = RowSrc::N0;
+    pool.npu.zeroOff = op == NpuOp::Add;
+    pool.npu.pred = pred;
+    return pool;
 }
 
 } // namespace
@@ -166,6 +203,14 @@ stagedCopyResample(const ConvKernel &p, int key)
     return {p.strideH, (key >> 1) - p.padTop, p.strideW, key & 1};
 }
 
+/** True when `p` is a padded max pool, which reduces over a copy of its
+ *  input whose pads hold code 0 (emitMinCodeRestamp). */
+bool
+minCodeCopy(const ConvKernel &p)
+{
+    return p.op == NpuOp::Max && (p.padTop > 0 || p.padLeft > 0);
+}
+
 } // namespace
 
 bool
@@ -197,9 +242,12 @@ stagedOutLayout(const Shape &out, int stride, bool depthwise,
 }
 
 int
-stagedCopyRows(const ConvKernel &p)
+stagingRows(const ConvKernel &p)
 {
-    return std::popcount(stagedCopySet(p)) * stagedCopyLayout(p).rows();
+    if (usesStagedCopies(p))
+        return std::popcount(stagedCopySet(p)) *
+               stagedCopyLayout(p).rows();
+    return minCodeCopy(p) ? p.in.rows() : 0;
 }
 
 void
@@ -497,6 +545,73 @@ emitTileStartRepair(ProgramBuilder &pb, const TensorLayout &lay,
 }
 
 /**
+ * Stage a tensor into a scratch copy whose padding and invalid lanes
+ * hold code 0 — the minimum uint8 code — so a max reduction over raw
+ * codes can never be won by padding (matching the exclude-padding
+ * semantics of the reference and of TFLite).
+ */
+void
+emitMinCodeRestamp(ProgramBuilder &pb, const TensorLayout &li,
+                   int scratch_base, const MaskTable &masks)
+{
+    const int ncb = li.cblocks();
+    const int nt = li.xtiles();
+    pb.splat(3, 0); // N3 = all-zero codes.
+
+    for (int t = 0; t < nt; ++t) {
+        int start_valid = t == 0 ? li.padLeft : 0;
+        int end_valid =
+            std::clamp(li.padLeft + li.w - t * kOwnW, 0, kRowPos);
+        pb.loadMask(kMask, masks.rowFor(start_valid), 0); // P0.
+        pb.loadMask(kMask, masks.rowFor(end_valid), 1);   // P1.
+        for (int yp = 0; yp < li.paddedH(); ++yp) {
+            bool real = yp >= li.padTop && yp < li.padTop + li.h;
+            for (int cb = 0; cb < ncb; ++cb) {
+                int dst = scratch_base + li.rowOf(yp, cb, t);
+                if (!real) {
+                    Instruction z;
+                    z.ctrl.op = CtrlOp::SetAddrRow;
+                    z.ctrl.reg = kOutReg;
+                    z.ctrl.imm = uint32_t(dst);
+                    z.write.enable = true;
+                    z.write.addrReg = kOutReg;
+                    z.write.src = RowSrc::N3;
+                    pb.emit(z);
+                    continue;
+                }
+                Instruction i1;
+                i1.ctrl.op = CtrlOp::SetAddrRow;
+                i1.ctrl.reg = kPatchA;
+                i1.ctrl.imm =
+                    uint32_t(li.baseRow + li.rowOf(yp, cb, t));
+                i1.dataRead.enable = true;
+                i1.dataRead.reg = kPatchA;
+                i1.ndu0.op = NduOp::MergeMask;
+                i1.ndu0.srcA = RowSrc::N3;       // Left pad -> 0.
+                i1.ndu0.srcB = RowSrc::DataRead;
+                i1.ndu0.dst = 1;
+                i1.ndu0.param = 0; // P0.
+                i1.ndu1.op = NduOp::MergeMask;
+                i1.ndu1.srcA = RowSrc::N1;
+                i1.ndu1.srcB = RowSrc::N3;       // Beyond valid -> 0.
+                i1.ndu1.dst = 2;
+                i1.ndu1.param = 1; // P1.
+                pb.emit(i1);
+
+                Instruction i2;
+                i2.ctrl.op = CtrlOp::SetAddrRow;
+                i2.ctrl.reg = kOutReg;
+                i2.ctrl.imm = uint32_t(dst);
+                i2.write.enable = true;
+                i2.write.addrReg = kOutReg;
+                i2.write.src = RowSrc::N2;
+                pb.emit(i2);
+            }
+        }
+    }
+}
+
+/**
  * Stem convolution over a GroupedRf input: each group already holds
  * its output position's receptive-field row (strides folded into the
  * packing), so the whole accumulation is one dense Rep over
@@ -687,6 +802,11 @@ emitConvDense(ProgramBuilder &pb, const ConvKernel &p)
 void
 emitConv(ProgramBuilder &pb, const ConvKernel &p)
 {
+    const bool pool = p.op != NpuOp::Mac;
+    fatal_if(pool && (!p.depthwise || p.in.kind != LayoutKind::Interleaved ||
+                      p.in.dense || p.in.packed() || p.out.dense ||
+                      p.out.packed()),
+             "pools are depthwise windows over plain rows");
     if (usesStagedCopies(p)) {
         emitConvStaged(pb, p);
         return;
@@ -700,8 +820,13 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         return;
     }
     fatal_if(p.in.packed(), "packed rows feed staged convs only");
-    const TensorLayout &li = p.in;
+    TensorLayout li = p.in;
     const TensorLayout &lo = p.out;
+    if (minCodeCopy(p)) {
+        fatal_if(p.stageBase < 0, "padded max pool needs a staging scratch");
+        emitMinCodeRestamp(pb, p.in, p.stageBase, p.masks);
+        li.baseRow = p.stageBase;
+    }
     const int ncb_in = li.cblocks();
     const int nt_i = li.xtiles();
     const int nt_o = lo.xtiles();
@@ -758,6 +883,10 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
     const NduOp data_op =
         p.depthwise ? NduOp::WindowGather : NduOp::GroupBcast;
     const NduStride gs = s2 ? NduStride::S128 : NduStride::S64;
+    auto window = [&](int data_reg, int wt_reg, Pred pred) {
+        return pool ? repPool(reps, data_reg, p.op, gs, pred)
+                    : repMac(reps, data_reg, wt_reg, data_op, gs, pred);
+    };
 
     pb.setZeroOff(p.dataZero, p.weightZero);
 
@@ -768,13 +897,17 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
     const int data_byte_inc = p.depthwise ? 64 : 1;
     pb.setInc(kDataA, data_row_inc, data_byte_inc);
     pb.setWrap(kDataA, data_wrap);
-    pb.setInc(kWtA, 1, 64);
-    pb.setWrap(kWtA, 64);
+    if (!pool) {
+        pb.setInc(kWtA, 1, 64);
+        pb.setWrap(kWtA, 64);
+    }
     if (two_pass) {
         pb.setInc(kBias, data_row_inc, data_byte_inc);
         pb.setWrap(kBias, data_wrap);
-        pb.setInc(kWtB, 1, 64);
-        pb.setWrap(kWtB, 64);
+        if (!pool) {
+            pb.setInc(kWtB, 1, 64);
+            pb.setWrap(kWtB, 64);
+        }
         pb.loadMask(kMask, p.masks.rowFor(29), 0); // P0: groups 0..28.
     }
 
@@ -801,12 +934,16 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
                       li.baseRow + li.rowOf(yi_p, p.depthwise ? kb : 0,
                                             t_ia));
             pb.setByte(kDataA, ((delta * 64) % 4096 + 4096) % 4096);
-            pb.setRow(kWtA, tap_base);
-            pb.setByte(kWtA, 0);
-
-            pb.emit(biasLoad(bias_row));
-            pb.emit(repMac(reps, kDataA, kWtA, data_op, gs,
-                           two_pass ? Pred::P0 : Pred::None));
+            // Pools start from zero: every raw u8 code a Max takes is
+            // >= 0, so no lower start value is needed.
+            if (pool) {
+                pb.emit(accZero());
+            } else {
+                pb.setRow(kWtA, tap_base);
+                pb.setByte(kWtA, 0);
+                pb.emit(biasLoad(bias_row));
+            }
+            pb.emit(window(kDataA, kWtA, two_pass ? Pred::P0 : Pred::None));
 
             if (two_pass) {
                 int t_ib = clampTile(2 * t_o + 1, nt_i);
@@ -816,10 +953,11 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
                                        t_ib));
                 int base_b = ((delta - kOwnW) * 64 % 4096 + 4096) % 4096;
                 pb.setByte(kBias, base_b);
-                pb.setRow(kWtB, tap_base);
-                pb.setByte(kWtB, 0);
-                pb.emit(repMac(reps, kBias, kWtB, data_op, gs,
-                               Pred::NotP0));
+                if (!pool) {
+                    pb.setRow(kWtB, tap_base);
+                    pb.setByte(kWtB, 0);
+                }
+                pb.emit(window(kBias, kWtB, Pred::NotP0));
             }
 
             pb.emit(requantStore(
@@ -833,199 +971,6 @@ emitConv(ProgramBuilder &pb, const ConvKernel &p)
         emitEdgePatch(pb, lo, p.masks);
 }
 
-std::vector<uint8_t>
-maxPoolInitRow()
-{
-    std::vector<uint8_t> row(4096, 0);
-    for (int j = 0; j < 64; ++j) {
-        int32_t v = INT32_MIN;
-        std::memcpy(row.data() + j * 4, &v, 4);
-    }
-    return row;
-}
-
-namespace {
-
-/**
- * Stage a tensor into a scratch copy whose padding and invalid lanes
- * hold code 0 — the minimum uint8 code — so a max reduction over raw
- * codes can never be won by padding (matching the exclude-padding
- * semantics of the reference and of TFLite).
- */
-void
-emitMinCodeRestamp(ProgramBuilder &pb, const TensorLayout &li,
-                   int scratch_base, const MaskTable &masks)
-{
-    const int ncb = li.cblocks();
-    const int nt = li.xtiles();
-    pb.splat(3, 0); // N3 = all-zero codes.
-
-    for (int t = 0; t < nt; ++t) {
-        int start_valid = t == 0 ? li.padLeft : 0;
-        int end_valid =
-            std::clamp(li.padLeft + li.w - t * kOwnW, 0, kRowPos);
-        pb.loadMask(kMask, masks.rowFor(start_valid), 0); // P0.
-        pb.loadMask(kMask, masks.rowFor(end_valid), 1);   // P1.
-        for (int yp = 0; yp < li.paddedH(); ++yp) {
-            bool real = yp >= li.padTop && yp < li.padTop + li.h;
-            for (int cb = 0; cb < ncb; ++cb) {
-                int dst = scratch_base + li.rowOf(yp, cb, t);
-                if (!real) {
-                    Instruction z;
-                    z.ctrl.op = CtrlOp::SetAddrRow;
-                    z.ctrl.reg = kOutReg;
-                    z.ctrl.imm = uint32_t(dst);
-                    z.write.enable = true;
-                    z.write.addrReg = kOutReg;
-                    z.write.src = RowSrc::N3;
-                    pb.emit(z);
-                    continue;
-                }
-                Instruction i1;
-                i1.ctrl.op = CtrlOp::SetAddrRow;
-                i1.ctrl.reg = kPatchA;
-                i1.ctrl.imm =
-                    uint32_t(li.baseRow + li.rowOf(yp, cb, t));
-                i1.dataRead.enable = true;
-                i1.dataRead.reg = kPatchA;
-                i1.ndu0.op = NduOp::MergeMask;
-                i1.ndu0.srcA = RowSrc::N3;       // Left pad -> 0.
-                i1.ndu0.srcB = RowSrc::DataRead;
-                i1.ndu0.dst = 1;
-                i1.ndu0.param = 0; // P0.
-                i1.ndu1.op = NduOp::MergeMask;
-                i1.ndu1.srcA = RowSrc::N1;
-                i1.ndu1.srcB = RowSrc::N3;       // Beyond valid -> 0.
-                i1.ndu1.dst = 2;
-                i1.ndu1.param = 1; // P1.
-                pb.emit(i1);
-
-                Instruction i2;
-                i2.ctrl.op = CtrlOp::SetAddrRow;
-                i2.ctrl.reg = kOutReg;
-                i2.ctrl.imm = uint32_t(dst);
-                i2.write.enable = true;
-                i2.write.addrReg = kOutReg;
-                i2.write.src = RowSrc::N2;
-                pb.emit(i2);
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-emitPool(ProgramBuilder &pb, const PoolKernel &p)
-{
-    fatal_if(p.in.packed() || p.in.dense || p.out.packed() || p.out.dense,
-             "pools read and write plain rows");
-    TensorLayout li = p.in;
-    const TensorLayout &lo = p.out;
-
-    // Padded max-pool: reduce over raw codes from the min-code-stamped
-    // scratch copy (see emitMinCodeRestamp).
-    const bool restamp =
-        p.isMax && (p.padTop > 0 || p.padLeft > 0);
-    if (restamp) {
-        fatal_if(p.scratchBase < 0,
-                 "padded max-pool needs a restamp scratch region");
-        emitMinCodeRestamp(pb, p.in, p.scratchBase, p.masks);
-        li.baseRow = p.scratchBase;
-    }
-    const int ncb = li.cblocks();
-    const int nt_i = li.xtiles();
-    const int nt_o = lo.xtiles();
-    const bool s2 = p.strideW == 2;
-    const bool two_pass = s2 && nt_i > 1; // As in emitConv.
-
-    const int delta = li.padLeft - p.padLeft - p.strideW * lo.padLeft;
-    if (nt_i == 1 && nt_o == 1) {
-        fatal_if(delta < li.padLeft + li.w - 64 ||
-                     (lo.padLeft + lo.w - 1) * p.strideW + p.kw - 1 +
-                             delta >
-                         63,
-                 "pool gathers overrun the single-tile row");
-    } else {
-        fatal_if(delta + p.kw - 1 > 8,
-                 "pool layout padding slack %d out of halo range",
-                 delta);
-        fatal_if(delta < -(s2 ? 2 : 8) ||
-                     -delta > p.strideW * lo.padLeft,
-                 "pool layout padding slack %d invalid", delta);
-    }
-
-    pb.setZeroOff(p.dataZero, 0);
-    pb.setInc(kDataA, ncb * nt_i, 64);
-    pb.setWrap(kDataA, p.kw);
-    if (two_pass) {
-        pb.setInc(kBias, ncb * nt_i, 64);
-        pb.setWrap(kBias, p.kw);
-        pb.loadMask(kMask, p.masks.rowFor(29), 0);
-    }
-
-    emitPadRowInit(pb, lo);
-
-    const NduStride gs = s2 ? NduStride::S128 : NduStride::S64;
-
-    auto pool_pass = [&](int data_reg, Pred pred) {
-        Instruction op;
-        op.ctrl.op = CtrlOp::Rep;
-        op.ctrl.imm = uint32_t(p.kh * p.kw);
-        op.dataRead.enable = true;
-        op.dataRead.reg = uint8_t(data_reg);
-        op.ndu0.op = NduOp::WindowGather;
-        op.ndu0.srcA = RowSrc::DataRead;
-        op.ndu0.dst = 0;
-        op.ndu0.addrReg = uint8_t(data_reg);
-        op.ndu0.addrInc = true;
-        op.ndu0.param = uint8_t(gs);
-        op.npu.op = p.isMax ? NpuOp::Max : NpuOp::Add;
-        op.npu.type = LaneType::U8;
-        op.npu.a = RowSrc::N0;
-        // Max runs over raw codes (restamped pads lose); avg uses the
-        // zero-offset domain.
-        op.npu.zeroOff = !p.isMax;
-        op.npu.pred = pred;
-        return op;
-    };
-
-    for (int t_o = 0; t_o < nt_o; ++t_o)
-    for (int cb = 0; cb < ncb; ++cb)
-    for (int yo = 0; yo < lo.h; ++yo) {
-        int yi_p = yo * p.strideH - p.padTop + li.padTop;
-        panic_if(yi_p < 0 || yi_p + p.kh > li.paddedH(),
-                 "pool input row out of materialized range");
-
-        if (p.isMax) {
-            pb.emit(biasLoad(p.weightBase)); // INT32_MIN row.
-        } else {
-            Instruction z;
-            z.npu.op = NpuOp::AccZero;
-            pb.emit(z);
-        }
-
-        int t_ia = clampTile(s2 ? 2 * t_o : t_o, nt_i);
-        pb.setRow(kDataA, li.baseRow + li.rowOf(yi_p, cb, t_ia));
-        pb.setByte(kDataA, ((delta * 64) % 4096 + 4096) % 4096);
-        pb.emit(pool_pass(kDataA, two_pass ? Pred::P0 : Pred::None));
-
-        if (two_pass) {
-            int t_ib = clampTile(2 * t_o + 1, nt_i);
-            pb.setRow(kBias, li.baseRow + li.rowOf(yi_p, cb, t_ib));
-            int base_b = ((delta - kOwnW) * 64 % 4096 + 4096) % 4096;
-            pb.setByte(kBias, base_b);
-            pb.emit(pool_pass(kBias, Pred::NotP0));
-        }
-
-        pb.emit(requantStore(
-            lo.baseRow + lo.rowOf(yo + lo.padTop, cb, t_o),
-            p.rqIndex));
-    }
-
-    emitTileStartRepair(pb, lo, p.masks, -delta);
-    emitEdgePatch(pb, lo, p.masks);
-}
 
 void
 emitAdd(ProgramBuilder &pb, const AddKernel &p)
@@ -1046,9 +991,7 @@ emitAdd(ProgramBuilder &pb, const AddKernel &p)
 
     const int rows = p.out.rows();
     for (int r = 0; r < rows; ++r) {
-        Instruction z;
-        z.npu.op = NpuOp::AccZero;
-        pb.emit(z);
+        pb.emit(accZero());
 
         Instruction ma;
         ma.ctrl.op = CtrlOp::SetZeroOff;
@@ -1155,9 +1098,7 @@ emitFc(ProgramBuilder &pb, const FcKernel &p)
     const int chunks = (p.cout + kFcChunk - 1) / kFcChunk;
     for (int ch = 0; ch < chunks; ++ch) {
         const int bias_row = p.weightBase + ch * (1 + depth);
-        Instruction z;
-        z.npu.op = NpuOp::AccZero;
-        pb.emit(z);
+        pb.emit(accZero());
         Instruction bi = biasLoad(bias_row);
         bi.npu.b = RowSrc(uint8_t(BiasMode::Quarter0));
         pb.emit(bi);
@@ -1247,9 +1188,7 @@ emitMatmulBf16(ProgramBuilder &pb, const MatmulBf16Kernel &p)
              "k-segmented matmuls support a single 4096-wide n chunk");
     for (int ch = 0; ch < chunks; ++ch) {
         if (p.firstSegment) {
-            Instruction z;
-            z.npu.op = NpuOp::AccZero;
-            pb.emit(z);
+            pb.emit(accZero());
         }
 
         pb.setRow(kDataA,

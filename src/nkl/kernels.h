@@ -9,7 +9,9 @@
  * entire accumulation over (ky, cblock, kx, c) runs as ONE Rep
  * instruction per output row-tile, using circular-buffer address
  * registers — the paper's "entire loop can be encoded in a single
- * Ncore instruction" (Fig. 6). Stride-2 kernels gather every second x
+ * Ncore instruction" (Fig. 6). Ncore has no pooling unit: a pool is a
+ * depthwise window whose NPU op is Max or Add instead of a MAC, run by
+ * emitConv's plain-row path. Stride-2 kernels gather every second x
  * position; over a multi-tile input they run two predicated passes
  * (even/odd input tiles), over a single-tile input one. A staged conv
  * (usesStagedCopies) writes halo-free packed rows: it first copies its
@@ -62,12 +64,16 @@ struct ConvKernel
     int padTop = 0, padLeft = 0; ///< Convolution semantics padding.
     int cin = 0, cout = 0;
     bool depthwise = false;
+    /// NPU op of the window: Mac for a conv, Max or Add for a max or
+    /// average pool (depthwise, cin == cout, no weight image).
+    NpuOp op = NpuOp::Mac;
     int weightBase = 0;  ///< Weight RAM row of the packed weight image.
     int rqIndex = 0;     ///< Requant table entry.
     uint8_t dataZero = 0, weightZero = 0;
     MaskTable masks;
-    /// Scratch rows for the copies of a staged conv (see
-    /// usesStagedCopies); the copies sit back to back from here.
+    /// Scratch rows (stagingRows) for the copies of a staged conv (see
+    /// usesStagedCopies), back to back from here, or for the min-code
+    /// copy of a padded max pool's input.
     int stageBase = -1;
     /// Re-stamp pads and halos of `out` after the layer. A relayout
     /// temp skips it: the relayout reads owned lanes only.
@@ -75,10 +81,14 @@ struct ConvKernel
 };
 
 /**
- * Emit a convolution. A staged conv first copies its input into
+ * Emit a convolution or pool. A staged conv first copies its input into
  * `stageBase`; a standard one expects its weights packed in
  * ConvTapOrder::PerTap, every other conv reads ConvTapOrder::RowMajor
- * weights.
+ * weights. A pool reads and writes plain rows and runs the plain-row
+ * depthwise walk with no weights: each output row starts from AccZero
+ * and takes one Rep of kh*kw WindowGather taps, Max over raw codes or
+ * Add over zero-offset codes. A padded max pool reads a copy of its
+ * input at `stageBase` whose pads hold code 0, so padding never wins.
  */
 void emitConv(ProgramBuilder &pb, const ConvKernel &p);
 
@@ -109,8 +119,9 @@ bool stagedCopiesFit(const TensorLayout &in, int stride, int kh, int kw,
 TensorLayout stagedOutLayout(const Shape &out, int stride, bool depthwise,
                              uint8_t zero_byte);
 
-/** Scratch rows all staged copies of a staged conv occupy. */
-int stagedCopyRows(const ConvKernel &p);
+/** Scratch rows emitConv uses from `stageBase`: the staged copies of a
+ *  staged conv, the min-code copy of a padded max pool's input, else 0. */
+int stagingRows(const ConvKernel &p);
 
 /** Destination position (y, x) of a relayout takes source position
  *  (sy*y + oy, sx*x + ox); sx is 1 or 2. */
@@ -172,31 +183,6 @@ fcScratchRows(int64_t cin)
  * no partial sum can saturate, so the quarter fold may reorder it.
  */
 bool fcSplitExact(int64_t cin, int64_t max_abs_bias);
-
-/** Max/avg pooling over plain interleaved rows in and out. */
-struct PoolKernel
-{
-    TensorLayout in;
-    TensorLayout out;
-    int kh = 1, kw = 1;
-    int strideH = 1, strideW = 1;
-    int padTop = 0, padLeft = 0;
-    int c = 0;
-    bool isMax = true;
-    int weightBase = 0; ///< Max: one weight row of INT32_MIN (acc init).
-    int rqIndex = 0;
-    uint8_t dataZero = 0;
-    MaskTable masks;
-    /// Padded max-pools stage the input into a scratch copy whose pad
-    /// lanes hold code 0 (so padding can never win the max, matching
-    /// the exclude-padding semantics); this is the scratch base row.
-    int scratchBase = -1;
-};
-
-void emitPool(ProgramBuilder &pb, const PoolKernel &p);
-
-/** Rows of weight RAM a max-pool needs (the INT32_MIN accumulator row). */
-std::vector<uint8_t> maxPoolInitRow();
 
 /** Quantized elementwise add with rescale (residual connections). */
 struct AddKernel

@@ -53,57 +53,49 @@ NcoreRuntime::loadModel(SharedModel model)
     // One DRAM image of streamed weights per SystemMemory, shared by
     // every context whose machine is backed by that memory.
     streamBase_ = shared_->streamBases(machine_->sysmem());
-    loadImages();
+    resident_ = -1;
+    if (!model_->subgraphs.empty())
+        loadImages(0);
 }
 
-/** Per-context device-state load common to both paths: scratchpad mask
- *  rows, requant tables, persistent weights, DMA descriptors. */
+/** Per-context device-state load of subgraph `si`, common to both
+ *  paths: scratchpad mask rows, requant table, persistent weights, DMA
+ *  descriptors. Subgraphs share the slots, so one is resident. */
 void
-NcoreRuntime::loadImages()
+NcoreRuntime::loadImages(int si)
 {
-    for (size_t si = 0; si < model_->subgraphs.size(); ++si) {
-        const CompiledSubgraph &sg = model_->subgraphs[si];
+    const CompiledSubgraph &sg = model_->subgraphs[size_t(si)];
 
-        // Shared prefix-mask table (incl. the empty mask).
-        const auto &prefix_rows = prefixMaskRowImages();
-        for (int g = 0; g <= 64; ++g)
-            machine_->hostWriteRow(false, sg.masks.rowFor(g),
-                                   prefix_rows[size_t(g)].data());
+    // Shared prefix-mask table (incl. the empty mask).
+    const auto &prefix_rows = prefixMaskRowImages();
+    for (int g = 0; g <= 64; ++g)
+        machine_->hostWriteRow(false, sg.masks.rowFor(g),
+                               prefix_rows[size_t(g)].data());
 
-        for (size_t i = 0; i < sg.rqTable.size(); ++i)
-            machine_->writeRequantEntry(int(i), sg.rqTable[i]);
+    for (size_t i = 0; i < sg.rqTable.size(); ++i)
+        machine_->writeRequantEntry(int(i), sg.rqTable[i]);
 
-        // Max-pool accumulator-init constants.
-        if (sg.maxPoolInitRowIdx >= 0) {
-            auto row = maxPoolInitRow();
-            machine_->hostWriteRow(true, sg.maxPoolInitRowIdx,
-                                   row.data());
-        }
-
-        if (sg.weightsPersistent) {
-            for (size_t r = 0; r * 4096 < sg.persistentWeights.size();
-                 ++r)
-                machine_->hostWriteRow(
-                    true, int(r), sg.persistentWeights.data() + r * 4096);
-        } else {
-            // The stream image is already in DRAM (streamBase_); the
-            // driver programs this context's descriptors and the
-            // program kicks them per inference.
-            fatal_if(si > 0 && !model_->subgraphs[0].weightsPersistent,
-                     "only one streaming subgraph per model supported");
-            for (size_t k = 0; k < sg.chunks.size(); ++k) {
-                const StreamChunk &ch = sg.chunks[k];
-                DmaDescriptor d;
-                d.toNcore = true;
-                d.weightRam = true;
-                d.ramRow = ch.targetRow;
-                d.rowCount = ch.rows;
-                d.sysAddr = streamBase_[si] + ch.dramOffset;
-                d.queue = uint8_t(CompiledSubgraph::kStreamQueue);
-                driver_.writeDescriptor(int(k), d);
-            }
+    if (sg.weightsPersistent) {
+        for (size_t r = 0; r * 4096 < sg.persistentWeights.size(); ++r)
+            machine_->hostWriteRow(true, int(r),
+                                   sg.persistentWeights.data() + r * 4096);
+    } else {
+        // The stream image is already in DRAM (streamBase_); the
+        // driver programs this context's descriptors and the program
+        // kicks them per inference.
+        for (size_t k = 0; k < sg.chunks.size(); ++k) {
+            const StreamChunk &ch = sg.chunks[k];
+            DmaDescriptor d;
+            d.toNcore = true;
+            d.weightRam = true;
+            d.ramRow = ch.targetRow;
+            d.rowCount = ch.rows;
+            d.sysAddr = streamBase_[size_t(si)] + ch.dramOffset;
+            d.queue = uint8_t(CompiledSubgraph::kStreamQueue);
+            driver_.writeDescriptor(int(k), d);
         }
     }
+    resident_ = si;
 }
 
 std::vector<Tensor>
@@ -116,6 +108,8 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     fatal_if(inputs.size() != sg.inputs.size(),
              "subgraph expects %zu inputs, got %zu", sg.inputs.size(),
              inputs.size());
+    if (subgraph_index != resident_)
+        loadImages(subgraph_index);
 
     // Snapshot the full unified counter registry; the invocation's
     // attribution is the diff (replaces field-by-field hand copying).

@@ -86,7 +86,9 @@ class NcoreRuntime
      * Execute one compiled subgraph. Inputs are host NHWC tensors in
      * CompiledSubgraph::inputs order; outputs come back the same way.
      * The runtime performs the internal-layout conversion at the
-     * subgraph edges (paper V-B).
+     * subgraph edges (paper V-B). Subgraphs share the device's mask,
+     * requant-table, weight and descriptor slots: loadModel loads
+     * subgraph 0's, and invoking another subgraph loads its own first.
      */
     std::vector<Tensor> invoke(int subgraph_index,
                                const std::vector<Tensor> &inputs,
@@ -101,13 +103,14 @@ class NcoreRuntime
     Machine &machine() { return *machine_; }
 
   private:
-    void loadImages();
+    void loadImages(int si);
 
     NcoreDriver &driver_;
     Machine *machine_ = nullptr;
     const Loadable *model_ = nullptr;
     SharedModel shared_;           ///< Keeps the loaded model alive.
     std::vector<uint64_t> streamBase_; ///< DRAM base per subgraph.
+    int resident_ = -1; ///< Subgraph whose images the device holds.
     std::vector<uint8_t> packBuf_; ///< Reusable layout-edge staging.
 };
 

@@ -143,7 +143,8 @@ TEST(GclPlanning, StreamingChunksFollowTheWeightRing)
 {
     // Six 3x3 512->512 images overflow the 2048-row weight RAM, so the
     // ring wraps and later images must wait for the layers they
-    // overwrite. A max-pool reserves the top weight row.
+    // overwrite. The max pool reads no weights: the ring is the whole
+    // weight RAM.
     Rng rng(6);
     GraphBuilder gb("stream");
     QuantParams qp = actQp();
@@ -165,9 +166,8 @@ TEST(GclPlanning, StreamingChunksFollowTheWeightRing)
     ASSERT_EQ(sg.chunks.size(), 7u);
     EXPECT_EQ(sg.streamImage.size() % 4096, 0u);
 
-    // Every chunk lies inside the ring below the reserved row.
-    ASSERT_GE(sg.maxPoolInitRowIdx, 0);
-    const uint32_t ring = uint32_t(sg.maxPoolInitRowIdx);
+    // Every chunk lies inside the ring.
+    const uint32_t ring = 2048;
     int wraps = 0;
     for (size_t k = 0; k < sg.chunks.size(); ++k) {
         EXPECT_LE(sg.chunks[k].targetRow + sg.chunks[k].rows, ring) << k;
@@ -520,7 +520,7 @@ TEST(GclPlanning, ResNetSmallConvsReadHaloFreeCopies)
         kp.cin = cin;
         kp.cout = int(out.dim(3));
         EXPECT_TRUE(usesStagedCopies(kp));
-        EXPECT_LE(stagedCopyRows(kp), chaNcoreConfig().ramRows);
+        EXPECT_LE(stagingRows(kp), chaNcoreConfig().ramRows);
 
         auto [begin, end] = layerCode(code, int(id));
         ASSERT_TRUE(begin < end && end != code.end());
@@ -716,7 +716,6 @@ TEST(GclPlanning, CompileIsDeterministic)
         EXPECT_EQ(sa.persistentWeights, sb.persistentWeights);
         EXPECT_EQ(sa.streamImage, sb.streamImage);
         EXPECT_TRUE(sa.chunks == sb.chunks);
-        EXPECT_EQ(sa.maxPoolInitRowIdx, sb.maxPoolInitRowIdx);
         EXPECT_EQ(sa.dataRowsUsed, sb.dataRowsUsed);
         EXPECT_EQ(sa.weightRowsUsed, sb.weightRowsUsed);
     }

@@ -1,7 +1,8 @@
 /**
  * @file
- * NKL non-conv kernels vs the x86 reference: pooling (max/avg, strided)
- * and quantized residual add; GNMT's bf16 matmul vs an in-test float
+ * NKL kernels beyond convs vs the x86 reference: pooling (max/avg,
+ * strided; emitConv runs pools as depthwise windows) and quantized
+ * residual add; GNMT's bf16 matmul vs an in-test float
  * accumulation. Also checks the edge-patch pass by chaining two kernels.
  */
 
@@ -16,6 +17,20 @@
 namespace ncore {
 namespace {
 
+/** A k x k pool with `pad` on every side, run through emitConv. */
+struct PoolCase
+{
+    NpuOp op = NpuOp::Max; ///< Max or Add (average).
+    int h = 0, w = 0, c = 64;
+    int k = 3, stride = 2, pad = 1;
+    int outPad = 0; ///< Materialized pads of the output layout.
+    uint64_t seed = 31;
+    float lo = -1.0f, hi = 3.0f; ///< Input and output range.
+    /// Every input code below the zero point: a pad lane that took
+    /// part in a max would win it.
+    bool belowZero = false;
+};
+
 class NklOpsTest : public ::testing::Test
 {
   protected:
@@ -25,9 +40,7 @@ class NklOpsTest : public ::testing::Test
         testutil::writeMaskTable(m, masks);
     }
 
-    /** 3x3/2 pad-1 max pool of an h x w x 64 input into an output
-     *  layout with `out_pad` materialized pads. */
-    void runMaxPoolStride2(int h, int w, int out_pad);
+    void runPool(const PoolCase &pc);
 
     Machine m;
     MaskTable masks;
@@ -36,131 +49,103 @@ class NklOpsTest : public ::testing::Test
 // A single-tile input runs one unpredicated pass.
 TEST_F(NklOpsTest, MaxPoolStride2MatchesReference)
 {
-    runMaxPoolStride2(12, 12, 0);
+    runPool({.h = 12, .w = 12});
 }
 
 // Multi-tile inputs run two predicated passes; the padded multi-tile
 // output repairs the first lanes of its second tile.
 TEST_F(NklOpsTest, MaxPoolStride2MultiTileMatchesReference)
 {
-    runMaxPoolStride2(6, 150, 1);
+    runPool({.h = 6, .w = 150, .outPad = 1});
+}
+
+// Padding must not win the max even where every real code lies below
+// the zero point the pad lanes hold: the pool reads its min-code copy.
+TEST_F(NklOpsTest, PaddedMaxPoolBelowZeroPointMatchesReference)
+{
+    runPool({.h = 12, .w = 12, .belowZero = true});
+}
+
+TEST_F(NklOpsTest, GlobalAvgPoolMatchesReference)
+{
+    runPool({.op = NpuOp::Add, .h = 7, .w = 7, .c = 256, .k = 7,
+             .stride = 1, .pad = 0, .seed = 32, .lo = -2.0f, .hi = 2.0f});
+}
+
+// Add in two predicated passes over a multi-tile input.
+TEST_F(NklOpsTest, AvgPoolStride2MultiTileMatchesReference)
+{
+    runPool({.op = NpuOp::Add, .h = 8, .w = 150, .k = 2, .pad = 0,
+             .outPad = 1, .seed = 34});
 }
 
 void
-NklOpsTest::runMaxPoolStride2(int h, int w, int out_pad)
+NklOpsTest::runPool(const PoolCase &pc)
 {
-    const int c = 64;
-    QuantParams qp = chooseAsymmetricUint8(-1.0f, 3.0f);
-    Rng rng(31);
+    const bool max = pc.op == NpuOp::Max;
+    QuantParams qp = chooseAsymmetricUint8(pc.lo, pc.hi);
+    Rng rng(pc.seed);
 
     GraphBuilder gb("pool");
-    TensorId x = gb.input("x", Shape{1, h, w, c}, DType::UInt8, qp);
-    TensorId y = gb.maxPool2d("mp", x, 3, 3, 2, 2, 1, 1, 1, 1);
+    TensorId x =
+        gb.input("x", Shape{1, pc.h, pc.w, pc.c}, DType::UInt8, qp);
+    TensorId y = max ? gb.maxPool2d("mp", x, pc.k, pc.k, pc.stride,
+                                    pc.stride, pc.pad, pc.pad, pc.pad,
+                                    pc.pad)
+                     : gb.avgPool2d("ap", x, pc.k, pc.k, pc.stride,
+                                    pc.stride, pc.pad, pc.pad, pc.pad,
+                                    pc.pad);
     gb.output(y);
     Graph g = gb.take();
 
-    Tensor x_val(Shape{1, h, w, c}, DType::UInt8, qp);
+    Tensor x_val(Shape{1, pc.h, pc.w, pc.c}, DType::UInt8, qp);
     x_val.fillRandom(rng);
+    if (pc.belowZero) {
+        ASSERT_GT(qp.zeroPoint, 0);
+        for (int64_t i = 0; i < x_val.numElements(); ++i)
+            x_val.setIntAt(i, int32_t(rng.nextRange(0, qp.zeroPoint - 1)));
+    }
     ReferenceExecutor ref(g);
     Tensor want = ref.run({x_val})[0];
 
-    TensorLayout li =
-        interleavedLayout(x_val.shape(), 1, 1, 1, 1,
-                          uint8_t(qp.zeroPoint));
+    TensorLayout li = interleavedLayout(x_val.shape(), pc.pad, pc.pad,
+                                        pc.pad, pc.pad,
+                                        uint8_t(qp.zeroPoint));
     li.baseRow = MaskTable::kRows; // Past the mask table.
     TensorLayout lo =
-        interleavedLayout(want.shape(), out_pad, out_pad, out_pad,
-                          out_pad, uint8_t(qp.zeroPoint));
+        interleavedLayout(want.shape(), pc.outPad, pc.outPad, pc.outPad,
+                          pc.outPad, uint8_t(qp.zeroPoint));
     lo.baseRow = li.baseRow + li.rows() + 4;
     testutil::loadInterleaved(m, x_val, li);
 
-    auto init = maxPoolInitRow();
-    m.hostWriteRow(true, 0, init.data());
-
-    // Max pools reduce raw codes (padding staged as the minimum code).
+    // Max pools reduce raw codes; average pools divide the zero-offset
+    // sum by the window.
     RequantEntry e;
-    e.rq = computeRequant(1.0f, 0);
+    e.rq = max ? computeRequant(1.0f, 0)
+               : computeRequant(1.0f / float(pc.k * pc.k), qp.zeroPoint);
     e.outType = DType::UInt8;
     e.actMin = 0;
     e.actMax = 255;
     m.writeRequantEntry(2, e);
 
-    PoolKernel p;
+    ConvKernel p;
     p.in = li;
     p.out = lo;
-    p.kh = 3;
-    p.kw = 3;
-    p.strideH = 2;
-    p.strideW = 2;
-    p.padTop = 1;
-    p.padLeft = 1;
-    p.c = c;
-    p.isMax = true;
-    p.weightBase = 0;
+    p.kh = p.kw = pc.k;
+    p.strideH = p.strideW = pc.stride;
+    p.padTop = p.padLeft = pc.pad;
+    p.cin = p.cout = pc.c;
+    p.depthwise = true;
+    p.op = pc.op;
     p.rqIndex = 2;
     p.dataZero = uint8_t(qp.zeroPoint);
     p.masks = masks;
-    p.scratchBase = lo.baseRow + lo.rows() + 4;
-    ASSERT_LE(p.scratchBase + li.rows(), 2048);
+    p.stageBase = lo.baseRow + lo.rows() + 4;
+    ASSERT_EQ(stagingRows(p), max && pc.pad > 0 ? li.rows() : 0);
+    ASSERT_LE(p.stageBase + stagingRows(p), 2048);
 
     ProgramBuilder pb;
-    emitPool(pb, p);
-    ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
-              StopReason::Halted);
-
-    Tensor got(want.shape(), DType::UInt8, qp);
-    testutil::readInterleaved(m, got, lo);
-    for (int64_t i = 0; i < want.numElements(); ++i)
-        ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
-}
-
-TEST_F(NklOpsTest, GlobalAvgPoolMatchesReference)
-{
-    const int h = 7, w = 7, c = 256;
-    QuantParams qp = chooseAsymmetricUint8(-2.0f, 2.0f);
-    Rng rng(32);
-
-    GraphBuilder gb("avg");
-    TensorId x = gb.input("x", Shape{1, h, w, c}, DType::UInt8, qp);
-    TensorId y = gb.avgPool2d("ap", x, 7, 7, 1, 1, 0, 0, 0, 0);
-    gb.output(y);
-    Graph g = gb.take();
-
-    Tensor x_val(Shape{1, h, w, c}, DType::UInt8, qp);
-    x_val.fillRandom(rng);
-    ReferenceExecutor ref(g);
-    Tensor want = ref.run({x_val})[0];
-
-    TensorLayout li = interleavedLayout(x_val.shape(), 0, 0, 0, 0,
-                                        uint8_t(qp.zeroPoint));
-    li.baseRow = MaskTable::kRows; // Past the mask table.
-    TensorLayout lo = interleavedLayout(want.shape(), 0, 0, 0, 0,
-                                        uint8_t(qp.zeroPoint));
-    lo.baseRow = li.baseRow + li.rows() + 4;
-    testutil::loadInterleaved(m, x_val, li);
-
-    RequantEntry e;
-    e.rq = computeRequant(1.0f / 49.0f, qp.zeroPoint);
-    e.outType = DType::UInt8;
-    e.actMin = 0;
-    e.actMax = 255;
-    m.writeRequantEntry(3, e);
-
-    PoolKernel p;
-    p.in = li;
-    p.out = lo;
-    p.kh = 7;
-    p.kw = 7;
-    p.strideH = 1;
-    p.strideW = 1;
-    p.c = c;
-    p.isMax = false;
-    p.rqIndex = 3;
-    p.dataZero = uint8_t(qp.zeroPoint);
-    p.masks = masks;
-
-    ProgramBuilder pb;
-    emitPool(pb, p);
+    emitConv(pb, p);
     ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);
 

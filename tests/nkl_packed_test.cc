@@ -198,7 +198,7 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     kp.masks = masks;
     ASSERT_TRUE(usesStagedCopies(kp));
     kp.stageBase = lo.baseRow + lo.rows() + 2;
-    ASSERT_LE(kp.stageBase + stagedCopyRows(kp), 2048);
+    ASSERT_LE(kp.stageBase + stagingRows(kp), 2048);
 
     auto w_img = cc.depthwise
                      ? packDepthwiseWeights(w_val, &b_val,

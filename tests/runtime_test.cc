@@ -514,6 +514,39 @@ TEST_F(RuntimeTest, QuantizedSigmoidStaysOnX86)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
 }
 
+TEST_F(RuntimeTest, TwoSubgraphsRunOnTheirOwnImages)
+{
+    // A conv with a fused sigmoid stays on x86 and splits the model into
+    // two Ncore subgraphs. Both use requant slot 0 and weight row 0, so
+    // each invoke must load its own subgraph's images, on every run.
+    Rng rng(62);
+    GraphBuilder gb("split");
+    QuantParams in_qp = actQp(-1.0f, 1.0f);
+    TensorId x = gb.input("x", Shape{1, 8, 8, 32}, DType::UInt8, in_qp);
+    TensorId a = qconv(gb, rng, "a", x, 32, 3, 1, 1, ActFn::Relu);
+    TensorId s = qconv(gb, rng, "s", a, 32, 1, 1, 0, ActFn::Sigmoid);
+    TensorId y = qconv(gb, rng, "b", s, 32, 3, 1, 1, ActFn::None);
+    gb.output(y);
+
+    Loadable ld = compile(gb.take());
+    ASSERT_EQ(ld.subgraphs.size(), 2u);
+
+    Tensor xv(Shape{1, 8, 8, 32}, DType::UInt8, in_qp);
+    Rng dr(63);
+    xv.fillRandom(dr);
+    Tensor want = ReferenceExecutor(ld.graph).run({xv})[0];
+
+    NcoreRuntime rt(driver);
+    rt.loadModel(ld);
+    DelegateExecutor exec(rt, X86CostModel{});
+    for (int run = 0; run < 2; ++run) {
+        InferenceResult res = exec.infer({xv});
+        for (int64_t i = 0; i < want.numElements(); ++i)
+            ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i))
+                << "run " << run << " byte " << i;
+    }
+}
+
 TEST_F(RuntimeTest, RepeatedInvocationsAreDeterministic)
 {
     Rng rng(45);
