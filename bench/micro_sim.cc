@@ -241,13 +241,6 @@ BM_MacPipelineBf16(benchmark::State &state)
 BENCHMARK(BM_MacPipelineBf16)->Unit(benchmark::kMillisecond);
 
 void
-BM_MacPipelineI16(benchmark::State &state)
-{
-    runMacPipeline(state, LaneType::I16, Pred::None);
-}
-BENCHMARK(BM_MacPipelineI16)->Unit(benchmark::kMillisecond);
-
-void
 BM_MacPipelinePred(benchmark::State &state)
 {
     runMacPipeline(state, LaneType::U8, Pred::P0);
@@ -270,13 +263,6 @@ BM_MacPipelineBf16Scalar(benchmark::State &state)
     runMacPipeline(state, LaneType::BF16, Pred::None, SimdTier::Scalar);
 }
 BENCHMARK(BM_MacPipelineBf16Scalar)->Unit(benchmark::kMillisecond);
-
-void
-BM_MacPipelineI16Scalar(benchmark::State &state)
-{
-    runMacPipeline(state, LaneType::I16, Pred::None, SimdTier::Scalar);
-}
-BENCHMARK(BM_MacPipelineI16Scalar)->Unit(benchmark::kMillisecond);
 
 void
 BM_MacPipelinePredScalar(benchmark::State &state)
@@ -634,7 +620,6 @@ writeBenchSimJson()
         const MacMeasurement macs[] = {
             measureMacVariant("u8", LaneType::U8, Pred::None, tier),
             measureMacVariant("u8_pred", LaneType::U8, Pred::P0, tier),
-            measureMacVariant("i16", LaneType::I16, Pred::None, tier),
             measureMacVariant("bf16", LaneType::BF16, Pred::None, tier),
             measureMacProgram("u8_conv_rep", convRepProgram(), false,
                               tier),

@@ -3,6 +3,13 @@
  * The specialized engine's NPU lane kernels and fused conv Rep kernels
  * (exec_specialized.h), written once for every SIMD tier.
  *
+ * Coverage: there are kernels only for the NPU forms NKL emits, u8 Mac,
+ * Add and Max and bf16 Mac, each under every predicate and zero-offset
+ * setting (AccZero and AccLoadBias have one tier-independent kernel in
+ * exec_specialized.cc). Every other form has none, so buildExecPlan
+ * leaves its slot null and machine.cc's generic interpreter, which
+ * defines and runs every form, executes it.
+ *
  * Each kernel is a template over a lane-traits type `V` that a kernel
  * translation unit defines for its ISA:
  *
@@ -20,17 +27,14 @@
  * FVec = float lanes, Mask = the predicate form):
  *
  *     kLanes, load, store, splat
- *     widen<T, ZOFF>(lo, hi, i, z)   u8/i8/i16 lanes i.. to int32,
- *                                    u8 minus the zero offset z
+ *     widen<ZOFF>(p, i, z)           u8 lanes p[i..] to int32, minus
+ *                                    the zero offset z when ZOFF
  *     pass<P>(pred + i)              lanes the predicate admits
  *     select(m, old, neu)            m ? neu : old per lane
  *     macAcc(acc, a, b)              satAdd32(acc, a * b)
- *     satAdd32, neg, min, max, bitAnd, bitOr, bitXor
+ *     satAdd32, min, max
  *     bf16(lo, hi, i), asF, asI      bf16 planar load, bit casts
- *     fadd, fsub, fmul, canonNaN
- *     fMin(fc, fa), fMax(fc, fa)     std::min/std::max(fc, fa),
- *                                    NaN and ±0 ties included
- *     cmpGt(p, a, b)                 p[0..kLanes) = a > b as 0/1
+ *     fadd, fmul, canonNaN
  *
  * The fused conv kernels, their operand-panel fill and their
  * saturation guard (ConvRepFill) use load, store, splat, widen, pass,
@@ -55,10 +59,9 @@
  * Bit-identity notes (the contract: match machine.cc's generic
  * interpreter exactly, DESIGN.md §5f):
  *
- *  - Integer lanes are at most 16 bits wide, so products fit int32
- *    exactly and a 32-bit mullo equals the scalar multiply. A widened
- *    lane (u8 minus its zero offset included) also fits in i16, which
- *    is what lets the VNNI macAcc use a 16x16 word product.
+ *  - A widened u8 lane, minus its zero offset or not, fits in i16, so
+ *    products fit int32 exactly, a 32-bit mullo equals the scalar
+ *    multiply, and the VNNI macAcc may use a 16x16 word product.
  *  - bf16 MAC is `fc + fa*fb` as two IEEE operations (mul, then add),
  *    never an FMA: a product in the binary32 subnormal range is
  *    rounded before the add in the generic interpreter. The SIMD TUs
@@ -66,7 +69,7 @@
  *    fused either; the portable TU is built in ISO C++ mode, where
  *    GCC's default is already -ffp-contract=off.
  *  - NPU bf16 results are NaN-canonicalized to 0x7fc00000
- *    (common/bf16.h canonicalizeNaN); Min/Max return operands as-is.
+ *    (common/bf16.h canonicalizeNaN).
  */
 
 #ifndef NCORE_NCORE_EXEC_NPU_KERNELS_H
@@ -132,20 +135,15 @@ bf16Lane(const uint8_t *lo, const uint8_t *hi, int i)
     return f;
 }
 
-template <LaneType T, bool ZOFF>
+/** u8 lane p[i] as int32, minus the zero offset z when ZOFF. */
+template <bool ZOFF>
 inline int32_t
-widenS(const uint8_t *lo, const uint8_t *hi, int i, int32_t z)
+widenS(const uint8_t *p, int i, int32_t z)
 {
-    if constexpr (T == LaneType::I8) {
-        return int8_t(lo[i]);
-    } else if constexpr (T == LaneType::U8) {
-        if constexpr (ZOFF)
-            return int32_t(lo[i]) - z;
-        else
-            return int32_t(lo[i]);
-    } else {
-        return int16_t(uint16_t(lo[i]) | (uint16_t(hi[i]) << 8));
-    }
+    if constexpr (ZOFF)
+        return int32_t(p[i]) - z;
+    else
+        return int32_t(p[i]);
 }
 
 /** The predicate row P reads (P0 for None; it is never read then). */
@@ -168,29 +166,6 @@ passS(const uint8_t *pred, int i)
         return pred[i] != 0;
 }
 
-/** Which op/type combinations have a specialized kernel. */
-constexpr bool
-npuCombiValid(NpuOp op, LaneType t)
-{
-    switch (op) {
-      case NpuOp::Mac:
-      case NpuOp::MacFwd:
-      case NpuOp::Add:
-      case NpuOp::Sub:
-      case NpuOp::Min:
-      case NpuOp::Max:
-        return true;
-      case NpuOp::And:
-      case NpuOp::Or:
-      case NpuOp::Xor:
-      case NpuOp::CmpGtP0:
-      case NpuOp::CmpGtP1:
-        return t != LaneType::BF16; // Generic panics on these for bf16.
-      default:
-        return false;
-    }
-}
-
 /** Keep `old` in the lanes predicate P rejects. */
 template <class V, Pred P, class Vec>
 inline Vec
@@ -203,105 +178,35 @@ admit(const uint8_t *pred, int i, Vec old, Vec neu)
 }
 
 // --------------------------------------------------------------------
-// Lane loops: whole vector steps while they fit, then the scalar tail.
+// Lane kernels: whole vector steps while they fit, then the scalar tail.
 // --------------------------------------------------------------------
 
-/**
- * Mac over lanes [i0, i1); the A operand is read at lane i + aDelta
- * (MacFwd splits its wrapped neighbor-slice read into two contiguous
- * ranges).
- */
+/** Mac of u8 (T == U8) or planar bf16 (T == BF16) lanes. */
 template <class V, LaneType T, Pred P, bool ZOFF>
 void
-macRange(const ExecCtx &c, int i0, int i1, int aDelta)
+macLanes(const ExecCtx &c)
 {
     const uint8_t *aLo = c.aLo, *aHi = c.aHi;
     const uint8_t *bLo = c.bLo, *bHi = c.bHi;
     const uint8_t *pred = predRow<P>(c);
     const int32_t zA = c.zA, zB = c.zB;
-    int32_t *acc = c.acc;
-    int i = i0;
-    if constexpr (V::kLanes > 1) {
-        const auto zAv = V::splat(zA), zBv = V::splat(zB);
-        for (; i + V::kLanes <= i1; i += V::kLanes) {
-            const auto old = V::load(acc + i);
-            typename V::Vec res;
-            if constexpr (T == LaneType::BF16) {
-                // Two roundings on purpose (file comment).
-                auto fa = V::bf16(aLo, aHi, i + aDelta);
-                auto fb = V::bf16(bLo, bHi, i);
-                res = V::asI(V::canonNaN(
-                    V::fadd(V::asF(old), V::fmul(fa, fb))));
-            } else {
-                auto wa = V::template widen<T, ZOFF>(aLo, aHi, i + aDelta,
-                                                     zAv);
-                auto wb = V::template widen<T, ZOFF>(bLo, bHi, i, zBv);
-                res = V::macAcc(old, wa, wb);
-            }
-            V::store(acc + i, admit<V, P>(pred, i, old, res));
-        }
-    }
-    for (; i < i1; ++i) {
-        if (!passS<P>(pred, i))
-            continue;
-        if constexpr (T == LaneType::BF16) {
-            float fa = bf16Lane(aLo, aHi, i + aDelta);
-            float fb = bf16Lane(bLo, bHi, i);
-            float fc;
-            __builtin_memcpy(&fc, &acc[i], 4);
-            float r = canonNaN(fc + fa * fb);
-            __builtin_memcpy(&acc[i], &r, 4);
-        } else {
-            int32_t wa = widenS<T, ZOFF>(aLo, aHi, i + aDelta, zA);
-            int32_t wb = widenS<T, ZOFF>(bLo, bHi, i, zB);
-            acc[i] = satAdd32s(acc[i], wa * wb);
-        }
-    }
-}
-
-/** Add/Sub/Min/Max/And/Or/Xor of the A operand into the accumulators. */
-template <class V, NpuOp OP, LaneType T, Pred P, bool ZOFF>
-void
-eltRange(const ExecCtx &c)
-{
-    const uint8_t *aLo = c.aLo, *aHi = c.aHi;
-    const uint8_t *pred = predRow<P>(c);
-    const int32_t zA = c.zA;
     const int rb = c.rb;
     int32_t *acc = c.acc;
     int i = 0;
     if constexpr (V::kLanes > 1) {
-        const auto zAv = V::splat(zA);
+        const auto zAv = V::splat(zA), zBv = V::splat(zB);
         for (; i + V::kLanes <= rb; i += V::kLanes) {
             const auto old = V::load(acc + i);
             typename V::Vec res;
             if constexpr (T == LaneType::BF16) {
+                // Two roundings on purpose (file comment).
                 auto fa = V::bf16(aLo, aHi, i);
-                auto fc = V::asF(old);
-                if constexpr (OP == NpuOp::Add)
-                    res = V::asI(V::canonNaN(V::fadd(fc, fa)));
-                else if constexpr (OP == NpuOp::Sub)
-                    res = V::asI(V::canonNaN(V::fsub(fc, fa)));
-                else if constexpr (OP == NpuOp::Min)
-                    res = V::asI(V::fMin(fc, fa));
-                else
-                    res = V::asI(V::fMax(fc, fa));
+                auto fb = V::bf16(bLo, bHi, i);
+                res = V::asI(V::canonNaN(
+                    V::fadd(V::asF(old), V::fmul(fa, fb))));
             } else {
-                auto wa = V::template widen<T, ZOFF>(aLo, aHi, i, zAv);
-                if constexpr (OP == NpuOp::Add)
-                    res = V::satAdd32(old, wa);
-                else if constexpr (OP == NpuOp::Sub)
-                    res = V::satAdd32(old, V::neg(wa));
-                else if constexpr (OP == NpuOp::Min)
-                    res = V::min(old, wa);
-                else if constexpr (OP == NpuOp::Max)
-                    res = V::max(old, wa);
-                else if constexpr (OP == NpuOp::And)
-                    res = V::bitAnd(old, wa);
-                else if constexpr (OP == NpuOp::Or)
-                    res = V::bitOr(old, wa);
-                else
-                    res = V::bitXor(old, wa);
+                res = V::macAcc(old, V::template widen<ZOFF>(aLo, i, zAv),
+                                V::template widen<ZOFF>(bLo, i, zBv));
             }
             V::store(acc + i, admit<V, P>(pred, i, old, res));
         }
@@ -311,94 +216,76 @@ eltRange(const ExecCtx &c)
             continue;
         if constexpr (T == LaneType::BF16) {
             float fa = bf16Lane(aLo, aHi, i);
+            float fb = bf16Lane(bLo, bHi, i);
             float fc;
             __builtin_memcpy(&fc, &acc[i], 4);
-            float r;
-            if constexpr (OP == NpuOp::Add)
-                r = canonNaN(fc + fa);
-            else if constexpr (OP == NpuOp::Sub)
-                r = canonNaN(fc - fa);
-            else if constexpr (OP == NpuOp::Min)
-                r = fa < fc ? fa : fc; // std::min(fc, fa)
-            else
-                r = fc < fa ? fa : fc; // std::max(fc, fa)
+            float r = canonNaN(fc + fa * fb);
             __builtin_memcpy(&acc[i], &r, 4);
         } else {
-            int32_t wa = widenS<T, ZOFF>(aLo, aHi, i, zA);
-            if constexpr (OP == NpuOp::Add)
-                acc[i] = satAdd32s(acc[i], wa);
-            else if constexpr (OP == NpuOp::Sub)
-                acc[i] = satAdd32s(acc[i], -wa);
-            else if constexpr (OP == NpuOp::Min)
-                acc[i] = wa < acc[i] ? wa : acc[i];
-            else if constexpr (OP == NpuOp::Max)
-                acc[i] = acc[i] < wa ? wa : acc[i];
-            else if constexpr (OP == NpuOp::And)
-                acc[i] &= wa;
-            else if constexpr (OP == NpuOp::Or)
-                acc[i] |= wa;
-            else
-                acc[i] ^= wa;
+            acc[i] = satAdd32s(acc[i], widenS<ZOFF>(aLo, i, zA) *
+                                           widenS<ZOFF>(bLo, i, zB));
         }
     }
 }
 
-/** CmpGtP0/P1: predOut[i] = widen(a) > widen(b); ignores predicates. */
-template <class V, LaneType T, bool ZOFF>
+/** u8 Add (saturating) or Max of the A operand into the accumulators. */
+template <class V, NpuOp OP, Pred P, bool ZOFF>
 void
-cmpGtRange(const ExecCtx &c)
+eltLanes(const ExecCtx &c)
 {
-    const uint8_t *aLo = c.aLo, *aHi = c.aHi;
-    const uint8_t *bLo = c.bLo, *bHi = c.bHi;
-    const int32_t zA = c.zA, zB = c.zB;
+    const uint8_t *aLo = c.aLo;
+    const uint8_t *pred = predRow<P>(c);
+    const int32_t zA = c.zA;
     const int rb = c.rb;
-    uint8_t *p = c.predOut;
+    int32_t *acc = c.acc;
     int i = 0;
     if constexpr (V::kLanes > 1) {
-        const auto zAv = V::splat(zA), zBv = V::splat(zB);
-        for (; i + V::kLanes <= rb; i += V::kLanes)
-            V::cmpGt(p + i, V::template widen<T, ZOFF>(aLo, aHi, i, zAv),
-                     V::template widen<T, ZOFF>(bLo, bHi, i, zBv));
+        const auto zAv = V::splat(zA);
+        for (; i + V::kLanes <= rb; i += V::kLanes) {
+            const auto old = V::load(acc + i);
+            const auto wa = V::template widen<ZOFF>(aLo, i, zAv);
+            typename V::Vec res;
+            if constexpr (OP == NpuOp::Add)
+                res = V::satAdd32(old, wa);
+            else
+                res = V::max(old, wa);
+            V::store(acc + i, admit<V, P>(pred, i, old, res));
+        }
     }
-    for (; i < rb; ++i)
-        p[i] = widenS<T, ZOFF>(aLo, aHi, i, zA) >
-               widenS<T, ZOFF>(bLo, bHi, i, zB);
+    for (; i < rb; ++i) {
+        if (!passS<P>(pred, i))
+            continue;
+        int32_t wa = widenS<ZOFF>(aLo, i, zA);
+        if constexpr (OP == NpuOp::Add)
+            acc[i] = satAdd32s(acc[i], wa);
+        else
+            acc[i] = acc[i] < wa ? wa : acc[i];
+    }
 }
 
 template <class V, NpuOp OP, LaneType T, Pred P, bool ZOFF>
 void
 npuKernel(const ExecCtx &c)
 {
-    if constexpr (OP == NpuOp::Mac) {
-        macRange<V, T, P, ZOFF>(c, 0, c.rb, 0);
-    } else if constexpr (OP == NpuOp::MacFwd) {
-        macRange<V, T, P, ZOFF>(c, 0, c.rb - c.fwd, c.fwd);
-        macRange<V, T, P, ZOFF>(c, c.rb - c.fwd, c.rb, c.fwd - c.rb);
-    } else if constexpr (OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1) {
-        cmpGtRange<V, T, ZOFF>(c);
-    } else {
-        eltRange<V, OP, T, P, ZOFF>(c);
-    }
+    if constexpr (OP == NpuOp::Mac)
+        macLanes<V, T, P, ZOFF>(c);
+    else
+        eltLanes<V, OP, P, ZOFF>(c);
 }
 
 // --------------------------------------------------------------------
-// Selector: op -> lane type -> predicate -> zero offset.
+// Selector: form -> predicate -> zero offset.
 // --------------------------------------------------------------------
 
 template <class V, NpuOp OP, LaneType T, Pred P>
 NpuKernel
 pickZ(bool zoff)
 {
-    // Canonicalize: CmpGt ignores predicates; offsets are u8-only.
-    constexpr Pred kP =
-        OP == NpuOp::CmpGtP0 || OP == NpuOp::CmpGtP1 ? Pred::None : P;
-    if constexpr (!npuCombiValid(OP, T))
-        return nullptr;
-    else if constexpr (T == LaneType::U8)
-        return zoff ? &npuKernel<V, OP, T, kP, true>
-                    : &npuKernel<V, OP, T, kP, false>;
+    if constexpr (T == LaneType::BF16)
+        return &npuKernel<V, OP, T, P, false>; // No zero offset on bf16.
     else
-        return &npuKernel<V, OP, T, kP, false>;
+        return zoff ? &npuKernel<V, OP, T, P, true>
+                    : &npuKernel<V, OP, T, P, false>;
 }
 
 template <class V, NpuOp OP, LaneType T>
@@ -414,22 +301,9 @@ pickP(Pred p, bool zoff)
     return nullptr;
 }
 
-template <class V, NpuOp OP>
-NpuKernel
-pickT(LaneType t, Pred p, bool zoff)
-{
-    switch (t) {
-      case LaneType::I8: return pickP<V, OP, LaneType::I8>(p, zoff);
-      case LaneType::U8: return pickP<V, OP, LaneType::U8>(p, zoff);
-      case LaneType::I16: return pickP<V, OP, LaneType::I16>(p, zoff);
-      case LaneType::BF16: return pickP<V, OP, LaneType::BF16>(p, zoff);
-    }
-    return nullptr;
-}
-
 /**
- * The tier-V kernel for `npu`, or null when the slot has none (None,
- * AccZero, AccLoadBias and the bf16 forms the generic path rejects).
+ * The tier-V kernel for `npu`: u8 Mac, Add and Max and bf16 Mac have
+ * one (file comment); every other slot gets null and runs generic.
  */
 template <class V>
 NpuKernel
@@ -437,23 +311,17 @@ selectNpuKernelFor(const NpuSlot &npu)
 {
     const bool zoff = npu.zeroOff;
     const Pred p = npu.pred;
-    switch (npu.op) {
-      case NpuOp::Mac: return pickT<V, NpuOp::Mac>(npu.type, p, zoff);
-      case NpuOp::MacFwd:
-        return pickT<V, NpuOp::MacFwd>(npu.type, p, zoff);
-      case NpuOp::Add: return pickT<V, NpuOp::Add>(npu.type, p, zoff);
-      case NpuOp::Sub: return pickT<V, NpuOp::Sub>(npu.type, p, zoff);
-      case NpuOp::Min: return pickT<V, NpuOp::Min>(npu.type, p, zoff);
-      case NpuOp::Max: return pickT<V, NpuOp::Max>(npu.type, p, zoff);
-      case NpuOp::And: return pickT<V, NpuOp::And>(npu.type, p, zoff);
-      case NpuOp::Or: return pickT<V, NpuOp::Or>(npu.type, p, zoff);
-      case NpuOp::Xor: return pickT<V, NpuOp::Xor>(npu.type, p, zoff);
-      case NpuOp::CmpGtP0:
-        return pickT<V, NpuOp::CmpGtP0>(npu.type, p, zoff);
-      case NpuOp::CmpGtP1:
-        return pickT<V, NpuOp::CmpGtP1>(npu.type, p, zoff);
-      default:
+    if (npu.type == LaneType::BF16)
+        return npu.op == NpuOp::Mac
+                   ? pickP<V, NpuOp::Mac, LaneType::BF16>(p, zoff)
+                   : nullptr;
+    if (npu.type != LaneType::U8)
         return nullptr;
+    switch (npu.op) {
+      case NpuOp::Mac: return pickP<V, NpuOp::Mac, LaneType::U8>(p, zoff);
+      case NpuOp::Add: return pickP<V, NpuOp::Add, LaneType::U8>(p, zoff);
+      case NpuOp::Max: return pickP<V, NpuOp::Max, LaneType::U8>(p, zoff);
+      default: return nullptr;
     }
 }
 
@@ -610,10 +478,8 @@ convRepGather(const ExecCtx &c, const ConvPanels &pn)
 #pragma GCC unroll 16
             for (int t = 0; t < kVecs; ++t) {
                 const auto a = V::pair16(
-                    V::template widen<LaneType::U8, true>(x, nullptr,
-                                                         t * kL, z),
-                    V::template widen<LaneType::U8, true>(y, nullptr,
-                                                         t * kL, z));
+                    V::template widen<true>(x, t * kL, z),
+                    V::template widen<true>(y, t * kL, z));
                 sum[t] = V::madd2(sum[t], a, V::load(w + t * kL));
             }
         }
@@ -657,8 +523,7 @@ putWeightTap(int32_t *dst, const uint8_t *src, int32_t z, bool odd)
     constexpr int kL = V::kLanes;
     const auto zv = V::splat(z);
     for (int i = 0; i < 64; i += kL) {
-        const auto w = V::template widen<LaneType::U8, true>(src, nullptr,
-                                                             i, zv);
+        const auto w = V::template widen<true>(src, i, zv);
         V::store(dst + i, odd ? V::pair16(V::load(dst + i), w)
                               : V::pair16(w, V::splat(0)));
     }
@@ -674,10 +539,8 @@ putWeightPair(int32_t *dst, const uint8_t *x, const uint8_t *y, int32_t z)
 #pragma GCC unroll 16
     for (int i = 0; i < 64; i += kL)
         V::store(dst + i,
-                 V::pair16(V::template widen<LaneType::U8, true>(
-                               x, nullptr, i, zv),
-                           V::template widen<LaneType::U8, true>(
-                               y, nullptr, i, zv)));
+                 V::pair16(V::template widen<true>(x, i, zv),
+                           V::template widen<true>(y, i, zv)));
 }
 
 /** ConvRepFill::weightTaps: an odd first tap, whole pairs, an even tail. */

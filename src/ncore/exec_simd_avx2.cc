@@ -3,10 +3,12 @@
  * AVX2 lane kernels for the specialized execution engine: the AVX2
  * instantiation of the NPU and fused conv Rep kernels, the conv Rep's
  * panel fill and guard scan (exec_npu_kernels.h, 8 int32 lanes per
- * step) plus the vector
- * OUT and NDU kernels. The NDU kernels and the bf16 store also serve
- * the avx512 and avx512vnni tiers, whose requantize is the AVX-512
- * one (exec_simd_avx512.cc).
+ * step) plus vector OUT and NDU kernels. Like every tier it covers only
+ * the forms NKL emits (exec_specialized.h): the OUT kernels are Requant8
+ * without a LUT and StoreBf16 without an activation, the NDU kernels
+ * RepWindow, GroupBcast, MergeMask and LoadMask. The NDU kernels and
+ * the bf16 store also serve the avx512 and avx512vnni tiers, whose
+ * requantize is the AVX-512 one (exec_simd_avx512.cc).
  *
  * This TU is compiled with `-mavx2 -ffp-contract=off` via per-source
  * CMake flags; nothing outside it may call into it except through the
@@ -15,13 +17,9 @@
  * portable COMDAT sections, every helper here lives in an anonymous
  * namespace.
  *
- * Bit-identity notes for the OUT kernels (the NPU notes are in
+ * Bit-identity note for the OUT requantize (the NPU notes are in
  * exec_npu_kernels.h; the contract is DESIGN.md §5f):
  *
- *  - `_mm256_min_ps(a,b)`/`max_ps` return the *second* operand on
- *    NaN and on ±0 ties, exactly like the `(a<b)?a:b` ternary that
- *    std::min/std::max lower to — operand order below is chosen so
- *    the second operand matches the scalar kernels' choice.
  *  - Requant::apply divides by 2^31 with C++ truncation toward zero;
  *    the vector form uses a 64-bit logical shift + sign fill (floor)
  *    plus a +1 correction on negative non-exact quotients.
@@ -42,13 +40,6 @@ inline __m256i
 load8u(const uint8_t *p)
 {
     return _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
-}
-
-inline __m256i
-load8s(const uint8_t *p)
-{
-    return _mm256_cvtepi8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
 }
 
@@ -104,21 +95,14 @@ struct Avx2Lanes
 
     static Vec splat(int32_t x) { return _mm256_set1_epi32(x); }
 
-    template <LaneType T, bool ZOFF>
+    template <bool ZOFF>
     static Vec
-    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
+    widen(const uint8_t *p, int i, Vec z)
     {
-        if constexpr (T == LaneType::I8) {
-            return load8s(lo + i);
-        } else if constexpr (T == LaneType::U8) {
-            Vec v = load8u(lo + i);
-            if constexpr (ZOFF)
-                v = _mm256_sub_epi32(v, z);
-            return v;
-        } else {
-            return _mm256_or_si256(_mm256_slli_epi32(load8s(hi + i), 8),
-                                   load8u(lo + i));
-        }
+        Vec v = load8u(p + i);
+        if constexpr (ZOFF)
+            v = _mm256_sub_epi32(v, z);
+        return v;
     }
 
     template <Pred P>
@@ -183,16 +167,8 @@ struct Avx2Lanes
                                                     int16_t(z))));
     }
 
-    static Vec
-    neg(Vec a)
-    {
-        return _mm256_sub_epi32(_mm256_setzero_si256(), a);
-    }
     static Vec min(Vec a, Vec b) { return _mm256_min_epi32(a, b); }
     static Vec max(Vec a, Vec b) { return _mm256_max_epi32(a, b); }
-    static Vec bitAnd(Vec a, Vec b) { return _mm256_and_si256(a, b); }
-    static Vec bitOr(Vec a, Vec b) { return _mm256_or_si256(a, b); }
-    static Vec bitXor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
 
     static FVec
     bf16(const uint8_t *lo, const uint8_t *hi, int i)
@@ -205,11 +181,7 @@ struct Avx2Lanes
     static FVec asF(Vec v) { return _mm256_castsi256_ps(v); }
     static Vec asI(FVec f) { return _mm256_castps_si256(f); }
     static FVec fadd(FVec a, FVec b) { return _mm256_add_ps(a, b); }
-    static FVec fsub(FVec a, FVec b) { return _mm256_sub_ps(a, b); }
     static FVec fmul(FVec a, FVec b) { return _mm256_mul_ps(a, b); }
-    // std::min(fc, fa) == (fa < fc) ? fa : fc == min_ps(fa, fc).
-    static FVec fMin(FVec fc, FVec fa) { return _mm256_min_ps(fa, fc); }
-    static FVec fMax(FVec fc, FVec fa) { return _mm256_max_ps(fa, fc); }
 
     static FVec
     canonNaN(FVec r)
@@ -217,13 +189,6 @@ struct Avx2Lanes
         return _mm256_blendv_ps(
             r, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc00000)),
             _mm256_cmp_ps(r, r, _CMP_UNORD_Q));
-    }
-
-    static void
-    cmpGt(uint8_t *p, Vec a, Vec b)
-    {
-        storeByte0x8(p, _mm256_and_si256(_mm256_cmpgt_epi32(a, b),
-                                         _mm256_set1_epi32(1)));
     }
 };
 
@@ -309,43 +274,29 @@ requant8x(const Requant &q, __m256i x)
     return Avx2Lanes::satAdd32(high, _mm256_set1_epi32(q.offset));
 }
 
-/** Requant8 (non-LUT) / Requant16 / ActOnly8. */
-template <OutOp OP>
+/** Requant8 without a LUT: the requantize, then the clamp. */
 void
-outRequantV(const ExecCtx &c)
+outRequant8V(const ExecCtx &c)
 {
     const RequantEntry &e = *c.rq;
     const __m256i mn = _mm256_set1_epi32(e.actMin);
     const __m256i mx = _mm256_set1_epi32(e.actMax);
     const int rb = c.rb;
     for (int i = 0; i < rb; i += 8) {
-        __m256i v = Avx2Lanes::load(c.acc + i);
-        if constexpr (OP != OutOp::ActOnly8)
-            v = requant8x(e.rq, v);
-        v = _mm256_min_epi32(_mm256_max_epi32(v, mn), mx);
-        storeByte0x8(c.outLo + i, v);
-        if constexpr (OP == OutOp::Requant16)
-            storeByte1x8(c.outHi + i, v);
+        __m256i v = requant8x(e.rq, Avx2Lanes::load(c.acc + i));
+        storeByte0x8(c.outLo + i,
+                     _mm256_min_epi32(_mm256_max_epi32(v, mn), mx));
     }
 }
 
-/** StoreBf16 with None/Relu/Relu6 (LUT-free activations). */
-template <ActFn ACT>
+/** StoreBf16 without an activation. */
 void
 outStoreBf16V(const ExecCtx &c)
 {
-    const __m256 zero = _mm256_setzero_ps();
-    const __m256 six = _mm256_set1_ps(6.0f);
     const int rb = c.rb;
     for (int i = 0; i < rb; i += 8) {
-        __m256 f = _mm256_castsi256_ps(Avx2Lanes::load(c.acc + i));
-        if constexpr (ACT == ActFn::Relu) {
-            f = _mm256_max_ps(zero, f); // std::max(f, 0.f): NaN -> f.
-        } else if constexpr (ACT == ActFn::Relu6) {
-            f = _mm256_min_ps(six, _mm256_max_ps(zero, f));
-        }
         // BFloat16::fromFloat: quiet NaNs, round-to-nearest-even.
-        __m256i u = _mm256_castps_si256(f);
+        __m256i u = Avx2Lanes::load(c.acc + i);
         __m256i isnan = _mm256_cmpgt_epi32(
             _mm256_and_si256(u, _mm256_set1_epi32(0x7fffffff)),
             _mm256_set1_epi32(0x7f800000));
@@ -364,7 +315,7 @@ outStoreBf16V(const ExecCtx &c)
 }
 
 // --------------------------------------------------------------------
-// NDU kernels (Bypass/SplatImm/Rotate/WindowGather already run as wide
+// NDU kernels (SplatImm and WindowGather already run as wide
 // memcpy/memset in the scalar specialized engine; the per-byte loops
 // and the per-group pattern/broadcast stores gain vector forms here).
 // --------------------------------------------------------------------
@@ -463,43 +414,6 @@ nduLoadMaskV(const NduCtx &c)
     }
 }
 
-/** The 16 even (phase 0) or odd (phase 1) bytes of each 128-bit lane. */
-inline __m128i
-compressHalf(__m256i v, __m256i pick)
-{
-    __m256i t = _mm256_shuffle_epi8(v, pick);
-    __m256i r = _mm256_permutevar8x32_epi32(
-        t, _mm256_setr_epi32(0, 1, 4, 5, 0, 0, 0, 0));
-    return _mm256_castsi256_si128(r);
-}
-
-void
-nduCompress2V(const NduCtx &c)
-{
-    // d[g*64 + j] = a[g*64 + ((2j + phase) & 63)]: (2j+phase) mod 64
-    // has period 32 in j, so each 64-byte group's output is the 32
-    // even (or odd) source bytes stored twice.
-    const char ph = char(c.phase);
-    const __m256i pick = _mm256_setr_epi8(
-        ph, ph + 2, ph + 4, ph + 6, ph + 8, ph + 10, ph + 12, ph + 14,
-        -1, -1, -1, -1, -1, -1, -1, -1,
-        ph, ph + 2, ph + 4, ph + 6, ph + 8, ph + 10, ph + 12, ph + 14,
-        -1, -1, -1, -1, -1, -1, -1, -1);
-    const int groups = c.rb / 64;
-    for (int g = 0; g < groups; ++g) {
-        const uint8_t *src = c.a + g * 64;
-        __m128i e0 = compressHalf(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src)),
-            pick);
-        __m128i e1 = compressHalf(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(src + 32)),
-            pick);
-        __m256i out = _mm256_set_m128i(e1, e0);
-        store64(c.out + g * 64, out, out);
-    }
-}
-
 } // namespace
 
 // --------------------------------------------------------------------
@@ -527,24 +441,12 @@ selectConvRepFillAvx2()
 OutKernel
 selectOutKernelAvx2(const OutSlot &out)
 {
+    // Only slots with a scalar kernel get here (simd.h): Requant8
+    // without a LUT, StoreBf16 without an activation.
     switch (out.op) {
-      case OutOp::Requant8:
-        if (out.act == ActFn::Sigmoid || out.act == ActFn::Tanh)
-            return nullptr; // LUT path stays scalar.
-        return &outRequantV<OutOp::Requant8>;
-      case OutOp::Requant16:
-        return &outRequantV<OutOp::Requant16>;
-      case OutOp::ActOnly8:
-        return &outRequantV<OutOp::ActOnly8>;
-      case OutOp::StoreBf16:
-        switch (out.act) {
-          case ActFn::None: return &outStoreBf16V<ActFn::None>;
-          case ActFn::Relu: return &outStoreBf16V<ActFn::Relu>;
-          case ActFn::Relu6: return &outStoreBf16V<ActFn::Relu6>;
-          default: return nullptr; // Sigmoid/Tanh call libm: scalar.
-        }
-      default:
-        return nullptr; // CopyAcc32 is already a memcpy.
+      case OutOp::Requant8: return &outRequant8V;
+      case OutOp::StoreBf16: return &outStoreBf16V;
+      default: return nullptr; // CopyAcc32 is already a memcpy.
     }
 }
 
@@ -554,12 +456,11 @@ selectNduKernelAvx2(const NduSlot &slot)
     switch (slot.op) {
       case NduOp::MergeMask: return &nduMergeMaskV;
       case NduOp::LoadMask: return &nduLoadMaskV;
-      case NduOp::Compress2: return &nduCompress2V;
       case NduOp::RepWindow: return &nduRepWindowV;
       case NduOp::GroupBcast: return &nduGroupBcastV;
       default:
-        // Bypass/SplatImm/Rotate/WindowGather already execute as
-        // memcpy/memset in the scalar kernels.
+        // SplatImm/WindowGather already execute as memcpy/memset in
+        // the scalar kernels.
         return nullptr;
     }
 }

@@ -8,9 +8,9 @@
  * Compiled with `-mavx512f -mavx512bw -mavx512vl -mavx512dq
  * -ffp-contract=off` via per-source CMake flags; only reachable through
  * the select*Avx512 entry points, and only after bestSimdTier() proved
- * the host supports those AVX-512 subsets. The tier has no NDU kernels
- * of its own, nor OUT kernels for LUT activations or StoreBf16:
- * buildExecPlan uses the AVX2 ones there.
+ * the host supports those AVX-512 subsets. Its one OUT kernel is
+ * Requant8 without a LUT; it has no NDU kernels nor a StoreBf16 of its
+ * own: buildExecPlan uses the AVX2 ones there.
  *
  * Bit-identity notes for the requantize (Requant::apply, common/quant.h):
  *
@@ -111,10 +111,9 @@ struct Requant16x
     __m512i mask, half, satLo, satHi, offset;
 };
 
-/** Requant8 (non-LUT) / Requant16 / ActOnly8. */
-template <OutOp OP>
+/** Requant8 without a LUT: the requantize, then the clamp. */
 void
-outRequant512(const ExecCtx &c)
+outRequant8x512(const ExecCtx &c)
 {
     const RequantEntry &e = *c.rq;
     const Requant16x rq(e.rq);
@@ -122,19 +121,13 @@ outRequant512(const ExecCtx &c)
     const __m512i mx = _mm512_set1_epi32(e.actMax);
     const int rb = c.rb;
     int32_t *acc = c.acc;
-    uint8_t *lo = c.outLo, *hi = c.outHi;
+    uint8_t *lo = c.outLo;
     for (int i = 0; i < rb; i += 16) {
-        __m512i v = Avx512Lanes::load(acc + i);
-        if constexpr (OP != OutOp::ActOnly8)
-            v = rq.apply(v);
-        // std::clamp(v, actMin, actMax), then the low byte(s).
+        __m512i v = rq.apply(Avx512Lanes::load(acc + i));
+        // std::clamp(v, actMin, actMax), then the low byte.
         v = _mm512_min_epi32(_mm512_max_epi32(v, mn), mx);
         _mm_storeu_si128(reinterpret_cast<__m128i *>(lo + i),
                          _mm512_cvtepi32_epi8(v));
-        if constexpr (OP == OutOp::Requant16)
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(hi + i),
-                _mm512_cvtepi32_epi8(_mm512_srli_epi32(v, 8)));
     }
 }
 
@@ -161,18 +154,9 @@ selectConvRepFillAvx512()
 OutKernel
 selectOutKernelAvx512(const OutSlot &out)
 {
-    switch (out.op) {
-      case OutOp::Requant8:
-        if (out.act == ActFn::Sigmoid || out.act == ActFn::Tanh)
-            return nullptr; // LUT path stays scalar.
-        return &outRequant512<OutOp::Requant8>;
-      case OutOp::Requant16:
-        return &outRequant512<OutOp::Requant16>;
-      case OutOp::ActOnly8:
-        return &outRequant512<OutOp::ActOnly8>;
-      default:
-        return nullptr; // StoreBf16 keeps the AVX2 kernel.
-    }
+    // Only slots with a scalar kernel get here (simd.h), so Requant8
+    // has no LUT. StoreBf16 keeps the AVX2 kernel.
+    return out.op == OutOp::Requant8 ? &outRequant8x512 : nullptr;
 }
 
 } // namespace ncore

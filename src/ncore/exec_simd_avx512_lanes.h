@@ -46,28 +46,14 @@ struct Avx512Lanes
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
     }
 
+    template <bool ZOFF>
     static Vec
-    loadI8(const uint8_t *p)
+    widen(const uint8_t *p, int i, Vec z)
     {
-        return _mm512_cvtepi8_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-    }
-
-    template <LaneType T, bool ZOFF>
-    static Vec
-    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
-    {
-        if constexpr (T == LaneType::I8) {
-            return loadI8(lo + i);
-        } else if constexpr (T == LaneType::U8) {
-            Vec v = loadU8(lo + i);
-            if constexpr (ZOFF)
-                v = _mm512_sub_epi32(v, z);
-            return v;
-        } else {
-            return _mm512_or_si512(_mm512_slli_epi32(loadI8(hi + i), 8),
-                                   loadU8(lo + i));
-        }
+        Vec v = loadU8(p + i);
+        if constexpr (ZOFF)
+            v = _mm512_sub_epi32(v, z);
+        return v;
     }
 
     template <Pred P>
@@ -132,16 +118,8 @@ struct Avx512Lanes
                                      w, _mm512_set1_epi16(int16_t(z))));
     }
 
-    static Vec
-    neg(Vec a)
-    {
-        return _mm512_sub_epi32(_mm512_setzero_si512(), a);
-    }
     static Vec min(Vec a, Vec b) { return _mm512_min_epi32(a, b); }
     static Vec max(Vec a, Vec b) { return _mm512_max_epi32(a, b); }
-    static Vec bitAnd(Vec a, Vec b) { return _mm512_and_si512(a, b); }
-    static Vec bitOr(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-    static Vec bitXor(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
 
     static FVec
     bf16(const uint8_t *lo, const uint8_t *hi, int i)
@@ -154,11 +132,7 @@ struct Avx512Lanes
     static FVec asF(Vec v) { return _mm512_castsi512_ps(v); }
     static Vec asI(FVec f) { return _mm512_castps_si512(f); }
     static FVec fadd(FVec a, FVec b) { return _mm512_add_ps(a, b); }
-    static FVec fsub(FVec a, FVec b) { return _mm512_sub_ps(a, b); }
     static FVec fmul(FVec a, FVec b) { return _mm512_mul_ps(a, b); }
-    // min_ps/max_ps return the second operand on NaN and ±0 ties.
-    static FVec fMin(FVec fc, FVec fa) { return _mm512_min_ps(fa, fc); }
-    static FVec fMax(FVec fc, FVec fa) { return _mm512_max_ps(fa, fc); }
 
     static FVec
     canonNaN(FVec r)
@@ -166,14 +140,6 @@ struct Avx512Lanes
         return _mm512_mask_mov_ps(
             r, _mm512_cmp_ps_mask(r, r, _CMP_UNORD_Q),
             _mm512_castsi512_ps(_mm512_set1_epi32(0x7fc00000)));
-    }
-
-    static void
-    cmpGt(uint8_t *p, Vec a, Vec b)
-    {
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(p),
-            _mm_maskz_set1_epi8(_mm512_cmpgt_epi32_mask(a, b), 1));
     }
 };
 

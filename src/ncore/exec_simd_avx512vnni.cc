@@ -24,8 +24,8 @@ struct Avx512VnniLanes : Avx512Lanes
     /**
      * sat32(acc + a * b) as `vpdpwssds`, which adds the two signed
      * 16x16 products of each dword's word pair to acc and saturates
-     * once. Every widened lane (u8, u8 minus its zero offset, i8, i16)
-     * fits in i16, so its low word is the value. Clearing b's high
+     * once. A widened u8 lane, minus its zero offset or not, fits in
+     * i16, so its low word is the value. Clearing b's high
      * word zeroes the second product, leaving exactly a * b.
      */
     static Vec

@@ -10,11 +10,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/bf16.h"
-#include "common/logging.h"
 #include "common/saturate.h"
 #include "ncore/exec_npu_kernels.h"
 #include "ncore/simd.h"
@@ -43,11 +41,11 @@ struct ScalarLanes
     static void store(int32_t *p, Vec v) { *p = v; }
     static Vec splat(int32_t x) { return x; }
 
-    template <LaneType T, bool ZOFF>
+    template <bool ZOFF>
     static Vec
-    widen(const uint8_t *lo, const uint8_t *hi, int i, Vec z)
+    widen(const uint8_t *p, int i, Vec z)
     {
-        return widenS<T, ZOFF>(lo, hi, i, z);
+        return widenS<ZOFF>(p, i, z);
     }
 
     template <Pred P>
@@ -87,8 +85,8 @@ struct ScalarLanes
 };
 
 /**
- * The NPU kernel of the resolved tier. Every tier covers every slot
- * the scalar selector accepts, so there is no chain-down here.
+ * The NPU kernel of the resolved tier. Every tier covers the same forms
+ * (exec_npu_kernels.h), so there is no chain-down here.
  */
 NpuKernel
 selectNpuKernel(SimdTier tier, const NpuSlot &npu)
@@ -213,96 +211,57 @@ selectAccKernel(const NpuSlot &npu)
 // OUT kernels
 // --------------------------------------------------------------------
 
-template <OutOp OP, ActFn ACT>
+/**
+ * Requant8 with an activation that needs no LUT: the requantize, then
+ * the activation's clamp to [actMin, actMax].
+ */
 void
-outKern(const ExecCtx &c)
+outRequant8Kern(const ExecCtx &c)
 {
-    const int rb = c.rb;
     const RequantEntry &e = *c.rq;
-    if constexpr (OP == OutOp::Requant8) {
-        constexpr bool kLut =
-            ACT == ActFn::Sigmoid || ACT == ActFn::Tanh;
-        for (int i = 0; i < rb; ++i) {
-            int32_t v = e.rq.apply(c.acc[i]);
-            if constexpr (kLut) {
-                uint8_t idx;
-                if (e.outType == DType::UInt8)
-                    idx = satNarrowU8(v);
-                else
-                    idx = uint8_t(satNarrow8(v)) ^ 0x80;
-                uint8_t code = c.luts[e.lutId & 3][idx];
-                v = e.outType == DType::UInt8 ? int32_t(code)
-                                              : int32_t(int8_t(code));
-            }
-            v = std::clamp(v, e.actMin, e.actMax);
-            c.outLo[i] = uint8_t(v & 0xff);
-        }
-    } else if constexpr (OP == OutOp::Requant16) {
-        for (int i = 0; i < rb; ++i) {
-            int32_t v = e.rq.apply(c.acc[i]);
-            v = std::clamp(v, e.actMin, e.actMax);
-            c.outLo[i] = uint8_t(v & 0xff);
-            c.outHi[i] = uint8_t((v >> 8) & 0xff);
-        }
-    } else if constexpr (OP == OutOp::StoreBf16) {
-        for (int i = 0; i < rb; ++i) {
-            float f = std::bit_cast<float>(c.acc[i]);
-            if constexpr (ACT == ActFn::Relu)
-                f = std::max(f, 0.0f);
-            else if constexpr (ACT == ActFn::Relu6)
-                f = std::clamp(f, 0.0f, 6.0f);
-            else if constexpr (ACT == ActFn::Sigmoid)
-                f = 1.0f / (1.0f + std::exp(-f));
-            else if constexpr (ACT == ActFn::Tanh)
-                f = std::tanh(f);
-            uint16_t bits = BFloat16::fromFloat(f).bits;
-            c.outLo[i] = uint8_t(bits & 0xff);
-            c.outHi[i] = uint8_t(bits >> 8);
-        }
-    } else if constexpr (OP == OutOp::CopyAcc32) {
-        int quarter = rb / 4;
-        std::memcpy(c.outLo, c.acc + c.outParam * quarter, size_t(rb));
-    } else if constexpr (OP == OutOp::ActOnly8) {
-        for (int i = 0; i < rb; ++i) {
-            int32_t v = std::clamp(c.acc[i], e.actMin, e.actMax);
-            c.outLo[i] = uint8_t(v & 0xff);
-        }
+    for (int i = 0; i < c.rb; ++i) {
+        int32_t v = std::clamp(e.rq.apply(c.acc[i]), e.actMin, e.actMax);
+        c.outLo[i] = uint8_t(v & 0xff);
     }
 }
 
+/** StoreBf16 without an activation. */
+void
+outStoreBf16Kern(const ExecCtx &c)
+{
+    for (int i = 0; i < c.rb; ++i) {
+        uint16_t bits =
+            BFloat16::fromFloat(std::bit_cast<float>(c.acc[i])).bits;
+        c.outLo[i] = uint8_t(bits & 0xff);
+        c.outHi[i] = uint8_t(bits >> 8);
+    }
+}
+
+/** CopyAcc32: the accumulator quarter's int32 words, little-endian. */
+void
+outCopyAcc32Kern(const ExecCtx &c)
+{
+    std::memcpy(c.outLo, c.acc + c.outParam * (c.rb / 4), size_t(c.rb));
+}
+
+/**
+ * The scalar OUT kernel for the forms NKL emits (exec_specialized.h),
+ * or null: LUT activations, activated StoreBf16, Requant16 and ActOnly8
+ * run generic.
+ */
 OutKernel
 selectOutKernel(const OutSlot &out)
 {
     switch (out.op) {
       case OutOp::Requant8:
-        // Only the LUT-vs-not distinction matters for Requant8.
-        if (out.act == ActFn::Sigmoid || out.act == ActFn::Tanh)
-            return &outKern<OutOp::Requant8, ActFn::Sigmoid>;
-        return &outKern<OutOp::Requant8, ActFn::None>;
-      case OutOp::Requant16:
-        return &outKern<OutOp::Requant16, ActFn::None>;
+        return out.act == ActFn::Sigmoid || out.act == ActFn::Tanh
+                   ? nullptr
+                   : &outRequant8Kern;
       case OutOp::StoreBf16:
-        switch (out.act) {
-          case ActFn::None:
-            return &outKern<OutOp::StoreBf16, ActFn::None>;
-          case ActFn::Relu:
-            return &outKern<OutOp::StoreBf16, ActFn::Relu>;
-          case ActFn::Relu6:
-            return &outKern<OutOp::StoreBf16, ActFn::Relu6>;
-          case ActFn::Sigmoid:
-            return &outKern<OutOp::StoreBf16, ActFn::Sigmoid>;
-          case ActFn::Tanh:
-            return &outKern<OutOp::StoreBf16, ActFn::Tanh>;
-        }
-        return nullptr;
-      case OutOp::CopyAcc32:
-        return &outKern<OutOp::CopyAcc32, ActFn::None>;
-      case OutOp::ActOnly8:
-        return &outKern<OutOp::ActOnly8, ActFn::None>;
-      case OutOp::None:
-        return nullptr;
+        return out.act == ActFn::None ? &outStoreBf16Kern : nullptr;
+      case OutOp::CopyAcc32: return &outCopyAcc32Kern;
+      default: return nullptr;
     }
-    return nullptr;
 }
 
 // --------------------------------------------------------------------
@@ -315,16 +274,8 @@ nduKern(const NduCtx &c)
 {
     const int rb = c.rb;
     uint8_t *d = c.out;
-    if constexpr (OP == NduOp::Bypass) {
-        std::memcpy(d, c.a, size_t(rb));
-    } else if constexpr (OP == NduOp::SplatImm) {
+    if constexpr (OP == NduOp::SplatImm) {
         std::memset(d, c.imm, size_t(rb));
-    } else if constexpr (OP == NduOp::Rotate) {
-        int m = normOffset(c.offset, rb);
-        fatal_if(std::min(m, rb - m) > 64,
-                 "NDU rotate of %d bytes exceeds 64 B/clock", c.offset);
-        std::memcpy(d, c.a + m, size_t(rb - m));
-        std::memcpy(d + (rb - m), c.a, size_t(m));
     } else if constexpr (OP == NduOp::WindowGather) {
         const int groups = rb / 64;
         int base = normOffset(c.offset, rb);
@@ -361,12 +312,6 @@ nduKern(const NduCtx &c)
             if (idx >= rb)
                 idx -= rb;
         }
-    } else if constexpr (OP == NduOp::Compress2) {
-        const int groups = rb / 64;
-        const int phase = c.phase;
-        for (int g = 0; g < groups; ++g)
-            for (int j = 0; j < 64; ++j)
-                d[g * 64 + j] = c.a[g * 64 + ((2 * j + phase) & 63)];
     } else if constexpr (OP == NduOp::MergeMask) {
         const uint8_t *a = c.a, *b = c.b, *p = c.pred;
         const bool inv = c.predInv;
@@ -379,22 +324,22 @@ nduKern(const NduCtx &c)
     }
 }
 
+/**
+ * The scalar NDU kernel for the ops NKL emits (exec_specialized.h), or
+ * null: Bypass, Rotate and Compress2 run generic.
+ */
 NduKernel
 selectNduKernel(const NduSlot &slot)
 {
     switch (slot.op) {
-      case NduOp::Bypass: return &nduKern<NduOp::Bypass>;
       case NduOp::SplatImm: return &nduKern<NduOp::SplatImm>;
-      case NduOp::Rotate: return &nduKern<NduOp::Rotate>;
       case NduOp::WindowGather: return &nduKern<NduOp::WindowGather>;
       case NduOp::RepWindow: return &nduKern<NduOp::RepWindow>;
       case NduOp::GroupBcast: return &nduKern<NduOp::GroupBcast>;
-      case NduOp::Compress2: return &nduKern<NduOp::Compress2>;
       case NduOp::MergeMask: return &nduKern<NduOp::MergeMask>;
       case NduOp::LoadMask: return &nduKern<NduOp::LoadMask>;
-      case NduOp::None: return nullptr;
+      default: return nullptr;
     }
-    return nullptr;
 }
 
 // --------------------------------------------------------------------
@@ -446,25 +391,27 @@ nduUsesHi(const NduSlot &n)
             n.srcB == RowSrc::WeightReadHi);
 }
 
-/** Bind one NDU slot; returns false if an operand fails to resolve. */
-bool
+/**
+ * Bind one NDU slot; the kernel stays null (the slot runs generic) for
+ * an op without one or an operand that fails to resolve.
+ */
+void
 bindNdu(const NduSlot &slot, const PlanBindings &b, uint32_t ctrl_imm,
         NduCtx &c, NduKernel &kern, SimdTier simd)
 {
     kern = selectNduKernel(slot);
     if (!kern)
-        return slot.op == NduOp::None;
+        return;
     c.rb = b.rb;
     c.imm = uint8_t(ctrl_imm & 0xff);
     c.stride = nduStrideBytes(NduStride(slot.param & 7));
-    c.phase = slot.param & 1;
     bool needs_a = slot.op != NduOp::SplatImm;
     bool needs_b = slot.op == NduOp::MergeMask;
     c.a = resolvePtr(b, slot.srcA);
     c.b = resolvePtr(b, slot.srcB);
     if ((needs_a && !c.a) || (needs_b && !c.b)) {
         kern = nullptr;
-        return false;
+        return;
     }
     if (slot.op == NduOp::LoadMask) {
         c.finalDst = b.pred[slot.dst & 1];
@@ -482,7 +429,6 @@ bindNdu(const NduSlot &slot, const PlanBindings &b, uint32_t ctrl_imm,
     if (simd != SimdTier::Scalar)
         if (NduKernel v = simdSelectNdu(simd, slot))
             kern = v;
-    return true;
 }
 
 /** True if RowSrc `s` names N register `idx` (0..3). */
@@ -543,13 +489,11 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
     // NPU and OUT share one operand context.
     ExecCtx &c = p.ctx;
     c.rb = b.rb;
-    c.fwd = b.rb > 0 ? b.sliceBytes % b.rb : 0;
     c.acc = b.acc;
     c.pred0 = b.pred[0];
     c.pred1 = b.pred[1];
     c.outLo = b.outLo;
     c.outHi = b.outHi;
-    c.luts = b.luts;
     c.rq = &b.rqTable[in.out.rqIndex];
     c.outParam = in.out.param & 3;
 
@@ -561,28 +505,19 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
     } else if (in.npu.op != NpuOp::None) {
         NpuKernel k = selectNpuKernel(simd, in.npu);
         if (k) {
-            bool wide = in.npu.type == LaneType::I16 ||
-                        in.npu.type == LaneType::BF16;
-            bool needs_b =
-                in.npu.op == NpuOp::Mac || in.npu.op == NpuOp::MacFwd ||
-                in.npu.op == NpuOp::CmpGtP0 ||
-                in.npu.op == NpuOp::CmpGtP1;
+            bool wide = in.npu.type == LaneType::BF16;
+            bool is_mac = in.npu.op == NpuOp::Mac;
             c.aLo = resolvePtr(b, in.npu.a);
             c.aHi = wide ? resolveHiPtr(b, in.npu.a) : nullptr;
             bool ok = c.aLo && (!wide || c.aHi);
-            if (needs_b) {
+            if (is_mac) {
                 c.bLo = resolvePtr(b, in.npu.b);
                 c.bHi = wide ? resolveHiPtr(b, in.npu.b) : nullptr;
                 ok = ok && c.bLo && (!wide || c.bHi);
             }
-            if (in.npu.op == NpuOp::CmpGtP0)
-                c.predOut = b.pred[0];
-            else if (in.npu.op == NpuOp::CmpGtP1)
-                c.predOut = b.pred[1];
             if (ok) {
                 p.npuKernel = k;
-                p.npuIsMac = in.npu.op == NpuOp::Mac ||
-                             in.npu.op == NpuOp::MacFwd;
+                p.npuIsMac = is_mac;
             }
         }
     }

@@ -16,18 +16,27 @@
  * and copies them on every later IRAM refill that loads the same word
  * (Machine::kPlanTableEntries bounds it; reaching the bound clears it).
  *
- *  - NPU kernels are template instantiations over
- *    {NpuOp, LaneType, Pred, zeroOff}, so the per-lane switches vanish.
- *    They are written once, in exec_npu_kernels.h, over a lane-traits
- *    type, and instantiated four times: portable scalar (here), AVX2,
- *    AVX-512 and AVX-512 VNNI (ncore/simd.h). AccZero and each
- *    AccLoadBias mode have one tier-independent kernel (here).
+ * Coverage: the engine is a speed layer over the generic interpreter,
+ * which defines and runs every ISA form. It has kernels only for the
+ * forms NKL emits: the NPU's u8 Mac, Add and Max and bf16 Mac (every
+ * predicate and zero-offset setting), AccZero and AccLoadBias; the OUT
+ * unit's Requant8 without a LUT, StoreBf16 without an activation and
+ * CopyAcc32; the NDU's GroupBcast, RepWindow, WindowGather, MergeMask,
+ * LoadMask and SplatImm. Any other slot gets a null kernel and runs
+ * through execNpu/execOut/execNdu (DESIGN.md §5b lists the forms with
+ * their step counts).
+ *
+ *  - NPU kernels are template instantiations over {form, Pred, zeroOff},
+ *    so the per-lane switches vanish. They are written once, in
+ *    exec_npu_kernels.h, over a lane-traits type, and instantiated four
+ *    times: portable scalar (here), AVX2, AVX-512 and AVX-512 VNNI
+ *    (ncore/simd.h). AccZero and each AccLoadBias mode have one
+ *    tier-independent kernel (here).
  *  - NDU kernels are instantiated per NduOp with the `% rowBytes`
  *    modulo arithmetic replaced by normalize-once-then-wrap indexing,
  *    and write directly to their destination register when the decoder
  *    proves the destination cannot alias a source (skipping the
  *    scratch-row round trip).
- *  - OUT kernels hoist the activation-LUT check out of the lane loop.
  *
  * Row-register and accumulator storage never reallocates over a
  * Machine's lifetime, so every operand pointer is bound into the plan
@@ -95,7 +104,6 @@
 #ifndef NCORE_NCORE_EXEC_SPECIALIZED_H
 #define NCORE_NCORE_EXEC_SPECIALIZED_H
 
-#include <array>
 #include <cstdint>
 
 #include "common/quant.h"
@@ -112,18 +120,15 @@ namespace ncore {
  */
 struct ExecCtx
 {
-    int rb = 0;  ///< Lanes (row bytes).
-    int fwd = 0; ///< MacFwd neighbor-slice offset, normalized into [0, rb).
+    int rb = 0; ///< Lanes (row bytes).
     int32_t *acc = nullptr;
     const uint8_t *aLo = nullptr, *aHi = nullptr;
     const uint8_t *bLo = nullptr, *bHi = nullptr;
     const uint8_t *pred0 = nullptr, *pred1 = nullptr;
-    uint8_t *predOut = nullptr; ///< CmpGtP0/P1 destination.
-    int32_t zA = 0, zB = 0;     ///< Data/weight zero offsets (runtime).
+    int32_t zA = 0, zB = 0; ///< Data/weight zero offsets (runtime).
     // OUT unit bindings.
     uint8_t *outLo = nullptr, *outHi = nullptr;
     const RequantEntry *rq = nullptr;
-    const std::array<uint8_t, 256> *luts = nullptr;
     int outParam = 0; ///< CopyAcc32 quarter.
 };
 
@@ -143,8 +148,7 @@ struct NduCtx
     const uint8_t *pred = nullptr; ///< MergeMask predicate row.
     bool predInv = false;
     int offset = 0;  ///< addr[reg].byte at execution time.
-    int stride = 0;  ///< Decoded stride bytes / rotate unused.
-    int phase = 0;   ///< Compress2 phase.
+    int stride = 0;  ///< Decoded stride bytes.
     uint8_t imm = 0; ///< SplatImm byte (ctrl.imm & 0xff).
 };
 
@@ -208,7 +212,6 @@ struct ConvRepFill
 struct PlanBindings
 {
     int rb = 0;
-    int sliceBytes = 0;
     int32_t *acc = nullptr;
     uint8_t *n[4] = {};
     uint8_t *outLo = nullptr, *outHi = nullptr;
@@ -218,7 +221,6 @@ struct PlanBindings
     uint8_t *pred[2] = {};
     uint8_t *scratch = nullptr;
     const RequantEntry *rqTable = nullptr;
-    const std::array<uint8_t, 256> *luts = nullptr;
 };
 
 /**
@@ -228,7 +230,7 @@ struct PlanBindings
  */
 struct ExecPlan
 {
-    NpuKernel npuKernel = nullptr; ///< Null: generic / special op.
+    NpuKernel npuKernel = nullptr; ///< Null: the slot runs generic.
     OutKernel outKernel = nullptr;
     NduKernel nduKernel[2] = {nullptr, nullptr};
     ExecCtx ctx;
@@ -240,7 +242,7 @@ struct ExecPlan
     ConvRepKernel convRep = nullptr;
     /// Set with convRep: the same tier's panel fill and guard scan.
     const ConvRepFill *convFill = nullptr;
-    bool npuIsMac = false;     ///< Counts macOps (Mac/MacFwd).
+    bool npuIsMac = false;     ///< Counts macOps (Mac).
 };
 
 /**
@@ -250,7 +252,8 @@ struct ExecPlan
  * kernel and guard scan are that tier's instantiation; OUT and NDU
  * slots take the best vector kernel at or below the tier
  * (simdSelectOut/Ndu in ncore/simd.h) and keep the scalar one
- * otherwise, bit-identically either way.
+ * otherwise, bit-identically either way. A slot whose form has no
+ * kernel (file comment) keeps a null one.
  */
 ExecPlan buildExecPlan(const Instruction &in, const PlanBindings &b,
                        SimdTier simd = SimdTier::Scalar);

@@ -328,7 +328,6 @@ Machine::planBindings()
 {
     PlanBindings b;
     b.rb = rowBytes_;
-    b.sliceBytes = cfg_.sliceBytes;
     b.acc = acc_.data();
     for (int i = 0; i < 4; ++i)
         b.n[i] = n_[i].data();
@@ -343,7 +342,6 @@ Machine::planBindings()
     b.pred[1] = pred_[1].data();
     b.scratch = nduScratch_.data();
     b.rqTable = rqTable_.data();
-    b.luts = luts_.data();
     return b;
 }
 
@@ -732,7 +730,8 @@ Machine::execNduSlotFast(const NduSlot &slot, NduKernel kern,
     if (slot.op == NduOp::None)
         return;
     if (!kern) {
-        execNdu(slot, ctrl_imm); // Unresolvable operands: generic panics.
+        // No kernel for the op, or operands the generic path panics on.
+        execNdu(slot, ctrl_imm);
         return;
     }
     ++perf_.nduOps;

@@ -17,18 +17,20 @@
  * instantiated once per tier (the two AVX-512 TUs share
  * exec_simd_avx512_lanes.h), as do the fused conv Rep's operand-panel
  * fill and saturation guard scan (ConvRepFill; avx512vnni takes the
- * avx512 one). Every tier covers every NPU slot and conv-Rep
- * shape, so buildExecPlan() takes the kernels of the resolved tier
- * directly. The OUT (requantize/activation) and NDU kernels chain down
- * instead:
+ * avx512 one). Like the scalar kernels, the tiers cover only the forms
+ * NKL emits (exec_specialized.h); the generic interpreter defines and
+ * runs every form, those included. Every tier covers the same NPU forms
+ * and conv-Rep shape, so buildExecPlan() takes the kernels of the
+ * resolved tier directly. The OUT and NDU kernels chain down instead:
  *
- *  - the avx512 TU has the OUT requantize (Requant8 without a LUT,
- *    Requant16, ActOnly8), used at avx512 and avx512vnni;
- *  - the AVX2 TU has the same OUT ops, the bf16 store, and the
- *    MergeMask, LoadMask, Compress2, RepWindow and GroupBcast NDU ops,
- *    used at any tier from avx2 up where no AVX-512 form exists;
- *  - everything else (LUT activations, CopyAcc32, the memcpy-class
- *    NDU ops) keeps the scalar specialized kernel.
+ *  - the avx512 TU has the OUT requantize (Requant8 without a LUT),
+ *    used at avx512 and avx512vnni;
+ *  - the AVX2 TU has the same requantize, the bf16 store without an
+ *    activation, and the MergeMask, LoadMask, RepWindow and GroupBcast
+ *    NDU ops, used at any tier from avx2 up where no AVX-512 form
+ *    exists;
+ *  - the rest (CopyAcc32, SplatImm, WindowGather) keeps the scalar
+ *    specialized kernel.
  *
  * Tier selection happens once per Machine, through the probe in
  * common/simd_tier.h: Options::simd == Auto honors the NCORE_SIMD env

@@ -72,6 +72,15 @@ DelegateExecutor::infer(const std::vector<Tensor> &inputs)
         std::vector<Tensor> sg_outputs =
             runtime_.invoke(assignment, sg_inputs, &st);
 
+        // A switch of the resident subgraph first rewrites its images
+        // from the host, at the rate of any other host layout write.
+        if (uint64_t bytes = st.imageReloadBytes()) {
+            double reload = cost_.layoutConversionSeconds(int64_t(bytes));
+            result.spans.push_back(
+                {"image_reload", SpanCat::Layout, t, reload});
+            t += reload;
+        }
+
         for (size_t oi = 0; oi < sg.outputs.size(); ++oi) {
             edge_bytes += int64_t(sg_outputs[oi].byteSize());
             values[sg.outputs[oi]] = std::move(sg_outputs[oi]);

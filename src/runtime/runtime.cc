@@ -61,14 +61,15 @@ NcoreRuntime::loadModel(SharedModel model)
 /** Per-context device-state load of subgraph `si`, common to both
  *  paths: scratchpad mask rows, requant table, persistent weights, DMA
  *  descriptors. Subgraphs share the slots, so one is resident. */
-void
+uint64_t
 NcoreRuntime::loadImages(int si)
 {
     const CompiledSubgraph &sg = model_->subgraphs[size_t(si)];
+    uint64_t rows = 0;
 
     // Shared prefix-mask table (incl. the empty mask).
     const auto &prefix_rows = prefixMaskRowImages();
-    for (int g = 0; g <= 64; ++g)
+    for (int g = 0; g <= 64; ++g, ++rows)
         machine_->hostWriteRow(false, sg.masks.rowFor(g),
                                prefix_rows[size_t(g)].data());
 
@@ -76,7 +77,8 @@ NcoreRuntime::loadImages(int si)
         machine_->writeRequantEntry(int(i), sg.rqTable[i]);
 
     if (sg.weightsPersistent) {
-        for (size_t r = 0; r * 4096 < sg.persistentWeights.size(); ++r)
+        for (size_t r = 0; r * 4096 < sg.persistentWeights.size();
+             ++r, ++rows)
             machine_->hostWriteRow(true, int(r),
                                    sg.persistentWeights.data() + r * 4096);
     } else {
@@ -96,6 +98,7 @@ NcoreRuntime::loadImages(int si)
         }
     }
     resident_ = si;
+    return rows * 4096;
 }
 
 std::vector<Tensor>
@@ -108,8 +111,8 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
     fatal_if(inputs.size() != sg.inputs.size(),
              "subgraph expects %zu inputs, got %zu", sg.inputs.size(),
              inputs.size());
-    if (subgraph_index != resident_)
-        loadImages(subgraph_index);
+    const uint64_t reload_bytes =
+        subgraph_index != resident_ ? loadImages(subgraph_index) : 0;
 
     // Snapshot the full unified counter registry; the invocation's
     // attribution is the diff (replaces field-by-field hand copying).
@@ -177,6 +180,8 @@ NcoreRuntime::invoke(int subgraph_index, const std::vector<Tensor> &inputs,
         st->counters = after.diffFrom(before);
         st->counters.add(stats::kInvokes, uint64_t(1));
         st->counters.add(stats::kIramSwaps, uint64_t(refills.size()));
+        if (reload_bytes > 0)
+            st->counters.add(stats::kImageReloadBytes, reload_bytes);
 
         // Aggregate counter-sourced detail spans, anchored at the
         // invocation origin (duration is exact; position is the

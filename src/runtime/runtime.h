@@ -50,6 +50,12 @@ struct InvokeStats
     {
         return counters.counter(stats::kNcoreDmaFenceStalls);
     }
+    /// Mask and weight bytes rewritten to make the subgraph resident.
+    uint64_t
+    imageReloadBytes() const
+    {
+        return counters.counter(stats::kImageReloadBytes);
+    }
 };
 
 /** User-mode runtime bound to one Ncore device. */
@@ -88,7 +94,9 @@ class NcoreRuntime
      * The runtime performs the internal-layout conversion at the
      * subgraph edges (paper V-B). Subgraphs share the device's mask,
      * requant-table, weight and descriptor slots: loadModel loads
-     * subgraph 0's, and invoking another subgraph loads its own first.
+     * subgraph 0's, and invoking another subgraph loads its own first
+     * and counts the scratchpad bytes it rewrote in
+     * InvokeStats::imageReloadBytes.
      */
     std::vector<Tensor> invoke(int subgraph_index,
                                const std::vector<Tensor> &inputs,
@@ -103,7 +111,8 @@ class NcoreRuntime
     Machine &machine() { return *machine_; }
 
   private:
-    void loadImages(int si);
+    /// Make subgraph `si` resident; returns the scratchpad bytes written.
+    uint64_t loadImages(int si);
 
     NcoreDriver &driver_;
     Machine *machine_ = nullptr;

@@ -131,6 +131,10 @@ inline constexpr const char *kEccUncorrectableWeight =
 // Runtime counters.
 inline constexpr const char *kInvokes = "runtime_invocations_total";
 inline constexpr const char *kIramSwaps = "runtime_iram_bank_swaps_total";
+/// Bytes the host rewrote into the scratchpads to switch the resident
+/// subgraph (NcoreRuntime::invoke); absent while no invoke switched.
+inline constexpr const char *kImageReloadBytes =
+    "runtime_image_reload_bytes_total";
 
 // Serving-engine counters / gauges.
 inline constexpr const char *kServeQueries = "serve_queries_total";

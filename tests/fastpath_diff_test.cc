@@ -23,7 +23,11 @@
  * post-increments, circular addressing, Rep sequencing (the fused conv
  * Rep and the per-rep path),
  * predication, zero offsets, all NPU lane types and every NDU/OUT
- * operation. The diff also covers both SRAM banks' ECC counters.
+ * operation. The diff also covers both SRAM banks' ECC counters. Forms
+ * the specialized engine has no kernel for (exec_specialized.h) run on
+ * the interpreter in both engines; for them the diff checks that
+ * execBodyFast routes the slot there and that the kernels of the other
+ * slots agree with it.
  */
 
 #include <gtest/gtest.h>
@@ -1402,12 +1406,10 @@ planAt(const Instruction &in, SimdTier tier)
     static std::vector<uint8_t> rows(14 * kRb);
     static std::vector<int32_t> acc(kRb);
     static std::array<RequantEntry, 256> rq{};
-    static std::array<std::array<uint8_t, 256>, 4> luts{};
     uint8_t *next = rows.data();
     auto row = [&] { return std::exchange(next, next + kRb); };
     PlanBindings b;
     b.rb = kRb;
-    b.sliceBytes = kRb / 16;
     b.acc = acc.data();
     for (uint8_t *&n : b.n)
         n = row();
@@ -1422,7 +1424,6 @@ planAt(const Instruction &in, SimdTier tier)
     b.pred[1] = row();
     b.scratch = row();
     b.rqTable = rq.data();
-    b.luts = luts.data();
     return buildExecPlan(in, b, tier);
 }
 

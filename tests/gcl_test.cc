@@ -4,8 +4,8 @@
  * and the rewrites they make on the zoo), partitioning decisions, and
  * compile-time planning invariants (layouts, memory plan, weight
  * promotion vs streaming, dense rows, staged convs over halo-free
- * copies, and the conv Reps the specialized engine fuses and walks in
- * closed form).
+ * copies, the conv Reps the specialized engine fuses and walks in
+ * closed form, and the kernels it binds for every zoo instruction).
  */
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "gcl/passes.h"
 #include "models/zoo.h"
 #include "ncore/exec_specialized.h"
+#include "nkl/kernels.h"
 #include "runtime/device.h"
 #include "x86/reference.h"
 
@@ -304,20 +305,27 @@ TEST(GclPlanning, OversizedInputExhaustsDataRam)
     EXPECT_DEATH(compile(std::move(g)), "data RAM exhausted");
 }
 
-/** Whether the specialized engine runs `in` as a fused conv Rep. */
-bool
-convRepShaped(const Instruction &in)
+std::vector<Instruction>
+decodeAll(const CompiledSubgraph &sg)
+{
+    std::vector<Instruction> code;
+    for (const EncodedInstruction &e : sg.code)
+        code.push_back(decodeInstruction(e));
+    return code;
+}
+
+/** The plan buildExecPlan binds for `in` at `tier`. */
+ExecPlan
+planAt(const Instruction &in, SimdTier tier = SimdTier::Scalar)
 {
     constexpr int kRb = 4096;
     static std::vector<uint8_t> rows(14 * kRb);
     static std::vector<int32_t> acc(kRb);
     static std::array<RequantEntry, 256> rq{};
-    static std::array<std::array<uint8_t, 256>, 4> luts{};
     uint8_t *next = rows.data();
     auto row = [&] { return std::exchange(next, next + kRb); };
     PlanBindings b;
     b.rb = kRb;
-    b.sliceBytes = kRb / 16;
     b.acc = acc.data();
     for (uint8_t *&n : b.n)
         n = row();
@@ -332,8 +340,14 @@ convRepShaped(const Instruction &in)
     b.pred[1] = row();
     b.scratch = row();
     b.rqTable = rq.data();
-    b.luts = luts.data();
-    return buildExecPlan(in, b).convRep != nullptr;
+    return buildExecPlan(in, b, tier);
+}
+
+/** Whether the specialized engine runs `in` as a fused conv Rep. */
+bool
+convRepShaped(const Instruction &in)
+{
+    return planAt(in).convRep != nullptr;
 }
 
 TEST(GclPlanning, EveryZooConvRepIsFused)
@@ -395,6 +409,52 @@ TEST(GclPlanning, EveryZooConvRepWalksInClosedForm)
     check(buildSsdMobileNetV1());
 }
 
+TEST(GclPlanning, EveryZooInstructionBindsSpecializedKernels)
+{
+    // The specialized engine has kernels only for the forms NKL emits
+    // (exec_specialized.h); every other form runs on the generic
+    // interpreter. Every slot of the zoo's programs and of a k-segmented
+    // bf16 matmul (GNMT) must bind a kernel at every tier, so that a new
+    // kernel shape cannot land on the interpreter unnoticed.
+    std::vector<Instruction> code;
+    for (Graph g : {buildMobileNetV1(), buildResNet50V15(),
+                    buildSsdMobileNetV1()}) {
+        const Loadable ld = compile(std::move(g));
+        for (const CompiledSubgraph &sg : ld.subgraphs)
+            for (const Instruction &in : decodeAll(sg))
+                code.push_back(in);
+    }
+    ProgramBuilder pb;
+    MatmulBf16Kernel mm;
+    mm.in = flatLayout(256);
+    mm.out = flatLayout(4096);
+    mm.out.baseRow = mm.in.rows();
+    mm.k = 128;
+    mm.n = 4096;
+    mm.weightBase = 0;
+    for (int seg = 0; seg < 2; ++seg) {
+        mm.inElemOffset = seg * mm.k;
+        mm.firstSegment = seg == 0;
+        mm.lastSegment = seg == 1;
+        emitMatmulBf16(pb, mm);
+    }
+    code.insert(code.end(), pb.instructions().begin(),
+                pb.instructions().end());
+
+    for (int t = int(SimdTier::Scalar); t <= int(bestSimdTier()); ++t) {
+        const SimdTier tier = SimdTier(t);
+        SCOPED_TRACE(simdTierName(tier));
+        for (const Instruction &in : code) {
+            const ExecPlan p = planAt(in, tier);
+            ASSERT_TRUE((in.npu.op == NpuOp::None || p.npuKernel) &&
+                        (in.out.op == OutOp::None || p.outKernel) &&
+                        (in.ndu0.op == NduOp::None || p.nduKernel[0]) &&
+                        (in.ndu1.op == NduOp::None || p.nduKernel[1]))
+                << in.toString();
+        }
+    }
+}
+
 /** Node index of layer `name` in a compiled graph (-1 if none). */
 int
 nodeNamed(const Loadable &ld, const std::string &name)
@@ -418,15 +478,6 @@ layerCode(const std::vector<Instruction> &code, int id)
                             });
     };
     return {marker(uint32_t(id) << 2 | 1), marker(uint32_t(id) << 2 | 2)};
-}
-
-std::vector<Instruction>
-decodeAll(const CompiledSubgraph &sg)
-{
-    std::vector<Instruction> code;
-    for (const EncodedInstruction &e : sg.code)
-        code.push_back(decodeInstruction(e));
-    return code;
 }
 
 TEST(GclPlanning, ResNetStageTransitionsRunPhaseSplit)

@@ -547,6 +547,85 @@ TEST_F(RuntimeTest, TwoSubgraphsRunOnTheirOwnImages)
     }
 }
 
+TEST_F(RuntimeTest, SubgraphSwitchChargesImageReload)
+{
+    // Switching the resident subgraph rewrites its mask rows and
+    // persistent weights from the host. The delegate charges those bytes
+    // as an image_reload layout span just before the subgraph's device
+    // span, at the host layout-write rate; a model with one subgraph
+    // never switches and gets no such span.
+    auto reloads = [](const InferenceResult &r) {
+        std::vector<TraceSpan> out;
+        for (const TraceSpan &sp : r.spans)
+            if (sp.name == "image_reload")
+                out.push_back(sp);
+        return out;
+    };
+    const X86CostModel cost;
+
+    Rng rng(62);
+    GraphBuilder gb("split");
+    QuantParams in_qp = actQp(-1.0f, 1.0f);
+    TensorId x = gb.input("x", Shape{1, 8, 8, 32}, DType::UInt8, in_qp);
+    TensorId a = qconv(gb, rng, "a", x, 32, 3, 1, 1, ActFn::Relu);
+    TensorId s = qconv(gb, rng, "s", a, 32, 1, 1, 0, ActFn::Sigmoid);
+    TensorId y = qconv(gb, rng, "b", s, 32, 3, 1, 1, ActFn::None);
+    gb.output(y);
+    Loadable ld = compile(gb.take());
+    ASSERT_EQ(ld.subgraphs.size(), 2u);
+    // 65 prefix-mask rows plus the persistent weight rows.
+    auto image_bytes = [&](int si) {
+        const CompiledSubgraph &sg = ld.subgraphs[size_t(si)];
+        EXPECT_TRUE(sg.weightsPersistent);
+        EXPECT_EQ(sg.persistentWeights.size() % 4096, 0u);
+        return int64_t(65 * 4096 + sg.persistentWeights.size());
+    };
+
+    {
+        Tensor xv(Shape{1, 8, 8, 32}, DType::UInt8, in_qp);
+        Rng dr(63);
+        xv.fillRandom(dr);
+        NcoreRuntime rt(driver);
+        rt.loadModel(ld);
+        DelegateExecutor exec(rt, cost);
+
+        // loadModel made subgraph 0 resident: the first run reloads only
+        // subgraph 1, every later run both.
+        InferenceResult first = exec.infer({xv});
+        InferenceResult second = exec.infer({xv});
+        const std::vector<TraceSpan> r1 = reloads(first);
+        const std::vector<TraceSpan> r2 = reloads(second);
+        ASSERT_EQ(r1.size(), 1u);
+        ASSERT_EQ(r2.size(), 2u);
+        EXPECT_EQ(r1[0].cat, SpanCat::Layout);
+        EXPECT_DOUBLE_EQ(r1[0].dur,
+                         cost.layoutConversionSeconds(image_bytes(1)));
+        EXPECT_DOUBLE_EQ(r2[0].dur,
+                         cost.layoutConversionSeconds(image_bytes(0)));
+        EXPECT_DOUBLE_EQ(r2[1].dur,
+                         cost.layoutConversionSeconds(image_bytes(1)));
+        EXPECT_GT(second.timing.layoutSeconds, first.timing.layoutSeconds);
+        // The reload precedes its subgraph on the timeline.
+        const std::vector<TraceSpan> &sp = second.spans;
+        for (size_t i = 0; i + 1 < sp.size(); ++i)
+            if (sp[i].name == "image_reload") {
+                EXPECT_EQ(sp[i + 1].cat, SpanCat::Ncore);
+                EXPECT_DOUBLE_EQ(sp[i + 1].start, sp[i].start + sp[i].dur);
+            }
+    }
+
+    Rng one_rng(45);
+    Loadable one = compile(buildTestNet(one_rng));
+    ASSERT_EQ(one.subgraphs.size(), 1u);
+    NcoreRuntime rt1(driver);
+    rt1.loadModel(one);
+    DelegateExecutor exec1(rt1, cost);
+    Tensor x1(Shape{1, 16, 16, 16}, DType::UInt8, actQp(-1.0f, 1.0f));
+    x1.fillRandom(one_rng);
+    for (int run = 0; run < 2; ++run)
+        EXPECT_TRUE(reloads(exec1.infer({x1})).empty()) << "run " << run;
+}
+
 TEST_F(RuntimeTest, RepeatedInvocationsAreDeterministic)
 {
     Rng rng(45);
