@@ -207,7 +207,7 @@ runMacPipeline(benchmark::State &state, LaneType type, Pred pred,
                SimdTier tier = SimdTier::Auto)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, tier});
+              {ExecEngine::Specialized, tier});
     state.SetLabel(m.execDescription());
     if (pred != Pred::None)
         fillPredRow(m);
@@ -429,7 +429,7 @@ measureMacProgram(const char *name,
                   SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, tier});
+              {ExecEngine::Specialized, tier});
     if (pred)
         fillPredRow(m);
     auto run = [&] {
@@ -473,7 +473,7 @@ double
 measureOutRequantNs(SimdTier tier)
 {
     Machine m(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-              {ExecEngine::Default, tier});
+              {ExecEngine::Specialized, tier});
     Rng rng(3);
     std::vector<uint8_t> row(size_t(m.rowBytesInt()));
     for (int r = 0; r < 4; ++r) {

@@ -63,7 +63,7 @@ std::vector<WorkloadProfile> measureAllWorkloads();
  * under host marks.
  */
 ProfileReport profileWorkloadReport(
-    Workload w, ExecEngine engine = ExecEngine::Default);
+    Workload w, ExecEngine engine = ExecEngine::Specialized);
 
 } // namespace ncore
 

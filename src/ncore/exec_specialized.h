@@ -97,8 +97,8 @@
  * identical RAM contents, accumulators, predicates, N/OUT registers,
  * perf counters, ECC counters and cycle counts (enforced by
  * tests/fastpath_diff_test on random programs and directed cases).
- * Setting NCORE_SIM_GENERIC=1 in the environment (or constructing with
- * Machine::Options{ExecEngine::Generic}) forces the generic path.
+ * Constructing with Machine::Options{ExecEngine::Generic} (or
+ * `ncore_prof --engine=generic`) forces the generic path.
  */
 
 #ifndef NCORE_NCORE_EXEC_SPECIALIZED_H

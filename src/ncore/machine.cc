@@ -23,26 +23,6 @@ signed10(uint32_t v)
                                           : int32_t(v));
 }
 
-/**
- * Resolve Options::execEngine. This is the single place the
- * NCORE_SIM_GENERIC env var is honored: ExecEngine::Default picks
- * the specialized engine unless NCORE_SIM_GENERIC=1 is set.
- */
-bool
-resolveFastExec(ExecEngine e)
-{
-    switch (e) {
-      case ExecEngine::Specialized:
-        return true;
-      case ExecEngine::Generic:
-        return false;
-      case ExecEngine::Default:
-        break;
-    }
-    const char *env = std::getenv("NCORE_SIM_GENERIC");
-    return env == nullptr || env[0] == '\0' || env[0] == '0';
-}
-
 /** A byte offset normalized into [0, rb), as `((off % rb) + rb) % rb`. */
 int
 normByte(int32_t off, int rb)
@@ -190,7 +170,7 @@ Machine::Machine(const MachineConfig &cfg, const SocConfig &soc,
       dataRam_("dataRam", cfg.ramRows, rowBytes_, model_ecc),
       weightRam_("weightRam", cfg.ramRows, rowBytes_, model_ecc),
       iram_(kPcSpace), decoded_(kPcSpace), plans_(kPcSpace),
-      fastExec_(resolveFastExec(opts.execEngine)),
+      fastExec_(opts.execEngine == ExecEngine::Specialized),
       simdTier_(fastExec_ ? resolveSimdTier(opts.simd)
                           : SimdTier::Scalar)
 {

@@ -53,22 +53,18 @@ namespace ncore {
 /** Which instruction-execution engine a Machine runs. */
 enum class ExecEngine : uint8_t
 {
-    /// Specialized unless NCORE_SIM_GENERIC=1 is set in the
-    /// environment (the one place the env var is honored).
-    Default,
     Specialized, ///< Pre-decoded fast path (exec_specialized.h).
     Generic,     ///< Reference interpreter (debug / differential).
 };
 
 /**
  * Construction-time Machine knobs (spelled Machine::Options at use
- * sites). Replaces the old setGenericExec() setter + scattered
- * NCORE_SIM_GENERIC sniffing: engine choice and SIMD tier are fixed
- * for the Machine's lifetime.
+ * sites): engine choice and SIMD tier are fixed for the Machine's
+ * lifetime.
  */
 struct MachineOptions
 {
-    ExecEngine execEngine = ExecEngine::Default;
+    ExecEngine execEngine = ExecEngine::Specialized;
     /// SIMD tier of the specialized engine's lane kernels. Auto
     /// honors the NCORE_SIMD env var
     /// (`scalar|avx2|avx512|avx512vnni`, the one place it is read)

@@ -175,163 +175,6 @@ unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
 // ---------------------------------------------------------------------
 
 int
-convWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin)
-{
-    int64_t nkb = (k + kCBlock - 1) / kCBlock;
-    int64_t ncb = (cin + kCBlock - 1) / kCBlock;
-    return int(nkb + nkb * kh * ncb * kw);
-}
-
-std::vector<uint8_t>
-packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte,
-                ConvTapOrder order)
-{
-    const Shape &ws = w.shape(); // OHWI
-    const int64_t k = ws.dim(0), kh = ws.dim(1), kw = ws.dim(2),
-                  cin = ws.dim(3);
-    const int64_t nkb = (k + kCBlock - 1) / kCBlock;
-    const int64_t ncb = (cin + kCBlock - 1) / kCBlock;
-    const int64_t tap_rows_per_kb = kh * ncb * kw;
-
-    std::vector<uint8_t> img(
-        size_t(convWeightRows(k, kh, kw, cin)) * kRowBytes, zero_byte);
-
-    // Bias rows first (64 int32 in the first 256 bytes of each).
-    for (int64_t kb = 0; kb < nkb; ++kb) {
-        uint8_t *row = img.data() + size_t(kb) * kRowBytes;
-        std::memset(row, 0, kRowBytes);
-        for (int64_t j = 0; j < kCBlock && kb * kCBlock + j < k; ++j) {
-            int32_t b =
-                bias ? bias->intAt(kb * kCBlock + j) : 0;
-            std::memcpy(row + j * 4, &b, 4);
-        }
-    }
-
-    // Tap rows: per kb, taps in `order`, 64 taps per row, each tap a
-    // 64-byte block of w[kb*64 + 0..63, r, s, cb*64 + c].
-    const uint8_t *pw = w.raw();
-    const bool per_tap = order == ConvTapOrder::PerTap;
-    for (int64_t kb = 0; kb < nkb; ++kb) {
-        uint8_t *base =
-            img.data() + size_t(nkb + kb * tap_rows_per_kb) * kRowBytes;
-        int64_t tap = 0;
-        for (int64_t r = 0; r < kh; ++r)
-        for (int64_t outer = 0; outer < (per_tap ? kw : ncb); ++outer)
-        for (int64_t inner = 0; inner < (per_tap ? ncb : kw); ++inner)
-        for (int64_t cc = 0; cc < kCBlock; ++cc, ++tap) {
-            const int64_t s = per_tap ? outer : inner;
-            const int64_t cb = per_tap ? inner : outer;
-            int64_t c = cb * kCBlock + cc;
-            uint8_t *block = base + (tap / 64) * kRowBytes +
-                             (tap % 64) * 64;
-            if (c >= cin)
-                continue; // Stays zero point: contributes 0.
-            for (int64_t j = 0; j < kCBlock; ++j) {
-                int64_t ko = kb * kCBlock + j;
-                if (ko >= k)
-                    continue;
-                block[j] =
-                    pw[((ko * kh + r) * kw + s) * cin + c];
-            }
-        }
-    }
-    return img;
-}
-
-int
-stemConvWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin)
-{
-    int64_t nkb = (k + kCBlock - 1) / kCBlock;
-    int64_t taps = kh * kw * cin;
-    return int(nkb + nkb * ((taps + 63) / 64));
-}
-
-std::vector<uint8_t>
-packStemConvWeights(const Tensor &w, const Tensor *bias,
-                    uint8_t zero_byte)
-{
-    const Shape &ws = w.shape(); // OHWI
-    const int64_t k = ws.dim(0), kh = ws.dim(1), kw = ws.dim(2),
-                  cin = ws.dim(3);
-    const int64_t nkb = (k + kCBlock - 1) / kCBlock;
-    const int64_t taps = kh * kw * cin;
-    const int64_t tap_rows = (taps + 63) / 64;
-
-    std::vector<uint8_t> img(
-        size_t(stemConvWeightRows(k, kh, kw, cin)) * kRowBytes,
-        zero_byte);
-    const uint8_t *pw = w.raw();
-
-    for (int64_t kb = 0; kb < nkb; ++kb) {
-        uint8_t *brow = img.data() + size_t(kb) * kRowBytes;
-        std::memset(brow, 0, kRowBytes);
-        for (int64_t j = 0; j < kCBlock && kb * kCBlock + j < k; ++j) {
-            int32_t b = bias ? bias->intAt(kb * kCBlock + j) : 0;
-            std::memcpy(brow + j * 4, &b, 4);
-        }
-        uint8_t *base =
-            img.data() + size_t(nkb + kb * tap_rows) * kRowBytes;
-        int64_t tap = 0;
-        for (int64_t r = 0; r < kh; ++r)
-        for (int64_t s = 0; s < kw; ++s)
-        for (int64_t c = 0; c < cin; ++c, ++tap) {
-            uint8_t *block =
-                base + (tap / 64) * kRowBytes + (tap % 64) * 64;
-            for (int64_t j = 0; j < kCBlock; ++j) {
-                int64_t ko = kb * kCBlock + j;
-                if (ko >= k)
-                    continue;
-                block[j] = pw[((ko * kh + r) * kw + s) * cin + c];
-            }
-        }
-    }
-    return img;
-}
-
-int
-depthwiseWeightRows(int64_t kh, int64_t kw, int64_t c)
-{
-    fatal_if(kh * kw > 64, "depthwise kernel %lldx%lld too large",
-             (long long)kh, (long long)kw);
-    int64_t ncb = (c + kCBlock - 1) / kCBlock;
-    return int(2 * ncb);
-}
-
-std::vector<uint8_t>
-packDepthwiseWeights(const Tensor &w, const Tensor *bias,
-                     uint8_t zero_byte)
-{
-    const Shape &ws = w.shape(); // [1, Kh, Kw, C]
-    const int64_t kh = ws.dim(1), kw = ws.dim(2), c = ws.dim(3);
-    const int64_t ncb = (c + kCBlock - 1) / kCBlock;
-
-    std::vector<uint8_t> img(size_t(depthwiseWeightRows(kh, kw, c)) *
-                                 kRowBytes,
-                             zero_byte);
-    const uint8_t *pw = w.raw();
-
-    for (int64_t cb = 0; cb < ncb; ++cb) {
-        // Bias row.
-        uint8_t *brow = img.data() + size_t(cb) * kRowBytes;
-        std::memset(brow, 0, kRowBytes);
-        for (int64_t j = 0; j < kCBlock && cb * kCBlock + j < c; ++j) {
-            int32_t b = bias ? bias->intAt(cb * kCBlock + j) : 0;
-            std::memcpy(brow + j * 4, &b, 4);
-        }
-        // Tap row: blocks ordered (r, s).
-        uint8_t *trow = img.data() + size_t(ncb + cb) * kRowBytes;
-        for (int64_t r = 0; r < kh; ++r)
-        for (int64_t s = 0; s < kw; ++s) {
-            uint8_t *block = trow + ((r * kw + s) * 64);
-            for (int64_t j = 0; j < kCBlock && cb * kCBlock + j < c;
-                 ++j)
-                block[j] = pw[(r * kw + s) * c + cb * kCBlock + j];
-        }
-    }
-    return img;
-}
-
-int
 fcWeightRows(int64_t cin, int64_t cout)
 {
     const int64_t chunks = (cout + kFcChunk - 1) / kFcChunk;

@@ -28,10 +28,9 @@
  * pair, low bytes then high bytes (paper IV-C2). Quantized vectors
  * (FC inputs and outputs) are 1x1 interleaved tensors instead.
  *
- * Weight layouts: conv weights pack 64-output-channel blocks as
- * 64-byte tap blocks (64 taps per row) in the exact order the kernel's
- * single-instruction Rep loop consumes them; FC, depthwise and matmul
- * weights have their own packings documented at the functions.
+ * Weight layouts: FC and matmul weights have their packings documented
+ * at the functions below; conv and depthwise weights pack in the order
+ * their kernel's Reps read them (packWindowWeights, nkl/kernels.h).
  */
 
 #ifndef NCORE_NKL_LAYOUT_H
@@ -290,50 +289,6 @@ void unpackFlat(const uint8_t *src, const TensorLayout &lay, Tensor &t,
 // ---------------------------------------------------------------------
 // Weight RAM images
 // ---------------------------------------------------------------------
-
-/** Tap order of a conv weight image (the kernel's Rep-loop order). */
-enum class ConvTapOrder : uint8_t {
-    RowMajor, ///< (r, cb, s, c): one Rep per kernel row r.
-    PerTap,   ///< (r, s, cb, c): one Rep per tap (r, s); staged
-              ///< convs, whose taps read different copies.
-};
-
-/**
- * Conv weight image for OHWI weights [K, Kh, Kw, Cin]:
- * per output-channel block kb, `Kh * cblocks(Cin) * Kw` 64-tap groups in
- * the Rep-loop order `order`; each tap is a 64-byte block
- * w[kb*64 .. kb*64+63, tap], padded with the weight zero point.
- * Preceded by one bias row per kb (64 int32 in bytes 0..255).
- * Returns rows of 4096 bytes: [bias rows][tap rows]. For 1x1 kernels
- * both orders are (cb, c).
- */
-std::vector<uint8_t>
-packConvWeights(const Tensor &w, const Tensor *bias, uint8_t zero_byte,
-                ConvTapOrder order = ConvTapOrder::RowMajor);
-
-/** Rows occupied by packConvWeights output. */
-int convWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin);
-
-/**
- * Stem conv weight image (GroupedRf input layout): per output-channel
- * block kb, one bias row then kh*kw*cin dense taps in (r, s, c) order,
- * 64 taps per row.
- */
-std::vector<uint8_t> packStemConvWeights(const Tensor &w,
-                                         const Tensor *bias,
-                                         uint8_t zero_byte);
-
-int stemConvWeightRows(int64_t k, int64_t kh, int64_t kw, int64_t cin);
-
-/**
- * Depthwise weight image for [1, Kh, Kw, C]: per channel block cb, one
- * bias row then one tap row holding Kh*Kw 64-byte blocks w[cb*64+c, r, s].
- */
-std::vector<uint8_t> packDepthwiseWeights(const Tensor &w,
-                                          const Tensor *bias,
-                                          uint8_t zero_byte);
-
-int depthwiseWeightRows(int64_t kh, int64_t kw, int64_t c);
 
 /**
  * K-split FC: lane q*1024 + o of MAC step k accumulates input channel

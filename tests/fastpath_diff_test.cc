@@ -664,16 +664,7 @@ TEST_F(FastPathDiff, EngineSelection)
 {
     EXPECT_TRUE(fast().usingFastPath());
     EXPECT_FALSE(gen_.usingFastPath());
-    // ExecEngine::Default honors NCORE_SIM_GENERIC (the single place
-    // the env var is consulted).
-    setenv("NCORE_SIM_GENERIC", "1", 1);
-    Machine forced(chaNcoreConfig(), chaSocConfig());
-    // Explicit selection beats the env var.
-    Machine expl(chaNcoreConfig(), chaSocConfig(), nullptr, false,
-                 {ExecEngine::Specialized});
-    unsetenv("NCORE_SIM_GENERIC");
-    EXPECT_FALSE(forced.usingFastPath());
-    EXPECT_TRUE(expl.usingFastPath());
+    // Machine::Options picks the engine; the default is specialized.
     Machine dflt(chaNcoreConfig(), chaSocConfig());
     EXPECT_TRUE(dflt.usingFastPath());
 }

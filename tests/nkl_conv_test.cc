@@ -3,7 +3,10 @@
  * NKL convolution kernels vs the x86 reference executor: standard and
  * depthwise convolutions across strides, paddings, kernel sizes,
  * channel counts and output paddings must match the quantized
- * reference bit-for-bit.
+ * reference bit-for-bit. Each case runs in the form planConv picks
+ * (staged into halo-free rows when the output is at most 14 wide and
+ * the copies serve its taps, plain rows otherwise) over the weight
+ * image packWindowWeights packs for it.
  */
 
 #include <string>
@@ -117,28 +120,14 @@ TEST_P(NklConvTest, MatchesQuantizedReference)
                                         cc.pad, cc.pad,
                                         uint8_t(in_qp.zeroPoint));
     li.baseRow = MaskTable::kRows; // Past the mask table.
-    TensorLayout lo = interleavedLayout(out_desc.shape, cc.outPad,
-                                        cc.outPad, cc.outPad, cc.outPad,
-                                        uint8_t(out_qp.zeroPoint));
-    lo.baseRow = li.baseRow + li.rows() + 8;
-    ASSERT_LE(lo.baseRow + lo.rows(), 2048);
-
     testutil::loadInterleaved(m, x_val, li);
-
-    auto w_img = cc.depthwise
-                     ? packDepthwiseWeights(w_val, &b_val,
-                                            uint8_t(w_qp.zeroPoint))
-                     : packConvWeights(w_val, &b_val,
-                                       uint8_t(w_qp.zeroPoint));
-    testutil::loadWeights(m, w_img, 0);
-
-    float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
-    m.writeRequantEntry(
-        1, makeRequantEntry(mreal, out_qp, DType::UInt8, cc.act));
 
     ConvKernel kp;
     kp.in = li;
-    kp.out = lo;
+    kp.out = interleavedLayout(out_desc.shape, cc.outPad, cc.outPad,
+                               cc.outPad, cc.outPad,
+                               uint8_t(out_qp.zeroPoint));
+    kp.out.baseRow = li.baseRow + li.rows() + 8;
     kp.kh = cc.kh;
     kp.kw = cc.kw;
     kp.strideH = cc.stride;
@@ -153,6 +142,20 @@ TEST_P(NklConvTest, MatchesQuantizedReference)
     kp.dataZero = uint8_t(in_qp.zeroPoint);
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     kp.masks = masks;
+    // The form NKL picks: outputs at most 14 wide whose taps fit the
+    // staged copies run staged into halo-free rows, the rest over
+    // plain rows (with the output pads asked for).
+    const ConvPlan plan = planConv(kp);
+    const TensorLayout lo = kp.out = plan.out;
+    kp.stageBase = lo.baseRow + lo.rows() + 8;
+    ASSERT_LE(kp.stageBase + plan.stagingRows, 2048);
+    testutil::loadWeights(
+        m, packWindowWeights(kp, w_val, &b_val, uint8_t(w_qp.zeroPoint)),
+        0);
+
+    float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
+    m.writeRequantEntry(
+        1, makeRequantEntry(mreal, out_qp, DType::UInt8, cc.act));
 
     ProgramBuilder pb;
     emitConv(pb, kp);

@@ -96,8 +96,10 @@ TEST_P(NklDenseConv, MatchesQuantizedReference)
     kp.dataZero = uint8_t(in_qp.zeroPoint);
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     loadActivation(m, x_val, kp.in);
+    ASSERT_EQ(planConv(kp).form, ConvForm::Dense);
     testutil::loadWeights(
-        m, packConvWeights(w_val, &b_val, uint8_t(w_qp.zeroPoint)), 0);
+        m, packWindowWeights(kp, w_val, &b_val, uint8_t(w_qp.zeroPoint)),
+        0);
     m.writeRequantEntry(1, makeRequantEntry(in_qp.scale * w_qp.scale /
                                                 out_qp.scale,
                                             out_qp, DType::UInt8,

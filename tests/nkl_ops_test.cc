@@ -6,7 +6,7 @@
  * accumulation. Also checks the edge-patch pass by chaining two kernels.
  */
 
-#include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -141,8 +141,10 @@ NklOpsTest::runPool(const PoolCase &pc)
     p.dataZero = uint8_t(qp.zeroPoint);
     p.masks = masks;
     p.stageBase = lo.baseRow + lo.rows() + 4;
-    ASSERT_EQ(stagingRows(p), max && pc.pad > 0 ? li.rows() : 0);
-    ASSERT_LE(p.stageBase + stagingRows(p), 2048);
+    const ConvPlan plan = planConv(p);
+    ASSERT_EQ(plan.form, ConvForm::Rows);
+    ASSERT_EQ(plan.stagingRows, max && pc.pad > 0 ? li.rows() : 0);
+    ASSERT_LE(p.stageBase + plan.stagingRows, 2048);
 
     ProgramBuilder pb;
     emitConv(pb, p);
@@ -214,7 +216,7 @@ TEST_F(NklOpsTest, ResidualAddMatchesReference)
         ASSERT_EQ(got.intAt(i), want.intAt(i)) << i;
 }
 
-TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
+TEST_F(NklOpsTest, MatmulBf16MatchesReferenceBitExact)
 {
     const int k = 512, n = 2000;
     Rng rng(36);
@@ -224,8 +226,9 @@ TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
     Tensor a_val(Shape{1, k}, DType::BFloat16);
     a_val.fillGaussian(rng, 0.5f);
 
-    // Oracle: float accumulation of the bf16 products (the NPU
-    // accumulates them in full float precision), stored as bf16.
+    // Oracle: float accumulation of the bf16 products in ascending k
+    // (the NPU accumulates them in full float precision, one k per
+    // step), rounded to bf16 once.
     Tensor want(Shape{1, n}, DType::BFloat16);
     for (int j = 0; j < n; ++j) {
         float acc = 0.0f;
@@ -258,9 +261,12 @@ TEST_F(NklOpsTest, MatmulBf16MatchesReferenceWithinBf16Tolerance)
     Tensor got(Shape{1, n}, DType::BFloat16, {});
     testutil::readFlat(m, got, lo);
     for (int64_t i = 0; i < n; ++i) {
-        float fw = want.floatAt(i);
-        float fg = got.floatAt(i);
-        ASSERT_NEAR(fg, fw, std::fabs(fw) * 0.02f + 0.02f) << i;
+        uint16_t bits_got, bits_want;
+        std::memcpy(&bits_got, got.raw() + 2 * i, 2);
+        std::memcpy(&bits_want, want.raw() + 2 * i, 2);
+        ASSERT_EQ(bits_got, bits_want)
+            << i << ": got " << got.floatAt(i) << ", want "
+            << want.floatAt(i);
     }
 }
 
@@ -338,11 +344,6 @@ TEST_F(NklOpsTest, ChainedConvsExerciseHaloPatch)
     ASSERT_LE(l2.baseRow + l2.rows(), 2048);
     testutil::loadInterleaved(m, x_val, l0);
 
-    auto img1 = packConvWeights(w1, nullptr, uint8_t(w_qp.zeroPoint));
-    auto img2 = packConvWeights(w2, nullptr, uint8_t(w_qp.zeroPoint));
-    testutil::loadWeights(m, img1, 0);
-    testutil::loadWeights(m, img2, int(img1.size() / 4096));
-
     m.writeRequantEntry(
         1, makeRequantEntry(qp0.scale * w_qp.scale / qp1.scale, qp1,
                             DType::UInt8, ActFn::Relu));
@@ -367,10 +368,16 @@ TEST_F(NklOpsTest, ChainedConvsExerciseHaloPatch)
     ConvKernel k2 = k1;
     k2.in = l1;
     k2.out = l2;
+    const auto img1 =
+        packWindowWeights(k1, w1, nullptr, uint8_t(w_qp.zeroPoint));
     k2.weightBase = int(img1.size() / 4096);
     k2.rqIndex = 2;
     k2.dataZero = uint8_t(qp1.zeroPoint);
     emitConv(pb, k2);
+    testutil::loadWeights(m, img1, 0);
+    testutil::loadWeights(
+        m, packWindowWeights(k2, w2, nullptr, uint8_t(w_qp.zeroPoint)),
+        k2.weightBase);
 
     ASSERT_EQ(testutil::runStreamed(m, pb.instructions()).reason,
               StopReason::Halted);

@@ -175,16 +175,11 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
                                                    cc.pad, cc.pad, cc.pad,
                                                    in_zp);
     li.baseRow = 80;
-    ASSERT_TRUE(
-        stagedCopiesFit(li, cc.stride, cc.k, cc.k, cc.pad, cc.pad));
-    TensorLayout lo = stagedOutLayout(want.shape(), cc.stride,
-                                      cc.depthwise, out_zp);
-    lo.baseRow = li.baseRow + li.rows() + 2;
     testutil::loadInterleaved(m, x_val, li);
 
     ConvKernel kp;
     kp.in = li;
-    kp.out = lo;
+    kp.out = interleavedLayout(want.shape(), 0, 0, 0, 0, out_zp);
     kp.kh = kp.kw = cc.k;
     kp.strideH = kp.strideW = cc.stride;
     kp.padTop = kp.padLeft = cc.pad;
@@ -196,17 +191,17 @@ TEST_P(PackedConvTest, MatchesQuantizedReference)
     kp.dataZero = in_zp;
     kp.weightZero = uint8_t(w_qp.zeroPoint);
     kp.masks = masks;
-    ASSERT_TRUE(usesStagedCopies(kp));
+    // The form and rows NKL picks: staged, writing halo-free rows.
+    kp.out.baseRow = li.baseRow + li.rows() + 2;
+    const ConvPlan plan = planConv(kp);
+    ASSERT_EQ(plan.form, ConvForm::Staged);
+    const TensorLayout lo = kp.out = plan.out;
+    ASSERT_TRUE(lo.packed());
     kp.stageBase = lo.baseRow + lo.rows() + 2;
-    ASSERT_LE(kp.stageBase + stagingRows(kp), 2048);
-
-    auto w_img = cc.depthwise
-                     ? packDepthwiseWeights(w_val, &b_val,
-                                            uint8_t(w_qp.zeroPoint))
-                     : packConvWeights(w_val, &b_val,
-                                       uint8_t(w_qp.zeroPoint),
-                                       ConvTapOrder::PerTap);
-    testutil::loadWeights(m, w_img, 0);
+    ASSERT_LE(kp.stageBase + plan.stagingRows, 2048);
+    testutil::loadWeights(
+        m, packWindowWeights(kp, w_val, &b_val, uint8_t(w_qp.zeroPoint)),
+        0);
 
     float mreal = in_qp.scale * w_qp.scale / out_qp.scale;
     m.writeRequantEntry(1, makeRequantEntry(mreal, out_qp,
@@ -363,37 +358,58 @@ TEST(StagedRule, StagedConvsWriteHaloFreeRows)
     EXPECT_EQ(l7.ny, 7);
     EXPECT_EQ(l7.blocks(), 1);
 
-    // A stride-2 depthwise conv's copies hold two output pitches of
-    // input columns per slot, so its rows hold half the ys.
-    EXPECT_EQ(stagedOutLayout(Shape{1, 7, 7, 64}, 1, true, 0).ny, 7);
-    EXPECT_EQ(stagedOutLayout(Shape{1, 7, 7, 64}, 2, false, 0).ny, 7);
-    const TensorLayout dw7 = stagedOutLayout(Shape{1, 7, 7, 64}, 2, true, 0);
-    EXPECT_EQ(dw7.pitch, 9);
-    EXPECT_EQ(dw7.ny, 3);
-    EXPECT_EQ(stagedOutLayout(Shape{1, 10, 10, 64}, 2, true, 0).ny, 2);
-
-    // Every conv writing packed rows runs staged, standard or depthwise.
-    ConvKernel p;
-    p.out = l7;
-    EXPECT_TRUE(usesStagedCopies(p));
-    p.depthwise = true;
-    EXPECT_TRUE(usesStagedCopies(p));
-    p.out = denseLayout(Shape{1, 7, 7, 512}, 0);
-    EXPECT_FALSE(usesStagedCopies(p));
+    // planConv picks the form of each window from its input rows. A
+    // stride-2 depthwise conv's copies hold two output pitches of input
+    // columns per slot, so its rows hold half the ys.
+    auto plan = [](TensorLayout in, int out_hw, int k, int stride, int pad,
+                   bool depthwise, NpuOp op = NpuOp::Mac) {
+        ConvKernel p;
+        p.in = in;
+        p.out = interleavedLayout(Shape{1, out_hw, out_hw, 64}, 0, 0, 0, 0,
+                                  0);
+        p.kh = p.kw = k;
+        p.strideH = p.strideW = stride;
+        p.padTop = p.padLeft = pad;
+        p.cin = p.cout = 64;
+        p.depthwise = depthwise;
+        p.op = op;
+        return planConv(p);
+    };
+    const Shape s14{1, 14, 14, 64};
+    const TensorLayout d14 = denseLayout(s14, 0);
+    EXPECT_EQ(plan(d14, 7, 3, 1, 1, true).out.ny, 7);
+    EXPECT_EQ(plan(d14, 7, 3, 2, 1, false).out.ny, 7);
+    const ConvPlan dw7 = plan(d14, 7, 3, 2, 1, true);
+    EXPECT_EQ(dw7.form, ConvForm::Staged);
+    EXPECT_EQ(dw7.out.pitch, 9);
+    EXPECT_EQ(dw7.out.ny, 3);
+    EXPECT_EQ(plan(interleavedLayout(Shape{1, 19, 19, 64}, 1, 1, 1, 1, 0),
+                   10, 3, 2, 1, true)
+                  .out.ny,
+              2);
 
     // Copies read single-tile plain, packed and dense sources, but not
-    // multi-tile rows or taps two positions out.
-    const Shape s14{1, 14, 14, 64};
-    EXPECT_TRUE(stagedCopiesFit(denseLayout(s14, 0), 2, 3, 3, 1, 1));
-    EXPECT_TRUE(stagedCopiesFit(haloFreeLayout(s14, 0), 1, 3, 3, 1, 1));
-    EXPECT_TRUE(stagedCopiesFit(
-        interleavedLayout(Shape{1, 28, 28, 64}, 1, 1, 1, 1, 0), 2, 3, 3, 1,
-        1));
-    EXPECT_FALSE(stagedCopiesFit(
-        interleavedLayout(Shape{1, 56, 56, 64}, 1, 1, 1, 1, 0), 2, 3, 3, 1,
-        1));
-    EXPECT_FALSE(stagedCopiesFit(denseLayout(s14, 0), 1, 5, 5, 2, 2));
-    EXPECT_FALSE(stagedCopiesFit(denseLayout(s14, 0), 3, 3, 3, 1, 1));
+    // multi-tile rows or taps two positions out; a stride-1 1x1 conv
+    // over dense rows runs dense, and pools run over plain rows.
+    EXPECT_EQ(plan(d14, 7, 3, 2, 1, false).form, ConvForm::Staged);
+    EXPECT_EQ(plan(haloFreeLayout(s14, 0), 14, 3, 1, 1, false).form,
+              ConvForm::Staged);
+    EXPECT_EQ(plan(interleavedLayout(Shape{1, 28, 28, 64}, 1, 1, 1, 1, 0),
+                   14, 3, 2, 1, false)
+                  .form,
+              ConvForm::Staged);
+    EXPECT_EQ(plan(interleavedLayout(Shape{1, 56, 56, 64}, 1, 1, 1, 1, 0),
+                   14, 3, 2, 1, false)
+                  .form,
+              ConvForm::Rows);
+    EXPECT_EQ(plan(d14, 14, 5, 1, 2, false).form, ConvForm::Rows);
+    EXPECT_EQ(plan(d14, 5, 3, 3, 1, false).form, ConvForm::Rows);
+    EXPECT_EQ(plan(d14, 14, 1, 1, 0, false).form, ConvForm::Dense);
+    EXPECT_EQ(plan(d14, 14, 1, 1, 0, false).out.dense, true);
+    EXPECT_EQ(plan(interleavedLayout(s14, 1, 1, 1, 1, 0), 7, 3, 2, 1, true,
+                   NpuOp::Max)
+                  .form,
+              ConvForm::Rows);
 }
 
 TEST_F(NklPackedTest, OnChipHaloFreeRowsMatchHostPack)

@@ -353,11 +353,11 @@ TEST_F(RuntimeTest, BottleneckBlock1MatchesReference)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
 }
 
-TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
+TEST_F(RuntimeTest, Rank2FcInputRunsAsKSplitMatvec)
 {
     // A rank-2 subgraph input is a 1x1 interleaved tensor, so the FC
     // consuming it runs on Ncore as a K-split matvec like every other
-    // FC.
+    // FC: its program folds the four accumulator quarters.
     const int cin = 1024, cout = 1000;
     QuantParams in_qp = actQp(-4.0f, 4.0f);
     QuantParams w_qp{0.01f, 120};
@@ -381,6 +381,13 @@ TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
     const TensorLayout &in_lay = sg.layouts.at(sg.inputs[0]);
     EXPECT_EQ(in_lay.kind, LayoutKind::Interleaved);
     EXPECT_FALSE(in_lay.packed());
+    int folds = 0;
+    for (const EncodedInstruction &e : sg.code) {
+        const Instruction in = decodeInstruction(e);
+        folds += in.npu.op == NpuOp::AccLoadBias &&
+                 biasModeAccumulates(BiasMode(uint8_t(in.npu.b)));
+    }
+    EXPECT_EQ(folds, 3); // One chunk of 1000 outputs, three folds.
 
     Tensor xv(Shape{1, cin}, DType::UInt8, in_qp);
     Rng dr(36);
@@ -395,11 +402,12 @@ TEST_F(RuntimeTest, Rank2FcInputRunsAsDenseConv)
         ASSERT_EQ(res.outputs[0].intAt(i), want.intAt(i)) << i;
 }
 
-TEST_F(RuntimeTest, SaturatingFcKeepsReferenceOrder)
+TEST_F(RuntimeTest, SaturatingFcStaysOnX86)
 {
     // Biases near the int32 rails let partial sums saturate, so the
     // K-split FC's reordered sum could differ from the reference's:
-    // gcl keeps the 1x1-conv lowering, which sums in channel order.
+    // the FC runs in the x86 reference kernel, which sums in channel
+    // order.
     const int cin = 512, cout = 300;
     QuantParams in_qp = actQp(-4.0f, 4.0f);
     QuantParams w_qp{0.01f, 120};
@@ -419,12 +427,9 @@ TEST_F(RuntimeTest, SaturatingFcKeepsReferenceOrder)
     gb.output(y);
 
     Loadable ld = compile(gb.take());
-    ASSERT_EQ(ld.subgraphs.size(), 1u);
-    for (const EncodedInstruction &e : ld.subgraphs[0].code) {
-        const Instruction in = decodeInstruction(e);
-        EXPECT_FALSE(in.npu.op == NpuOp::AccLoadBias &&
-                     biasModeAccumulates(BiasMode(uint8_t(in.npu.b))));
-    }
+    EXPECT_TRUE(ld.subgraphs.empty());
+    ASSERT_EQ(ld.nodeAssignment.size(), 1u);
+    EXPECT_EQ(ld.nodeAssignment[0], -1);
 
     Tensor xv(Shape{1, cin}, DType::UInt8, in_qp);
     Rng dr(38);
@@ -441,8 +446,8 @@ TEST_F(RuntimeTest, SaturatingFcKeepsReferenceOrder)
 
 TEST_F(RuntimeTest, BatchedFcStaysOnX86)
 {
-    // A dense 1x1 conv consumes one vector: an FC over a [2, 64] batch
-    // runs in the x86 reference kernel.
+    // The K-split matvec consumes one vector: an FC over a [2, 64]
+    // batch runs in the x86 reference kernel.
     QuantParams in_qp = actQp(-4.0f, 4.0f);
     QuantParams w_qp{0.01f, 120};
     Rng rng(62);

@@ -102,7 +102,7 @@ main(int argc, char **argv)
     // Which kModels entries were asked for: repeats and overlaps with
     // --model=all count once, so no two threads write one JSON file.
     bool selected[std::size(kModels)] = {};
-    ExecEngine engine = ExecEngine::Default;
+    ExecEngine engine = ExecEngine::Specialized;
     const char *json_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
