@@ -51,8 +51,7 @@ oursThroughputIps(const std::vector<WorkloadProfile> &profiles)
 {
     std::array<double, 4> ours{};
     for (int i = 0; i < 4; ++i)
-        ours[size_t(i)] =
-            runOffline(observedIps(profiles[size_t(i)], 8), 1024).ips;
+        ours[size_t(i)] = observedIps(profiles[size_t(i)], 8);
     return ours;
 }
 

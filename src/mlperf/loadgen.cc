@@ -24,18 +24,6 @@ runSingleStream(const SystemUnderTest &sut, int queries,
 }
 
 OfflineResult
-runOffline(double steady_state_ips, int samples)
-{
-    OfflineResult res;
-    res.samples = samples;
-    res.ips = steady_state_ips;
-    res.seconds = steady_state_ips > 0
-                      ? double(samples) / steady_state_ips
-                      : 0.0;
-    return res;
-}
-
-OfflineResult
 runOffline(ServeEngine &engine, const ServeConfig &cfg, int queries,
            ServeResult *detail)
 {

@@ -47,18 +47,10 @@ SingleStreamResult runSingleStream(const SystemUnderTest &sut,
                                    uint64_t seed = 1);
 
 /**
- * Offline scenario over a steady-state pipeline: `ips` is supplied by
- * the pipeline model (Ncore + multicore x86 batching); this wraps it
- * in the scenario bookkeeping.
- */
-OfflineResult runOffline(double steady_state_ips, int samples);
-
-/**
  * Executed Offline scenario: drain `queries` queries through the
  * multicore serving engine (real simulator inferences, virtual-time
- * metrics) instead of the analytic pipeline model. `cfg.mode` is
- * forced to Offline. The full serving trace is returned through
- * `detail` when non-null.
+ * metrics). `cfg.mode` is forced to Offline. The full serving trace
+ * is returned through `detail` when non-null.
  */
 OfflineResult runOffline(ServeEngine &engine, const ServeConfig &cfg,
                          int queries, ServeResult *detail = nullptr);

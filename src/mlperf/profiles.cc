@@ -46,18 +46,12 @@ profileCnn(Workload w)
     WorkloadProfile p;
     p.model = workloadKey(w);
     // Latency portions come from the inference's span timeline (the
-    // same spans the telemetry trace exports); summing span durations
-    // per category reproduces the timing fields exactly, so Table IX
-    // is literally a re-aggregation of the trace.
-    const double span_ncore = spanSeconds(res.spans, SpanCat::Ncore);
-    const double span_x86 = spanSeconds(res.spans, SpanCat::X86Op) +
-                            spanSeconds(res.spans, SpanCat::Layout) +
-                            spanSeconds(res.spans, SpanCat::Framework);
-    fatal_if(span_ncore != res.timing.ncoreSeconds ||
-                 span_x86 != res.timing.x86Seconds(),
-             "span-derived breakdown diverged from timing");
-    p.ncoreSeconds = span_ncore;
-    p.x86Seconds = span_x86 + cost.preprocessSeconds(x.numElements()) +
+    // same spans the telemetry trace exports): DelegateExecutor::infer
+    // derives res.timing from them, so Table IX is a re-aggregation of
+    // the trace.
+    p.ncoreSeconds = res.timing.ncoreSeconds;
+    p.x86Seconds = res.timing.x86Seconds() +
+                   cost.preprocessSeconds(x.numElements()) +
                    cost.loadgenOverheadSeconds();
     p.unhiddenSeconds = kUnhiddenFraction * p.x86Seconds;
     p.batchingSupported = w != Workload::SsdMobileNet;

@@ -56,7 +56,11 @@ class EventLog
     size_t head_ = 0;
 };
 
-/** Architecturally visible performance counters. */
+/**
+ * Architecturally visible performance counters. Machine::step() counts
+ * each retired instruction once, from its populated slots times its
+ * rep count, plus its cycles and DMA-fence stall cycles.
+ */
 struct PerfCounters
 {
     uint64_t cycles = 0;        ///< Clock cycles consumed.

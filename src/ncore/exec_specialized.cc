@@ -470,10 +470,9 @@ isConvRep(const Instruction &in, const ExecPlan &p)
 } // namespace
 
 ExecPlan
-buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
+interpreterPlan(const Instruction &in)
 {
     ExecPlan p;
-
     p.usesImm =
         in.ndu0.srcA == RowSrc::Imm || in.ndu0.srcB == RowSrc::Imm ||
         in.ndu1.srcA == RowSrc::Imm || in.ndu1.srcB == RowSrc::Imm ||
@@ -482,6 +481,13 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
                    (in.npu.type == LaneType::I16 ||
                     in.npu.type == LaneType::BF16)) ||
                   nduUsesHi(in.ndu0) || nduUsesHi(in.ndu1);
+    return p;
+}
+
+ExecPlan
+buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
+{
+    ExecPlan p = interpreterPlan(in);
 
     bindNdu(in.ndu0, b, in.ctrl.imm, p.ndu[0], p.nduKernel[0], simd);
     bindNdu(in.ndu1, b, in.ctrl.imm, p.ndu[1], p.nduKernel[1], simd);
@@ -506,19 +512,16 @@ buildExecPlan(const Instruction &in, const PlanBindings &b, SimdTier simd)
         NpuKernel k = selectNpuKernel(simd, in.npu);
         if (k) {
             bool wide = in.npu.type == LaneType::BF16;
-            bool is_mac = in.npu.op == NpuOp::Mac;
             c.aLo = resolvePtr(b, in.npu.a);
             c.aHi = wide ? resolveHiPtr(b, in.npu.a) : nullptr;
             bool ok = c.aLo && (!wide || c.aHi);
-            if (is_mac) {
+            if (in.npu.op == NpuOp::Mac) {
                 c.bLo = resolvePtr(b, in.npu.b);
                 c.bHi = wide ? resolveHiPtr(b, in.npu.b) : nullptr;
                 ok = ok && c.bLo && (!wide || c.bHi);
             }
-            if (ok) {
+            if (ok)
                 p.npuKernel = k;
-                p.npuIsMac = is_mac;
-            }
         }
     }
 

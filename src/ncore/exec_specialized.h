@@ -81,8 +81,8 @@
  *     applies two taps per `vpmaddwd`/`vpdpwssd`, without saturation;
  *     lanes the predicate rejects keep their old value.
  *  4. Leave the per-rep end state: the last tap's latched rows and NDU
- *     rows, the stepped address registers, and the perf counters in
- *     closed form.
+ *     rows and the stepped address registers. Machine::step counts the
+ *     Rep's work as it does for every instruction.
  *
  * Pairing taps is exact only when no partial sum can saturate, so a
  * guard checks max|acc| + reps * 255^2 <= INT32_MAX once per Rep and
@@ -92,11 +92,15 @@
  * max(hi, -lo) in int64, so INT32_MIN counts as 2^31 rather than
  * wrapping the way a lane |x| would.
  *
- * Equivalence guarantee: for any program the generic interpreter
- * executes without a fault, the specialized engine produces bit
- * identical RAM contents, accumulators, predicates, N/OUT registers,
- * perf counters, ECC counters and cycle counts (enforced by
- * tests/fastpath_diff_test on random programs and directed cases).
+ * Equivalence guarantee: both engines run one body, Machine::execBody,
+ * which runs a slot's bound kernel when its plan has one and the
+ * interpreter function otherwise. The generic engine's plans
+ * (interpreterPlan) bind no kernels. For any program the interpreter
+ * executes without a fault, the kernels leave bit-identical RAM
+ * contents, accumulators, predicates, N/OUT registers and ECC counters
+ * (enforced by tests/fastpath_diff_test on random programs and
+ * directed cases). Perf counters and cycles are counted once per
+ * retired instruction by Machine::step, whichever engine ran it.
  * Constructing with Machine::Options{ExecEngine::Generic} (or
  * `ncore_prof --engine=generic`) forces the generic path.
  */
@@ -230,7 +234,7 @@ struct PlanBindings
  */
 struct ExecPlan
 {
-    NpuKernel npuKernel = nullptr; ///< Null: the slot runs generic.
+    NpuKernel npuKernel = nullptr; ///< Null: the slot runs execNpu.
     OutKernel outKernel = nullptr;
     NduKernel nduKernel[2] = {nullptr, nullptr};
     ExecCtx ctx;
@@ -242,8 +246,14 @@ struct ExecPlan
     ConvRepKernel convRep = nullptr;
     /// Set with convRep: the same tier's panel fill and guard scan.
     const ConvRepFill *convFill = nullptr;
-    bool npuIsMac = false;     ///< Counts macOps (Mac).
 };
+
+/**
+ * The generic engine's plan: no kernel and no convRep, so every slot
+ * runs its interpreter function; only the row-latch and immediate-row
+ * predicates, which buildExecPlan starts from, are set.
+ */
+ExecPlan interpreterPlan(const Instruction &in);
 
 /**
  * Classify one decoded instruction and bind its specialized plan.

@@ -238,7 +238,7 @@ Machine::reset()
               EncodedInstruction{});
     for (int i = 0; i < kRomBase; ++i) {
         decoded_[i] = Instruction{};
-        bindPlan(i);
+        plans_[i] = planFor(decoded_[i]);
     }
     loadRom();
 }
@@ -325,10 +325,11 @@ Machine::planBindings()
     return b;
 }
 
-void
-Machine::bindPlan(int idx)
+ExecPlan
+Machine::planFor(const Instruction &in)
 {
-    plans_[idx] = buildExecPlan(decoded_[idx], planBindings(), simdTier_);
+    return fastExec_ ? buildExecPlan(in, planBindings(), simdTier_)
+                     : interpreterPlan(in);
 }
 
 std::string
@@ -364,11 +365,7 @@ Machine::writeIram(int bank, std::span<const EncodedInstruction> code,
             if (planTable_.size() >= kPlanTableEntries)
                 planTable_.clear();
             const Instruction in = decodeInstruction(code[i]);
-            it = planTable_
-                     .emplace(code[i],
-                              DecodedSlot{in, buildExecPlan(in,
-                                                            planBindings(),
-                                                            simdTier_)})
+            it = planTable_.emplace(code[i], DecodedSlot{in, planFor(in)})
                      .first;
         }
         iram_[base + i] = code[i];
@@ -539,7 +536,6 @@ Machine::step()
     const Instruction &in = decoded_[pc_];
     ExecPlan &plan = plans_[pc_];
 
-    uint64_t cost = 0;
     uint64_t reps = 1;
     uint64_t fence_stall = 0;
     bool halted = false;
@@ -578,17 +574,12 @@ Machine::step()
       case CtrlOp::DmaKick:
         dma_->kick(int(in.ctrl.imm));
         break;
-      case CtrlOp::DmaFence: {
-        int q = in.ctrl.reg;
-        uint64_t stall0 = cost;
-        while (dma_->outstanding(q) > int64_t(in.ctrl.imm)) {
+      case CtrlOp::DmaFence:
+        while (dma_->outstanding(in.ctrl.reg) > int64_t(in.ctrl.imm)) {
             dma_->advance(8);
-            cost += 8;
-            perf_.dmaFenceStalls += 8;
+            fence_stall += 8;
         }
-        fence_stall = cost - stall0;
         break;
-      }
       case CtrlOp::Event:
         eventLog_.record(perf_.cycles, in.ctrl.imm);
         if (prof_)
@@ -610,22 +601,24 @@ Machine::step()
             body_cost = 4;
     }
 
-    if (fastExec_) {
-        if (plan.convRep && execConvRepFast(in, plan, reps)) {
-            perf_.instructions += reps;
-        } else {
-            for (uint64_t r = 0; r < reps; ++r) {
-                execBodyFast(in, plan);
-                ++perf_.instructions;
-            }
-        }
-    } else {
-        for (uint64_t r = 0; r < reps; ++r) {
-            execBody(in);
-            ++perf_.instructions;
-        }
-    }
-    cost += reps * body_cost;
+    if (!plan.convRep || !execConvRepFast(in, plan, reps))
+        for (uint64_t r = 0; r < reps; ++r)
+            execBody(in, plan);
+    const uint64_t cost = fence_stall + reps * body_cost;
+
+    // The work counters depend only on the retired instruction and its
+    // rep count, so they are counted here, once, whichever engine or
+    // path ran the body.
+    const uint32_t slots = populatedSlots(in);
+    auto issued = [&](IssueSlot s) { return reps * ((slots >> int(s)) & 1); };
+    perf_.instructions += reps;
+    perf_.nduOps += issued(IssueSlot::Ndu0) + issued(IssueSlot::Ndu1);
+    perf_.ramReads +=
+        issued(IssueSlot::DataRead) + issued(IssueSlot::WeightRead);
+    perf_.ramWrites += issued(IssueSlot::Write);
+    if (in.npu.op == NpuOp::Mac || in.npu.op == NpuOp::MacFwd)
+        perf_.macOps += reps * uint64_t(rowBytes_);
+    perf_.dmaFenceStalls += fence_stall;
 
     // Loop sequencing.
     if (in.ctrl.op == CtrlOp::LoopBegin) {
@@ -652,12 +645,12 @@ Machine::step()
         }
     }
 
-    // Cycle-exact attribution: cost == fence_stall + reps * body_cost
-    // by construction, so the profiler's buckets sum to total cycles,
-    // and the hook sits in the one step() both engines share, so the
-    // accounting is bit-identical across engines. It runs before the
-    // pc advances: leaving a bank may reload that bank of a streamed
-    // program and re-decode the slot `in` refers to.
+    // Cycle-exact attribution: cost is fence_stall + reps * body_cost,
+    // so the profiler's buckets sum to total cycles, and the hook sits
+    // in the one step() both engines share, so the accounting is
+    // bit-identical across engines. It runs before the pc advances:
+    // leaving a bank may reload that bank of a streamed program and
+    // re-decode the slot `in` refers to.
     if (prof_)
         prof_->onStep(in, reps, body_cost, fence_stall);
 
@@ -680,43 +673,47 @@ Machine::nextPc(int pc) const
     return next;
 }
 
+/**
+ * One repetition of the body: each slot runs its plan's bound kernel
+ * when it has one and the interpreter function otherwise (always, in
+ * the generic engine, whose plans bind no kernels).
+ */
 void
-Machine::execBody(const Instruction &in)
+Machine::execBody(const Instruction &in, ExecPlan &plan)
 {
-    latchReads(in);
-    if (in.ndu0.srcA == RowSrc::Imm || in.ndu0.srcB == RowSrc::Imm ||
-        in.ndu1.srcA == RowSrc::Imm || in.ndu1.srcB == RowSrc::Imm ||
-        in.npu.a == RowSrc::Imm || in.npu.b == RowSrc::Imm) {
+    latchReads(in, plan.wideLatch);
+    if (plan.usesImm)
         std::fill(immRow_.begin(), immRow_.end(),
                   uint8_t(in.ctrl.imm & 0xff));
+    if (plan.nduKernel[0])
+        runNduKernel(plan.nduKernel[0], plan.ndu[0],
+                     addr_[in.ndu0.addrReg].byte);
+    else
+        execNdu(in.ndu0, in.ctrl.imm);
+    if (plan.nduKernel[1])
+        runNduKernel(plan.nduKernel[1], plan.ndu[1],
+                     addr_[in.ndu1.addrReg].byte);
+    else
+        execNdu(in.ndu1, in.ctrl.imm);
+    if (plan.npuKernel) {
+        plan.ctx.zA = dataZeroOff_;
+        plan.ctx.zB = weightZeroOff_;
+        plan.npuKernel(plan.ctx);
+    } else {
+        execNpu(in.npu);
     }
-    execNdu(in.ndu0, in.ctrl.imm);
-    execNdu(in.ndu1, in.ctrl.imm);
-    execNpu(in.npu);
-    execOut(in.out);
+    if (plan.outKernel)
+        plan.outKernel(plan.ctx);
+    else
+        execOut(in.out);
     execWrite(in.write);
     postIncrement(in);
 }
 
 // --------------------------------------------------------------------
-// Specialized fast path (see exec_specialized.h). Architecturally
-// bit-identical to execBody, including perf-counter accounting.
+// Specialized engine kernels (see exec_specialized.h), architecturally
+// bit-identical to the interpreter functions below.
 // --------------------------------------------------------------------
-
-void
-Machine::execNduSlotFast(const NduSlot &slot, NduKernel kern,
-                         NduCtx &ctx, uint32_t ctrl_imm)
-{
-    if (slot.op == NduOp::None)
-        return;
-    if (!kern) {
-        // No kernel for the op, or operands the generic path panics on.
-        execNdu(slot, ctrl_imm);
-        return;
-    }
-    ++perf_.nduOps;
-    runNduKernel(kern, ctx, addr_[slot.addrReg].byte);
-}
 
 /** Run a bound NDU kernel at `offset` and land its row in place. */
 void
@@ -726,43 +723,6 @@ Machine::runNduKernel(NduKernel kern, NduCtx &ctx, int offset)
     kern(ctx);
     if (ctx.out != ctx.finalDst)
         std::memcpy(ctx.finalDst, ctx.out, size_t(rowBytes_));
-}
-
-void
-Machine::execNpuFast(ExecPlan &plan)
-{
-    plan.ctx.zA = dataZeroOff_;
-    plan.ctx.zB = weightZeroOff_;
-    plan.npuKernel(plan.ctx);
-    if (plan.npuIsMac)
-        perf_.macOps += uint64_t(rowBytes_);
-}
-
-void
-Machine::execBodyFast(const Instruction &in, ExecPlan &plan)
-{
-    latchReads(in, plan.wideLatch);
-    if (plan.usesImm)
-        std::fill(immRow_.begin(), immRow_.end(),
-                  uint8_t(in.ctrl.imm & 0xff));
-    execNduSlotFast(in.ndu0, plan.nduKernel[0], plan.ndu[0],
-                    in.ctrl.imm);
-    execNduSlotFast(in.ndu1, plan.nduKernel[1], plan.ndu[1],
-                    in.ctrl.imm);
-    if (in.npu.op != NpuOp::None) {
-        if (plan.npuKernel)
-            execNpuFast(plan);
-        else
-            execNpu(in.npu);
-    }
-    if (in.out.op != OutOp::None) {
-        if (plan.outKernel)
-            plan.outKernel(plan.ctx);
-        else
-            execOut(in.out);
-    }
-    execWrite(in.write);
-    postIncrement(in);
 }
 
 /**
@@ -839,27 +799,7 @@ Machine::execConvRepFast(const Instruction &in, ExecPlan &plan,
     std::memcpy(weightLo_.data(), wrow, size_t(rb));
     runNduKernel(plan.nduKernel[0], plan.ndu[0], doff);
     runNduKernel(plan.nduKernel[1], plan.ndu[1], woff);
-    perf_.ramReads += 2 * reps;
-    perf_.nduOps += 2 * reps;
-    perf_.macOps += reps * uint64_t(rb);
     return true;
-}
-
-void
-Machine::latchReads(const Instruction &in)
-{
-    auto uses_hi = [](const NduSlot &n) {
-        return n.op != NduOp::None &&
-               (n.srcA == RowSrc::DataReadHi ||
-                n.srcA == RowSrc::WeightReadHi ||
-                n.srcB == RowSrc::DataReadHi ||
-                n.srcB == RowSrc::WeightReadHi);
-    };
-    bool wide = (in.npu.op != NpuOp::None &&
-                 (in.npu.type == LaneType::I16 ||
-                  in.npu.type == LaneType::BF16)) ||
-                uses_hi(in.ndu0) || uses_hi(in.ndu1);
-    latchReads(in, wide);
 }
 
 void
@@ -868,7 +808,6 @@ Machine::latchReads(const Instruction &in, bool wide)
     if (in.dataRead.enable) {
         int row = addr_[in.dataRead.reg].row;
         std::memcpy(dataLo_.data(), dataRam_.readRow(row), rowBytes_);
-        ++perf_.ramReads;
         if (wide) {
             int hi = (row + 1) % cfg_.ramRows;
             std::memcpy(dataHi_.data(), dataRam_.readRow(hi), rowBytes_);
@@ -877,7 +816,6 @@ Machine::latchReads(const Instruction &in, bool wide)
     if (in.weightRead.enable) {
         int row = addr_[in.weightRead.reg].row;
         std::memcpy(weightLo_.data(), weightRam_.readRow(row), rowBytes_);
-        ++perf_.ramReads;
         if (wide) {
             int hi = (row + 1) % cfg_.ramRows;
             std::memcpy(weightHi_.data(), weightRam_.readRow(hi),
@@ -934,7 +872,6 @@ Machine::execNdu(const NduSlot &slot, uint32_t ctrl_imm)
 {
     if (slot.op == NduOp::None)
         return;
-    ++perf_.nduOps;
     const int rb = rowBytes_;
     const int groups = rb / 64;
 
@@ -1129,7 +1066,6 @@ Machine::execNpu(const NpuSlot &npu)
                 acc_[i] = std::bit_cast<int32_t>(
                     canonicalizeNaN(fc + fa * fb));
             }
-            perf_.macOps += uint64_t(rb);
             break;
           case NpuOp::Add:
           case NpuOp::Sub:
@@ -1171,7 +1107,6 @@ Machine::execNpu(const NpuSlot &npu)
                                    false);
             acc_[i] = satAdd32(acc_[i], wa * wb);
         }
-        perf_.macOps += uint64_t(rb);
         break;
       case NpuOp::Add:
       case NpuOp::Sub:
@@ -1296,7 +1231,6 @@ Machine::execWrite(const WriteSlot &w)
     const uint8_t *src = resolveSrc(w.src);
     SramBank &bank = w.weightRam ? weightRam_ : dataRam_;
     bank.writeRow(addr_[w.addrReg].row, src);
-    ++perf_.ramWrites;
 }
 
 void
@@ -1387,7 +1321,7 @@ Machine::loadRom()
     for (size_t i = 0; i < rom.size(); ++i) {
         iram_[kRomBase + i] = encodeInstruction(rom[i]);
         decoded_[kRomBase + i] = rom[i];
-        bindPlan(kRomBase + int(i));
+        plans_[kRomBase + i] = planFor(rom[i]);
     }
 }
 

@@ -211,11 +211,13 @@ class Machine : public RamRowPort
     // --- Execution engine selection --------------------------------------
 
     /**
-     * True when the pre-decoded specialized engine is active (see
+     * True when the specialized engine is active (see
      * exec_specialized.h); false for the generic interpreter. Chosen
-     * at construction via Options::execEngine — both engines are
-     * architecturally bit-identical; the generic path exists for
-     * debugging and differential testing.
+     * at construction via Options::execEngine. Both engines run one
+     * instruction body and count in one step(); the generic engine's
+     * plans bind no kernels, so every slot runs the interpreter
+     * function that defines it, for debugging and differential
+     * testing.
      */
     bool usingFastPath() const { return fastExec_; }
 
@@ -241,7 +243,6 @@ class Machine : public RamRowPort
      * when detached (one branch per retired instruction).
      */
     void setProfile(CycleProfile *p);
-    CycleProfile *profile() const { return prof_; }
 
     /**
      * Host-side attribution mark: opens (`begin`) or closes a named
@@ -296,19 +297,14 @@ class Machine : public RamRowPort
 
     // Execution helpers.
     uint64_t step();                     ///< Returns cycles consumed.
-    void execBody(const Instruction &in);
-    void execBodyFast(const Instruction &in, ExecPlan &plan);
+    void execBody(const Instruction &in, ExecPlan &plan);
     bool execConvRepFast(const Instruction &in, ExecPlan &plan,
                          uint64_t reps);
-    void execNduSlotFast(const NduSlot &slot, NduKernel kern,
-                         NduCtx &ctx, uint32_t ctrl_imm);
     void runNduKernel(NduKernel kern, NduCtx &ctx, int offset);
-    void execNpuFast(ExecPlan &plan);
     void execNdu(const NduSlot &slot, uint32_t ctrl_imm);
     void execNpu(const NpuSlot &npu);
     void execOut(const OutSlot &out);
     void execWrite(const WriteSlot &w);
-    void latchReads(const Instruction &in);
     void latchReads(const Instruction &in, bool wide);
     void bumpByte(int reg);
     void postIncrement(const Instruction &in);
@@ -316,7 +312,9 @@ class Machine : public RamRowPort
     int nextPc(int pc) const;
     bool loadNextSegment(int bank);
     PlanBindings planBindings();
-    void bindPlan(int idx);
+    /// The engine's plan for `in`: buildExecPlan's, or the generic
+    /// engine's interpreterPlan.
+    ExecPlan planFor(const Instruction &in);
 
     const uint8_t *resolveSrc(RowSrc s) const;
     const uint8_t *resolveSrcHi(RowSrc s) const;
@@ -337,7 +335,7 @@ class Machine : public RamRowPort
 
     std::vector<EncodedInstruction> iram_;   ///< kPcSpace encoded slots.
     std::vector<Instruction> decoded_;       ///< Decoded shadow.
-    std::vector<ExecPlan> plans_;            ///< Specialized exec plans.
+    std::vector<ExecPlan> plans_;            ///< Per-slot exec plans.
 
     /// A slot's decoded shadow and plan, as writeIram builds them.
     struct DecodedSlot

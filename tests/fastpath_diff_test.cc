@@ -26,8 +26,8 @@
  * operation. The diff also covers both SRAM banks' ECC counters. Forms
  * the specialized engine has no kernel for (exec_specialized.h) run on
  * the interpreter in both engines; for them the diff checks that
- * execBodyFast routes the slot there and that the kernels of the other
- * slots agree with it.
+ * Machine::execBody routes the slot there and that the kernels of the
+ * other slots agree with it.
  */
 
 #include <gtest/gtest.h>

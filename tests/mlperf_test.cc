@@ -49,13 +49,6 @@ TEST(Loadgen, SingleStreamPercentileMathIsExact)
     EXPECT_NEAR(r.p99, 99.01e-3, 1e-12);
 }
 
-TEST(Loadgen, OfflineThroughputBookkeeping)
-{
-    OfflineResult r = runOffline(2000.0, 24576);
-    EXPECT_DOUBLE_EQ(r.ips, 2000.0);
-    EXPECT_NEAR(r.seconds, 12.288, 1e-9);
-}
-
 /** The paper's own Table IX numbers drive the pipeline model. */
 WorkloadProfile
 paperProfile(double ncore_ms, double x86_ms)

@@ -3,7 +3,9 @@
  * Microarchitectural profiler tests (telemetry/profile.h):
  *  - cycle conservation: the profiler's exclusive buckets sum exactly
  *    to the Machine's cycle counter over the attached window, for
- *    synthetic programs and all four benchmark workloads;
+ *    synthetic programs and all four benchmark workloads, and its
+ *    per-step tally matches every perf counter the Machine keeps over
+ *    a MobileNet-V1 and a ResNet-50 inference;
  *  - engine bit-identity: every stall bucket, slot counter and RAM
  *    counter is identical between the generic interpreter and the
  *    specialized fast path (the hook sits in their shared step());
@@ -41,38 +43,62 @@ bucketSum(const ProfileCounters &c)
 
 // ---------------- Conservation through the full stack ----------------
 
-TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
+/**
+ * Profile one inference of `g` through the full stack and check every
+ * PerfCounters field the Machine counted over it against the
+ * profiler's own per-step tally. Returns that tally.
+ */
+ProfileCounters
+checkInvokeConservation(Graph g)
 {
-    NcoreDevice dev(LoadedModel::create(compile(buildMobileNetV1())));
+    NcoreDevice dev(LoadedModel::create(compile(std::move(g))));
     Machine &machine = dev.machine;
 
-    const Graph &g = dev.runtime.model()->graph;
-    const GirTensor &ti = g.tensor(g.inputs()[0]);
+    const Graph &graph = dev.runtime.model()->graph;
+    const GirTensor &ti = graph.tensor(graph.inputs()[0]);
     Tensor x(ti.shape, DType::UInt8, ti.quant);
     Rng rng(2020);
     x.fillRandom(rng);
 
     CycleProfile prof;
-    const uint64_t c0 = machine.cycles();
+    const PerfCounters p0 = machine.perf();
     machine.setProfile(&prof);
     dev.exec.infer({x});
     machine.setProfile(nullptr);
+    const PerfCounters &p1 = machine.perf();
+    const ProfileCounters &c = prof.counters();
+    auto issued = [&](IssueSlot s) { return c.slotIssued[size_t(s)]; };
 
     EXPECT_GT(prof.cycles(), 0u);
-    EXPECT_EQ(prof.cycles(), machine.cycles() - c0);
-    EXPECT_EQ(bucketSum(prof.counters()), machine.cycles() - c0);
-    EXPECT_EQ(prof.counters().instructions,
-              machine.perf().instructions);
-    EXPECT_EQ(prof.counters().macOps, machine.perf().macOps);
+    EXPECT_EQ(prof.cycles(), p1.cycles - p0.cycles);
+    EXPECT_EQ(bucketSum(c), p1.cycles - p0.cycles);
+    EXPECT_EQ(c.instructions, p1.instructions - p0.instructions);
+    EXPECT_EQ(c.macOps, p1.macOps - p0.macOps);
+    EXPECT_EQ(issued(IssueSlot::Ndu0) + issued(IssueSlot::Ndu1),
+              p1.nduOps - p0.nduOps);
+    EXPECT_EQ(c.ramReads[0] + c.ramReads[1], p1.ramReads - p0.ramReads);
+    EXPECT_EQ(c.ramWrites[0] + c.ramWrites[1],
+              p1.ramWrites - p0.ramWrites);
+    EXPECT_EQ(c.buckets[size_t(CycleBucket::DmaFenceStall)],
+              p1.dmaFenceStalls - p0.dmaFenceStalls);
 
     // The double-buffered IRAM and the OUT stage never stall — the
     // paper's IV-C claim as a measured number.
-    EXPECT_EQ(prof.counters()
-                  .buckets[size_t(CycleBucket::IramSwapWait)],
-              0u);
-    EXPECT_EQ(prof.counters()
-                  .buckets[size_t(CycleBucket::OutBackpressure)],
-              0u);
+    EXPECT_EQ(c.buckets[size_t(CycleBucket::IramSwapWait)], 0u);
+    EXPECT_EQ(c.buckets[size_t(CycleBucket::OutBackpressure)], 0u);
+    return c;
+}
+
+TEST(ProfileConservationTest, MobileNetInvokeSumsToMachineCycles)
+{
+    checkInvokeConservation(buildMobileNetV1());
+}
+
+TEST(ProfileConservationTest, ResNet50InvokeSumsToMachineCycles)
+{
+    // ResNet-50 streams weights, so its fence-stall counter is live.
+    const ProfileCounters c = checkInvokeConservation(buildResNet50V15());
+    EXPECT_GT(c.buckets[size_t(CycleBucket::DmaFenceStall)], 0u);
 }
 
 // ---------------- Engine bit-identity ----------------
